@@ -1,23 +1,49 @@
 """Exact multivariate Laurent polynomials and rational functions over Q.
 
-Symbols are plain names ("z1", "u", "g2", "a1_121"); monomials map names to
-integer exponents (negative allowed).  The deformation parameter v is always
-written as u^2, so every coefficient ring here is Q[u^{+-1}, ...].
+Symbols are plain names ("z1", "u", "g2", "a1_121").  The deformation
+parameter v is always written as u^2, so every coefficient ring here is
+Q[u^{+-1}, ...].
+
+Representation.  A monomial is one Python int.  Each symbol owns a lane of
+``_WIDTH`` bits, handed out in the order the process first sees the symbol
+by a table private to this module that only ever grows, and the monomial
+is the sum of ``exponent << (_WIDTH * lane)`` over its symbols.  Exponents
+are signed, so the product of two monomials is one int addition.  A
+polynomial keeps a dict from these ints to coefficients.  No other module
+sees the encoding: ``LaurentPoly.terms`` is a read-only view keyed by
+name-sorted ``(name, exponent)`` tuples, and rendering, equality and the
+term order of :func:`exact_divide` go by symbol name, so no result depends
+on the order in which lanes were handed out.
+
+Coefficients are ``int``.  A ``Fraction`` appears only where a value is not
+integral: a quotient in :func:`exact_divide`, the inverse of a monomial whose
+coefficient is not +-1, or an input such as ``"3/2"``.  A Fraction that
+becomes integral is turned back into an int.
+
+Overflow.  Every exponent lies in [-2^14, 2^14).  The top bit of each lane
+is a guard, so the sum of two valid monomials still decodes exactly, and a
+result with an exponent outside the range raises OverflowError; no exponent
+ever carries into a neighbouring lane.
 
 Gauss symbols g0, g1, ... are ordinary commuting symbols until a
 :class:`GaussRules` context is attached, which rewrites g_a * g_{n-a} to
-pair_value and g_0 to zero_value at construction time.
+pair_value and g_0 to zero_value at construction time.  Each rules object
+memoizes the rewrite of every monomial it has seen.
 
 All values are immutable after construction and all operations are pure.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Mapping
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping
+from functools import reduce
+from operator import or_
+from typing import Callable, Hashable, Iterable
 
 Monomial = tuple[tuple[str, int], ...]
+Coeff = int | Fraction
 
 
 class NotDivisible(Exception):
@@ -32,14 +58,128 @@ class ContextMismatch(Exception):
     """Raised when two operands carry incompatible Gauss rewrite rules."""
 
 
-def _mono(exps: Mapping[str, int]) -> Monomial:
-    return tuple(sorted((s, e) for s, e in exps.items() if e != 0))
-
-
 def _gauss_index(name: str) -> int | None:
     if name.startswith("g") and name[1:].isdigit():
         return int(name[1:])
     return None
+
+
+# -- packed monomials -------------------------------------------------------------
+
+_WIDTH = 16
+_LANE_MASK = (1 << _WIDTH) - 1
+_HALF = 1 << (_WIDTH - 1)  # a lane decodes as a signed value in [-_HALF, _HALF)
+_LIMIT = 1 << (_WIDTH - 2)  # valid exponents lie in [-_LIMIT, _LIMIT)
+
+_names: list[str] = []  # lane -> symbol name
+_lanes: dict[str, int] = {}  # symbol name -> lane
+_gauss_of_lane: list[int | None] = []  # lane -> Gauss index, None for other symbols
+_bias = 0  # _LIMIT in every lane: maps every valid exponent into [0, _HALF)
+_guard = 0  # the top bit of every lane
+
+
+def _lane(name: str) -> int:
+    global _bias, _guard
+    lane = _lanes.get(name)
+    if lane is None:
+        lane = len(_names)
+        _names.append(name)
+        _lanes[name] = lane
+        _gauss_of_lane.append(_gauss_index(name))
+        _bias |= _LIMIT << (_WIDTH * lane)
+        _guard |= _HALF << (_WIDTH * lane)
+    return lane
+
+
+def _pack(exps: Mapping[str, int]) -> int:
+    """The packed monomial with the given exponent of each named symbol."""
+    m = 0
+    for name, e in exps.items():
+        if type(e) is not int:
+            f = Fraction(e)
+            if f.denominator != 1:
+                raise ValueError(f"non-integral exponent {e} of {name}")
+            e = f.numerator
+        if e:
+            if not -_LIMIT <= e < _LIMIT:
+                raise OverflowError(f"exponent {e} of {name} outside [{-_LIMIT}, {_LIMIT})")
+            m += e << (_WIDTH * _lane(name))
+    return m
+
+
+def _pack_pairs(mono: Iterable[tuple[str, int]]) -> int:
+    exps: dict[str, int] = {}
+    for name, e in mono:
+        exps[name] = exps.get(name, 0) + e
+    return _pack(exps)
+
+
+def _unpack(m: int) -> list[tuple[int, int]]:
+    """(lane, exponent) of every symbol of m, lowest lane first."""
+    out = []
+    lane = 0
+    while m:
+        e = m & _LANE_MASK
+        if e >= _HALF:
+            e -= 1 << _WIDTH
+        if e:
+            out.append((lane, e))
+        m = (m - e) >> _WIDTH
+        lane += 1
+    return out
+
+
+def _exponents(m: int) -> dict[str, int]:
+    return {_names[lane]: e for lane, e in _unpack(m)}
+
+
+def _named(m: int) -> Monomial:
+    return tuple(sorted((_names[lane], e) for lane, e in _unpack(m)))
+
+
+def _check_range(monos) -> None:
+    """Raise OverflowError if an exponent of a packed monomial in monos left the valid range.
+
+    Adding _bias maps each lane of a valid monomial into [0, _HALF), with no
+    carries, so the guard bits stay clear; an out-of-range lane sets the
+    guard bit of the lowest such lane.
+    """
+    if monos and reduce(or_, map(_bias.__add__, monos)) & _guard:
+        bad = next(m for m in monos if (m + _bias) & _guard)
+        raise OverflowError(f"exponent outside [{-_LIMIT}, {_LIMIT}) in {_named(bad)}")
+
+
+# -- coefficients -------------------------------------------------------------------
+
+
+def _coeff(value) -> Coeff:
+    """value as an int when integral, else as a Fraction (accepts int, Fraction and str)."""
+    if type(value) is int:
+        return value
+    value = Fraction(value)
+    return value.numerator if value.denominator == 1 else value
+
+
+def _div(a: Coeff, b: Coeff) -> Coeff:
+    if type(a) is int and type(b) is int and not a % b:
+        return a // b
+    q = Fraction(a) / b
+    return q.numerator if q.denominator == 1 else q
+
+
+def _integral(terms: dict[int, Coeff]) -> bool:
+    """Turn integral Fraction coefficients into ints in place; True if a Fraction remains."""
+    frac = False
+    for m, c in terms.items():
+        if type(c) is not int:
+            if c.denominator == 1:
+                terms[m] = c.numerator
+            else:
+                frac = True
+    return frac
+
+
+# -- Gauss rewrite rules ----------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -55,6 +195,8 @@ class GaussRules:
     modulus: int
     pair_value: "LaurentPoly"
     zero_value: "LaurentPoly"
+    # packed monomial -> its rewrite as packed terms, or None if it is canonical
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.modulus < 1:
@@ -74,246 +216,51 @@ class GaussRules:
 def _merge_rules(a: GaussRules | None, b: GaussRules | None) -> GaussRules | None:
     if a is None:
         return b
-    if b is None or a == b:
+    if b is None or a is b or a == b:
         return a
     raise ContextMismatch(f"incompatible Gauss rules: {a} vs {b}")
 
 
-class LaurentPoly:
-    """Immutable exact Laurent polynomial with Fraction coefficients."""
+_UNSEEN = object()
 
-    __slots__ = ("terms", "rules", "_hash")
 
-    def __init__(self, terms: Mapping[Monomial, Fraction] | None = None, rules: GaussRules | None = None):
-        self.rules = rules
-        normalized: dict[Monomial, Fraction] = {}
-        for mono, coeff in (terms or {}).items():
-            coeff = Fraction(coeff)
-            if coeff == 0:
-                continue
-            reduced = _gauss_reduce(mono, coeff, rules) if rules is not None else ((mono, coeff),)
-            for m2, c2 in reduced:
-                c = normalized.get(m2, Fraction(0)) + c2
-                if c:
-                    normalized[m2] = c
-                else:
-                    normalized.pop(m2, None)
-        self.terms = normalized
-        self._hash = None
-
-    # -- constructors -----------------------------------------------------
-
-    @staticmethod
-    def zero(rules: GaussRules | None = None) -> "LaurentPoly":
-        return LaurentPoly({}, rules)
-
-    @staticmethod
-    def const(value, rules: GaussRules | None = None) -> "LaurentPoly":
-        return LaurentPoly({(): Fraction(value)}, rules)
-
-    @staticmethod
-    def one(rules: GaussRules | None = None) -> "LaurentPoly":
-        return LaurentPoly.const(1, rules)
-
-    @staticmethod
-    def monomial(exps: Mapping[str, int], coeff=1, rules: GaussRules | None = None) -> "LaurentPoly":
-        return LaurentPoly({_mono(exps): Fraction(coeff)}, rules)
-
-    @staticmethod
-    def symbol(name: str, rules: GaussRules | None = None) -> "LaurentPoly":
-        return LaurentPoly.monomial({name: 1}, rules=rules)
-
-    def with_rules(self, rules: GaussRules | None) -> "LaurentPoly":
-        return LaurentPoly(self.terms, rules)
-
-    # -- ring operations ---------------------------------------------------
-
-    def _coerce(self, other):
-        if isinstance(other, LaurentPoly):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return LaurentPoly.const(other, self.rules)
-        return None
-
-    def __add__(self, other) -> "LaurentPoly":
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        rules = _merge_rules(self.rules, other.rules)
-        terms = dict(self.terms)
-        for mono, coeff in other.terms.items():
-            c = terms.get(mono, Fraction(0)) + coeff
-            if c:
-                terms[mono] = c
+def _reduce_terms(terms: dict[int, Coeff], rules: GaussRules) -> dict[int, Coeff]:
+    """Rewrite packed terms (owned by the caller) into Gauss normal form."""
+    memo = rules._memo
+    rewrites = []
+    for m in terms:
+        r = memo.get(m, _UNSEEN)
+        if r is _UNSEEN:
+            r = memo[m] = _gauss_reduce(m, rules)
+        if r is not None:
+            rewrites.append((m, r))
+    for m, r in rewrites:
+        c = terms.pop(m)
+        for m2, c2 in r:  # m2 is canonical, so never a key still to rewrite
+            s = terms.get(m2, 0) + c * c2
+            if s:
+                terms[m2] = s
             else:
-                terms.pop(mono, None)
-        return LaurentPoly(terms, rules)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly({m: -c for m, c in self.terms.items()}, self.rules)
-
-    def __sub__(self, other) -> "LaurentPoly":
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other) -> "LaurentPoly":
-        return (-self) + other
-
-    def __mul__(self, other) -> "LaurentPoly":
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        rules = _merge_rules(self.rules, other.rules)
-        terms: dict[Monomial, Fraction] = {}
-        for m1, c1 in self.terms.items():
-            d1 = dict(m1)
-            for m2, c2 in other.terms.items():
-                exps = dict(d1)
-                for s, e in m2:
-                    exps[s] = exps.get(s, 0) + e
-                key = _mono(exps)
-                c = terms.get(key, Fraction(0)) + c1 * c2
-                if c:
-                    terms[key] = c
-                else:
-                    terms.pop(key, None)
-        return LaurentPoly(terms, rules)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> "LaurentPoly":
-        if not isinstance(n, int):
-            return NotImplemented
-        if n < 0:
-            return self.monomial_inverse() ** (-n)
-        result = LaurentPoly.one(self.rules)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
-
-    def monomial_inverse(self) -> "LaurentPoly":
-        """Inverse of a single-term polynomial (monomials are the Laurent units)."""
-        if len(self.terms) != 1:
-            raise ValueError("only monomials are invertible")
-        (mono, coeff), = self.terms.items()
-        return LaurentPoly({tuple((s, -e) for s, e in mono): 1 / coeff}, self.rules)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = LaurentPoly.const(other, self.rules)
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self):
-        if self._hash is None:
-            self._hash = hash(frozenset(self.terms.items()))
-        return self._hash
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def symbols(self) -> set[str]:
-        return {s for mono in self.terms for s, _ in mono}
-
-    # -- substitution and evaluation ----------------------------------------
-
-    def substitute_monomials(self, images: Mapping[str, Mapping[str, int]]) -> "LaurentPoly":
-        """Ring homomorphism sending each mapped symbol to a monomial; others fixed."""
-        terms: dict[Monomial, Fraction] = {}
-        for mono, coeff in self.terms.items():
-            exps: dict[str, int] = {}
-            for s, e in mono:
-                image = images.get(s)
-                if image is None:
-                    exps[s] = exps.get(s, 0) + e
-                else:
-                    for t, f in image.items():
-                        exps[t] = exps.get(t, 0) + e * f
-            key = _mono(exps)
-            c = terms.get(key, Fraction(0)) + coeff
-            if c:
-                terms[key] = c
-            else:
-                terms.pop(key, None)
-        return LaurentPoly(terms, self.rules)
-
-    def eval(self, point: Mapping[str, Fraction]) -> Fraction:
-        total = Fraction(0)
-        for mono, coeff in self.terms.items():
-            value = coeff
-            for s, e in mono:
-                if s not in point:
-                    raise ValueError(f"unassigned symbol {s!r}")
-                base = Fraction(point[s])
-                if base == 0 and e < 0:
-                    raise PoleError(f"{s} = 0 raised to a negative power")
-                value *= base ** e
-            total += value
-        return total
-
-    # -- rendering ----------------------------------------------------------
-
-    def render(self) -> str:
-        """Canonical text form: terms in ascending graded-lex order on symbol names."""
-        if not self.terms:
-            return "0"
-        names = sorted(self.symbols())
-        index = {s: i for i, s in enumerate(names)}
-
-        def key(mono: Monomial):
-            vec = [0] * len(names)
-            for s, e in mono:
-                vec[index[s]] = e
-            return (sum(e for _, e in mono), vec)
-
-        parts = []
-        for mono, coeff in sorted(self.terms.items(), key=lambda kv: key(kv[0])):
-            factors = [s if e == 1 else f"{s}^{e}" for s, e in mono]
-            mag = abs(coeff)
-            if not factors:
-                body = str(mag)
-            elif mag == 1:
-                body = "*".join(factors)
-            else:
-                body = "*".join([str(mag)] + factors)
-            parts.append(("-" if coeff < 0 else "+", body))
-        sign, body = parts[0]
-        out = ("-" if sign == "-" else "") + body
-        for sign, body in parts[1:]:
-            out += f" {sign} {body}"
-        return out
-
-    def __repr__(self) -> str:
-        return f"LaurentPoly({self.render()})"
+                terms.pop(m2, None)
+    return terms
 
 
-def _gauss_reduce(mono: Monomial, coeff: Fraction, rules: GaussRules) -> Iterable[tuple[Monomial, Fraction]]:
-    """Canonical form of one term under the Gauss rewrite system."""
+def _gauss_reduce(m: int, rules: GaussRules) -> tuple[tuple[int, Coeff], ...] | None:
+    """Canonical form of the monomial m under the Gauss rewrite system; None if m is canonical."""
     n = rules.modulus
     plain: dict[str, int] = {}
     gexp: dict[int, int] = {}
-    for s, e in mono:
-        a = _gauss_index(s)
+    for lane, e in _unpack(m):
+        a = _gauss_of_lane[lane]
         if a is None:
-            plain[s] = plain.get(s, 0) + e
+            plain[_names[lane]] = e
         else:
             a %= n
             gexp[a] = gexp.get(a, 0) + e
     if not gexp:
-        yield mono, coeff
-        return
-    multiplier = LaurentPoly.const(coeff)
-    pair_invertible = len(rules.pair_value.terms) == 1
+        return None
+    multiplier = LaurentPoly.one()
+    pair_invertible = len(rules.pair_value._t) == 1
     zero_count = gexp.pop(0, 0)
     if zero_count > 0:
         multiplier = multiplier * rules.zero_value ** zero_count
@@ -346,12 +293,305 @@ def _gauss_reduce(mono: Monomial, coeff: Fraction, rules: GaussRules) -> Iterabl
     for a, e in gexp.items():
         if e:
             plain[f"g{a}"] = plain.get(f"g{a}", 0) + e
-    base = _mono(plain)
-    for m2, c2 in multiplier.terms.items():
-        exps = dict(base)
-        for s, e in m2:
-            exps[s] = exps.get(s, 0) + e
-        yield _mono(exps), c2
+    base = _pack(plain)
+    out = {base + m2: c2 for m2, c2 in multiplier._t.items()}
+    _check_range(out)
+    if out == {m: 1}:
+        return None
+    return tuple(out.items())
+
+
+# -- polynomials ------------------------------------------------------------------------
+
+
+class _Terms(Mapping):
+    """Read-only view of a polynomial's terms, keyed by name-sorted (name, exponent) tuples."""
+
+    __slots__ = ("_t",)
+
+    def __init__(self, packed: dict[int, Coeff]):
+        self._t = packed
+
+    def __len__(self) -> int:
+        return len(self._t)
+
+    def __iter__(self):
+        return map(_named, self._t)
+
+    def __getitem__(self, mono: Monomial) -> Coeff:
+        if any(name not in _lanes for name, _ in mono):
+            raise KeyError(mono)
+        try:
+            return self._t[_pack_pairs(mono)]
+        except OverflowError:
+            raise KeyError(mono) from None
+
+    def items(self) -> list[tuple[Monomial, Coeff]]:
+        return [(_named(m), c) for m, c in self._t.items()]
+
+    def values(self) -> list[Coeff]:
+        return list(self._t.values())
+
+    def __repr__(self) -> str:
+        return repr(dict(self.items()))
+
+
+class LaurentPoly:
+    """Immutable exact Laurent polynomial with int (Fraction where needed) coefficients."""
+
+    __slots__ = ("_t", "rules", "_frac", "_hash")
+
+    def __init__(self, terms: Mapping[Monomial, Coeff | str] | None = None, rules: GaussRules | None = None):
+        packed: dict[int, Coeff] = {}
+        for mono, coeff in (terms or {}).items():
+            m = _pack_pairs(mono)
+            packed[m] = packed.get(m, 0) + _coeff(coeff)
+        packed = {m: c for m, c in packed.items() if c}
+        self._set(packed, rules, any(type(c) is not int for c in packed.values()))
+
+    def _set(
+        self, terms: dict[int, Coeff], rules: GaussRules | None, frac: bool, canonical: bool = False
+    ) -> "LaurentPoly":
+        """Take ownership of packed terms with no zero coefficient; frac: a Fraction may be among them."""
+        if rules is not None and not canonical:
+            terms = _reduce_terms(terms, rules)
+        if frac:
+            frac = _integral(terms)
+        self._t = terms
+        self.rules = rules
+        self._frac = frac
+        self._hash = None
+        return self
+
+    @property
+    def terms(self) -> Mapping[Monomial, Coeff]:
+        """Coefficient of each monomial, keyed by its name-sorted (name, exponent) tuple."""
+        return _Terms(self._t)
+
+    # -- constructors -----------------------------------------------------
+
+    @staticmethod
+    def zero(rules: GaussRules | None = None) -> "LaurentPoly":
+        return _new({}, rules, False)
+
+    @staticmethod
+    def const(value, rules: GaussRules | None = None) -> "LaurentPoly":
+        c = _coeff(value)
+        return _new({0: c} if c else {}, rules, type(c) is not int, canonical=True)
+
+    @staticmethod
+    def one(rules: GaussRules | None = None) -> "LaurentPoly":
+        return LaurentPoly.const(1, rules)
+
+    @staticmethod
+    def monomial(exps: Mapping[str, int], coeff=1, rules: GaussRules | None = None) -> "LaurentPoly":
+        c = _coeff(coeff)
+        return _new({_pack(exps): c} if c else {}, rules, type(c) is not int)
+
+    @staticmethod
+    def symbol(name: str, rules: GaussRules | None = None) -> "LaurentPoly":
+        return LaurentPoly.monomial({name: 1}, rules=rules)
+
+    def with_rules(self, rules: GaussRules | None) -> "LaurentPoly":
+        return _new(dict(self._t), rules, self._frac)
+
+    # -- ring operations ---------------------------------------------------
+
+    def _coerce(self, other):
+        if isinstance(other, LaurentPoly):
+            return other
+        if isinstance(other, (int, Fraction)):
+            return LaurentPoly.const(other, self.rules)
+        return None
+
+    def __add__(self, other) -> "LaurentPoly":
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        rules = _merge_rules(self.rules, other.rules)
+        terms = dict(self._t)
+        get = terms.get
+        for m, c in other._t.items():
+            s = get(m, 0) + c
+            if s:
+                terms[m] = s
+            else:
+                del terms[m]
+        # terms already in normal form under shared rules stay so
+        return _new(terms, rules, self._frac or other._frac, canonical=self.rules is other.rules)
+
+    __radd__ = __add__
+
+    def __neg__(self) -> "LaurentPoly":
+        return _new({m: -c for m, c in self._t.items()}, self.rules, self._frac, canonical=True)
+
+    def __sub__(self, other) -> "LaurentPoly":
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return self + (-other)
+
+    def __rsub__(self, other) -> "LaurentPoly":
+        return (-self) + other
+
+    def __mul__(self, other) -> "LaurentPoly":
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        rules = _merge_rules(self.rules, other.rules)
+        terms: dict[int, Coeff] = {}
+        get = terms.get
+        right = list(other._t.items())
+        for m1, c1 in self._t.items():
+            for m2, c2 in right:
+                m = m1 + m2
+                terms[m] = get(m, 0) + c1 * c2
+        _check_range(terms)
+        if 0 in terms.values():
+            terms = {m: c for m, c in terms.items() if c}
+        return _new(terms, rules, self._frac or other._frac)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, n: int) -> "LaurentPoly":
+        if not isinstance(n, int):
+            return NotImplemented
+        if n < 0:
+            return self.monomial_inverse() ** (-n)
+        result = LaurentPoly.one(self.rules)
+        base = self
+        while n:
+            if n & 1:
+                result = result * base
+            n >>= 1
+            if n:
+                base = base * base
+        return result
+
+    def monomial_inverse(self) -> "LaurentPoly":
+        """Inverse of a single-term polynomial (monomials are the Laurent units)."""
+        if len(self._t) != 1:
+            raise ValueError("only monomials are invertible")
+        (m, c), = self._t.items()
+        inverse = {-m: _div(1, c)}
+        _check_range(inverse)
+        return _new(inverse, self.rules, type(inverse[-m]) is not int)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, (int, Fraction)):
+            other = LaurentPoly.const(other, self.rules)
+        if not isinstance(other, LaurentPoly):
+            return NotImplemented
+        return self._t == other._t
+
+    def __hash__(self):
+        if self._hash is None:
+            self._hash = hash(frozenset(self._t.items()))
+        return self._hash
+
+    def is_zero(self) -> bool:
+        return not self._t
+
+    def symbols(self) -> set[str]:
+        return {_names[lane] for m in self._t for lane, _ in _unpack(m)}
+
+    # -- maps on monomials, substitution and evaluation -------------------------
+
+    def map_monomials(
+        self, image: Callable[[dict[str, int]], Mapping[str, int]], memo: dict | None = None
+    ) -> "LaurentPoly":
+        """Sum of c * image(m) over the terms c * m, image acting on exponents {name: exponent}.
+
+        ``memo``, a dict the caller keeps for one ``image``, caches its
+        values between calls; its keys are private to this module.
+        """
+        if memo is None:
+            memo = {}
+        terms: dict[int, Coeff] = {}
+        for m, c in self._t.items():
+            target = memo.get(m)
+            if target is None:
+                target = memo[m] = _pack(image(_exponents(m)))
+            terms[target] = terms.get(target, 0) + c
+        return _new({m: c for m, c in terms.items() if c}, self.rules, self._frac)
+
+    def split(self, key: Callable[[dict[str, int]], Hashable]) -> dict[Hashable, "LaurentPoly"]:
+        """The terms grouped by key(exponents), one polynomial per key, in order of first appearance."""
+        groups: dict[Hashable, dict[int, Coeff]] = {}
+        for m, c in self._t.items():
+            groups.setdefault(key(_exponents(m)), {})[m] = c
+        return {k: _new(t, self.rules, self._frac, canonical=True) for k, t in groups.items()}
+
+    def substitute_monomials(self, images: Mapping[str, Mapping[str, int]]) -> "LaurentPoly":
+        """Ring homomorphism sending each mapped symbol to a monomial; others fixed."""
+
+        def image(exps: dict[str, int]) -> dict[str, int]:
+            out: dict[str, int] = {}
+            for s, e in exps.items():
+                target = images.get(s)
+                if target is None:
+                    out[s] = out.get(s, 0) + e
+                else:
+                    for t, f in target.items():
+                        out[t] = out.get(t, 0) + e * f
+            return out
+
+        return self.map_monomials(image)
+
+    def eval(self, point: Mapping[str, Fraction]) -> Fraction:
+        total = Fraction(0)
+        for m, coeff in self._t.items():
+            value = Fraction(coeff)
+            for s, e in _named(m):
+                if s not in point:
+                    raise ValueError(f"unassigned symbol {s!r}")
+                base = Fraction(point[s])
+                if base == 0 and e < 0:
+                    raise PoleError(f"{s} = 0 raised to a negative power")
+                value *= base ** e
+            total += value
+        return total
+
+    # -- rendering ----------------------------------------------------------
+
+    def render(self) -> str:
+        """Canonical text form: terms in ascending graded-lex order on symbol names."""
+        if not self._t:
+            return "0"
+        terms = [(_named(m), c) for m, c in self._t.items()]
+        names = sorted({s for mono, _ in terms for s, _ in mono})
+        index = {s: i for i, s in enumerate(names)}
+
+        def key(mono: Monomial):
+            vec = [0] * len(names)
+            for s, e in mono:
+                vec[index[s]] = e
+            return (sum(e for _, e in mono), vec)
+
+        parts = []
+        for mono, coeff in sorted(terms, key=lambda kv: key(kv[0])):
+            factors = [s if e == 1 else f"{s}^{e}" for s, e in mono]
+            mag = abs(coeff)
+            if not factors:
+                body = str(mag)
+            elif mag == 1:
+                body = "*".join(factors)
+            else:
+                body = "*".join([str(mag)] + factors)
+            parts.append(("-" if coeff < 0 else "+", body))
+        sign, body = parts[0]
+        out = ("-" if sign == "-" else "") + body
+        for sign, body in parts[1:]:
+            out += f" {sign} {body}"
+        return out
+
+    def __repr__(self) -> str:
+        return f"LaurentPoly({self.render()})"
+
+
+def _new(terms: dict[int, Coeff], rules: GaussRules | None, frac: bool, canonical: bool = False) -> LaurentPoly:
+    """A polynomial owning packed terms; canonical: they are already in Gauss normal form."""
+    return object.__new__(LaurentPoly)._set(terms, rules, frac, canonical)
 
 
 def poly_arith(a: LaurentPoly, b: LaurentPoly, op: str) -> LaurentPoly:
@@ -365,23 +605,18 @@ def poly_arith(a: LaurentPoly, b: LaurentPoly, op: str) -> LaurentPoly:
     raise ValueError(f"unknown op {op!r}")
 
 
-def _monomial_content(p: LaurentPoly) -> dict[str, int]:
-    """Componentwise minimum exponent over all terms (the unit part of p)."""
-    mins: dict[str, int] = {}
-    symbols = p.symbols()
-    for mono, _ in p.terms.items():
-        d = dict(mono)
-        for s in symbols:
-            e = d.get(s, 0)
-            if s not in mins or e < mins[s]:
-                mins[s] = e
-    return {s: e for s, e in mins.items() if e != 0}
+def _content(p: LaurentPoly) -> int:
+    """Componentwise minimum exponent over all terms (the unit part of p), packed."""
+    vecs = [dict(_unpack(m)) for m in p._t]
+    lanes = set().union(*vecs)
+    return sum(min(vec.get(lane, 0) for vec in vecs) << (_WIDTH * lane) for lane in lanes)
 
 
-def _shift(p: LaurentPoly, shift: Mapping[str, int]) -> LaurentPoly:
+def _shift(p: LaurentPoly, shift: int) -> LaurentPoly:
     if not shift:
         return p
-    return p * LaurentPoly.monomial(shift, rules=p.rules)
+    _check_range((shift,))
+    return p * _new({shift: 1}, p.rules, False)
 
 
 def exact_divide(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
@@ -396,42 +631,37 @@ def exact_divide(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
     rules = _merge_rules(p.rules, q.rules)
     if p.is_zero():
         return LaurentPoly.zero(rules)
-    cp, cq = _monomial_content(p), _monomial_content(q)
-    phat = _shift(p, {s: -e for s, e in cp.items()})
-    qhat = _shift(q, {s: -e for s, e in cq.items()})
+    cp, cq = _content(p), _content(q)
+    phat, qhat = _shift(p, -cp), _shift(q, -cq)
 
     names = sorted(phat.symbols() | qhat.symbols())
-    index = {s: i for i, s in enumerate(names)}
+    position = {_lanes[s]: i for i, s in enumerate(names)}
+    keys: dict[int, tuple[int, list[int]]] = {}
 
-    def order(mono: Monomial):
-        vec = [0] * len(names)
-        for s, e in mono:
-            vec[index[s]] = e
-        return (sum(vec), vec)
+    def order(m: int):
+        key = keys.get(m)
+        if key is None:
+            vec = [0] * len(names)
+            for lane, e in _unpack(m):
+                vec[position[lane]] = e
+            key = keys[m] = (sum(vec), vec)
+        return key
 
-    def leading(poly: LaurentPoly) -> tuple[Monomial, Fraction]:
-        m = max(poly.terms, key=order)
-        return m, poly.terms[m]
-
-    lq_mono, lq_coeff = leading(qhat)
-    lq = dict(lq_mono)
-    quotient: dict[Monomial, Fraction] = {}
+    lq = max(qhat._t, key=order)
+    lq_coeff = qhat._t[lq]
+    quotient: dict[int, Coeff] = {}
     rem = phat
     while not rem.is_zero():
-        lm, lc = leading(rem)
-        t = dict(lm)
-        for s, e in lq.items():
-            t[s] = t.get(s, 0) - e
-        if any(e < 0 for e in t.values()):
+        lm = max(rem._t, key=order)
+        t = lm - lq
+        if any(e < 0 for _, e in _unpack(t)):
             raise NotDivisible(f"({p.render()}) is not divisible by ({q.render()})")
-        tm = _mono(t)
-        tc = lc / lq_coeff
-        quotient[tm] = quotient.get(tm, Fraction(0)) + tc
-        rem = rem - LaurentPoly({tm: tc}, rules) * qhat
-    shift = dict(cp)
-    for s, e in cq.items():
-        shift[s] = shift.get(s, 0) - e
-    return _shift(LaurentPoly(quotient, rules), shift)
+        tc = _div(rem._t[lm], lq_coeff)
+        quotient[t] = quotient.get(t, 0) + tc
+        rem = rem - _new({t: tc}, rules, type(tc) is not int) * qhat
+    quotient = {m: c for m, c in quotient.items() if c}
+    frac = any(type(c) is not int for c in quotient.values())
+    return _shift(_new(quotient, rules, frac), cp - cq)
 
 
 def try_divide(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly | None:
@@ -468,7 +698,7 @@ class RationalFunction:
             return num, ()
         kept: list[LaurentPoly] = []
         for f in den:
-            if len(f.terms) == 1:
+            if len(f._t) == 1:
                 num = num * f.monomial_inverse()
             else:
                 kept.append(f)
@@ -657,17 +887,17 @@ def conjugate_gauss(obj):
     if poly.rules is None:
         return poly
     n = poly.rules.modulus
-    terms: dict[Monomial, Fraction] = {}
-    for mono, coeff in poly.terms.items():
-        exps: dict[str, int] = {}
-        for name, exp in mono:
+
+    def flip(exps: dict[str, int]) -> dict[str, int]:
+        out: dict[str, int] = {}
+        for name, exp in exps.items():
             a = _gauss_index(name)
             if a is not None:
                 name = f"g{(-a) % n}"
-            exps[name] = exps.get(name, 0) + exp
-        key = _mono(exps)
-        terms[key] = terms.get(key, Fraction(0)) + coeff
-    return LaurentPoly(terms, poly.rules)
+            out[name] = out.get(name, 0) + exp
+        return out
+
+    return poly.map_monomials(flip)
 
 
 # -- shared symbol helpers ----------------------------------------------------

@@ -2,8 +2,7 @@
 
 Subcommands: verify, cs, demazure, rmatrix, metaplectic, wreath.  Every
 command prints a deterministic text report (or JSON with --json) and exits
-nonzero if any check failed.  HECKEKIT_JOBS controls internal parallelism of
-the independent per-pair checks.
+nonzero if any check failed.
 """
 
 from __future__ import annotations
@@ -18,7 +17,6 @@ from .metaplectic import (
     metaplectic_schema_instance,
     whittaker_value,
 )
-from .parsing import parse_poly
 from .reports import Report
 from .rmatrix import (
     check_hecke,

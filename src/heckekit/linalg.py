@@ -2,25 +2,11 @@
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Iterable, Sequence
 
 from .algebra import GaussRules, LaurentPoly, RationalFunction
 
 Matrix = tuple[tuple[RationalFunction, ...], ...]
-
-JOBS_ENV = "HECKEKIT_JOBS"
-
-
-def parallel_map(fn: Callable, items: Sequence):
-    """Map preserving order; worker count from the HECKEKIT_JOBS env var (default 1)."""
-    jobs = int(os.environ.get(JOBS_ENV, "1") or "1")
-    if jobs <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
-
 
 def mat(rows: Iterable[Iterable]) -> Matrix:
     out = []

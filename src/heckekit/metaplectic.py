@@ -350,14 +350,21 @@ def metaplectic_schema_instance(datum: MetaplecticDatum, normalized: bool = True
 # -- Chinta-Gunnells action and metaplectic Demazure operators ----------------------
 
 
-def _coset_components(datum: MetaplecticDatum, f: LaurentPoly) -> dict[int, LaurentPoly]:
-    out: dict[int, LaurentPoly] = {}
-    for mono, coeff in f.terms.items():
-        exps = dict(mono)
-        vec = [exps.get(f"z{j + 1}", 0) for j in range(datum.cartan.dim)]
+def _coset_components(datum: MetaplecticDatum, f: LaurentPoly) -> dict[int, tuple[list[int], LaurentPoly]]:
+    """f split by coset index; each part comes with the z-exponents of its first term."""
+    dim = datum.cartan.dim
+    firsts: dict[int, list[int]] = {}
+
+    def coset(exps: dict[str, int]) -> int:
+        vec = [exps.get(f"z{j + 1}", 0) for j in range(dim)]
         idx = datum.coset_index(vec)
-        out[idx] = out.get(idx, P.zero(datum.rules)) + P({mono: coeff}, datum.rules)
-    return out
+        firsts.setdefault(idx, vec)
+        return idx
+
+    if f.rules is not datum.rules:
+        f = f.with_rules(datum.rules)
+    parts = f.split(coset)
+    return {idx: (firsts[idx], part) for idx, part in parts.items()}
 
 
 def cg_scaled(datum: MetaplecticDatum, i: int, f: LaurentPoly, gauss_flip: bool = False) -> RF:
@@ -369,9 +376,7 @@ def cg_scaled(datum: MetaplecticDatum, i: int, f: LaurentPoly, gauss_flip: bool 
     q = datum.q_value(alpha)
     s = datum.group.simple(i)
     total = RF.zero(rules)
-    for _, part in components.items():
-        mono = next(iter(part.terms))
-        mu = [dict(mono).get(f"z{j + 1}", 0) for j in range(datum.cartan.dim)]
+    for _, (mu, part) in components.items():
         b = _pairing_value(datum, i, mu)
         m = b // q
         rem = (-m) % na

@@ -8,7 +8,9 @@ serialize to JSON (schema shipped as report.schema.json) and round-trip.
 from __future__ import annotations
 
 import json
+import os
 import time
+import traceback
 from dataclasses import dataclass, field
 
 
@@ -49,9 +51,19 @@ class Report:
         self.checks.append(CheckResult(name, passed, lhs, rhs, elapsed))
 
     def run(self, name: str, fn) -> None:
-        """Time fn() -> (passed, lhs, rhs) and record the result."""
+        """Time fn() -> (passed, lhs, rhs) and record the result.
+
+        A check that raises is recorded as failed: lhs holds the exception's
+        type and message, rhs the place it was raised.
+        """
         start = time.perf_counter()
-        passed, lhs, rhs = fn()
+        try:
+            passed, lhs, rhs = fn()
+        except Exception as exc:  # one broken check must not abort the report
+            where = traceback.extract_tb(exc.__traceback__)[-1]
+            passed = False
+            lhs = f"{type(exc).__name__}: {exc}"
+            rhs = f"raised at {os.path.basename(where.filename)}:{where.lineno} in {where.name}"
         self.checks.append(CheckResult(name, passed, lhs, rhs, time.perf_counter() - start))
 
     def extend(self, other: "Report") -> None:

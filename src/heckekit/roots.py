@@ -139,7 +139,12 @@ class WeylGroup:
         self.elements: list[WeylElement] = []
         self._by_matrix: dict[tuple[Vector, ...], WeylElement] = {}
         self._generate()
+        self._simples = [self._by_matrix[m] for m in self._simple_matrices]
         self._bruhat_cache: dict[tuple[tuple[int, ...], tuple[int, ...]], bool] = {}
+        # products, inverses and monomial images, keyed by reduced words
+        self._mul_cache: dict[tuple[tuple[int, ...], tuple[int, ...]], WeylElement] = {}
+        self._inverse_cache: dict[tuple[int, ...], WeylElement] = {}
+        self._act_memos: dict[tuple[int, ...], dict] = {}
 
     def _generate(self) -> None:
         d = self.cartan.dim
@@ -185,19 +190,26 @@ class WeylGroup:
         return self.elements[0]
 
     def simple(self, i: int) -> WeylElement:
-        return self._by_matrix[self._simple_matrices[i]]
+        return self._simples[i]
 
     def mul(self, a: WeylElement, b: WeylElement) -> WeylElement:
-        return self._by_matrix[_mat_mul(a.matrix, b.matrix)]
+        key = (a.word, b.word)
+        product = self._mul_cache.get(key)
+        if product is None:
+            product = self._mul_cache[key] = self._by_matrix[_mat_mul(a.matrix, b.matrix)]
+        return product
 
     def inverse(self, w: WeylElement) -> WeylElement:
-        result = self.identity
-        for i in w.word:
-            result = self.mul(self.simple(i), result)
+        result = self._inverse_cache.get(w.word)
+        if result is None:
+            result = self.identity
+            for i in w.word:
+                result = self.mul(self.simple(i), result)
+            self._inverse_cache[w.word] = result
         return result
 
     def left_mul_simple(self, i: int, w: WeylElement) -> WeylElement:
-        return self._by_matrix[_mat_mul(self._simple_matrices[i], w.matrix)]
+        return self.mul(self._simples[i], w)
 
     def is_left_descent(self, i: int, w: WeylElement) -> bool:
         return self.left_mul_simple(i, w).length < w.length
@@ -237,32 +249,32 @@ class WeylGroup:
         return w.act(mu)
 
     def act_fn(self, w: WeylElement, f):
-        """act_fn(w, z^mu) = z^{w mu}; a ring homomorphism on z-monomials."""
+        """act_fn(w, z^mu) = z^{w mu}; a ring homomorphism on z-monomials.
+
+        The image of each monomial under each element is computed once per group.
+        """
         if isinstance(f, RationalFunction):
             return RationalFunction(
                 self.act_fn(w, f.num),
                 tuple(self.act_fn(w, g) for g in f.den),
                 simplify=False,
             )
-        return _apply_matrix_to_poly(f, w.matrix, self.cartan.dim)
+        memo = self._act_memos.setdefault(w.word, {})
+        return f.map_monomials(lambda exps: _act_on_exponents(w, exps, self.cartan.dim), memo)
 
     def at_point(self, w: WeylElement, f):
         """Evaluate a z-function at the torus point w*z: f(wz) = act_fn(w^{-1}, f)."""
         return self.act_fn(self.inverse(w), f)
 
 
-def _apply_matrix_to_poly(f: LaurentPoly, matrix: tuple[Vector, ...], dim: int) -> LaurentPoly:
-    terms = {}
-    for mono, coeff in f.terms.items():
-        exps = dict(mono)
-        vec = [exps.pop(f"z{i + 1}", 0) for i in range(dim)]
-        image = _intvec(_mat_vec(matrix, vec))
-        for i, e in enumerate(image):
-            if e:
-                exps[f"z{i + 1}"] = exps.get(f"z{i + 1}", 0) + e
-        key = tuple(sorted((s, e) for s, e in exps.items() if e != 0))
-        terms[key] = terms.get(key, Fraction(0)) + coeff
-    return LaurentPoly(terms, f.rules)
+def _act_on_exponents(w: WeylElement, exps: dict[str, int], dim: int) -> dict[str, int]:
+    """The exponents of z^{w mu} * (the other symbols), for the monomial z^mu * (the other symbols)."""
+    out = dict(exps)
+    vec = [out.pop(f"z{i + 1}", 0) for i in range(dim)]
+    for i, e in enumerate(w.act(vec)):
+        if e:
+            out[f"z{i + 1}"] = e
+    return out
 
 
 def _positive_closure(cartan_type: str, simples: list[IntVector], pairings: list[Vector], rho) -> tuple[IntVector, ...]:

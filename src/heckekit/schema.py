@@ -36,7 +36,6 @@ from .linalg import (
     mat_add,
     mat_mul,
     mat_scalar,
-    parallel_map,
     zero_matrix,
 )
 from .reports import Report
@@ -222,31 +221,23 @@ def poincare_polynomial(group: WeylGroup, rules: GaussRules | None = None) -> La
 
 
 def check_composition(inst: SchemaInstance, report: Report | None = None) -> Report:
-    """A(s_i w, i) A(w, i) equals the forced composition scalar, for every (w, i).
-
-    The per-pair checks are independent and run through parallel_map
-    (worker count from HECKEKIT_JOBS; sequential by default).
-    """
+    """A(s_i w, i) A(w, i) equals the forced composition scalar, for every (w, i)."""
     report = report or Report(f"{inst.name}: composition scalar")
-    pairs = [(w, i) for i in range(inst.cartan.rank) for w in inst.group]
-
-    def evaluate(pair):
-        w, i = pair
-        start = time.perf_counter()
-        sw = inst.group.left_mul_simple(i, w)
-        product = mat_mul(inst.A(sw, i), inst.A(w, i))
-        expected = inst.composition_scalar(w, i)
-        scalar = is_scalar_matrix(product)
-        if scalar is None:
-            result = (False, "A(s_i w) A(w) is not scalar", expected.render())
-        elif scalar == expected:
-            result = (True, None, None)
-        else:
-            result = (False, scalar.render(), expected.render())
-        return result + (time.perf_counter() - start,)
-
-    for (w, i), (passed, lhs, rhs, elapsed) in zip(pairs, parallel_map(evaluate, pairs)):
-        report.add(f"composition scalar (w={w.name()}, i={i + 1})", passed, lhs, rhs, elapsed)
+    for i in range(inst.cartan.rank):
+        for w in inst.group:
+            start = time.perf_counter()
+            sw = inst.group.left_mul_simple(i, w)
+            product = mat_mul(inst.A(sw, i), inst.A(w, i))
+            expected = inst.composition_scalar(w, i)
+            scalar = is_scalar_matrix(product)
+            if scalar is None:
+                passed, lhs, rhs = False, "A(s_i w) A(w) is not scalar", expected.render()
+            elif scalar == expected:
+                passed, lhs, rhs = True, None, None
+            else:
+                passed, lhs, rhs = False, scalar.render(), expected.render()
+            elapsed = time.perf_counter() - start
+            report.add(f"composition scalar (w={w.name()}, i={i + 1})", passed, lhs, rhs, elapsed)
     return report
 
 

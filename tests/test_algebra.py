@@ -229,3 +229,237 @@ def test_render_canonical():
     assert p.render() == "1 - u^2*z1*z2^-1"
     assert P.zero().render() == "0"
     assert (-sym("x")).render() == "-x"
+
+
+# -- packed representation against the original one ----------------------------
+#
+# The reference keeps monomials as name-sorted (name, exp) tuples with Fraction
+# coefficients, and rewrites Gauss symbols under GaussRules.standard(n)
+# (g_a g_{n-a} -> u^2, g_0 -> -u^2) one term at a time.  LaurentPoly must
+# agree with it term for term, whatever lanes its packed monomials use.
+
+REF_NAMES = ["x", "y", "u", "g0", "g1", "g2", "g3"]
+
+
+def _ref_mono(exps):
+    return tuple(sorted((s, e) for s, e in exps.items() if e))
+
+
+def _ref_gauss(mono, n):
+    plain, gexp = {}, {}
+    for s, e in mono:
+        if s.startswith("g") and s[1:].isdigit():
+            a = int(s[1:]) % n
+            gexp[a] = gexp.get(a, 0) + e
+        else:
+            plain[s] = e
+    zero_count = gexp.pop(0, 0)
+    sign, u_exp = -1 if zero_count % 2 else 1, 2 * zero_count
+    for a in sorted(gexp):
+        b = (n - a) % n
+        if b < a:
+            continue
+        if b == a:
+            pairs, gexp[a] = divmod(gexp[a], 2)
+        else:
+            ea, eb = gexp[a], gexp.get(b, 0)
+            pairs = min(ea, eb) if ea > 0 and eb > 0 else max(ea, eb) if ea < 0 and eb < 0 else 0
+            gexp[a], gexp[b] = ea - pairs, eb - pairs
+        u_exp += 2 * pairs
+    for a, e in gexp.items():
+        plain[f"g{a}"] = plain.get(f"g{a}", 0) + e
+    plain["u"] = plain.get("u", 0) + u_exp
+    return _ref_mono(plain), sign
+
+
+def ref_poly(terms, n=None):
+    out = {}
+    for mono, coeff in terms.items():
+        sign = 1
+        if n is not None:
+            mono, sign = _ref_gauss(mono, n)
+        out[mono] = out.get(mono, Fraction(0)) + sign * Fraction(coeff)
+    return {m: c for m, c in out.items() if c}
+
+
+def ref_add(a, b, n=None):
+    out = dict(a)
+    for m, c in b.items():
+        out[m] = out.get(m, Fraction(0)) + c
+    return ref_poly(out, n)
+
+
+def _ref_mono_mul(m1, m2):
+    exps = dict(m1)
+    for s, e in m2:
+        exps[s] = exps.get(s, 0) + e
+    return _ref_mono(exps)
+
+
+def ref_mul(a, b, n=None):
+    out = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            m = _ref_mono_mul(m1, m2)
+            out[m] = out.get(m, Fraction(0)) + c1 * c2
+    return ref_poly(out, n)
+
+
+def _ref_order(names):
+    index = {s: i for i, s in enumerate(names)}
+
+    def key(mono):
+        vec = [0] * len(names)
+        for s, e in mono:
+            vec[index[s]] = e
+        return (sum(vec), vec)
+
+    return key
+
+
+def ref_render(p):
+    if not p:
+        return "0"
+    key = _ref_order(sorted({s for m in p for s, _ in m}))
+    parts = []
+    for mono, coeff in sorted(p.items(), key=lambda kv: key(kv[0])):
+        factors = [s if e == 1 else f"{s}^{e}" for s, e in mono]
+        mag = abs(coeff)
+        body = str(mag) if not factors else "*".join(factors) if mag == 1 else "*".join([str(mag)] + factors)
+        parts.append(("-" if coeff < 0 else "+", body))
+    out = ("-" if parts[0][0] == "-" else "") + parts[0][1]
+    return out + "".join(f" {sign} {body}" for sign, body in parts[1:])
+
+
+def ref_divide(p, q, n=None):
+    """The quotient by the original algorithm, or the name of the exception it raises."""
+
+    def content(f):
+        names = {s for m in f for s, _ in m}
+        return {s: min(dict(m).get(s, 0) for m in f) for s in names}
+
+    def shift(f, exps):
+        return ref_mul(f, ref_poly({_ref_mono(exps): 1}, n), n) if _ref_mono(exps) else f
+
+    if not p:
+        return {}
+    cp, cq = content(p), content(q)
+    phat = shift(p, {s: -e for s, e in cp.items()})
+    qhat = shift(q, {s: -e for s, e in cq.items()})
+    order = _ref_order(sorted({s for f in (phat, qhat) for m in f for s, _ in m}))
+    lq = max(qhat, key=order)
+    quotient, rem = {}, phat
+    try:
+        while rem:
+            lm = max(rem, key=order)
+            t = dict(lm)
+            for s, e in lq:
+                t[s] = t.get(s, 0) - e
+            if any(e < 0 for e in t.values()):
+                return "NotDivisible"
+            term = {_ref_mono(t): rem[lm] / qhat[lq]}
+            quotient = ref_add(quotient, term)
+            rem = ref_add(rem, ref_mul(ref_poly({m: -c for m, c in term.items()}, n), qhat, n), n)
+    except KeyError:
+        return "KeyError"
+    shift_exps = dict(cp)
+    for s, e in cq.items():
+        shift_exps[s] = shift_exps.get(s, 0) - e
+    return shift(ref_poly(quotient, n), shift_exps)
+
+
+def divide_outcome(p, q):
+    try:
+        return dict(exact_divide(p, q).terms.items())
+    except (NotDivisible, KeyError) as exc:
+        return type(exc).__name__
+
+
+raw_polys = st.dictionaries(
+    st.dictionaries(st.sampled_from(REF_NAMES), st.integers(min_value=-3, max_value=3), max_size=3).map(_ref_mono),
+    st.fractions(min_value=-4, max_value=4, max_denominator=3),
+    max_size=4,
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from([None, 2, 3, 4]), raw_polys, raw_polys)
+def test_packed_ring_matches_reference(n, raw_a, raw_b):
+    rules = GaussRules.standard(n) if n is not None else None
+    a, b = LaurentPoly(raw_a, rules), LaurentPoly(raw_b, rules)
+    ra, rb = ref_poly(raw_a, n), ref_poly(raw_b, n)
+    assert dict(a.terms.items()) == ra
+    assert a.render() == ref_render(ra)
+    assert dict((a + b).terms.items()) == ref_add(ra, rb, n)
+    product = a * b
+    assert dict(product.terms.items()) == ref_mul(ra, rb, n)
+    assert product.render() == ref_render(ref_mul(ra, rb, n))
+    assert all(type(c) is int or c.denominator != 1 for c in product.terms.values())
+    if rb:
+        assert divide_outcome(product, b) == ref_divide(ref_mul(ra, rb, n), rb, n)
+
+
+def test_exponent_outside_lane_range_raises():
+    from heckekit.algebra import _LIMIT
+
+    x, y = sym("x"), sym("y")
+    top = P.monomial({"x": _LIMIT - 1})
+    bottom = P.monomial({"x": -_LIMIT})
+    assert (top * y).terms == {(("x", _LIMIT - 1), ("y", 1)): 1}
+    with pytest.raises(OverflowError):
+        top * x
+    with pytest.raises(OverflowError):
+        bottom * x.monomial_inverse()
+    with pytest.raises(OverflowError):
+        bottom.monomial_inverse()
+    with pytest.raises(OverflowError):
+        x ** _LIMIT
+    with pytest.raises(OverflowError):
+        P.monomial({"x": _LIMIT})
+    with pytest.raises(OverflowError):
+        P({(("y", 1), ("x", -_LIMIT - 1)): 1})
+
+
+SYMBOL_ORDER_SCRIPT = """
+import json, sys
+from heckekit.algebra import GaussRules, LaurentPoly as P, NotDivisible, exact_divide
+from heckekit.parsing import parse_poly
+
+names = sys.argv[1:]
+for name in names:
+    P.symbol(name)
+p = parse_poly("3/2*x*y^-1 - z + 2*u^2*x^3 - 7")
+q = parse_poly("x - y*z^-2")
+out = [(p * q).render(), exact_divide(p * q, q).render(), exact_divide(p * q * p, p * q).render()]
+try:
+    exact_divide(p, q)
+except NotDivisible as exc:
+    out.append(str(exc))
+rules = GaussRules.standard(3)
+g = parse_poly("g1*x + g2*y^-1 + u", rules=rules)
+out.append((g * g * g).render())
+out.append(sorted(map(repr, (p * q).terms.items())))
+print(json.dumps(out))
+"""
+
+
+def test_results_do_not_depend_on_lane_order():
+    import json
+    import os
+    import subprocess
+    import sys
+
+    import heckekit
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(heckekit.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    order = ["x", "y", "z", "u", "g1", "g2"]
+    outputs = [
+        json.loads(subprocess.run(
+            [sys.executable, "-c", SYMBOL_ORDER_SCRIPT, *names],
+            env=env, capture_output=True, text=True, check=True,
+        ).stdout)
+        for names in (order, order[::-1])
+    ]
+    assert outputs[0] == outputs[1]
+    assert len(outputs[0]) == 6
