@@ -870,11 +870,6 @@ def rf_equal(a: RationalFunction, b: RationalFunction) -> bool:
     return a.num * _product(rest_b, rules) == b.num * _product(rest_a, rules)
 
 
-def eval_rational(f: RationalFunction, point: Mapping[str, Fraction]) -> Fraction:
-    """Exact value at a rational point; PoleError if any denominator vanishes."""
-    return f.eval(point)
-
-
 def conjugate_gauss(obj):
     """The global flip g_a -> g_{(-a) mod n} (the choice-of-embedding toggle)."""
     if isinstance(obj, RationalFunction):

@@ -1,8 +1,10 @@
 """Command line front end.
 
 Subcommands: verify, cs, demazure, rmatrix, metaplectic, wreath.  Every
-command prints a deterministic text report (or JSON with --json) and exits
-nonzero if any check failed.
+command prints a deterministic text report and exits nonzero if any check
+failed.  With --json, stdout holds exactly one JSON document (the report);
+any other lines a command prints go to stderr.  Bad input exits with
+status 2 and a usage message.
 """
 
 from __future__ import annotations
@@ -43,7 +45,6 @@ from .roots import build_cartan, weight_monomial, weyl_group
 from .schema import generic_instance, verify_instance
 from .whittaker import (
     apply_demazure,
-    check_cs,
     check_demazure_relations,
     cs_product,
     cs_rhs,
@@ -65,6 +66,19 @@ def _parse_weight(text: str) -> tuple[int, ...]:
         return tuple(int(x) for x in cleaned.replace(" ", "").split(","))
     except ValueError as err:
         raise argparse.ArgumentTypeError(f"bad weight {text!r}") from err
+
+
+def _cartan_type(text: str) -> str:
+    try:
+        build_cartan(text)
+    except ValueError as err:
+        raise argparse.ArgumentTypeError(str(err)) from None
+    return text
+
+
+def _say(args, text: str) -> None:
+    """A line beside the report: stdout, or stderr under --json."""
+    print(text, file=sys.stderr if args.json else sys.stdout)
 
 
 def _emit(report: Report, as_json: bool) -> int:
@@ -99,7 +113,7 @@ def run_verify(args) -> int:
         lambdas = list(datum.lattice_basis)
     report = verify_instance(inst, lambdas=lambdas, spherical=args.spherical)
     quad_braid = [c.passed for c in report.checks if c.name.startswith(("quadratic", "braid"))]
-    print(quad_braid)  # the bracket of quadratic/braid flags
+    _say(args, str(quad_braid))  # the bracket of quadratic/braid flags
     return _emit(report, args.json)
 
 
@@ -111,8 +125,8 @@ def run_cs(args) -> int:
     var = demazure_variant("whittaker", cartan, group)
     lhs = idempotent_apply(var, args.weight)
     rhs = cs_rhs(cartan, group, args.weight)
-    print(f"I(z^{args.weight}) = {lhs.render()}")
-    print(f"product form     = ({cs_product(cartan).render()}) * chi_lambda")
+    _say(args, f"I(z^{args.weight}) = {lhs.render()}")
+    _say(args, f"product form     = ({cs_product(cartan).render()}) * chi_lambda")
     report = Report(f"casselman-shalika {args.type} {args.weight}")
     report.add("idempotent equals product formula", lhs == rhs, lhs.render(), rhs.render())
     return _emit(report, args.json)
@@ -179,13 +193,13 @@ def run_metaplectic(args) -> int:
     if not datum.cartan.is_dominant(lam):
         raise SystemExit(f"weight {lam} is not dominant")
     values = whittaker_value(datum, lam)
-    print(f"spherical Whittaker values for GL_{args.r}, n={args.n}, lambda={lam}:")
+    _say(args, f"spherical Whittaker values for GL_{args.r}, n={args.n}, lambda={lam}:")
     width = max(len(str(rep)) for rep in datum.coset_reps)
     total = P.zero(datum.rules)
     for rep, value in zip(datum.coset_reps, values):
-        print(f"  {str(rep):<{width}}  {value.render()}")
+        _say(args, f"  {str(rep):<{width}}  {value.render()}")
         total = total + value
-    print(f"  aggregate: {total.render()}")
+    _say(args, f"  aggregate: {total.render()}")
     expected = RF.zero(datum.rules)
     mono = weight_monomial(tuple(-x for x in lam), datum.rules)
     for w in datum.group:
@@ -222,25 +236,25 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("verify", help="schema relation checks for a chosen instance")
-    p.add_argument("--type", default="A2", help="Cartan type (A1..A4, B2, C2, G2)")
+    p.add_argument("--type", type=_cartan_type, default="A2", help="Cartan type (A1..A4, B2, C2, G2)")
     p.add_argument("--instance", default="generic",
                    choices=["generic", "whittaker", "spherical", "metaplectic", "rmatrix"])
     p.add_argument("--bernstein", type=_parse_weight, action="append",
                    help="weight for the Bernstein relation, e.g. '(1,0,0)'; repeatable")
     p.add_argument("--n", type=int, default=2, help="cover degree / R-matrix dimension")
-    p.add_argument("--B", default="dot", help="bilinear form for metaplectic instances")
+    p.add_argument("--B", default="dot", choices=["dot"], help="bilinear form for metaplectic instances")
     p.add_argument("--gauss", action="store_true", help="Gauss-twisted R-matrix instance")
     p.add_argument("--power", type=int, help="exponent power for the rmatrix instance")
     p.add_argument("--spherical", action="store_true", help="also check the spherical idempotent")
     p.set_defaults(fn=run_verify)
 
     p = sub.add_parser("cs", help="spherical idempotent vs the product formula")
-    p.add_argument("--type", default="A2")
+    p.add_argument("--type", type=_cartan_type, default="A2")
     p.add_argument("--weight", type=_parse_weight, required=True)
     p.set_defaults(fn=run_cs)
 
     p = sub.add_parser("demazure", help="Demazure operator relation suite")
-    p.add_argument("--type", default="A2")
+    p.add_argument("--type", type=_cartan_type, default="A2")
     p.add_argument("--kind", default="whittaker", choices=["whittaker", "lusztig"])
     p.add_argument("--plain", action="store_true", help="use the unconjugated action")
     p.add_argument("--weights", type=_parse_weight, action="append")
@@ -257,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("metaplectic", help="spherical Whittaker value table for a GL cover")
     p.add_argument("--r", type=int, default=2)
     p.add_argument("--n", type=int, default=2)
-    p.add_argument("--B", default="dot")
+    p.add_argument("--B", default="dot", choices=["dot"])
     p.add_argument("--weight", type=_parse_weight)
     p.add_argument("--inject-mismatch", action="store_true",
                    help="deliberately break the cross-check (negative control)")
@@ -272,7 +286,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "verify" and args.instance == "rmatrix" and not args.type.startswith("A"):
+        parser.error(f"--instance rmatrix needs a type A1..A4, not {args.type}")
     return args.fn(args)
 
 

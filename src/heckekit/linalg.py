@@ -1,90 +1,145 @@
-"""Small exact matrices over the rational-function field."""
+"""Sparse exact matrices over the rational-function field.
+
+A Matrix stores its shape, its Gauss rules and a dict from (row, col) to a
+nonzero RationalFunction; an entry whose is_zero() is true (a cancelled sum,
+say) is never stored.  Operations walk stored entries only: a product costs
+one multiply per pair of matching nonzeros, not k^3 cell visits.
+
+A Matrix still reads as a sequence of rows: len(m), m[r] (a row tuple with
+zeros filled in), m[r][c], `for row in m` and m == ((x,),).  m[r, c] reads one
+entry without building its row.  The public functions also accept nested row
+sequences and convert them once on entry.
+"""
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Sequence
+from typing import Mapping, Sequence
 
-from .algebra import GaussRules, LaurentPoly, RationalFunction
+from .algebra import GaussRules, RationalFunction
 
-Matrix = tuple[tuple[RationalFunction, ...], ...]
+Key = tuple[int, int]
 
-def mat(rows: Iterable[Iterable]) -> Matrix:
-    out = []
-    for row in rows:
-        out.append(tuple(x if isinstance(x, RationalFunction) else RationalFunction.from_poly(x) for x in row))
-    return tuple(out)
+
+class Matrix:
+    """shape, rules and the nonzero entries keyed (row, col)."""
+
+    __slots__ = ("shape", "rules", "entries")
+
+    def __init__(self, shape: Key, entries: Mapping[Key, RationalFunction], rules: GaussRules | None = None):
+        self.shape = shape
+        self.rules = rules
+        self.entries = {key: x for key, x in entries.items() if not x.is_zero()}
+
+    def zero(self) -> RationalFunction:
+        return RationalFunction.zero(self.rules)
+
+    def row(self, r: int) -> tuple[RationalFunction, ...]:
+        if not 0 <= r < self.shape[0]:
+            raise IndexError(r)
+        zero = self.zero()
+        get = self.entries.get
+        return tuple(get((r, c), zero) for c in range(self.shape[1]))
+
+    def __len__(self) -> int:
+        return self.shape[0]
+
+    def __getitem__(self, key):
+        if isinstance(key, tuple):
+            got = self.entries.get(key)
+            return got if got is not None else self.zero()
+        return self.row(key)
+
+    def __iter__(self):
+        return (self.row(r) for r in range(self.shape[0]))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, (Matrix, tuple, list)):
+            return NotImplemented
+        other = as_matrix(other)
+        return self.shape == other.shape and first_difference(self, other) is None
+
+    __hash__ = None  # entries compare by cross multiplication
+
+
+def as_matrix(a: Matrix | Sequence[Sequence[RationalFunction]]) -> Matrix:
+    """a itself if it is a Matrix, else the Matrix of a nested row sequence."""
+    if isinstance(a, Matrix):
+        return a
+    rows = [tuple(row) for row in a]
+    cols = len(rows[0]) if rows else 0
+    entries = {(r, c): x for r, row in enumerate(rows) for c, x in enumerate(row)}
+    return Matrix((len(rows), cols), entries, rows[0][0].num.rules if cols else None)
 
 
 def identity_matrix(k: int, rules: GaussRules | None = None) -> Matrix:
-    one, zero = RationalFunction.one(rules), RationalFunction.zero(rules)
-    return tuple(tuple(one if r == c else zero for c in range(k)) for r in range(k))
-
-
-def zero_matrix(k: int, rules: GaussRules | None = None) -> Matrix:
-    zero = RationalFunction.zero(rules)
-    return tuple(tuple(zero for _ in range(k)) for _ in range(k))
+    one = RationalFunction.one(rules)
+    return Matrix((k, k), {(r, r): one for r in range(k)}, rules)
 
 
 def mat_add(a: Matrix, b: Matrix) -> Matrix:
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+    a, b = as_matrix(a), as_matrix(b)
+    out = dict(a.entries)
+    for key, y in b.entries.items():
+        x = out.get(key)
+        out[key] = y if x is None else x + y
+    return Matrix(a.shape, out, a.rules)
 
 
 def mat_sub(a: Matrix, b: Matrix) -> Matrix:
-    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+    b = as_matrix(b)
+    return mat_add(a, Matrix(b.shape, {key: -y for key, y in b.entries.items()}, b.rules))
 
 
 def mat_scalar(c, a: Matrix) -> Matrix:
-    return tuple(tuple(c * x for x in row) for row in a)
+    a = as_matrix(a)
+    if c.is_zero():
+        return Matrix(a.shape, {}, a.rules)
+    return Matrix(a.shape, {key: c * x for key, x in a.entries.items()}, a.rules)
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    bt = list(zip(*b))
-    out = []
-    for row in a:
-        out_row = []
-        for col in bt:
-            total = None
-            for x, y in zip(row, col):
-                if x.is_zero() or y.is_zero():
-                    continue
-                term = x * y
-                total = term if total is None else total + term
-            out_row.append(total if total is not None else RationalFunction.zero(row[0].num.rules if row else None))
-        out.append(tuple(out_row))
-    return tuple(out)
-
-
-def mat_eq(a: Matrix, b: Matrix) -> bool:
-    return first_difference(a, b) is None
+    """Sum over matching nonzeros; each cell is summed in ascending inner index."""
+    a, b = as_matrix(a), as_matrix(b)
+    b_rows: dict[int, list[tuple[int, RationalFunction]]] = {}
+    for (j, c), y in b.entries.items():
+        b_rows.setdefault(j, []).append((c, y))
+    out: dict[Key, RationalFunction] = {}
+    for (r, j), x in sorted(a.entries.items()):
+        for c, y in b_rows.get(j, ()):
+            term = x * y
+            total = out.get((r, c))
+            out[(r, c)] = term if total is None else total + term
+    return Matrix((a.shape[0], b.shape[1]), out, a.rules)
 
 
 def first_difference(a: Matrix, b: Matrix) -> tuple[int, int, RationalFunction, RationalFunction] | None:
-    for r, (ra, rb) in enumerate(zip(a, b)):
-        for c, (x, y) in enumerate(zip(ra, rb)):
-            if not (x == y):
-                return r, c, x, y
+    """The first (row-major) differing entry, or None if a == b."""
+    a, b = as_matrix(a), as_matrix(b)
+    for r, c in sorted(a.entries.keys() | b.entries.keys()):
+        x, y = a[r, c], b[r, c]
+        if not (x == y):
+            return r, c, x, y
     return None
 
 
 def is_scalar_matrix(a: Matrix) -> RationalFunction | None:
-    """The scalar s if a == s*I, else None."""
-    s = a[0][0]
-    for r, row in enumerate(a):
-        for c, x in enumerate(row):
-            if r == c:
-                if not (x == s):
-                    return None
-            elif not x.is_zero():
-                return None
+    """The scalar s if a == s*I, else None (the zero scalar for the zero matrix)."""
+    a = as_matrix(a)
+    if any(r != c for r, c in a.entries):
+        return None
+    s = a[0, 0]
+    for r in range(1, a.shape[0]):
+        if not (a[r, r] == s):
+            return None
     return s
 
 
 def mat_inverse(a: Matrix) -> Matrix:
     """Exact inverse by Gauss-Jordan elimination over the function field."""
+    a = as_matrix(a)
     k = len(a)
-    rules = a[0][0].num.rules if k else None
     work = [list(row) for row in a]
-    inv = [list(row) for row in identity_matrix(k, rules)]
+    inv = [list(row) for row in identity_matrix(k, a.rules)]
     for col in range(k):
         pivot = next((r for r in range(col, k) if not work[r][col].is_zero()), None)
         if pivot is None:
@@ -100,15 +155,16 @@ def mat_inverse(a: Matrix) -> Matrix:
             factor = work[r][col]
             work[r] = [x - factor * y for x, y in zip(work[r], work[col])]
             inv[r] = [x - factor * y for x, y in zip(inv[r], inv[col])]
-    return tuple(tuple(row) for row in inv)
+    return Matrix((k, k), {(r, c): x for r, row in enumerate(inv) for c, x in enumerate(row)}, a.rules)
 
 
 def nullspace(a: Matrix) -> list[tuple[RationalFunction, ...]]:
     """Exact basis of the kernel, by Gaussian elimination over the function field."""
-    if not a:
+    a = as_matrix(a)
+    if not len(a):
         return []
-    k, m = len(a), len(a[0])
-    rules = a[0][0].num.rules
+    k, m = a.shape
+    rules = a.rules
     work = [list(row) for row in a]
     pivots: list[int] = []
     row = 0
@@ -129,11 +185,9 @@ def nullspace(a: Matrix) -> list[tuple[RationalFunction, ...]]:
         if row == k:
             break
     basis = []
-    free_cols = [c for c in range(m) if c not in pivots]
-    zero, one = RationalFunction.zero(rules), RationalFunction.one(rules)
-    for free in free_cols:
-        vec = [zero] * m
-        vec[free] = one
+    for free in (c for c in range(m) if c not in pivots):
+        vec = [RationalFunction.zero(rules)] * m
+        vec[free] = RationalFunction.one(rules)
         for r, col in enumerate(pivots):
             vec[col] = RationalFunction.zero(rules) - work[r][free]
         basis.append(tuple(vec))
@@ -141,28 +195,13 @@ def nullspace(a: Matrix) -> list[tuple[RationalFunction, ...]]:
 
 
 def apply_matrix(a: Matrix, x: Sequence[RationalFunction]) -> tuple[RationalFunction, ...]:
-    out = []
-    for row in a:
-        total = RationalFunction.zero(row[0].num.rules if row else None)
-        for c, val in zip(row, x):
-            if not (c.is_zero() or val.is_zero()):
-                total = total + c * val
-        out.append(total)
-    return tuple(out)
-
-
-def substitute_matrix(a: Matrix, transform: Callable[[RationalFunction], RationalFunction]) -> Matrix:
-    return tuple(tuple(transform(x) for x in row) for row in a)
-
-
-def tensor_product(a: Matrix, b: Matrix) -> Matrix:
-    ka, kb = len(a), len(b)
-    out = []
-    for ra in range(ka):
-        for rb in range(kb):
-            row = []
-            for ca in range(ka):
-                for cb in range(kb):
-                    row.append(a[ra][ca] * b[rb][cb])
-            out.append(tuple(row))
-    return tuple(out)
+    a = as_matrix(a)
+    out: list[RationalFunction | None] = [None] * a.shape[0]
+    for (r, c), m in sorted(a.entries.items()):
+        val = x[c]
+        if val.is_zero():
+            continue
+        term = m * val
+        out[r] = term if out[r] is None else out[r] + term
+    zero = a.zero()
+    return tuple(zero if total is None else total for total in out)

@@ -30,7 +30,7 @@ from .algebra import (
     gauss_symbol,
     v,
 )
-from .linalg import Matrix, apply_matrix, first_difference, identity_matrix, mat_mul
+from .linalg import Matrix, apply_matrix
 from .reports import Report
 from .roots import CartanDatum, WeylElement, WeylGroup, build_cartan, coroot_monomial, weight_monomial
 from .rmatrix import r_tilde, tau_operator, word_index, words
@@ -310,9 +310,8 @@ def scattering_block(
     """
     k = datum.k
     rules = datum.rules
-    zero = RF.zero(rules)
     c = c_factor(datum, i)
-    rows = [[zero] * k for _ in range(k)]
+    entries: dict[tuple[int, int], RF] = {}
     s = datum.group.simple(i)
     for col, mu in enumerate(datum.coset_reps):
         t1 = c * tau1(datum, i, mu)
@@ -327,9 +326,9 @@ def scattering_block(
             t1 = RF.from_poly(weight_monomial(tuple(a - b for a, b in zip(mu, s.act(mu))), rules)) * t1
             nu = datum.rep(target)
             t2v = RF.from_poly(weight_monomial(tuple(a - b for a, b in zip(mu, s.act(nu))), rules)) * t2v
-        rows[col][col] = rows[col][col] + t1
-        rows[target][col] = rows[target][col] + t2v
-    return tuple(tuple(row) for row in rows)
+        entries[(col, col)] = t1
+        entries[(target, col)] = t1 + t2v if target == col else t2v
+    return Matrix((k, k), entries, rules)
 
 
 def metaplectic_schema_instance(datum: MetaplecticDatum, normalized: bool = True) -> SchemaInstance:
@@ -338,9 +337,8 @@ def metaplectic_schema_instance(datum: MetaplecticDatum, normalized: bool = True
     for i in range(datum.cartan.rank):
         block = scattering_block(datum, i, normalized)
         for w in datum.group:
-            a_matrices[(w, i)] = tuple(
-                tuple(datum.group.at_point(w, entry) for entry in row) for row in block
-            )
+            images = {key: datum.group.at_point(w, entry) for key, entry in block.entries.items()}
+            a_matrices[(w, i)] = Matrix(block.shape, images, datum.rules)
     name = f"metaplectic {datum.cartan.cartan_type} n={datum.n}" + ("" if normalized else " plain")
     return SchemaInstance(
         datum.cartan, datum.group, datum.k, a_matrices, datum.root_scales(), datum.rules, name
@@ -598,10 +596,13 @@ def rmatrix_dictionary_check(r: int, n: int, report: Report | None = None) -> Re
             prefactor = c_function(x, rules)
             rhs = local.embed((i, i + 1), r).scale(prefactor)
             k = datum.k
+            index = [word_of(datum.rep(j)) for j in range(k)]
             for col in range(k):
                 for row in range(k):
-                    lhs_entry = block[row][col]
-                    rhs_entry = rhs.mat[word_of(datum.rep(row))][word_of(datum.rep(col))]
+                    key = (index[row], index[col])
+                    if (row, col) not in block.entries and key not in rhs.mat.entries:
+                        continue
+                    lhs_entry, rhs_entry = block[row, col], rhs.mat[key]
                     if not (lhs_entry == rhs_entry):
                         return (
                             False,

@@ -66,9 +66,6 @@ class Report:
             rhs = f"raised at {os.path.basename(where.filename)}:{where.lineno} in {where.name}"
         self.checks.append(CheckResult(name, passed, lhs, rhs, time.perf_counter() - start))
 
-    def extend(self, other: "Report") -> None:
-        self.checks.extend(other.checks)
-
     def first_failure(self) -> CheckResult | None:
         for c in self.checks:
             if not c.passed:

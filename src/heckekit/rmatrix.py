@@ -16,7 +16,8 @@ gamma_ab * gamma_ba = 1, which the twist structure supplies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import reduce
 from itertools import product as iproduct
 from typing import Callable, Sequence
 
@@ -24,6 +25,7 @@ from .algebra import GaussRules, LaurentPoly, RationalFunction, gauss_symbol, v
 from .linalg import (
     Matrix,
     apply_matrix,
+    as_matrix,
     first_difference,
     identity_matrix,
     is_scalar_matrix,
@@ -33,7 +35,6 @@ from .linalg import (
     mat_scalar,
     mat_sub,
     nullspace,
-    zero_matrix,
 )
 from .reports import Report
 from .roots import CartanDatum, WeylElement, WeylGroup, build_cartan, coroot_monomial
@@ -86,33 +87,25 @@ class TensorOperator:
         if self.arity != 2:
             raise ValueError("embed expects an arity-2 operator")
         n = self.n
-        rules = self.mat[0][0].num.rules
-        all_words = words(n, arity)
-        zero = RF.zero(rules)
-        rows = []
-        for target in all_words:
-            row = [zero] * len(all_words)
-            for source in all_words:
-                if any(target[k] != source[k] for k in range(arity) if k not in slots):
-                    continue
-                entry = self.mat[word_index((target[slots[0]], target[slots[1]]), n)][
-                    word_index((source[slots[0]], source[slots[1]]), n)
-                ]
-                row[word_index(source, n)] = entry
-            rows.append(tuple(row))
-        return TensorOperator(n, arity, tuple(rows))
+        others = [k for k in range(arity) if k not in slots]
+        entries = {}
+        for (row, col), x in self.mat.entries.items():
+            for rest in words(n, len(others)):
+                target, source = [0] * arity, [0] * arity
+                for k, letter in zip(others, rest):
+                    target[k] = source[k] = letter
+                target[slots[0]], target[slots[1]] = divmod(row, n)
+                source[slots[0]], source[slots[1]] = divmod(col, n)
+                entries[(word_index(target, n), word_index(source, n))] = x
+        size = n ** arity
+        return TensorOperator(n, arity, Matrix((size, size), entries, self.mat.rules))
 
 
 def tau_operator(n: int, rules: GaussRules | None = None) -> TensorOperator:
     """The flip x (x) y -> y (x) x as a basis permutation on tensor words."""
-    zero, one = RF.zero(rules), RF.one(rules)
-    size = n * n
-    rows = []
-    for (a, b) in words(n, 2):
-        row = [zero] * size
-        row[word_index((b, a), n)] = one
-        rows.append(tuple(row))
-    return TensorOperator(n, 2, tuple(rows))
+    one = RF.one(rules)
+    entries = {(word_index((a, b), n), word_index((b, a), n)): one for (a, b) in words(n, 2)}
+    return TensorOperator(n, 2, Matrix((n * n, n * n), entries, rules))
 
 
 @dataclass
@@ -179,19 +172,17 @@ def r_gl(spec: RMatrixSpec) -> TensorOperator:
     n, rules = spec.n, spec.rules
     uu = RF.from_poly(P.symbol("u", rules))
     c = uu - RF.from_poly(P.monomial({"u": -1}, rules=rules))
-    zero = RF.zero(rules)
-    size = n * n
-    rows = [[zero] * size for _ in range(size)]
+    entries = {}
     for (a, b) in words(n, 2):
         col = word_index((a, b), n)
         if a == b:
-            rows[col][col] = uu
+            entries[(col, col)] = uu
         else:
-            rows[col][col] = spec.gamma_entry(a, b).inverse()
+            entries[(col, col)] = spec.gamma_entry(a, b).inverse()
             if a > b:
                 # e_ab (x) e_ba sends (b, a) to (a, b)
-                rows[col][word_index((b, a), n)] = c
-    return TensorOperator(n, 2, tuple(tuple(r) for r in rows))
+                entries[(col, word_index((b, a), n))] = c
+    return TensorOperator(n, 2, Matrix((n * n, n * n), entries, rules))
 
 
 def r_affine(spec: RMatrixSpec, x: LaurentPoly) -> TensorOperator:
@@ -201,18 +192,16 @@ def r_affine(spec: RMatrixSpec, x: LaurentPoly) -> TensorOperator:
     uu = P.symbol("u", rules)
     uinv = P.monomial({"u": -1}, rules=rules)
     c = RF.from_poly(uu - uinv)
-    zero = RF.zero(rules)
-    size = n * n
-    rows = [[zero] * size for _ in range(size)]
+    entries = {}
     for (a, b) in words(n, 2):
         col = word_index((a, b), n)
         if a == b:
-            rows[col][col] = RF.from_poly(uu - x * uinv)
+            entries[(col, col)] = RF.from_poly(uu - x * uinv)
         else:
-            rows[col][col] = spec.gamma_entry(a, b).inverse() * RF.from_poly(one - x)
+            entries[(col, col)] = spec.gamma_entry(a, b).inverse() * RF.from_poly(one - x)
             swap = word_index((b, a), n)
-            rows[col][swap] = c if a > b else RF.from_poly(x) * c
-    return TensorOperator(n, 2, tuple(tuple(r) for r in rows))
+            entries[(col, swap)] = c if a > b else RF.from_poly(x) * c
+    return TensorOperator(n, 2, Matrix((n * n, n * n), entries, rules))
 
 
 def r_affine_linear(spec: RMatrixSpec, x: LaurentPoly) -> TensorOperator:
@@ -231,42 +220,34 @@ def r_tilde(n: int, x: LaurentPoly, rules: GaussRules | None = None) -> TensorOp
     one = P.one(rules)
     vv = v(rules)
     den = one - vv * x
-    zero = RF.zero(rules)
-    size = n * n
-    rows = [[zero] * size for _ in range(size)]
     exch = one - vv
+    entries = {}
     for (a, b) in words(n, 2):
         col = word_index((a, b), n)
         if a == b:
-            rows[col][col] = RF(x - vv, (den,), simplify=False)
+            entries[(col, col)] = RF(x - vv, (den,), simplify=False)
         else:
-            rows[col][col] = RF(gauss_symbol(a - b, rules) * (one - x), (den,), simplify=False)
+            entries[(col, col)] = RF(gauss_symbol(a - b, rules) * (one - x), (den,), simplify=False)
             swap = word_index((b, a), n)
-            rows[col][swap] = RF(exch if a > b else x * exch, (den,), simplify=False)
-    return TensorOperator(n, 2, tuple(tuple(r) for r in rows))
+            entries[(col, swap)] = RF(exch if a > b else x * exch, (den,), simplify=False)
+    return TensorOperator(n, 2, Matrix((n * n, n * n), entries, rules))
 
 
 # -- verifiers --------------------------------------------------------------------
 
 
+def _verdict(lhs: Matrix, rhs: Matrix, where: str = "") -> tuple[bool, str | None, str | None]:
+    """(True, None, None) if lhs == rhs, else a rendering of the first differing entry."""
+    diff = first_difference(lhs, rhs)
+    if diff is None:
+        return True, None, None
+    r, c, xe, ye = diff
+    return False, f"{where}entry ({r},{c}): {xe.render()}", ye.render()
+
+
 def check_ybe(op: TensorOperator, report: Report | None = None, name: str = "YBE") -> Report:
     """Constant Yang-Baxter equation R12 R13 R23 = R23 R13 R12 on three slots."""
-    report = report or Report(name)
-
-    def check():
-        r12 = op.embed((0, 1), 3)
-        r13 = op.embed((0, 2), 3)
-        r23 = op.embed((1, 2), 3)
-        lhs = r12.compose(r13).compose(r23)
-        rhs = r23.compose(r13).compose(r12)
-        diff = first_difference(lhs.mat, rhs.mat)
-        if diff is None:
-            return True, None, None
-        r, c, xe, ye = diff
-        return False, f"entry ({r},{c}): {xe.render()}", ye.render()
-
-    report.run(name, check)
-    return report
+    return check_parametrized_ybe(lambda _: op, report, name)
 
 
 def check_parametrized_ybe(build: Callable[[LaurentPoly], TensorOperator], report: Report | None = None, name: str = "parametrized YBE") -> Report:
@@ -280,11 +261,7 @@ def check_parametrized_ybe(build: Callable[[LaurentPoly], TensorOperator], repor
         r23 = build(y).embed((1, 2), 3)
         lhs = r12.compose(r13).compose(r23)
         rhs = r23.compose(r13).compose(r12)
-        diff = first_difference(lhs.mat, rhs.mat)
-        if diff is None:
-            return True, None, None
-        r, c, xe, ye = diff
-        return False, f"entry ({r},{c}): {xe.render()}", ye.render()
+        return _verdict(lhs.mat, rhs.mat)
 
     report.run(name, check)
     return report
@@ -301,22 +278,14 @@ def check_hecke(spec: RMatrixSpec, report: Report | None = None) -> Report:
         vv = RF.from_poly(v(rules))
         lhs = t.compose(t)
         rhs = t.scale(vv - 1).add(TensorOperator(spec.n, 2, identity_matrix(spec.n ** 2, rules)).scale(vv))
-        diff = first_difference(lhs.mat, rhs.mat)
-        if diff is None:
-            return True, None, None
-        r, c, xe, ye = diff
-        return False, f"entry ({r},{c}): {xe.render()}", ye.render()
+        return _verdict(lhs.mat, rhs.mat)
 
     def braid():
         t12 = t.embed((0, 1), 3)
         t23 = t.embed((1, 2), 3)
         lhs = t12.compose(t23).compose(t12)
         rhs = t23.compose(t12).compose(t23)
-        diff = first_difference(lhs.mat, rhs.mat)
-        if diff is None:
-            return True, None, None
-        r, c, xe, ye = diff
-        return False, f"entry ({r},{c}): {xe.render()}", ye.render()
+        return _verdict(lhs.mat, rhs.mat)
 
     report.run(f"quadratic u*tau*R (n={spec.n})", quadratic)
     report.run(f"braid on three slots (n={spec.n})", braid)
@@ -336,7 +305,7 @@ def check_triangularity(
         x = P.symbol("x")
         op_x = build(x)
         op_xinv = build(x.monomial_inverse())
-        rules = op_x.mat[0][0].num.rules
+        rules = op_x.mat.rules
         tau = tau_operator(op_x.n, rules)
         product = tau.compose(op_x).compose(tau).compose(op_xinv)
         scalar = is_scalar_matrix(product.mat)
@@ -419,10 +388,9 @@ def check_content_preservation(inst: SchemaInstance, report: Report | None = Non
 
     def check():
         for (w, i), m in inst.a_matrices.items():
-            for row, target in enumerate(all_words):
-                for col, source in enumerate(all_words):
-                    if sorted(target) != sorted(source) and not m[row][col].is_zero():
-                        return False, f"A(w={w.name()}, i={i + 1}) entry ({row},{col})", "content changed"
+            for row, col in sorted(m.entries):
+                if sorted(all_words[row]) != sorted(all_words[col]):
+                    return False, f"A(w={w.name()}, i={i + 1}) entry ({row},{col})", "content changed"
         return True, None, None
 
     report.run("content preservation", check)
@@ -456,6 +424,7 @@ def wreath_operator(space: BlockSpace, t: Matrix, i: int, t_inv: Matrix | None =
     group = space.group
     rules = space.rules
     vv = RF.from_poly(v(rules))
+    t = as_matrix(t)
     t_inv = t_inv if t_inv is not None else hecke_inverse(t, rules)
     ident = identity_matrix(space.block_dim, rules)
     blocks = {}
@@ -508,8 +477,6 @@ def limit_instance(n: int, r: int) -> tuple[BlockSpace, list[BlockOperator]]:
 
 def check_finite_hecke(space: BlockSpace, ops: list[BlockOperator], report: Report | None = None, name: str = "finite Hecke") -> Report:
     """Quadratic and braid relations for explicit block operators over W."""
-    from .schema import identity_operator
-
     report = report or Report(name)
     vv = RF.from_poly(v(space.rules))
     ident = BlockOperator(space, {(w, w): identity_matrix(space.block_dim, space.rules) for w in space.group})
@@ -524,15 +491,10 @@ def check_finite_hecke(space: BlockSpace, ops: list[BlockOperator], report: Repo
             m = space.cartan.braid_orders[i][j]
 
             def braid(i=i, j=j, m=m):
-                seq = [ops[i] if t % 2 == 0 else ops[j] for t in range(m)]
-                lhs = None
-                for op in seq:
-                    lhs = op if lhs is None else lhs.compose(op)
-                seq = [ops[j] if t % 2 == 0 else ops[i] for t in range(m)]
-                rhs = None
-                for op in seq:
-                    rhs = op if rhs is None else rhs.compose(op)
-                diff = lhs.difference(rhs)
+                def word(a: int, b: int) -> BlockOperator:
+                    return reduce(BlockOperator.compose, [ops[a] if t % 2 == 0 else ops[b] for t in range(m)])
+
+                diff = word(i, j).difference(word(j, i))
                 return (diff is None, diff, f"braid order {m}") if diff else (True, None, None)
 
             report.run(f"braid block ({i + 1},{j + 1})", braid)
@@ -568,11 +530,9 @@ def check_wreath_intertwining(
                     continue
                 term = mat_mul(block, delta[ws])
                 lhs = term if lhs is None else mat_add(lhs, term)
-            rhs = mat_mul(delta[w], t)
-            diff = first_difference(lhs, rhs)
-            if diff is not None:
-                r, c, xe, ye = diff
-                return False, f"block {w.name()} entry ({r},{c}): {xe.render()}", ye.render()
+            verdict = _verdict(lhs, mat_mul(delta[w], t), f"block {w.name()} ")
+            if not verdict[0]:
+                return verdict
         return True, None, None
 
     report.run("Delta intertwining", check)
@@ -587,9 +547,8 @@ def star_matrix(t: Matrix, rules: GaussRules | None = None) -> Matrix:
 
 
 def eigenline_basis(t: Matrix, eigenvalue: RF) -> list[tuple[RF, ...]]:
-    k = len(t)
-    rules = t[0][0].num.rules
-    return nullspace(mat_sub(t, mat_scalar(eigenvalue, identity_matrix(k, rules))))
+    t = as_matrix(t)
+    return nullspace(mat_sub(t, mat_scalar(eigenvalue, identity_matrix(len(t), t.rules))))
 
 
 def check_wreath_star(space: BlockSpace, op: BlockOperator, t: Matrix, report: Report | None = None) -> Report:
@@ -672,10 +631,9 @@ def check_star_word_identity(space: BlockSpace, t_matrices: list[Matrix], report
                 (RF.const(-1, rules) * vv) ** w.length,
                 mat_inverse(word_product(t_matrices, winv.word)),
             )
-            diff = first_difference(lhs, rhs)
-            if diff is not None:
-                r, c, xe, ye = diff
-                return False, f"w={w.name()} entry ({r},{c}): {xe.render()}", ye.render()
+            verdict = _verdict(lhs, rhs, f"w={w.name()} ")
+            if not verdict[0]:
+                return verdict
         return True, None, None
 
     report.run("T_w* = (-v)^l T_{w^-1}^{-1}", check)

@@ -16,7 +16,6 @@ how the metaplectic instances run on the dual torus of the cover.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
@@ -36,7 +35,6 @@ from .linalg import (
     mat_add,
     mat_mul,
     mat_scalar,
-    zero_matrix,
 )
 from .reports import Report
 from .roots import CartanDatum, WeylElement, WeylGroup, coroot_monomial, weight_monomial
@@ -95,16 +93,14 @@ def c_function(x: LaurentPoly, rules: GaussRules | None = None) -> RationalFunct
 
 @dataclass
 class BlockOperator:
-    """Sparse |W| x |W| grid of k x k blocks, keyed (target, source)."""
+    """Sparse |W| x |W| grid of k x k blocks, keyed (target, source); no block is all zero."""
 
     inst: SchemaInstance
     blocks: dict[tuple[WeylElement, WeylElement], Matrix] = field(default_factory=dict)
 
     def block(self, target: WeylElement, source: WeylElement) -> Matrix:
-        got = self.blocks.get((target, source))
-        if got is None:
-            return zero_matrix(self.inst.block_dim, self.inst.rules)
-        return got
+        got, k = self.blocks.get((target, source)), self.inst.block_dim
+        return got if got is not None else Matrix((k, k), {}, self.inst.rules)
 
     def compose(self, other: "BlockOperator") -> "BlockOperator":
         out: dict[tuple[WeylElement, WeylElement], Matrix] = {}
@@ -113,22 +109,22 @@ class BlockOperator:
             by_target.setdefault(t2, []).append((s2, m2))
         for (t1, s1), m1 in self.blocks.items():
             for s2, m2 in by_target.get(s1, ()):  # s1 is other's target
-                product = mat_mul(m1, m2)
-                key = (t1, s2)
-                out[key] = mat_add_sparse(out.get(key), product)
+                key, product = (t1, s2), mat_mul(m1, m2)
+                out[key] = mat_add(out[key], product) if key in out else product
         return BlockOperator(self.inst, _drop_zero_blocks(out))
 
     def add(self, other: "BlockOperator") -> "BlockOperator":
         out = dict(self.blocks)
         for key, m in other.blocks.items():
-            out[key] = mat_add_sparse(out.get(key), m)
+            out[key] = mat_add(out[key], m) if key in out else m
         return BlockOperator(self.inst, _drop_zero_blocks(out))
 
     def sub(self, other: "BlockOperator") -> "BlockOperator":
         return self.add(other.scale(RationalFunction.const(-1, self.inst.rules)))
 
     def scale(self, c: RationalFunction) -> "BlockOperator":
-        return BlockOperator(self.inst, {k: mat_scalar(c, m) for k, m in self.blocks.items()})
+        scaled = {k: mat_scalar(c, m) for k, m in self.blocks.items()}
+        return BlockOperator(self.inst, _drop_zero_blocks(scaled))
 
     def equals(self, other: "BlockOperator") -> bool:
         return self.difference(other) is None
@@ -147,12 +143,8 @@ class BlockOperator:
         return None
 
 
-def mat_add_sparse(a: Matrix | None, b: Matrix) -> Matrix:
-    return b if a is None else mat_add(a, b)
-
-
 def _drop_zero_blocks(blocks: dict) -> dict:
-    return {k: m for k, m in blocks.items() if any(not x.is_zero() for row in m for x in row)}
+    return {k: m for k, m in blocks.items() if m.entries}
 
 
 # -- operator constructors -------------------------------------------------------
@@ -225,19 +217,18 @@ def check_composition(inst: SchemaInstance, report: Report | None = None) -> Rep
     report = report or Report(f"{inst.name}: composition scalar")
     for i in range(inst.cartan.rank):
         for w in inst.group:
-            start = time.perf_counter()
-            sw = inst.group.left_mul_simple(i, w)
-            product = mat_mul(inst.A(sw, i), inst.A(w, i))
-            expected = inst.composition_scalar(w, i)
-            scalar = is_scalar_matrix(product)
-            if scalar is None:
-                passed, lhs, rhs = False, "A(s_i w) A(w) is not scalar", expected.render()
-            elif scalar == expected:
-                passed, lhs, rhs = True, None, None
-            else:
-                passed, lhs, rhs = False, scalar.render(), expected.render()
-            elapsed = time.perf_counter() - start
-            report.add(f"composition scalar (w={w.name()}, i={i + 1})", passed, lhs, rhs, elapsed)
+            def check(w=w, i=i):
+                sw = inst.group.left_mul_simple(i, w)
+                product = mat_mul(inst.A(sw, i), inst.A(w, i))
+                expected = inst.composition_scalar(w, i)
+                scalar = is_scalar_matrix(product)
+                if scalar is None:
+                    return False, "A(s_i w) A(w) is not scalar", expected.render()
+                if scalar == expected:
+                    return True, None, None
+                return False, scalar.render(), expected.render()
+
+            report.run(f"composition scalar (w={w.name()}, i={i + 1})", check)
     return report
 
 
@@ -390,7 +381,7 @@ def generic_instance(cartan: CartanDatum, group: WeylGroup | None = None) -> Sch
                 value = symbols[(w, i)]
             else:
                 value = ascent_value(w, i)
-            a_matrices[(w, i)] = ((value,),)
+            a_matrices[(w, i)] = Matrix((1, 1), {(0, 0): value})
     return SchemaInstance(cartan, group, 1, a_matrices, name="generic")
 
 

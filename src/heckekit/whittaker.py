@@ -31,7 +31,7 @@ def whittaker_schema_instance(cartan: CartanDatum, group: WeylGroup | None = Non
         for i in range(cartan.rank):
             x = coroot_monomial(group.inverse(w).act(cartan.simple_coroots[i]))
             value = RF(P.one() - v() * x.monomial_inverse(), (P.one() - x,), simplify=False)
-            a[(w, i)] = ((value,),)
+            a[(w, i)] = Matrix((1, 1), {(0, 0): value})
     return SchemaInstance(cartan, group, 1, a, name="whittaker")
 
 
@@ -42,7 +42,7 @@ def spherical_schema_instance(cartan: CartanDatum, group: WeylGroup | None = Non
     for w in group:
         for i in range(cartan.rank):
             x = coroot_monomial(group.inverse(w).act(cartan.simple_coroots[i]))
-            a[(w, i)] = ((c_function(x),),)
+            a[(w, i)] = Matrix((1, 1), {(0, 0): c_function(x)})
     return SchemaInstance(cartan, group, 1, a, name="spherical")
 
 
@@ -256,21 +256,10 @@ def group_element(group: WeylGroup, w: WeylElement) -> TwistedGroupElement:
     return TwistedGroupElement(group, {w: RF.one()})
 
 
-def function_element(group: WeylGroup, f: RationalFunction) -> TwistedGroupElement:
-    return TwistedGroupElement(group, {group.identity: f})
-
-
 def to_element(var: DemazureVariant, i: int) -> TwistedGroupElement:
     """The Demazure operator as c0 * 1_W + c1 * s_i in the twisted group ring."""
     c0, c1 = demazure_coefficients(var, i)
     return TwistedGroupElement(var.group, {var.group.identity: c0, var.group.simple(i): c1})
-
-
-def to_element_word(var: DemazureVariant, w: WeylElement) -> TwistedGroupElement:
-    result = group_element(var.group, var.group.identity)
-    for i in w.word:
-        result = result.mul(to_element(var, i))
-    return result
 
 
 def idempotent_element(var: DemazureVariant) -> TwistedGroupElement:

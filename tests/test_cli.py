@@ -1,4 +1,6 @@
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 from jsonschema import validate
@@ -86,7 +88,7 @@ def test_unknown_flag_rejected():
 def test_json_report_round_trip_and_schema(capsys):
     code, out = run(capsys, "--json", "rmatrix", "ybe", "--n", "2")
     assert code == 0
-    payload = json.loads(out[out.index("{"):])
+    payload = json.loads(out)
     validate(payload, json.load(open(SCHEMA_PATH)))
     report = Report.from_json(json.dumps(payload))
     assert report.passed
@@ -96,7 +98,46 @@ def test_json_report_round_trip_and_schema(capsys):
 def test_json_failure_contains_localized_entry(capsys):
     code, out = run(capsys, "--json", "metaplectic", "--r", "2", "--n", "1", "--inject-mismatch")
     assert code == 1
-    payload = json.loads(out[out.index("{"):])
+    payload = json.loads(out)
     validate(payload, json.load(open(SCHEMA_PATH)))
     failing = [c for c in payload["checks"] if not c["passed"]]
     assert failing and failing[0]["lhs"] and failing[0]["rhs"]
+
+
+def readme_commands() -> list[list[str]]:
+    """The argument lists of the `heckekit ...` lines in README.md."""
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    lines = [line.strip() for line in readme.read_text().splitlines()]
+    return [shlex.split(line)[1:] for line in lines if line.startswith("heckekit ")]
+
+
+def test_readme_lists_every_command():
+    assert len(readme_commands()) == 10
+    assert {argv[0] for argv in readme_commands()} == {"verify", "cs", "demazure", "rmatrix", "metaplectic", "wreath"}
+
+
+@pytest.mark.parametrize("argv", readme_commands(), ids=" ".join)
+def test_json_is_one_document(capsys, argv):
+    code, out = run(capsys, "--json", *argv)
+    payload = json.loads(out)
+    validate(payload, json.load(open(SCHEMA_PATH)))
+    assert code == 0 and payload["status"] == "pass"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["verify", "--type", "Z9"], "unsupported Cartan type 'Z9'"),
+        (["verify", "--instance", "metaplectic", "--B", "((2,0),(0,2))"], "argument --B: invalid choice"),
+        (["verify", "--type", "B2", "--instance", "rmatrix"], "--instance rmatrix needs a type A1..A4, not B2"),
+    ],
+    ids=["unknown-type", "form-not-dot", "rmatrix-non-A"],
+)
+def test_bad_input_is_a_usage_error(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    last = err.splitlines()[-1]
+    assert last.startswith("heckekit") and "error: " in last and message in last
+    assert "Traceback" not in err

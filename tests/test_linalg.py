@@ -1,0 +1,210 @@
+"""Differential test: the sparse Matrix against dense tuple-of-rows loops.
+
+The reference functions below are the dense loops the sparse type replaced,
+kept here as an oracle.  Matrices are mostly zero, and their entries include
+pairs that cancel (x and -x), with no Gauss rules and under
+GaussRules.standard(3), where g1*g2 rewrites to u^2.
+"""
+
+from hypothesis import given, settings, strategies as st
+
+from heckekit.algebra import GaussRules, LaurentPoly, RationalFunction, gauss_symbol
+from heckekit.linalg import (
+    Matrix,
+    apply_matrix,
+    as_matrix,
+    first_difference,
+    identity_matrix,
+    is_scalar_matrix,
+    mat_add,
+    mat_mul,
+    mat_scalar,
+    mat_sub,
+)
+
+P = LaurentPoly
+RF = RationalFunction
+
+
+# -- dense reference loops ----------------------------------------------------------
+
+
+def dense_add(a, b):
+    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+
+
+def dense_sub(a, b):
+    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+
+
+def dense_scalar(c, a):
+    return tuple(tuple(c * x for x in row) for row in a)
+
+
+def dense_mul(a, b):
+    bt = list(zip(*b))
+    out = []
+    for row in a:
+        out_row = []
+        for col in bt:
+            total = None
+            for x, y in zip(row, col):
+                if x.is_zero() or y.is_zero():
+                    continue
+                term = x * y
+                total = term if total is None else total + term
+            out_row.append(total if total is not None else RF.zero(row[0].num.rules))
+        out.append(tuple(out_row))
+    return tuple(out)
+
+
+def dense_first_difference(a, b):
+    for r, (ra, rb) in enumerate(zip(a, b)):
+        for c, (x, y) in enumerate(zip(ra, rb)):
+            if not (x == y):
+                return r, c, x, y
+    return None
+
+
+def dense_is_scalar(a):
+    s = a[0][0]
+    for r, row in enumerate(a):
+        for c, x in enumerate(row):
+            if r == c:
+                if not (x == s):
+                    return None
+            elif not x.is_zero():
+                return None
+    return s
+
+
+def dense_apply(a, x):
+    out = []
+    for row in a:
+        total = RF.zero(row[0].num.rules)
+        for c, val in zip(row, x):
+            if not (c.is_zero() or val.is_zero()):
+                total = total + c * val
+        out.append(total)
+    return tuple(out)
+
+
+# -- strategies ------------------------------------------------------------------------
+
+
+def entry_pool(rules):
+    x, y, u = P.symbol("x", rules), P.symbol("y", rules), P.symbol("u", rules)
+    one = P.one(rules)
+    polys = [one, x, x + y, u * y, one - x]
+    if rules is not None:
+        g1, g2 = gauss_symbol(1, rules), gauss_symbol(2, rules)
+        polys += [g1, g2, g1 * x - u]
+    nonzero = []
+    for p in polys:
+        for f in (RF.from_poly(p), RF(p, (one - x * y,), simplify=False)):
+            nonzero += [f, -f]  # cancelling pairs
+    return [RF.zero(rules)] * len(nonzero) * 2 + nonzero  # two thirds zeros
+
+
+RULES = [None, GaussRules.standard(3)]
+POOLS = {id(r): entry_pool(r) for r in RULES}
+dims = st.integers(min_value=1, max_value=5)
+
+
+def rows_of(draw, rules, n, m):
+    pool = st.sampled_from(POOLS[id(rules)])
+    return tuple(tuple(draw(pool) for _ in range(m)) for _ in range(n))
+
+
+@st.composite
+def operands(draw):
+    """(rules, a, b, c, k) with a and b both n x m and c m x l; b is a near copy of a."""
+    rules = draw(st.sampled_from(RULES))
+    n, m, l = draw(dims), draw(dims), draw(dims)
+    a = rows_of(draw, rules, n, m)
+    b = [list(row) for row in a]
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        r, c = draw(st.integers(0, n - 1)), draw(st.integers(0, m - 1))
+        b[r][c] = draw(st.sampled_from(POOLS[id(rules)]))
+    c = rows_of(draw, rules, m, l)
+    return rules, a, tuple(map(tuple, b)), c
+
+
+def assert_same(sparse: Matrix, dense) -> None:
+    assert sparse.shape == (len(dense), len(dense[0]))
+    assert not any(x.is_zero() for x in sparse.entries.values())
+    for r, row in enumerate(dense):
+        for c, x in enumerate(row):
+            assert sparse[r, c] == x
+            assert sparse[r][c] == x
+    assert sparse == dense
+
+
+@settings(max_examples=150, deadline=None)
+@given(operands())
+def test_arithmetic_matches_dense(ops):
+    rules, a, b, c = ops
+    sa, sb, sc = as_matrix(a), as_matrix(b), as_matrix(c)
+    assert_same(mat_add(sa, sb), dense_add(a, b))
+    assert_same(mat_sub(sa, sb), dense_sub(a, b))
+    assert_same(mat_sub(sa, sa), dense_sub(a, a))
+    assert mat_sub(sa, sa).entries == {}
+    assert_same(mat_mul(sa, sc), dense_mul(a, c))
+    assert_same(mat_mul(a, c), dense_mul(a, c))  # nested rows are accepted
+    for scalar in (RF.zero(rules), b[0][0], RF.const(-1, rules)):
+        assert_same(mat_scalar(scalar, sa), dense_scalar(scalar, a))
+    vec = c[0][: len(a[0])] + (RF.zero(rules),) * max(0, len(a[0]) - len(c[0]))
+    got = apply_matrix(sa, vec)
+    want = dense_apply(a, vec)
+    assert len(got) == len(want) and all(x == y for x, y in zip(got, want))
+
+
+@settings(max_examples=150, deadline=None)
+@given(operands())
+def test_first_difference_and_equality_match_dense(ops):
+    _, a, b, _ = ops
+    sa, sb = as_matrix(a), as_matrix(b)
+    want = dense_first_difference(a, b)
+    got = first_difference(sa, sb)
+    assert (got is None) == (want is None)
+    if want is not None:
+        assert got[:2] == want[:2]
+        assert got[2] == want[2] and got[3] == want[3]
+    assert (sa == b) == (want is None)
+    assert sa == a and as_matrix(a) == sa
+
+
+@settings(max_examples=150, deadline=None)
+@given(operands(), st.integers(min_value=0, max_value=2))
+def test_is_scalar_matrix_matches_dense(ops, kind):
+    rules, a, b, _ = ops
+    k = len(a)
+    if kind == 0:
+        square = tuple(tuple(a[r % len(a)][c % len(a[0])] for c in range(k)) for r in range(k))
+    else:
+        # s * I, perturbed in one entry when kind == 2
+        square = [list(row) for row in identity_matrix(k, rules)]
+        square = [[b[0][0] * x for x in row] for row in square]
+        if kind == 2:
+            square[k - 1][0] = a[0][0]
+        square = tuple(map(tuple, square))
+    want = dense_is_scalar(square)
+    got = is_scalar_matrix(as_matrix(square))
+    assert (got is None) == (want is None)
+    if want is not None:
+        assert got == want
+
+
+def test_zero_matrix_has_zero_scalar():
+    zero = Matrix((3, 3), {}, GaussRules.standard(3))
+    s = is_scalar_matrix(zero)
+    assert s is not None and s.is_zero()
+
+
+def test_cancelled_sum_is_not_stored():
+    x = RF.from_poly(P.symbol("x"))
+    a = Matrix((2, 2), {(0, 0): x, (1, 0): x})
+    b = Matrix((2, 2), {(0, 0): -x})
+    total = mat_add(a, b)
+    assert set(total.entries) == {(1, 0)}
+    assert total == ((RF.zero(), RF.zero()), (x, RF.zero()))

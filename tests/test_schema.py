@@ -156,3 +156,13 @@ def test_poincare_polynomial_a2(a2):
     p = poincare_polynomial(inst.group)
     expected = P.one() + 2 * v() + 2 * v() ** 2 + v() ** 3
     assert p == expected
+
+
+def test_missing_entry_fails_the_composition_check():
+    inst = generic_instance(build_cartan("A1"))
+    del inst.a_matrices[(inst.group.identity, 0)]
+    report = verify_instance(inst)
+    assert report.status == "fail"
+    check = next(c for c in report.checks if c.name == "composition scalar (w=e, i=1)")
+    assert not check.passed
+    assert "missing A entry for (w=e, i=1)" in check.lhs
