@@ -594,17 +594,6 @@ def _new(terms: dict[int, Coeff], rules: GaussRules | None, frac: bool, canonica
     return object.__new__(LaurentPoly)._set(terms, rules, frac, canonical)
 
 
-def poly_arith(a: LaurentPoly, b: LaurentPoly, op: str) -> LaurentPoly:
-    """Exact add/sub/mul; Gauss rewriting applies if a rules context is active."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    raise ValueError(f"unknown op {op!r}")
-
-
 def _content(p: LaurentPoly) -> int:
     """Componentwise minimum exponent over all terms (the unit part of p), packed."""
     vecs = [dict(_unpack(m)) for m in p._t]

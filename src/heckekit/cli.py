@@ -15,10 +15,11 @@ import sys
 from .algebra import GaussRules, LaurentPoly, RationalFunction, v
 from .metaplectic import (
     build_datum,
-    met_demazure_word,
+    met_demazure_act,
     metaplectic_schema_instance,
     whittaker_value,
 )
+from .relations import verdict
 from .reports import Report
 from .rmatrix import (
     check_hecke,
@@ -76,6 +77,41 @@ def _cartan_type(text: str) -> str:
     return text
 
 
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{value} is below 1")
+    return value
+
+
+def gl_rank(text: str) -> int:
+    """r for GL_r, whose types A1..A4 are supported."""
+    value = int(text)
+    if not 2 <= value <= 5:
+        raise argparse.ArgumentTypeError(f"{value} is outside 2..5 (GL_2..GL_5)")
+    return value
+
+
+# the option that holds each command's weights
+_WEIGHT_OPTIONS = {"verify": "bernstein", "cs": "weight", "demazure": "weights", "metaplectic": "weight"}
+
+
+def _check_weights(parser: argparse.ArgumentParser, args) -> None:
+    """Reject a weight of the wrong length, off the lattice, or (cs, metaplectic) not dominant."""
+    option = _WEIGHT_OPTIONS.get(args.command)
+    given = getattr(args, option) if option else None
+    if not given:
+        return
+    cartan = build_cartan(f"A{args.r - 1}" if args.command == "metaplectic" else args.type)
+    for weight in given if isinstance(given, list) else [given]:
+        if len(weight) != cartan.dim:
+            parser.error(f"--{option} {weight} has {len(weight)} coordinates, {cartan.cartan_type} needs {cartan.dim}")
+        if not cartan.in_lattice(weight):
+            parser.error(f"--{option} {weight} is not in the weight lattice of {cartan.cartan_type}")
+        if args.command in ("cs", "metaplectic") and not cartan.is_dominant(weight):
+            parser.error(f"--{option} {weight} is not dominant for {cartan.cartan_type}")
+
+
 def _say(args, text: str) -> None:
     """A line beside the report: stdout, or stderr under --json."""
     print(text, file=sys.stderr if args.json else sys.stdout)
@@ -120,8 +156,6 @@ def run_verify(args) -> int:
 def run_cs(args) -> int:
     cartan = build_cartan(args.type)
     group = weyl_group(cartan)
-    if not cartan.is_dominant(args.weight):
-        raise SystemExit(f"weight {args.weight} is not dominant for {args.type}")
     var = demazure_variant("whittaker", cartan, group)
     lhs = idempotent_apply(var, args.weight)
     rhs = cs_rhs(cartan, group, args.weight)
@@ -190,8 +224,6 @@ def run_rmatrix(args) -> int:
 def run_metaplectic(args) -> int:
     datum = build_datum(f"A{args.r - 1}", args.n, args.B)
     lam = args.weight or tuple(0 for _ in range(args.r))
-    if not datum.cartan.is_dominant(lam):
-        raise SystemExit(f"weight {lam} is not dominant")
     values = whittaker_value(datum, lam)
     _say(args, f"spherical Whittaker values for GL_{args.r}, n={args.n}, lambda={lam}:")
     width = max(len(str(rep)) for rep in datum.coset_reps)
@@ -200,20 +232,14 @@ def run_metaplectic(args) -> int:
         _say(args, f"  {str(rep):<{width}}  {value.render()}")
         total = total + value
     _say(args, f"  aggregate: {total.render()}")
-    expected = RF.zero(datum.rules)
-    mono = weight_monomial(tuple(-x for x in lam), datum.rules)
+    act = met_demazure_act(datum, weight_monomial(tuple(-x for x in lam), datum.rules))
+    expected = P.zero(datum.rules)
     for w in datum.group:
-        expected = expected + met_demazure_word(datum, w.word, mono)
+        expected = expected + act(w.word)
     if args.inject_mismatch:
-        expected = expected + RF.one(datum.rules)
+        expected = expected + 1
     report = Report(f"metaplectic GL_{args.r} n={args.n} lambda={lam}")
-    agg_rf = RF.from_poly(total)
-    report.add(
-        "aggregate equals Demazure sum",
-        agg_rf == expected,
-        total.render(),
-        expected.render(),
-    )
+    report.add("aggregate equals Demazure sum", *verdict(total, expected))
     return _emit(report, args.json)
 
 
@@ -241,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["generic", "whittaker", "spherical", "metaplectic", "rmatrix"])
     p.add_argument("--bernstein", type=_parse_weight, action="append",
                    help="weight for the Bernstein relation, e.g. '(1,0,0)'; repeatable")
-    p.add_argument("--n", type=int, default=2, help="cover degree / R-matrix dimension")
+    p.add_argument("--n", type=positive_int, default=2, help="cover degree / R-matrix dimension")
     p.add_argument("--B", default="dot", choices=["dot"], help="bilinear form for metaplectic instances")
     p.add_argument("--gauss", action="store_true", help="Gauss-twisted R-matrix instance")
     p.add_argument("--power", type=int, help="exponent power for the rmatrix instance")
@@ -262,15 +288,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rmatrix", help="Yang-Baxter / Hecke / triangularity checks")
     p.add_argument("check", choices=["ybe", "pybe", "hecke", "triangularity", "schema"])
-    p.add_argument("--n", type=int, default=2)
+    p.add_argument("--n", type=positive_int, default=2)
     p.add_argument("--r", type=int, default=2)
     p.add_argument("--gauss", action="store_true")
     p.add_argument("--power", type=int)
     p.set_defaults(fn=run_rmatrix)
 
     p = sub.add_parser("metaplectic", help="spherical Whittaker value table for a GL cover")
-    p.add_argument("--r", type=int, default=2)
-    p.add_argument("--n", type=int, default=2)
+    p.add_argument("--r", type=gl_rank, default=2)
+    p.add_argument("--n", type=positive_int, default=2)
     p.add_argument("--B", default="dot", choices=["dot"])
     p.add_argument("--weight", type=_parse_weight)
     p.add_argument("--inject-mismatch", action="store_true",
@@ -278,8 +304,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=run_metaplectic)
 
     p = sub.add_parser("wreath", help="limit instance and wreath construction checks")
-    p.add_argument("--n", type=int, default=2)
-    p.add_argument("--r", type=int, default=2)
+    p.add_argument("--n", type=positive_int, default=2)
+    p.add_argument("--r", type=gl_rank, default=2)
     p.set_defaults(fn=run_wreath)
 
     return parser
@@ -290,6 +316,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.command == "verify" and args.instance == "rmatrix" and not args.type.startswith("A"):
         parser.error(f"--instance rmatrix needs a type A1..A4, not {args.type}")
+    _check_weights(parser, args)
     return args.fn(args)
 
 

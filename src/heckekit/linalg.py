@@ -58,6 +58,14 @@ class Matrix:
         other = as_matrix(other)
         return self.shape == other.shape and first_difference(self, other) is None
 
+    def difference(self, other: "Matrix") -> tuple[str, str] | None:
+        """None if equal, else renderings of the first differing entry, the left one naming it."""
+        diff = first_difference(self, other)
+        if diff is None:
+            return None
+        r, c, x, y = diff
+        return f"entry ({r},{c}): {x.render()}", y.render()
+
     __hash__ = None  # entries compare by cross multiplication
 
 

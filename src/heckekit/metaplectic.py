@@ -31,9 +31,10 @@ from .algebra import (
     v,
 )
 from .linalg import Matrix, apply_matrix
+from .relations import applied, hecke_relations, verdict
 from .reports import Report
 from .roots import CartanDatum, WeylElement, WeylGroup, build_cartan, coroot_monomial, weight_monomial
-from .rmatrix import r_tilde, tau_operator, word_index, words
+from .rmatrix import r_tilde, tau_operator, word_index
 from .schema import BlockOperator, SchemaInstance, build_T, c_function
 
 P = LaurentPoly
@@ -414,11 +415,13 @@ def met_demazure_poly(datum: MetaplecticDatum, i: int, f: LaurentPoly, gauss_fli
 
 
 def met_demazure_word(datum: MetaplecticDatum, word: Sequence[int], f: LaurentPoly) -> RF:
-    out = RF.from_poly(f)
-    for i in reversed(list(word)):
-        # each step stays polynomial on polynomial input
-        out = met_demazure(datum, i, out.as_poly())
-    return out
+    """T_word f, one polynomial step per letter."""
+    return RF.from_poly(met_demazure_act(datum, f)(word))
+
+
+def met_demazure_act(datum: MetaplecticDatum, f: LaurentPoly):
+    """act(word) = T_word f in the metaplectic Demazure operators, one polynomial step per letter."""
+    return applied(lambda i, g: met_demazure_poly(datum, i, g), f)
 
 
 # -- Whittaker values from the block action ------------------------------------------
@@ -466,17 +469,11 @@ def whittaker_value(datum: MetaplecticDatum, lam: Sequence[int]) -> list[Laurent
     inst = metaplectic_schema_instance(datum)
     generators = [build_T(inst, i) for i in range(datum.cartan.rank)]
     base = whittaker_base(datum, tuple(-int(x) for x in lam))
-    cache: dict[WeylElement, BlockVector] = {}
-    rules = datum.rules
-    totals = [RF.zero(rules)] * datum.k
+    act = applied(lambda i, vec: apply_block_operator(generators[i], vec), base)
+    totals = [RF.zero(datum.rules)] * datum.k
     identity = datum.group.identity
     for w in datum.group:
-        if w.length == 0:
-            vec = base
-        else:
-            i = w.word[0]
-            vec = apply_block_operator(generators[i], cache[datum.group.left_mul_simple(i, w)])
-        cache[w] = vec
+        vec = act(w.word)
         if identity in vec:
             totals = [a + b for a, b in zip(totals, vec[identity])]
     return [t.as_poly() for t in totals]
@@ -506,10 +503,7 @@ def check_met_demazure_match(
                 total = RF.zero(datum.rules)
                 for component in image.get(identity, ()):
                     total = total + component
-                expected = met_demazure(datum, i, weight_monomial(mu, datum.rules))
-                if total == expected:
-                    return True, None, None
-                return False, total.render(), expected.render()
+                return verdict(total, met_demazure(datum, i, weight_monomial(mu, datum.rules)))
 
             report.run(f"T_{i + 1} aggregate on z^{tuple(mu)}", check)
     return report
@@ -520,30 +514,10 @@ def check_met_demazure_relations(
 ) -> Report:
     """Quadratic and braid relations for the metaplectic Demazure operators on monomials."""
     report = report or Report(f"metaplectic Demazure relations ({datum.cartan.cartan_type}, n={datum.n})")
-    vv = RF.from_poly(v(datum.rules))
-    rank = datum.cartan.rank
     for mu in weights:
-        f = weight_monomial(tuple(int(x) for x in mu), datum.rules)
-        for i in range(rank):
-            def quad(f=f, i=i):
-                once = met_demazure(datum, i, f)
-                twice = met_demazure(datum, i, once.as_poly())
-                rhs = (vv - 1) * once + vv * RF.from_poly(f)
-                ok = twice == rhs
-                return ok, None if ok else twice.render(), None if ok else rhs.render()
-
-            report.run(f"quadratic i={i + 1} on z^{tuple(mu)}", quad)
-        for i in range(rank):
-            for j in range(i + 1, rank):
-                m = datum.cartan.braid_orders[i][j]
-
-                def braid(f=f, i=i, j=j, m=m):
-                    left = met_demazure_word(datum, [i if t % 2 == 0 else j for t in range(m)], f)
-                    right = met_demazure_word(datum, [j if t % 2 == 0 else i for t in range(m)], f)
-                    ok = left == right
-                    return ok, None if ok else left.render(), None if ok else right.render()
-
-                report.run(f"braid ({i + 1},{j + 1}) on z^{tuple(mu)}", braid)
+        mu = tuple(int(x) for x in mu)
+        act = met_demazure_act(datum, weight_monomial(mu, datum.rules))
+        hecke_relations(report, act, v(datum.rules), datum.cartan.braid_orders, f" on z^{mu}")
     return report
 
 
@@ -559,10 +533,10 @@ def check_representative_independence(
         s = datum.group.simple(i)
         for xi in datum.lattice_basis:
             shifted = weight_monomial(tuple(int(a) + int(b) for a, b in zip(mu, xi)), datum.rules)
-            lhs = cg_action(datum, i, shifted)
             factor = RF.from_poly(weight_monomial(s.act(xi), datum.rules))
-            if not (lhs == base * factor):
-                return False, lhs.render(), (base * factor).render()
+            result = verdict(cg_action(datum, i, shifted), base * factor)
+            if not result[0]:
+                return result
         return True, None, None
 
     report.run(f"representative independence i={i + 1} mu={tuple(mu)}", check)
@@ -582,7 +556,6 @@ def rmatrix_dictionary_check(r: int, n: int, report: Report | None = None) -> Re
     datum = build_datum(f"A{r - 1}", n)
     rules = datum.rules
     tau = tau_operator(n, rules)
-    all_words = words(n, r)
 
     def word_of(mu: IntVec) -> int:
         key = tuple((int(a) - rho) % n for a, rho in zip(mu, datum.cartan.rho))
@@ -602,13 +575,9 @@ def rmatrix_dictionary_check(r: int, n: int, report: Report | None = None) -> Re
                     key = (index[row], index[col])
                     if (row, col) not in block.entries and key not in rhs.mat.entries:
                         continue
-                    lhs_entry, rhs_entry = block[row, col], rhs.mat[key]
-                    if not (lhs_entry == rhs_entry):
-                        return (
-                            False,
-                            f"({datum.rep(row)}, {datum.rep(col)}): {lhs_entry.render()}",
-                            rhs_entry.render(),
-                        )
+                    result = verdict(block[row, col], rhs.mat[key], f"({datum.rep(row)}, {datum.rep(col)}): ")
+                    if not result[0]:
+                        return result
             return True, None, None
 
         report.run(f"dictionary at i={i + 1}", check)

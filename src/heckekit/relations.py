@@ -1,0 +1,106 @@
+"""One verifier for the quadratic and braid relations of every Hecke module.
+
+A module reaches the verifier as act(word), the action of the word
+T_{word[0]} ... T_{word[-1]} in its generators: the left-associated operator
+product for block and tensor operators (`products`), or T_word f for
+operators on Laurent polynomials (`applied`).  The relations
+
+    T_i^2 = (v - 1) T_i + v,    T_i T_j T_i ... = T_j T_i T_j ...  (m letters)
+
+are then the same code for all of them; a value only needs `+`, scalar `*`
+on the left and a way to show where two values differ (`verdict`).
+"""
+
+from __future__ import annotations
+
+from typing import Callable, Sequence, TypeVar
+
+from .algebra import LaurentPoly, RationalFunction
+from .reports import Report
+
+T = TypeVar("T")
+Word = tuple[int, ...]
+Act = Callable[[Word], T]
+Verdict = tuple[bool, str | None, str | None]
+
+
+def verdict(lhs, rhs, where: str = "") -> Verdict:
+    """(True, None, None) if lhs equals rhs, else (False, lhs, rhs) renderings.
+
+    Polynomials and rational functions are compared with == and rendered
+    whole; matrices and operators name their first differing entry through
+    their difference() method.  where prefixes the left rendering.
+    """
+    if isinstance(lhs, (LaurentPoly, RationalFunction)):
+        diff = None if lhs == rhs else (lhs.render(), rhs.render())
+    else:
+        diff = lhs.difference(rhs)
+    return (True, None, None) if diff is None else (False, where + diff[0], diff[1])
+
+
+def products(generator: Callable[[int], T], identity: Callable[[], T] | None = None) -> Act:
+    """act(word) for operators: generator(word[0]).compose(generator(word[1])) ... left to right.
+
+    Each generator is built on first use and kept by this act only; no
+    product is kept.  The empty word is identity(), never composed with
+    anything.
+    """
+    built: dict[int, T] = {}
+
+    def gen(i: int) -> T:
+        if i not in built:
+            built[i] = generator(i)
+        return built[i]
+
+    def act(word: Word) -> T:
+        if not word:
+            return identity()
+        out = gen(word[0])
+        for i in word[1:]:
+            out = out.compose(gen(i))
+        return out
+
+    return act
+
+
+def applied(step: Callable[[int, T], T], f: T) -> Act:
+    """act(word) on one vector: T_word f, applying step(i, g) = T_i g letter by letter, right to left.
+
+    Results are kept by word for the life of this act, so words with a
+    common suffix (T_i f inside T_i T_i f, or T_{s_i w} f inside T_w f)
+    share its work.
+    """
+    memo: dict[Word, T] = {(): f}
+
+    def act(word: Word) -> T:
+        word = tuple(word)
+        if word not in memo:
+            memo[word] = step(word[0], act(word[1:]))
+        return memo[word]
+
+    return act
+
+
+def quadratic(report: Report, act: Act, i: int, v, suffix: str = "") -> Report:
+    """T_i^2 = (v - 1) T_i + v; v is the Hecke parameter in the values' scalar ring."""
+    report.run(f"quadratic T_{i + 1}{suffix}", lambda: verdict(act((i, i)), (v - 1) * act((i,)) + v * act(())))
+    return report
+
+
+def braid(report: Report, act: Act, i: int, j: int, m: int, suffix: str = "") -> Report:
+    """The two alternating words of length m in T_i and T_j agree."""
+    left = tuple(i if t % 2 == 0 else j for t in range(m))
+    right = tuple(j if t % 2 == 0 else i for t in range(m))
+    report.run(f"braid T_{i + 1} T_{j + 1} (order {m}){suffix}", lambda: verdict(act(left), act(right)))
+    return report
+
+
+def hecke_relations(report: Report, act: Act, v, braid_orders: Sequence[Sequence[int]], suffix: str = "") -> Report:
+    """Every quadratic relation, then every braid relation, of the finite Hecke algebra."""
+    rank = len(braid_orders)
+    for i in range(rank):
+        quadratic(report, act, i, v, suffix)
+    for i in range(rank):
+        for j in range(i + 1, rank):
+            braid(report, act, i, j, braid_orders[i][j], suffix)
+    return report

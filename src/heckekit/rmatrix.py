@@ -17,7 +17,6 @@ gamma_ab * gamma_ba = 1, which the twist structure supplies.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 from itertools import product as iproduct
 from typing import Callable, Sequence
 
@@ -26,7 +25,6 @@ from .linalg import (
     Matrix,
     apply_matrix,
     as_matrix,
-    first_difference,
     identity_matrix,
     is_scalar_matrix,
     mat_add,
@@ -38,7 +36,8 @@ from .linalg import (
 )
 from .reports import Report
 from .roots import CartanDatum, WeylElement, WeylGroup, build_cartan, coroot_monomial
-from .schema import BlockOperator, SchemaInstance, _drop_zero_blocks
+from .relations import braid, hecke_relations, products, quadratic, verdict
+from .schema import BlockOperator, SchemaInstance, _drop_zero_blocks, identity_operator
 
 P = LaurentPoly
 RF = RationalFunction
@@ -79,8 +78,14 @@ class TensorOperator:
     def inverse(self) -> "TensorOperator":
         return TensorOperator(self.n, self.arity, mat_inverse(self.mat))
 
+    __add__ = add
+    __rmul__ = scale
+
     def equals(self, other: "TensorOperator") -> bool:
-        return first_difference(self.mat, other.mat) is None
+        return self.difference(other) is None
+
+    def difference(self, other: "TensorOperator") -> tuple[str, str] | None:
+        return self.mat.difference(other.mat)
 
     def embed(self, slots: tuple[int, int], arity: int) -> "TensorOperator":
         """Place this arity-2 operator on the given slots, identity elsewhere."""
@@ -236,15 +241,6 @@ def r_tilde(n: int, x: LaurentPoly, rules: GaussRules | None = None) -> TensorOp
 # -- verifiers --------------------------------------------------------------------
 
 
-def _verdict(lhs: Matrix, rhs: Matrix, where: str = "") -> tuple[bool, str | None, str | None]:
-    """(True, None, None) if lhs == rhs, else a rendering of the first differing entry."""
-    diff = first_difference(lhs, rhs)
-    if diff is None:
-        return True, None, None
-    r, c, xe, ye = diff
-    return False, f"{where}entry ({r},{c}): {xe.render()}", ye.render()
-
-
 def check_ybe(op: TensorOperator, report: Report | None = None, name: str = "YBE") -> Report:
     """Constant Yang-Baxter equation R12 R13 R23 = R23 R13 R12 on three slots."""
     return check_parametrized_ybe(lambda _: op, report, name)
@@ -259,9 +255,7 @@ def check_parametrized_ybe(build: Callable[[LaurentPoly], TensorOperator], repor
         r12 = build(x).embed((0, 1), 3)
         r13 = build(x * y).embed((0, 2), 3)
         r23 = build(y).embed((1, 2), 3)
-        lhs = r12.compose(r13).compose(r23)
-        rhs = r23.compose(r13).compose(r12)
-        return _verdict(lhs.mat, rhs.mat)
+        return verdict(r12.compose(r13).compose(r23), r23.compose(r13).compose(r12))
 
     report.run(name, check)
     return report
@@ -270,25 +264,11 @@ def check_parametrized_ybe(build: Callable[[LaurentPoly], TensorOperator], repor
 def check_hecke(spec: RMatrixSpec, report: Report | None = None) -> Report:
     """T = u tau R satisfies T^2 = (v-1)T + v and the order-3 braid on three slots."""
     report = report or Report(f"hecke relations n={spec.n}")
-    rules = spec.rules
-    uu = RF.from_poly(P.symbol("u", rules))
-    t = tau_operator(spec.n, rules).compose(r_gl(spec)).scale(uu)
-
-    def quadratic():
-        vv = RF.from_poly(v(rules))
-        lhs = t.compose(t)
-        rhs = t.scale(vv - 1).add(TensorOperator(spec.n, 2, identity_matrix(spec.n ** 2, rules)).scale(vv))
-        return _verdict(lhs.mat, rhs.mat)
-
-    def braid():
-        t12 = t.embed((0, 1), 3)
-        t23 = t.embed((1, 2), 3)
-        lhs = t12.compose(t23).compose(t12)
-        rhs = t23.compose(t12).compose(t23)
-        return _verdict(lhs.mat, rhs.mat)
-
-    report.run(f"quadratic u*tau*R (n={spec.n})", quadratic)
-    report.run(f"braid on three slots (n={spec.n})", braid)
+    n, rules = spec.n, spec.rules
+    t = tau_operator(n, rules).compose(r_gl(spec)).scale(RF.from_poly(P.symbol("u", rules)))
+    identity = TensorOperator(n, 2, identity_matrix(n ** 2, rules))
+    quadratic(report, products(lambda _: t, lambda: identity), 0, RF.from_poly(v(rules)), f" (n={n})")
+    braid(report, products(lambda i: t.embed((i, i + 1), 3)), 0, 1, 3, f" (n={n})")
     return report
 
 
@@ -310,12 +290,8 @@ def check_triangularity(
         product = tau.compose(op_x).compose(tau).compose(op_xinv)
         scalar = is_scalar_matrix(product.mat)
         if scalar is None:
-            diff = first_difference(product.mat, mat_scalar(expected, identity_matrix(op_x.n ** 2, rules)))
-            r, c, xe, ye = diff
-            return False, f"not scalar at ({r},{c}): {xe.render()}", ye.render()
-        if scalar == expected:
-            return True, None, None
-        return False, scalar.render(), expected.render()
+            return verdict(product.mat, mat_scalar(expected, identity_matrix(op_x.n ** 2, rules)), "not scalar at ")
+        return verdict(scalar, expected)
 
     report.run(name, check)
     return report
@@ -478,27 +454,8 @@ def limit_instance(n: int, r: int) -> tuple[BlockSpace, list[BlockOperator]]:
 def check_finite_hecke(space: BlockSpace, ops: list[BlockOperator], report: Report | None = None, name: str = "finite Hecke") -> Report:
     """Quadratic and braid relations for explicit block operators over W."""
     report = report or Report(name)
-    vv = RF.from_poly(v(space.rules))
-    ident = BlockOperator(space, {(w, w): identity_matrix(space.block_dim, space.rules) for w in space.group})
-    for i, t in enumerate(ops):
-        def quad(t=t, i=i):
-            diff = t.compose(t).difference(t.scale(vv - 1).add(ident.scale(vv)))
-            return (diff is None, diff, "T^2 = (v-1)T + v") if diff else (True, None, None)
-
-        report.run(f"quadratic block T_{i + 1}", quad)
-    for i in range(len(ops)):
-        for j in range(i + 1, len(ops)):
-            m = space.cartan.braid_orders[i][j]
-
-            def braid(i=i, j=j, m=m):
-                def word(a: int, b: int) -> BlockOperator:
-                    return reduce(BlockOperator.compose, [ops[a] if t % 2 == 0 else ops[b] for t in range(m)])
-
-                diff = word(i, j).difference(word(j, i))
-                return (diff is None, diff, f"braid order {m}") if diff else (True, None, None)
-
-            report.run(f"braid block ({i + 1},{j + 1})", braid)
-    return report
+    act = products(ops.__getitem__, lambda: identity_operator(space))
+    return hecke_relations(report, act, RF.from_poly(v(space.rules)), space.cartan.braid_orders)
 
 
 def delta_matrix(space: BlockSpace, star: bool = False) -> dict[WeylElement, Matrix]:
@@ -530,9 +487,9 @@ def check_wreath_intertwining(
                     continue
                 term = mat_mul(block, delta[ws])
                 lhs = term if lhs is None else mat_add(lhs, term)
-            verdict = _verdict(lhs, mat_mul(delta[w], t), f"block {w.name()} ")
-            if not verdict[0]:
-                return verdict
+            result = verdict(lhs, mat_mul(delta[w], t), f"block {w.name()} ")
+            if not result[0]:
+                return result
         return True, None, None
 
     report.run("Delta intertwining", check)
@@ -585,24 +542,14 @@ def check_wreath_star(space: BlockSpace, op: BlockOperator, t: Matrix, report: R
         minus = eigenline_basis(t, RF.const(-1, rules))
         if len(plus) + len(minus) != space.block_dim:
             return False, f"eigenspace dims {len(plus)}+{len(minus)}", str(space.block_dim)
-        for phi in plus:
-            starred = apply_matrix(star, phi)  # = -phi on this line
-            vec = diagonal(phi, +1)
-            got = apply_to(vec)
-            want = diagonal(starred, +1)
-            for w in space.group:
-                for a, b in zip(got[w], want[w]):
-                    if not (a == b):
-                        return False, f"v-eigenline at {w.name()}: {a.render()}", b.render()
-        for phi in minus:
-            starred = apply_matrix(star, phi)  # = v phi on this line
-            vec = diagonal(phi, -1)
-            got = apply_to(vec)
-            want = diagonal(starred, -1)
-            for w in space.group:
-                for a, b in zip(got[w], want[w]):
-                    if not (a == b):
-                        return False, f"(-1)-eigenline at {w.name()}: {a.render()}", b.render()
+        for line, sign, basis in (("v", 1, plus), ("(-1)", -1, minus)):
+            for phi in basis:  # T* phi = -phi on the v-eigenline, v phi on the (-1)-eigenline
+                got = apply_to(diagonal(phi, sign))
+                want = diagonal(apply_matrix(star, phi), sign)
+                for w in space.group:
+                    for a, b in zip(got[w], want[w]):
+                        if not (a == b):
+                            return False, f"{line}-eigenline at {w.name()}: {a.render()}", b.render()
         return True, None, None
 
     report.run("Delta* eigenline intertwining", check)
@@ -631,9 +578,9 @@ def check_star_word_identity(space: BlockSpace, t_matrices: list[Matrix], report
                 (RF.const(-1, rules) * vv) ** w.length,
                 mat_inverse(word_product(t_matrices, winv.word)),
             )
-            verdict = _verdict(lhs, rhs, f"w={w.name()} ")
-            if not verdict[0]:
-                return verdict
+            result = verdict(lhs, rhs, f"w={w.name()} ")
+            if not result[0]:
+                return result
         return True, None, None
 
     report.run("T_w* = (-v)^l T_{w^-1}^{-1}", check)

@@ -29,13 +29,13 @@ from .algebra import (
 )
 from .linalg import (
     Matrix,
-    first_difference,
     identity_matrix,
     is_scalar_matrix,
     mat_add,
     mat_mul,
     mat_scalar,
 )
+from .relations import braid, products, quadratic, verdict
 from .reports import Report
 from .roots import CartanDatum, WeylElement, WeylGroup, coroot_monomial, weight_monomial
 
@@ -126,20 +126,19 @@ class BlockOperator:
         scaled = {k: mat_scalar(c, m) for k, m in self.blocks.items()}
         return BlockOperator(self.inst, _drop_zero_blocks(scaled))
 
+    __add__ = add
+    __rmul__ = scale
+
     def equals(self, other: "BlockOperator") -> bool:
         return self.difference(other) is None
 
-    def difference(self, other: "BlockOperator") -> str | None:
-        """None if equal, else a rendering of the first differing entry."""
+    def difference(self, other: "BlockOperator") -> tuple[str, str] | None:
+        """None if equal, else renderings of the first differing entry, the left one naming it."""
         keys = set(self.blocks) | set(other.blocks)
         for t, s in sorted(keys, key=lambda k: (k[0].word, k[1].word)):
-            diff = first_difference(self.block(t, s), other.block(t, s))
+            diff = self.block(t, s).difference(other.block(t, s))
             if diff is not None:
-                r, c, x, y = diff
-                return (
-                    f"block ({t.name()}, {s.name()}) entry ({r}, {c}): "
-                    f"{x.render()}  !=  {y.render()}"
-                )
+                return f"block ({t.name()}, {s.name()}) {diff[0]}", diff[1]
         return None
 
 
@@ -224,49 +223,27 @@ def check_composition(inst: SchemaInstance, report: Report | None = None) -> Rep
                 scalar = is_scalar_matrix(product)
                 if scalar is None:
                     return False, "A(s_i w) A(w) is not scalar", expected.render()
-                if scalar == expected:
-                    return True, None, None
-                return False, scalar.render(), expected.render()
+                return verdict(scalar, expected)
 
             report.run(f"composition scalar (w={w.name()}, i={i + 1})", check)
     return report
 
 
+def _act(inst: SchemaInstance):
+    """Words in the generators T_i of inst, for the relation verifier."""
+    return products(lambda i: build_T(inst, i), lambda: identity_operator(inst))
+
+
 def check_quadratic(inst: SchemaInstance, i: int, report: Report | None = None) -> Report:
     """T_i^2 = (v - 1) T_i + v, exactly."""
     report = report or Report(f"{inst.name}: quadratic")
-
-    def check():
-        t = build_T(inst, i)
-        vv = RationalFunction.from_poly(v(inst.rules))
-        lhs = t.compose(t)
-        rhs = t.scale(vv - 1).add(identity_operator(inst).scale(vv))
-        diff = lhs.difference(rhs)
-        return (diff is None, diff, "T^2 = (v-1)T + v") if diff else (True, None, None)
-
-    report.run(f"quadratic T_{i + 1}", check)
-    return report
+    return quadratic(report, _act(inst), i, RationalFunction.from_poly(v(inst.rules)))
 
 
 def check_braid(inst: SchemaInstance, i: int, j: int, report: Report | None = None) -> Report:
     """Alternating products of length n(i, j) agree, exactly."""
     report = report or Report(f"{inst.name}: braid")
-    m = inst.cartan.braid_orders[i][j]
-
-    def product(first: int, second: int) -> BlockOperator:
-        ops = [build_T(inst, first), build_T(inst, second)]
-        result = None
-        for t in range(m):
-            op = ops[t % 2]
-            result = op if result is None else result.compose(op)
-        return result
-
-    def check():
-        diff = product(i, j).difference(product(j, i))
-        return (diff is None, diff, f"braid of order {m}") if diff else (True, None, None)
-
-    report.run(f"braid T_{i + 1} T_{j + 1} (order {m})", check)
-    return report
+    return braid(report, _act(inst), i, j, inst.cartan.braid_orders[i][j])
 
 
 def check_bernstein(inst: SchemaInstance, lam: Sequence[int], i: int, report: Report | None = None) -> Report:
@@ -296,9 +273,7 @@ def check_bernstein(inst: SchemaInstance, lam: Sequence[int], i: int, report: Re
         for w in inst.group:
             q_at_w = inst.group.at_point(w, quotient)
             blocks[(w, w)] = mat_scalar((vv - 1) * RationalFunction.from_poly(q_at_w), ident)
-        rhs = BlockOperator(inst, _drop_zero_blocks(blocks))
-        diff = lhs.difference(rhs)
-        return (diff is None, diff, "Bernstein relation") if diff else (True, None, None)
+        return verdict(lhs, BlockOperator(inst, _drop_zero_blocks(blocks)))
 
     report.run(f"bernstein lambda={lam} i={i + 1}", check)
     return report
@@ -311,8 +286,7 @@ def check_spherical_idempotent(inst: SchemaInstance, report: Report | None = Non
     def check():
         s = spherical_sum(inst)
         scale = RationalFunction.from_poly(poincare_polynomial(inst.group, inst.rules))
-        diff = s.compose(s).difference(s.scale(scale))
-        return (diff is None, diff, "I^2 = P(v) I") if diff else (True, None, None)
+        return verdict(s.compose(s), s.scale(scale))
 
     report.run("spherical idempotent", check)
     return report

@@ -130,8 +130,24 @@ def test_json_is_one_document(capsys, argv):
         (["verify", "--type", "Z9"], "unsupported Cartan type 'Z9'"),
         (["verify", "--instance", "metaplectic", "--B", "((2,0),(0,2))"], "argument --B: invalid choice"),
         (["verify", "--type", "B2", "--instance", "rmatrix"], "--instance rmatrix needs a type A1..A4, not B2"),
+        (["cs", "--type", "A1", "--weight", "(1,0,0)"], "--weight (1, 0, 0) has 3 coordinates, A1 needs 2"),
+        (["verify", "--type", "A1", "--instance", "whittaker", "--bernstein", "(1,0,0)"],
+         "--bernstein (1, 0, 0) has 3 coordinates, A1 needs 2"),
+        (["demazure", "--type", "A2", "--weights", "(1,0,0)", "--weights", "(1,0)"],
+         "--weights (1, 0) has 2 coordinates, A2 needs 3"),
+        (["metaplectic", "--r", "2", "--weight", "(1,0,0)"], "--weight (1, 0, 0) has 3 coordinates, A1 needs 2"),
+        (["cs", "--type", "G2", "--weight", "(1,0,0)"], "--weight (1, 0, 0) is not in the weight lattice of G2"),
+        (["cs", "--type", "A1", "--weight", "(0,1)"], "--weight (0, 1) is not dominant for A1"),
+        (["metaplectic", "--r", "7"], "argument --r: 7 is outside 2..5"),
+        (["metaplectic", "--r", "1"], "argument --r: 1 is outside 2..5"),
+        (["wreath", "--r", "7"], "argument --r: 7 is outside 2..5"),
+        (["rmatrix", "hecke", "--n", "0"], "argument --n: 0 is below 1"),
     ],
-    ids=["unknown-type", "form-not-dot", "rmatrix-non-A"],
+    ids=[
+        "unknown-type", "form-not-dot", "rmatrix-non-A", "cs-weight-length", "bernstein-length",
+        "demazure-weights-length", "metaplectic-weight-length", "cs-weight-off-lattice", "cs-not-dominant",
+        "metaplectic-r-7", "metaplectic-r-1", "wreath-r-7", "rmatrix-n-0",
+    ],
 )
 def test_bad_input_is_a_usage_error(capsys, argv, message):
     with pytest.raises(SystemExit) as exc:

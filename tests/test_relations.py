@@ -1,0 +1,34 @@
+import pytest
+
+from heckekit.algebra import LaurentPoly, v
+from heckekit.relations import applied, hecke_relations
+from heckekit.reports import Report
+from heckekit.roots import build_cartan, weight_monomial, weyl_group
+from heckekit.whittaker import demazure_variant, idempotent_apply, idempotent_element
+
+P = LaurentPoly
+
+
+def test_toy_scalar_generators_fail_only_the_braid():
+    # T_1 = v and T_2 = -1 each satisfy the quadratic relation, but v(-1)v != (-1)v(-1)
+    generators = [v(), P.const(-1)]
+    act = applied(lambda i, f: generators[i] * f, P.one())
+    report = hecke_relations(Report("toy A2"), act, v(), build_cartan("A2").braid_orders)
+    assert [(c.name, c.passed) for c in report.checks] == [
+        ("quadratic T_1", True),
+        ("quadratic T_2", True),
+        ("braid T_1 T_2 (order 3)", False),
+    ]
+    failure = report.first_failure()
+    assert failure.lhs == (-(v() ** 2)).render() and failure.rhs == v().render()
+
+
+@pytest.mark.parametrize("kind", ["whittaker", "lusztig"])
+@pytest.mark.parametrize("modified", [True, False], ids=["modified", "plain"])
+@pytest.mark.parametrize("cartan_type", ["A2", "B2"])
+def test_idempotent_apply_matches_twisted_group_ring(cartan_type, kind, modified):
+    cartan = build_cartan(cartan_type)
+    var = demazure_variant(kind, cartan, weyl_group(cartan), modified)
+    element = idempotent_element(var)
+    for lam in [(0,) * cartan.dim, *cartan.fundamental_weights()]:
+        assert idempotent_apply(var, lam) == element.act_on(weight_monomial(lam)).as_poly()
