@@ -27,8 +27,17 @@ ever carries into a neighbouring lane.
 
 Gauss symbols g0, g1, ... are ordinary commuting symbols until a
 :class:`GaussRules` context is attached, which rewrites g_a * g_{n-a} to
-pair_value and g_0 to zero_value at construction time.  Each rules object
-memoizes the rewrite of every monomial it has seen.
+pair_value and g_0 to zero_value at construction time.  When pair_value is
+a monomial, g_a is a unit and a negative exponent is rewritten too
+(g_a^-1 = g_{n-a} / pair_value), so both exponents of a pair end >= 0 and
+one of them 0.  Each rules object memoizes the rewrite of every monomial it
+has seen.
+
+A :class:`RationalFunction` keeps its denominator as a tuple of factors in
+normal form: each factor divided by its leading term in graded-lex order
+on symbol names, so that associates (1 - x, x - 1, 2 - 2x, 1 - x^-1) are
+one factor and sums and equality share it.  :func:`_normal_factor` is the
+one place this is decided.
 
 All values are immutable after construction and all operations are pure.
 """
@@ -197,6 +206,8 @@ class GaussRules:
     zero_value: "LaurentPoly"
     # packed monomial -> its rewrite as packed terms, or None if it is canonical
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # denominator factor -> its normal form and unit (see _normal_factor)
+    _factors: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.modulus < 1:
@@ -268,8 +279,8 @@ def _gauss_reduce(m: int, rules: GaussRules) -> tuple[tuple[int, Coeff], ...] | 
         multiplier = multiplier * rules.zero_value.monomial_inverse() ** (-zero_count)
     for a in sorted(gexp):
         b = (n - a) % n
-        if b < a:
-            continue
+        if b < a and b in gexp:
+            continue  # the pair was reduced at b
         if b == a:
             e = gexp.get(a, 0)
             if e >= 0 or pair_invertible:
@@ -279,12 +290,11 @@ def _gauss_reduce(m: int, rules: GaussRules) -> tuple[tuple[int, Coeff], ...] | 
             gexp[a] = leftover
         else:
             ea, eb = gexp.get(a, 0), gexp.get(b, 0)
-            if ea > 0 and eb > 0:
+            if pair_invertible:
+                # g_a^-1 = g_b / pair_value: leave both exponents >= 0, one of them 0
                 pairs = min(ea, eb)
-            elif ea < 0 and eb < 0 and pair_invertible:
-                pairs = max(ea, eb)
             else:
-                pairs = 0
+                pairs = min(ea, eb) if ea > 0 and eb > 0 else 0
             gexp[a], gexp[b] = ea - pairs, eb - pairs
         if pairs > 0:
             multiplier = multiplier * rules.pair_value ** pairs
@@ -608,6 +618,26 @@ def _shift(p: LaurentPoly, shift: int) -> LaurentPoly:
     return p * _new({shift: 1}, p.rules, False)
 
 
+def _graded_lex(names: Iterable[str]) -> Callable[[int], tuple[int, list[int]]]:
+    """Memoized sort key on packed monomials over the given symbols: total degree, then
+    the dense exponent vector in name order.  Both parts are additive, so the
+    order is invariant under multiplication by any monomial."""
+    names = sorted(names)
+    position = {_lanes[s]: i for i, s in enumerate(names)}
+    keys: dict[int, tuple[int, list[int]]] = {}
+
+    def order(m: int) -> tuple[int, list[int]]:
+        key = keys.get(m)
+        if key is None:
+            vec = [0] * len(names)
+            for lane, e in _unpack(m):
+                vec[position[lane]] = e
+            key = keys[m] = (sum(vec), vec)
+        return key
+
+    return order
+
+
 def exact_divide(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
     """Return r with r*q == p exactly, or raise :class:`NotDivisible`.
 
@@ -622,20 +652,7 @@ def exact_divide(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
         return LaurentPoly.zero(rules)
     cp, cq = _content(p), _content(q)
     phat, qhat = _shift(p, -cp), _shift(q, -cq)
-
-    names = sorted(phat.symbols() | qhat.symbols())
-    position = {_lanes[s]: i for i, s in enumerate(names)}
-    keys: dict[int, tuple[int, list[int]]] = {}
-
-    def order(m: int):
-        key = keys.get(m)
-        if key is None:
-            vec = [0] * len(names)
-            for lane, e in _unpack(m):
-                vec[position[lane]] = e
-            key = keys[m] = (sum(vec), vec)
-        return key
-
+    order = _graded_lex(phat.symbols() | qhat.symbols())
     lq = max(qhat._t, key=order)
     lq_coeff = qhat._t[lq]
     quotient: dict[int, Coeff] = {}
@@ -660,38 +677,82 @@ def try_divide(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly | None:
         return None
 
 
+# -- denominator factors ------------------------------------------------------------
+
+_RULE_FREE_FACTORS: dict = {}  # _normal_factor's memo for factors without Gauss rules
+
+
+def _normal_factor(f: LaurentPoly) -> tuple[LaurentPoly | None, LaurentPoly | None]:
+    """(f / t, 1 / t) for the leading term t of the denominator factor f.
+
+    This is the one place the normal form of a factor is decided.  t is the
+    largest term of f in the graded-lex order of :func:`_graded_lex`, which
+    is invariant under multiplication by a monomial, so every associate
+    c * m * f (c a nonzero number, m a monomial) has the same normal form
+    f / t, whose constant term is 1.  (Under Gauss rules the rewrite of a
+    product can reorder terms of equal degree; such associates stay exact
+    but may keep two keys.)  The first entry is None when f is a unit
+    (f / t = 1), the second when f is already normal (t = 1).  Where the
+    Gauss pair value is not a monomial, g_a is no unit, so t keeps no Gauss
+    symbol.  Memoized per factor and rules object.
+    """
+    rules = f.rules
+    memo = _RULE_FREE_FACTORS if rules is None else rules._factors
+    hit = memo.get(f)
+    if hit is not None:
+        return hit
+    terms = f._t
+    if not terms:
+        raise ZeroDivisionError("zero polynomial in denominator")
+    if len(terms) == 1:
+        hit = memo[f] = (None, f.monomial_inverse())
+        return hit
+    lead = max(terms, key=_graded_lex(f.symbols()))
+    c = terms[lead]
+    if rules is not None and len(rules.pair_value._t) != 1:
+        lead = _pack({s: e for s, e in _exponents(lead).items() if _gauss_index(s) is None})
+    if lead == 0 and c == 1:
+        hit = memo[f] = (f, None)
+        return hit
+    inverse = _new({lead: c}, rules, type(c) is not int, canonical=True).monomial_inverse()
+    normal = f * inverse
+    memo.setdefault(normal, (normal, None))  # a normal factor stays as it is
+    hit = memo[f] = (normal, inverse)
+    return hit
+
+
 class RationalFunction:
     """Fraction num / prod(den) with the denominator kept as a factor multiset.
 
+    Normal form of the denominator: the constructor divides every factor it
+    is given by the factor's leading term (see :func:`_normal_factor`),
+    multiplies the numerator by the inverse of that unit, and drops factors
+    that are units.  So associates such as 1 - x, x - 1, 2 - 2x and 1 - x^-1
+    are stored as one factor, 1 - x^-1, and sums and equality share them.
+    Sums, products and negations of normal operands are normal and are built
+    without normalizing again.
+
     Equality is by cross multiplication, so no multivariate gcd is ever
     needed; cancellation happens only by trial exact division of the
-    numerator by a factor, plus folding of unit (monomial) factors.
+    numerator by a factor.
     """
 
     __slots__ = ("num", "den")
 
     def __init__(self, num: LaurentPoly, den: Iterable[LaurentPoly] = (), simplify: bool = True):
-        den = tuple(den)
+        """simplify: a zero numerator clears the denominator."""
+        factors: list[LaurentPoly] = []
+        unit = None
         for f in den:
-            if f.is_zero():
-                raise ZeroDivisionError("zero polynomial in denominator")
-        if simplify:
-            num, den = self._simplify(num, den)
+            normal, inverse = _normal_factor(f)
+            if normal is not None:
+                factors.append(normal)
+            if inverse is not None:
+                unit = inverse if unit is None else unit * inverse
+        if unit is not None:
+            num = num * unit
         self.num = num
-        self.den = den
-
-    @staticmethod
-    def _simplify(num: LaurentPoly, den: tuple[LaurentPoly, ...]):
-        """Cheap normal form: drop unit (monomial) denominator factors only."""
-        if num.is_zero():
-            return num, ()
-        kept: list[LaurentPoly] = []
-        for f in den:
-            if len(f._t) == 1:
-                num = num * f.monomial_inverse()
-            else:
-                kept.append(f)
-        return num, tuple(kept)
+        self.den = () if simplify and num.is_zero() else tuple(factors)
 
     def cancelled(self) -> "RationalFunction":
         """Cancel denominator factors that exactly divide the numerator."""
@@ -702,13 +763,13 @@ class RationalFunction:
                 num = q
             else:
                 kept.append(f)
-        return RationalFunction(num, tuple(kept), simplify=False)
+        return _rf(num, tuple(kept))
 
     # -- constructors --------------------------------------------------------
 
     @staticmethod
     def from_poly(p: LaurentPoly) -> "RationalFunction":
-        return RationalFunction(p, (), simplify=False)
+        return _rf(p, ())
 
     @staticmethod
     def const(value, rules: GaussRules | None = None) -> "RationalFunction":
@@ -747,12 +808,12 @@ class RationalFunction:
             else:
                 rest_self.append(f)
         num = self.num * _product(rest_other) + other.num * _product(rest_self)
-        return RationalFunction(num, tuple(common) + tuple(rest_self) + tuple(rest_other))
+        return _rf(num, tuple(common) + tuple(rest_self) + tuple(rest_other))
 
     __radd__ = __add__
 
     def __neg__(self) -> "RationalFunction":
-        return RationalFunction(-self.num, self.den, simplify=False)
+        return _rf(-self.num, self.den)
 
     def __sub__(self, other) -> "RationalFunction":
         other = self._coerce(other)
@@ -767,7 +828,7 @@ class RationalFunction:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return RationalFunction(self.num * other.num, self.den + other.den)
+        return _rf(self.num * other.num, self.den + other.den)
 
     __rmul__ = __mul__
 
@@ -777,7 +838,8 @@ class RationalFunction:
             return NotImplemented
         if other.num.is_zero():
             raise ZeroDivisionError("division by zero rational function")
-        return RationalFunction(self.num * _product(other.den), self.den + (other.num,))
+        quotient = RationalFunction(self.num * _product(other.den), (other.num,))
+        return _rf(quotient.num, self.den + quotient.den)
 
     def __rtruediv__(self, other) -> "RationalFunction":
         return self._coerce(other) / self
@@ -837,6 +899,14 @@ class RationalFunction:
 
     def __repr__(self) -> str:
         return f"RationalFunction({self.render()})"
+
+
+def _rf(num: LaurentPoly, den: tuple[LaurentPoly, ...]) -> RationalFunction:
+    """num / prod(den) for factors already in normal form (a zero num clears den)."""
+    out = object.__new__(RationalFunction)
+    out.num = num
+    out.den = () if num.is_zero() else den
+    return out
 
 
 def _product(polys: Iterable[LaurentPoly], rules: GaussRules | None = None) -> LaurentPoly:

@@ -112,6 +112,19 @@ def _check_weights(parser: argparse.ArgumentParser, args) -> None:
             parser.error(f"--{option} {weight} is not dominant for {cartan.cartan_type}")
 
 
+def _check_rmatrix(parser: argparse.ArgumentParser, args) -> None:
+    """Reject an R-matrix size, tensor length or exponent power the checks do not support."""
+    tensor = args.command == "verify" and args.instance == "rmatrix"
+    if args.command == "rmatrix":
+        if args.n > 4:
+            parser.error(f"--n {args.n}: rmatrix checks support n <= 4")
+        tensor = args.check == "schema"
+        if tensor and not 2 <= args.r <= 3:
+            parser.error(f"--r {args.r}: the rmatrix schema check supports r in 2..3")
+    if tensor and args.power not in (None, 1, args.n):
+        parser.error(f"--power {args.power}: the exponent power must be 1 or --n ({args.n})")
+
+
 def _say(args, text: str) -> None:
     """A line beside the report: stdout, or stderr under --json."""
     print(text, file=sys.stderr if args.json else sys.stdout)
@@ -190,8 +203,6 @@ def run_demazure(args) -> int:
 
 def run_rmatrix(args) -> int:
     n = args.n
-    if n > 4:
-        raise SystemExit("rmatrix checks support n <= 4")
     rules = GaussRules.standard(n)
     report = Report(f"rmatrix n={n} {args.check}")
     if args.check == "ybe":
@@ -212,8 +223,6 @@ def run_rmatrix(args) -> int:
         else:
             check_triangularity(lambda x: r_affine(untwisted_spec(n), x), doubler_scalar(), report)
     elif args.check == "schema":
-        if args.r > 3:
-            raise SystemExit("schema check supports r <= 3")
         inst = tensor_schema_instance(n, args.r, "gauss" if args.gauss else "none", args.power or 1)
         report = verify_instance(inst, lambdas=_default_lambdas(inst.cartan))
     else:
@@ -317,6 +326,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "verify" and args.instance == "rmatrix" and not args.type.startswith("A"):
         parser.error(f"--instance rmatrix needs a type A1..A4, not {args.type}")
     _check_weights(parser, args)
+    _check_rmatrix(parser, args)
     return args.fn(args)
 
 

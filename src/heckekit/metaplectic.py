@@ -18,7 +18,7 @@ operators agree exactly (gauss_flip selects the conjugate embedding).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 from typing import Sequence
@@ -142,6 +142,8 @@ class MetaplecticDatum:
     coset_reps: tuple[IntVec, ...]
     lattice_basis: tuple[IntVec, ...]   # basis of L^(n)
     rho_shift: bool                     # GL convention: reps are rho + box
+    # the rational scalars of the Demazure steps (d_scaled, cg_scaled), built once per datum
+    _scalars: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def k(self) -> int:
@@ -380,11 +382,13 @@ def cg_scaled(datum: MetaplecticDatum, i: int, f: LaurentPoly, gauss_flip: bool 
         m = b // q
         rem = (-m) % na
         index = (q - b) if gauss_flip else (b - q)
-        first = RF(
-            coroot_monomial(alpha, 1, rules) ** (-rem) * (P.one(rules) - v(rules)),
-            (P.one(rules) - coroot_monomial(alpha, na, rules),),
-            simplify=False,
-        )
+        key = ("first", i, rem)
+        if key not in datum._scalars:
+            datum._scalars[key] = RF(
+                coroot_monomial(alpha, 1, rules) ** (-rem) * (P.one(rules) - v(rules)),
+                (P.one(rules) - coroot_monomial(alpha, na, rules),),
+            )
+        first = datum._scalars[key]
         second = RF.from_poly(gauss_symbol(index, rules) * coroot_monomial(alpha, 1, rules) ** (1 - na))
         fs = datum.group.act_fn(s, part)
         total = total + RF.from_poly(fs) * (first - second)
@@ -398,9 +402,12 @@ def cg_action(datum: MetaplecticDatum, i: int, f: LaurentPoly, gauss_flip: bool 
 
 def d_scaled(datum: MetaplecticDatum, i: int) -> RF:
     """D_i^(n)(z): the Demazure scalar with z^alpha replaced by z^{n_alpha alpha}."""
-    rules = datum.rules
-    x = coroot_monomial(datum.cartan.simple_coroots[i], datum.n_alpha(i), rules)
-    return RF((P.one(rules) - v(rules)) * x, (P.one(rules) - x,), simplify=False)
+    key = ("d", i)
+    if key not in datum._scalars:
+        rules = datum.rules
+        x = coroot_monomial(datum.cartan.simple_coroots[i], datum.n_alpha(i), rules)
+        datum._scalars[key] = RF((P.one(rules) - v(rules)) * x, (P.one(rules) - x,), simplify=False)
+    return datum._scalars[key]
 
 
 def met_demazure(datum: MetaplecticDatum, i: int, f: LaurentPoly, gauss_flip: bool = False) -> RF:

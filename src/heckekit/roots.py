@@ -119,6 +119,14 @@ class WeylElement:
     matrix: tuple[Vector, ...]
     word: tuple[int, ...]
     length: int
+    # elements key many dicts; hashing the Fraction matrix on every lookup is slow
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash((self.matrix, self.word, self.length)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def act(self, mu: Sequence) -> IntVector:
         return _intvec(_mat_vec(self.matrix, mu))
@@ -141,10 +149,11 @@ class WeylGroup:
         self._generate()
         self._simples = [self._by_matrix[m] for m in self._simple_matrices]
         self._bruhat_cache: dict[tuple[tuple[int, ...], tuple[int, ...]], bool] = {}
-        # products, inverses and monomial images, keyed by reduced words
+        # products, inverses, monomial and denominator-factor images, keyed by reduced words
         self._mul_cache: dict[tuple[tuple[int, ...], tuple[int, ...]], WeylElement] = {}
         self._inverse_cache: dict[tuple[int, ...], WeylElement] = {}
         self._act_memos: dict[tuple[int, ...], dict] = {}
+        self._factor_images: dict[tuple[int, ...], dict[LaurentPoly, LaurentPoly]] = {}
 
     def _generate(self) -> None:
         d = self.cartan.dim
@@ -251,14 +260,18 @@ class WeylGroup:
     def act_fn(self, w: WeylElement, f):
         """act_fn(w, z^mu) = z^{w mu}; a ring homomorphism on z-monomials.
 
-        The image of each monomial under each element is computed once per group.
+        The image of each monomial, and of each denominator factor (few:
+        one per root and shape), under each element is computed once per group.
         """
         if isinstance(f, RationalFunction):
-            return RationalFunction(
-                self.act_fn(w, f.num),
-                tuple(self.act_fn(w, g) for g in f.den),
-                simplify=False,
-            )
+            images = self._factor_images.setdefault(w.word, {})
+            den = []
+            for g in f.den:
+                image = images.get(g)
+                if image is None or image.rules is not g.rules:  # == ignores rules
+                    image = images[g] = self.act_fn(w, g)
+                den.append(image)
+            return RationalFunction(self.act_fn(w, f.num), den, simplify=False)
         memo = self._act_memos.setdefault(w.word, {})
         return f.map_monomials(lambda exps: _act_on_exponents(w, exps, self.cartan.dim), memo)
 

@@ -10,7 +10,7 @@ evaluates to prod (1 - v z^{-alpha}) chi_lambda(z).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 from .algebra import LaurentPoly, RationalFunction, v
@@ -55,6 +55,8 @@ class DemazureVariant:
     cartan: CartanDatum
     group: WeylGroup
     modified: bool = True
+    # i -> demazure_coefficients(self, i), built once per variant
+    _coefficients: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.kind not in ("whittaker", "lusztig"):
@@ -67,6 +69,12 @@ def demazure_variant(kind: str, cartan: CartanDatum, group: WeylGroup | None = N
 
 def demazure_coefficients(var: DemazureVariant, i: int) -> tuple[RF, RF]:
     """(c0, c1) with T_i f = c0 * f + c1 * f(s_i z)."""
+    if i not in var._coefficients:
+        var._coefficients[i] = _coefficients(var, i)
+    return var._coefficients[i]
+
+
+def _coefficients(var: DemazureVariant, i: int) -> tuple[RF, RF]:
     x = coroot_monomial(var.cartan.simple_coroots[i])
     one = P.one()
     if not var.modified:

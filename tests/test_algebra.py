@@ -13,9 +13,11 @@ from heckekit.algebra import (
     exact_divide,
     gauss_symbol,
     rf_equal,
+    u,
     v,
     z_monomial,
 )
+from heckekit.parsing import parse_poly
 
 P = LaurentPoly
 
@@ -71,6 +73,18 @@ def test_gauss_index_reduces_mod_n():
     rules = GaussRules.standard(3)
     assert gauss_symbol(4, rules) == gauss_symbol(1, rules)
     assert gauss_symbol(-1, rules) == gauss_symbol(2, rules)
+
+
+def test_gauss_negative_exponents_reduce():
+    # g1 * g3 = u^2 is a unit, so g3^-1 = g1 * u^-2: exponents end >= 0, one of each pair 0
+    rules = GaussRules.standard(4)
+    g1, g3 = gauss_symbol(1, rules), gauss_symbol(3, rules)
+    assert g1 * g3 ** -1 == g1 ** 2 * u(rules) ** -2
+    assert g3.monomial_inverse().terms == {(("g1", 1), ("u", -2)): 1}
+    assert (g1 ** -2 * g3 ** -1).terms == {(("g3", 1), ("u", -4)): 1}
+    a = parse_poly("-4*g1^2*u^-4 + g3^-1 - 1 + g3*u^-2*x^2", rules=rules)
+    b = parse_poly("1/2*u^-2*x^-1 + 1", rules=rules)
+    assert exact_divide(a * b, b) == a
 
 
 def test_conjugate_gauss_involution():
@@ -219,6 +233,111 @@ def test_rf_equal_is_equivalence(a, b, c):
         assert rf_equal(fc, fa)
 
 
+# -- normal form of denominator factors -------------------------------------------
+
+
+def _stored(f):
+    return RationalFunction(P.one(f.rules), (f,)).den
+
+
+@pytest.mark.parametrize("n", [None, 2, 3, 4])
+def test_associate_factors_are_stored_as_one(n):
+    rules = GaussRules.standard(n) if n else None
+    one = P.one(rules)
+    x, y, uu, g1 = (P.symbol(s, rules) for s in ("x", "y", "u", "g1"))
+    gauss = one - uu * uu * g1 * x
+    units = [
+        P.monomial({"g1": -1, "x": -1}, -1, rules),
+        P.monomial({"u": 3, "g1": 2}, Fraction(1, 2), rules),
+        P.monomial({"x": 2, "g2": 1}, 5, rules),
+    ]
+    families = [
+        [one - x, x - one, one - x.monomial_inverse(), 2 - 2 * x],
+        [x - y, y - x, one - y * x.monomial_inverse(), 3 * x * y - 3 * y * y],  # lead decided past the degree
+        [gauss] + [gauss * w for w in units],
+    ]
+    for family in families:
+        stored = {_stored(f) for f in family}
+        assert len(stored) == 1 and len(next(iter(stored))) == 1
+        for f in family:
+            assert RationalFunction(f) * RationalFunction(one, (f,)) == RationalFunction.one(rules)
+    inverse = RationalFunction(one, (one - x,))
+    assert (inverse + RationalFunction(one, (x - one,))).is_zero()
+    assert len((inverse + RationalFunction(x, (one - x.monomial_inverse(),))).den) == 1
+    assert _stored(one - x) == (one - x.monomial_inverse(),)
+    assert _stored(x * 7) == ()
+
+
+def _raw_eval(num, den, point):
+    value = num.eval(point)
+    for f in den:
+        value /= f.eval(point)
+    return value
+
+
+def _raw_equal(a, b):
+    """Cross multiplication of the factors as given, with no normal form."""
+    (na, da), (nb, db) = a, b
+    left, right = na, nb
+    for f in db:
+        left = left * f
+    for f in da:
+        right = right * f
+    return left == right
+
+
+nonzero_polys = polys().filter(lambda p: not p.is_zero())
+unit_monomials = st.builds(
+    lambda exps, c: P.monomial(exps, c),
+    monomials,
+    st.sampled_from([1, -1, 2, -2, Fraction(1, 3)]),
+)
+points = st.fixed_dictionaries(
+    {s: st.fractions(min_value=-5, max_value=5, max_denominator=4).filter(bool) for s in ("x", "y", "u")}
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(polys(), st.lists(nonzero_polys, max_size=3), st.data())
+def test_normal_form_keeps_value_and_verdicts(num, den, data):
+    a = (num, den)
+    # an equal value with associate factors, or an unrelated one
+    if data.draw(st.booleans()):
+        w = data.draw(unit_monomials)
+        k = data.draw(st.integers(min_value=0, max_value=len(den)))
+        if k < len(den):
+            b = (num * w, [f * w if j == k else f for j, f in enumerate(den)])
+        else:
+            b = (num * w, den + [w])
+    else:
+        b = (data.draw(polys()), data.draw(st.lists(nonzero_polys, max_size=2)))
+    ra, rb = RationalFunction(*a), RationalFunction(*b)
+    assert rf_equal(ra, rb) == _raw_equal(a, b) == rf_equal(rb, ra)
+    point = data.draw(points)
+    if all(f.eval(point) for f in a[1] + b[1]):
+        va, vb = _raw_eval(*a, point), _raw_eval(*b, point)
+        assert ra.eval(point) == va
+        assert (ra + rb).eval(point) == va + vb
+        assert (ra * rb).eval(point) == va * vb
+
+
+def test_g2_generic_braid_expression_size():
+    from heckekit.relations import products
+    from heckekit.roots import build_cartan
+    from heckekit.schema import build_T, generic_instance
+
+    inst = generic_instance(build_cartan("G2"))
+    for i in (0, 1):  # the W-orbit of alpha_i holds 6 roots, 3 pairs +-beta of associate factors
+        generator = build_T(inst, i)
+        assert len({f for m in generator.blocks.values() for x in m.entries.values() for f in x.den}) <= 3
+    act = products(lambda i: build_T(inst, i))
+    for word in ((0, 1) * 3, (1, 0) * 3):
+        entries = [x for m in act(word).blocks.values() for x in m.entries.values()]
+        assert len({f for x in entries for f in x.den}) <= 6  # one per positive root of G2
+        assert max(len(x.den) for x in entries) <= 14
+        assert max(len(x.num.terms) for x in entries) <= 683
+
+
 # -- rendering -------------------------------------------------------------------
 
 
@@ -255,13 +374,13 @@ def _ref_gauss(mono, n):
     sign, u_exp = -1 if zero_count % 2 else 1, 2 * zero_count
     for a in sorted(gexp):
         b = (n - a) % n
-        if b < a:
+        if b < a and b in gexp:
             continue
         if b == a:
             pairs, gexp[a] = divmod(gexp[a], 2)
         else:
             ea, eb = gexp[a], gexp.get(b, 0)
-            pairs = min(ea, eb) if ea > 0 and eb > 0 else max(ea, eb) if ea < 0 and eb < 0 else 0
+            pairs = min(ea, eb)  # u^2 is a unit: both exponents end >= 0, one of them 0
             gexp[a], gexp[b] = ea - pairs, eb - pairs
         u_exp += 2 * pairs
     for a, e in gexp.items():

@@ -142,11 +142,17 @@ def test_json_is_one_document(capsys, argv):
         (["metaplectic", "--r", "1"], "argument --r: 1 is outside 2..5"),
         (["wreath", "--r", "7"], "argument --r: 7 is outside 2..5"),
         (["rmatrix", "hecke", "--n", "0"], "argument --n: 0 is below 1"),
+        (["rmatrix", "schema", "--r", "1"], "--r 1: the rmatrix schema check supports r in 2..3"),
+        (["rmatrix", "schema", "--power", "3"], "--power 3: the exponent power must be 1 or --n (2)"),
+        (["verify", "--type", "A2", "--instance", "rmatrix", "--power", "3"],
+         "--power 3: the exponent power must be 1 or --n (2)"),
+        (["rmatrix", "ybe", "--n", "5"], "--n 5: rmatrix checks support n <= 4"),
     ],
     ids=[
         "unknown-type", "form-not-dot", "rmatrix-non-A", "cs-weight-length", "bernstein-length",
         "demazure-weights-length", "metaplectic-weight-length", "cs-weight-off-lattice", "cs-not-dominant",
         "metaplectic-r-7", "metaplectic-r-1", "wreath-r-7", "rmatrix-n-0",
+        "rmatrix-schema-r-1", "rmatrix-schema-power", "verify-rmatrix-power", "rmatrix-n-5",
     ],
 )
 def test_bad_input_is_a_usage_error(capsys, argv, message):

@@ -1,0 +1,31 @@
+"""tools/pairs.py: the summary of alternating parent/change benchmark runs."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+PAIRS = Path(__file__).resolve().parent.parent / "tools" / "pairs.py"
+spec = importlib.util.spec_from_file_location("pairs", PAIRS)
+pairs = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(pairs)
+
+
+def run(**metrics):
+    return {"metrics": metrics, "failed": 0, "attempted": 1}
+
+
+def test_summary_counts_wins_and_checks_the_claim():
+    runs = [{"parent": run(t=2.0 + k / 100, checks=5), "change": run(t=1.0 + k / 100, checks=5)} for k in range(10)]
+    runs[3]["change"] = run(t=2.5, checks=5)  # one lost pair still leaves 9/10
+    rows = {r["metric"]: r for r in pairs.summarize(runs, {"t": "lower", "checks": "higher"})}
+    assert rows["t"]["wins"] == 9 and rows["t"]["pairs"] == 10 and rows["t"]["claim_met"]
+    assert rows["t"]["parent"][1] == pytest.approx(2.045) and rows["t"]["change"][1] == pytest.approx(1.055)
+    assert rows["checks"]["wins"] == 0 and not rows["checks"]["claim_met"]
+
+
+def test_summary_needs_nine_wins_in_ten_and_skips_failed_pairs():
+    runs = [{"parent": run(t=2.0), "change": run(t=1.0 if k < 8 else 3.0)} for k in range(10)]
+    assert not pairs.summarize(runs, {})[0]["claim_met"]  # 8/10
+    runs.append({"parent": {"error": "exit 1"}, "change": run(t=1.0)})
+    assert pairs.summarize(runs, {})[0]["pairs"] == 10

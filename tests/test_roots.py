@@ -1,6 +1,6 @@
 import pytest
 
-from heckekit.algebra import LaurentPoly, RationalFunction, rf_equal
+from heckekit.algebra import GaussRules, LaurentPoly, RationalFunction, rf_equal
 from heckekit.roots import (
     build_cartan,
     coroot_monomial,
@@ -111,6 +111,18 @@ def test_act_fn_is_group_action():
             lhs = W.act_fn(W.mul(a, b), f)
             rhs = W.act_fn(a, W.act_fn(b, f))
             assert lhs == rhs
+
+
+def test_act_fn_keeps_the_rules_of_each_factor():
+    # one group serves rule-free and Gauss-ruled functions alike; its factor images must not mix them
+    cartan = build_cartan("A2")
+    W = weyl_group(cartan)
+    w = W.simple(0)
+    for rules in (None, GaussRules.standard(2), GaussRules.standard(3), None):
+        x = coroot_monomial(cartan.simple_coroots[0], rules=rules)
+        image = W.act_fn(w, RationalFunction(P.one(rules), (P.one(rules) - x,)))
+        assert image.num.rules is rules and all(f.rules is rules for f in image.den)
+        assert image == RationalFunction(P.one(rules), (P.one(rules) - x.monomial_inverse(),))
 
 
 def test_rho_pairings():

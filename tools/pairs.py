@@ -1,0 +1,169 @@
+"""Alternating parent/change benchmark pairs for heckekit.
+
+    python3 tools/pairs.py --parent REV [--workloads generic_rank2,...] [--pairs 10]
+                           [--seed 31] [--seconds 10] [--trace 0]
+
+Run from anywhere inside the repository.  The parent side is the committed
+tree of REV, extracted with ``git archive``; the change side is a copy of
+the working tree's ``src/`` and ``heckebench/``.  Both go to one temporary
+directory that is deleted at the end, so the tool writes nothing into the
+repository (``heckebench/run.py`` writes its results and byte-code inside
+each copy).  For every workload, pair k runs ``heckebench/run.py --seed
+SEED+k`` on both sides, the parent first in even pairs and the change first
+in odd ones.  Then it prints, per metric, the median [first, third
+quartile] of each side, the change/parent ratio of the medians, the pairs
+the change wins (ties count for neither side) and whether a gain claim
+holds: wins in at least 9 of 10 pairs and medians further apart than the
+parent's interquartile range.  It prints the wrong-verdict count of each
+side, and ends with one JSON line holding all runs.  Standard library only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import io
+import json
+import shutil
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+WORKLOADS = ("generic_rank2", "metaplectic_gl3", "demazure_cs")
+SIDES = ("parent", "change")
+
+
+def repo_root() -> Path:
+    out = subprocess.run(["git", "rev-parse", "--show-toplevel"], capture_output=True, text=True, check=True)
+    return Path(out.stdout.strip())
+
+
+def extract_revision(root: Path, rev: str, dest: Path) -> None:
+    """The committed files of rev, as the benchmark sees a commit."""
+    archive = subprocess.run(["git", "-C", str(root), "archive", "--format=tar", rev], capture_output=True, check=True)
+    with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
+        tar.extractall(dest, filter="data")
+
+
+def copy_working_tree(root: Path, dest: Path) -> None:
+    """src/ and heckebench/ of the working tree, without results or byte-code."""
+    skip = shutil.ignore_patterns("__pycache__", "results", "*.pyc")
+    for name in ("src", "heckebench"):
+        shutil.copytree(root / name, dest / name, ignore=skip)
+
+
+def directions(root: Path) -> dict[str, str]:
+    """'lower' or 'higher' for every metric BENCHMARK.json declares."""
+    spec = json.loads((root / "BENCHMARK.json").read_text())
+    return {m["name"]: m["better"] for key in ("end_to_end", "per_layer") for m in spec.get(key, [])}
+
+
+def run_once(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
+    """One heckebench run on tree: its final JSON object, or an error record."""
+    cmd = [sys.executable, "heckebench/run.py", "--workload", workload, "--seed", str(seed),
+           "--seconds", str(seconds), "--trace", str(trace)]
+    proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode != 0 or not lines:
+        return {"error": f"exit {proc.returncode}: {proc.stderr.strip()[-2000:]}"}
+    result = json.loads(lines[-1])
+    return {
+        "metrics": {name: m["value"] for name, m in result["metrics"].items()},
+        "failed": result["failed"],
+        "attempted": result["attempted"],
+    }
+
+
+def quartiles(values: list[float]) -> tuple[float, float, float]:
+    if len(values) < 2:
+        return values[0], values[0], values[0]
+    q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, q2, q3
+
+
+def summarize(runs: list[dict[str, dict]], better: dict[str, str]) -> list[dict]:
+    """Per metric: each side's quartiles, the ratio of medians, the change's wins and the claim verdict.
+
+    runs holds one {"parent": run, "change": run} per pair; a pair in which
+    either side failed to run is left out.
+    """
+    pairs = [p for p in runs if all("metrics" in p[side] for side in SIDES)]
+    if not pairs:
+        return []
+    rows = []
+    for name in pairs[0]["parent"]["metrics"]:
+        parent = [p["parent"]["metrics"][name] for p in pairs]
+        change = [p["change"]["metrics"][name] for p in pairs]
+        lower = better.get(name, "lower") == "lower"
+        wins = sum((c < p) if lower else (c > p) for p, c in zip(parent, change))
+        qp, qc = quartiles(parent), quartiles(change)
+        gain = (qc[1] < qp[1]) if lower else (qc[1] > qp[1])
+        rows.append({
+            "metric": name,
+            "parent": qp,
+            "change": qc,
+            "ratio": qc[1] / qp[1] if qp[1] else None,
+            "wins": wins,
+            "pairs": len(pairs),
+            "claim_met": gain and wins >= 0.9 * len(pairs) and abs(qc[1] - qp[1]) > qp[2] - qp[0],
+        })
+    return rows
+
+
+def print_summary(workload: str, runs: list[dict[str, dict]], rows: list[dict]) -> None:
+    print(f"== {workload}: {len(runs)} pair(s)")
+    for side in SIDES:
+        errors = [p[side]["error"] for p in runs if "error" in p[side]]
+        wrong = sum(p[side].get("failed", 0) for p in runs)
+        print(f"  {side}: wrong verdicts {wrong}, runs that did not finish {len(errors)}")
+        for error in errors:
+            print(f"    {error}")
+    for r in rows:
+        (p1, p2, p3), (c1, c2, c3) = r["parent"], r["change"]
+        ratio = f"{r['ratio']:.3f}" if r["ratio"] is not None else "-"
+        print(f"  {r['metric']:<40} {p2:.6g} [{p1:.6g}, {p3:.6g}] -> {c2:.6g} [{c1:.6g}, {c3:.6g}]"
+              f"  x{ratio}  wins {r['wins']}/{r['pairs']}  claim {'met' if r['claim_met'] else 'not met'}")
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--parent", required=True, help="git revision of the parent side")
+    parser.add_argument("--workloads", default=",".join(WORKLOADS), help="comma-separated workload names")
+    parser.add_argument("--pairs", type=int, default=10, help="pairs per workload")
+    parser.add_argument("--seed", type=int, default=31, help="seed of the first pair; pair k uses seed + k")
+    parser.add_argument("--seconds", type=float, default=10)
+    parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
+    args = parser.parse_args(argv)
+    if args.pairs < 1:
+        parser.error("--pairs must be at least 1")
+
+    root = repo_root()
+    better = directions(root)
+    scratch = Path(tempfile.mkdtemp(prefix="heckekit-pairs-"))
+    report = {}
+    try:
+        trees = {"parent": scratch / "parent", "change": scratch / "change"}
+        extract_revision(root, args.parent, trees["parent"])
+        copy_working_tree(root, trees["change"])
+        for workload in args.workloads.split(","):
+            runs = []
+            for k in range(args.pairs):
+                pair = {}
+                for side in (SIDES if k % 2 == 0 else SIDES[::-1]):
+                    pair[side] = run_once(trees[side], workload, args.seed + k, args.seconds, args.trace)
+                    print(f"{workload} pair {k + 1}/{args.pairs} {side}: {pair[side]}", file=sys.stderr)
+                runs.append(pair)
+            rows = summarize(runs, better)
+            print_summary(workload, runs, rows)
+            report[workload] = {"runs": runs, "summary": rows}
+    finally:
+        shutil.rmtree(scratch, ignore_errors=True)
+    print(json.dumps({"parent": args.parent, "seed": args.seed, "seconds": args.seconds,
+                      "trace": args.trace, "workloads": report}))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
