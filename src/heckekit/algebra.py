@@ -33,6 +33,14 @@ a monomial, g_a is a unit and a negative exponent is rewritten too
 one of them 0.  Each rules object memoizes the rewrite of every monomial it
 has seen.
 
+Division.  :func:`exact_divide` is the one place where division is decided.
+A two-term divisor with, under Gauss rules, no Gauss symbol (the 1 - z^alpha
+of every Demazure step) is divided along strings of monomials, in linear
+time.  Under Gauss rules the ring is a free module over the Gauss-free
+Laurent ring, on the reduced Gauss monomials, and a Gauss-free factor never
+triggers a rewrite, so this division runs on each coordinate alone.  Every
+other divisor takes the general leading-term division.
+
 A :class:`RationalFunction` keeps its denominator as a tuple of factors in
 normal form: each factor divided by its leading term in graded-lex order
 on symbol names, so that associates (1 - x, x - 1, 2 - 2x, 1 - x^-1) are
@@ -641,15 +649,76 @@ def _graded_lex(names: Iterable[str]) -> Callable[[int], tuple[int, list[int]]]:
 def exact_divide(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
     """Return r with r*q == p exactly, or raise :class:`NotDivisible`.
 
-    Both operands are normalized by their unit (monomial) content first;
-    this reduces Laurent divisibility to polynomial divisibility, where a
-    single-divisor division with graded-lex leading terms is a complete test.
+    This is the one place where division is decided.  A two-term divisor
+    with no Gauss symbol under Gauss rules (every Demazure step divides by
+    one) takes :func:`_divide_binomial`, linear in the number of terms and
+    complete under Gauss rules too (see the module docstring).  Every other
+    divisor takes :func:`_divide_general`, which is complete unless the
+    divisor carries a Gauss symbol under Gauss rules: in the ring of
+    GaussRules.standard(3), (x + g1)(x + g2) / (x + g1) raises NotDivisible.
     """
     if q.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
     rules = _merge_rules(p.rules, q.rules)
     if p.is_zero():
         return LaurentPoly.zero(rules)
+    if len(q._t) == 2 and (rules is None or not _has_gauss(q)):
+        return _divide_binomial(p, q, rules)
+    return _divide_general(p, q, rules)
+
+
+def _has_gauss(p: LaurentPoly) -> bool:
+    return any(_gauss_of_lane[lane] is not None for m in p._t for lane, _ in _unpack(m))
+
+
+def _divide_binomial(p: LaurentPoly, q: LaurentPoly, rules: GaussRules | None) -> LaurentPoly:
+    """p / q for q = ca x^A + cb x^B, by synthetic division along the strings of d = A - B.
+
+    The monomials of p fall into strings base + k d: in one lane where d is
+    nonzero, k is the term's exponent divided by d's, rounded down, so base
+    is the same for every term of a string.  On each string q acts as the
+    univariate ca y + cb in y = x^d, so the quotient's coefficients follow
+    from the top of the string down, r_{k-1} = (p_k - cb r_k) / ca, and p is
+    divisible iff the last remainder p_kmin - cb r_kmin of every string is
+    zero.  No step looks for a leading term or rebuilds a remainder.
+
+    Under Gauss rules a Gauss-free q never triggers a rewrite (see the module
+    docstring): a string keeps the Gauss part of its base, and the quotient
+    is already reduced.
+    """
+    terms = p._t if p.rules is rules else p.with_rules(rules)._t
+    (a, ca), (b, cb) = q._t.items()
+    d = a - b
+    lane, e = _unpack(d)[0]
+    shift = _WIDTH * lane
+    strings: dict[int, dict[int, Coeff]] = {}
+    for m, c in terms.items():
+        # biased, every lane lies in [0, _HALF), so no lane borrows from the next
+        k = ((((m + _bias) >> shift) & _LANE_MASK) - _LIMIT) // e
+        strings.setdefault(m - k * d, {})[k] = c
+    quotient: dict[int, Coeff] = {}
+    frac = False
+    for base, string in strings.items():
+        kmin, kmax = min(string), max(string)
+        r = 0
+        for k in range(kmax, kmin, -1):
+            r = _div(string.get(k, 0) - cb * r, ca)
+            if r:
+                quotient[base - b + (k - 1) * d] = r
+                frac = frac or type(r) is not int
+        if string[kmin] != cb * r:
+            raise NotDivisible(f"({p.render()}) is not divisible by ({q.render()})")
+    _check_range(quotient)
+    return _new(quotient, rules, frac, canonical=True)
+
+
+def _divide_general(p: LaurentPoly, q: LaurentPoly, rules: GaussRules | None) -> LaurentPoly:
+    """p / q by repeated leading-term division, quadratic in the number of terms.
+
+    Both operands are normalized by their unit (monomial) content first;
+    this reduces Laurent divisibility to polynomial divisibility, where a
+    single-divisor division with graded-lex leading terms is a complete test.
+    """
     cp, cq = _content(p), _content(q)
     phat, qhat = _shift(p, -cp), _shift(q, -cq)
     order = _graded_lex(phat.symbols() | qhat.symbols())
@@ -668,13 +737,6 @@ def exact_divide(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
     quotient = {m: c for m, c in quotient.items() if c}
     frac = any(type(c) is not int for c in quotient.values())
     return _shift(_new(quotient, rules, frac), cp - cq)
-
-
-def try_divide(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly | None:
-    try:
-        return exact_divide(p, q)
-    except NotDivisible:
-        return None
 
 
 # -- denominator factors ------------------------------------------------------------
@@ -758,10 +820,9 @@ class RationalFunction:
         """Cancel denominator factors that exactly divide the numerator."""
         num, kept = self.num, []
         for f in self.den:
-            q = try_divide(num, f)
-            if q is not None:
-                num = q
-            else:
+            try:
+                num = exact_divide(num, f)
+            except NotDivisible:
                 kept.append(f)
         return _rf(num, tuple(kept))
 
@@ -929,31 +990,6 @@ def rf_equal(a: RationalFunction, b: RationalFunction) -> bool:
     return a.num * _product(rest_b, rules) == b.num * _product(rest_a, rules)
 
 
-def conjugate_gauss(obj):
-    """The global flip g_a -> g_{(-a) mod n} (the choice-of-embedding toggle)."""
-    if isinstance(obj, RationalFunction):
-        return RationalFunction(
-            conjugate_gauss(obj.num),
-            tuple(conjugate_gauss(f) for f in obj.den),
-            simplify=False,
-        )
-    poly: LaurentPoly = obj
-    if poly.rules is None:
-        return poly
-    n = poly.rules.modulus
-
-    def flip(exps: dict[str, int]) -> dict[str, int]:
-        out: dict[str, int] = {}
-        for name, exp in exps.items():
-            a = _gauss_index(name)
-            if a is not None:
-                name = f"g{(-a) % n}"
-            out[name] = out.get(name, 0) + exp
-        return out
-
-    return poly.map_monomials(flip)
-
-
 # -- shared symbol helpers ----------------------------------------------------
 
 
@@ -969,8 +1005,3 @@ def v(rules: GaussRules | None = None) -> LaurentPoly:
 def gauss_symbol(a: int, rules: GaussRules) -> LaurentPoly:
     """The Gauss symbol g_{a mod n} (g_0 collapses to zero_value)."""
     return LaurentPoly.symbol(f"g{a % rules.modulus}", rules)
-
-
-def z_monomial(vec: Iterable[int], coeff=1, rules: GaussRules | None = None) -> LaurentPoly:
-    """z^vec in coordinates z1, z2, ..."""
-    return LaurentPoly.monomial({f"z{i + 1}": e for i, e in enumerate(vec)}, coeff, rules)

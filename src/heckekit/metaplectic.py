@@ -27,6 +27,7 @@ from .algebra import (
     GaussRules,
     LaurentPoly,
     RationalFunction,
+    exact_divide,
     gauss_symbol,
     v,
 )
@@ -142,7 +143,7 @@ class MetaplecticDatum:
     coset_reps: tuple[IntVec, ...]
     lattice_basis: tuple[IntVec, ...]   # basis of L^(n)
     rho_shift: bool                     # GL convention: reps are rho + box
-    # the rational scalars of the Demazure steps (d_scaled, cg_scaled), built once per datum
+    # the rational scalars of the Demazure steps (d_scaled, _cg_coefficient), built once per datum
     _scalars: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
@@ -368,30 +369,43 @@ def _coset_components(datum: MetaplecticDatum, f: LaurentPoly) -> dict[int, tupl
     return {idx: (firsts[idx], part) for idx, part in parts.items()}
 
 
-def cg_scaled(datum: MetaplecticDatum, i: int, f: LaurentPoly, gauss_flip: bool = False) -> RF:
-    """c_s^(n)(z) * (s_i . f) for f supported on a single coset (additive otherwise)."""
-    rules = datum.rules
-    components = _coset_components(datum, f)
+def _cg_coefficient(datum: MetaplecticDatum, i: int, mu: Sequence[int], gauss_flip: bool) -> RF:
+    """The coefficient of s_i . (a part of f on the coset of mu) in c_s^(n)(z) (s_i . f).
+
+    With x = z^{n_alpha alpha}, rem = rem_{n_alpha}(-B(alpha, mu)/Q(alpha)) and g
+    the Gauss symbol of index B - Q, it is (z^{-rem alpha} (1 - v) - g z^{(1 - n_alpha)
+    alpha} (1 - x)) / (1 - x), over the normal form of 1 - x; built once per (i, rem, index).
+    """
     alpha = datum.cartan.simple_coroots[i]
     na = datum.n_alpha(i)
     q = datum.q_value(alpha)
+    b = _pairing_value(datum, i, mu)
+    rem = (-(b // q)) % na
+    index = (q - b) if gauss_flip else (b - q)
+    key = ("cg", i, rem, index % datum.n)
+    if key not in datum._scalars:
+        rules = datum.rules
+        z = coroot_monomial(alpha, 1, rules)
+        one_minus_x = P.one(rules) - z ** na
+        num = z ** (-rem) * (P.one(rules) - v(rules)) - gauss_symbol(index, rules) * z ** (1 - na) * one_minus_x
+        coeff = datum._scalars[key] = RF(num, (one_minus_x,), simplify=False)
+        if coeff.den != d_scaled(datum, i).den:  # met_demazure_poly relies on it
+            raise AssertionError(f"the coefficients of T_{i + 1} have different denominators")
+    return datum._scalars[key]
+
+
+def _cg_parts(datum: MetaplecticDatum, i: int, f: LaurentPoly, gauss_flip: bool):
+    """(coefficient, s_i . part) for each coset part of f (see _cg_coefficient)."""
     s = datum.group.simple(i)
-    total = RF.zero(rules)
-    for _, (mu, part) in components.items():
-        b = _pairing_value(datum, i, mu)
-        m = b // q
-        rem = (-m) % na
-        index = (q - b) if gauss_flip else (b - q)
-        key = ("first", i, rem)
-        if key not in datum._scalars:
-            datum._scalars[key] = RF(
-                coroot_monomial(alpha, 1, rules) ** (-rem) * (P.one(rules) - v(rules)),
-                (P.one(rules) - coroot_monomial(alpha, na, rules),),
-            )
-        first = datum._scalars[key]
-        second = RF.from_poly(gauss_symbol(index, rules) * coroot_monomial(alpha, 1, rules) ** (1 - na))
-        fs = datum.group.act_fn(s, part)
-        total = total + RF.from_poly(fs) * (first - second)
+    for mu, part in _coset_components(datum, f).values():
+        yield _cg_coefficient(datum, i, mu, gauss_flip), datum.group.act_fn(s, part)
+
+
+def cg_scaled(datum: MetaplecticDatum, i: int, f: LaurentPoly, gauss_flip: bool = False) -> RF:
+    """c_s^(n)(z) * (s_i . f) for f supported on a single coset (additive otherwise)."""
+    total = RF.zero(datum.rules)
+    for coeff, fs in _cg_parts(datum, i, f, gauss_flip):
+        total = total + RF.from_poly(fs) * coeff
     return total
 
 
@@ -418,12 +432,19 @@ def met_demazure(datum: MetaplecticDatum, i: int, f: LaurentPoly, gauss_flip: bo
 
 
 def met_demazure_poly(datum: MetaplecticDatum, i: int, f: LaurentPoly, gauss_flip: bool = False) -> LaurentPoly:
-    return met_demazure(datum, i, f, gauss_flip).as_poly()
+    """met_demazure on a polynomial, computed in polynomials.
 
-
-def met_demazure_word(datum: MetaplecticDatum, word: Sequence[int], f: LaurentPoly) -> RF:
-    """T_word f, one polynomial step per letter."""
-    return RF.from_poly(met_demazure_act(datum, f)(word))
+    d_scaled and every coefficient of cg_scaled share the one normal
+    denominator factor q of 1 - z^{n_alpha alpha}, so T_i f is one numerator
+    over q, divided exactly; NotDivisible if the quotient is not a Laurent
+    polynomial.  The numerator coefficients are cached in datum._scalars.
+    """
+    d = d_scaled(datum, i)
+    swapped = P.zero(datum.rules)
+    for coeff, fs in _cg_parts(datum, i, f, gauss_flip):
+        swapped = swapped + coeff.num * fs
+    alpha_power = coroot_monomial(datum.cartan.simple_coroots[i], datum.n_alpha(i), datum.rules)
+    return exact_divide(d.num * f - alpha_power * swapped, d.den[0])
 
 
 def met_demazure_act(datum: MetaplecticDatum, f: LaurentPoly):
@@ -484,13 +505,6 @@ def whittaker_value(datum: MetaplecticDatum, lam: Sequence[int]) -> list[Laurent
         if identity in vec:
             totals = [a + b for a, b in zip(totals, vec[identity])]
     return [t.as_poly() for t in totals]
-
-
-def whittaker_aggregate(datum: MetaplecticDatum, lam: Sequence[int]) -> LaurentPoly:
-    total = P.zero(datum.rules)
-    for component in whittaker_value(datum, lam):
-        total = total + component
-    return total
 
 
 def check_met_demazure_match(
@@ -589,9 +603,3 @@ def rmatrix_dictionary_check(r: int, n: int, report: Report | None = None) -> Re
 
         report.run(f"dictionary at i={i + 1}", check)
     return report
-
-
-def rem_identity_check(n_alpha: int, b_over_q: int) -> bool:
-    """n_a * ceil(m / n_a) - m == rem_{n_a}(-m)."""
-    lhs = n_alpha * (-((-b_over_q) // n_alpha)) - b_over_q
-    return lhs == (-b_over_q) % n_alpha

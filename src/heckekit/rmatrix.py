@@ -209,14 +209,6 @@ def r_affine(spec: RMatrixSpec, x: LaurentPoly) -> TensorOperator:
     return TensorOperator(n, 2, Matrix((n * n, n * n), entries, rules))
 
 
-def r_affine_linear(spec: RMatrixSpec, x: LaurentPoly) -> TensorOperator:
-    """R - x R_21^{-1}, by exact inversion; equals r_affine for the untwisted spec."""
-    r = r_gl(spec)
-    tau = tau_operator(spec.n, spec.rules)
-    r21 = tau.compose(r).compose(tau)
-    return r.sub(r21.inverse().scale(RF.from_poly(x)))
-
-
 def r_tilde(n: int, x: LaurentPoly, rules: GaussRules | None = None) -> TensorOperator:
     """The Gauss-sum normalized family: triangular with tau R(x) tau R(x^{-1}) = I."""
     rules = rules or GaussRules.standard(n)

@@ -14,8 +14,10 @@ the unique integral realization admitting a monomial z^rho.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from math import lcm
+from operator import mul
 from typing import Iterable, Sequence
 
 from .algebra import GaussRules, LaurentPoly, RationalFunction, exact_divide
@@ -26,16 +28,6 @@ IntVector = tuple[int, ...]
 
 def _vec(xs: Iterable) -> Vector:
     return tuple(Fraction(x) for x in xs)
-
-
-def _intvec(xs: Iterable) -> IntVector:
-    out = []
-    for x in xs:
-        f = Fraction(x)
-        if f.denominator != 1:
-            raise ValueError(f"non-integral coordinate {f}")
-        out.append(int(f))
-    return tuple(out)
 
 
 def _dot(a: Sequence, b: Sequence) -> Fraction:
@@ -105,10 +97,6 @@ def _simple_reflection_matrix(cartan: CartanDatum, i: int) -> tuple[Vector, ...]
     return tuple(rows)
 
 
-def _mat_vec(m: tuple[Vector, ...], v: Sequence) -> Vector:
-    return tuple(_dot(row, v) for row in m)
-
-
 def _mat_mul(a: tuple[Vector, ...], b: tuple[Vector, ...]) -> tuple[Vector, ...]:
     bt = list(zip(*b))
     return tuple(tuple(_dot(row, col) for col in bt) for row in a)
@@ -121,15 +109,27 @@ class WeylElement:
     length: int
     # elements key many dicts; hashing the Fraction matrix on every lookup is slow
     _hash: int = field(init=False, repr=False, compare=False)
+    # matrix = _rows / _denominator with integer _rows, for act
+    _rows: tuple[IntVector, ...] = field(init=False, repr=False, compare=False)
+    _denominator: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "_hash", hash((self.matrix, self.word, self.length)))
+        den = lcm(*(x.denominator for row in self.matrix for x in row))
+        rows = tuple(tuple(x.numerator * (den // x.denominator) for x in row) for row in self.matrix)
+        object.__setattr__(self, "_rows", rows)
+        object.__setattr__(self, "_denominator", den)
 
     def __hash__(self) -> int:
         return self._hash
 
     def act(self, mu: Sequence) -> IntVector:
-        return _intvec(_mat_vec(self.matrix, mu))
+        """w mu for a lattice vector mu; ValueError if the image is not integral."""
+        den = self._denominator
+        image = [sum(map(mul, row, mu)) for row in self._rows]
+        if any(x % den for x in image):
+            raise ValueError(f"non-integral image ({', '.join(str(Fraction(x, den)) for x in image)}) of {tuple(mu)}")
+        return tuple([x // den for x in image])
 
     def name(self) -> str:
         return "".join(str(i + 1) for i in self.word) if self.word else "e"
@@ -154,6 +154,7 @@ class WeylGroup:
         self._inverse_cache: dict[tuple[int, ...], WeylElement] = {}
         self._act_memos: dict[tuple[int, ...], dict] = {}
         self._factor_images: dict[tuple[int, ...], dict[LaurentPoly, LaurentPoly]] = {}
+        self._coordinates = tuple(f"z{i + 1}" for i in range(cartan.dim))
 
     def _generate(self) -> None:
         d = self.cartan.dim
@@ -254,9 +255,6 @@ class WeylGroup:
 
     # -- actions on weights and functions ------------------------------------
 
-    def act(self, w: WeylElement, mu: Sequence) -> IntVector:
-        return w.act(mu)
-
     def act_fn(self, w: WeylElement, f):
         """act_fn(w, z^mu) = z^{w mu}; a ring homomorphism on z-monomials.
 
@@ -273,20 +271,20 @@ class WeylGroup:
                 den.append(image)
             return RationalFunction(self.act_fn(w, f.num), den, simplify=False)
         memo = self._act_memos.setdefault(w.word, {})
-        return f.map_monomials(lambda exps: _act_on_exponents(w, exps, self.cartan.dim), memo)
+        return f.map_monomials(lambda exps: _act_on_exponents(w, exps, self._coordinates), memo)
 
     def at_point(self, w: WeylElement, f):
         """Evaluate a z-function at the torus point w*z: f(wz) = act_fn(w^{-1}, f)."""
         return self.act_fn(self.inverse(w), f)
 
 
-def _act_on_exponents(w: WeylElement, exps: dict[str, int], dim: int) -> dict[str, int]:
+def _act_on_exponents(w: WeylElement, exps: dict[str, int], names: tuple[str, ...]) -> dict[str, int]:
     """The exponents of z^{w mu} * (the other symbols), for the monomial z^mu * (the other symbols)."""
     out = dict(exps)
-    vec = [out.pop(f"z{i + 1}", 0) for i in range(dim)]
-    for i, e in enumerate(w.act(vec)):
+    vec = [out.pop(z, 0) for z in names]
+    for z, e in zip(names, w.act(vec)):
         if e:
-            out[f"z{i + 1}"] = e
+            out[z] = e
     return out
 
 
@@ -351,25 +349,8 @@ def build_cartan(cartan_type: str) -> CartanDatum:
         pairings = [_vec(p) for p in spec["pairings"]]
         rho = tuple(spec["rho"])
     positives = _positive_closure(cartan_type, simples, pairings, rho)
-    rank = len(simples)
-    datum = CartanDatum(
-        cartan_type=cartan_type,
-        dim=d,
-        simple_coroots=tuple(simples),
-        pairings=tuple(pairings),
-        rho=rho,
-        positive_coroots=positives,
-    )
-    orders = _braid_orders(datum)
-    return CartanDatum(
-        cartan_type=cartan_type,
-        dim=d,
-        simple_coroots=tuple(simples),
-        pairings=tuple(pairings),
-        rho=rho,
-        positive_coroots=positives,
-        braid_orders=orders,
-    )
+    datum = CartanDatum(cartan_type, d, tuple(simples), tuple(pairings), rho, positives)
+    return replace(datum, braid_orders=_braid_orders(datum))
 
 
 def _braid_orders(cartan: CartanDatum) -> tuple[tuple[int, ...], ...]:
@@ -418,16 +399,3 @@ def weyl_character(cartan: CartanDatum, group: WeylGroup, lam: Sequence[int]) ->
         num = num + weight_monomial(w.act(lam_rho), ) * sign
         den = den + weight_monomial(w.act(cartan.rho)) * sign
     return exact_divide(num, den)
-
-
-def weyl_character_sum_form(cartan: CartanDatum, group: WeylGroup, lam: Sequence[int]) -> RationalFunction:
-    """The rational Weyl sum sum_w z^{w lam} / prod (1 - z^{-w alpha}); equals chi_lambda."""
-    total = RationalFunction.zero()
-    for w in group:
-        num = weight_monomial(w.act(lam))
-        den = tuple(
-            LaurentPoly.one() - coroot_monomial(w.act(beta), -1)
-            for beta in cartan.positive_coroots
-        )
-        total = total + RationalFunction(num, den, simplify=False)
-    return total

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .algebra import LaurentPoly, RationalFunction, v
+from .algebra import LaurentPoly, RationalFunction, exact_divide, v
 from .linalg import Matrix
 from .relations import applied, hecke_relations, verdict
 from .reports import Report
@@ -68,9 +68,11 @@ def demazure_variant(kind: str, cartan: CartanDatum, group: WeylGroup | None = N
 
 
 def demazure_coefficients(var: DemazureVariant, i: int) -> tuple[RF, RF]:
-    """(c0, c1) with T_i f = c0 * f + c1 * f(s_i z)."""
+    """(c0, c1) with T_i f = c0 * f + c1 * f(s_i z); both have the same one denominator factor."""
     if i not in var._coefficients:
-        var._coefficients[i] = _coefficients(var, i)
+        c0, c1 = var._coefficients[i] = _coefficients(var, i)
+        if len(c0.den) != 1 or c1.den != c0.den:  # demazure_polynomial relies on it
+            raise AssertionError(f"the coefficients of T_{i + 1} do not share one denominator factor")
     return var._coefficients[i]
 
 
@@ -93,10 +95,8 @@ def _coefficients(var: DemazureVariant, i: int) -> tuple[RF, RF]:
     return c0, c1
 
 
-def apply_demazure(var: DemazureVariant, i: int, f, modified: bool | None = None):
-    """Apply the operator exactly; Laurent polynomials stay Laurent polynomials."""
-    if modified is not None and modified != var.modified:
-        var = DemazureVariant(var.kind, var.cartan, var.group, modified)
+def apply_demazure(var: DemazureVariant, i: int, f):
+    """Apply the operator exactly, in rational functions (see demazure_polynomial)."""
     if isinstance(f, P):
         f = RF.from_poly(f)
     c0, c1 = demazure_coefficients(var, i)
@@ -105,8 +105,16 @@ def apply_demazure(var: DemazureVariant, i: int, f, modified: bool | None = None
 
 
 def demazure_polynomial(var: DemazureVariant, i: int, f: LaurentPoly) -> LaurentPoly:
-    """apply_demazure on a polynomial, with the divisibility assertion."""
-    return apply_demazure(var, i, f).as_poly()
+    """apply_demazure on a polynomial, computed in polynomials.
+
+    c0 and c1 share their one normal denominator factor q in every variant,
+    so T_i f = (c0.num f + c1.num f(s_i z)) / q: one numerator and one exact
+    division by a binomial, which raises NotDivisible if the quotient is not
+    a Laurent polynomial.
+    """
+    c0, c1 = demazure_coefficients(var, i)
+    fs = var.group.act_fn(var.group.simple(i), f)
+    return exact_divide(c0.num * f + c1.num * fs, c0.den[0])
 
 
 def demazure_act(var: DemazureVariant, f: LaurentPoly):
@@ -114,24 +122,12 @@ def demazure_act(var: DemazureVariant, f: LaurentPoly):
     return applied(lambda i, g: demazure_polynomial(var, i, g), f)
 
 
-def modified_theta(lam: Sequence[int], f):
-    """theta_lambda in the modified action: multiply by z^{-lambda}."""
-    mono = weight_monomial(tuple(-int(x) for x in lam))
-    if isinstance(f, P):
-        return mono * f
-    return RF.from_poly(mono) * f
-
-
-def apply_demazure_word(var: DemazureVariant, w: WeylElement, f: LaurentPoly) -> RF:
-    """T_w f along the canonical reduced word of w, one polynomial step per letter."""
-    return RF.from_poly(demazure_act(var, f)(w.word))
-
-
 def idempotent_apply(var: DemazureVariant, lam: Sequence[int]) -> LaurentPoly:
     """sum_w T_w z^lambda, an exact Laurent polynomial.
 
     T_w z^lambda = T_i (T_{s_i w} z^lambda) along the reduced word of w,
-    one polynomial Demazure step per letter; words share their suffixes.
+    one :func:`demazure_polynomial` step per letter, so no rational function
+    is built; words share their suffixes, so each element of W costs one step.
     """
     if not var.cartan.is_dominant(lam):
         raise ValueError(f"{tuple(lam)} is not dominant")

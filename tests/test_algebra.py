@@ -9,15 +9,16 @@ from heckekit.algebra import (
     NotDivisible,
     PoleError,
     RationalFunction,
-    conjugate_gauss,
+    _divide_binomial,
+    _divide_general,
     exact_divide,
     gauss_symbol,
     rf_equal,
     u,
     v,
-    z_monomial,
 )
 from heckekit.parsing import parse_poly
+from oracles import conjugate_gauss, z_monomial
 
 P = LaurentPoly
 
@@ -580,3 +581,72 @@ def test_results_do_not_depend_on_lane_order():
     ]
     assert outputs[0] == outputs[1]
     assert len(outputs[0]) == 6
+
+
+# -- binomial division --------------------------------------------------------------
+#
+# exact_divide sends a Gauss-free two-term divisor to _divide_binomial and
+# every other divisor to _divide_general.  Both must return the same quotient,
+# or both raise NotDivisible, on every input either path accepts.
+
+nonzero_coeffs = coeffs.filter(bool)
+divisor_monos = st.dictionaries(st.sampled_from(["x", "y", "u"]), st.integers(min_value=-3, max_value=3),
+                                max_size=3).map(_ref_mono)
+raw_monos = st.dictionaries(st.sampled_from(REF_NAMES), st.integers(min_value=-3, max_value=3),
+                            max_size=3).map(_ref_mono)
+
+
+@st.composite
+def binomial_cases(draw, moduli=(None, 2, 3, 4)):
+    """(p, q, rules, divisible): q a Gauss-free binomial, p = b q or b q + m for a single term m."""
+    n = draw(st.sampled_from(moduli))
+    rules = GaussRules.standard(n) if n is not None else None
+    a, b = draw(st.lists(divisor_monos, min_size=2, max_size=2, unique=True))
+    q = LaurentPoly({a: draw(nonzero_coeffs), b: draw(nonzero_coeffs)}, rules)
+    p = LaurentPoly(draw(raw_polys), rules) * q
+    divisible = draw(st.booleans())
+    if not divisible:
+        # a binomial is no unit, so the single term m is not a multiple of q, and neither is b q + m
+        p = p + LaurentPoly({draw(raw_monos): draw(nonzero_coeffs)}, rules)
+    return p, q, rules, divisible
+
+
+def _division(divide, p, q, rules):
+    try:
+        r = divide(p, q, rules)
+    except NotDivisible:
+        return "NotDivisible"
+    assert r * q == p
+    return dict(r.terms.items())
+
+
+@settings(max_examples=300, deadline=None)
+@given(binomial_cases())
+def test_binomial_division_matches_general_path(case):
+    p, q, rules, divisible = case
+    outcome = _division(_divide_binomial, p, q, rules)
+    assert outcome == _division(_divide_general, p, q, rules)
+    assert (outcome != "NotDivisible") == divisible
+    assert _division(lambda p, q, rules: exact_divide(p, q), p, q, rules) == outcome
+
+
+def _to_sympy(p, sympy):
+    return sympy.Add(*(
+        sympy.Rational(c.numerator, c.denominator) * sympy.Mul(*(sympy.Symbol(s) ** e for s, e in mono))
+        for mono, c in p.terms.items()
+    ))
+
+
+@settings(max_examples=60, deadline=None)
+@given(binomial_cases(moduli=(None,)))
+def test_binomial_quotients_match_sympy(case):
+    sympy = pytest.importorskip("sympy")
+    p, q, _, _ = case
+    quotient = sympy.cancel(_to_sympy(p, sympy) / _to_sympy(q, sympy))
+    _, den = sympy.fraction(quotient)
+    gens = sorted(quotient.free_symbols, key=str) or [sympy.Symbol("x")]
+    if sympy.Poly(den, *gens).is_monomial:
+        assert sympy.cancel(quotient - _to_sympy(exact_divide(p, q), sympy)) == 0
+    else:
+        with pytest.raises(NotDivisible):
+            exact_divide(p, q)

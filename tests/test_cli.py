@@ -163,3 +163,35 @@ def test_bad_input_is_a_usage_error(capsys, argv, message):
     last = err.splitlines()[-1]
     assert last.startswith("heckekit") and "error: " in last and message in last
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("gauss", [[], ["--gauss"]], ids=["plain", "gauss"])
+def test_rmatrix_schema_power_n_passes(capsys, gauss):
+    code, out = run(capsys, "--json", "rmatrix", "schema", "--n", "2", "--power", "2", *gauss)
+    payload = json.loads(out)
+    assert code == 0 and payload["status"] == "pass"
+    assert all(c["passed"] for c in payload["checks"])
+    assert sum(c["name"].startswith("bernstein") for c in payload["checks"]) == 2  # two weights, one root
+
+
+def _raise(*args, **kwargs):
+    raise RuntimeError("injected failure")
+
+
+@pytest.mark.parametrize(
+    "argv, step",
+    [
+        (["cs", "--type", "A1", "--weight", "(1,0)"], "idempotent_apply"),
+        (["demazure", "--type", "A1"], "apply_demazure"),
+        (["metaplectic", "--r", "2", "--n", "2"], "whittaker_value"),
+        (["wreath", "--n", "2", "--r", "2"], "wreath_operator"),
+    ],
+    ids=["cs", "demazure", "metaplectic", "wreath"],
+)
+def test_raising_step_fails_one_check(capsys, monkeypatch, argv, step):
+    monkeypatch.setattr(f"heckekit.cli.{step}", _raise)
+    code, out = run(capsys, "--json", *argv)
+    payload = json.loads(out)
+    assert code == 1 and payload["status"] == "fail"
+    failed = [c for c in payload["checks"] if not c["passed"]]
+    assert failed and all(c["lhs"] == "RuntimeError: injected failure" for c in failed)

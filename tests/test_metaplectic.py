@@ -3,7 +3,6 @@ import pytest
 from heckekit.algebra import (
     LaurentPoly,
     RationalFunction,
-    conjugate_gauss,
     gauss_symbol,
     v,
 )
@@ -20,19 +19,17 @@ from heckekit.metaplectic import (
     check_representative_independence,
     met_demazure,
     met_demazure_poly,
-    met_demazure_word,
     metaplectic_schema_instance,
-    rem_identity_check,
     scattering_block,
     tau1,
     tau2,
-    whittaker_aggregate,
     whittaker_base,
     whittaker_value,
 )
 from heckekit.roots import coroot_monomial, weight_monomial
 from heckekit.schema import build_T, verify_instance
 from heckekit.whittaker import apply_demazure, cs_rhs, demazure_variant, whittaker_schema_instance
+from oracles import conjugate_gauss, met_demazure_word, rem_identity_check, whittaker_aggregate
 
 P = LaurentPoly
 RF = RationalFunction
@@ -320,3 +317,15 @@ def test_rem_identity():
     assert rem_identity_check(1, 7)
     assert rem_identity_check(2, -3)
     assert all(rem_identity_check(na, m) for na in (1, 2, 3, 4) for m in range(-8, 9))
+
+
+@pytest.mark.parametrize("cartan_type, n", [("A1", 2), ("A1", 3), ("A2", 2), ("A2", 3)])
+def test_met_polynomial_step_matches_rational_step(cartan_type, n):
+    d = build_datum(cartan_type, n)
+    weights = [(1, 0, 0), (0, 1, -1), (2, -1, 0), (-2, 0, 1)] if cartan_type == "A2" else [(1, 0), (-2, 1), (0, 3)]
+    f = P.zero(d.rules)
+    for k, mu in enumerate(weights):  # several cosets at once
+        f = f + weight_monomial(mu, d.rules) * (k + 1)
+    for flip in (False, True):
+        for i in range(d.cartan.rank):
+            assert RF.from_poly(met_demazure_poly(d, i, f, flip)) == met_demazure(d, i, f, flip)

@@ -1,6 +1,7 @@
 """tools/pairs.py: the summary of alternating parent/change benchmark runs."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -29,3 +30,26 @@ def test_summary_needs_nine_wins_in_ten_and_skips_failed_pairs():
     assert not pairs.summarize(runs, {})[0]["claim_met"]  # 8/10
     runs.append({"parent": {"error": "exit 1"}, "change": run(t=1.0)})
     assert pairs.summarize(runs, {})[0]["pairs"] == 10
+
+
+def test_trajectory_record_shape():
+    from types import SimpleNamespace
+
+    runs = [{"parent": run(verdict_s=2.0 + k / 10, checks=5), "change": run(verdict_s=1.0 + k / 10, checks=5)}
+            for k in range(4)]
+    runs.append({"parent": {"error": "exit 1"}, "change": run(verdict_s=1.0, checks=5)})
+    report = {"demazure_cs": {"runs": runs, "summary": pairs.summarize(runs, {"checks": "higher"})}}
+    args = SimpleNamespace(pairs=5, seed=31, seconds=10.0, trace=0)
+    sides = {"parent": {"rev": "HEAD", "sha": "a" * 40}, "change": {"sha": "b" * 40, "uncommitted": True}}
+    record = pairs.trajectory(sides, args, report, ["verdict_s", "checks", "setup_s"])
+    assert record["sides"] == sides and record["seeds"] == [31, 32, 33, 34, 35] and record["pairs"] == 5
+    assert isinstance(record["python"], str) and record["nproc"] >= 1
+    workload = record["workloads"]["demazure_cs"]
+    assert workload["wrong_verdicts"] == {"parent": 0, "change": 0}
+    assert workload["runs_not_finished"] == {"parent": 1, "change": 0}
+    assert set(workload["metrics"]) == {"verdict_s", "checks"}  # setup_s was never measured
+    verdict = workload["metrics"]["verdict_s"]
+    assert verdict["parent"]["median"] == pytest.approx(2.15) and verdict["change"]["median"] == pytest.approx(1.15)
+    assert verdict["parent"]["q1"] <= verdict["parent"]["median"] <= verdict["parent"]["q3"]
+    assert verdict["wins"] == 4 and verdict["pairs"] == 4 and verdict["claim_met"]
+    json.dumps(record)  # the record is what --out writes

@@ -1,8 +1,9 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from heckekit.algebra import LaurentPoly, v, z_monomial
+from heckekit.algebra import LaurentPoly, v
 from heckekit.parsing import ParseError, parse_poly
+from oracles import z_monomial
 
 P = LaurentPoly
 

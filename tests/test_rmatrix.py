@@ -20,7 +20,6 @@ from heckekit.rmatrix import (
     jimbo_t_matrix,
     limit_instance,
     r_affine,
-    r_affine_linear,
     r_gl,
     r_tilde,
     tau_operator,
@@ -30,6 +29,7 @@ from heckekit.rmatrix import (
 )
 from heckekit.roots import build_cartan, WeylGroup
 from heckekit.schema import check_bernstein, verify_instance
+from oracles import r_affine_linear
 
 P = LaurentPoly
 RF = RationalFunction

@@ -6,9 +6,9 @@ from heckekit.roots import (
     coroot_monomial,
     weight_monomial,
     weyl_character,
-    weyl_character_sum_form,
     weyl_group,
 )
+from oracles import weyl_character_sum_form
 
 P = LaurentPoly
 
@@ -180,3 +180,23 @@ def test_fundamental_weights():
     for i, w in enumerate((w1, w2)):
         assert g2.pairing_int(i, w) == 1
         assert g2.pairing_int(1 - i, w) == 0
+
+
+@pytest.mark.parametrize("name", ["A3", "B2", "C2", "G2"])
+def test_integer_action_matches_the_matrix(name):
+    from fractions import Fraction
+    from itertools import product
+
+    cartan = build_cartan(name)
+    W = weyl_group(cartan)
+    lattice = [mu for mu in product(range(-2, 3), repeat=cartan.dim) if cartan.in_lattice(mu)]
+    for w in W:
+        for mu in lattice[::7]:
+            exact = tuple(sum(Fraction(a) * b for a, b in zip(row, mu)) for row in w.matrix)
+            assert w.act(mu) == exact
+
+
+def test_non_integral_image_raises():
+    W = weyl_group(build_cartan("G2"))
+    with pytest.raises(ValueError, match="non-integral"):
+        W.simple(1).act((1, 0, 0))

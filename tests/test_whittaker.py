@@ -7,7 +7,6 @@ from heckekit.roots import build_cartan, coroot_monomial, weight_monomial, weyl_
 from heckekit.schema import verify_instance
 from heckekit.whittaker import (
     apply_demazure,
-    apply_demazure_word,
     check_cs,
     check_demazure_relations,
     cs_product,
@@ -17,11 +16,11 @@ from heckekit.whittaker import (
     group_element,
     idempotent_apply,
     idempotent_element,
-    modified_theta,
     spherical_schema_instance,
     to_element,
     whittaker_schema_instance,
 )
+from oracles import apply_demazure_word, modified_theta
 
 P = LaurentPoly
 RF = RationalFunction
@@ -253,3 +252,32 @@ def test_idempotent_rejects_non_dominant(a2):
     var = demazure_variant("whittaker", cartan, W)
     with pytest.raises(ValueError):
         idempotent_apply(var, (0, 1, 0))
+
+
+@pytest.mark.parametrize("name", ["A2", "B2", "C2", "G2"])
+def test_polynomial_step_matches_rational_step(name):
+    cartan = build_cartan(name)
+    W = weyl_group(cartan)
+    rng = random.Random(5)
+    basis = [lam for lam in (tuple(rng.randint(-2, 2) for _ in range(cartan.dim)) for _ in range(40))
+             if cartan.in_lattice(lam)][:4]
+    f = P.zero()
+    for lam in basis:
+        f = f + weight_monomial(lam) * rng.randint(1, 3)
+    assert len(f.terms) >= 2
+    for kind in ("whittaker", "lusztig"):
+        for modified in (True, False):
+            var = demazure_variant(kind, cartan, W, modified)
+            for i in range(cartan.rank):
+                assert RF.from_poly(demazure_polynomial(var, i, f)) == apply_demazure(var, i, f)
+
+
+def test_cs_a4_in_polynomial_steps():
+    import time
+
+    cartan = build_cartan("A4")
+    W = weyl_group(cartan)
+    lam = (3, 2, 1, 0, 0)
+    start = time.perf_counter()
+    assert idempotent_apply(demazure_variant("whittaker", cartan, W), lam) == cs_rhs(cartan, W, lam)
+    assert time.perf_counter() - start < 5

@@ -1,7 +1,7 @@
 """Alternating parent/change benchmark pairs for heckekit.
 
     python3 tools/pairs.py --parent REV [--workloads generic_rank2,...] [--pairs 10]
-                           [--seed 31] [--seconds 10] [--trace 0]
+                           [--seed 31] [--seconds 10] [--trace 0] [--out BENCH_<pr>.json]
 
 Run from anywhere inside the repository.  The parent side is the committed
 tree of REV, extracted with ``git archive``; the change side is a copy of
@@ -15,7 +15,11 @@ quartile] of each side, the change/parent ratio of the medians, the pairs
 the change wins (ties count for neither side) and whether a gain claim
 holds: wins in at least 9 of 10 pairs and medians further apart than the
 parent's interquartile range.  It prints the wrong-verdict count of each
-side, and ends with one JSON line holding all runs.  Standard library only.
+side, and ends with one JSON line holding all runs.  With --out it also
+writes a trajectory record to that path (and only then writes a file): the
+git sha of both sides, the Python version, the core count, the pairs and
+seeds, and per workload the wrong verdicts and the quartiles of every
+end-to-end metric.  Standard library only.
 """
 
 from __future__ import annotations
@@ -23,6 +27,8 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import os
+import platform
 import shutil
 import statistics
 import subprocess
@@ -58,6 +64,15 @@ def directions(root: Path) -> dict[str, str]:
     """'lower' or 'higher' for every metric BENCHMARK.json declares."""
     spec = json.loads((root / "BENCHMARK.json").read_text())
     return {m["name"]: m["better"] for key in ("end_to_end", "per_layer") for m in spec.get(key, [])}
+
+
+def end_to_end(root: Path) -> list[str]:
+    """The end-to-end metric names BENCHMARK.json declares."""
+    return [m["name"] for m in json.loads((root / "BENCHMARK.json").read_text())["end_to_end"]]
+
+
+def git(root: Path, *args: str) -> str:
+    return subprocess.run(["git", "-C", str(root), *args], capture_output=True, text=True, check=True).stdout.strip()
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
@@ -112,6 +127,38 @@ def summarize(runs: list[dict[str, dict]], better: dict[str, str]) -> list[dict]
     return rows
 
 
+def trajectory(sides: dict[str, dict], args, report: dict[str, dict], metrics: list[str]) -> dict:
+    """The record --out writes: where and how the pairs ran, and per workload the
+    wrong verdicts of each side and the quartiles of each end-to-end metric."""
+    workloads = {}
+    for workload, result in report.items():
+        rows = {r["metric"]: r for r in result["summary"]}
+        workloads[workload] = {
+            "wrong_verdicts": {side: sum(p[side].get("failed", 0) for p in result["runs"]) for side in SIDES},
+            "runs_not_finished": {side: sum("error" in p[side] for p in result["runs"]) for side in SIDES},
+            "metrics": {
+                name: {
+                    **{side: dict(zip(("q1", "median", "q3"), rows[name][side])) for side in SIDES},
+                    "ratio": rows[name]["ratio"],
+                    "wins": rows[name]["wins"],
+                    "pairs": rows[name]["pairs"],
+                    "claim_met": rows[name]["claim_met"],
+                }
+                for name in metrics if name in rows
+            },
+        }
+    return {
+        "sides": sides,
+        "python": platform.python_version(),
+        "nproc": os.cpu_count(),
+        "pairs": args.pairs,
+        "seeds": [args.seed + k for k in range(args.pairs)],
+        "seconds": args.seconds,
+        "trace": args.trace,
+        "workloads": workloads,
+    }
+
+
 def print_summary(workload: str, runs: list[dict[str, dict]], rows: list[dict]) -> None:
     print(f"== {workload}: {len(runs)} pair(s)")
     for side in SIDES:
@@ -135,12 +182,19 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seed", type=int, default=31, help="seed of the first pair; pair k uses seed + k")
     parser.add_argument("--seconds", type=float, default=10)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
+    parser.add_argument("--out", type=Path, help="write the trajectory record (BENCH_<pr>.json) to this path")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
 
     root = repo_root()
     better = directions(root)
+    sides = {
+        "parent": {"rev": args.parent, "sha": git(root, "rev-parse", args.parent)},
+        # the change side is the working tree: its commit, and whether src/ or heckebench/ differ from it
+        "change": {"sha": git(root, "rev-parse", "HEAD"),
+                   "uncommitted": bool(git(root, "status", "--porcelain", "--", "src", "heckebench"))},
+    }
     scratch = Path(tempfile.mkdtemp(prefix="heckekit-pairs-"))
     report = {}
     try:
@@ -162,6 +216,8 @@ def main(argv: list[str] | None = None) -> int:
         shutil.rmtree(scratch, ignore_errors=True)
     print(json.dumps({"parent": args.parent, "seed": args.seed, "seconds": args.seconds,
                       "trace": args.trace, "workloads": report}))
+    if args.out:
+        args.out.write_text(json.dumps(trajectory(sides, args, report, end_to_end(root)), indent=2) + "\n")
     return 0
 
 
