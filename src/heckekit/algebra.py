@@ -56,8 +56,8 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
-from operator import or_
-from typing import Callable, Hashable, Iterable
+from operator import mul, or_
+from typing import Callable, Hashable, Iterable, Sequence
 
 Monomial = tuple[tuple[str, int], ...]
 Coeff = int | Fraction
@@ -93,10 +93,11 @@ _lanes: dict[str, int] = {}  # symbol name -> lane
 _gauss_of_lane: list[int | None] = []  # lane -> Gauss index, None for other symbols
 _bias = 0  # _LIMIT in every lane: maps every valid exponent into [0, _HALF)
 _guard = 0  # the top bit of every lane
+_gauss_mask = 0  # every bit of every Gauss lane
 
 
 def _lane(name: str) -> int:
-    global _bias, _guard
+    global _bias, _guard, _gauss_mask
     lane = _lanes.get(name)
     if lane is None:
         lane = len(_names)
@@ -105,6 +106,8 @@ def _lane(name: str) -> int:
         _gauss_of_lane.append(_gauss_index(name))
         _bias |= _LIMIT << (_WIDTH * lane)
         _guard |= _HALF << (_WIDTH * lane)
+        if _gauss_of_lane[lane] is not None:
+            _gauss_mask |= _LANE_MASK << (_WIDTH * lane)
     return lane
 
 
@@ -357,7 +360,7 @@ class _Terms(Mapping):
 class LaurentPoly:
     """Immutable exact Laurent polynomial with int (Fraction where needed) coefficients."""
 
-    __slots__ = ("_t", "rules", "_frac", "_hash")
+    __slots__ = ("_t", "rules", "_frac", "_hash", "_gauss")
 
     def __init__(self, terms: Mapping[Monomial, Coeff | str] | None = None, rules: GaussRules | None = None):
         packed: dict[int, Coeff] = {}
@@ -379,6 +382,7 @@ class LaurentPoly:
         self.rules = rules
         self._frac = frac
         self._hash = None
+        self._gauss = None  # whether a term carries a Gauss symbol, once _has_gauss asks
         return self
 
     @property
@@ -467,7 +471,16 @@ class LaurentPoly:
         _check_range(terms)
         if 0 in terms.values():
             terms = {m: c for m, c in terms.items() if c}
-        return _new(terms, rules, self._frac or other._frac)
+        frac = self._frac or other._frac
+        if rules is None:
+            return _new(terms, None, frac)
+        # a Gauss monomial in normal form times a Gauss-free one stays in normal form
+        ga, gb = _has_gauss(self), _has_gauss(other)
+        canonical = not (ga and gb) and _reduced(self) and _reduced(other)
+        out = _new(terms, rules, frac, canonical)
+        if canonical:
+            out._gauss = (ga or gb) and bool(terms)
+        return out
 
     __rmul__ = __mul__
 
@@ -668,7 +681,21 @@ def exact_divide(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
 
 
 def _has_gauss(p: LaurentPoly) -> bool:
-    return any(_gauss_of_lane[lane] is not None for m in p._t for lane, _ in _unpack(m))
+    """True if a term of p carries a Gauss symbol; computed once per polynomial.
+
+    Biased, a lane holds its exponent plus _LIMIT, with no carries, so the
+    lane's bits of (m + _bias) ^ _bias are zero exactly when its exponent is.
+    """
+    g = p._gauss
+    if g is None:
+        mask, bias = _gauss_mask, _bias
+        g = p._gauss = any(((m + bias) ^ bias) & mask for m in p._t)
+    return g
+
+
+def _reduced(p: LaurentPoly) -> bool:
+    """True if p is in Gauss normal form under any rules it merges with: it has rules, or no Gauss symbol."""
+    return p.rules is not None or not _has_gauss(p)
 
 
 def _divide_binomial(p: LaurentPoly, q: LaurentPoly, rules: GaussRules | None) -> LaurentPoly:
@@ -757,6 +784,14 @@ def _normal_factor(f: LaurentPoly) -> tuple[LaurentPoly | None, LaurentPoly | No
     (f / t = 1), the second when f is already normal (t = 1).  Where the
     Gauss pair value is not a monomial, g_a is no unit, so t keeps no Gauss
     symbol.  Memoized per factor and rules object.
+
+    ZeroDivisionError if f is zero or a zero divisor.  Under even n the pair
+    rule g_h^2 = pair_value (h = n/2) makes the ring a product of two rings,
+    g_h = r and g_h = -r, when pair_value is the square r^2 of a monomial r
+    with coefficient 1, as in every GaussRules.standard(n) (r = u); each
+    factor is a Laurent ring, so f is a zero divisor exactly when it
+    vanishes at one of the two.  With any other pair value the check is not
+    made.
     """
     rules = f.rules
     memo = _RULE_FREE_FACTORS if rules is None else rules._factors
@@ -769,6 +804,8 @@ def _normal_factor(f: LaurentPoly) -> tuple[LaurentPoly | None, LaurentPoly | No
     if len(terms) == 1:
         hit = memo[f] = (None, f.monomial_inverse())
         return hit
+    if rules is not None and _vanishes_at_half(f, rules):
+        raise ZeroDivisionError(f"zero divisor in denominator: {f.render()}")
     lead = max(terms, key=_graded_lex(f.symbols()))
     c = terms[lead]
     if rules is not None and len(rules.pair_value._t) != 1:
@@ -781,6 +818,32 @@ def _normal_factor(f: LaurentPoly) -> tuple[LaurentPoly | None, LaurentPoly | No
     memo.setdefault(normal, (normal, None))  # a normal factor stays as it is
     hit = memo[f] = (normal, inverse)
     return hit
+
+
+def _vanishes_at_half(f: LaurentPoly, rules: GaussRules) -> bool:
+    """True if f is zero at g_h = r or at g_h = -r, for h = n/2 and pair_value = r^2 (see _normal_factor).
+
+    In normal form f = f0 + f1 g_h with f0, f1 free of g_h, so its two
+    values are f0 + r f1 and f0 - r f1.
+    """
+    n, pair_value = rules.modulus, rules.pair_value._t
+    lane = _lanes.get(f"g{n // 2}")
+    if n % 2 or lane is None or len(pair_value) != 1:
+        return False
+    (pair, c), = pair_value.items()
+    exps = _unpack(pair)
+    if c != 1 or any(e % 2 for _, e in exps):
+        return False
+    shift = _WIDTH * lane
+    to_root = sum((e // 2) << (_WIDTH * lane_e) for lane_e, e in exps) - (1 << shift)  # g_h -> r
+    f0: dict[int, Coeff] = {}
+    f1: dict[int, Coeff] = {}  # r f1
+    for m, c in f._t.items():
+        if (((m + _bias) >> shift) & _LANE_MASK) - _LIMIT:  # g_h^1: the exponent is 0 or 1
+            f1[m + to_root] = c
+        else:
+            f0[m] = c
+    return f0 == f1 or f0 == {m: -c for m, c in f1.items()}
 
 
 class RationalFunction:
@@ -868,7 +931,7 @@ class RationalFunction:
                 common.append(f)
             else:
                 rest_self.append(f)
-        num = self.num * _product(rest_other) + other.num * _product(rest_self)
+        num = _times(self.num, rest_other) + _times(other.num, rest_self)  # + merges the rules
         return _rf(num, tuple(common) + tuple(rest_self) + tuple(rest_other))
 
     __radd__ = __add__
@@ -899,7 +962,7 @@ class RationalFunction:
             return NotImplemented
         if other.num.is_zero():
             raise ZeroDivisionError("division by zero rational function")
-        quotient = RationalFunction(self.num * _product(other.den), (other.num,))
+        quotient = RationalFunction(_times(self.num, other.den), (other.num,))
         return _rf(quotient.num, self.den + quotient.den)
 
     def __rtruediv__(self, other) -> "RationalFunction":
@@ -970,15 +1033,17 @@ def _rf(num: LaurentPoly, den: tuple[LaurentPoly, ...]) -> RationalFunction:
     return out
 
 
-def _product(polys: Iterable[LaurentPoly], rules: GaussRules | None = None) -> LaurentPoly:
-    result = LaurentPoly.one(rules)
-    for p in polys:
-        result = result * p
-    return result
+def _times(p: LaurentPoly, factors: Sequence[LaurentPoly]) -> LaurentPoly:
+    """p times the product of the factors (formed first: they are small, p may be large); p if there are none."""
+    return p * reduce(mul, factors) if factors else p
 
 
 def rf_equal(a: RationalFunction, b: RationalFunction) -> bool:
-    """True iff a == b as rational functions (cross multiplication, no gcd)."""
+    """True iff a == b as rational functions (cross multiplication, no gcd).
+
+    Each numerator is multiplied only by the factors the other side lacks,
+    and the two products are compared in the merged Gauss rules.
+    """
     rules = _merge_rules(a.num.rules, b.num.rules)
     rest_a = list(a.den)
     rest_b: list[LaurentPoly] = []
@@ -987,7 +1052,11 @@ def rf_equal(a: RationalFunction, b: RationalFunction) -> bool:
             rest_a.remove(f)  # shared factors cancel before cross multiplying
         else:
             rest_b.append(f)
-    return a.num * _product(rest_b, rules) == b.num * _product(rest_a, rules)
+    lhs, rhs = _times(a.num, rest_b), _times(b.num, rest_a)
+    if rules is not None:
+        lhs = lhs if _reduced(lhs) else lhs.with_rules(rules)
+        rhs = rhs if _reduced(rhs) else rhs.with_rules(rules)
+    return lhs == rhs
 
 
 # -- shared symbol helpers ----------------------------------------------------

@@ -2,8 +2,16 @@
 
 A Matrix stores its shape, its Gauss rules and a dict from (row, col) to a
 nonzero RationalFunction; an entry whose is_zero() is true (a cancelled sum,
-say) is never stored.  Operations walk stored entries only: a product costs
-one multiply per pair of matching nonzeros, not k^3 cell visits.
+say) is never stored.  Operations walk stored entries only, not k^3 cell
+visits, and the entries of a metaplectic block repeat (its tau coefficients
+depend only on residues mod n), so many entries are one shared object.
+mat_mul, mat_add, mat_sub, mat_scalar and first_difference keep a memo for
+the length of one call, keyed by the identities of the operand objects: a
+product costs one multiply per distinct pair of operand objects, a sum one
+add, and first_difference compares each distinct pair once.  A result is
+reused as an object, so sharing carries from the inputs into every product
+and sum.  Identity keys are valid because the memo holds a reference to
+every object it keys, so no id is recycled while it lives.
 
 A Matrix still reads as a sequence of rows: len(m), m[r] (a row tuple with
 zeros filled in), m[r][c], `for row in m` and m == ((x,),).  m[r, c] reads one
@@ -13,6 +21,7 @@ sequences and convert them once on entry.
 
 from __future__ import annotations
 
+from operator import add, mul, neg
 from typing import Mapping, Sequence
 
 from .algebra import GaussRules, RationalFunction
@@ -84,25 +93,50 @@ def identity_matrix(k: int, rules: GaussRules | None = None) -> Matrix:
     return Matrix((k, k), {(r, r): one for r in range(k)}, rules)
 
 
+def _memoized(op):
+    """op(x, y), computed once per pair of operand objects while the returned function lives.
+
+    The memo keys (id(x), id(y)) and keeps x, y and the result, so no keyed
+    object dies and no id is reused during its life.
+    """
+    memo: dict[Key, tuple] = {}
+
+    def apply(x, y):
+        hit = memo.get((id(x), id(y)))
+        if hit is None:
+            hit = memo[(id(x), id(y))] = (x, y, op(x, y))
+        return hit[2]
+
+    return apply
+
+
 def mat_add(a: Matrix, b: Matrix) -> Matrix:
     a, b = as_matrix(a), as_matrix(b)
+    plus = _memoized(add)
     out = dict(a.entries)
     for key, y in b.entries.items():
         x = out.get(key)
-        out[key] = y if x is None else x + y
+        out[key] = y if x is None else plus(x, y)
     return Matrix(a.shape, out, a.rules)
+
+
+def _map_entries(op, a: Matrix) -> dict[Key, RationalFunction]:
+    """op(x) for every entry x of a, computed once per entry object (a holds every keyed object)."""
+    distinct = {id(x): x for x in a.entries.values()}
+    image = {key: op(x) for key, x in distinct.items()}
+    return {key: image[id(x)] for key, x in a.entries.items()}
 
 
 def mat_sub(a: Matrix, b: Matrix) -> Matrix:
     b = as_matrix(b)
-    return mat_add(a, Matrix(b.shape, {key: -y for key, y in b.entries.items()}, b.rules))
+    return mat_add(a, Matrix(b.shape, _map_entries(neg, b), b.rules))
 
 
 def mat_scalar(c, a: Matrix) -> Matrix:
     a = as_matrix(a)
     if c.is_zero():
         return Matrix(a.shape, {}, a.rules)
-    return Matrix(a.shape, {key: c * x for key, x in a.entries.items()}, a.rules)
+    return Matrix(a.shape, _map_entries(lambda x: c * x, a), a.rules)
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
@@ -111,22 +145,32 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     b_rows: dict[int, list[tuple[int, RationalFunction]]] = {}
     for (j, c), y in b.entries.items():
         b_rows.setdefault(j, []).append((c, y))
+    times, plus = _memoized(mul), _memoized(add)
     out: dict[Key, RationalFunction] = {}
     for (r, j), x in sorted(a.entries.items()):
         for c, y in b_rows.get(j, ()):
-            term = x * y
+            term = times(x, y)
             total = out.get((r, c))
-            out[(r, c)] = term if total is None else total + term
+            out[(r, c)] = term if total is None else plus(total, term)
     return Matrix((a.shape[0], b.shape[1]), out, a.rules)
 
 
 def first_difference(a: Matrix, b: Matrix) -> tuple[int, int, RationalFunction, RationalFunction] | None:
-    """The first (row-major) differing entry, or None if a == b."""
+    """The first (row-major) differing entry, or None if a == b.
+
+    A pair of entry objects already found equal is not compared again.
+    """
     a, b = as_matrix(a), as_matrix(b)
+    zero_a, zero_b = a.zero(), b.zero()
+    equal: dict[Key, tuple] = {}  # (id(x), id(y)) -> (x, y), for pairs found equal
     for r, c in sorted(a.entries.keys() | b.entries.keys()):
-        x, y = a[r, c], b[r, c]
+        x, y = a.entries.get((r, c), zero_a), b.entries.get((r, c), zero_b)
+        key = (id(x), id(y))
+        if key in equal:
+            continue
         if not (x == y):
             return r, c, x, y
+        equal[key] = (x, y)
     return None
 
 

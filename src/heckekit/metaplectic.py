@@ -336,13 +336,28 @@ def scattering_block(
 
 
 def metaplectic_schema_instance(datum: MetaplecticDatum, normalized: bool = True) -> SchemaInstance:
-    """The block Hecke action on Whittaker functionals; root_scale = n_alpha."""
+    """The block Hecke action on Whittaker functionals; root_scale = n_alpha.
+
+    tau^1 and tau^2 depend on mu only through residues mod n, so a k x k
+    block holds a handful of distinct values.  Equal entries, keyed by
+    (num, den), are one object across all the A(w, i) blocks, and each
+    distinct entry is mapped to w z once per w.  The matrix kernels memoize
+    by object identity (see linalg), so each kernel call of the relation
+    checks then computes one product or sum per distinct pair of values.
+    """
+    shared: dict[tuple, RF] = {}
+
+    def share(x: RF) -> RF:
+        return shared.setdefault((x.num, x.den), x)
+
     a_matrices = {}
     for i in range(datum.cartan.rank):
-        block = scattering_block(datum, i, normalized)
+        block = {key: share(x) for key, x in scattering_block(datum, i, normalized).entries.items()}
+        distinct = {id(x): x for x in block.values()}
         for w in datum.group:
-            images = {key: datum.group.at_point(w, entry) for key, entry in block.entries.items()}
-            a_matrices[(w, i)] = Matrix(block.shape, images, datum.rules)
+            image = {key: share(datum.group.at_point(w, x)) for key, x in distinct.items()}
+            entries = {key: image[id(x)] for key, x in block.items()}
+            a_matrices[(w, i)] = Matrix((datum.k, datum.k), entries, datum.rules)
     name = f"metaplectic {datum.cartan.cartan_type} n={datum.n}" + ("" if normalized else " plain")
     return SchemaInstance(
         datum.cartan, datum.group, datum.k, a_matrices, datum.root_scales(), datum.rules, name

@@ -11,6 +11,7 @@ from heckekit.algebra import (
     RationalFunction,
     _divide_binomial,
     _divide_general,
+    _has_gauss,
     exact_divide,
     gauss_symbol,
     rf_equal,
@@ -232,6 +233,57 @@ def test_rf_equal_is_equivalence(a, b, c):
     assert rf_equal(fa, fb) and rf_equal(fb, fa)
     if rf_equal(fa, fc):
         assert rf_equal(fc, fa)
+
+
+def test_rule_free_operand_merges_rules_in_sum_and_equality():
+    rules = GaussRules.standard(3)
+    g1g2 = sym("g1") * sym("g2")  # no rules: g1*g2 stays a monomial
+    u2 = u(rules) ** 2
+    one_minus_x = P.one() - sym("x")
+    pairs = [
+        (RationalFunction(g1g2), RationalFunction(u2)),
+        (RationalFunction(g1g2, (one_minus_x,)), RationalFunction(u2, (one_minus_x.with_rules(rules),))),
+    ]
+    for a, b in pairs:
+        assert a == b and b == a
+        assert rf_equal(a, b) and rf_equal(b, a)
+        assert (a - b).is_zero() and (b - a).is_zero()
+        assert (a + (-b)).is_zero() and ((-b) + a).is_zero()
+
+
+def test_zero_divisor_denominator_raises_under_even_n():
+    rules = GaussRules.standard(4)
+    g, uu, one = gauss_symbol(2, rules), u(rules), P.one(rules)
+    assert ((g - uu) * (g + uu)).is_zero()  # g2^2 = u^2: the ring is no domain
+    with pytest.raises(ZeroDivisionError):
+        RationalFunction(5 * (g - uu), [g - uu]) == RationalFunction(g + uu, [g + uu])  # was True: "5 == 1"
+    for f in (g - uu, g + uu, 3 * uu - 3 * g, (g + uu) * sym("x") + (g + uu) * gauss_symbol(1, rules)):
+        with pytest.raises(ZeroDivisionError):
+            RationalFunction(one, (f,))
+    two = GaussRules.standard(2)
+    with pytest.raises(ZeroDivisionError):
+        RationalFunction(P.one(two), (gauss_symbol(1, two) + u(two),))
+    # not zero divisors: these still build and invert
+    for f in (g - 2 * uu, g + gauss_symbol(1, rules), one - g * sym("x")):
+        inverse = RationalFunction(one, (f,))
+        assert inverse * RationalFunction(f) == RationalFunction.one(rules)
+    three = GaussRules.standard(3)  # odd n: a domain, and g1 - u is no zero divisor
+    assert RationalFunction(P.one(three), (gauss_symbol(1, three) - u(three),)).den
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([2, 3, 4]), polys(), polys(), st.data())
+def test_product_without_rewrite_keeps_the_normal_form(n, a, b, data):
+    rules = GaussRules.standard(n)
+    gauss = P.monomial(data.draw(st.dictionaries(st.sampled_from(["g1", "g2", "g3"]),
+                                                 st.integers(min_value=-2, max_value=2), max_size=2)))
+    a = (a + gauss).with_rules(rules)  # Gauss symbols under the rules
+    b = b if data.draw(st.booleans()) else b.with_rules(rules)  # Gauss-free, with or without rules
+    rewritten = (a.with_rules(None) * b.with_rules(None)).with_rules(rules)
+    assert dict((a * b).terms.items()) == dict(rewritten.terms.items())
+    assert dict((b * a).terms.items()) == dict(rewritten.terms.items())
+    for p in (a, b, a * b):
+        assert _has_gauss(p) == any(s.startswith("g") for s in p.symbols())
 
 
 # -- normal form of denominator factors -------------------------------------------
@@ -650,3 +702,64 @@ def test_binomial_quotients_match_sympy(case):
     else:
         with pytest.raises(NotDivisible):
             exact_divide(p, q)
+
+
+z_names = st.sampled_from(["z1", "z2", "u"])
+z_monos = st.dictionaries(z_names, st.integers(min_value=-2, max_value=2), max_size=2)
+
+
+@st.composite
+def z_polys(draw, max_terms=3):
+    p = P.zero()
+    for _ in range(draw(st.integers(min_value=1, max_value=max_terms))):
+        p = p + P.monomial(draw(z_monos), draw(coeffs))
+    return p
+
+
+nonzero_z_polys = z_polys(max_terms=2).filter(lambda p: not p.is_zero())
+z_units = st.builds(lambda exps, c: P.monomial(exps, c), z_monos, st.sampled_from([1, -1, 2, Fraction(-1, 3)]))
+
+
+def _product(polys):
+    out = P.one()
+    for p in polys:
+        out = out * p
+    return out
+
+
+@st.composite
+def rf_pairs(draw):
+    """Two (num, den) pairs over z1, z2, u.  Each shares a's factors D, b's copies as given or
+    times a unit, and each has factors of its own: a = n E / (D E), b = n W O / (D W O) is equal, and
+    b is made unequal by adding a term to its numerator or drawn at random."""
+    n = draw(z_polys())
+    shared = draw(st.lists(nonzero_z_polys, max_size=2))
+    own_a = draw(st.lists(nonzero_z_polys, max_size=1))
+    own_b = draw(st.lists(nonzero_z_polys, max_size=1))
+    units = [draw(z_units) if draw(st.booleans()) else P.one() for _ in shared]
+    a = (n * _product(own_a), shared + own_a)
+    b = (n * _product(units) * _product(own_b), [f * w for f, w in zip(shared, units)] + own_b)
+    mode = draw(st.sampled_from(["equal", "perturbed", "random"]))
+    if mode == "perturbed":
+        b = (b[0] + P.monomial(draw(z_monos), draw(coeffs.filter(bool))), b[1])
+    elif mode == "random":
+        b = (draw(z_polys()), b[1])
+    return a, b
+
+
+@settings(max_examples=80, deadline=None)
+@given(rf_pairs())
+def test_rf_equal_matches_sympy(case):
+    sympy = pytest.importorskip("sympy")
+    (na, da), (nb, db) = case
+
+    def value(num, den):
+        out = _to_sympy(num, sympy)
+        for f in den:
+            out = out / _to_sympy(f, sympy)
+        return out
+
+    want = sympy.cancel(value(na, da) - value(nb, db)) == 0
+    a, b = RationalFunction(na, da), RationalFunction(nb, db)
+    assert rf_equal(a, b) == want == rf_equal(b, a)
+    assert (a - b).is_zero() == want

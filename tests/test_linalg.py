@@ -6,6 +6,7 @@ pairs that cancel (x and -x), with no Gauss rules and under
 GaussRules.standard(3), where g1*g2 rewrites to u^2.
 """
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from heckekit.algebra import GaussRules, LaurentPoly, RationalFunction, gauss_symbol
@@ -208,3 +209,133 @@ def test_cancelled_sum_is_not_stored():
     total = mat_add(a, b)
     assert set(total.entries) == {(1, 0)}
     assert total == ((RF.zero(), RF.zero()), (x, RF.zero()))
+
+
+# -- identity-keyed kernels ----------------------------------------------------------
+#
+# The kernels compute once per distinct pair of entry objects.  These matrices mix
+# entries that are one shared object in several cells, value-equal but distinct
+# objects, and values unique to their cell, and every kernel must give what the
+# memo-free sparse loops below give, entry for entry and in the same form.
+
+
+def ref_add(a, b):
+    out = dict(a.entries)
+    for key, y in b.entries.items():
+        out[key] = y if key not in out else out[key] + y
+    return Matrix(a.shape, out, a.rules)
+
+
+def ref_scalar(c, a):
+    return Matrix(a.shape, {key: c * x for key, x in a.entries.items()} if not c.is_zero() else {}, a.rules)
+
+
+def ref_mul(a, b):
+    out = {}
+    for (r, j), x in sorted(a.entries.items()):
+        for (j2, c), y in sorted(b.entries.items()):
+            if j2 == j:
+                out[(r, c)] = x * y if (r, c) not in out else out[(r, c)] + x * y
+    return Matrix((a.shape[0], b.shape[1]), out, a.rules)
+
+
+def ref_first_difference(a, b):
+    for r, c in sorted(a.entries.keys() | b.entries.keys()):
+        if not (a[r, c] == b[r, c]):
+            return r, c, a[r, c], b[r, c]
+    return None
+
+
+def same_form(x, y):
+    return x.num == y.num and x.den == y.den
+
+
+def assert_identical(got, want):
+    assert got.shape == want.shape and got.entries.keys() == want.entries.keys()
+    assert all(same_form(x, want.entries[key]) for key, x in got.entries.items())
+
+
+def value_specs(rules):
+    one = P.one(rules)
+    x, y, uu = P.symbol("x", rules), P.symbol("y", rules), P.symbol("u", rules)
+    specs = [(one, ()), (x + y, ()), (one - uu * x, (one - x,)), (-x, (one - x * y,))]
+    if rules is not None:
+        g1, g2 = gauss_symbol(1, rules), gauss_symbol(2, rules)
+        specs += [(g1, (one - x,)), (g2 * y - uu, ())]
+    return specs
+
+
+@st.composite
+def shared_matrix(draw, rules, shape, shared):
+    """A matrix whose cells hold zero, one of the shared objects, a fresh copy of a shared value, or a unique value."""
+    specs = value_specs(rules)
+    entries = {}
+    for r in range(shape[0]):
+        for c in range(shape[1]):
+            kind = draw(st.sampled_from(["zero", "zero", "shared", "shared", "copy", "unique"]))
+            i = draw(st.integers(0, len(specs) - 1))
+            if kind == "shared":
+                entries[(r, c)] = shared[i]
+            elif kind == "copy":
+                entries[(r, c)] = RF(*specs[i])
+            elif kind == "unique":
+                entries[(r, c)] = RF(*specs[i]) * RF.from_poly(P.monomial({"t": 1 + r * shape[1] + c}, rules=rules))
+    return Matrix(shape, entries, rules)
+
+
+@st.composite
+def shared_operands(draw):
+    rules = draw(st.sampled_from(RULES))
+    shared = [RF(*spec) for spec in value_specs(rules)]
+    n, m, l = draw(dims), draw(dims), draw(dims)
+    a = draw(shared_matrix(rules, (n, m), shared))
+    b = draw(shared_matrix(rules, (n, m), shared))
+    c = draw(shared_matrix(rules, (m, l), shared))
+    return rules, shared, a, b, c
+
+
+@settings(max_examples=150, deadline=None)
+@given(shared_operands())
+def test_kernels_match_memo_free_loops(ops):
+    rules, shared, a, b, c = ops
+    assert_identical(mat_mul(a, c), ref_mul(a, c))
+    assert_identical(mat_add(a, b), ref_add(a, b))
+    assert_identical(mat_sub(a, b), ref_add(a, ref_scalar(RF.const(-1, rules), b)))
+    for scalar in (shared[0], shared[-1], RF.zero(rules)):
+        assert_identical(mat_scalar(scalar, a), ref_scalar(scalar, a))
+    for x, y in ((a, b), (a, a), (b, a), (a, Matrix(a.shape, {}, rules))):
+        got, want = first_difference(x, y), ref_first_difference(x, y)
+        assert (got is None) == (want is None)
+        if want is not None:
+            assert got[:2] == want[:2] and same_form(got[2], want[2]) and same_form(got[3], want[3])
+
+
+@pytest.mark.parametrize("rules", RULES, ids=["plain", "standard3"])
+def test_first_difference_finds_a_single_late_entry(rules):
+    """Every earlier cell pairs one of two shared values with itself or with a value-equal copy, so a
+    memo keyed on one side only would pass over the late differing pair."""
+    p, q = (RF(*spec) for spec in value_specs(rules)[1:3])
+    k = 6
+    a = {(r, c): p if (r + c) % 2 else q for r in range(k) for c in range(k)}
+    b = {key: x if key[0] % 2 else RF(x.num, x.den) for key, x in a.items()}
+    late = (k - 1, k - 2)
+    assert a[late] is p
+    changed = Matrix((k, k), {**b, late: q}, rules)
+    got = first_difference(Matrix((k, k), a, rules), changed)
+    assert got[:2] == late and got[2] is p and got[3] is q
+    absent = Matrix((k, k), {key: x for key, x in b.items() if key != late}, rules)
+    got = first_difference(Matrix((k, k), a, rules), absent)
+    assert got[:2] == late and got[2] is p and got[3].is_zero()
+    got = first_difference(absent, Matrix((k, k), a, rules))
+    assert got[:2] == late and got[2].is_zero() and got[3] is p
+    assert first_difference(Matrix((k, k), a, rules), Matrix((k, k), b, rules)) is None
+
+
+def test_shared_entries_stay_shared():
+    x = RF(P.one() - P.symbol("x"), (P.one() + P.symbol("y"),))
+    a = Matrix((3, 3), {(0, 0): x, (1, 1): x, (2, 2): x, (0, 2): x})
+    scaled = mat_scalar(RF.from_poly(P.symbol("u")), a)
+    assert len({id(v) for v in scaled.entries.values()}) == 1
+    square = mat_mul(a, a)
+    assert square[1, 1] is square[2, 2] and square[0, 0] is square[1, 1]
+    assert len({id(v) for v in mat_add(a, a).entries.values()}) == 1
