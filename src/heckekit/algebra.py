@@ -26,20 +26,25 @@ result with an exponent outside the range raises OverflowError; no exponent
 ever carries into a neighbouring lane.
 
 Gauss symbols g0, g1, ... are ordinary commuting symbols until a
-:class:`GaussRules` context is attached, which rewrites g_a * g_{n-a} to
-pair_value and g_0 to zero_value at construction time.  When pair_value is
-a monomial, g_a is a unit and a negative exponent is rewritten too
-(g_a^-1 = g_{n-a} / pair_value), so both exponents of a pair end >= 0 and
-one of them 0.  Each rules object memoizes the rewrite of every monomial it
-has seen.
+:class:`GaussRules` context of modulus n is attached.  Gauss sums satisfy
+g_a g_{n-a} = u^2 and g_0 = -u^2, so every g_a is a unit, and one Laurent
+normal form holds: the index is read mod n, g_a for 0 < a < n/2 is a free
+Laurent variable, g_{n-a} is stored as u^2 g_a^-1, g_0 as -u^2, and for
+even n, g_h (h = n/2) keeps exponent 0 or 1 (g_h^2 = u^2).  A monomial
+rewrites to one monomial and a sign, memoized per modulus.  Products need
+no rewrite for odd n; for even n they fold g_h^2 = u^2 when both operands
+carry g_h.  A rule-free operand that carries a Gauss symbol is brought
+under the other operand's rules in sums, products, equality and division.
 
-Division.  :func:`exact_divide` is the one place where division is decided.
-A two-term divisor with, under Gauss rules, no Gauss symbol (the 1 - z^alpha
-of every Demazure step) is divided along strings of monomials, in linear
-time.  Under Gauss rules the ring is a free module over the Gauss-free
-Laurent ring, on the reduced Gauss monomials, and a Gauss-free factor never
-triggers a rewrite, so this division runs on each coordinate alone.  Every
-other divisor takes the general leading-term division.
+Division.  :func:`exact_divide` is the one place where division is
+decided, and it is complete: NotDivisible means no Laurent quotient
+exists.  Without rules or for odd n the ring is a Laurent ring over Q, a
+domain, where leading-term division after removing the monomial content
+is complete.  For even n it is R[g_h] / (g_h^2 - u^2), R that Laurent
+ring, and as 2u is a unit, f0 + f1 g_h -> (f0 + u f1, f0 - u f1) maps it
+onto R x R (Chinese remainder theorem).  A divisor free of g_h divides
+the coefficients of 1 and g_h alone; one carrying g_h is divided in both
+factors; a zero divisor (zero in one factor) raises ZeroDivisionError.
 
 A :class:`RationalFunction` keeps its denominator as a tuple of factors in
 normal form: each factor divided by its leading term in graded-lex order
@@ -55,7 +60,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import reduce
+from functools import cache, reduce
 from operator import mul, or_
 from typing import Callable, Hashable, Iterable, Sequence
 
@@ -69,10 +74,6 @@ class NotDivisible(Exception):
 
 class PoleError(Exception):
     """Raised when a rational function is evaluated at a zero of its denominator."""
-
-
-class ContextMismatch(Exception):
-    """Raised when two operands carry incompatible Gauss rewrite rules."""
 
 
 def _gauss_index(name: str) -> int | None:
@@ -199,127 +200,91 @@ def _integral(terms: dict[int, Coeff]) -> bool:
     return frac
 
 
-# -- Gauss rewrite rules ----------------------------------------------------------------
+# -- Gauss sums ------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class GaussRules:
-    """Rewrite rules for formal n-th order Gauss-sum symbols.
+    """The n-th order Gauss sums g_a, a mod n, with g_a g_{n-a} = u^2 and g_0 = -u^2.
 
-    ``g_a * g_{(n-a) mod n} -> pair_value`` for a != 0 mod n, and
-    ``g_0 -> zero_value``.  The defaults (u^2 and -u^2) are the normalized
-    sums; both values are configurable.  Reduction is greedy per residue
-    pair, which is confluent on monomials.
+    Polynomials under these rules keep the normal form of the module
+    docstring.  :meth:`standard` returns one shared object per modulus, so
+    its memos are shared by every polynomial of that modulus.
     """
 
     modulus: int
-    pair_value: "LaurentPoly"
-    zero_value: "LaurentPoly"
-    # packed monomial -> its rewrite as packed terms, or None if it is canonical
+    # packed monomial -> (its normal form, sign), or None if it is normal
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     # denominator factor -> its normal form and unit (see _normal_factor)
     _factors: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # even n: every bit of the lane of g_h (h = n/2), and u / g_h packed; 0 for odd n
+    _half: int = field(default=0, init=False, repr=False, compare=False)
+    _to_u: int = field(default=0, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.modulus < 1:
             raise ValueError("Gauss modulus must be >= 1")
-        for value in (self.pair_value, self.zero_value):
-            if value.rules is not None:
-                raise ValueError("pair/zero values must be rule-free polynomials")
-            if any(_gauss_index(s) is not None for s in value.symbols()):
-                raise ValueError("pair/zero values must not contain Gauss symbols")
+        if self.modulus % 2 == 0:
+            half = f"g{self.modulus // 2}"
+            object.__setattr__(self, "_half", _LANE_MASK << (_WIDTH * _lane(half)))
+            object.__setattr__(self, "_to_u", _pack({"u": 1, half: -1}))
 
     @staticmethod
+    @cache
     def standard(modulus: int) -> "GaussRules":
-        u2 = LaurentPoly.monomial({"u": 2})
-        return GaussRules(modulus, u2, -u2)
+        return GaussRules(modulus)
 
 
-def _merge_rules(a: GaussRules | None, b: GaussRules | None) -> GaussRules | None:
-    if a is None:
-        return b
-    if b is None or a is b or a == b:
-        return a
-    raise ContextMismatch(f"incompatible Gauss rules: {a} vs {b}")
+def _normal_monomial(m: int, n: int) -> tuple[int, int] | None:
+    """(normal form, sign) of the packed monomial m under modulus n; None if m is normal."""
+    rest = m
+    gexp: dict[int, int] = {}
+    for lane, e in _unpack(m):
+        a = _gauss_of_lane[lane]
+        if a is not None:
+            rest -= e << (_WIDTH * lane)
+            gexp[a % n] = gexp.get(a % n, 0) + e
+    if not gexp:
+        return None
+    sign, exps = 1, {"u": 0}
+    for a, e in gexp.items():
+        if a == 0:  # g_0 = -u^2
+            sign = -1 if e % 2 else 1
+            exps["u"] += 2 * e
+        elif 2 * a > n:  # g_a = u^2 g_{n-a}^-1
+            exps["u"] += 2 * e
+            exps[f"g{n - a}"] = exps.get(f"g{n - a}", 0) - e
+        elif 2 * a == n:  # g_h^2 = u^2 leaves g_h exponent 0 or 1
+            pairs, exps[f"g{a}"] = divmod(e, 2)
+            exps["u"] += 2 * pairs
+        else:
+            exps[f"g{a}"] = exps.get(f"g{a}", 0) + e
+    out = rest + _pack(exps)
+    _check_range((out,))
+    return None if out == m and sign == 1 else (out, sign)
 
 
 _UNSEEN = object()
 
 
-def _reduce_terms(terms: dict[int, Coeff], rules: GaussRules) -> dict[int, Coeff]:
-    """Rewrite packed terms (owned by the caller) into Gauss normal form."""
-    memo = rules._memo
-    rewrites = []
+def _normalize(terms: dict[int, Coeff], rules: GaussRules) -> dict[int, Coeff]:
+    """Bring packed terms (owned by the caller) into the normal form of rules."""
+    memo, n = rules._memo, rules.modulus
+    moved = []
     for m in terms:
         r = memo.get(m, _UNSEEN)
         if r is _UNSEEN:
-            r = memo[m] = _gauss_reduce(m, rules)
+            r = memo[m] = _normal_monomial(m, n)
         if r is not None:
-            rewrites.append((m, r))
-    for m, r in rewrites:
+            moved.append((m, r))
+    for m, (m2, sign) in moved:
         c = terms.pop(m)
-        for m2, c2 in r:  # m2 is canonical, so never a key still to rewrite
-            s = terms.get(m2, 0) + c * c2
-            if s:
-                terms[m2] = s
-            else:
-                terms.pop(m2, None)
+        s = terms.get(m2, 0) + sign * c  # m2 is normal, so never a key still to move
+        if s:
+            terms[m2] = s
+        else:
+            terms.pop(m2, None)
     return terms
-
-
-def _gauss_reduce(m: int, rules: GaussRules) -> tuple[tuple[int, Coeff], ...] | None:
-    """Canonical form of the monomial m under the Gauss rewrite system; None if m is canonical."""
-    n = rules.modulus
-    plain: dict[str, int] = {}
-    gexp: dict[int, int] = {}
-    for lane, e in _unpack(m):
-        a = _gauss_of_lane[lane]
-        if a is None:
-            plain[_names[lane]] = e
-        else:
-            a %= n
-            gexp[a] = gexp.get(a, 0) + e
-    if not gexp:
-        return None
-    multiplier = LaurentPoly.one()
-    pair_invertible = len(rules.pair_value._t) == 1
-    zero_count = gexp.pop(0, 0)
-    if zero_count > 0:
-        multiplier = multiplier * rules.zero_value ** zero_count
-    elif zero_count < 0:
-        multiplier = multiplier * rules.zero_value.monomial_inverse() ** (-zero_count)
-    for a in sorted(gexp):
-        b = (n - a) % n
-        if b < a and b in gexp:
-            continue  # the pair was reduced at b
-        if b == a:
-            e = gexp.get(a, 0)
-            if e >= 0 or pair_invertible:
-                pairs, leftover = divmod(e, 2)
-            else:
-                pairs, leftover = 0, e
-            gexp[a] = leftover
-        else:
-            ea, eb = gexp.get(a, 0), gexp.get(b, 0)
-            if pair_invertible:
-                # g_a^-1 = g_b / pair_value: leave both exponents >= 0, one of them 0
-                pairs = min(ea, eb)
-            else:
-                pairs = min(ea, eb) if ea > 0 and eb > 0 else 0
-            gexp[a], gexp[b] = ea - pairs, eb - pairs
-        if pairs > 0:
-            multiplier = multiplier * rules.pair_value ** pairs
-        elif pairs < 0:
-            multiplier = multiplier * rules.pair_value.monomial_inverse() ** (-pairs)
-    for a, e in gexp.items():
-        if e:
-            plain[f"g{a}"] = plain.get(f"g{a}", 0) + e
-    base = _pack(plain)
-    out = {base + m2: c2 for m2, c2 in multiplier._t.items()}
-    _check_range(out)
-    if out == {m: 1}:
-        return None
-    return tuple(out.items())
 
 
 # -- polynomials ------------------------------------------------------------------------
@@ -375,14 +340,14 @@ class LaurentPoly:
     ) -> "LaurentPoly":
         """Take ownership of packed terms with no zero coefficient; frac: a Fraction may be among them."""
         if rules is not None and not canonical:
-            terms = _reduce_terms(terms, rules)
+            terms = _normalize(terms, rules)
         if frac:
             frac = _integral(terms)
         self._t = terms
         self.rules = rules
         self._frac = frac
         self._hash = None
-        self._gauss = None  # whether a term carries a Gauss symbol, once _has_gauss asks
+        self._gauss = None  # the Gauss lanes of the terms, once _gauss_lanes asks
         return self
 
     @property
@@ -430,17 +395,16 @@ class LaurentPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        rules = _merge_rules(self.rules, other.rules)
-        terms = dict(self._t)
+        a, b, rules = (self, other, self.rules) if self.rules is other.rules else _common(self, other)
+        terms = dict(a._t)
         get = terms.get
-        for m, c in other._t.items():
+        for m, c in b._t.items():
             s = get(m, 0) + c
             if s:
                 terms[m] = s
             else:
                 del terms[m]
-        # terms already in normal form under shared rules stay so
-        return _new(terms, rules, self._frac or other._frac, canonical=self.rules is other.rules)
+        return _new(terms, rules, a._frac or b._frac, canonical=True)
 
     __radd__ = __add__
 
@@ -460,27 +424,28 @@ class LaurentPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        rules = _merge_rules(self.rules, other.rules)
+        a, b, rules = (self, other, self.rules) if self.rules is other.rules else _common(self, other)
         terms: dict[int, Coeff] = {}
         get = terms.get
-        right = list(other._t.items())
-        for m1, c1 in self._t.items():
-            for m2, c2 in right:
-                m = m1 + m2
-                terms[m] = get(m, 0) + c1 * c2
+        right = list(b._t.items())
+        groups = [(a._t.items(), right)]
+        half = rules._half if rules is not None else 0
+        if half and _gauss_lanes(a) & half and _gauss_lanes(b) & half:
+            # g_h^2 = u^2: the left terms carrying g_h meet the right terms with their g_h folded
+            fold, bias = 2 * rules._to_u, _bias
+            folded = [(m + fold if ((m + bias) ^ bias) & half else m, c) for m, c in right]
+            _check_range([m for m, _ in folded])
+            carry = {m: c for m, c in a._t.items() if ((m + bias) ^ bias) & half}
+            groups = [([(m, c) for m, c in a._t.items() if m not in carry], right), (carry.items(), folded)]
+        for left, row in groups:
+            for m1, c1 in left:
+                for m2, c2 in row:
+                    m = m1 + m2
+                    terms[m] = get(m, 0) + c1 * c2
         _check_range(terms)
         if 0 in terms.values():
             terms = {m: c for m, c in terms.items() if c}
-        frac = self._frac or other._frac
-        if rules is None:
-            return _new(terms, None, frac)
-        # a Gauss monomial in normal form times a Gauss-free one stays in normal form
-        ga, gb = _has_gauss(self), _has_gauss(other)
-        canonical = not (ga and gb) and _reduced(self) and _reduced(other)
-        out = _new(terms, rules, frac, canonical)
-        if canonical:
-            out._gauss = (ga or gb) and bool(terms)
-        return out
+        return _new(terms, rules, a._frac or b._frac, canonical=True)
 
     __rmul__ = __mul__
 
@@ -513,9 +478,18 @@ class LaurentPoly:
             other = LaurentPoly.const(other, self.rules)
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        return self._t == other._t
+        if self.rules is other.rules:
+            return self._t == other._t
+        a, b, _ = _common(self, other)
+        return a._t == b._t
 
     def __hash__(self):
+        """Equal polynomials hash alike within one rules context.
+
+        A rule-free polynomial that carries a Gauss symbol equals its normal
+        form under rules but may hash apart from it, so every memo keyed by
+        polynomials is kept per rules context.
+        """
         if self._hash is None:
             self._hash = hash(frozenset(self._t.items()))
         return self._hash
@@ -625,6 +599,33 @@ def _new(terms: dict[int, Coeff], rules: GaussRules | None, frac: bool, canonica
     return object.__new__(LaurentPoly)._set(terms, rules, frac, canonical)
 
 
+def _gauss_lanes(p: LaurentPoly) -> int:
+    """Nonzero in the lane of every Gauss symbol of p and zero elsewhere; computed once per polynomial.
+
+    Biased, a lane holds its exponent plus _LIMIT, with no carries, so the
+    lane's bits of (m + _bias) ^ _bias are zero exactly when its exponent is.
+    """
+    g = p._gauss
+    if g is None:
+        bias = _bias
+        g = p._gauss = reduce(or_, [(m + bias) ^ bias for m in p._t], 0) & _gauss_mask
+    return g
+
+
+def _common(a: LaurentPoly, b: LaurentPoly) -> tuple[LaurentPoly, LaurentPoly, GaussRules | None]:
+    """a, b and their rules, with a rule-free operand that carries a Gauss symbol brought under the other's."""
+    rules = a.rules or b.rules
+    if a.rules is None:
+        if rules is not None and _gauss_lanes(a):
+            a = a.with_rules(rules)
+    elif b.rules is None:
+        if _gauss_lanes(b):
+            b = b.with_rules(rules)
+    elif a.rules != b.rules:
+        raise ValueError(f"Gauss sums of different moduli: {a.rules.modulus} and {b.rules.modulus}")
+    return a, b, rules
+
+
 def _content(p: LaurentPoly) -> int:
     """Componentwise minimum exponent over all terms (the unit part of p), packed."""
     vecs = [dict(_unpack(m)) for m in p._t]
@@ -660,42 +661,26 @@ def _graded_lex(names: Iterable[str]) -> Callable[[int], tuple[int, list[int]]]:
 
 
 def exact_divide(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
-    """Return r with r*q == p exactly, or raise :class:`NotDivisible`.
+    """Return r with r*q == p exactly, or raise :class:`NotDivisible` when there is none.
 
-    This is the one place where division is decided.  A two-term divisor
-    with no Gauss symbol under Gauss rules (every Demazure step divides by
-    one) takes :func:`_divide_binomial`, linear in the number of terms and
-    complete under Gauss rules too (see the module docstring).  Every other
-    divisor takes :func:`_divide_general`, which is complete unless the
-    divisor carries a Gauss symbol under Gauss rules: in the ring of
-    GaussRules.standard(3), (x + g1)(x + g2) / (x + g1) raises NotDivisible.
+    This is the one place where division is decided, and it is complete
+    (see the module docstring).  Under even n a divisor carrying g_{n/2}
+    takes :func:`_divide_split`, and raises ZeroDivisionError if it is a
+    zero divisor.  Every other two-term divisor (every Demazure step
+    divides by one) takes :func:`_divide_binomial`, linear in the number of
+    terms, and the rest :func:`_divide_general`.
     """
     if q.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
-    rules = _merge_rules(p.rules, q.rules)
+    p, q, rules = _common(p, q)
+    halves = _halves(q)
+    if halves is not None:
+        return _divide_split(p, q, halves)
     if p.is_zero():
         return LaurentPoly.zero(rules)
-    if len(q._t) == 2 and (rules is None or not _has_gauss(q)):
+    if len(q._t) == 2:
         return _divide_binomial(p, q, rules)
     return _divide_general(p, q, rules)
-
-
-def _has_gauss(p: LaurentPoly) -> bool:
-    """True if a term of p carries a Gauss symbol; computed once per polynomial.
-
-    Biased, a lane holds its exponent plus _LIMIT, with no carries, so the
-    lane's bits of (m + _bias) ^ _bias are zero exactly when its exponent is.
-    """
-    g = p._gauss
-    if g is None:
-        mask, bias = _gauss_mask, _bias
-        g = p._gauss = any(((m + bias) ^ bias) & mask for m in p._t)
-    return g
-
-
-def _reduced(p: LaurentPoly) -> bool:
-    """True if p is in Gauss normal form under any rules it merges with: it has rules, or no Gauss symbol."""
-    return p.rules is not None or not _has_gauss(p)
 
 
 def _divide_binomial(p: LaurentPoly, q: LaurentPoly, rules: GaussRules | None) -> LaurentPoly:
@@ -709,17 +694,15 @@ def _divide_binomial(p: LaurentPoly, q: LaurentPoly, rules: GaussRules | None) -
     divisible iff the last remainder p_kmin - cb r_kmin of every string is
     zero.  No step looks for a leading term or rebuilds a remainder.
 
-    Under Gauss rules a Gauss-free q never triggers a rewrite (see the module
-    docstring): a string keeps the Gauss part of its base, and the quotient
-    is already reduced.
+    The quotient is normal: under even n q carries no g_{n/2} (exact_divide
+    splits such divisors), so each string keeps the g_{n/2} of its base.
     """
-    terms = p._t if p.rules is rules else p.with_rules(rules)._t
     (a, ca), (b, cb) = q._t.items()
     d = a - b
     lane, e = _unpack(d)[0]
     shift = _WIDTH * lane
     strings: dict[int, dict[int, Coeff]] = {}
-    for m, c in terms.items():
+    for m, c in p._t.items():
         # biased, every lane lies in [0, _HALF), so no lane borrows from the next
         k = ((((m + _bias) >> shift) & _LANE_MASK) - _LIMIT) // e
         strings.setdefault(m - k * d, {})[k] = c
@@ -766,6 +749,54 @@ def _divide_general(p: LaurentPoly, q: LaurentPoly, rules: GaussRules | None) ->
     return _shift(_new(quotient, rules, frac), cp - cq)
 
 
+def _halves(f: LaurentPoly) -> tuple[LaurentPoly, LaurentPoly] | None:
+    """(f at g_h = u, f at g_h = -u) for even n and f carrying g_h (h = n/2), else None.
+
+    These are the images f0 + u f1, f0 - u f1 of f = f0 + f1 g_h in the two
+    factors of the ring (module docstring); f is a zero divisor iff one is 0.
+    """
+    rules = f.rules
+    if rules is None or not _gauss_lanes(f) & rules._half:
+        return None
+    half, to_u, bias = rules._half, rules._to_u, _bias
+    plus: dict[int, Coeff] = {}
+    minus: dict[int, Coeff] = {}
+    for m, c in f._t.items():
+        s = 1
+        if ((m + bias) ^ bias) & half:  # g_h -> +-u
+            m, s = m + to_u, -1
+        plus[m] = plus.get(m, 0) + c
+        minus[m] = minus.get(m, 0) + s * c
+    _check_range(plus)
+    return tuple(_new({m: c for m, c in t.items() if c}, rules, f._frac, canonical=True) for t in (plus, minus))
+
+
+def _divide_split(p: LaurentPoly, q: LaurentPoly, halves: tuple[LaurentPoly, LaurentPoly]) -> LaurentPoly:
+    """p / q for q carrying g_h under even n, q's two halves given (see :func:`_halves`).
+
+    r+ = p+ / q+ and r- = p- / q- are divided in the two factors, free of
+    g_h, and recombined as r = (r+ + r-)/2 + (r+ - r-)/(2u) g_h, whose
+    halves they are.  If q is a zero divisor, a half is zero and its
+    division raises ZeroDivisionError.
+    """
+    q_plus, q_minus = halves
+    p_plus, p_minus = _halves(p) or (p, p)
+    try:
+        r_plus, r_minus = exact_divide(p_plus, q_plus)._t, exact_divide(p_minus, q_minus)._t
+    except NotDivisible:
+        raise NotDivisible(f"({p.render()}) is not divisible by ({q.render()})") from None
+    to_u = q.rules._to_u
+    terms: dict[int, Coeff] = {}
+    for m in r_plus | r_minus:
+        a, b = r_plus.get(m, 0), r_minus.get(m, 0)
+        if a + b:
+            terms[m] = _div(a + b, 2)
+        if a - b:
+            terms[m - to_u] = _div(a - b, 2)  # u^-1 g_h
+    _check_range(terms)
+    return _new(terms, q.rules, any(type(c) is not int for c in terms.values()), canonical=True)
+
+
 # -- denominator factors ------------------------------------------------------------
 
 _RULE_FREE_FACTORS: dict = {}  # _normal_factor's memo for factors without Gauss rules
@@ -778,20 +809,14 @@ def _normal_factor(f: LaurentPoly) -> tuple[LaurentPoly | None, LaurentPoly | No
     largest term of f in the graded-lex order of :func:`_graded_lex`, which
     is invariant under multiplication by a monomial, so every associate
     c * m * f (c a nonzero number, m a monomial) has the same normal form
-    f / t, whose constant term is 1.  (Under Gauss rules the rewrite of a
-    product can reorder terms of equal degree; such associates stay exact
-    but may keep two keys.)  The first entry is None when f is a unit
-    (f / t = 1), the second when f is already normal (t = 1).  Where the
-    Gauss pair value is not a monomial, g_a is no unit, so t keeps no Gauss
-    symbol.  Memoized per factor and rules object.
+    f / t, whose constant term is 1.  (Under even n a unit m that carries
+    g_{n/2} folds the terms of f that carry it, which can reorder terms;
+    such associates stay exact but may keep two keys.)  The first entry is
+    None when f is a unit (f / t = 1), the second when f is already normal
+    (t = 1).  Memoized per factor and rules object.
 
-    ZeroDivisionError if f is zero or a zero divisor.  Under even n the pair
-    rule g_h^2 = pair_value (h = n/2) makes the ring a product of two rings,
-    g_h = r and g_h = -r, when pair_value is the square r^2 of a monomial r
-    with coefficient 1, as in every GaussRules.standard(n) (r = u); each
-    factor is a Laurent ring, so f is a zero divisor exactly when it
-    vanishes at one of the two.  With any other pair value the check is not
-    made.
+    ZeroDivisionError if f is zero or a zero divisor: under even n, one of
+    its two halves (see :func:`_halves`) is zero.
     """
     rules = f.rules
     memo = _RULE_FREE_FACTORS if rules is None else rules._factors
@@ -804,12 +829,11 @@ def _normal_factor(f: LaurentPoly) -> tuple[LaurentPoly | None, LaurentPoly | No
     if len(terms) == 1:
         hit = memo[f] = (None, f.monomial_inverse())
         return hit
-    if rules is not None and _vanishes_at_half(f, rules):
+    halves = _halves(f)
+    if halves is not None and (halves[0].is_zero() or halves[1].is_zero()):
         raise ZeroDivisionError(f"zero divisor in denominator: {f.render()}")
     lead = max(terms, key=_graded_lex(f.symbols()))
     c = terms[lead]
-    if rules is not None and len(rules.pair_value._t) != 1:
-        lead = _pack({s: e for s, e in _exponents(lead).items() if _gauss_index(s) is None})
     if lead == 0 and c == 1:
         hit = memo[f] = (f, None)
         return hit
@@ -818,32 +842,6 @@ def _normal_factor(f: LaurentPoly) -> tuple[LaurentPoly | None, LaurentPoly | No
     memo.setdefault(normal, (normal, None))  # a normal factor stays as it is
     hit = memo[f] = (normal, inverse)
     return hit
-
-
-def _vanishes_at_half(f: LaurentPoly, rules: GaussRules) -> bool:
-    """True if f is zero at g_h = r or at g_h = -r, for h = n/2 and pair_value = r^2 (see _normal_factor).
-
-    In normal form f = f0 + f1 g_h with f0, f1 free of g_h, so its two
-    values are f0 + r f1 and f0 - r f1.
-    """
-    n, pair_value = rules.modulus, rules.pair_value._t
-    lane = _lanes.get(f"g{n // 2}")
-    if n % 2 or lane is None or len(pair_value) != 1:
-        return False
-    (pair, c), = pair_value.items()
-    exps = _unpack(pair)
-    if c != 1 or any(e % 2 for _, e in exps):
-        return False
-    shift = _WIDTH * lane
-    to_root = sum((e // 2) << (_WIDTH * lane_e) for lane_e, e in exps) - (1 << shift)  # g_h -> r
-    f0: dict[int, Coeff] = {}
-    f1: dict[int, Coeff] = {}  # r f1
-    for m, c in f._t.items():
-        if (((m + _bias) >> shift) & _LANE_MASK) - _LIMIT:  # g_h^1: the exponent is 0 or 1
-            f1[m + to_root] = c
-        else:
-            f0[m] = c
-    return f0 == f1 or f0 == {m: -c for m, c in f1.items()}
 
 
 class RationalFunction:
@@ -1044,7 +1042,8 @@ def rf_equal(a: RationalFunction, b: RationalFunction) -> bool:
     Each numerator is multiplied only by the factors the other side lacks,
     and the two products are compared in the merged Gauss rules.
     """
-    rules = _merge_rules(a.num.rules, b.num.rules)
+    if a is b:
+        return True
     rest_a = list(a.den)
     rest_b: list[LaurentPoly] = []
     for f in b.den:
@@ -1052,11 +1051,7 @@ def rf_equal(a: RationalFunction, b: RationalFunction) -> bool:
             rest_a.remove(f)  # shared factors cancel before cross multiplying
         else:
             rest_b.append(f)
-    lhs, rhs = _times(a.num, rest_b), _times(b.num, rest_a)
-    if rules is not None:
-        lhs = lhs if _reduced(lhs) else lhs.with_rules(rules)
-        rhs = rhs if _reduced(rhs) else rhs.with_rules(rules)
-    return lhs == rhs
+    return _times(a.num, rest_b) == _times(b.num, rest_a)
 
 
 # -- shared symbol helpers ----------------------------------------------------
@@ -1072,5 +1067,5 @@ def v(rules: GaussRules | None = None) -> LaurentPoly:
 
 
 def gauss_symbol(a: int, rules: GaussRules) -> LaurentPoly:
-    """The Gauss symbol g_{a mod n} (g_0 collapses to zero_value)."""
+    """The Gauss symbol g_{a mod n} in normal form (g_0 = -u^2, g_{n-a} = u^2 g_a^-1 for a < n/2)."""
     return LaurentPoly.symbol(f"g{a % rules.modulus}", rules)

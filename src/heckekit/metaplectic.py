@@ -194,15 +194,12 @@ def build_datum(cartan_or_type, n: int, B: tuple[IntVec, ...] | str | None = Non
         raise MetaplecticError("B must be a d x d integer matrix")
     if any(B[r][c] != B[c][r] for r in range(d) for c in range(d)):
         raise MetaplecticError("B must be symmetric")
-    for w in group:
+    for w in group:  # w^T B w = B, scaled by the square of w's denominator
+        rows, den = w.scaled
         for r in range(d):
             for c in range(d):
-                lhs = sum(
-                    Fraction(w.matrix[a][r]) * B[a][b] * Fraction(w.matrix[b][c])
-                    for a in range(d)
-                    for b in range(d)
-                )
-                if lhs != B[r][c]:
+                lhs = sum(rows[a][r] * B[a][b] * rows[b][c] for a in range(d) for b in range(d))
+                if lhs != B[r][c] * den * den:
                     raise MetaplecticError(f"B is not W-invariant (fails at w = {w.name()})")
     for beta in cartan.positive_coroots:
         if _bilinear(B, beta, beta) % 2:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Sequence
 
@@ -24,6 +24,7 @@ from .algebra import GaussRules, LaurentPoly, RationalFunction, exact_divide
 
 Vector = tuple[Fraction, ...]
 IntVector = tuple[int, ...]
+Scaled = tuple[tuple[IntVector, ...], int]  # a rational matrix as (integer rows, denominator), in lowest terms
 
 
 def _vec(xs: Iterable) -> Vector:
@@ -83,50 +84,54 @@ class CartanDatum:
             yield tuple(cand)
 
 
-def _simple_reflection_matrix(cartan: CartanDatum, i: int) -> tuple[Vector, ...]:
-    """Matrix of s_i in ambient coordinates, as a tuple of rows."""
+def _identity(d: int) -> Scaled:
+    return tuple(tuple(int(r == c) for c in range(d)) for r in range(d)), 1
+
+
+def _simple_reflection(cartan: CartanDatum, i: int) -> Scaled:
+    """s_i in ambient coordinates: x -> x - <alpha_i, x> alpha_i^vee."""
     d = cartan.dim
-    alpha = cartan.simple_coroots[i]
-    rows = []
-    for r in range(d):
-        row = []
-        for c in range(d):
-            e = Fraction(1 if r == c else 0)
-            row.append(e - Fraction(alpha[r]) * cartan.pairings[i][c])
-        rows.append(tuple(row))
-    return tuple(rows)
+    alpha, pairing = cartan.simple_coroots[i], cartan.pairings[i]
+    matrix = [[int(r == c) - alpha[r] * pairing[c] for c in range(d)] for r in range(d)]
+    den = lcm(*(x.denominator for row in matrix for x in row))
+    return tuple(tuple(int(x * den) for x in row) for row in matrix), den
 
 
-def _mat_mul(a: tuple[Vector, ...], b: tuple[Vector, ...]) -> tuple[Vector, ...]:
-    bt = list(zip(*b))
-    return tuple(tuple(_dot(row, col) for col in bt) for row in a)
+def _compose(a: Scaled, b: Scaled) -> Scaled:
+    """The matrix product a b, in lowest terms."""
+    (ra, da), (rb, db) = a, b
+    cols = list(zip(*rb))
+    rows = [[sum(map(mul, row, col)) for col in cols] for row in ra]
+    g = gcd(da * db, *(x for row in rows for x in row))
+    return tuple(tuple(x // g for x in row) for row in rows), da * db // g
 
 
 @dataclass(frozen=True)
 class WeylElement:
-    matrix: tuple[Vector, ...]
+    """w acting on the ambient lattice by its matrix, kept as integer rows over one denominator."""
+
+    scaled: Scaled
     word: tuple[int, ...]
     length: int
-    # elements key many dicts; hashing the Fraction matrix on every lookup is slow
+    # elements key many dicts; hash the rows once
     _hash: int = field(init=False, repr=False, compare=False)
-    # matrix = _rows / _denominator with integer _rows, for act
-    _rows: tuple[IntVector, ...] = field(init=False, repr=False, compare=False)
-    _denominator: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "_hash", hash((self.matrix, self.word, self.length)))
-        den = lcm(*(x.denominator for row in self.matrix for x in row))
-        rows = tuple(tuple(x.numerator * (den // x.denominator) for x in row) for row in self.matrix)
-        object.__setattr__(self, "_rows", rows)
-        object.__setattr__(self, "_denominator", den)
+        object.__setattr__(self, "_hash", hash((self.scaled, self.word, self.length)))
 
     def __hash__(self) -> int:
         return self._hash
 
+    @property
+    def matrix(self) -> tuple[Vector, ...]:
+        """The matrix of w with Fraction entries, derived from the integer rows."""
+        rows, den = self.scaled
+        return tuple(tuple(Fraction(x, den) for x in row) for row in rows)
+
     def act(self, mu: Sequence) -> IntVector:
         """w mu for a lattice vector mu; ValueError if the image is not integral."""
-        den = self._denominator
-        image = [sum(map(mul, row, mu)) for row in self._rows]
+        rows, den = self.scaled
+        image = [sum(map(mul, row, mu)) for row in rows]
         if any(x % den for x in image):
             raise ValueError(f"non-integral image ({', '.join(str(Fraction(x, den)) for x in image)}) of {tuple(mu)}")
         return tuple([x // den for x in image])
@@ -143,9 +148,9 @@ class WeylGroup:
 
     def __init__(self, cartan: CartanDatum):
         self.cartan = cartan
-        self._simple_matrices = [_simple_reflection_matrix(cartan, i) for i in range(cartan.rank)]
+        self._simple_matrices = [_simple_reflection(cartan, i) for i in range(cartan.rank)]
         self.elements: list[WeylElement] = []
-        self._by_matrix: dict[tuple[Vector, ...], WeylElement] = {}
+        self._by_matrix: dict[Scaled, WeylElement] = {}
         self._generate()
         self._simples = [self._by_matrix[m] for m in self._simple_matrices]
         self._bruhat_cache: dict[tuple[tuple[int, ...], tuple[int, ...]], bool] = {}
@@ -157,17 +162,16 @@ class WeylGroup:
         self._coordinates = tuple(f"z{i + 1}" for i in range(cartan.dim))
 
     def _generate(self) -> None:
-        d = self.cartan.dim
-        identity = tuple(tuple(Fraction(1 if r == c else 0) for c in range(d)) for r in range(d))
+        identity = _identity(self.cartan.dim)
         start = WeylElement(identity, (), 0)
         self.elements = [start]
         self._by_matrix = {identity: start}
         frontier = [start]
         while frontier:
-            discovered: dict[tuple[Vector, ...], tuple[int, ...]] = {}
+            discovered: dict[Scaled, tuple[int, ...]] = {}
             for u in frontier:
                 for i in range(self.cartan.rank):
-                    m = _mat_mul(self._simple_matrices[i], u.matrix)
+                    m = _compose(self._simple_matrices[i], u.scaled)
                     if m in self._by_matrix:
                         continue
                     word = (i,) + u.word
@@ -189,8 +193,8 @@ class WeylGroup:
         w0 = self.longest()
         m = w0.length
         word = tuple(0 if (m - 1 - j) % 2 == 0 else 1 for j in range(m))
-        renamed = WeylElement(w0.matrix, word, m)
-        self._by_matrix[w0.matrix] = renamed
+        renamed = WeylElement(w0.scaled, word, m)
+        self._by_matrix[w0.scaled] = renamed
         self.elements[self.elements.index(w0)] = renamed
 
     # -- group structure ------------------------------------------------------
@@ -206,7 +210,7 @@ class WeylGroup:
         key = (a.word, b.word)
         product = self._mul_cache.get(key)
         if product is None:
-            product = self._mul_cache[key] = self._by_matrix[_mat_mul(a.matrix, b.matrix)]
+            product = self._mul_cache[key] = self._by_matrix[_compose(a.scaled, b.scaled)]
         return product
 
     def inverse(self, w: WeylElement) -> WeylElement:
@@ -243,7 +247,7 @@ class WeylGroup:
             result = False
         elif u.length == 0:
             result = True
-        elif u.matrix == w.matrix:
+        elif u.scaled == w.scaled:
             result = True
         else:
             i = next(j for j in range(self.cartan.rank) if self.is_left_descent(j, w))
@@ -266,7 +270,7 @@ class WeylGroup:
             den = []
             for g in f.den:
                 image = images.get(g)
-                if image is None or image.rules is not g.rules:  # == ignores rules
+                if image is None or image.rules is not g.rules:  # equal factors may differ in rules
                     image = images[g] = self.act_fn(w, g)
                 den.append(image)
             return RationalFunction(self.act_fn(w, f.num), den, simplify=False)
@@ -354,9 +358,8 @@ def build_cartan(cartan_type: str) -> CartanDatum:
 
 
 def _braid_orders(cartan: CartanDatum) -> tuple[tuple[int, ...], ...]:
-    mats = [_simple_reflection_matrix(cartan, i) for i in range(cartan.rank)]
-    d = cartan.dim
-    identity = tuple(tuple(Fraction(1 if r == c else 0) for c in range(d)) for r in range(d))
+    mats = [_simple_reflection(cartan, i) for i in range(cartan.rank)]
+    identity = _identity(cartan.dim)
     orders = []
     for i in range(cartan.rank):
         row = []
@@ -364,10 +367,10 @@ def _braid_orders(cartan: CartanDatum) -> tuple[tuple[int, ...], ...]:
             if i == j:
                 row.append(1)
                 continue
-            m = _mat_mul(mats[i], mats[j])
+            m = _compose(mats[i], mats[j])
             power, count = m, 1
             while power != identity:
-                power = _mat_mul(power, m)
+                power = _compose(power, m)
                 count += 1
             row.append(count)
         orders.append(tuple(row))

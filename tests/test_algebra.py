@@ -1,9 +1,11 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from heckekit.algebra import (
+    _LANE_MASK,
+    _WIDTH,
     GaussRules,
     LaurentPoly,
     NotDivisible,
@@ -11,7 +13,8 @@ from heckekit.algebra import (
     RationalFunction,
     _divide_binomial,
     _divide_general,
-    _has_gauss,
+    _gauss_lanes,
+    _lanes,
     exact_divide,
     gauss_symbol,
     rf_equal,
@@ -19,6 +22,7 @@ from heckekit.algebra import (
     v,
 )
 from heckekit.parsing import parse_poly
+from heckekit.relations import verdict
 from oracles import conjugate_gauss, z_monomial
 
 P = LaurentPoly
@@ -78,12 +82,13 @@ def test_gauss_index_reduces_mod_n():
 
 
 def test_gauss_negative_exponents_reduce():
-    # g1 * g3 = u^2 is a unit, so g3^-1 = g1 * u^-2: exponents end >= 0, one of each pair 0
+    # g1 * g3 = u^2 is a unit: g1 is a free Laurent variable and g3 = u^2 g1^-1
     rules = GaussRules.standard(4)
     g1, g3 = gauss_symbol(1, rules), gauss_symbol(3, rules)
     assert g1 * g3 ** -1 == g1 ** 2 * u(rules) ** -2
+    assert g3.terms == {(("g1", -1), ("u", 2)): 1}
     assert g3.monomial_inverse().terms == {(("g1", 1), ("u", -2)): 1}
-    assert (g1 ** -2 * g3 ** -1).terms == {(("g3", 1), ("u", -4)): 1}
+    assert (g1 ** -2 * g3 ** -1).terms == {(("g1", -1), ("u", -2)): 1}
     a = parse_poly("-4*g1^2*u^-4 + g3^-1 - 1 + g3*u^-2*x^2", rules=rules)
     b = parse_poly("1/2*u^-2*x^-1 + 1", rules=rules)
     assert exact_divide(a * b, b) == a
@@ -251,6 +256,48 @@ def test_rule_free_operand_merges_rules_in_sum_and_equality():
         assert (a + (-b)).is_zero() and ((-b) + a).is_zero()
 
 
+def test_equality_brings_a_rule_free_operand_under_the_rules():
+    three = GaussRules.standard(3)
+    g1g2, u2 = sym("g1") * sym("g2"), u(three) ** 2  # g1*g2 stays a monomial without rules
+    assert g1g2 == u2 and u2 == g1g2
+    assert verdict(g1g2, u2) == (True, None, None) == verdict(u2, g1g2)
+    assert not verdict(g1g2, u2 + 1)[0]
+    assert sym("g1") != gauss_symbol(1, GaussRules.standard(2)) * sym("x")
+
+
+def test_rf_equal_answers_identity_without_a_product(monkeypatch):
+    import heckekit.algebra as algebra
+
+    x = sym("x")
+    a = RationalFunction(P.one() - x * x, (P.one() + x * x, P.one() - x))
+    monkeypatch.setattr(algebra, "_times", lambda *args: pytest.fail("cross multiplied"))
+    assert rf_equal(a, a) and a == a
+
+
+def test_gauss_rules_are_one_modulus():
+    from dataclasses import fields
+
+    assert [f.name for f in fields(GaussRules) if f.init] == ["modulus"]
+    assert GaussRules.standard(4) is GaussRules.standard(4) == GaussRules(4)
+    assert GaussRules.standard(3) != GaussRules.standard(4)
+    with pytest.raises(ValueError):
+        gauss_symbol(1, GaussRules.standard(3)) + gauss_symbol(1, GaussRules.standard(4))
+
+
+def test_gauss_divisors_divide_exactly():
+    three, two = GaussRules.standard(3), GaussRules.standard(2)
+    x = sym("x")
+    g1, g2 = gauss_symbol(1, three), gauss_symbol(2, three)
+    assert exact_divide((x + g1) * (x + g2), x + g1) == x + g2  # raised NotDivisible before
+    h = gauss_symbol(1, two)
+    assert exact_divide((x + h) ** 2, x + h) == x + h  # raised NotDivisible before
+    with pytest.raises(NotDivisible):
+        exact_divide(x * x + g1, x + g2)
+    for zero_divisor in (h + u(two), 3 * h - 3 * u(two), (h - u(two)) * (x + 1)):
+        with pytest.raises(ZeroDivisionError):
+            exact_divide(P.zero(two), zero_divisor)
+
+
 def test_zero_divisor_denominator_raises_under_even_n():
     rules = GaussRules.standard(4)
     g, uu, one = gauss_symbol(2, rules), u(rules), P.one(rules)
@@ -282,8 +329,9 @@ def test_product_without_rewrite_keeps_the_normal_form(n, a, b, data):
     rewritten = (a.with_rules(None) * b.with_rules(None)).with_rules(rules)
     assert dict((a * b).terms.items()) == dict(rewritten.terms.items())
     assert dict((b * a).terms.items()) == dict(rewritten.terms.items())
-    for p in (a, b, a * b):
-        assert _has_gauss(p) == any(s.startswith("g") for s in p.symbols())
+    for p in (a, b, a * b):  # the cached Gauss lanes are those of the symbols, one by one
+        lanes = {s for s in ("g1", "g2", "g3") if s in _lanes and _gauss_lanes(p) >> (_WIDTH * _lanes[s]) & _LANE_MASK}
+        assert lanes == {s for s in p.symbols() if s.startswith("g")}
 
 
 # -- normal form of denominator factors -------------------------------------------
@@ -404,9 +452,11 @@ def test_render_canonical():
 # -- packed representation against the original one ----------------------------
 #
 # The reference keeps monomials as name-sorted (name, exp) tuples with Fraction
-# coefficients, and rewrites Gauss symbols under GaussRules.standard(n)
-# (g_a g_{n-a} -> u^2, g_0 -> -u^2) one term at a time.  LaurentPoly must
-# agree with it term for term, whatever lanes its packed monomials use.
+# coefficients, and brings Gauss symbols under GaussRules.standard(n) into the
+# Laurent normal form one term at a time: g_a free for 0 < a < n/2,
+# g_{n-a} -> u^2 g_a^-1, g_0 -> -u^2, and g_{n/2}^2 -> u^2 for even n.
+# LaurentPoly must agree with it term for term, whatever lanes its packed
+# monomials use.
 
 REF_NAMES = ["x", "y", "u", "g0", "g1", "g2", "g3"]
 
@@ -423,21 +473,19 @@ def _ref_gauss(mono, n):
             gexp[a] = gexp.get(a, 0) + e
         else:
             plain[s] = e
-    zero_count = gexp.pop(0, 0)
-    sign, u_exp = -1 if zero_count % 2 else 1, 2 * zero_count
-    for a in sorted(gexp):
-        b = (n - a) % n
-        if b < a and b in gexp:
-            continue
-        if b == a:
-            pairs, gexp[a] = divmod(gexp[a], 2)
-        else:
-            ea, eb = gexp[a], gexp.get(b, 0)
-            pairs = min(ea, eb)  # u^2 is a unit: both exponents end >= 0, one of them 0
-            gexp[a], gexp[b] = ea - pairs, eb - pairs
-        u_exp += 2 * pairs
+    sign, u_exp = 1, 0
     for a, e in gexp.items():
-        plain[f"g{a}"] = plain.get(f"g{a}", 0) + e
+        if a == 0:
+            sign, u_exp = (-1) ** (e % 2), u_exp + 2 * e
+        elif 2 * a > n:
+            u_exp += 2 * e
+            plain[f"g{n - a}"] = plain.get(f"g{n - a}", 0) - e
+        else:
+            plain[f"g{a}"] = plain.get(f"g{a}", 0) + e
+    if n % 2 == 0:
+        half = f"g{n // 2}"
+        pairs, plain[half] = divmod(plain.get(half, 0), 2)
+        u_exp += 2 * pairs
     plain["u"] = plain.get("u", 0) + u_exp
     return _ref_mono(plain), sign
 
@@ -501,8 +549,40 @@ def ref_render(p):
     return out + "".join(f" {sign} {body}" for sign, body in parts[1:])
 
 
+def _ref_at_half(p, n, sign):
+    """p at g_{n/2} = sign * u, for even n."""
+    half, out = f"g{n // 2}", {}
+    for mono, c in p.items():
+        exps = dict(mono)
+        if exps.pop(half, 0):
+            exps["u"] = exps.get("u", 0) + 1
+            c = sign * c
+        out[_ref_mono(exps)] = out.get(_ref_mono(exps), Fraction(0)) + c
+    return {m: c for m, c in out.items() if c}
+
+
+def _ref_carries_half(q, n):
+    return n is not None and n % 2 == 0 and any(s == f"g{n // 2}" for m in q for s, _ in m)
+
+
 def ref_divide(p, q, n=None):
-    """The quotient by the original algorithm, or the name of the exception it raises."""
+    """The quotient by leading-term division, or the name of the exception it raises.
+
+    Under even n a divisor carrying g_h = g_{n/2} is divided at g_h = u and
+    at g_h = -u, and the quotient is r = (r+ + r-)/2 + (r+ - r-)/(2u) g_h.
+    """
+    if _ref_carries_half(q, n):
+        halves = [(_ref_at_half(p, n, s), _ref_at_half(q, n, s)) for s in (1, -1)]
+        if not all(qs for _, qs in halves):
+            return "ZeroDivisionError"
+        r_plus, r_minus = (ref_divide(ps, qs, n) for ps, qs in halves)
+        if isinstance(r_plus, str) or isinstance(r_minus, str):
+            return r_plus if isinstance(r_plus, str) else r_minus
+        monos = r_plus.keys() | r_minus.keys()
+        even = {m: (r_plus.get(m, 0) + r_minus.get(m, 0)) / 2 for m in monos}
+        odd = {m: (r_plus.get(m, 0) - r_minus.get(m, 0)) / 2 for m in monos}
+        g_over_u = ref_poly({_ref_mono({f"g{n // 2}": 1, "u": -1}): 1}, n)
+        return ref_add(ref_poly(even, n), ref_mul(ref_poly(odd, n), g_over_u, n), n)
 
     def content(f):
         names = {s for m in f for s, _ in m}
@@ -541,7 +621,7 @@ def ref_divide(p, q, n=None):
 def divide_outcome(p, q):
     try:
         return dict(exact_divide(p, q).terms.items())
-    except (NotDivisible, KeyError) as exc:
+    except (NotDivisible, KeyError, ZeroDivisionError) as exc:
         return type(exc).__name__
 
 
@@ -566,7 +646,10 @@ def test_packed_ring_matches_reference(n, raw_a, raw_b):
     assert product.render() == ref_render(ref_mul(ra, rb, n))
     assert all(type(c) is int or c.denominator != 1 for c in product.terms.values())
     if rb:
-        assert divide_outcome(product, b) == ref_divide(ref_mul(ra, rb, n), rb, n)
+        outcome = divide_outcome(product, b)
+        assert outcome == ref_divide(ref_mul(ra, rb, n), rb, n)
+        zero_divisor = _ref_carries_half(rb, n) and not all(_ref_at_half(rb, n, s) for s in (1, -1))
+        assert outcome == ("ZeroDivisionError" if zero_divisor else ra)  # division is complete
 
 
 def test_exponent_outside_lane_range_raises():
@@ -680,6 +763,42 @@ def test_binomial_division_matches_general_path(case):
     assert outcome == _division(_divide_general, p, q, rules)
     assert (outcome != "NotDivisible") == divisible
     assert _division(lambda p, q, rules: exact_divide(p, q), p, q, rules) == outcome
+
+
+@st.composite
+def gauss_division_cases(draw):
+    """(rules, a, b) under standard(n), n in 2..6: Gauss symbols of every index (one past n too),
+    negative exponents, Fraction coefficients, two-term and longer divisors; under even n,
+    b is sometimes a multiple of g_{n/2} -+ u, a zero divisor."""
+    n = draw(st.integers(min_value=2, max_value=6))
+    rules = GaussRules.standard(n)
+    names = st.sampled_from(["x", "u"] + [f"g{a}" for a in range(n + 1)])
+    monos = st.dictionaries(names, st.integers(min_value=-2, max_value=2), max_size=3).map(_ref_mono)
+
+    def poly(min_size, max_size):
+        terms = st.dictionaries(monos, nonzero_coeffs, min_size=min_size, max_size=max_size)
+        return terms.map(lambda t: LaurentPoly(t, rules))
+
+    a = draw(poly(0, 4))
+    b = draw(st.one_of(poly(2, 2), poly(3, 5)))
+    if n % 2 == 0 and draw(st.integers(min_value=0, max_value=3)) == 0:
+        b = b * (gauss_symbol(n // 2, rules) + draw(st.sampled_from([1, -1])) * u(rules))
+    assume(len(b.terms) >= 2)
+    return rules, a, b
+
+
+@settings(max_examples=300, deadline=None)
+@given(gauss_division_cases())
+def test_division_is_complete_under_every_modulus(case):
+    rules, a, b = case
+    n = rules.modulus
+    if n % 2 == 0:
+        h, uu = gauss_symbol(n // 2, rules), u(rules)
+        if (b * (h - uu)).is_zero() or (b * (h + uu)).is_zero():  # b is a zero divisor
+            with pytest.raises(ZeroDivisionError):
+                exact_divide(a * b, b)
+            return
+    assert exact_divide(a * b, b) == a
 
 
 def _to_sympy(p, sympy):

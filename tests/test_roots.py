@@ -196,6 +196,21 @@ def test_integer_action_matches_the_matrix(name):
             assert w.act(mu) == exact
 
 
+@pytest.mark.parametrize("name", ["A3", "G2"])
+def test_rows_are_one_matrix_in_lowest_terms(name):
+    from fractions import Fraction
+    from math import gcd
+
+    W = weyl_group(build_cartan(name))
+    denominators = set()
+    for w in W:
+        rows, den = w.scaled
+        assert gcd(den, *(x for row in rows for x in row)) == 1
+        assert w.matrix == tuple(tuple(Fraction(x, den) for x in row) for row in rows)
+        denominators.add(den)
+    assert denominators == ({1} if name == "A3" else {1, 3})
+
+
 def test_non_integral_image_raises():
     W = weyl_group(build_cartan("G2"))
     with pytest.raises(ValueError, match="non-integral"):
