@@ -862,8 +862,8 @@ class RationalFunction:
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num: LaurentPoly, den: Iterable[LaurentPoly] = (), simplify: bool = True):
-        """simplify: a zero numerator clears the denominator."""
+    def __init__(self, num: LaurentPoly, den: Iterable[LaurentPoly] = ()):
+        """num / prod(den); a zero numerator clears the denominator."""
         factors: list[LaurentPoly] = []
         unit = None
         for f in den:
@@ -875,7 +875,7 @@ class RationalFunction:
         if unit is not None:
             num = num * unit
         self.num = num
-        self.den = () if simplify and num.is_zero() else tuple(factors)
+        self.den = () if num.is_zero() else tuple(factors)
 
     def cancelled(self) -> "RationalFunction":
         """Cancel denominator factors that exactly divide the numerator."""
@@ -1001,7 +1001,6 @@ class RationalFunction:
         return RationalFunction(
             self.num.substitute_monomials(images),
             tuple(f.substitute_monomials(images) for f in self.den),
-            simplify=False,
         )
 
     def eval(self, point: Mapping[str, Fraction]) -> Fraction:

@@ -258,14 +258,14 @@ def run_metaplectic(args) -> int:
 
 
 def run_wreath(args) -> int:
-    space, ops = limit_instance(args.n, args.r)
-    report = check_finite_hecke(space, ops, name=f"wreath n={args.n} r={args.r}")
+    group, ops = limit_instance(args.n, args.r)
+    report = check_finite_hecke(group, ops, name=f"wreath n={args.n} r={args.r}")
     ts = [jimbo_t_matrix(args.n, args.r, i) for i in range(args.r - 1)]
     for i, t in enumerate(ts):
-        report.run(f"limit equals wreath (i={i + 1})", lambda i=i, t=t: verdict(ops[i], wreath_operator(space, t, i)))
-        check_wreath_intertwining(space, ops[i], t, report)
-        check_wreath_star(space, ops[i], t, report)
-    check_star_word_identity(space, ts, report)
+        report.run(f"limit equals wreath (i={i + 1})", lambda i=i, t=t: verdict(ops[i], wreath_operator(group, t, i)))
+        check_wreath_intertwining(group, ops[i], t, report)
+        check_wreath_star(group, ops[i], t, report)
+    check_star_word_identity(group, ts, report)
     return _emit(report, args.json)
 
 

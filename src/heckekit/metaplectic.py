@@ -5,7 +5,10 @@ integer form on the weight lattice.  Derived data: Q(alpha) = B(alpha,
 alpha)/2, the rescalings n_alpha = n/gcd(n, Q(alpha)), the sublattice
 L^(n) = {mu : B(y, mu) = 0 mod n for all y}, and canonical coset
 representatives of L/L^(n) (rho + [0, n)^r for the GL dot-product case,
-Smith-normal-form box coordinates otherwise).
+diagonal-form box coordinates otherwise).  Integer row and column reduction
+brings B to a diagonal D = U B V'; the coordinates of mu are V'^-1 mu, and
+mu lies in L^(n) exactly when d_i y_i = 0 mod n for y = V'^-1 mu.  All of it
+is integer arithmetic on integer rows; U is never formed.
 
 The scattering matrix assembles tau^1/tau^2 into the k x k block Hecke
 action; Gauss sums stay formal symbols with the pairing g_a g_{-a} = u^2 and
@@ -19,7 +22,6 @@ operators agree exactly (gauss_flip selects the conjugate embedding).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from math import gcd
 from typing import Sequence
 
@@ -31,12 +33,12 @@ from .algebra import (
     gauss_symbol,
     v,
 )
-from .linalg import Matrix, apply_matrix
+from .linalg import Matrix
 from .relations import applied, hecke_relations, verdict
 from .reports import Report
-from .roots import CartanDatum, WeylElement, WeylGroup, build_cartan, coroot_monomial, weight_monomial
+from .roots import CartanDatum, WeylElement, WeylGroup, _identity, build_cartan, coroot_monomial, mat_vec, weight_monomial
 from .rmatrix import r_tilde, tau_operator, word_index
-from .schema import BlockOperator, SchemaInstance, build_T, c_function
+from .schema import SchemaInstance, build_T, c_function
 
 P = LaurentPoly
 RF = RationalFunction
@@ -44,40 +46,35 @@ RF = RationalFunction
 IntVec = tuple[int, ...]
 
 
-def _dot_matrix(d: int) -> tuple[IntVec, ...]:
-    return tuple(tuple(1 if r == c else 0 for c in range(d)) for r in range(d))
-
-
 def _bilinear(B: tuple[IntVec, ...], x: Sequence[int], y: Sequence[int]) -> int:
-    return sum(int(x[r]) * B[r][c] * int(y[c]) for r in range(len(x)) for c in range(len(y)))
+    return mat_vec((mat_vec(B, x),), y)[0]
 
 
-def _diagonalize(B: tuple[IntVec, ...]) -> tuple[list[list[int]], list[list[int]]]:
-    """Unimodular U, Vp with U B Vp diagonal (integer row/column reduction)."""
+def _diagonalize(B: tuple[IntVec, ...]) -> tuple[IntVec, list[list[int]], list[list[int]]]:
+    """(diagonal D, Vp, Vp^-1) with U B Vp = D for some unimodular U (integer row/column reduction).
+
+    Every column operation on B is applied to Vp, and its inverse, as a row
+    operation, to Vp^-1.  U itself is never needed: B Vp y = 0 mod n exactly
+    when U B Vp y = D y = 0 mod n, so L^(n) and its coset coordinates come
+    from D, Vp and Vp^-1 alone.
+    """
     d = len(B)
     A = [list(row) for row in B]
-    U = [[1 if r == c else 0 for c in range(d)] for r in range(d)]
-    Vp = [[1 if r == c else 0 for c in range(d)] for r in range(d)]
-
-    def swap_rows(i, j):
-        A[i], A[j] = A[j], A[i]
-        U[i], U[j] = U[j], U[i]
-
-    def swap_cols(i, j):
-        for row in A:
-            row[i], row[j] = row[j], row[i]
-        for row in Vp:
-            row[i], row[j] = row[j], row[i]
+    Vp = [list(row) for row in _identity(d)[0]]
+    Vinv = [list(row) for row in _identity(d)[0]]
 
     def addmul_row(i, j, m):
         A[i] = [a + m * b for a, b in zip(A[i], A[j])]
-        U[i] = [a + m * b for a, b in zip(U[i], U[j])]
+
+    def swap_cols(i, j):
+        for row in A + Vp:
+            row[i], row[j] = row[j], row[i]
+        Vinv[i], Vinv[j] = Vinv[j], Vinv[i]
 
     def addmul_col(i, j, m):
-        for row in A:
+        for row in A + Vp:
             row[i] += m * row[j]
-        for row in Vp:
-            row[i] += m * row[j]
+        Vinv[j] = [a - m * b for a, b in zip(Vinv[j], Vinv[i])]
 
     for t in range(d):
         while True:
@@ -86,7 +83,7 @@ def _diagonalize(B: tuple[IntVec, ...]) -> tuple[list[list[int]], list[list[int]
                 break
             _, r, c = min(entries)
             if r != t:
-                swap_rows(t, r)
+                A[t], A[r] = A[r], A[t]
             if c != t:
                 swap_cols(t, c)
             pivot = A[t][t]
@@ -98,32 +95,7 @@ def _diagonalize(B: tuple[IntVec, ...]) -> tuple[list[list[int]], list[list[int]
                     addmul_col(c, t, -(A[t][c] // pivot))
             if all(A[r][t] == 0 for r in range(t + 1, d)) and all(A[t][c] == 0 for c in range(t + 1, d)):
                 break
-    return U, Vp
-
-
-def _mat_vec_int(M: Sequence[Sequence[int]], x: Sequence[int]) -> IntVec:
-    return tuple(sum(int(M[r][c]) * int(x[c]) for c in range(len(x))) for r in range(len(M)))
-
-
-def _invert_unimodular(M: list[list[int]]) -> list[list[int]]:
-    d = len(M)
-    work = [[Fraction(x) for x in row] + [Fraction(1 if r == c else 0) for c in range(d)] for r, row in enumerate(M)]
-    for col in range(d):
-        pivot = next(r for r in range(col, d) if work[r][col] != 0)
-        work[col], work[pivot] = work[pivot], work[col]
-        p = work[col][col]
-        work[col] = [x / p for x in work[col]]
-        for r in range(d):
-            if r != col and work[r][col] != 0:
-                f = work[r][col]
-                work[r] = [x - f * y for x, y in zip(work[r], work[col])]
-    out = []
-    for row in work:
-        vals = row[d:]
-        if any(x.denominator != 1 for x in vals):
-            raise ValueError("matrix is not unimodular")
-        out.append([int(x) for x in vals])
-    return out
+    return tuple(A[t][t] for t in range(d)), Vp, Vinv
 
 
 class MetaplecticError(ValueError):
@@ -168,7 +140,7 @@ class MetaplecticDatum:
 
     def coset_key(self, mu: Sequence[int]) -> IntVec:
         base = tuple(int(a) - (self.cartan.rho[j] if self.rho_shift else 0) for j, a in enumerate(mu))
-        y = _mat_vec_int(self.to_snf, base)
+        y = mat_vec(self.to_snf, base)
         return tuple(a % m for a, m in zip(y, self.moduli))
 
     def coset_index(self, mu: Sequence[int]) -> int:
@@ -188,7 +160,7 @@ def build_datum(cartan_or_type, n: int, B: tuple[IntVec, ...] | str | None = Non
     group = WeylGroup(cartan)
     d = cartan.dim
     if B is None or B == "dot":
-        B = _dot_matrix(d)
+        B = _identity(d)[0]
     B = tuple(tuple(int(x) for x in row) for row in B)
     if any(len(row) != d for row in B) or len(B) != d:
         raise MetaplecticError("B must be a d x d integer matrix")
@@ -204,26 +176,22 @@ def build_datum(cartan_or_type, n: int, B: tuple[IntVec, ...] | str | None = Non
     for beta in cartan.positive_coroots:
         if _bilinear(B, beta, beta) % 2:
             raise MetaplecticError(f"B is not even on the coroot lattice ({tuple(beta)})")
-    U, Vp = _diagonalize(B)
-    S = [
-        sum(U[r][a] * B[a][b] * Vp[b][r] for a in range(d) for b in range(d))
-        for r in range(d)
-    ]
-    moduli = tuple(n // gcd(n, s) for s in S)
-    to_snf = tuple(tuple(row) for row in _invert_unimodular(Vp))
+    diagonal, Vp, Vp_inv = _diagonalize(B)
+    moduli = tuple(n // gcd(n, s) for s in diagonal)
+    to_snf = tuple(tuple(row) for row in Vp_inv)
     from_snf = tuple(tuple(row) for row in Vp)
-    rho_shift = cartan.cartan_type.startswith("A") and B == _dot_matrix(d)
+    rho_shift = cartan.cartan_type.startswith("A") and B == _identity(d)[0]
     reps = []
     from itertools import product as iproduct
 
     for key in iproduct(*(range(m) for m in moduli)):
-        mu = _mat_vec_int(from_snf, key)
+        mu = mat_vec(from_snf, key)
         if rho_shift:
             # GL convention: nu - rho in [0, n)^r; SNF coordinates are standard here
             mu = tuple(r + c for r, c in zip(cartan.rho, key))
         reps.append(mu)
     basis = tuple(
-        _mat_vec_int(from_snf, tuple(m if j == i else 0 for j, m in enumerate(moduli)))
+        mat_vec(from_snf, tuple(m if j == i else 0 for j, m in enumerate(moduli)))
         for i in range(d)
     )
     datum = MetaplecticDatum(
@@ -242,7 +210,7 @@ def build_datum(cartan_or_type, n: int, B: tuple[IntVec, ...] | str | None = Non
     for i in range(cartan.rank):
         alpha = cartan.simple_coroots[i]
         scaled = tuple(datum.n_alpha(i) * a for a in alpha)
-        if any(x % n for x in _mat_vec_int(B, scaled)):
+        if any(x % n for x in mat_vec(B, scaled)):
             raise MetaplecticError("n_alpha * alpha is not in L^(n)")
     return datum
 
@@ -273,7 +241,7 @@ def tau1(datum: MetaplecticDatum, i: int, mu: Sequence[int]) -> RF:
     rules = datum.rules
     num = (P.one(rules) - v(rules)) * coroot_monomial(alpha, 1, rules) ** exponent
     den = P.one(rules) - v(rules) * coroot_monomial(alpha, na, rules)
-    return RF(num, (den,), simplify=False)
+    return RF(num, (den,))
 
 
 def tau2(datum: MetaplecticDatum, i: int, mu: Sequence[int], gauss_flip: bool = False) -> tuple[int, RF]:
@@ -292,7 +260,7 @@ def tau2(datum: MetaplecticDatum, i: int, mu: Sequence[int], gauss_flip: bool = 
     g = gauss_symbol(index, rules)
     num = g * coroot_monomial(alpha, -1, rules) * (P.one(rules) - coroot_monomial(alpha, na, rules))
     den = P.one(rules) - v(rules) * coroot_monomial(alpha, na, rules)
-    return datum.coset_index(target), RF(num, (den,), simplify=False)
+    return datum.coset_index(target), RF(num, (den,))
 
 
 def scattering_block(
@@ -400,7 +368,7 @@ def _cg_coefficient(datum: MetaplecticDatum, i: int, mu: Sequence[int], gauss_fl
         z = coroot_monomial(alpha, 1, rules)
         one_minus_x = P.one(rules) - z ** na
         num = z ** (-rem) * (P.one(rules) - v(rules)) - gauss_symbol(index, rules) * z ** (1 - na) * one_minus_x
-        coeff = datum._scalars[key] = RF(num, (one_minus_x,), simplify=False)
+        coeff = datum._scalars[key] = RF(num, (one_minus_x,))
         if coeff.den != d_scaled(datum, i).den:  # met_demazure_poly relies on it
             raise AssertionError(f"the coefficients of T_{i + 1} have different denominators")
     return datum._scalars[key]
@@ -432,7 +400,7 @@ def d_scaled(datum: MetaplecticDatum, i: int) -> RF:
     if key not in datum._scalars:
         rules = datum.rules
         x = coroot_monomial(datum.cartan.simple_coroots[i], datum.n_alpha(i), rules)
-        datum._scalars[key] = RF((P.one(rules) - v(rules)) * x, (P.one(rules) - x,), simplify=False)
+        datum._scalars[key] = RF((P.one(rules) - v(rules)) * x, (P.one(rules) - x,))
     return datum._scalars[key]
 
 
@@ -486,19 +454,6 @@ def whittaker_base(datum: MetaplecticDatum, mu: Sequence[int]) -> BlockVector:
     return out
 
 
-def apply_block_operator(op: BlockOperator, vec: BlockVector) -> BlockVector:
-    out: BlockVector = {}
-    for (wt, ws), block in op.blocks.items():
-        if ws not in vec:
-            continue
-        img = apply_matrix(block, vec[ws])
-        if wt in out:
-            out[wt] = tuple(a + b for a, b in zip(out[wt], img))
-        else:
-            out[wt] = img
-    return out
-
-
 def whittaker_value(datum: MetaplecticDatum, lam: Sequence[int]) -> list[LaurentPoly]:
     """Per-coset values sum_w [T_w base(-lambda)] at the identity block.
 
@@ -509,7 +464,7 @@ def whittaker_value(datum: MetaplecticDatum, lam: Sequence[int]) -> list[Laurent
     inst = metaplectic_schema_instance(datum)
     generators = [build_T(inst, i) for i in range(datum.cartan.rank)]
     base = whittaker_base(datum, tuple(-int(x) for x in lam))
-    act = applied(lambda i, vec: apply_block_operator(generators[i], vec), base)
+    act = applied(lambda i, vec: generators[i].apply(vec), base)
     totals = [RF.zero(datum.rules)] * datum.k
     identity = datum.group.identity
     for w in datum.group:
@@ -532,7 +487,7 @@ def check_met_demazure_match(
         for i in range(datum.cartan.rank):
             def check(mu=tuple(int(x) for x in mu), i=i):
                 base = whittaker_base(datum, mu)
-                image = apply_block_operator(generators[i], base)
+                image = generators[i].apply(base)
                 total = RF.zero(datum.rules)
                 for component in image.get(identity, ()):
                     total = total + component

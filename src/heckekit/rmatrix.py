@@ -35,7 +35,7 @@ from .linalg import (
     nullspace,
 )
 from .reports import Report
-from .roots import CartanDatum, WeylElement, WeylGroup, build_cartan, coroot_monomial
+from .roots import WeylElement, WeylGroup, build_cartan, coroot_monomial
 from .relations import braid, hecke_relations, products, quadratic, verdict
 from .schema import BlockOperator, SchemaInstance, _drop_zero_blocks, identity_operator
 
@@ -222,11 +222,11 @@ def r_tilde(n: int, x: LaurentPoly, rules: GaussRules | None = None) -> TensorOp
     for (a, b) in words(n, 2):
         col = word_index((a, b), n)
         if a == b:
-            entries[(col, col)] = RF(x - vv, (den,), simplify=False)
+            entries[(col, col)] = RF(x - vv, (den,))
         else:
-            entries[(col, col)] = RF(gauss_symbol(a - b, rules) * (one - x), (den,), simplify=False)
+            entries[(col, col)] = RF(gauss_symbol(a - b, rules) * (one - x), (den,))
             swap = word_index((b, a), n)
-            entries[(col, swap)] = RF(exch if a > b else x * exch, (den,), simplify=False)
+            entries[(col, swap)] = RF(exch if a > b else x * exch, (den,))
     return TensorOperator(n, 2, Matrix((n * n, n * n), entries, rules))
 
 
@@ -334,10 +334,10 @@ def tensor_schema_instance(
             x = coroot_monomial(winv.act(cartan.simple_coroots[i]), power, rules)
             if twist == "gauss" and power == n:
                 local = tau.compose(r_tilde(n, x, rules))
-                prefactor = RF(one - v(rules) * x, (one - x,), simplify=False)
+                prefactor = RF(one - v(rules) * x, (one - x,))
             else:
                 local = tau.compose(r_affine(spec, x))
-                prefactor = RF(uu, (one - x,), simplify=False)
+                prefactor = RF(uu, (one - x,))
             if xi is not None:
                 prefactor = prefactor * xi(x)
             op = local.embed((i, i + 1), r).scale(prefactor)
@@ -368,17 +368,6 @@ def check_content_preservation(inst: SchemaInstance, report: Report | None = Non
 # -- the z -> 0 limit and the wreath construction -----------------------------------
 
 
-@dataclass
-class BlockSpace:
-    """Duck-typed stand-in for a SchemaInstance: just a group and a block size."""
-
-    cartan: CartanDatum
-    group: WeylGroup
-    block_dim: int
-    rules: GaussRules | None = None
-    name: str = "finite block space"
-
-
 def hecke_inverse(t: Matrix, rules: GaussRules | None = None) -> Matrix:
     """T^{-1} = (T - (v-1)) / v, valid whenever T satisfies the quadratic relation."""
     k = len(t)
@@ -387,14 +376,13 @@ def hecke_inverse(t: Matrix, rules: GaussRules | None = None) -> Matrix:
     return mat_scalar(RF.one(rules) / vv, shifted)
 
 
-def wreath_operator(space: BlockSpace, t: Matrix, i: int, t_inv: Matrix | None = None) -> BlockOperator:
+def wreath_operator(group: WeylGroup, t: Matrix, i: int) -> BlockOperator:
     """The wreath action: T_i phi_{s_i w} on descents, (v-1) + v T_i^{-1} phi_{s_i w} on ascents."""
-    group = space.group
-    rules = space.rules
-    vv = RF.from_poly(v(rules))
     t = as_matrix(t)
-    t_inv = t_inv if t_inv is not None else hecke_inverse(t, rules)
-    ident = identity_matrix(space.block_dim, rules)
+    rules = t.rules
+    vv = RF.from_poly(v(rules))
+    inverse = hecke_inverse(t, rules)
+    ident = identity_matrix(len(t), rules)
     blocks = {}
     for w in group:
         sw = group.left_mul_simple(i, w)
@@ -402,8 +390,8 @@ def wreath_operator(space: BlockSpace, t: Matrix, i: int, t_inv: Matrix | None =
             blocks[(w, sw)] = t
         else:
             blocks[(w, w)] = mat_scalar(vv - 1, ident)
-            blocks[(w, sw)] = mat_scalar(vv, t_inv)
-    return BlockOperator(space, _drop_zero_blocks(blocks))
+            blocks[(w, sw)] = mat_scalar(vv, inverse)
+    return BlockOperator(len(t), rules, _drop_zero_blocks(blocks))
 
 
 def jimbo_t_matrix(n: int, r: int, i: int) -> Matrix:
@@ -412,7 +400,7 @@ def jimbo_t_matrix(n: int, r: int, i: int) -> Matrix:
     return t.embed((i, i + 1), r).mat
 
 
-def limit_instance(n: int, r: int) -> tuple[BlockSpace, list[BlockOperator]]:
+def limit_instance(n: int, r: int) -> tuple[WeylGroup, list[BlockOperator]]:
     """The z -> 0 specialization of the tensor instance, via exact matrix inversion.
 
     Diagonal blocks degenerate to 0 or v - 1 per descent, and the off-diagonal
@@ -421,10 +409,10 @@ def limit_instance(n: int, r: int) -> tuple[BlockSpace, list[BlockOperator]]:
     """
     cartan = build_cartan(f"A{r - 1}")
     group = WeylGroup(cartan)
-    space = BlockSpace(cartan, group, n ** r)
+    k = n ** r
     uu = RF.from_poly(P.symbol("u"))
     vv = RF.from_poly(v())
-    ident = identity_matrix(space.block_dim)
+    ident = identity_matrix(k)
     tau = tau_operator(n)
     r_mat = r_gl(untwisted_spec(n))
     ops = []
@@ -439,30 +427,26 @@ def limit_instance(n: int, r: int) -> tuple[BlockSpace, list[BlockOperator]]:
                 blocks[(w, sw)] = tau_r_inv.scale(uu).mat
             else:
                 blocks[(w, sw)] = tau_r.scale(uu).mat
-        ops.append(BlockOperator(space, _drop_zero_blocks(blocks)))
-    return space, ops
+        ops.append(BlockOperator(k, None, _drop_zero_blocks(blocks)))
+    return group, ops
 
 
-def check_finite_hecke(space: BlockSpace, ops: list[BlockOperator], report: Report | None = None, name: str = "finite Hecke") -> Report:
+def check_finite_hecke(group: WeylGroup, ops: list[BlockOperator], report: Report | None = None, name: str = "finite Hecke") -> Report:
     """Quadratic and braid relations for explicit block operators over W."""
     report = report or Report(name)
-    act = products(ops.__getitem__, lambda: identity_operator(space))
-    return hecke_relations(report, act, RF.from_poly(v(space.rules)), space.cartan.braid_orders)
+    k, rules = ops[0].block_dim, ops[0].rules
+    act = products(ops.__getitem__, lambda: identity_operator(group, k, rules))
+    return hecke_relations(report, act, RF.from_poly(v(rules)), group.cartan.braid_orders)
 
 
-def delta_matrix(space: BlockSpace, star: bool = False) -> dict[WeylElement, Matrix]:
-    """Blocks of Delta (identity) or Delta^* ((-v)^{l(w)} identity) per w."""
-    vv = RF.from_poly(v(space.rules))
-    ident = identity_matrix(space.block_dim, space.rules)
-    out = {}
-    for w in space.group:
-        scalar = (RF.const(-1, space.rules) * vv) ** w.length if star else RF.one(space.rules)
-        out[w] = mat_scalar(scalar, ident)
-    return out
+def delta_matrix(group: WeylGroup, k: int, rules: GaussRules | None = None) -> dict[WeylElement, Matrix]:
+    """Blocks of Delta, the identity at every w."""
+    ident = identity_matrix(k, rules)
+    return {w: ident for w in group}
 
 
 def check_wreath_intertwining(
-    space: BlockSpace,
+    group: WeylGroup,
     op: BlockOperator,
     t: Matrix,
     report: Report | None = None,
@@ -471,8 +455,8 @@ def check_wreath_intertwining(
     report = report or Report("wreath intertwining")
 
     def check():
-        delta = delta_matrix(space, star=False)
-        for w in space.group:
+        delta = delta_matrix(group, op.block_dim, op.rules)
+        for w in group:
             lhs = None
             for (wt, ws), block in op.blocks.items():
                 if wt != w:
@@ -500,7 +484,7 @@ def eigenline_basis(t: Matrix, eigenvalue: RF) -> list[tuple[RF, ...]]:
     return nullspace(mat_sub(t, mat_scalar(eigenvalue, identity_matrix(len(t), t.rules))))
 
 
-def check_wreath_star(space: BlockSpace, op: BlockOperator, t: Matrix, report: Report | None = None) -> Report:
+def check_wreath_star(group: WeylGroup, op: BlockOperator, t: Matrix, report: Report | None = None) -> Report:
     """The *-twisted diagonal, verified per T_i-eigenline.
 
     T* = -v T^{-1} swaps the eigenvalues v and -1.  On the v-eigenline, the
@@ -511,35 +495,28 @@ def check_wreath_star(space: BlockSpace, op: BlockOperator, t: Matrix, report: R
     branches forces T = v there.)
     """
     report = report or Report("wreath star twist")
-    rules = space.rules
+    k, rules = op.block_dim, op.rules
     vv = RF.from_poly(v(rules))
-
-    def apply_to(vec: dict[WeylElement, tuple[RF, ...]]):
-        out = {w: None for w in space.group}
-        for (wt, ws), block in op.blocks.items():
-            img = apply_matrix(block, vec[ws])
-            out[wt] = img if out[wt] is None else tuple(a + b for a, b in zip(out[wt], img))
-        zero = tuple(RF.zero(rules) for _ in range(space.block_dim))
-        return {w: (x if x is not None else zero) for w, x in out.items()}
+    zero = (RF.zero(rules),) * k
 
     def diagonal(phi, sign):
         return {
             w: tuple(((RF.const(-1, rules) * vv) ** (sign * w.length)) * x for x in phi)
-            for w in space.group
+            for w in group
         }
 
     def check():
         star = star_matrix(t, rules)
         plus = eigenline_basis(t, vv)
         minus = eigenline_basis(t, RF.const(-1, rules))
-        if len(plus) + len(minus) != space.block_dim:
-            return False, f"eigenspace dims {len(plus)}+{len(minus)}", str(space.block_dim)
+        if len(plus) + len(minus) != k:
+            return False, f"eigenspace dims {len(plus)}+{len(minus)}", str(k)
         for line, sign, basis in (("v", 1, plus), ("(-1)", -1, minus)):
             for phi in basis:  # T* phi = -phi on the v-eigenline, v phi on the (-1)-eigenline
-                got = apply_to(diagonal(phi, sign))
+                got = op.apply(diagonal(phi, sign))
                 want = diagonal(apply_matrix(star, phi), sign)
-                for w in space.group:
-                    for a, b in zip(got[w], want[w]):
+                for w in group:
+                    for a, b in zip(got.get(w, zero), want[w]):
                         if not (a == b):
                             return False, f"{line}-eigenline at {w.name()}: {a.render()}", b.render()
         return True, None, None
@@ -548,10 +525,11 @@ def check_wreath_star(space: BlockSpace, op: BlockOperator, t: Matrix, report: R
     return report
 
 
-def check_star_word_identity(space: BlockSpace, t_matrices: list[Matrix], report: Report | None = None) -> Report:
+def check_star_word_identity(group: WeylGroup, t_matrices: list[Matrix], report: Report | None = None) -> Report:
     """T_w^* = (-v)^{l(w)} T_{w^{-1}}^{-1} as exact matrix identities, all w."""
     report = report or Report("star word identity")
-    rules = space.rules
+    t_matrices = [as_matrix(t) for t in t_matrices]
+    rules = t_matrices[0].rules
     vv = RF.from_poly(v(rules))
     k = len(t_matrices[0])
 
@@ -563,9 +541,9 @@ def check_star_word_identity(space: BlockSpace, t_matrices: list[Matrix], report
 
     def check():
         stars = [star_matrix(t, rules) for t in t_matrices]
-        for w in space.group:
+        for w in group:
             lhs = word_product(stars, w.word)
-            winv = space.group.inverse(w)
+            winv = group.inverse(w)
             rhs = mat_scalar(
                 (RF.const(-1, rules) * vv) ** w.length,
                 mat_inverse(word_product(t_matrices, winv.word)),

@@ -10,29 +10,38 @@ alpha_i = e_i - e_{i+1} in Z^{r+1}; C2 has (1,-1), (0,2); G2 sits in the
 rank-3 ambient with alpha_1 = (0,1,-1), alpha_2 = (1,-2,1).  B2 is realized
 as C2 with the two simple indices swapped (its coroot lattice data); this is
 the unique integral realization admitting a monomial z^rho.
+
+Every rational linear map on the lattice is kept as integer rows over one
+denominator, in lowest terms (``Scaled``): the Cartan pairings <alpha_i, .>
+(for G2 the rows (0, 3, -3), (1, -2, 1) over 3) and the matrix of each Weyl
+element.  All lattice arithmetic is integer arithmetic through
+:func:`mat_vec`, which rejects a vector of the wrong length.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from operator import mul
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .algebra import GaussRules, LaurentPoly, RationalFunction, exact_divide
 
-Vector = tuple[Fraction, ...]
 IntVector = tuple[int, ...]
 Scaled = tuple[tuple[IntVector, ...], int]  # a rational matrix as (integer rows, denominator), in lowest terms
 
 
-def _vec(xs: Iterable) -> Vector:
-    return tuple(Fraction(x) for x in xs)
+def mat_vec(rows: Sequence[Sequence[int]], x: Sequence[int]) -> IntVector:
+    """The integer product rows * x; ValueError unless x has one entry per column."""
+    if len(x) != len(rows[0]):
+        raise ValueError(f"vector {tuple(x)} has {len(x)} coordinates, the lattice needs {len(rows[0])}")
+    return tuple([sum(map(mul, row, x)) for row in rows])
 
 
-def _dot(a: Sequence, b: Sequence) -> Fraction:
-    return sum((Fraction(x) * Fraction(y) for x, y in zip(a, b)), Fraction(0))
+def _lowest(rows: Sequence[Sequence[int]], den: int) -> Scaled:
+    """rows / den in lowest terms, for a positive den."""
+    g = gcd(den, *(x for row in rows for x in row))
+    return tuple(tuple(x // g for x in row) for row in rows), den // g
 
 
 @dataclass(frozen=True)
@@ -40,7 +49,7 @@ class CartanDatum:
     cartan_type: str
     dim: int
     simple_coroots: tuple[IntVector, ...]
-    pairings: tuple[Vector, ...]          # functionals <alpha_i, .>
+    pairings: Scaled                      # the functionals <alpha_i, .>, one row each
     rho: IntVector                        # lattice vector with <alpha_i, rho> = 1
     positive_coroots: tuple[IntVector, ...] = field(default=())
     braid_orders: tuple[tuple[int, ...], ...] = field(default=())
@@ -49,39 +58,37 @@ class CartanDatum:
     def rank(self) -> int:
         return len(self.simple_coroots)
 
-    def pairing(self, i: int, mu: Sequence) -> Fraction:
-        return _dot(self.pairings[i], mu)
-
-    def pairing_int(self, i: int, mu: Sequence) -> int:
-        value = self.pairing(i, mu)
-        if value.denominator != 1:
+    def _pairings_int(self, mu: Sequence[int]) -> IntVector:
+        """<alpha_i, mu> for every i; ValueError if mu is not in the lattice."""
+        rows, den = self.pairings
+        values = mat_vec(rows, mu)
+        if any(x % den for x in values):
             raise ValueError(f"weight {tuple(mu)} is not in the lattice of {self.cartan_type}")
-        return int(value)
+        return tuple([x // den for x in values])
 
-    def in_lattice(self, mu: Sequence) -> bool:
-        return all(self.pairing(i, mu).denominator == 1 for i in range(self.rank))
+    def pairing_int(self, i: int, mu: Sequence[int]) -> int:
+        return self._pairings_int(mu)[i]
 
-    def is_dominant(self, mu: Sequence) -> bool:
-        return all(self.pairing_int(i, mu) >= 0 for i in range(self.rank))
+    def in_lattice(self, mu: Sequence[int]) -> bool:
+        rows, den = self.pairings
+        return all(x % den == 0 for x in mat_vec(rows, mu))
+
+    def is_dominant(self, mu: Sequence[int]) -> bool:
+        return all(x >= 0 for x in self._pairings_int(mu))
 
     def fundamental_weights(self) -> tuple[IntVector, ...]:
         """One lattice representative per fundamental weight (pairing delta_ij)."""
-        out = []
-        for i in range(self.rank):
-            for cand in self._weight_candidates():
-                if all(self.pairing(j, cand) == (1 if j == i else 0) for j in range(self.rank)):
-                    out.append(cand)
-                    break
-            else:
-                raise ValueError("no fundamental weight representative found")
-        return tuple(out)
-
-    def _weight_candidates(self):
         from itertools import product
 
-        span = range(-3, 4)
-        for cand in product(span, repeat=self.dim):
-            yield tuple(cand)
+        rows, den = self.pairings
+        out = []
+        for i in range(self.rank):
+            target = tuple(den * (j == i) for j in range(self.rank))
+            cand = next((c for c in product(range(-3, 4), repeat=self.dim) if mat_vec(rows, c) == target), None)
+            if cand is None:
+                raise ValueError("no fundamental weight representative found")
+            out.append(cand)
+        return tuple(out)
 
 
 def _identity(d: int) -> Scaled:
@@ -91,19 +98,15 @@ def _identity(d: int) -> Scaled:
 def _simple_reflection(cartan: CartanDatum, i: int) -> Scaled:
     """s_i in ambient coordinates: x -> x - <alpha_i, x> alpha_i^vee."""
     d = cartan.dim
-    alpha, pairing = cartan.simple_coroots[i], cartan.pairings[i]
-    matrix = [[int(r == c) - alpha[r] * pairing[c] for c in range(d)] for r in range(d)]
-    den = lcm(*(x.denominator for row in matrix for x in row))
-    return tuple(tuple(int(x * den) for x in row) for row in matrix), den
+    alpha, (rows, den) = cartan.simple_coroots[i], cartan.pairings
+    return _lowest([[den * (r == c) - alpha[r] * rows[i][c] for c in range(d)] for r in range(d)], den)
 
 
 def _compose(a: Scaled, b: Scaled) -> Scaled:
     """The matrix product a b, in lowest terms."""
     (ra, da), (rb, db) = a, b
     cols = list(zip(*rb))
-    rows = [[sum(map(mul, row, col)) for col in cols] for row in ra]
-    g = gcd(da * db, *(x for row in rows for x in row))
-    return tuple(tuple(x // g for x in row) for row in rows), da * db // g
+    return _lowest([[sum(map(mul, row, col)) for col in cols] for row in ra], da * db)
 
 
 @dataclass(frozen=True)
@@ -122,18 +125,12 @@ class WeylElement:
     def __hash__(self) -> int:
         return self._hash
 
-    @property
-    def matrix(self) -> tuple[Vector, ...]:
-        """The matrix of w with Fraction entries, derived from the integer rows."""
+    def act(self, mu: Sequence[int]) -> IntVector:
+        """w mu for a lattice vector mu; ValueError if mu has the wrong length or the image is not integral."""
         rows, den = self.scaled
-        return tuple(tuple(Fraction(x, den) for x in row) for row in rows)
-
-    def act(self, mu: Sequence) -> IntVector:
-        """w mu for a lattice vector mu; ValueError if the image is not integral."""
-        rows, den = self.scaled
-        image = [sum(map(mul, row, mu)) for row in rows]
+        image = mat_vec(rows, mu)
         if any(x % den for x in image):
-            raise ValueError(f"non-integral image ({', '.join(str(Fraction(x, den)) for x in image)}) of {tuple(mu)}")
+            raise ValueError(f"non-integral image {image}/{den} of {tuple(mu)}")
         return tuple([x // den for x in image])
 
     def name(self) -> str:
@@ -273,7 +270,7 @@ class WeylGroup:
                 if image is None or image.rules is not g.rules:  # equal factors may differ in rules
                     image = images[g] = self.act_fn(w, g)
                 den.append(image)
-            return RationalFunction(self.act_fn(w, f.num), den, simplify=False)
+            return RationalFunction(self.act_fn(w, f.num), den)
         memo = self._act_memos.setdefault(w.word, {})
         return f.map_monomials(lambda exps: _act_on_exponents(w, exps, self._coordinates), memo)
 
@@ -292,22 +289,21 @@ def _act_on_exponents(w: WeylElement, exps: dict[str, int], names: tuple[str, ..
     return out
 
 
-def _positive_closure(cartan_type: str, simples: list[IntVector], pairings: list[Vector], rho) -> tuple[IntVector, ...]:
+def _positive_closure(cartan_type: str, simples: list[IntVector], pairings: Scaled, rho) -> tuple[IntVector, ...]:
+    rows, den = pairings
     seen = {tuple(a) for a in simples}
     frontier = list(simples)
     while frontier:
         beta = frontier.pop()
-        for i in range(len(simples)):
-            k = _dot(pairings[i], beta)
-            if k.denominator != 1:
+        for i, k in enumerate(mat_vec(rows, beta)):
+            if k % den:
                 raise ValueError(f"non-integral Cartan pairing in {cartan_type}")
-            image = tuple(b - int(k) * a for b, a in zip(beta, simples[i]))
+            image = tuple(b - k // den * a for b, a in zip(beta, simples[i]))
             if image not in seen:
                 seen.add(image)
                 frontier.append(image)
-    positives = [b for b in seen if _dot(rho, b) > 0]
-    positives.sort(key=lambda b: (_dot(rho, b), b))
-    return tuple(positives)
+    height = {b: mat_vec((rho,), b)[0] for b in seen}
+    return tuple(sorted((b for b in seen if height[b] > 0), key=lambda b: (height[b], b)))
 
 
 _REALIZATIONS: dict[str, dict] = {
@@ -318,19 +314,19 @@ _REALIZATIONS: dict[str, dict] = {
     "C2": dict(
         dim=2,
         simples=[(1, -1), (0, 2)],
-        pairings=[(1, -1), (0, 1)],
+        pairings=(((1, -1), (0, 1)), 1),
         rho=(2, 1),
     ),
     "B2": dict(
         dim=2,
         simples=[(0, 2), (1, -1)],
-        pairings=[(0, 1), (1, -1)],
+        pairings=(((0, 1), (1, -1)), 1),
         rho=(2, 1),
     ),
     "G2": dict(
         dim=3,
         simples=[(0, 1, -1), (1, -2, 1)],
-        pairings=[(0, 1, -1), (Fraction(1, 3), Fraction(-2, 3), Fraction(1, 3))],
+        pairings=(((0, 3, -3), (1, -2, 1)), 3),
         rho=(3, -1, -2),
     ),
 }
@@ -345,15 +341,15 @@ def build_cartan(cartan_type: str) -> CartanDatum:
         r = int(cartan_type[1])
         d = r + 1
         simples = [tuple(1 if j == i else -1 if j == i + 1 else 0 for j in range(d)) for i in range(r)]
-        pairings = [_vec(s) for s in simples]
+        pairings = (tuple(simples), 1)
         rho = tuple(range(r, -1, -1))
     else:
         d = spec["dim"]
         simples = [tuple(s) for s in spec["simples"]]
-        pairings = [_vec(p) for p in spec["pairings"]]
+        pairings = spec["pairings"]
         rho = tuple(spec["rho"])
     positives = _positive_closure(cartan_type, simples, pairings, rho)
-    datum = CartanDatum(cartan_type, d, tuple(simples), tuple(pairings), rho, positives)
+    datum = CartanDatum(cartan_type, d, tuple(simples), pairings, rho, positives)
     return replace(datum, braid_orders=_braid_orders(datum))
 
 

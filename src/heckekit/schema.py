@@ -29,6 +29,7 @@ from .algebra import (
 )
 from .linalg import (
     Matrix,
+    apply_matrix,
     identity_matrix,
     is_scalar_matrix,
     mat_add,
@@ -71,7 +72,7 @@ class SchemaInstance:
         """D_i(wz) = (1 - v)(wz)^{scale alpha_i} / (1 - (wz)^{scale alpha_i})."""
         x = self.x_monomial(w, i)
         one = LaurentPoly.one(self.rules)
-        return RationalFunction((one - v(self.rules)) * x, (one - x,), simplify=False)
+        return RationalFunction((one - v(self.rules)) * x, (one - x,))
 
     def composition_scalar(self, w: WeylElement, i: int) -> RationalFunction:
         """The forced value of A(s_i w, i) A(w, i): C(X) C(X^{-1}) at X = (wz)^{scale alpha_i}."""
@@ -88,19 +89,32 @@ class SchemaInstance:
 def c_function(x: LaurentPoly, rules: GaussRules | None = None) -> RationalFunction:
     """C(x) = (1 - v x)/(1 - x)."""
     one = LaurentPoly.one(rules)
-    return RationalFunction(one - v(rules) * x, (one - x,), simplify=False)
+    return RationalFunction(one - v(rules) * x, (one - x,))
 
 
 @dataclass
 class BlockOperator:
     """Sparse |W| x |W| grid of k x k blocks, keyed (target, source); no block is all zero."""
 
-    inst: SchemaInstance
+    block_dim: int
+    rules: GaussRules | None
     blocks: dict[tuple[WeylElement, WeylElement], Matrix] = field(default_factory=dict)
 
+    def _with(self, blocks: dict) -> "BlockOperator":
+        return BlockOperator(self.block_dim, self.rules, _drop_zero_blocks(blocks))
+
     def block(self, target: WeylElement, source: WeylElement) -> Matrix:
-        got, k = self.blocks.get((target, source)), self.inst.block_dim
-        return got if got is not None else Matrix((k, k), {}, self.inst.rules)
+        got, k = self.blocks.get((target, source)), self.block_dim
+        return got if got is not None else Matrix((k, k), {}, self.rules)
+
+    def apply(self, vec: dict[WeylElement, Sequence[RationalFunction]]) -> dict[WeylElement, tuple[RationalFunction, ...]]:
+        """The image of a block vector; a block missing from vec, or from the image, is zero."""
+        out: dict[WeylElement, tuple[RationalFunction, ...]] = {}
+        for (target, source), block in self.blocks.items():
+            if source in vec:
+                image = apply_matrix(block, vec[source])
+                out[target] = tuple(a + b for a, b in zip(out[target], image)) if target in out else image
+        return out
 
     def compose(self, other: "BlockOperator") -> "BlockOperator":
         out: dict[tuple[WeylElement, WeylElement], Matrix] = {}
@@ -111,20 +125,19 @@ class BlockOperator:
             for s2, m2 in by_target.get(s1, ()):  # s1 is other's target
                 key, product = (t1, s2), mat_mul(m1, m2)
                 out[key] = mat_add(out[key], product) if key in out else product
-        return BlockOperator(self.inst, _drop_zero_blocks(out))
+        return self._with(out)
 
     def add(self, other: "BlockOperator") -> "BlockOperator":
         out = dict(self.blocks)
         for key, m in other.blocks.items():
             out[key] = mat_add(out[key], m) if key in out else m
-        return BlockOperator(self.inst, _drop_zero_blocks(out))
+        return self._with(out)
 
     def sub(self, other: "BlockOperator") -> "BlockOperator":
-        return self.add(other.scale(RationalFunction.const(-1, self.inst.rules)))
+        return self.add(other.scale(RationalFunction.const(-1, self.rules)))
 
     def scale(self, c: RationalFunction) -> "BlockOperator":
-        scaled = {k: mat_scalar(c, m) for k, m in self.blocks.items()}
-        return BlockOperator(self.inst, _drop_zero_blocks(scaled))
+        return self._with({key: mat_scalar(c, m) for key, m in self.blocks.items()})
 
     __add__ = add
     __rmul__ = scale
@@ -157,7 +170,7 @@ def build_T(inst: SchemaInstance, i: int) -> BlockOperator:
         blocks[(w, w)] = mat_scalar(inst.d_scalar(w, i), ident)
         sw = inst.group.left_mul_simple(i, w)
         blocks[(w, sw)] = inst.A(sw, i)
-    return BlockOperator(inst, _drop_zero_blocks(blocks))
+    return BlockOperator(inst.block_dim, inst.rules, _drop_zero_blocks(blocks))
 
 
 def build_theta(inst: SchemaInstance, lam: Sequence[int]) -> BlockOperator:
@@ -168,12 +181,12 @@ def build_theta(inst: SchemaInstance, lam: Sequence[int]) -> BlockOperator:
         winv = inst.group.inverse(w)
         mono = weight_monomial(winv.act(lam), inst.rules)
         blocks[(w, w)] = mat_scalar(RationalFunction.from_poly(mono), ident)
-    return BlockOperator(inst, blocks)
+    return BlockOperator(inst.block_dim, inst.rules, blocks)
 
 
-def identity_operator(inst: SchemaInstance) -> BlockOperator:
-    ident = identity_matrix(inst.block_dim, inst.rules)
-    return BlockOperator(inst, {(w, w): ident for w in inst.group})
+def identity_operator(group: WeylGroup, k: int, rules: GaussRules | None) -> BlockOperator:
+    ident = identity_matrix(k, rules)
+    return BlockOperator(k, rules, {(w, w): ident for w in group})
 
 
 def apply_Tw(inst: SchemaInstance, w: WeylElement, _cache: dict | None = None) -> BlockOperator:
@@ -181,7 +194,7 @@ def apply_Tw(inst: SchemaInstance, w: WeylElement, _cache: dict | None = None) -
     if _cache is not None and w in _cache:
         return _cache[w]
     if w.length == 0:
-        result = identity_operator(inst)
+        result = identity_operator(inst.group, inst.block_dim, inst.rules)
     else:
         i = w.word[0]
         rest = inst.group.left_mul_simple(i, w)
@@ -231,7 +244,7 @@ def check_composition(inst: SchemaInstance, report: Report | None = None) -> Rep
 
 def _act(inst: SchemaInstance):
     """Words in the generators T_i of inst, for the relation verifier."""
-    return products(lambda i: build_T(inst, i), lambda: identity_operator(inst))
+    return products(lambda i: build_T(inst, i), lambda: identity_operator(inst.group, inst.block_dim, inst.rules))
 
 
 def check_quadratic(inst: SchemaInstance, i: int, report: Report | None = None) -> Report:
@@ -273,7 +286,7 @@ def check_bernstein(inst: SchemaInstance, lam: Sequence[int], i: int, report: Re
         for w in inst.group:
             q_at_w = inst.group.at_point(w, quotient)
             blocks[(w, w)] = mat_scalar((vv - 1) * RationalFunction.from_poly(q_at_w), ident)
-        return verdict(lhs, BlockOperator(inst, _drop_zero_blocks(blocks)))
+        return verdict(lhs, BlockOperator(inst.block_dim, inst.rules, _drop_zero_blocks(blocks)))
 
     report.run(f"bernstein lambda={lam} i={i + 1}", check)
     return report

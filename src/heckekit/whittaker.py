@@ -31,7 +31,7 @@ def whittaker_schema_instance(cartan: CartanDatum, group: WeylGroup | None = Non
     for w in group:
         for i in range(cartan.rank):
             x = coroot_monomial(group.inverse(w).act(cartan.simple_coroots[i]))
-            value = RF(P.one() - v() * x.monomial_inverse(), (P.one() - x,), simplify=False)
+            value = RF(P.one() - v() * x.monomial_inverse(), (P.one() - x,))
             a[(w, i)] = Matrix((1, 1), {(0, 0): value})
     return SchemaInstance(cartan, group, 1, a, name="whittaker")
 
@@ -80,18 +80,18 @@ def _coefficients(var: DemazureVariant, i: int) -> tuple[RF, RF]:
     x = coroot_monomial(var.cartan.simple_coroots[i])
     one = P.one()
     if not var.modified:
-        d = RF((one - v()) * x, (one - x,), simplify=False)
+        d = RF((one - v()) * x, (one - x,))
         if var.kind == "whittaker":
-            c1 = RF(one - v() * x, (one - x.monomial_inverse(),), simplify=False)
+            c1 = RF(one - v() * x, (one - x.monomial_inverse(),))
         else:
-            c1 = RF(one - v() * x.monomial_inverse(), (one - x.monomial_inverse(),), simplify=False)
+            c1 = RF(one - v() * x.monomial_inverse(), (one - x.monomial_inverse(),))
         return d, c1
-    c0 = RF(one - v(), (x - one,), simplify=False)
+    c0 = RF(one - v(), (x - one,))
     if var.kind == "whittaker":
-        c1 = RF(v() * x.monomial_inverse() - one, (x - one,), simplify=False)
+        c1 = RF(v() * x.monomial_inverse() - one, (x - one,))
     else:
         # Demazure-Lusztig: (f - f^s)/(x - 1) - v (f - x f^s)/(x - 1)
-        c1 = RF(v() * x - one, (x - one,), simplify=False)
+        c1 = RF(v() * x - one, (x - one,))
     return c0, c1
 
 

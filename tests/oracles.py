@@ -27,7 +27,7 @@ def z_monomial(vec: Iterable[int], coeff=1, rules: GaussRules | None = None) -> 
 def conjugate_gauss(obj):
     """The global flip g_a -> g_{(-a) mod n} (the choice-of-embedding toggle)."""
     if isinstance(obj, RationalFunction):
-        return RF(conjugate_gauss(obj.num), tuple(conjugate_gauss(f) for f in obj.den), simplify=False)
+        return RF(conjugate_gauss(obj.num), tuple(conjugate_gauss(f) for f in obj.den))
     if obj.rules is None:
         return obj
     n = obj.rules.modulus
@@ -49,7 +49,7 @@ def weyl_character_sum_form(cartan: CartanDatum, group: WeylGroup, lam: Sequence
     for w in group:
         num = weight_monomial(w.act(lam))
         den = tuple(P.one() - coroot_monomial(w.act(beta), -1) for beta in cartan.positive_coroots)
-        total = total + RF(num, den, simplify=False)
+        total = total + RF(num, den)
     return total
 
 

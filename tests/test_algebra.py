@@ -211,7 +211,7 @@ def test_eval_rational():
 
 def test_eval_rational_pole():
     x = sym("x")
-    f = RationalFunction(P.one() - x * x, (P.one() - x,), simplify=False)
+    f = RationalFunction(P.one() - x * x, (P.one() - x,))
     with pytest.raises(PoleError):
         f.eval({"x": Fraction(1)})
 
@@ -231,9 +231,9 @@ def test_eval_d_identity_point():
 @given(polys(), polys(), polys())
 def test_rf_equal_is_equivalence(a, b, c):
     den = P.one() + sym("x") ** 2
-    fa = RationalFunction(a, (den,), simplify=False)
-    fb = RationalFunction(a * den, (den, den), simplify=False)
-    fc = RationalFunction(b, (den,), simplify=False)
+    fa = RationalFunction(a, (den,))
+    fb = RationalFunction(a * den, (den, den))
+    fc = RationalFunction(b, (den,))
     assert rf_equal(fa, fa)
     assert rf_equal(fa, fb) and rf_equal(fb, fa)
     if rf_equal(fa, fc):

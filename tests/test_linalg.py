@@ -102,7 +102,7 @@ def entry_pool(rules):
         polys += [g1, g2, g1 * x - u]
     nonzero = []
     for p in polys:
-        for f in (RF.from_poly(p), RF(p, (one - x * y,), simplify=False)):
+        for f in (RF.from_poly(p), RF(p, (one - x * y,))):
             nonzero += [f, -f]  # cancelling pairs
     return [RF.zero(rules)] * len(nonzero) * 2 + nonzero  # two thirds zeros
 

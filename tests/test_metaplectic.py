@@ -1,4 +1,8 @@
+from fractions import Fraction
+from itertools import product as iproduct
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from heckekit.algebra import (
     LaurentPoly,
@@ -9,7 +13,7 @@ from heckekit.algebra import (
 from heckekit.linalg import is_scalar_matrix, mat_mul
 from heckekit.metaplectic import (
     MetaplecticError,
-    apply_block_operator,
+    _diagonalize,
     rmatrix_dictionary_check,
     build_datum,
     c_factor,
@@ -26,7 +30,7 @@ from heckekit.metaplectic import (
     whittaker_base,
     whittaker_value,
 )
-from heckekit.roots import coroot_monomial, weight_monomial
+from heckekit.roots import build_cartan, coroot_monomial, weight_monomial, weyl_group
 from heckekit.schema import build_T, verify_instance
 from heckekit.whittaker import apply_demazure, cs_rhs, demazure_variant, whittaker_schema_instance
 from oracles import conjugate_gauss, met_demazure_word, rem_identity_check, whittaker_aggregate
@@ -178,7 +182,7 @@ def test_cg_action_two_term_value(gl2_n2):
     got = cg_action(d, 0, f)
     x = coroot_monomial(alpha, 1, rules)
     bracket = RF(
-        x ** (-1) * (P.one(rules) - v(rules)), (P.one(rules) - x ** 2,), simplify=False
+        x ** (-1) * (P.one(rules) - v(rules)), (P.one(rules) - x ** 2,)
     ) - RF.from_poly(gauss_symbol(0, rules) * x ** (1 - 2))
     expected = RF.from_poly(P.symbol("z2", rules)) * bracket / c_factor(d, 0)
     assert got == expected
@@ -329,3 +333,53 @@ def test_met_polynomial_step_matches_rational_step(cartan_type, n):
     for flip in (False, True):
         for i in range(d.cartan.rank):
             assert RF.from_poly(met_demazure_poly(d, i, f, flip)) == met_demazure(d, i, f, flip)
+
+
+def _symmetric(d, upper):
+    B = [[0] * d for _ in range(d)]
+    cells = iter(upper)
+    for r in range(d):
+        for c in range(r, d):
+            B[r][c] = B[c][r] = next(cells)
+    return tuple(tuple(row) for row in B)
+
+
+symmetric_forms = st.integers(min_value=1, max_value=5).flatmap(
+    lambda d: st.lists(st.integers(min_value=-6, max_value=6), min_size=d * (d + 1) // 2, max_size=d * (d + 1) // 2)
+    .map(lambda upper: _symmetric(d, upper))
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(symmetric_forms)
+def test_diagonalize_returns_an_inverse_pair_that_cuts_out_the_sublattice(B):
+    d = len(B)
+    diagonal, Vp, Vp_inv = _diagonalize(B)
+    identity = [[int(r == c) for c in range(d)] for r in range(d)]
+    for M in (Vp, Vp_inv):
+        assert all(type(x) is int for row in M for x in row)
+    assert [[sum(Vp[r][a] * Vp_inv[a][c] for a in range(d)) for c in range(d)] for r in range(d)] == identity
+    assert [[sum(Vp_inv[r][a] * Vp[a][c] for a in range(d)) for c in range(d)] for r in range(d)] == identity
+    # what build_datum relies on: B mu = 0 mod n for mu = Vp y exactly when d_i y_i = 0 mod n for every i
+    span = range(-2, 3) if d <= 3 else range(-1, 2)
+    for n in range(2, 7):
+        for y in iproduct(span, repeat=d):
+            mu = [sum(Vp[r][c] * y[c] for c in range(d)) for r in range(d)]
+            in_sublattice = all(sum(B[r][c] * mu[c] for c in range(d)) % n == 0 for r in range(d))
+            assert in_sublattice == all(s * t % n == 0 for s, t in zip(diagonal, y))
+
+
+def test_lattice_setup_builds_no_fraction(monkeypatch):
+    calls = []
+    original = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        calls.append(args)
+        return original(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting)
+    for name in ("A1", "A2", "A3", "A4", "B2", "C2", "G2"):
+        weyl_group(build_cartan(name))
+    for n in (2, 3):
+        build_datum("A2", n)
+    assert calls == []

@@ -3,7 +3,6 @@ import pytest
 from heckekit.algebra import GaussRules, LaurentPoly, RationalFunction, v
 from heckekit.linalg import first_difference
 from heckekit.rmatrix import (
-    BlockSpace,
     check_content_preservation,
     check_finite_hecke,
     check_hecke,
@@ -201,8 +200,7 @@ def test_limit_equals_wreath():
 
 
 def test_limit_diagonal_blocks():
-    space, ops = limit_instance(2, 2)
-    group = space.group
+    group, ops = limit_instance(2, 2)
     op = ops[0]
     e, s = group.identity, group.simple(0)
     # ascent block carries v - 1 on the diagonal, descent block has no diagonal
@@ -214,10 +212,9 @@ def test_limit_diagonal_blocks():
 def test_trivial_module_wreath():
     cartan = build_cartan("A1")
     group = WeylGroup(cartan)
-    space = BlockSpace(cartan, group, 1)
     t = ((RF.from_poly(v()),),)
-    op = wreath_operator(space, t, 0)
-    assert check_finite_hecke(space, [op]).passed
+    op = wreath_operator(group, t, 0)
+    assert check_finite_hecke(group, [op]).passed
 
 
 def test_wreath_delta_and_star():

@@ -1,3 +1,6 @@
+from fractions import Fraction
+from itertools import product
+
 import pytest
 
 from heckekit.algebra import GaussRules, LaurentPoly, RationalFunction, rf_equal
@@ -8,11 +11,20 @@ from heckekit.roots import (
     weyl_character,
     weyl_group,
 )
+from heckekit.whittaker import demazure_variant, idempotent_apply
 from oracles import weyl_character_sum_form
 
 P = LaurentPoly
 
 ALL_TYPES = ["A1", "A2", "A3", "C2", "B2", "G2"]
+SUPPORTED = ["A1", "A2", "A3", "A4", "B2", "C2", "G2"]
+
+# <alpha_i, .> as rational functionals, written out independently of the integer rows
+RATIONAL_PAIRINGS = {
+    "B2": [(0, 1), (1, -1)],
+    "C2": [(1, -1), (0, 1)],
+    "G2": [(0, 1, -1), (Fraction(1, 3), Fraction(-2, 3), Fraction(1, 3))],
+}
 
 
 def test_build_cartan_counts():
@@ -61,7 +73,7 @@ def test_words_multiply_to_matrix():
             for i in w.word:
                 product = W.mul(product, W.simple(i))
             # left-to-right product of the word letters reproduces w
-            assert product.matrix == w.matrix
+            assert product.scaled == w.scaled
             assert W.mul(w, W.inverse(w)) is W.identity
 
 
@@ -184,21 +196,19 @@ def test_fundamental_weights():
 
 @pytest.mark.parametrize("name", ["A3", "B2", "C2", "G2"])
 def test_integer_action_matches_the_matrix(name):
-    from fractions import Fraction
-    from itertools import product
-
     cartan = build_cartan(name)
     W = weyl_group(cartan)
     lattice = [mu for mu in product(range(-2, 3), repeat=cartan.dim) if cartan.in_lattice(mu)]
     for w in W:
+        rows, den = w.scaled
+        matrix = tuple(tuple(Fraction(x, den) for x in row) for row in rows)
         for mu in lattice[::7]:
-            exact = tuple(sum(Fraction(a) * b for a, b in zip(row, mu)) for row in w.matrix)
+            exact = tuple(sum(Fraction(a) * b for a, b in zip(row, mu)) for row in matrix)
             assert w.act(mu) == exact
 
 
 @pytest.mark.parametrize("name", ["A3", "G2"])
 def test_rows_are_one_matrix_in_lowest_terms(name):
-    from fractions import Fraction
     from math import gcd
 
     W = weyl_group(build_cartan(name))
@@ -206,7 +216,6 @@ def test_rows_are_one_matrix_in_lowest_terms(name):
     for w in W:
         rows, den = w.scaled
         assert gcd(den, *(x for row in rows for x in row)) == 1
-        assert w.matrix == tuple(tuple(Fraction(x, den) for x in row) for row in rows)
         denominators.add(den)
     assert denominators == ({1} if name == "A3" else {1, 3})
 
@@ -215,3 +224,41 @@ def test_non_integral_image_raises():
     W = weyl_group(build_cartan("G2"))
     with pytest.raises(ValueError, match="non-integral"):
         W.simple(1).act((1, 0, 0))
+
+
+def test_g2_pairings_are_integer_rows_over_one_denominator():
+    assert build_cartan("G2").pairings == (((0, 3, -3), (1, -2, 1)), 3)
+    assert build_cartan("A2").pairings == (((1, -1, 0), (0, 1, -1)), 1)
+
+
+@pytest.mark.parametrize("name", SUPPORTED)
+def test_integer_pairings_match_the_rational_reference(name):
+    cartan = build_cartan(name)
+    functionals = RATIONAL_PAIRINGS.get(name, cartan.simple_coroots)
+    for mu in product(range(-2, 3), repeat=cartan.dim):
+        exact = [sum((Fraction(p) * m for p, m in zip(f, mu)), Fraction(0)) for f in functionals]
+        integral = all(x.denominator == 1 for x in exact)
+        assert cartan.in_lattice(mu) == integral
+        if integral:
+            assert [cartan.pairing_int(i, mu) for i in range(cartan.rank)] == exact
+            assert cartan.is_dominant(mu) == all(x >= 0 for x in exact)
+        else:
+            with pytest.raises(ValueError, match="not in the lattice"):
+                cartan.pairing_int(0, mu)
+            with pytest.raises(ValueError, match="not in the lattice"):
+                cartan.is_dominant(mu)
+
+
+def test_wrong_length_weights_raise():
+    # A2 lives in Z^3; a shorter or longer vector must not be truncated
+    a2 = build_cartan("A2")
+    for call in (
+        lambda: a2.in_lattice((1, 0)),
+        lambda: a2.is_dominant((1, 0)),
+        lambda: a2.in_lattice((1, 0, 0, 5)),
+        lambda: a2.pairing_int(0, (1, 0)),
+        lambda: weyl_group(a2).simple(0).act((1, 0)),
+        lambda: idempotent_apply(demazure_variant("whittaker", a2), (1, 0)),
+    ):
+        with pytest.raises(ValueError, match="coordinates"):
+            call()
