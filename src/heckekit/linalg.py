@@ -1,10 +1,12 @@
 """Sparse exact matrices over the rational-function field.
 
-A Matrix stores its shape, its Gauss rules and a dict from (row, col) to a
-nonzero RationalFunction; an entry whose is_zero() is true (a cancelled sum,
-say) is never stored.  Operations walk stored entries only, not k^3 cell
-visits, and the entries of a metaplectic block repeat (its tau coefficients
-depend only on residues mod n), so many entries are one shared object.
+A Matrix stores its shape and a dict from (row, col) to a nonzero
+RationalFunction; an entry whose is_zero() is true (a cancelled sum, say) is
+never stored, and an absent entry reads as the one shared ZERO.  A Matrix
+has no Gauss rules of its own: an entry that carries a Gauss symbol carries
+them.  Operations walk stored entries only, not k^3 cell visits, and the
+entries of a metaplectic block repeat (its tau coefficients depend only on
+residues mod n), so many entries are one shared object.
 mat_mul, mat_add, mat_sub, mat_scalar and first_difference keep a memo for
 the length of one call, keyed by the identities of the operand objects: a
 product costs one multiply per distinct pair of operand objects, a sum one
@@ -24,30 +26,27 @@ from __future__ import annotations
 from operator import add, mul, neg
 from typing import Mapping, Sequence
 
-from .algebra import GaussRules, RationalFunction
+from .algebra import RationalFunction
 
 Key = tuple[int, int]
 
+ZERO = RationalFunction.zero()  # every absent entry of every Matrix
+
 
 class Matrix:
-    """shape, rules and the nonzero entries keyed (row, col)."""
+    """shape and the nonzero entries keyed (row, col)."""
 
-    __slots__ = ("shape", "rules", "entries")
+    __slots__ = ("shape", "entries")
 
-    def __init__(self, shape: Key, entries: Mapping[Key, RationalFunction], rules: GaussRules | None = None):
+    def __init__(self, shape: Key, entries: Mapping[Key, RationalFunction]):
         self.shape = shape
-        self.rules = rules
         self.entries = {key: x for key, x in entries.items() if not x.is_zero()}
-
-    def zero(self) -> RationalFunction:
-        return RationalFunction.zero(self.rules)
 
     def row(self, r: int) -> tuple[RationalFunction, ...]:
         if not 0 <= r < self.shape[0]:
             raise IndexError(r)
-        zero = self.zero()
         get = self.entries.get
-        return tuple(get((r, c), zero) for c in range(self.shape[1]))
+        return tuple(get((r, c), ZERO) for c in range(self.shape[1]))
 
     def __len__(self) -> int:
         return self.shape[0]
@@ -55,7 +54,7 @@ class Matrix:
     def __getitem__(self, key):
         if isinstance(key, tuple):
             got = self.entries.get(key)
-            return got if got is not None else self.zero()
+            return got if got is not None else ZERO
         return self.row(key)
 
     def __iter__(self):
@@ -85,12 +84,12 @@ def as_matrix(a: Matrix | Sequence[Sequence[RationalFunction]]) -> Matrix:
     rows = [tuple(row) for row in a]
     cols = len(rows[0]) if rows else 0
     entries = {(r, c): x for r, row in enumerate(rows) for c, x in enumerate(row)}
-    return Matrix((len(rows), cols), entries, rows[0][0].num.rules if cols else None)
+    return Matrix((len(rows), cols), entries)
 
 
-def identity_matrix(k: int, rules: GaussRules | None = None) -> Matrix:
-    one = RationalFunction.one(rules)
-    return Matrix((k, k), {(r, r): one for r in range(k)}, rules)
+def identity_matrix(k: int) -> Matrix:
+    one = RationalFunction.one()
+    return Matrix((k, k), {(r, r): one for r in range(k)})
 
 
 def _memoized(op):
@@ -117,7 +116,7 @@ def mat_add(a: Matrix, b: Matrix) -> Matrix:
     for key, y in b.entries.items():
         x = out.get(key)
         out[key] = y if x is None else plus(x, y)
-    return Matrix(a.shape, out, a.rules)
+    return Matrix(a.shape, out)
 
 
 def _map_entries(op, a: Matrix) -> dict[Key, RationalFunction]:
@@ -129,14 +128,14 @@ def _map_entries(op, a: Matrix) -> dict[Key, RationalFunction]:
 
 def mat_sub(a: Matrix, b: Matrix) -> Matrix:
     b = as_matrix(b)
-    return mat_add(a, Matrix(b.shape, _map_entries(neg, b), b.rules))
+    return mat_add(a, Matrix(b.shape, _map_entries(neg, b)))
 
 
 def mat_scalar(c, a: Matrix) -> Matrix:
     a = as_matrix(a)
     if c.is_zero():
-        return Matrix(a.shape, {}, a.rules)
-    return Matrix(a.shape, _map_entries(lambda x: c * x, a), a.rules)
+        return Matrix(a.shape, {})
+    return Matrix(a.shape, _map_entries(lambda x: c * x, a))
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
@@ -152,7 +151,7 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
             term = times(x, y)
             total = out.get((r, c))
             out[(r, c)] = term if total is None else plus(total, term)
-    return Matrix((a.shape[0], b.shape[1]), out, a.rules)
+    return Matrix((a.shape[0], b.shape[1]), out)
 
 
 def first_difference(a: Matrix, b: Matrix) -> tuple[int, int, RationalFunction, RationalFunction] | None:
@@ -161,10 +160,9 @@ def first_difference(a: Matrix, b: Matrix) -> tuple[int, int, RationalFunction, 
     A pair of entry objects already found equal is not compared again.
     """
     a, b = as_matrix(a), as_matrix(b)
-    zero_a, zero_b = a.zero(), b.zero()
     equal: dict[Key, tuple] = {}  # (id(x), id(y)) -> (x, y), for pairs found equal
     for r, c in sorted(a.entries.keys() | b.entries.keys()):
-        x, y = a.entries.get((r, c), zero_a), b.entries.get((r, c), zero_b)
+        x, y = a.entries.get((r, c), ZERO), b.entries.get((r, c), ZERO)
         key = (id(x), id(y))
         if key in equal:
             continue
@@ -186,62 +184,55 @@ def is_scalar_matrix(a: Matrix) -> RationalFunction | None:
     return s
 
 
+def _reduce(rows: list[list[RationalFunction]], cols: int) -> list[int]:
+    """Gauss-Jordan elimination of rows, in place, on their first cols columns; the pivot columns.
+
+    Afterwards row t has 1 in the t-th pivot column and every other row 0
+    there; the rows below the last pivot are zero in the first cols columns.
+    """
+    pivots: list[int] = []
+    for col in range(cols):
+        top = len(pivots)
+        if top == len(rows):
+            break
+        pivot = next((r for r in range(top, len(rows)) if not rows[r][col].is_zero()), None)
+        if pivot is None:
+            continue
+        rows[top], rows[pivot] = rows[pivot], rows[top]
+        p = rows[top][col]
+        rows[top] = [x / p for x in rows[top]]
+        for r, row in enumerate(rows):
+            if r != top and not row[col].is_zero():
+                factor = row[col]
+                rows[r] = [x - factor * y for x, y in zip(row, rows[top])]
+        pivots.append(col)
+    return pivots
+
+
 def mat_inverse(a: Matrix) -> Matrix:
-    """Exact inverse by Gauss-Jordan elimination over the function field."""
+    """Exact inverse by Gauss-Jordan elimination of [a | I] over the function field."""
     a = as_matrix(a)
     k = len(a)
-    work = [list(row) for row in a]
-    inv = [list(row) for row in identity_matrix(k, a.rules)]
-    for col in range(k):
-        pivot = next((r for r in range(col, k) if not work[r][col].is_zero()), None)
-        if pivot is None:
-            raise ZeroDivisionError("matrix is singular")
-        work[col], work[pivot] = work[pivot], work[col]
-        inv[col], inv[pivot] = inv[pivot], inv[col]
-        p = work[col][col]
-        work[col] = [x / p for x in work[col]]
-        inv[col] = [x / p for x in inv[col]]
-        for r in range(k):
-            if r == col or work[r][col].is_zero():
-                continue
-            factor = work[r][col]
-            work[r] = [x - factor * y for x, y in zip(work[r], work[col])]
-            inv[r] = [x - factor * y for x, y in zip(inv[r], inv[col])]
-    return Matrix((k, k), {(r, c): x for r, row in enumerate(inv) for c, x in enumerate(row)}, a.rules)
+    work = [list(row) + list(unit) for row, unit in zip(a, identity_matrix(k))]
+    if len(_reduce(work, k)) < k:
+        raise ZeroDivisionError("matrix is singular")
+    return Matrix((k, k), {(r, c): x for r, row in enumerate(work) for c, x in enumerate(row[k:])})
 
 
 def nullspace(a: Matrix) -> list[tuple[RationalFunction, ...]]:
-    """Exact basis of the kernel, by Gaussian elimination over the function field."""
+    """Exact basis of the kernel, by Gauss-Jordan elimination over the function field."""
     a = as_matrix(a)
     if not len(a):
         return []
-    k, m = a.shape
-    rules = a.rules
+    m = a.shape[1]
     work = [list(row) for row in a]
-    pivots: list[int] = []
-    row = 0
-    for col in range(m):
-        pivot = next((r for r in range(row, k) if not work[r][col].is_zero()), None)
-        if pivot is None:
-            continue
-        work[row], work[pivot] = work[pivot], work[row]
-        p = work[row][col]
-        work[row] = [x / p for x in work[row]]
-        for r in range(k):
-            if r == row or work[r][col].is_zero():
-                continue
-            factor = work[r][col]
-            work[r] = [x - factor * y for x, y in zip(work[r], work[row])]
-        pivots.append(col)
-        row += 1
-        if row == k:
-            break
+    pivots = _reduce(work, m)
     basis = []
     for free in (c for c in range(m) if c not in pivots):
-        vec = [RationalFunction.zero(rules)] * m
-        vec[free] = RationalFunction.one(rules)
+        vec = [ZERO] * m
+        vec[free] = RationalFunction.one()
         for r, col in enumerate(pivots):
-            vec[col] = RationalFunction.zero(rules) - work[r][free]
+            vec[col] = -work[r][free]
         basis.append(tuple(vec))
     return basis
 
@@ -255,5 +246,4 @@ def apply_matrix(a: Matrix, x: Sequence[RationalFunction]) -> tuple[RationalFunc
             continue
         term = m * val
         out[r] = term if out[r] is None else out[r] + term
-    zero = a.zero()
-    return tuple(zero if total is None else total for total in out)
+    return tuple(ZERO if total is None else total for total in out)

@@ -217,8 +217,8 @@ def build_datum(cartan_or_type, n: int, B: tuple[IntVec, ...] | str | None = Non
 
 def c_factor(datum: MetaplecticDatum, i: int) -> RF:
     """c_s^(n)(z) = (1 - v z^{n_alpha alpha})/(1 - z^{n_alpha alpha})."""
-    x = coroot_monomial(datum.cartan.simple_coroots[i], datum.n_alpha(i), datum.rules)
-    return c_function(x, datum.rules)
+    x = coroot_monomial(datum.cartan.simple_coroots[i], datum.n_alpha(i))
+    return c_function(x)
 
 
 def _pairing_value(datum: MetaplecticDatum, i: int, mu: Sequence[int]) -> int:
@@ -238,9 +238,8 @@ def tau1(datum: MetaplecticDatum, i: int, mu: Sequence[int]) -> RF:
     q = datum.q_value(alpha)
     m = b // q
     exponent = na * (-((-m) // na)) - m  # n_a ceil(m/n_a) - m = rem_{n_a}(-m)
-    rules = datum.rules
-    num = (P.one(rules) - v(rules)) * coroot_monomial(alpha, 1, rules) ** exponent
-    den = P.one(rules) - v(rules) * coroot_monomial(alpha, na, rules)
+    num = (P.one() - v()) * coroot_monomial(alpha, exponent)
+    den = P.one() - v() * coroot_monomial(alpha, na)
     return RF(num, (den,))
 
 
@@ -256,10 +255,9 @@ def tau2(datum: MetaplecticDatum, i: int, mu: Sequence[int], gauss_flip: bool = 
     q = datum.q_value(alpha)
     index = (q - b) if gauss_flip else (b - q)
     target = tuple(a + e for a, e in zip(datum.group.simple(i).act(mu), alpha))
-    rules = datum.rules
-    g = gauss_symbol(index, rules)
-    num = g * coroot_monomial(alpha, -1, rules) * (P.one(rules) - coroot_monomial(alpha, na, rules))
-    den = P.one(rules) - v(rules) * coroot_monomial(alpha, na, rules)
+    g = gauss_symbol(index, datum.rules)
+    num = g * coroot_monomial(alpha, -1) * (P.one() - coroot_monomial(alpha, na))
+    den = P.one() - v() * coroot_monomial(alpha, na)
     return datum.coset_index(target), RF(num, (den,))
 
 
@@ -278,7 +276,6 @@ def scattering_block(
     perturb in {"tau1", "tau2"} doubles that coefficient (negative control).
     """
     k = datum.k
-    rules = datum.rules
     c = c_factor(datum, i)
     entries: dict[tuple[int, int], RF] = {}
     s = datum.group.simple(i)
@@ -287,20 +284,20 @@ def scattering_block(
         target, t2v = tau2(datum, i, mu, gauss_flip)
         t2v = c * t2v
         if perturb == "tau1":
-            t1 = RF.const(2, rules) * t1
+            t1 = RF.const(2) * t1
         elif perturb == "tau2":
-            t2v = RF.const(2, rules) * t2v
+            t2v = RF.const(2) * t2v
         if not normalized:
             # b_plain[nu][mu] = z^{mu - s(nu)} b_norm[nu][mu]
-            t1 = RF.from_poly(weight_monomial(tuple(a - b for a, b in zip(mu, s.act(mu))), rules)) * t1
+            t1 = RF.from_poly(weight_monomial(tuple(a - b for a, b in zip(mu, s.act(mu))))) * t1
             nu = datum.rep(target)
-            t2v = RF.from_poly(weight_monomial(tuple(a - b for a, b in zip(mu, s.act(nu))), rules)) * t2v
+            t2v = RF.from_poly(weight_monomial(tuple(a - b for a, b in zip(mu, s.act(nu))))) * t2v
         entries[(col, col)] = t1
         entries[(target, col)] = t1 + t2v if target == col else t2v
-    return Matrix((k, k), entries, rules)
+    return Matrix((k, k), entries)
 
 
-def metaplectic_schema_instance(datum: MetaplecticDatum, normalized: bool = True) -> SchemaInstance:
+def metaplectic_schema_instance(datum: MetaplecticDatum) -> SchemaInstance:
     """The block Hecke action on Whittaker functionals; root_scale = n_alpha.
 
     tau^1 and tau^2 depend on mu only through residues mod n, so a k x k
@@ -317,15 +314,15 @@ def metaplectic_schema_instance(datum: MetaplecticDatum, normalized: bool = True
 
     a_matrices = {}
     for i in range(datum.cartan.rank):
-        block = {key: share(x) for key, x in scattering_block(datum, i, normalized).entries.items()}
+        block = {key: share(x) for key, x in scattering_block(datum, i).entries.items()}
         distinct = {id(x): x for x in block.values()}
         for w in datum.group:
             image = {key: share(datum.group.at_point(w, x)) for key, x in distinct.items()}
             entries = {key: image[id(x)] for key, x in block.items()}
-            a_matrices[(w, i)] = Matrix((datum.k, datum.k), entries, datum.rules)
-    name = f"metaplectic {datum.cartan.cartan_type} n={datum.n}" + ("" if normalized else " plain")
+            a_matrices[(w, i)] = Matrix((datum.k, datum.k), entries)
+    name = f"metaplectic {datum.cartan.cartan_type} n={datum.n}"
     return SchemaInstance(
-        datum.cartan, datum.group, datum.k, a_matrices, datum.root_scales(), datum.rules, name
+        datum.cartan, datum.group, datum.k, a_matrices, datum.root_scales(), name
     )
 
 
@@ -343,8 +340,6 @@ def _coset_components(datum: MetaplecticDatum, f: LaurentPoly) -> dict[int, tupl
         firsts.setdefault(idx, vec)
         return idx
 
-    if f.rules is not datum.rules:
-        f = f.with_rules(datum.rules)
     parts = f.split(coset)
     return {idx: (firsts[idx], part) for idx, part in parts.items()}
 
@@ -364,10 +359,9 @@ def _cg_coefficient(datum: MetaplecticDatum, i: int, mu: Sequence[int], gauss_fl
     index = (q - b) if gauss_flip else (b - q)
     key = ("cg", i, rem, index % datum.n)
     if key not in datum._scalars:
-        rules = datum.rules
-        z = coroot_monomial(alpha, 1, rules)
-        one_minus_x = P.one(rules) - z ** na
-        num = z ** (-rem) * (P.one(rules) - v(rules)) - gauss_symbol(index, rules) * z ** (1 - na) * one_minus_x
+        z = coroot_monomial(alpha)
+        one_minus_x = P.one() - z ** na
+        num = z ** (-rem) * (P.one() - v()) - gauss_symbol(index, datum.rules) * z ** (1 - na) * one_minus_x
         coeff = datum._scalars[key] = RF(num, (one_minus_x,))
         if coeff.den != d_scaled(datum, i).den:  # met_demazure_poly relies on it
             raise AssertionError(f"the coefficients of T_{i + 1} have different denominators")
@@ -383,7 +377,7 @@ def _cg_parts(datum: MetaplecticDatum, i: int, f: LaurentPoly, gauss_flip: bool)
 
 def cg_scaled(datum: MetaplecticDatum, i: int, f: LaurentPoly, gauss_flip: bool = False) -> RF:
     """c_s^(n)(z) * (s_i . f) for f supported on a single coset (additive otherwise)."""
-    total = RF.zero(datum.rules)
+    total = RF.zero()
     for coeff, fs in _cg_parts(datum, i, f, gauss_flip):
         total = total + RF.from_poly(fs) * coeff
     return total
@@ -398,16 +392,14 @@ def d_scaled(datum: MetaplecticDatum, i: int) -> RF:
     """D_i^(n)(z): the Demazure scalar with z^alpha replaced by z^{n_alpha alpha}."""
     key = ("d", i)
     if key not in datum._scalars:
-        rules = datum.rules
-        x = coroot_monomial(datum.cartan.simple_coroots[i], datum.n_alpha(i), rules)
-        datum._scalars[key] = RF((P.one(rules) - v(rules)) * x, (P.one(rules) - x,))
+        x = coroot_monomial(datum.cartan.simple_coroots[i], datum.n_alpha(i))
+        datum._scalars[key] = RF((P.one() - v()) * x, (P.one() - x,))
     return datum._scalars[key]
 
 
 def met_demazure(datum: MetaplecticDatum, i: int, f: LaurentPoly, gauss_flip: bool = False) -> RF:
     """T_i(f) = D_i^(n)(z) f - z^{n_alpha alpha} c_s^(n)(z) (s_i . f)."""
-    rules = datum.rules
-    alpha_power = RF.from_poly(coroot_monomial(datum.cartan.simple_coroots[i], datum.n_alpha(i), rules))
+    alpha_power = RF.from_poly(coroot_monomial(datum.cartan.simple_coroots[i], datum.n_alpha(i)))
     return d_scaled(datum, i) * RF.from_poly(f) - alpha_power * cg_scaled(datum, i, f, gauss_flip)
 
 
@@ -420,10 +412,10 @@ def met_demazure_poly(datum: MetaplecticDatum, i: int, f: LaurentPoly, gauss_fli
     polynomial.  The numerator coefficients are cached in datum._scalars.
     """
     d = d_scaled(datum, i)
-    swapped = P.zero(datum.rules)
+    swapped = P.zero()
     for coeff, fs in _cg_parts(datum, i, f, gauss_flip):
         swapped = swapped + coeff.num * fs
-    alpha_power = coroot_monomial(datum.cartan.simple_coroots[i], datum.n_alpha(i), datum.rules)
+    alpha_power = coroot_monomial(datum.cartan.simple_coroots[i], datum.n_alpha(i))
     return exact_divide(d.num * f - alpha_power * swapped, d.den[0])
 
 
@@ -445,11 +437,10 @@ def whittaker_base(datum: MetaplecticDatum, mu: Sequence[int]) -> BlockVector:
     of the functional normalization; the GL case matches the standard one.
     """
     idx = datum.coset_index(mu)
-    rules = datum.rules
     out: BlockVector = {}
     for w in datum.group:
-        column = [RF.zero(rules)] * datum.k
-        column[idx] = RF.from_poly(weight_monomial(datum.group.inverse(w).act(mu), rules))
+        column = [RF.zero()] * datum.k
+        column[idx] = RF.from_poly(weight_monomial(datum.group.inverse(w).act(mu)))
         out[w] = tuple(column)
     return out
 
@@ -465,7 +456,7 @@ def whittaker_value(datum: MetaplecticDatum, lam: Sequence[int]) -> list[Laurent
     generators = [build_T(inst, i) for i in range(datum.cartan.rank)]
     base = whittaker_base(datum, tuple(-int(x) for x in lam))
     act = applied(lambda i, vec: generators[i].apply(vec), base)
-    totals = [RF.zero(datum.rules)] * datum.k
+    totals = [RF.zero()] * datum.k
     identity = datum.group.identity
     for w in datum.group:
         vec = act(w.word)
@@ -488,10 +479,10 @@ def check_met_demazure_match(
             def check(mu=tuple(int(x) for x in mu), i=i):
                 base = whittaker_base(datum, mu)
                 image = generators[i].apply(base)
-                total = RF.zero(datum.rules)
+                total = RF.zero()
                 for component in image.get(identity, ()):
                     total = total + component
-                return verdict(total, met_demazure(datum, i, weight_monomial(mu, datum.rules)))
+                return verdict(total, met_demazure(datum, i, weight_monomial(mu)))
 
             report.run(f"T_{i + 1} aggregate on z^{tuple(mu)}", check)
     return report
@@ -504,8 +495,8 @@ def check_met_demazure_relations(
     report = report or Report(f"metaplectic Demazure relations ({datum.cartan.cartan_type}, n={datum.n})")
     for mu in weights:
         mu = tuple(int(x) for x in mu)
-        act = met_demazure_act(datum, weight_monomial(mu, datum.rules))
-        hecke_relations(report, act, v(datum.rules), datum.cartan.braid_orders, f" on z^{mu}")
+        act = met_demazure_act(datum, weight_monomial(mu))
+        hecke_relations(report, act, v(), datum.cartan.braid_orders, f" on z^{mu}")
     return report
 
 
@@ -516,12 +507,12 @@ def check_representative_independence(
     report = report or Report("representative independence")
 
     def check():
-        f = weight_monomial(tuple(mu), datum.rules)
+        f = weight_monomial(tuple(mu))
         base = cg_action(datum, i, f)
         s = datum.group.simple(i)
         for xi in datum.lattice_basis:
-            shifted = weight_monomial(tuple(int(a) + int(b) for a, b in zip(mu, xi)), datum.rules)
-            factor = RF.from_poly(weight_monomial(s.act(xi), datum.rules))
+            shifted = weight_monomial(tuple(int(a) + int(b) for a, b in zip(mu, xi)))
+            factor = RF.from_poly(weight_monomial(s.act(xi)))
             result = verdict(cg_action(datum, i, shifted), base * factor)
             if not result[0]:
                 return result
@@ -542,8 +533,7 @@ def rmatrix_dictionary_check(r: int, n: int, report: Report | None = None) -> Re
     """
     report = report or Report(f"R-matrix dictionary GL_{r}, n={n}")
     datum = build_datum(f"A{r - 1}", n)
-    rules = datum.rules
-    tau = tau_operator(n, rules)
+    tau = tau_operator(n)
 
     def word_of(mu: IntVec) -> int:
         key = tuple((int(a) - rho) % n for a, rho in zip(mu, datum.cartan.rho))
@@ -552,9 +542,9 @@ def rmatrix_dictionary_check(r: int, n: int, report: Report | None = None) -> Re
     for i in range(datum.cartan.rank):
         def check(i=i):
             block = scattering_block(datum, i, normalized=False)
-            x = coroot_monomial(datum.cartan.simple_coroots[i], n, rules)
-            local = tau.compose(r_tilde(n, x, rules))
-            prefactor = c_function(x, rules)
+            x = coroot_monomial(datum.cartan.simple_coroots[i], n)
+            local = tau.compose(r_tilde(n, x))
+            prefactor = c_function(x)
             rhs = local.embed((i, i + 1), r).scale(prefactor)
             k = datum.k
             index = [word_of(datum.rep(j)) for j in range(k)]

@@ -35,9 +35,9 @@ from .linalg import (
     nullspace,
 )
 from .reports import Report
-from .roots import WeylElement, WeylGroup, build_cartan, coroot_monomial
+from .roots import WeylGroup, build_cartan, coroot_monomial
 from .relations import braid, hecke_relations, products, quadratic, verdict
-from .schema import BlockOperator, SchemaInstance, _drop_zero_blocks, identity_operator
+from .schema import BlockOperator, SchemaInstance, identity_operator
 
 P = LaurentPoly
 RF = RationalFunction
@@ -103,14 +103,14 @@ class TensorOperator:
                 source[slots[0]], source[slots[1]] = divmod(col, n)
                 entries[(word_index(target, n), word_index(source, n))] = x
         size = n ** arity
-        return TensorOperator(n, arity, Matrix((size, size), entries, self.mat.rules))
+        return TensorOperator(n, arity, Matrix((size, size), entries))
 
 
-def tau_operator(n: int, rules: GaussRules | None = None) -> TensorOperator:
+def tau_operator(n: int) -> TensorOperator:
     """The flip x (x) y -> y (x) x as a basis permutation on tensor words."""
-    one = RF.one(rules)
+    one = RF.one()
     entries = {(word_index((a, b), n), word_index((b, a), n)): one for (a, b) in words(n, 2)}
-    return TensorOperator(n, 2, Matrix((n * n, n * n), entries, rules))
+    return TensorOperator(n, 2, Matrix((n * n, n * n), entries))
 
 
 @dataclass
@@ -119,23 +119,22 @@ class RMatrixSpec:
 
     n: int
     gamma: tuple[tuple[RF, ...], ...] | None = None
-    rules: GaussRules | None = None
 
     def gamma_entry(self, a: int, b: int) -> RF:
         if self.gamma is None:
-            return RF.one(self.rules)
+            return RF.one()
         return self.gamma[a][b]
 
     def perturbed(self, a: int, b: int, factor=2) -> "RMatrixSpec":
         table = [list(row) for row in self.gamma] if self.gamma else [
-            [RF.one(self.rules)] * self.n for _ in range(self.n)
+            [RF.one()] * self.n for _ in range(self.n)
         ]
-        table[a][b] = RF.const(factor, self.rules) * table[a][b]
-        return RMatrixSpec(self.n, tuple(tuple(row) for row in table), self.rules)
+        table[a][b] = RF.const(factor) * table[a][b]
+        return RMatrixSpec(self.n, tuple(tuple(row) for row in table))
 
 
 def untwisted_spec(n: int) -> RMatrixSpec:
-    return RMatrixSpec(n, None, None)
+    return RMatrixSpec(n)
 
 
 def free_gamma_spec(n: int, paired: bool = True) -> RMatrixSpec:
@@ -156,27 +155,27 @@ def free_gamma_spec(n: int, paired: bool = True) -> RMatrixSpec:
     return RMatrixSpec(n, tuple(table))
 
 
-def gauss_gamma_spec(n: int, rules: GaussRules | None = None) -> RMatrixSpec:
-    """gamma_ab = -g(a - b)/sqrt(v); satisfies the pairing since g(a)g(-a) = v."""
-    rules = rules or GaussRules.standard(n)
-    uinv = P.monomial({"u": -1}, rules=rules)
+def gauss_gamma_spec(n: int) -> RMatrixSpec:
+    """gamma_ab = -g(a - b)/sqrt(v), Gauss sums of modulus n; satisfies the pairing since g(a)g(-a) = v."""
+    rules = GaussRules.standard(n)
+    uinv = P.monomial({"u": -1})
     table = []
     for a in range(n):
         row = []
         for b in range(n):
             if a == b:
-                row.append(RF.one(rules))
+                row.append(RF.one())
             else:
                 row.append(RF.from_poly(-gauss_symbol(a - b, rules) * uinv))
         table.append(tuple(row))
-    return RMatrixSpec(n, tuple(table), rules)
+    return RMatrixSpec(n, tuple(table))
 
 
 def r_gl(spec: RMatrixSpec) -> TensorOperator:
     """R = sum_a u e_aa^2 + sum_{a != b} gamma_ab^{-1} e_aa e_bb + (u - u^{-1}) sum_{a > b} e_ab e_ba."""
-    n, rules = spec.n, spec.rules
-    uu = RF.from_poly(P.symbol("u", rules))
-    c = uu - RF.from_poly(P.monomial({"u": -1}, rules=rules))
+    n = spec.n
+    uu = RF.from_poly(P.symbol("u"))
+    c = uu - RF.from_poly(P.monomial({"u": -1}))
     entries = {}
     for (a, b) in words(n, 2):
         col = word_index((a, b), n)
@@ -187,15 +186,15 @@ def r_gl(spec: RMatrixSpec) -> TensorOperator:
             if a > b:
                 # e_ab (x) e_ba sends (b, a) to (a, b)
                 entries[(col, word_index((b, a), n))] = c
-    return TensorOperator(n, 2, Matrix((n * n, n * n), entries, rules))
+    return TensorOperator(n, 2, Matrix((n * n, n * n), entries))
 
 
 def r_affine(spec: RMatrixSpec, x: LaurentPoly) -> TensorOperator:
     """The parametrized family; r_affine(spec, 0) == r_gl(spec)."""
-    n, rules = spec.n, spec.rules
-    one = P.one(rules)
-    uu = P.symbol("u", rules)
-    uinv = P.monomial({"u": -1}, rules=rules)
+    n = spec.n
+    one = P.one()
+    uu = P.symbol("u")
+    uinv = P.monomial({"u": -1})
     c = RF.from_poly(uu - uinv)
     entries = {}
     for (a, b) in words(n, 2):
@@ -206,16 +205,19 @@ def r_affine(spec: RMatrixSpec, x: LaurentPoly) -> TensorOperator:
             entries[(col, col)] = spec.gamma_entry(a, b).inverse() * RF.from_poly(one - x)
             swap = word_index((b, a), n)
             entries[(col, swap)] = c if a > b else RF.from_poly(x) * c
-    return TensorOperator(n, 2, Matrix((n * n, n * n), entries, rules))
+    return TensorOperator(n, 2, Matrix((n * n, n * n), entries))
 
 
 def r_tilde(n: int, x: LaurentPoly, rules: GaussRules | None = None) -> TensorOperator:
-    """The Gauss-sum normalized family: triangular with tau R(x) tau R(x^{-1}) = I."""
-    rules = rules or GaussRules.standard(n)
-    if rules.modulus != n:
+    """The Gauss-sum normalized family: triangular with tau R(x) tau R(x^{-1}) = I.
+
+    The Gauss sums have modulus n; rules, if given, must be GaussRules.standard(n).
+    """
+    if rules is not None and rules != GaussRules.standard(n):
         raise ValueError("Gauss modulus must equal the dimension n")
-    one = P.one(rules)
-    vv = v(rules)
+    rules = GaussRules.standard(n)
+    one = P.one()
+    vv = v()
     den = one - vv * x
     exch = one - vv
     entries = {}
@@ -227,7 +229,7 @@ def r_tilde(n: int, x: LaurentPoly, rules: GaussRules | None = None) -> TensorOp
             entries[(col, col)] = RF(gauss_symbol(a - b, rules) * (one - x), (den,))
             swap = word_index((b, a), n)
             entries[(col, swap)] = RF(exch if a > b else x * exch, (den,))
-    return TensorOperator(n, 2, Matrix((n * n, n * n), entries, rules))
+    return TensorOperator(n, 2, Matrix((n * n, n * n), entries))
 
 
 # -- verifiers --------------------------------------------------------------------
@@ -256,10 +258,10 @@ def check_parametrized_ybe(build: Callable[[LaurentPoly], TensorOperator], repor
 def check_hecke(spec: RMatrixSpec, report: Report | None = None) -> Report:
     """T = u tau R satisfies T^2 = (v-1)T + v and the order-3 braid on three slots."""
     report = report or Report(f"hecke relations n={spec.n}")
-    n, rules = spec.n, spec.rules
-    t = tau_operator(n, rules).compose(r_gl(spec)).scale(RF.from_poly(P.symbol("u", rules)))
-    identity = TensorOperator(n, 2, identity_matrix(n ** 2, rules))
-    quadratic(report, products(lambda _: t, lambda: identity), 0, RF.from_poly(v(rules)), f" (n={n})")
+    n = spec.n
+    t = tau_operator(n).compose(r_gl(spec)).scale(RF.from_poly(P.symbol("u")))
+    identity = TensorOperator(n, 2, identity_matrix(n ** 2))
+    quadratic(report, products(lambda _: t, lambda: identity), 0, RF.from_poly(v()), f" (n={n})")
     braid(report, products(lambda i: t.embed((i, i + 1), 3)), 0, 1, 3, f" (n={n})")
     return report
 
@@ -277,23 +279,22 @@ def check_triangularity(
         x = P.symbol("x")
         op_x = build(x)
         op_xinv = build(x.monomial_inverse())
-        rules = op_x.mat.rules
-        tau = tau_operator(op_x.n, rules)
+        tau = tau_operator(op_x.n)
         product = tau.compose(op_x).compose(tau).compose(op_xinv)
         scalar = is_scalar_matrix(product.mat)
         if scalar is None:
-            return verdict(product.mat, mat_scalar(expected, identity_matrix(op_x.n ** 2, rules)), "not scalar at ")
+            return verdict(product.mat, mat_scalar(expected, identity_matrix(op_x.n ** 2)), "not scalar at ")
         return verdict(scalar, expected)
 
     report.run(name, check)
     return report
 
 
-def doubler_scalar(rules: GaussRules | None = None) -> RF:
+def doubler_scalar() -> RF:
     """(u - x/u)(u - 1/(x u)) -- the composition scalar of the affine family."""
-    x = P.symbol("x", rules)
-    uu = P.symbol("u", rules)
-    uinv = P.monomial({"u": -1}, rules=rules)
+    x = P.symbol("x")
+    uu = P.symbol("u")
+    uinv = P.monomial({"u": -1})
     return RF.from_poly((uu - x * uinv) * (uu - x.monomial_inverse() * uinv))
 
 
@@ -322,19 +323,18 @@ def tensor_schema_instance(
         raise ValueError("power must be 1 or n")
     cartan = build_cartan(f"A{r - 1}")
     group = WeylGroup(cartan)
-    rules = GaussRules.standard(n) if twist == "gauss" else None
-    spec = gauss_gamma_spec(n, rules) if twist == "gauss" else untwisted_spec(n)
-    tau = tau_operator(n, rules)
-    one = P.one(rules)
-    uu = P.symbol("u", rules)
+    spec = gauss_gamma_spec(n) if twist == "gauss" else untwisted_spec(n)
+    tau = tau_operator(n)
+    one = P.one()
+    uu = P.symbol("u")
     a_matrices = {}
     for w in group:
         winv = group.inverse(w)
         for i in range(cartan.rank):
-            x = coroot_monomial(winv.act(cartan.simple_coroots[i]), power, rules)
+            x = coroot_monomial(winv.act(cartan.simple_coroots[i]), power)
             if twist == "gauss" and power == n:
-                local = tau.compose(r_tilde(n, x, rules))
-                prefactor = RF(one - v(rules) * x, (one - x,))
+                local = tau.compose(r_tilde(n, x))
+                prefactor = RF(one - v() * x, (one - x,))
             else:
                 local = tau.compose(r_affine(spec, x))
                 prefactor = RF(uu, (one - x,))
@@ -343,7 +343,7 @@ def tensor_schema_instance(
             op = local.embed((i, i + 1), r).scale(prefactor)
             a_matrices[(w, i)] = op.mat
     name = f"tensor n={n} r={r} twist={twist} power={power}"
-    return SchemaInstance(cartan, group, n ** r, a_matrices, tuple(power for _ in range(cartan.rank)), rules, name)
+    return SchemaInstance(cartan, group, n ** r, a_matrices, tuple(power for _ in range(cartan.rank)), name)
 
 
 def check_content_preservation(inst: SchemaInstance, report: Report | None = None) -> Report:
@@ -368,21 +368,20 @@ def check_content_preservation(inst: SchemaInstance, report: Report | None = Non
 # -- the z -> 0 limit and the wreath construction -----------------------------------
 
 
-def hecke_inverse(t: Matrix, rules: GaussRules | None = None) -> Matrix:
+def hecke_inverse(t: Matrix) -> Matrix:
     """T^{-1} = (T - (v-1)) / v, valid whenever T satisfies the quadratic relation."""
     k = len(t)
-    vv = RF.from_poly(v(rules))
-    shifted = mat_sub(t, mat_scalar(vv - 1, identity_matrix(k, rules)))
-    return mat_scalar(RF.one(rules) / vv, shifted)
+    vv = RF.from_poly(v())
+    shifted = mat_sub(t, mat_scalar(vv - 1, identity_matrix(k)))
+    return mat_scalar(RF.one() / vv, shifted)
 
 
 def wreath_operator(group: WeylGroup, t: Matrix, i: int) -> BlockOperator:
     """The wreath action: T_i phi_{s_i w} on descents, (v-1) + v T_i^{-1} phi_{s_i w} on ascents."""
     t = as_matrix(t)
-    rules = t.rules
-    vv = RF.from_poly(v(rules))
-    inverse = hecke_inverse(t, rules)
-    ident = identity_matrix(len(t), rules)
+    vv = RF.from_poly(v())
+    inverse = hecke_inverse(t)
+    ident = identity_matrix(len(t))
     blocks = {}
     for w in group:
         sw = group.left_mul_simple(i, w)
@@ -391,7 +390,7 @@ def wreath_operator(group: WeylGroup, t: Matrix, i: int) -> BlockOperator:
         else:
             blocks[(w, w)] = mat_scalar(vv - 1, ident)
             blocks[(w, sw)] = mat_scalar(vv, inverse)
-    return BlockOperator(len(t), rules, _drop_zero_blocks(blocks))
+    return BlockOperator(len(t), blocks)
 
 
 def jimbo_t_matrix(n: int, r: int, i: int) -> Matrix:
@@ -427,22 +426,16 @@ def limit_instance(n: int, r: int) -> tuple[WeylGroup, list[BlockOperator]]:
                 blocks[(w, sw)] = tau_r_inv.scale(uu).mat
             else:
                 blocks[(w, sw)] = tau_r.scale(uu).mat
-        ops.append(BlockOperator(k, None, _drop_zero_blocks(blocks)))
+        ops.append(BlockOperator(k, blocks))
     return group, ops
 
 
 def check_finite_hecke(group: WeylGroup, ops: list[BlockOperator], report: Report | None = None, name: str = "finite Hecke") -> Report:
     """Quadratic and braid relations for explicit block operators over W."""
     report = report or Report(name)
-    k, rules = ops[0].block_dim, ops[0].rules
-    act = products(ops.__getitem__, lambda: identity_operator(group, k, rules))
-    return hecke_relations(report, act, RF.from_poly(v(rules)), group.cartan.braid_orders)
-
-
-def delta_matrix(group: WeylGroup, k: int, rules: GaussRules | None = None) -> dict[WeylElement, Matrix]:
-    """Blocks of Delta, the identity at every w."""
-    ident = identity_matrix(k, rules)
-    return {w: ident for w in group}
+    k = ops[0].block_dim
+    act = products(ops.__getitem__, lambda: identity_operator(group, k))
+    return hecke_relations(report, act, RF.from_poly(v()), group.cartan.braid_orders)
 
 
 def check_wreath_intertwining(
@@ -451,19 +444,20 @@ def check_wreath_intertwining(
     t: Matrix,
     report: Report | None = None,
 ) -> Report:
-    """Delta intertwines the wreath action with T_i, as a matrix identity."""
+    """Delta intertwines the wreath action with T_i, as a matrix identity.
+
+    Delta is the identity at every w, so block w of op Delta is the sum of
+    op's block row w, and block w of Delta T is T.
+    """
     report = report or Report("wreath intertwining")
 
     def check():
-        delta = delta_matrix(group, op.block_dim, op.rules)
         for w in group:
             lhs = None
-            for (wt, ws), block in op.blocks.items():
-                if wt != w:
-                    continue
-                term = mat_mul(block, delta[ws])
-                lhs = term if lhs is None else mat_add(lhs, term)
-            result = verdict(lhs, mat_mul(delta[w], t), f"block {w.name()} ")
+            for (wt, _), block in op.blocks.items():
+                if wt == w:
+                    lhs = block if lhs is None else mat_add(lhs, block)
+            result = verdict(lhs, t, f"block {w.name()} ")
             if not result[0]:
                 return result
         return True, None, None
@@ -472,16 +466,16 @@ def check_wreath_intertwining(
     return report
 
 
-def star_matrix(t: Matrix, rules: GaussRules | None = None) -> Matrix:
+def star_matrix(t: Matrix) -> Matrix:
     """T* = (v - 1) - T = -v T^{-1}: the order-2 twist of the Hecke generators."""
     k = len(t)
-    vv = RF.from_poly(v(rules))
-    return mat_sub(mat_scalar(vv - 1, identity_matrix(k, rules)), t)
+    vv = RF.from_poly(v())
+    return mat_sub(mat_scalar(vv - 1, identity_matrix(k)), t)
 
 
 def eigenline_basis(t: Matrix, eigenvalue: RF) -> list[tuple[RF, ...]]:
     t = as_matrix(t)
-    return nullspace(mat_sub(t, mat_scalar(eigenvalue, identity_matrix(len(t), t.rules))))
+    return nullspace(mat_sub(t, mat_scalar(eigenvalue, identity_matrix(len(t)))))
 
 
 def check_wreath_star(group: WeylGroup, op: BlockOperator, t: Matrix, report: Report | None = None) -> Report:
@@ -495,20 +489,20 @@ def check_wreath_star(group: WeylGroup, op: BlockOperator, t: Matrix, report: Re
     branches forces T = v there.)
     """
     report = report or Report("wreath star twist")
-    k, rules = op.block_dim, op.rules
-    vv = RF.from_poly(v(rules))
-    zero = (RF.zero(rules),) * k
+    k = op.block_dim
+    vv = RF.from_poly(v())
+    zero = (RF.zero(),) * k
 
     def diagonal(phi, sign):
         return {
-            w: tuple(((RF.const(-1, rules) * vv) ** (sign * w.length)) * x for x in phi)
+            w: tuple(((RF.const(-1) * vv) ** (sign * w.length)) * x for x in phi)
             for w in group
         }
 
     def check():
-        star = star_matrix(t, rules)
+        star = star_matrix(t)
         plus = eigenline_basis(t, vv)
-        minus = eigenline_basis(t, RF.const(-1, rules))
+        minus = eigenline_basis(t, RF.const(-1))
         if len(plus) + len(minus) != k:
             return False, f"eigenspace dims {len(plus)}+{len(minus)}", str(k)
         for line, sign, basis in (("v", 1, plus), ("(-1)", -1, minus)):
@@ -529,23 +523,22 @@ def check_star_word_identity(group: WeylGroup, t_matrices: list[Matrix], report:
     """T_w^* = (-v)^{l(w)} T_{w^{-1}}^{-1} as exact matrix identities, all w."""
     report = report or Report("star word identity")
     t_matrices = [as_matrix(t) for t in t_matrices]
-    rules = t_matrices[0].rules
-    vv = RF.from_poly(v(rules))
+    vv = RF.from_poly(v())
     k = len(t_matrices[0])
 
     def word_product(mats: list[Matrix], word: tuple[int, ...]) -> Matrix:
-        out = identity_matrix(k, rules)
+        out = identity_matrix(k)
         for i in word:
             out = mat_mul(out, mats[i])
         return out
 
     def check():
-        stars = [star_matrix(t, rules) for t in t_matrices]
+        stars = [star_matrix(t) for t in t_matrices]
         for w in group:
             lhs = word_product(stars, w.word)
             winv = group.inverse(w)
             rhs = mat_scalar(
-                (RF.const(-1, rules) * vv) ** w.length,
+                (RF.const(-1) * vv) ** w.length,
                 mat_inverse(word_product(t_matrices, winv.word)),
             )
             result = verdict(lhs, rhs, f"w={w.name()} ")

@@ -25,7 +25,7 @@ from math import gcd
 from operator import mul
 from typing import Sequence
 
-from .algebra import GaussRules, LaurentPoly, RationalFunction, exact_divide
+from .algebra import LaurentPoly, RationalFunction, exact_divide
 
 IntVector = tuple[int, ...]
 Scaled = tuple[tuple[IntVector, ...], int]  # a rational matrix as (integer rows, denominator), in lowest terms
@@ -377,13 +377,13 @@ def weyl_group(cartan: CartanDatum) -> WeylGroup:
     return WeylGroup(cartan)
 
 
-def coroot_monomial(beta: Sequence[int], scale: int = 1, rules: GaussRules | None = None) -> LaurentPoly:
+def coroot_monomial(beta: Sequence[int], scale: int = 1) -> LaurentPoly:
     """z^{scale * beta}."""
-    return LaurentPoly.monomial({f"z{i + 1}": scale * int(b) for i, b in enumerate(beta)}, rules=rules)
+    return LaurentPoly.monomial({f"z{i + 1}": scale * int(b) for i, b in enumerate(beta)})
 
 
-def weight_monomial(mu: Sequence[int], rules: GaussRules | None = None) -> LaurentPoly:
-    return coroot_monomial(mu, 1, rules)
+def weight_monomial(mu: Sequence[int]) -> LaurentPoly:
+    return coroot_monomial(mu)
 
 
 def weyl_character(cartan: CartanDatum, group: WeylGroup, lam: Sequence[int]) -> LaurentPoly:

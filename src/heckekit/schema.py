@@ -17,10 +17,10 @@ how the metaplectic instances run on the dual torus of the cover.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import reduce
 from typing import Sequence
 
 from .algebra import (
-    GaussRules,
     LaurentPoly,
     NotDivisible,
     RationalFunction,
@@ -36,7 +36,7 @@ from .linalg import (
     mat_mul,
     mat_scalar,
 )
-from .relations import braid, products, quadratic, verdict
+from .relations import applied, braid, products, quadratic, verdict
 from .reports import Report
 from .roots import CartanDatum, WeylElement, WeylGroup, coroot_monomial, weight_monomial
 
@@ -48,7 +48,6 @@ class SchemaInstance:
     block_dim: int
     a_matrices: dict[tuple[WeylElement, int], Matrix]
     root_scale: tuple[int, ...] = ()
-    rules: GaussRules | None = None
     name: str = "instance"
 
     def __post_init__(self) -> None:
@@ -66,46 +65,45 @@ class SchemaInstance:
         alpha = self.cartan.simple_coroots[i]
         winv = self.group.inverse(w)
         vec = winv.act(alpha)
-        return coroot_monomial(vec, power * self.root_scale[i], self.rules)
+        return coroot_monomial(vec, power * self.root_scale[i])
 
     def d_scalar(self, w: WeylElement, i: int) -> RationalFunction:
         """D_i(wz) = (1 - v)(wz)^{scale alpha_i} / (1 - (wz)^{scale alpha_i})."""
         x = self.x_monomial(w, i)
-        one = LaurentPoly.one(self.rules)
-        return RationalFunction((one - v(self.rules)) * x, (one - x,))
+        one = LaurentPoly.one()
+        return RationalFunction((one - v()) * x, (one - x,))
 
     def composition_scalar(self, w: WeylElement, i: int) -> RationalFunction:
         """The forced value of A(s_i w, i) A(w, i): C(X) C(X^{-1}) at X = (wz)^{scale alpha_i}."""
         x = self.x_monomial(w, i)
-        return c_function(x, self.rules) * c_function(x.monomial_inverse(), self.rules)
+        return c_function(x) * c_function(x.monomial_inverse())
 
     def perturbed(self, w: WeylElement, i: int, factor=2) -> "SchemaInstance":
         """Copy with one A entry scaled; used as a negative control."""
         a = dict(self.a_matrices)
-        a[(w, i)] = mat_scalar(RationalFunction.const(factor, self.rules), a[(w, i)])
+        a[(w, i)] = mat_scalar(RationalFunction.const(factor), a[(w, i)])
         return replace(self, a_matrices=a, name=f"{self.name}-perturbed")
 
 
-def c_function(x: LaurentPoly, rules: GaussRules | None = None) -> RationalFunction:
+def c_function(x: LaurentPoly) -> RationalFunction:
     """C(x) = (1 - v x)/(1 - x)."""
-    one = LaurentPoly.one(rules)
-    return RationalFunction(one - v(rules) * x, (one - x,))
+    one = LaurentPoly.one()
+    return RationalFunction(one - v() * x, (one - x,))
 
 
 @dataclass
 class BlockOperator:
-    """Sparse |W| x |W| grid of k x k blocks, keyed (target, source); no block is all zero."""
+    """Sparse |W| x |W| grid of k x k blocks, keyed (target, source); an all-zero block is dropped."""
 
     block_dim: int
-    rules: GaussRules | None
     blocks: dict[tuple[WeylElement, WeylElement], Matrix] = field(default_factory=dict)
 
-    def _with(self, blocks: dict) -> "BlockOperator":
-        return BlockOperator(self.block_dim, self.rules, _drop_zero_blocks(blocks))
+    def __post_init__(self) -> None:
+        self.blocks = {key: m for key, m in self.blocks.items() if m.entries}
 
     def block(self, target: WeylElement, source: WeylElement) -> Matrix:
         got, k = self.blocks.get((target, source)), self.block_dim
-        return got if got is not None else Matrix((k, k), {}, self.rules)
+        return got if got is not None else Matrix((k, k), {})
 
     def apply(self, vec: dict[WeylElement, Sequence[RationalFunction]]) -> dict[WeylElement, tuple[RationalFunction, ...]]:
         """The image of a block vector; a block missing from vec, or from the image, is zero."""
@@ -125,19 +123,19 @@ class BlockOperator:
             for s2, m2 in by_target.get(s1, ()):  # s1 is other's target
                 key, product = (t1, s2), mat_mul(m1, m2)
                 out[key] = mat_add(out[key], product) if key in out else product
-        return self._with(out)
+        return BlockOperator(self.block_dim, out)
 
     def add(self, other: "BlockOperator") -> "BlockOperator":
         out = dict(self.blocks)
         for key, m in other.blocks.items():
             out[key] = mat_add(out[key], m) if key in out else m
-        return self._with(out)
+        return BlockOperator(self.block_dim, out)
 
     def sub(self, other: "BlockOperator") -> "BlockOperator":
-        return self.add(other.scale(RationalFunction.const(-1, self.rules)))
+        return self.add(other.scale(RationalFunction.const(-1)))
 
     def scale(self, c: RationalFunction) -> "BlockOperator":
-        return self._with({key: mat_scalar(c, m) for key, m in self.blocks.items()})
+        return BlockOperator(self.block_dim, {key: mat_scalar(c, m) for key, m in self.blocks.items()})
 
     __add__ = add
     __rmul__ = scale
@@ -155,69 +153,57 @@ class BlockOperator:
         return None
 
 
-def _drop_zero_blocks(blocks: dict) -> dict:
-    return {k: m for k, m in blocks.items() if m.entries}
-
-
 # -- operator constructors -------------------------------------------------------
 
 
 def build_T(inst: SchemaInstance, i: int) -> BlockOperator:
     """The Hecke generator acting on the sum of blocks."""
     blocks: dict[tuple[WeylElement, WeylElement], Matrix] = {}
-    ident = identity_matrix(inst.block_dim, inst.rules)
+    ident = identity_matrix(inst.block_dim)
     for w in inst.group:
         blocks[(w, w)] = mat_scalar(inst.d_scalar(w, i), ident)
         sw = inst.group.left_mul_simple(i, w)
         blocks[(w, sw)] = inst.A(sw, i)
-    return BlockOperator(inst.block_dim, inst.rules, _drop_zero_blocks(blocks))
+    return BlockOperator(inst.block_dim, blocks)
 
 
 def build_theta(inst: SchemaInstance, lam: Sequence[int]) -> BlockOperator:
     """theta_lambda: diagonal block (wz)^lambda * I_k."""
     blocks = {}
-    ident = identity_matrix(inst.block_dim, inst.rules)
+    ident = identity_matrix(inst.block_dim)
     for w in inst.group:
         winv = inst.group.inverse(w)
-        mono = weight_monomial(winv.act(lam), inst.rules)
+        mono = weight_monomial(winv.act(lam))
         blocks[(w, w)] = mat_scalar(RationalFunction.from_poly(mono), ident)
-    return BlockOperator(inst.block_dim, inst.rules, blocks)
+    return BlockOperator(inst.block_dim, blocks)
 
 
-def identity_operator(group: WeylGroup, k: int, rules: GaussRules | None) -> BlockOperator:
-    ident = identity_matrix(k, rules)
-    return BlockOperator(k, rules, {(w, w): ident for w in group})
+def identity_operator(group: WeylGroup, k: int) -> BlockOperator:
+    ident = identity_matrix(k)
+    return BlockOperator(k, {(w, w): ident for w in group})
 
 
-def apply_Tw(inst: SchemaInstance, w: WeylElement, _cache: dict | None = None) -> BlockOperator:
+def _tw_act(inst: SchemaInstance):
+    """act(word) = T_word as an operator: each T_i built once, each product kept by its word."""
+    generators = [build_T(inst, i) for i in range(inst.cartan.rank)]
+    return applied(lambda i, rest: generators[i].compose(rest), identity_operator(inst.group, inst.block_dim))
+
+
+def apply_Tw(inst: SchemaInstance, w: WeylElement) -> BlockOperator:
     """T_w as the product along a reduced word (well-defined once braids hold)."""
-    if _cache is not None and w in _cache:
-        return _cache[w]
-    if w.length == 0:
-        result = identity_operator(inst.group, inst.block_dim, inst.rules)
-    else:
-        i = w.word[0]
-        rest = inst.group.left_mul_simple(i, w)
-        result = build_T(inst, i).compose(apply_Tw(inst, rest, _cache))
-    if _cache is not None:
-        _cache[w] = result
-    return result
+    return _tw_act(inst)(w.word)
 
 
 def spherical_sum(inst: SchemaInstance) -> BlockOperator:
     """The spherical element sum_w T_w in this representation."""
-    cache: dict = {}
-    total = None
-    for w in inst.group:
-        tw = apply_Tw(inst, w, cache)
-        total = tw if total is None else total.add(tw)
-    return total
+    act = _tw_act(inst)
+    return reduce(BlockOperator.add, (act(w.word) for w in inst.group))
 
 
-def poincare_polynomial(group: WeylGroup, rules: GaussRules | None = None) -> LaurentPoly:
-    total = LaurentPoly.zero(rules)
+def poincare_polynomial(group: WeylGroup) -> LaurentPoly:
+    total = LaurentPoly.zero()
     for w in group:
-        total = total + v(rules) ** w.length
+        total = total + v() ** w.length
     return total
 
 
@@ -244,13 +230,13 @@ def check_composition(inst: SchemaInstance, report: Report | None = None) -> Rep
 
 def _act(inst: SchemaInstance):
     """Words in the generators T_i of inst, for the relation verifier."""
-    return products(lambda i: build_T(inst, i), lambda: identity_operator(inst.group, inst.block_dim, inst.rules))
+    return products(lambda i: build_T(inst, i), lambda: identity_operator(inst.group, inst.block_dim))
 
 
 def check_quadratic(inst: SchemaInstance, i: int, report: Report | None = None) -> Report:
     """T_i^2 = (v - 1) T_i + v, exactly."""
     report = report or Report(f"{inst.name}: quadratic")
-    return quadratic(report, _act(inst), i, RationalFunction.from_poly(v(inst.rules)))
+    return quadratic(report, _act(inst), i, RationalFunction.from_poly(v()))
 
 
 def check_braid(inst: SchemaInstance, i: int, j: int, report: Report | None = None) -> Report:
@@ -273,20 +259,20 @@ def check_bernstein(inst: SchemaInstance, lam: Sequence[int], i: int, report: Re
         slam = s.act(lam)
         t = build_T(inst, i)
         lhs = build_theta(inst, lam).compose(t).sub(t.compose(build_theta(inst, slam)))
-        numerator = weight_monomial(lam, inst.rules) - weight_monomial(slam, inst.rules)
+        numerator = weight_monomial(lam) - weight_monomial(slam)
         alpha = inst.cartan.simple_coroots[i]
-        denominator = LaurentPoly.one(inst.rules) - coroot_monomial(alpha, -inst.root_scale[i], inst.rules)
+        denominator = LaurentPoly.one() - coroot_monomial(alpha, -inst.root_scale[i])
         try:
             quotient = exact_divide(numerator, denominator)
         except NotDivisible:
             return False, "rhs numerator not divisible by 1 - theta_{-scale alpha}", "Bernstein"
         blocks = {}
-        ident = identity_matrix(inst.block_dim, inst.rules)
-        vv = RationalFunction.from_poly(v(inst.rules))
+        ident = identity_matrix(inst.block_dim)
+        vv = RationalFunction.from_poly(v())
         for w in inst.group:
             q_at_w = inst.group.at_point(w, quotient)
             blocks[(w, w)] = mat_scalar((vv - 1) * RationalFunction.from_poly(q_at_w), ident)
-        return verdict(lhs, BlockOperator(inst.block_dim, inst.rules, _drop_zero_blocks(blocks)))
+        return verdict(lhs, BlockOperator(inst.block_dim, blocks))
 
     report.run(f"bernstein lambda={lam} i={i + 1}", check)
     return report
@@ -298,7 +284,7 @@ def check_spherical_idempotent(inst: SchemaInstance, report: Report | None = Non
 
     def check():
         s = spherical_sum(inst)
-        scale = RationalFunction.from_poly(poincare_polynomial(inst.group, inst.rules))
+        scale = RationalFunction.from_poly(poincare_polynomial(inst.group))
         return verdict(s.compose(s), s.scale(scale))
 
     report.run("spherical idempotent", check)

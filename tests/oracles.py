@@ -56,7 +56,7 @@ def weyl_character_sum_form(cartan: CartanDatum, group: WeylGroup, lam: Sequence
 def r_affine_linear(spec: RMatrixSpec, x: LaurentPoly) -> TensorOperator:
     """R - x R_21^{-1}, by exact inversion; equals r_affine for the untwisted spec."""
     r = r_gl(spec)
-    tau = tau_operator(spec.n, spec.rules)
+    tau = tau_operator(spec.n)
     r21 = tau.compose(r).compose(tau)
     return r.sub(r21.inverse().scale(RF.from_poly(x)))
 

@@ -18,9 +18,11 @@ from heckekit.linalg import (
     identity_matrix,
     is_scalar_matrix,
     mat_add,
+    mat_inverse,
     mat_mul,
     mat_scalar,
     mat_sub,
+    nullspace,
 )
 
 P = LaurentPoly
@@ -184,7 +186,7 @@ def test_is_scalar_matrix_matches_dense(ops, kind):
         square = tuple(tuple(a[r % len(a)][c % len(a[0])] for c in range(k)) for r in range(k))
     else:
         # s * I, perturbed in one entry when kind == 2
-        square = [list(row) for row in identity_matrix(k, rules)]
+        square = [list(row) for row in identity_matrix(k)]
         square = [[b[0][0] * x for x in row] for row in square]
         if kind == 2:
             square[k - 1][0] = a[0][0]
@@ -197,7 +199,7 @@ def test_is_scalar_matrix_matches_dense(ops, kind):
 
 
 def test_zero_matrix_has_zero_scalar():
-    zero = Matrix((3, 3), {}, GaussRules.standard(3))
+    zero = Matrix((3, 3), {})
     s = is_scalar_matrix(zero)
     assert s is not None and s.is_zero()
 
@@ -223,11 +225,11 @@ def ref_add(a, b):
     out = dict(a.entries)
     for key, y in b.entries.items():
         out[key] = y if key not in out else out[key] + y
-    return Matrix(a.shape, out, a.rules)
+    return Matrix(a.shape, out)
 
 
 def ref_scalar(c, a):
-    return Matrix(a.shape, {key: c * x for key, x in a.entries.items()} if not c.is_zero() else {}, a.rules)
+    return Matrix(a.shape, {key: c * x for key, x in a.entries.items()} if not c.is_zero() else {})
 
 
 def ref_mul(a, b):
@@ -236,7 +238,7 @@ def ref_mul(a, b):
         for (j2, c), y in sorted(b.entries.items()):
             if j2 == j:
                 out[(r, c)] = x * y if (r, c) not in out else out[(r, c)] + x * y
-    return Matrix((a.shape[0], b.shape[1]), out, a.rules)
+    return Matrix((a.shape[0], b.shape[1]), out)
 
 
 def ref_first_difference(a, b):
@@ -280,7 +282,7 @@ def shared_matrix(draw, rules, shape, shared):
                 entries[(r, c)] = RF(*specs[i])
             elif kind == "unique":
                 entries[(r, c)] = RF(*specs[i]) * RF.from_poly(P.monomial({"t": 1 + r * shape[1] + c}, rules=rules))
-    return Matrix(shape, entries, rules)
+    return Matrix(shape, entries)
 
 
 @st.composite
@@ -303,7 +305,7 @@ def test_kernels_match_memo_free_loops(ops):
     assert_identical(mat_sub(a, b), ref_add(a, ref_scalar(RF.const(-1, rules), b)))
     for scalar in (shared[0], shared[-1], RF.zero(rules)):
         assert_identical(mat_scalar(scalar, a), ref_scalar(scalar, a))
-    for x, y in ((a, b), (a, a), (b, a), (a, Matrix(a.shape, {}, rules))):
+    for x, y in ((a, b), (a, a), (b, a), (a, Matrix(a.shape, {}))):
         got, want = first_difference(x, y), ref_first_difference(x, y)
         assert (got is None) == (want is None)
         if want is not None:
@@ -320,15 +322,15 @@ def test_first_difference_finds_a_single_late_entry(rules):
     b = {key: x if key[0] % 2 else RF(x.num, x.den) for key, x in a.items()}
     late = (k - 1, k - 2)
     assert a[late] is p
-    changed = Matrix((k, k), {**b, late: q}, rules)
-    got = first_difference(Matrix((k, k), a, rules), changed)
+    changed = Matrix((k, k), {**b, late: q})
+    got = first_difference(Matrix((k, k), a), changed)
     assert got[:2] == late and got[2] is p and got[3] is q
-    absent = Matrix((k, k), {key: x for key, x in b.items() if key != late}, rules)
-    got = first_difference(Matrix((k, k), a, rules), absent)
+    absent = Matrix((k, k), {key: x for key, x in b.items() if key != late})
+    got = first_difference(Matrix((k, k), a), absent)
     assert got[:2] == late and got[2] is p and got[3].is_zero()
-    got = first_difference(absent, Matrix((k, k), a, rules))
+    got = first_difference(absent, Matrix((k, k), a))
     assert got[:2] == late and got[2].is_zero() and got[3] is p
-    assert first_difference(Matrix((k, k), a, rules), Matrix((k, k), b, rules)) is None
+    assert first_difference(Matrix((k, k), a), Matrix((k, k), b)) is None
 
 
 def test_shared_entries_stay_shared():
@@ -339,3 +341,40 @@ def test_shared_entries_stay_shared():
     square = mat_mul(a, a)
     assert square[1, 1] is square[2, 2] and square[0, 0] is square[1, 1]
     assert len({id(v) for v in mat_add(a, a).entries.values()}) == 1
+
+
+# -- Gauss-Jordan elimination: mat_inverse and nullspace ------------------------------
+#
+# a = L D U has a known rank r: L and U are unit triangular, so invertible, and D is
+# zero but for r nonzero diagonal entries.
+
+
+@st.composite
+def ranked(draw):
+    """(a, r) with a = L D U, k x m for k, m <= 3, of rank r; rule-free or under standard(3)."""
+    rules = draw(st.sampled_from(RULES))
+    pool = POOLS[id(rules)]
+    one = RF.one(rules)
+    k, m = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    rank = draw(st.integers(0, min(k, m)))
+    lower = {(r, c): one if r == c else draw(st.sampled_from(pool)) for r in range(k) for c in range(r + 1)}
+    upper = {(r, c): one if r == c else draw(st.sampled_from(pool)) for r in range(m) for c in range(r, m)}
+    diagonal = {(t, t): draw(st.sampled_from([x for x in pool if not x.is_zero()])) for t in range(rank)}
+    a = mat_mul(mat_mul(Matrix((k, k), lower), Matrix((k, m), diagonal)), Matrix((m, m), upper))
+    return a, rank
+
+
+@settings(max_examples=100, deadline=None)
+@given(ranked())
+def test_gauss_jordan_inverse_and_kernel(case):
+    a, rank = case
+    k, m = a.shape
+    if k == m == rank:
+        assert mat_mul(a, mat_inverse(a)) == identity_matrix(k)
+    elif k == m:
+        with pytest.raises(ZeroDivisionError):
+            mat_inverse(a)
+    basis = nullspace(a)
+    assert len(basis) == m - rank
+    for vec in basis:
+        assert all(x == RF.zero() for x in apply_matrix(a, vec))

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from heckekit.algebra import (
+    GaussRules,
     LaurentPoly,
     RationalFunction,
     gauss_symbol,
@@ -30,6 +31,7 @@ from heckekit.metaplectic import (
     whittaker_base,
     whittaker_value,
 )
+from heckekit.rmatrix import tensor_schema_instance
 from heckekit.roots import build_cartan, coroot_monomial, weight_monomial, weyl_group
 from heckekit.schema import build_T, verify_instance
 from heckekit.whittaker import apply_demazure, cs_rhs, demazure_variant, whittaker_schema_instance
@@ -79,9 +81,9 @@ def test_invalid_B_rejected():
 
 def test_c_factor_values(gl2_n2):
     d1 = build_datum("A1", 1)
-    x = coroot_monomial(d1.cartan.simple_coroots[0], 1, d1.rules)
+    x = coroot_monomial(d1.cartan.simple_coroots[0], 1)
     assert c_factor(d1, 0) == RF(P.one(d1.rules) - v(d1.rules) * x, (P.one(d1.rules) - x,))
-    x2 = coroot_monomial(gl2_n2.cartan.simple_coroots[0], 2, gl2_n2.rules)
+    x2 = coroot_monomial(gl2_n2.cartan.simple_coroots[0], 2)
     assert c_factor(gl2_n2, 0) == RF(P.one(gl2_n2.rules) - v(gl2_n2.rules) * x2, (P.one(gl2_n2.rules) - x2,))
 
 
@@ -89,11 +91,11 @@ def test_tau1_values(gl2_n2):
     d = gl2_n2
     rules = d.rules
     alpha = d.cartan.simple_coroots[0]
-    den = P.one(rules) - v(rules) * coroot_monomial(alpha, 2, rules)
+    den = P.one(rules) - v(rules) * coroot_monomial(alpha, 2)
     # B(alpha, mu) = 0: exponent 0
     assert tau1(d, 0, (1, 1)) == RF(P.one(rules) - v(rules), (den,))
     # B(alpha, mu) = 1 (mu = rho): exponent rem_2(-1) = 1
-    assert tau1(d, 0, (1, 0)) == RF((P.one(rules) - v(rules)) * coroot_monomial(alpha, 1, rules), (den,))
+    assert tau1(d, 0, (1, 0)) == RF((P.one(rules) - v(rules)) * coroot_monomial(alpha, 1), (den,))
 
 
 def test_tau2_carries_gauss_symbol(gl2_n2):
@@ -108,7 +110,7 @@ def test_tau1_n1_specialization():
     rules = d.rules
     alpha = d.cartan.simple_coroots[0]
     assert tau1(d, 0, (0, 0)) == RF(
-        P.one(rules) - v(rules), (P.one(rules) - v(rules) * coroot_monomial(alpha, 1, rules),)
+        P.one(rules) - v(rules), (P.one(rules) - v(rules) * coroot_monomial(alpha, 1),)
     )
 
 
@@ -157,6 +159,31 @@ def test_schema_gl2_gl3():
             assert rep.passed, rep.render_text()
 
 
+def _gauss_carriers(inst):
+    """Every numerator and denominator factor that carries a Gauss symbol, in the A blocks and the T_i."""
+    matrices = list(inst.a_matrices.values())
+    for i in range(inst.cartan.rank):
+        matrices += build_T(inst, i).blocks.values()
+    polys = [p for m in matrices for x in m.entries.values() for p in (x.num, *x.den)]
+    return [p for p in polys if any(s[0] == "g" and s[1:].isdigit() for s in p.symbols())]
+
+
+@pytest.mark.parametrize(
+    "build, n",
+    [
+        (lambda: metaplectic_schema_instance(build_datum("A2", 2)), 2),
+        (lambda: metaplectic_schema_instance(build_datum("A2", 3)), 3),
+        (lambda: tensor_schema_instance(2, 3, "gauss", 2), 2),
+    ],
+    ids=["metaplectic A2 n=2", "metaplectic A2 n=3", "tensor n=2 r=3 gauss power=2"],
+)
+def test_every_gauss_symbol_carries_the_standard_rules(build, n):
+    """The modulus is decided where a Gauss symbol is made; no container passes it along."""
+    carriers = _gauss_carriers(build())
+    assert carriers
+    assert all(p.rules is GaussRules.standard(n) for p in carriers)
+
+
 def test_perturbed_tau_fails(gl2_n2):
     d = gl2_n2
     good = scattering_block(d, 0)
@@ -180,7 +207,7 @@ def test_cg_action_two_term_value(gl2_n2):
     # f = z1 (mu = e1): B = 1, Q = 1, rem_2(-1) = 1, index B - Q = 0
     f = P.symbol("z1", rules)
     got = cg_action(d, 0, f)
-    x = coroot_monomial(alpha, 1, rules)
+    x = coroot_monomial(alpha, 1)
     bracket = RF(
         x ** (-1) * (P.one(rules) - v(rules)), (P.one(rules) - x ** 2,)
     ) - RF.from_poly(gauss_symbol(0, rules) * x ** (1 - 2))
@@ -205,7 +232,7 @@ def test_met_demazure_n1_reduces_to_plain_whittaker():
     cartan = d.cartan
     var = demazure_variant("whittaker", cartan, d.group, modified=False)
     for mu in [(1, 0), (0, 2), (-1, 1)]:
-        f = weight_monomial(mu, d.rules)
+        f = weight_monomial(mu)
         got = met_demazure(d, 0, f)
         expected = apply_demazure(var, 0, weight_monomial(mu))
         assert got == RF(
@@ -215,13 +242,13 @@ def test_met_demazure_n1_reduces_to_plain_whittaker():
 
 def test_met_demazure_antispherical_n1():
     d = build_datum("A1", 1)
-    zrho = weight_monomial(d.cartan.rho, d.rules)
+    zrho = weight_monomial(d.cartan.rho)
     assert met_demazure(d, 0, zrho) == RF.from_poly(-zrho)
 
 
 def test_met_demazure_polynomial_stability(gl2_n2):
     for mu in [(1, 0), (-2, 1), (0, 0)]:
-        out = met_demazure_poly(gl2_n2, 0, weight_monomial(mu, gl2_n2.rules))
+        out = met_demazure_poly(gl2_n2, 0, weight_monomial(mu))
         assert isinstance(out, P)
 
 
@@ -249,7 +276,7 @@ def test_gauss_flip_preserves_relations(gl2_n2):
     weights = [(1, 0), (0, 1)]
     vv = RF.from_poly(v(d.rules))
     for mu in weights:
-        f = weight_monomial(mu, d.rules)
+        f = weight_monomial(mu)
         once = met_demazure(d, 0, f, gauss_flip=True)
         twice = met_demazure(d, 0, once.as_poly(), gauss_flip=True)
         assert twice == (vv - 1) * once + vv * RF.from_poly(f)
@@ -296,7 +323,7 @@ def test_whittaker_aggregate_matches_demazure_sum(gl2_n2):
     lam = (2, 0)  # inside Lambda^(2)
     agg = whittaker_aggregate(d, lam)
     total = RF.zero(d.rules)
-    mono = weight_monomial((-2, 0), d.rules)
+    mono = weight_monomial((-2, 0))
     for w in d.group:
         total = total + met_demazure_word(d, w.word, mono)
     assert RF.from_poly(agg) == total
@@ -329,7 +356,7 @@ def test_met_polynomial_step_matches_rational_step(cartan_type, n):
     weights = [(1, 0, 0), (0, 1, -1), (2, -1, 0), (-2, 0, 1)] if cartan_type == "A2" else [(1, 0), (-2, 1), (0, 3)]
     f = P.zero(d.rules)
     for k, mu in enumerate(weights):  # several cosets at once
-        f = f + weight_monomial(mu, d.rules) * (k + 1)
+        f = f + weight_monomial(mu) * (k + 1)
     for flip in (False, True):
         for i in range(d.cartan.rank):
             assert RF.from_poly(met_demazure_poly(d, i, f, flip)) == met_demazure(d, i, f, flip)

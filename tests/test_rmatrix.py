@@ -70,7 +70,7 @@ def test_r_affine_n1_and_diagonal():
 
 def test_r_affine_zero_equals_r_gl():
     for spec in (untwisted_spec(2), free_gamma_spec(2), free_gamma_spec(3), gauss_gamma_spec(3)):
-        assert r_affine(spec, P.zero(spec.rules)).equals(r_gl(spec))
+        assert r_affine(spec, P.zero()).equals(r_gl(spec))
 
 
 def test_r_affine_matches_linear_form():
@@ -95,6 +95,13 @@ def test_r_tilde_n1():
     x = P.symbol("x", rules)
     r = r_tilde(1, x, rules)
     assert r.mat[0][0] == RF(x - v(rules), (P.one(rules) - v(rules) * x,))
+
+
+def test_r_tilde_decides_its_own_modulus():
+    x = P.symbol("x")
+    assert r_tilde(3, x, GaussRules.standard(3)).equals(r_tilde(3, x))
+    with pytest.raises(ValueError):
+        r_tilde(3, x, GaussRules.standard(2))
 
 
 def test_constant_ybe():

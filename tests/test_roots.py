@@ -131,7 +131,7 @@ def test_act_fn_keeps_the_rules_of_each_factor():
     W = weyl_group(cartan)
     w = W.simple(0)
     for rules in (None, GaussRules.standard(2), GaussRules.standard(3), None):
-        x = coroot_monomial(cartan.simple_coroots[0], rules=rules)
+        x = coroot_monomial(cartan.simple_coroots[0])
         image = W.act_fn(w, RationalFunction(P.one(rules), (P.one(rules) - x,)))
         assert image.num.rules is rules and all(f.rules is rules for f in image.den)
         assert image == RationalFunction(P.one(rules), (P.one(rules) - x.monomial_inverse(),))

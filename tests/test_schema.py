@@ -77,8 +77,8 @@ def test_theta_laws(a2):
     th_sum = build_theta(inst, tuple(a + b for a, b in zip(lam, mu)))
     assert th_lam.compose(th_mu).equals(th_sum)
     neg = build_theta(inst, tuple(-a for a in lam))
-    assert th_lam.compose(neg).equals(identity_operator(inst.group, inst.block_dim, inst.rules))
-    assert build_theta(inst, (0, 0, 0)).equals(identity_operator(inst.group, inst.block_dim, inst.rules))
+    assert th_lam.compose(neg).equals(identity_operator(inst.group, inst.block_dim))
+    assert build_theta(inst, (0, 0, 0)).equals(identity_operator(inst.group, inst.block_dim))
 
 
 def test_theta_block_values():
@@ -140,13 +140,13 @@ def test_d_identity_all_pairs(a2):
 
 def test_apply_Tw_identity_word(a2):
     _, inst = a2
-    assert apply_Tw(inst, inst.group.identity).equals(identity_operator(inst.group, inst.block_dim, inst.rules))
+    assert apply_Tw(inst, inst.group.identity).equals(identity_operator(inst.group, inst.block_dim))
 
 
 def test_spherical_idempotent_a1():
     inst = generic_instance(build_cartan("A1"))
     total = spherical_sum(inst)
-    expected = identity_operator(inst.group, inst.block_dim, inst.rules).add(build_T(inst, 0))
+    expected = identity_operator(inst.group, inst.block_dim).add(build_T(inst, 0))
     assert total.equals(expected)
     assert check_spherical_idempotent(inst).passed
 
