@@ -1,10 +1,10 @@
 """Command line front end.
 
-Subcommands: verify, cs, demazure, rmatrix, metaplectic, wreath.  Every
-command prints a deterministic text report and exits nonzero if any check
-failed.  With --json, stdout holds exactly one JSON document (the report);
-any other lines a command prints go to stderr.  Bad input exits with
-status 2 and a usage message.
+Subcommands, one row each of the COMMANDS table: verify, cs, demazure,
+rmatrix, metaplectic, wreath.  Every command prints a deterministic text
+report and exits nonzero if any check failed.  With --json, stdout holds
+exactly one JSON document (the report); any other lines a command prints go
+to stderr.  Bad input exits with status 2 and a usage message.
 """
 
 from __future__ import annotations
@@ -93,37 +93,19 @@ def gl_rank(text: str) -> int:
     return value
 
 
-# the option that holds each command's weights
-_WEIGHT_OPTIONS = {"verify": "bernstein", "cs": "weight", "demazure": "weights", "metaplectic": "weight"}
-
-
-def _check_weights(parser: argparse.ArgumentParser, args) -> None:
-    """Reject a weight of the wrong length, off the lattice, or (cs, metaplectic) not dominant."""
-    option = _WEIGHT_OPTIONS.get(args.command)
-    given = getattr(args, option) if option else None
+def _check_weights(parser: argparse.ArgumentParser, args, option: str, dominant: bool) -> None:
+    """Reject a weight of --option of the wrong length, off the lattice, or (if dominant) not dominant."""
+    given = getattr(args, option)
     if not given:
         return
-    cartan = build_cartan(f"A{args.r - 1}" if args.command == "metaplectic" else args.type)
+    cartan = build_cartan(getattr(args, "type", None) or f"A{args.r - 1}")  # metaplectic has no --type: GL_r
     for weight in given if isinstance(given, list) else [given]:
         if len(weight) != cartan.dim:
             parser.error(f"--{option} {weight} has {len(weight)} coordinates, {cartan.cartan_type} needs {cartan.dim}")
         if not cartan.in_lattice(weight):
             parser.error(f"--{option} {weight} is not in the weight lattice of {cartan.cartan_type}")
-        if args.command in ("cs", "metaplectic") and not cartan.is_dominant(weight):
+        if dominant and not cartan.is_dominant(weight):
             parser.error(f"--{option} {weight} is not dominant for {cartan.cartan_type}")
-
-
-def _check_rmatrix(parser: argparse.ArgumentParser, args) -> None:
-    """Reject an R-matrix size, tensor length or exponent power the checks do not support."""
-    tensor = args.command == "verify" and args.instance == "rmatrix"
-    if args.command == "rmatrix":
-        if args.n > 4:
-            parser.error(f"--n {args.n}: rmatrix checks support n <= 4")
-        tensor = args.check == "schema"
-        if tensor and not 2 <= args.r <= 3:
-            parser.error(f"--r {args.r}: the rmatrix schema check supports r in 2..3")
-    if tensor and args.power not in (None, 1, args.n):
-        parser.error(f"--power {args.power}: the exponent power must be 1 or --n ({args.n})")
 
 
 def _say(args, text: str) -> None:
@@ -144,21 +126,17 @@ def _default_lambdas(cartan) -> list[tuple[int, ...]]:
 
 def run_verify(args) -> int:
     cartan = build_cartan(args.type)
-    if args.instance == "generic":
-        inst = generic_instance(cartan)
-    elif args.instance == "whittaker":
-        inst = whittaker_schema_instance(cartan)
-    elif args.instance == "spherical":
-        inst = spherical_schema_instance(cartan)
-    elif args.instance == "metaplectic":
+    lambdas = list(args.bernstein or [])
+    if args.instance == "metaplectic":
         datum = build_datum(cartan, args.n, args.B)
         inst = metaplectic_schema_instance(datum)
+        lambdas = lambdas or list(datum.lattice_basis)
     elif args.instance == "rmatrix":
-        rank = int(args.type[1])
-        inst = tensor_schema_instance(args.n, rank + 1, "gauss" if args.gauss else "none", args.power or 1)
-    lambdas = list(args.bernstein or [])
-    if args.instance == "metaplectic" and not lambdas:
-        lambdas = list(datum.lattice_basis)
+        inst = tensor_schema_instance(args.n, cartan.rank + 1, "gauss" if args.gauss else "none", args.power or 1)
+    else:
+        build = {"generic": generic_instance, "whittaker": whittaker_schema_instance,
+                 "spherical": spherical_schema_instance}[args.instance]
+        inst = build(cartan)
     report = verify_instance(inst, lambdas=lambdas, spherical=args.spherical)
     quad_braid = [c.passed for c in report.checks if c.name.startswith(("quadratic", "braid"))]
     _say(args, str(quad_braid))  # the bracket of quadratic/braid flags
@@ -264,69 +242,91 @@ def run_wreath(args) -> int:
     return _emit(report, args.json)
 
 
+# options that several commands share: name -> add_argument keywords
+SHARED = {
+    "--type": {"type": _cartan_type, "default": "A2", "help": "Cartan type (A1..A4, B2, C2, G2)"},
+    "--n": {"type": positive_int, "default": 2, "help": "cover degree / R-matrix dimension"},
+    "--r": {"type": int, "default": 2},
+    "--B": {"default": "dot", "choices": ["dot"], "help": "bilinear form for metaplectic instances"},
+    "--gauss": {"action": "store_true", "help": "Gauss-twisted R-matrix instance"},
+    "--power": {"type": int, "help": "exponent power for the rmatrix instance"},
+}
+
+_POWER = "--power {power}: the exponent power must be 1 or --n ({n})"  # the usage error of both power rules
+
+# command -> (help, runner, options, weight option, rules), one row per subcommand:
+# - an option is a SHARED name, or (name, add_argument keywords over SHARED's);
+# - the weight option is (option, whether its weights must be dominant), or None;
+# - a rule is (bad(args), the usage error, formatted with the parsed arguments).
+COMMANDS = {
+    "verify": ("schema relation checks for a chosen instance", run_verify, [
+        "--type",
+        ("--instance", {"default": "generic",
+                        "choices": ["generic", "whittaker", "spherical", "metaplectic", "rmatrix"]}),
+        ("--bernstein", {"type": _parse_weight, "action": "append",
+                         "help": "weight for the Bernstein relation, e.g. '(1,0,0)'; repeatable"}),
+        "--n", "--B", "--gauss", "--power",
+        ("--spherical", {"action": "store_true", "help": "also check the spherical idempotent"}),
+    ], ("bernstein", False), (
+        (lambda a: a.instance == "generic" and int(a.type[1:]) > 2, "--instance generic needs rank <= 2, not {type}"),
+        (lambda a: a.instance == "metaplectic" and a.type == "G2", "--instance metaplectic has no G2 covers yet"),
+        (lambda a: a.instance == "rmatrix" and not a.type.startswith("A"),
+         "--instance rmatrix needs a type A1..A4, not {type}"),
+        (lambda a: a.instance == "rmatrix" and a.power not in (None, 1, a.n), _POWER),
+    )),
+    "cs": ("spherical idempotent vs the product formula", run_cs, [
+        "--type", ("--weight", {"type": _parse_weight, "required": True}),
+    ], ("weight", True), ()),
+    "demazure": ("Demazure operator relation suite", run_demazure, [
+        "--type",
+        ("--kind", {"default": "whittaker", "choices": ["whittaker", "lusztig"]}),
+        ("--plain", {"action": "store_true", "help": "use the unconjugated action"}),
+        ("--weights", {"type": _parse_weight, "action": "append"}),
+    ], ("weights", False), ()),
+    "rmatrix": ("Yang-Baxter / Hecke / triangularity checks", run_rmatrix, [
+        ("check", {"choices": ["ybe", "pybe", "hecke", "triangularity", "schema"]}),
+        "--n", "--r", "--gauss", "--power",
+    ], None, (
+        (lambda a: a.n > 4, "--n {n}: rmatrix checks support n <= 4"),
+        (lambda a: a.check == "schema" and not 2 <= a.r <= 3,
+         "--r {r}: the rmatrix schema check supports r in 2..3"),
+        (lambda a: a.check == "schema" and a.power not in (None, 1, a.n), _POWER),
+    )),
+    "metaplectic": ("spherical Whittaker value table for a GL cover", run_metaplectic, [
+        ("--r", {"type": gl_rank}),
+        "--n", "--B",
+        ("--weight", {"type": _parse_weight}),
+        ("--inject-mismatch", {"action": "store_true",
+                               "help": "deliberately break the cross-check (negative control)"}),
+    ], ("weight", True), ()),
+    "wreath": ("limit instance and wreath construction checks", run_wreath, [
+        "--n", ("--r", {"type": gl_rank}),
+    ], None, ()),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="heckekit", description=__doc__)
     parser.add_argument("--json", action="store_true", help="emit the report as JSON")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("verify", help="schema relation checks for a chosen instance")
-    p.add_argument("--type", type=_cartan_type, default="A2", help="Cartan type (A1..A4, B2, C2, G2)")
-    p.add_argument("--instance", default="generic",
-                   choices=["generic", "whittaker", "spherical", "metaplectic", "rmatrix"])
-    p.add_argument("--bernstein", type=_parse_weight, action="append",
-                   help="weight for the Bernstein relation, e.g. '(1,0,0)'; repeatable")
-    p.add_argument("--n", type=positive_int, default=2, help="cover degree / R-matrix dimension")
-    p.add_argument("--B", default="dot", choices=["dot"], help="bilinear form for metaplectic instances")
-    p.add_argument("--gauss", action="store_true", help="Gauss-twisted R-matrix instance")
-    p.add_argument("--power", type=int, help="exponent power for the rmatrix instance")
-    p.add_argument("--spherical", action="store_true", help="also check the spherical idempotent")
-    p.set_defaults(fn=run_verify)
-
-    p = sub.add_parser("cs", help="spherical idempotent vs the product formula")
-    p.add_argument("--type", type=_cartan_type, default="A2")
-    p.add_argument("--weight", type=_parse_weight, required=True)
-    p.set_defaults(fn=run_cs)
-
-    p = sub.add_parser("demazure", help="Demazure operator relation suite")
-    p.add_argument("--type", type=_cartan_type, default="A2")
-    p.add_argument("--kind", default="whittaker", choices=["whittaker", "lusztig"])
-    p.add_argument("--plain", action="store_true", help="use the unconjugated action")
-    p.add_argument("--weights", type=_parse_weight, action="append")
-    p.set_defaults(fn=run_demazure)
-
-    p = sub.add_parser("rmatrix", help="Yang-Baxter / Hecke / triangularity checks")
-    p.add_argument("check", choices=["ybe", "pybe", "hecke", "triangularity", "schema"])
-    p.add_argument("--n", type=positive_int, default=2)
-    p.add_argument("--r", type=int, default=2)
-    p.add_argument("--gauss", action="store_true")
-    p.add_argument("--power", type=int)
-    p.set_defaults(fn=run_rmatrix)
-
-    p = sub.add_parser("metaplectic", help="spherical Whittaker value table for a GL cover")
-    p.add_argument("--r", type=gl_rank, default=2)
-    p.add_argument("--n", type=positive_int, default=2)
-    p.add_argument("--B", default="dot", choices=["dot"])
-    p.add_argument("--weight", type=_parse_weight)
-    p.add_argument("--inject-mismatch", action="store_true",
-                   help="deliberately break the cross-check (negative control)")
-    p.set_defaults(fn=run_metaplectic)
-
-    p = sub.add_parser("wreath", help="limit instance and wreath construction checks")
-    p.add_argument("--n", type=positive_int, default=2)
-    p.add_argument("--r", type=gl_rank, default=2)
-    p.set_defaults(fn=run_wreath)
-
+    for name, (text, _, options, _, _) in COMMANDS.items():
+        p = sub.add_parser(name, help=text)
+        for option in options:
+            option, keywords = (option, {}) if isinstance(option, str) else option
+            p.add_argument(option, **{**SHARED.get(option, {}), **keywords})
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "verify" and args.instance == "rmatrix" and not args.type.startswith("A"):
-        parser.error(f"--instance rmatrix needs a type A1..A4, not {args.type}")
-    _check_weights(parser, args)
-    _check_rmatrix(parser, args)
-    return args.fn(args)
+    _, run, _, weights, rules = COMMANDS[args.command]
+    for bad, message in rules:
+        if bad(args):
+            parser.error(message.format(**vars(args)))
+    if weights:
+        _check_weights(parser, args, *weights)
+    return run(args)
 
 
 if __name__ == "__main__":

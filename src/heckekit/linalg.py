@@ -15,6 +15,9 @@ reused as an object, so sharing carries from the inputs into every product
 and sum.  Identity keys are valid because the memo holds a reference to
 every object it keys, so no id is recycled while it lives.
 
+Matrix carries the one operator algebra (compose, +, -, scalar *, equals) over
+these kernels, each returning the type of its first matrix operand.
+
 A Matrix still reads as a sequence of rows: len(m), m[r] (a row tuple with
 zeros filled in), m[r][c], `for row in m` and m == ((x,),).  m[r, c] reads one
 entry without building its row.  The public functions also accept nested row
@@ -66,6 +69,21 @@ class Matrix:
         other = as_matrix(other)
         return self.shape == other.shape and first_difference(self, other) is None
 
+    def compose(self, other: "Matrix") -> "Matrix":
+        return mat_mul(self, other)
+
+    def __add__(self, other: "Matrix") -> "Matrix":
+        return mat_add(self, other)
+
+    def __sub__(self, other: "Matrix") -> "Matrix":
+        return mat_sub(self, other)
+
+    def __rmul__(self, c: RationalFunction) -> "Matrix":
+        return mat_scalar(c, self)
+
+    def equals(self, other: "Matrix") -> bool:
+        return self.difference(other) is None
+
     def difference(self, other: "Matrix") -> tuple[str, str] | None:
         """None if equal, else renderings of the first differing entry, the left one naming it."""
         diff = first_difference(self, other)
@@ -116,7 +134,7 @@ def mat_add(a: Matrix, b: Matrix) -> Matrix:
     for key, y in b.entries.items():
         x = out.get(key)
         out[key] = y if x is None else plus(x, y)
-    return Matrix(a.shape, out)
+    return type(a)(a.shape, out)
 
 
 def _map_entries(op, a: Matrix) -> dict[Key, RationalFunction]:
@@ -134,8 +152,8 @@ def mat_sub(a: Matrix, b: Matrix) -> Matrix:
 def mat_scalar(c, a: Matrix) -> Matrix:
     a = as_matrix(a)
     if c.is_zero():
-        return Matrix(a.shape, {})
-    return Matrix(a.shape, _map_entries(lambda x: c * x, a))
+        return type(a)(a.shape, {})
+    return type(a)(a.shape, _map_entries(lambda x: c * x, a))
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
@@ -151,7 +169,7 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
             term = times(x, y)
             total = out.get((r, c))
             out[(r, c)] = term if total is None else plus(total, term)
-    return Matrix((a.shape[0], b.shape[1]), out)
+    return type(a)((a.shape[0], b.shape[1]), out)
 
 
 def first_difference(a: Matrix, b: Matrix) -> tuple[int, int, RationalFunction, RationalFunction] | None:
@@ -216,7 +234,7 @@ def mat_inverse(a: Matrix) -> Matrix:
     work = [list(row) + list(unit) for row, unit in zip(a, identity_matrix(k))]
     if len(_reduce(work, k)) < k:
         raise ZeroDivisionError("matrix is singular")
-    return Matrix((k, k), {(r, c): x for r, row in enumerate(work) for c, x in enumerate(row[k:])})
+    return type(a)((k, k), {(r, c): x for r, row in enumerate(work) for c, x in enumerate(row[k:])})
 
 
 def nullspace(a: Matrix) -> list[tuple[RationalFunction, ...]]:

@@ -545,15 +545,15 @@ def rmatrix_dictionary_check(r: int, n: int, report: Report | None = None) -> Re
             x = coroot_monomial(datum.cartan.simple_coroots[i], n)
             local = tau.compose(r_tilde(n, x))
             prefactor = c_function(x)
-            rhs = local.embed((i, i + 1), r).scale(prefactor)
+            rhs = prefactor * local.embed((i, i + 1), r)
             k = datum.k
             index = [word_of(datum.rep(j)) for j in range(k)]
             for col in range(k):
                 for row in range(k):
                     key = (index[row], index[col])
-                    if (row, col) not in block.entries and key not in rhs.mat.entries:
+                    if (row, col) not in block.entries and key not in rhs.entries:
                         continue
-                    result = verdict(block[row, col], rhs.mat[key], f"({datum.rep(row)}, {datum.rep(col)}): ")
+                    result = verdict(block[row, col], rhs[key], f"({datum.rep(row)}, {datum.rep(col)}): ")
                     if not result[0]:
                         return result
             return True, None, None

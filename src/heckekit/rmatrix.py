@@ -5,7 +5,7 @@ the Drinfeld-twisted families R^gamma and R^gamma(x), the Gauss-sum
 normalized family used for metaplectic scattering, Yang-Baxter /
 Hecke-relation / triangularity verifiers, the schema instance on tensor
 products of evaluation modules, the z -> 0 limit, and the wreath
-construction on W * U.
+construction on W * U.  A TensorOperator is a Matrix; n is read from its size.
 
 Twist convention: the coefficient of e_aa (x) e_bb is gamma_ab^{-1} for every
 a != b, in both the constant and the parametrized family (this is what
@@ -27,11 +27,7 @@ from .linalg import (
     as_matrix,
     identity_matrix,
     is_scalar_matrix,
-    mat_add,
     mat_inverse,
-    mat_mul,
-    mat_scalar,
-    mat_sub,
     nullspace,
 )
 from .reports import Report
@@ -54,47 +50,26 @@ def word_index(word: Sequence[int], n: int) -> int:
     return idx
 
 
-@dataclass
-class TensorOperator:
-    """Endomorphism of the arity-fold tensor power of C^n, with exact entries."""
+def tensor_base(size: int, arity: int) -> int:
+    """The n with n ** arity == size; ValueError if size is no exact arity-th power."""
+    n = next(n for n in range(size + 1) if n ** arity >= size)
+    if n ** arity != size:
+        raise ValueError(f"size {size} is not an exact power n ** {arity}")
+    return n
 
-    n: int
-    arity: int
-    mat: Matrix
 
-    def compose(self, other: "TensorOperator") -> "TensorOperator":
-        return TensorOperator(self.n, self.arity, mat_mul(self.mat, other.mat))
+class TensorOperator(Matrix):
+    """Endomorphism of a tensor power of C^n, with exact entries."""
 
-    def add(self, other: "TensorOperator") -> "TensorOperator":
-        return TensorOperator(self.n, self.arity, mat_add(self.mat, other.mat))
-
-    def sub(self, other: "TensorOperator") -> "TensorOperator":
-        return TensorOperator(self.n, self.arity, mat_sub(self.mat, other.mat))
-
-    def scale(self, c) -> "TensorOperator":
-        c = c if isinstance(c, RF) else RF.from_poly(c)
-        return TensorOperator(self.n, self.arity, mat_scalar(c, self.mat))
-
-    def inverse(self) -> "TensorOperator":
-        return TensorOperator(self.n, self.arity, mat_inverse(self.mat))
-
-    __add__ = add
-    __rmul__ = scale
-
-    def equals(self, other: "TensorOperator") -> bool:
-        return self.difference(other) is None
-
-    def difference(self, other: "TensorOperator") -> tuple[str, str] | None:
-        return self.mat.difference(other.mat)
+    __slots__ = ()
+    compose = Matrix.compose  # bound here as well, so a tracer can time tensor products on their own
 
     def embed(self, slots: tuple[int, int], arity: int) -> "TensorOperator":
-        """Place this arity-2 operator on the given slots, identity elsewhere."""
-        if self.arity != 2:
-            raise ValueError("embed expects an arity-2 operator")
-        n = self.n
+        """Place this operator on two tensor factors at the given slots, identity elsewhere."""
+        n = tensor_base(self.shape[0], 2)
         others = [k for k in range(arity) if k not in slots]
         entries = {}
-        for (row, col), x in self.mat.entries.items():
+        for (row, col), x in self.entries.items():
             for rest in words(n, len(others)):
                 target, source = [0] * arity, [0] * arity
                 for k, letter in zip(others, rest):
@@ -103,14 +78,14 @@ class TensorOperator:
                 source[slots[0]], source[slots[1]] = divmod(col, n)
                 entries[(word_index(target, n), word_index(source, n))] = x
         size = n ** arity
-        return TensorOperator(n, arity, Matrix((size, size), entries))
+        return TensorOperator((size, size), entries)
 
 
 def tau_operator(n: int) -> TensorOperator:
     """The flip x (x) y -> y (x) x as a basis permutation on tensor words."""
     one = RF.one()
     entries = {(word_index((a, b), n), word_index((b, a), n)): one for (a, b) in words(n, 2)}
-    return TensorOperator(n, 2, Matrix((n * n, n * n), entries))
+    return TensorOperator((n * n, n * n), entries)
 
 
 @dataclass
@@ -186,7 +161,7 @@ def r_gl(spec: RMatrixSpec) -> TensorOperator:
             if a > b:
                 # e_ab (x) e_ba sends (b, a) to (a, b)
                 entries[(col, word_index((b, a), n))] = c
-    return TensorOperator(n, 2, Matrix((n * n, n * n), entries))
+    return TensorOperator((n * n, n * n), entries)
 
 
 def r_affine(spec: RMatrixSpec, x: LaurentPoly) -> TensorOperator:
@@ -205,7 +180,7 @@ def r_affine(spec: RMatrixSpec, x: LaurentPoly) -> TensorOperator:
             entries[(col, col)] = spec.gamma_entry(a, b).inverse() * RF.from_poly(one - x)
             swap = word_index((b, a), n)
             entries[(col, swap)] = c if a > b else RF.from_poly(x) * c
-    return TensorOperator(n, 2, Matrix((n * n, n * n), entries))
+    return TensorOperator((n * n, n * n), entries)
 
 
 def r_tilde(n: int, x: LaurentPoly, rules: GaussRules | None = None) -> TensorOperator:
@@ -229,7 +204,7 @@ def r_tilde(n: int, x: LaurentPoly, rules: GaussRules | None = None) -> TensorOp
             entries[(col, col)] = RF(gauss_symbol(a - b, rules) * (one - x), (den,))
             swap = word_index((b, a), n)
             entries[(col, swap)] = RF(exch if a > b else x * exch, (den,))
-    return TensorOperator(n, 2, Matrix((n * n, n * n), entries))
+    return TensorOperator((n * n, n * n), entries)
 
 
 # -- verifiers --------------------------------------------------------------------
@@ -259,9 +234,8 @@ def check_hecke(spec: RMatrixSpec, report: Report | None = None) -> Report:
     """T = u tau R satisfies T^2 = (v-1)T + v and the order-3 braid on three slots."""
     report = report or Report(f"hecke relations n={spec.n}")
     n = spec.n
-    t = tau_operator(n).compose(r_gl(spec)).scale(RF.from_poly(P.symbol("u")))
-    identity = TensorOperator(n, 2, identity_matrix(n ** 2))
-    quadratic(report, products(lambda _: t, lambda: identity), 0, RF.from_poly(v()), f" (n={n})")
+    t = RF.from_poly(P.symbol("u")) * tau_operator(n).compose(r_gl(spec))
+    quadratic(report, products(lambda _: t, lambda: identity_matrix(n ** 2)), 0, RF.from_poly(v()), f" (n={n})")
     braid(report, products(lambda i: t.embed((i, i + 1), 3)), 0, 1, 3, f" (n={n})")
     return report
 
@@ -279,11 +253,11 @@ def check_triangularity(
         x = P.symbol("x")
         op_x = build(x)
         op_xinv = build(x.monomial_inverse())
-        tau = tau_operator(op_x.n)
+        tau = tau_operator(tensor_base(len(op_x), 2))
         product = tau.compose(op_x).compose(tau).compose(op_xinv)
-        scalar = is_scalar_matrix(product.mat)
+        scalar = is_scalar_matrix(product)
         if scalar is None:
-            return verdict(product.mat, mat_scalar(expected, identity_matrix(op_x.n ** 2)), "not scalar at ")
+            return verdict(product, expected * identity_matrix(len(product)), "not scalar at ")
         return verdict(scalar, expected)
 
     report.run(name, check)
@@ -340,8 +314,7 @@ def tensor_schema_instance(
                 prefactor = RF(uu, (one - x,))
             if xi is not None:
                 prefactor = prefactor * xi(x)
-            op = local.embed((i, i + 1), r).scale(prefactor)
-            a_matrices[(w, i)] = op.mat
+            a_matrices[(w, i)] = prefactor * local.embed((i, i + 1), r)
     name = f"tensor n={n} r={r} twist={twist} power={power}"
     return SchemaInstance(cartan, group, n ** r, a_matrices, tuple(power for _ in range(cartan.rank)), name)
 
@@ -349,12 +322,10 @@ def tensor_schema_instance(
 def check_content_preservation(inst: SchemaInstance, report: Report | None = None) -> Report:
     """Tensor-word content (the gl(n) weight) is preserved by every A entry."""
     report = report or Report(f"{inst.name}: content preservation")
-    r = inst.cartan.rank + 1  # block_dim = n^r
-    n = round(inst.block_dim ** (1.0 / r))
-    assert n ** r == inst.block_dim
-    all_words = words(n, r)
 
     def check():
+        r = inst.cartan.rank + 1  # block_dim = n^r
+        all_words = words(tensor_base(inst.block_dim, r), r)
         for (w, i), m in inst.a_matrices.items():
             for row, col in sorted(m.entries):
                 if sorted(all_words[row]) != sorted(all_words[col]):
@@ -370,10 +341,9 @@ def check_content_preservation(inst: SchemaInstance, report: Report | None = Non
 
 def hecke_inverse(t: Matrix) -> Matrix:
     """T^{-1} = (T - (v-1)) / v, valid whenever T satisfies the quadratic relation."""
-    k = len(t)
+    t = as_matrix(t)
     vv = RF.from_poly(v())
-    shifted = mat_sub(t, mat_scalar(vv - 1, identity_matrix(k)))
-    return mat_scalar(RF.one() / vv, shifted)
+    return (RF.one() / vv) * (t - (vv - 1) * identity_matrix(len(t)))
 
 
 def wreath_operator(group: WeylGroup, t: Matrix, i: int) -> BlockOperator:
@@ -388,15 +358,15 @@ def wreath_operator(group: WeylGroup, t: Matrix, i: int) -> BlockOperator:
         if sw.length < w.length:
             blocks[(w, sw)] = t
         else:
-            blocks[(w, w)] = mat_scalar(vv - 1, ident)
-            blocks[(w, sw)] = mat_scalar(vv, inverse)
+            blocks[(w, w)] = (vv - 1) * ident
+            blocks[(w, sw)] = vv * inverse
     return BlockOperator(len(t), blocks)
 
 
 def jimbo_t_matrix(n: int, r: int, i: int) -> Matrix:
     """T_i = u (tau R)_{i,i+1} on the r-fold tensor power."""
-    t = tau_operator(n).compose(r_gl(untwisted_spec(n))).scale(RF.from_poly(P.symbol("u")))
-    return t.embed((i, i + 1), r).mat
+    t = RF.from_poly(P.symbol("u")) * tau_operator(n).compose(r_gl(untwisted_spec(n)))
+    return t.embed((i, i + 1), r)
 
 
 def limit_instance(n: int, r: int) -> tuple[WeylGroup, list[BlockOperator]]:
@@ -417,15 +387,15 @@ def limit_instance(n: int, r: int) -> tuple[WeylGroup, list[BlockOperator]]:
     ops = []
     for i in range(cartan.rank):
         tau_r = tau.compose(r_mat).embed((i, i + 1), r)
-        tau_r_inv = TensorOperator(n, r, mat_inverse(tau_r.mat))
+        tau_r_inv = mat_inverse(tau_r)
         blocks = {}
         for w in group:
             sw = group.left_mul_simple(i, w)
             if sw.length > w.length:
-                blocks[(w, w)] = mat_scalar(vv - 1, ident)
-                blocks[(w, sw)] = tau_r_inv.scale(uu).mat
+                blocks[(w, w)] = (vv - 1) * ident
+                blocks[(w, sw)] = uu * tau_r_inv
             else:
-                blocks[(w, sw)] = tau_r.scale(uu).mat
+                blocks[(w, sw)] = uu * tau_r
         ops.append(BlockOperator(k, blocks))
     return group, ops
 
@@ -453,11 +423,8 @@ def check_wreath_intertwining(
 
     def check():
         for w in group:
-            lhs = None
-            for (wt, _), block in op.blocks.items():
-                if wt == w:
-                    lhs = block if lhs is None else mat_add(lhs, block)
-            result = verdict(lhs, t, f"block {w.name()} ")
+            row = [block for (target, _), block in op.blocks.items() if target == w]
+            result = verdict(sum(row[1:], row[0]), t, f"block {w.name()} ")
             if not result[0]:
                 return result
         return True, None, None
@@ -468,14 +435,13 @@ def check_wreath_intertwining(
 
 def star_matrix(t: Matrix) -> Matrix:
     """T* = (v - 1) - T = -v T^{-1}: the order-2 twist of the Hecke generators."""
-    k = len(t)
     vv = RF.from_poly(v())
-    return mat_sub(mat_scalar(vv - 1, identity_matrix(k)), t)
+    return (vv - 1) * identity_matrix(len(t)) - t
 
 
 def eigenline_basis(t: Matrix, eigenvalue: RF) -> list[tuple[RF, ...]]:
     t = as_matrix(t)
-    return nullspace(mat_sub(t, mat_scalar(eigenvalue, identity_matrix(len(t)))))
+    return nullspace(t - eigenvalue * identity_matrix(len(t)))
 
 
 def check_wreath_star(group: WeylGroup, op: BlockOperator, t: Matrix, report: Report | None = None) -> Report:
@@ -526,22 +492,12 @@ def check_star_word_identity(group: WeylGroup, t_matrices: list[Matrix], report:
     vv = RF.from_poly(v())
     k = len(t_matrices[0])
 
-    def word_product(mats: list[Matrix], word: tuple[int, ...]) -> Matrix:
-        out = identity_matrix(k)
-        for i in word:
-            out = mat_mul(out, mats[i])
-        return out
-
     def check():
-        stars = [star_matrix(t) for t in t_matrices]
+        stars = products(lambda i: star_matrix(t_matrices[i]), lambda: identity_matrix(k))
+        hecke = products(t_matrices.__getitem__, lambda: identity_matrix(k))
         for w in group:
-            lhs = word_product(stars, w.word)
-            winv = group.inverse(w)
-            rhs = mat_scalar(
-                (RF.const(-1) * vv) ** w.length,
-                mat_inverse(word_product(t_matrices, winv.word)),
-            )
-            result = verdict(lhs, rhs, f"w={w.name()} ")
+            rhs = (RF.const(-1) * vv) ** w.length * mat_inverse(hecke(group.inverse(w).word))
+            result = verdict(stars(w.word), rhs, f"w={w.name()} ")
             if not result[0]:
                 return result
         return True, None, None

@@ -32,9 +32,7 @@ from .linalg import (
     apply_matrix,
     identity_matrix,
     is_scalar_matrix,
-    mat_add,
     mat_mul,
-    mat_scalar,
 )
 from .relations import applied, braid, products, quadratic, verdict
 from .reports import Report
@@ -81,7 +79,7 @@ class SchemaInstance:
     def perturbed(self, w: WeylElement, i: int, factor=2) -> "SchemaInstance":
         """Copy with one A entry scaled; used as a negative control."""
         a = dict(self.a_matrices)
-        a[(w, i)] = mat_scalar(RationalFunction.const(factor), a[(w, i)])
+        a[(w, i)] = RationalFunction.const(factor) * a[(w, i)]
         return replace(self, a_matrices=a, name=f"{self.name}-perturbed")
 
 
@@ -122,20 +120,20 @@ class BlockOperator:
         for (t1, s1), m1 in self.blocks.items():
             for s2, m2 in by_target.get(s1, ()):  # s1 is other's target
                 key, product = (t1, s2), mat_mul(m1, m2)
-                out[key] = mat_add(out[key], product) if key in out else product
+                out[key] = out[key] + product if key in out else product
         return BlockOperator(self.block_dim, out)
 
     def add(self, other: "BlockOperator") -> "BlockOperator":
         out = dict(self.blocks)
         for key, m in other.blocks.items():
-            out[key] = mat_add(out[key], m) if key in out else m
+            out[key] = out[key] + m if key in out else m
         return BlockOperator(self.block_dim, out)
 
     def sub(self, other: "BlockOperator") -> "BlockOperator":
         return self.add(other.scale(RationalFunction.const(-1)))
 
     def scale(self, c: RationalFunction) -> "BlockOperator":
-        return BlockOperator(self.block_dim, {key: mat_scalar(c, m) for key, m in self.blocks.items()})
+        return BlockOperator(self.block_dim, {key: c * m for key, m in self.blocks.items()})
 
     __add__ = add
     __rmul__ = scale
@@ -161,7 +159,7 @@ def build_T(inst: SchemaInstance, i: int) -> BlockOperator:
     blocks: dict[tuple[WeylElement, WeylElement], Matrix] = {}
     ident = identity_matrix(inst.block_dim)
     for w in inst.group:
-        blocks[(w, w)] = mat_scalar(inst.d_scalar(w, i), ident)
+        blocks[(w, w)] = inst.d_scalar(w, i) * ident
         sw = inst.group.left_mul_simple(i, w)
         blocks[(w, sw)] = inst.A(sw, i)
     return BlockOperator(inst.block_dim, blocks)
@@ -174,7 +172,7 @@ def build_theta(inst: SchemaInstance, lam: Sequence[int]) -> BlockOperator:
     for w in inst.group:
         winv = inst.group.inverse(w)
         mono = weight_monomial(winv.act(lam))
-        blocks[(w, w)] = mat_scalar(RationalFunction.from_poly(mono), ident)
+        blocks[(w, w)] = RationalFunction.from_poly(mono) * ident
     return BlockOperator(inst.block_dim, blocks)
 
 
@@ -271,7 +269,7 @@ def check_bernstein(inst: SchemaInstance, lam: Sequence[int], i: int, report: Re
         vv = RationalFunction.from_poly(v())
         for w in inst.group:
             q_at_w = inst.group.at_point(w, quotient)
-            blocks[(w, w)] = mat_scalar((vv - 1) * RationalFunction.from_poly(q_at_w), ident)
+            blocks[(w, w)] = (vv - 1) * RationalFunction.from_poly(q_at_w) * ident
         return verdict(lhs, BlockOperator(inst.block_dim, blocks))
 
     report.run(f"bernstein lambda={lam} i={i + 1}", check)

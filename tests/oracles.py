@@ -10,6 +10,7 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 from heckekit.algebra import GaussRules, LaurentPoly, RationalFunction
+from heckekit.linalg import mat_inverse
 from heckekit.metaplectic import MetaplecticDatum, met_demazure_act, whittaker_value
 from heckekit.rmatrix import RMatrixSpec, TensorOperator, r_gl, tau_operator
 from heckekit.roots import CartanDatum, WeylElement, WeylGroup, coroot_monomial, weight_monomial
@@ -58,7 +59,7 @@ def r_affine_linear(spec: RMatrixSpec, x: LaurentPoly) -> TensorOperator:
     r = r_gl(spec)
     tau = tau_operator(spec.n)
     r21 = tau.compose(r).compose(tau)
-    return r.sub(r21.inverse().scale(RF.from_poly(x)))
+    return r - RF.from_poly(x) * mat_inverse(r21)
 
 
 def modified_theta(lam: Sequence[int], f):

@@ -265,6 +265,16 @@ def test_equality_brings_a_rule_free_operand_under_the_rules():
     assert sym("g1") != gauss_symbol(1, GaussRules.standard(2)) * sym("x")
 
 
+def test_equality_across_moduli_compares_gauss_free_terms():
+    two, three = GaussRules.standard(2), GaussRules.standard(3)
+    assert P.symbol("z1", two) == P.symbol("z1", three)
+    assert P.symbol("z1", two) != P.symbol("z2", three)
+    x = sym("x")
+    assert RationalFunction(P.one(two), (P.one(two) - x,)) == RationalFunction(P.one(three), (P.one(three) - x,))
+    with pytest.raises(ValueError, match="different moduli"):
+        P.symbol("g1", two) == P.symbol("g1", three)
+
+
 def test_rf_equal_answers_identity_without_a_product(monkeypatch):
     import heckekit.algebra as algebra
 

@@ -1,3 +1,4 @@
+import argparse
 import json
 import shlex
 from pathlib import Path
@@ -5,7 +6,7 @@ from pathlib import Path
 import pytest
 from jsonschema import validate
 
-from heckekit.cli import main
+from heckekit.cli import build_parser, main
 from heckekit.reports import Report
 
 SCHEMA_PATH = "src/heckekit/report.schema.json"
@@ -147,12 +148,17 @@ def test_json_is_one_document(capsys, argv):
         (["verify", "--type", "A2", "--instance", "rmatrix", "--power", "3"],
          "--power 3: the exponent power must be 1 or --n (2)"),
         (["rmatrix", "ybe", "--n", "5"], "--n 5: rmatrix checks support n <= 4"),
+        (["verify", "--type", "A3", "--instance", "generic"], "--instance generic needs rank <= 2, not A3"),
+        (["verify", "--type", "G2", "--instance", "metaplectic"], "--instance metaplectic has no G2 covers yet"),
+        (["verify", "--type", "G2", "--instance", "metaplectic", "--n", "1"],
+         "--instance metaplectic has no G2 covers yet"),
     ],
     ids=[
         "unknown-type", "form-not-dot", "rmatrix-non-A", "cs-weight-length", "bernstein-length",
         "demazure-weights-length", "metaplectic-weight-length", "cs-weight-off-lattice", "cs-not-dominant",
         "metaplectic-r-7", "metaplectic-r-1", "wreath-r-7", "rmatrix-n-0",
         "rmatrix-schema-r-1", "rmatrix-schema-power", "verify-rmatrix-power", "rmatrix-n-5",
+        "generic-rank-3", "metaplectic-g2", "metaplectic-g2-n-1",
     ],
 )
 def test_bad_input_is_a_usage_error(capsys, argv, message):
@@ -163,6 +169,73 @@ def test_bad_input_is_a_usage_error(capsys, argv, message):
     last = err.splitlines()[-1]
     assert last.startswith("heckekit") and "error: " in last and message in last
     assert "Traceback" not in err
+
+
+# every option of every subcommand: (option string or positional name, default, choices, required,
+# action, type), in parser order, as the parser declared subcommand by subcommand had them
+PARSER_SURFACE = {
+    None: [("--json", False, None, False, "StoreTrue", None)],
+    "verify": [
+        ("--type", "A2", None, False, "Store", "_cartan_type"),
+        ("--instance", "generic", ["generic", "whittaker", "spherical", "metaplectic", "rmatrix"], False, "Store",
+         None),
+        ("--bernstein", None, None, False, "Append", "_parse_weight"),
+        ("--n", 2, None, False, "Store", "positive_int"),
+        ("--B", "dot", ["dot"], False, "Store", None),
+        ("--gauss", False, None, False, "StoreTrue", None),
+        ("--power", None, None, False, "Store", "int"),
+        ("--spherical", False, None, False, "StoreTrue", None),
+    ],
+    "cs": [
+        ("--type", "A2", None, False, "Store", "_cartan_type"),
+        ("--weight", None, None, True, "Store", "_parse_weight"),
+    ],
+    "demazure": [
+        ("--type", "A2", None, False, "Store", "_cartan_type"),
+        ("--kind", "whittaker", ["whittaker", "lusztig"], False, "Store", None),
+        ("--plain", False, None, False, "StoreTrue", None),
+        ("--weights", None, None, False, "Append", "_parse_weight"),
+    ],
+    "rmatrix": [
+        ("check", None, ["ybe", "pybe", "hecke", "triangularity", "schema"], True, "Store", None),
+        ("--n", 2, None, False, "Store", "positive_int"),
+        ("--r", 2, None, False, "Store", "int"),
+        ("--gauss", False, None, False, "StoreTrue", None),
+        ("--power", None, None, False, "Store", "int"),
+    ],
+    "metaplectic": [
+        ("--r", 2, None, False, "Store", "gl_rank"),
+        ("--n", 2, None, False, "Store", "positive_int"),
+        ("--B", "dot", ["dot"], False, "Store", None),
+        ("--weight", None, None, False, "Store", "_parse_weight"),
+        ("--inject-mismatch", False, None, False, "StoreTrue", None),
+    ],
+    "wreath": [
+        ("--n", 2, None, False, "Store", "positive_int"),
+        ("--r", 2, None, False, "Store", "gl_rank"),
+    ],
+}
+
+
+def surface(parser: argparse.ArgumentParser) -> list[tuple]:
+    out = []
+    for a in parser._actions:
+        if isinstance(a, (argparse._HelpAction, argparse._SubParsersAction)):
+            continue
+        name = a.option_strings[0] if a.option_strings else a.dest
+        assert len(a.option_strings) <= 1, a.option_strings
+        kind = type(a).__name__.strip("_").replace("Action", "")
+        out.append((name, a.default, a.choices, a.required, kind, getattr(a.type, "__name__", None)))
+    return out
+
+
+def test_parser_surface_is_pinned():
+    parser = build_parser()
+    subcommands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+    assert list(subcommands) == [name for name in PARSER_SURFACE if name]
+    assert surface(parser) == PARSER_SURFACE[None]
+    for name, sub in subcommands.items():
+        assert surface(sub) == PARSER_SURFACE[name], name
 
 
 @pytest.mark.parametrize("gauss", [[], ["--gauss"]], ids=["plain", "gauss"])

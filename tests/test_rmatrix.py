@@ -1,7 +1,9 @@
+from dataclasses import replace
+
 import pytest
 
 from heckekit.algebra import GaussRules, LaurentPoly, RationalFunction, v
-from heckekit.linalg import first_difference
+from heckekit.linalg import Matrix, first_difference, identity_matrix, mat_inverse
 from heckekit.rmatrix import (
     check_content_preservation,
     check_finite_hecke,
@@ -21,7 +23,9 @@ from heckekit.rmatrix import (
     r_affine,
     r_gl,
     r_tilde,
+    TensorOperator,
     tau_operator,
+    tensor_base,
     tensor_schema_instance,
     untwisted_spec,
     wreath_operator,
@@ -47,25 +51,25 @@ def test_r_gl_n2_explicit():
     for i, row in enumerate(expected):
         for j, e in enumerate(row):
             want = RF.from_poly(P.const(e) if isinstance(e, int) else e)
-            assert r.mat[i][j] == want
+            assert r[i][j] == want
 
 
 def test_r_gl_n1():
-    assert r_gl(untwisted_spec(1)).mat[0][0] == RF.from_poly(P.symbol("u"))
+    assert r_gl(untwisted_spec(1))[0][0] == RF.from_poly(P.symbol("u"))
 
 
 def test_r_gl_twisted_entry():
     spec = free_gamma_spec(2)
-    assert r_gl(spec).mat[1][1] == RF.from_poly(P.monomial({"gam12": -1}))
+    assert r_gl(spec)[1][1] == RF.from_poly(P.monomial({"gam12": -1}))
 
 
 def test_r_affine_n1_and_diagonal():
     x = P.symbol("x")
     u = P.symbol("u")
     uinv = P.monomial({"u": -1})
-    assert r_affine(untwisted_spec(1), x).mat[0][0] == RF.from_poly(u - x * uinv)
+    assert r_affine(untwisted_spec(1), x)[0][0] == RF.from_poly(u - x * uinv)
     r = r_affine(free_gamma_spec(2), x)
-    assert r.mat[0][0] == RF.from_poly(u - x * uinv)
+    assert r[0][0] == RF.from_poly(u - x * uinv)
 
 
 def test_r_affine_zero_equals_r_gl():
@@ -85,16 +89,16 @@ def test_r_tilde_entries():
     r = r_tilde(2, x, rules)
     one = P.one(rules)
     den = one - v(rules) * x
-    assert r.mat[1][1] == RF(P.symbol("g1", rules) * (one - x), (den,))
-    assert r.mat[0][0] == RF(x - v(rules), (den,))
-    assert r.mat[0][0] == r.mat[3][3]
+    assert r[1][1] == RF(P.symbol("g1", rules) * (one - x), (den,))
+    assert r[0][0] == RF(x - v(rules), (den,))
+    assert r[0][0] == r[3][3]
 
 
 def test_r_tilde_n1():
     rules = GaussRules.standard(1)
     x = P.symbol("x", rules)
     r = r_tilde(1, x, rules)
-    assert r.mat[0][0] == RF(x - v(rules), (P.one(rules) - v(rules) * x,))
+    assert r[0][0] == RF(x - v(rules), (P.one(rules) - v(rules) * x,))
 
 
 def test_r_tilde_decides_its_own_modulus():
@@ -146,12 +150,47 @@ def test_triangularity_fails_with_perturbed_gamma():
     assert not check_triangularity(lambda x: r_affine(spec, x), doubler_scalar()).passed
 
 
+def test_tensor_operators_stay_tensor_operators():
+    x = P.symbol("x")
+    r, tau = r_affine(untwisted_spec(2), x), tau_operator(2)
+    u = RF.from_poly(P.symbol("u"))
+    results = [tau.compose(r), r + tau, r - tau, u * r, mat_inverse(tau), r.compose(identity_matrix(4))]
+    assert all(type(op) is TensorOperator for op in results)
+    scaled = (u * r).embed((1, 2), 3)
+    assert type(scaled) is TensorOperator and len(scaled) == 8
+    assert scaled.equals(u * r.embed((1, 2), 3))
+    assert not hasattr(scaled, "__dict__")  # no fields beside the Matrix slots
+
+
+def test_tensor_operator_defines_only_compose_and_embed():
+    own = {name for name in vars(TensorOperator) if not name.startswith("__")}
+    assert own == {"compose", "embed"} and TensorOperator.__slots__ == ()
+
+
+def test_tensor_base():
+    cases = ((1, 2), (4, 2), (27, 3), (64, 3), (1024, 5))
+    assert [tensor_base(size, arity) for size, arity in cases] == [1, 2, 3, 4, 4]
+    for size, arity in ((8, 2), (9, 3), (63, 3)):
+        with pytest.raises(ValueError, match="not an exact power"):
+            tensor_base(size, arity)
+
+
+def test_size_that_is_no_tensor_power_raises():
+    with pytest.raises(ValueError):
+        TensorOperator((8, 8), {}).embed((0, 1), 3)
+    inst = tensor_schema_instance(2, 2, "none", 1)
+    odd = replace(inst, block_dim=5, a_matrices={key: Matrix((5, 5), {}) for key in inst.a_matrices})
+    failure = check_content_preservation(odd).first_failure()
+    assert failure is not None and failure.lhs.startswith("ValueError: size 5 is not an exact power")
+
+
 def test_tau_is_involution():
     tau = tau_operator(3)
     assert tau.compose(tau).equals(
         tau.compose(tau).compose(tau).compose(tau)
     )
-    assert first_difference(tau.compose(tau).mat, r_gl(untwisted_spec(3)).compose(r_gl(untwisted_spec(3)).inverse()).mat) is None
+    r = r_gl(untwisted_spec(3))
+    assert first_difference(tau.compose(tau), r.compose(mat_inverse(r))) is None
 
 
 def test_tensor_schema_instances():

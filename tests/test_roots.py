@@ -5,6 +5,7 @@ import pytest
 
 from heckekit.algebra import GaussRules, LaurentPoly, RationalFunction, rf_equal
 from heckekit.roots import (
+    WeylGroup,
     build_cartan,
     coroot_monomial,
     weight_monomial,
@@ -134,6 +135,16 @@ def test_act_fn_keeps_the_rules_of_each_factor():
         x = coroot_monomial(cartan.simple_coroots[0])
         image = W.act_fn(w, RationalFunction(P.one(rules), (P.one(rules) - x,)))
         assert image.num.rules is rules and all(f.rules is rules for f in image.den)
+        assert image == RationalFunction(P.one(rules), (P.one(rules) - x.monomial_inverse(),))
+
+
+def test_act_fn_serves_two_moduli_in_turn():
+    # a factor image kept under one modulus is looked up again under the next
+    cartan = build_cartan("A2")
+    W = WeylGroup(cartan)
+    x = coroot_monomial(cartan.simple_coroots[0])
+    for rules in (GaussRules.standard(2), GaussRules.standard(3)):
+        image = W.act_fn(W.simple(0), RationalFunction(P.one(rules), (P.one(rules) - x,)))
         assert image == RationalFunction(P.one(rules), (P.one(rules) - x.monomial_inverse(),))
 
 
