@@ -48,8 +48,9 @@ factors; a zero divisor (zero in one factor) raises ZeroDivisionError.
 
 A :class:`RationalFunction` keeps its denominator as a tuple of factors in
 normal form: each factor divided by its leading term in graded-lex order
-on symbol names, so that associates (1 - x, x - 1, 2 - 2x, 1 - x^-1) are
-one factor and sums and equality share it.  :func:`_normal_factor` is the
+on symbol names (a factor carrying g_h by the unit its two halves' leading
+terms give), so that associates (1 - x, x - 1, 2 - 2x, 1 - x^-1) are one
+factor and sums and equality share it.  :func:`_normal_factor` is the
 one place this is decided.
 
 All values are immutable after construction and all operations are pure.
@@ -775,26 +776,30 @@ def _divide_split(p: LaurentPoly, q: LaurentPoly, halves: tuple[LaurentPoly, Lau
     """p / q for q carrying g_h under even n, q's two halves given (see :func:`_halves`).
 
     r+ = p+ / q+ and r- = p- / q- are divided in the two factors, free of
-    g_h, and recombined as r = (r+ + r-)/2 + (r+ - r-)/(2u) g_h, whose
-    halves they are.  If q is a zero divisor, a half is zero and its
-    division raises ZeroDivisionError.
+    g_h, and recombined (:func:`_recombine`) into the r whose halves they
+    are.  If q is a zero divisor, a half is zero and its division raises
+    ZeroDivisionError.
     """
     q_plus, q_minus = halves
     p_plus, p_minus = _halves(p) or (p, p)
     try:
-        r_plus, r_minus = exact_divide(p_plus, q_plus)._t, exact_divide(p_minus, q_minus)._t
+        return _recombine(exact_divide(p_plus, q_plus), exact_divide(p_minus, q_minus), q.rules)
     except NotDivisible:
         raise NotDivisible(f"({p.render()}) is not divisible by ({q.render()})") from None
-    to_u = q.rules._to_u
+
+
+def _recombine(r_plus: LaurentPoly, r_minus: LaurentPoly, rules: GaussRules) -> LaurentPoly:
+    """The r = (r+ + r-)/2 + (r+ - r-)/(2u) g_h whose halves are the g_h-free r+ and r- (see :func:`_halves`)."""
+    to_u = rules._to_u
     terms: dict[int, Coeff] = {}
-    for m in r_plus | r_minus:
-        a, b = r_plus.get(m, 0), r_minus.get(m, 0)
+    for m in r_plus._t | r_minus._t:
+        a, b = r_plus._t.get(m, 0), r_minus._t.get(m, 0)
         if a + b:
             terms[m] = _div(a + b, 2)
         if a - b:
             terms[m - to_u] = _div(a - b, 2)  # u^-1 g_h
     _check_range(terms)
-    return _new(terms, q.rules, any(type(c) is not int for c in terms.values()), canonical=True)
+    return _new(terms, rules, any(type(c) is not int for c in terms.values()), canonical=True)
 
 
 # -- denominator factors ------------------------------------------------------------
@@ -802,43 +807,52 @@ def _divide_split(p: LaurentPoly, q: LaurentPoly, halves: tuple[LaurentPoly, Lau
 _RULE_FREE_FACTORS: dict = {}  # _normal_factor's memo for factors without Gauss rules
 
 
+def _lead_inverse(f: LaurentPoly) -> LaurentPoly:
+    """1 / t for the largest term t of f in the graded-lex order of :func:`_graded_lex`."""
+    lead = max(f._t, key=_graded_lex(f.symbols()))
+    c = f._t[lead]
+    return _new({lead: c}, f.rules, type(c) is not int, canonical=True).monomial_inverse()
+
+
 def _normal_factor(f: LaurentPoly) -> tuple[LaurentPoly | None, LaurentPoly | None]:
-    """(f / t, 1 / t) for the leading term t of the denominator factor f.
+    """(f / t, 1 / t) for the unit t that the leading terms of the denominator factor f give.
 
     This is the one place the normal form of a factor is decided.  t is the
     largest term of f in the graded-lex order of :func:`_graded_lex`, which
     is invariant under multiplication by a monomial, so every associate
     c * m * f (c a nonzero number, m a monomial) has the same normal form
-    f / t, whose constant term is 1.  (Under even n a unit m that carries
-    g_{n/2} folds the terms of f that carry it, which can reorder terms;
-    such associates stay exact but may keep two keys.)  The first entry is
-    None when f is a unit (f / t = 1), the second when f is already normal
-    (t = 1).  Memoized per factor and rules object.
+    f / t, whose constant term is 1.  Under even n a factor carrying
+    g_{n/2} is decided in its two halves (see :func:`_halves`): t is the
+    unit whose halves are the leading terms of f's halves, so associates by
+    any unit of the ring, such as ((1 + x) + (x - 1) u^-1 g_{n/2})/2, have
+    one normal form as well.  The first entry is None when f is a unit
+    (f / t = 1), the second when f is already normal (t = 1).  Memoized per
+    factor and rules object.
 
     ZeroDivisionError if f is zero or a zero divisor: under even n, one of
-    its two halves (see :func:`_halves`) is zero.
+    its two halves is zero.
     """
     rules = f.rules
     memo = _RULE_FREE_FACTORS if rules is None else rules._factors
     hit = memo.get(f)
     if hit is not None:
         return hit
-    terms = f._t
-    if not terms:
+    if not f._t:
         raise ZeroDivisionError("zero polynomial in denominator")
-    if len(terms) == 1:
-        hit = memo[f] = (None, f.monomial_inverse())
-        return hit
     halves = _halves(f)
-    if halves is not None and (halves[0].is_zero() or halves[1].is_zero()):
+    if halves is None:
+        inverse = _lead_inverse(f)
+    elif halves[0].is_zero() or halves[1].is_zero():
         raise ZeroDivisionError(f"zero divisor in denominator: {f.render()}")
-    lead = max(terms, key=_graded_lex(f.symbols()))
-    c = terms[lead]
-    if lead == 0 and c == 1:
+    else:
+        inverse = _recombine(_lead_inverse(halves[0]), _lead_inverse(halves[1]), rules)
+    if inverse._t == {0: 1}:
         hit = memo[f] = (f, None)
         return hit
-    inverse = _new({lead: c}, rules, type(c) is not int, canonical=True).monomial_inverse()
     normal = f * inverse
+    if normal._t == {0: 1}:
+        hit = memo[f] = (None, inverse)
+        return hit
     memo.setdefault(normal, (normal, None))  # a normal factor stays as it is
     hit = memo[f] = (normal, inverse)
     return hit

@@ -16,7 +16,10 @@ and sum.  Identity keys are valid because the memo holds a reference to
 every object it keys, so no id is recycled while it lives.
 
 Matrix carries the one operator algebra (compose, +, -, scalar *, equals) over
-these kernels, each returning the type of its first matrix operand.
+these kernels, each returning the type of its first matrix operand.  The
+kernels ask of an entry only +, unary -, scalar * on the left, == and
+is_zero, which a Matrix has too, so an entry may itself be a Matrix:
+schema.BlockOperator is a Matrix of k x k blocks keyed by Weyl elements.
 
 A Matrix still reads as a sequence of rows: len(m), m[r] (a row tuple with
 zeros filled in), m[r][c], `for row in m` and m == ((x,),).  m[r, c] reads one
@@ -69,6 +72,9 @@ class Matrix:
         other = as_matrix(other)
         return self.shape == other.shape and first_difference(self, other) is None
 
+    def is_zero(self) -> bool:
+        return not self.entries
+
     def compose(self, other: "Matrix") -> "Matrix":
         return mat_mul(self, other)
 
@@ -77,6 +83,9 @@ class Matrix:
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         return mat_sub(self, other)
+
+    def __neg__(self) -> "Matrix":
+        return type(self)(self.shape, _map_entries(neg, self))
 
     def __rmul__(self, c: RationalFunction) -> "Matrix":
         return mat_scalar(c, self)
@@ -145,8 +154,7 @@ def _map_entries(op, a: Matrix) -> dict[Key, RationalFunction]:
 
 
 def mat_sub(a: Matrix, b: Matrix) -> Matrix:
-    b = as_matrix(b)
-    return mat_add(a, Matrix(b.shape, _map_entries(neg, b)))
+    return mat_add(a, -as_matrix(b))
 
 
 def mat_scalar(c, a: Matrix) -> Matrix:
@@ -175,7 +183,8 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
 def first_difference(a: Matrix, b: Matrix) -> tuple[int, int, RationalFunction, RationalFunction] | None:
     """The first (row-major) differing entry, or None if a == b.
 
-    A pair of entry objects already found equal is not compared again.
+    A pair of entry objects already found equal is not compared again.  No
+    stored entry (a block neither) equals the ZERO an absent entry reads as.
     """
     a, b = as_matrix(a), as_matrix(b)
     equal: dict[Key, tuple] = {}  # (id(x), id(y)) -> (x, y), for pairs found equal
@@ -254,14 +263,3 @@ def nullspace(a: Matrix) -> list[tuple[RationalFunction, ...]]:
         basis.append(tuple(vec))
     return basis
 
-
-def apply_matrix(a: Matrix, x: Sequence[RationalFunction]) -> tuple[RationalFunction, ...]:
-    a = as_matrix(a)
-    out: list[RationalFunction | None] = [None] * a.shape[0]
-    for (r, c), m in sorted(a.entries.items()):
-        val = x[c]
-        if val.is_zero():
-            continue
-        term = m * val
-        out[r] = term if out[r] is None else out[r] + term
-    return tuple(ZERO if total is None else total for total in out)

@@ -14,15 +14,17 @@ The scattering matrix assembles tau^1/tau^2 into the k x k block Hecke
 action; Gauss sums stay formal symbols with the pairing g_a g_{-a} = u^2 and
 g_0 = -u^2 (the normalized sums; classical unnormalized sums satisfy
 g(a) g(-a) = q and rescale by q^{-1} into these symbols).  The Chinta-Gunnells action and the metaplectic
-Demazure operators use the same symbols; the Gauss index defaults to
+Demazure operators use the same symbols; the Gauss index is
 B - Q, the convention under which the block action and the Demazure
-operators agree exactly (gauss_flip selects the conjugate embedding).
+operators agree exactly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 from math import gcd
+from operator import add
 from typing import Sequence
 
 from .algebra import (
@@ -36,9 +38,9 @@ from .algebra import (
 from .linalg import Matrix
 from .relations import applied, hecke_relations, verdict
 from .reports import Report
-from .roots import CartanDatum, WeylElement, WeylGroup, _identity, build_cartan, coroot_monomial, mat_vec, weight_monomial
+from .roots import CartanDatum, WeylGroup, _identity, build_cartan, coroot_monomial, mat_vec, weight_monomial
 from .rmatrix import r_tilde, tau_operator, word_index
-from .schema import SchemaInstance, build_T, c_function
+from .schema import BlockOperator, SchemaInstance, build_T, c_function
 
 P = LaurentPoly
 RF = RationalFunction
@@ -243,7 +245,7 @@ def tau1(datum: MetaplecticDatum, i: int, mu: Sequence[int]) -> RF:
     return RF(num, (den,))
 
 
-def tau2(datum: MetaplecticDatum, i: int, mu: Sequence[int], gauss_flip: bool = False) -> tuple[int, RF]:
+def tau2(datum: MetaplecticDatum, i: int, mu: Sequence[int]) -> tuple[int, RF]:
     """(target coset index of s(mu) + alpha, tau^2 coefficient).
 
     The Gauss symbol is the normalized one (pairing u^2, zero -u^2): the
@@ -253,9 +255,8 @@ def tau2(datum: MetaplecticDatum, i: int, mu: Sequence[int], gauss_flip: bool = 
     na = datum.n_alpha(i)
     b = _pairing_value(datum, i, mu)
     q = datum.q_value(alpha)
-    index = (q - b) if gauss_flip else (b - q)
     target = tuple(a + e for a, e in zip(datum.group.simple(i).act(mu), alpha))
-    g = gauss_symbol(index, datum.rules)
+    g = gauss_symbol(b - q, datum.rules)
     num = g * coroot_monomial(alpha, -1) * (P.one() - coroot_monomial(alpha, na))
     den = P.one() - v() * coroot_monomial(alpha, na)
     return datum.coset_index(target), RF(num, (den,))
@@ -265,7 +266,6 @@ def scattering_block(
     datum: MetaplecticDatum,
     i: int,
     normalized: bool = True,
-    gauss_flip: bool = False,
     perturb: str | None = None,
 ) -> Matrix:
     """The k x k block of the Whittaker scattering for s_i, as z-functions.
@@ -281,7 +281,7 @@ def scattering_block(
     s = datum.group.simple(i)
     for col, mu in enumerate(datum.coset_reps):
         t1 = c * tau1(datum, i, mu)
-        target, t2v = tau2(datum, i, mu, gauss_flip)
+        target, t2v = tau2(datum, i, mu)
         t2v = c * t2v
         if perturb == "tau1":
             t1 = RF.const(2) * t1
@@ -344,7 +344,7 @@ def _coset_components(datum: MetaplecticDatum, f: LaurentPoly) -> dict[int, tupl
     return {idx: (firsts[idx], part) for idx, part in parts.items()}
 
 
-def _cg_coefficient(datum: MetaplecticDatum, i: int, mu: Sequence[int], gauss_flip: bool) -> RF:
+def _cg_coefficient(datum: MetaplecticDatum, i: int, mu: Sequence[int]) -> RF:
     """The coefficient of s_i . (a part of f on the coset of mu) in c_s^(n)(z) (s_i . f).
 
     With x = z^{n_alpha alpha}, rem = rem_{n_alpha}(-B(alpha, mu)/Q(alpha)) and g
@@ -356,36 +356,35 @@ def _cg_coefficient(datum: MetaplecticDatum, i: int, mu: Sequence[int], gauss_fl
     q = datum.q_value(alpha)
     b = _pairing_value(datum, i, mu)
     rem = (-(b // q)) % na
-    index = (q - b) if gauss_flip else (b - q)
-    key = ("cg", i, rem, index % datum.n)
+    key = ("cg", i, rem, (b - q) % datum.n)
     if key not in datum._scalars:
         z = coroot_monomial(alpha)
         one_minus_x = P.one() - z ** na
-        num = z ** (-rem) * (P.one() - v()) - gauss_symbol(index, datum.rules) * z ** (1 - na) * one_minus_x
+        num = z ** (-rem) * (P.one() - v()) - gauss_symbol(b - q, datum.rules) * z ** (1 - na) * one_minus_x
         coeff = datum._scalars[key] = RF(num, (one_minus_x,))
         if coeff.den != d_scaled(datum, i).den:  # met_demazure_poly relies on it
             raise AssertionError(f"the coefficients of T_{i + 1} have different denominators")
     return datum._scalars[key]
 
 
-def _cg_parts(datum: MetaplecticDatum, i: int, f: LaurentPoly, gauss_flip: bool):
+def _cg_parts(datum: MetaplecticDatum, i: int, f: LaurentPoly):
     """(coefficient, s_i . part) for each coset part of f (see _cg_coefficient)."""
     s = datum.group.simple(i)
     for mu, part in _coset_components(datum, f).values():
-        yield _cg_coefficient(datum, i, mu, gauss_flip), datum.group.act_fn(s, part)
+        yield _cg_coefficient(datum, i, mu), datum.group.act_fn(s, part)
 
 
-def cg_scaled(datum: MetaplecticDatum, i: int, f: LaurentPoly, gauss_flip: bool = False) -> RF:
+def cg_scaled(datum: MetaplecticDatum, i: int, f: LaurentPoly) -> RF:
     """c_s^(n)(z) * (s_i . f) for f supported on a single coset (additive otherwise)."""
     total = RF.zero()
-    for coeff, fs in _cg_parts(datum, i, f, gauss_flip):
+    for coeff, fs in _cg_parts(datum, i, f):
         total = total + RF.from_poly(fs) * coeff
     return total
 
 
-def cg_action(datum: MetaplecticDatum, i: int, f: LaurentPoly, gauss_flip: bool = False) -> RF:
+def cg_action(datum: MetaplecticDatum, i: int, f: LaurentPoly) -> RF:
     """The Chinta-Gunnells action s_i . f (coset-wise, representative independent)."""
-    return cg_scaled(datum, i, f, gauss_flip) / c_factor(datum, i)
+    return cg_scaled(datum, i, f) / c_factor(datum, i)
 
 
 def d_scaled(datum: MetaplecticDatum, i: int) -> RF:
@@ -397,13 +396,13 @@ def d_scaled(datum: MetaplecticDatum, i: int) -> RF:
     return datum._scalars[key]
 
 
-def met_demazure(datum: MetaplecticDatum, i: int, f: LaurentPoly, gauss_flip: bool = False) -> RF:
+def met_demazure(datum: MetaplecticDatum, i: int, f: LaurentPoly) -> RF:
     """T_i(f) = D_i^(n)(z) f - z^{n_alpha alpha} c_s^(n)(z) (s_i . f)."""
     alpha_power = RF.from_poly(coroot_monomial(datum.cartan.simple_coroots[i], datum.n_alpha(i)))
-    return d_scaled(datum, i) * RF.from_poly(f) - alpha_power * cg_scaled(datum, i, f, gauss_flip)
+    return d_scaled(datum, i) * RF.from_poly(f) - alpha_power * cg_scaled(datum, i, f)
 
 
-def met_demazure_poly(datum: MetaplecticDatum, i: int, f: LaurentPoly, gauss_flip: bool = False) -> LaurentPoly:
+def met_demazure_poly(datum: MetaplecticDatum, i: int, f: LaurentPoly) -> LaurentPoly:
     """met_demazure on a polynomial, computed in polynomials.
 
     d_scaled and every coefficient of cg_scaled share the one normal
@@ -413,7 +412,7 @@ def met_demazure_poly(datum: MetaplecticDatum, i: int, f: LaurentPoly, gauss_fli
     """
     d = d_scaled(datum, i)
     swapped = P.zero()
-    for coeff, fs in _cg_parts(datum, i, f, gauss_flip):
+    for coeff, fs in _cg_parts(datum, i, f):
         swapped = swapped + coeff.num * fs
     alpha_power = coroot_monomial(datum.cartan.simple_coroots[i], datum.n_alpha(i))
     return exact_divide(d.num * f - alpha_power * swapped, d.den[0])
@@ -427,22 +426,19 @@ def met_demazure_act(datum: MetaplecticDatum, f: LaurentPoly):
 # -- Whittaker values from the block action ------------------------------------------
 
 
-BlockVector = dict[WeylElement, tuple[RF, ...]]
-
-
-def whittaker_base(datum: MetaplecticDatum, mu: Sequence[int]) -> BlockVector:
+def whittaker_base(datum: MetaplecticDatum, mu: Sequence[int]) -> BlockOperator:
     """Base vector for the monomial z^mu: (wz)^mu at the coset of mu, per block.
 
-    For covers beyond GL this support-coset base is taken as the definition
-    of the functional normalization; the GL case matches the standard one.
+    A block vector: block shape (k, 1), one column (w, e) per w in W.  For
+    covers beyond GL this support-coset base is taken as the definition of
+    the functional normalization; the GL case matches the standard one.
     """
     idx = datum.coset_index(mu)
-    out: BlockVector = {}
-    for w in datum.group:
-        column = [RF.zero()] * datum.k
-        column[idx] = RF.from_poly(weight_monomial(datum.group.inverse(w).act(mu)))
-        out[w] = tuple(column)
-    return out
+    shape, e = (datum.k, 1), datum.group.identity
+    return BlockOperator(shape, {
+        (w, e): Matrix(shape, {(idx, 0): RF.from_poly(weight_monomial(datum.group.inverse(w).act(mu)))})
+        for w in datum.group
+    })
 
 
 def whittaker_value(datum: MetaplecticDatum, lam: Sequence[int]) -> list[LaurentPoly]:
@@ -455,14 +451,10 @@ def whittaker_value(datum: MetaplecticDatum, lam: Sequence[int]) -> list[Laurent
     inst = metaplectic_schema_instance(datum)
     generators = [build_T(inst, i) for i in range(datum.cartan.rank)]
     base = whittaker_base(datum, tuple(-int(x) for x in lam))
-    act = applied(lambda i, vec: generators[i].apply(vec), base)
-    totals = [RF.zero()] * datum.k
+    act = applied(lambda i, vec: generators[i].compose(vec), base)
     identity = datum.group.identity
-    for w in datum.group:
-        vec = act(w.word)
-        if identity in vec:
-            totals = [a + b for a, b in zip(totals, vec[identity])]
-    return [t.as_poly() for t in totals]
+    total = reduce(add, (act(w.word).block(identity, identity) for w in datum.group))
+    return [total[r, 0].as_poly() for r in range(datum.k)]
 
 
 def check_met_demazure_match(
@@ -477,11 +469,8 @@ def check_met_demazure_match(
     for mu in weights:
         for i in range(datum.cartan.rank):
             def check(mu=tuple(int(x) for x in mu), i=i):
-                base = whittaker_base(datum, mu)
-                image = generators[i].apply(base)
-                total = RF.zero()
-                for component in image.get(identity, ()):
-                    total = total + component
+                image = generators[i].compose(whittaker_base(datum, mu)).block(identity, identity)
+                total = sum(image.entries.values(), RF.zero())
                 return verdict(total, met_demazure(datum, i, weight_monomial(mu)))
 
             report.run(f"T_{i + 1} aggregate on z^{tuple(mu)}", check)

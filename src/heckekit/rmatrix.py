@@ -23,7 +23,6 @@ from typing import Callable, Sequence
 from .algebra import GaussRules, LaurentPoly, RationalFunction, gauss_symbol, v
 from .linalg import (
     Matrix,
-    apply_matrix,
     as_matrix,
     identity_matrix,
     is_scalar_matrix,
@@ -147,25 +146,15 @@ def gauss_gamma_spec(n: int) -> RMatrixSpec:
 
 
 def r_gl(spec: RMatrixSpec) -> TensorOperator:
-    """R = sum_a u e_aa^2 + sum_{a != b} gamma_ab^{-1} e_aa e_bb + (u - u^{-1}) sum_{a > b} e_ab e_ba."""
-    n = spec.n
-    uu = RF.from_poly(P.symbol("u"))
-    c = uu - RF.from_poly(P.monomial({"u": -1}))
-    entries = {}
-    for (a, b) in words(n, 2):
-        col = word_index((a, b), n)
-        if a == b:
-            entries[(col, col)] = uu
-        else:
-            entries[(col, col)] = spec.gamma_entry(a, b).inverse()
-            if a > b:
-                # e_ab (x) e_ba sends (b, a) to (a, b)
-                entries[(col, word_index((b, a), n))] = c
-    return TensorOperator((n * n, n * n), entries)
+    """R = sum_a u e_aa^2 + sum_{a != b} gamma_ab^{-1} e_aa e_bb + (u - u^{-1}) sum_{a > b} e_ab e_ba.
+
+    The constant term of the parametrized family: r_affine(spec, 0).
+    """
+    return r_affine(spec, P.zero())
 
 
 def r_affine(spec: RMatrixSpec, x: LaurentPoly) -> TensorOperator:
-    """The parametrized family; r_affine(spec, 0) == r_gl(spec)."""
+    """The parametrized family; r_gl(spec) is r_affine(spec, 0)."""
     n = spec.n
     one = P.one()
     uu = P.symbol("u")
@@ -360,7 +349,7 @@ def wreath_operator(group: WeylGroup, t: Matrix, i: int) -> BlockOperator:
         else:
             blocks[(w, w)] = (vv - 1) * ident
             blocks[(w, sw)] = vv * inverse
-    return BlockOperator(len(t), blocks)
+    return BlockOperator(t.shape, blocks)
 
 
 def jimbo_t_matrix(n: int, r: int, i: int) -> Matrix:
@@ -396,7 +385,7 @@ def limit_instance(n: int, r: int) -> tuple[WeylGroup, list[BlockOperator]]:
                 blocks[(w, sw)] = uu * tau_r_inv
             else:
                 blocks[(w, sw)] = uu * tau_r
-        ops.append(BlockOperator(k, blocks))
+        ops.append(BlockOperator((k, k), blocks))
     return group, ops
 
 
@@ -457,13 +446,10 @@ def check_wreath_star(group: WeylGroup, op: BlockOperator, t: Matrix, report: Re
     report = report or Report("wreath star twist")
     k = op.block_dim
     vv = RF.from_poly(v())
-    zero = (RF.zero(),) * k
+    e = group.identity
 
-    def diagonal(phi, sign):
-        return {
-            w: tuple(((RF.const(-1) * vv) ** (sign * w.length)) * x for x in phi)
-            for w in group
-        }
+    def diagonal(column: Matrix, sign: int) -> BlockOperator:
+        return BlockOperator((k, 1), {(w, e): ((RF.const(-1) * vv) ** (sign * w.length)) * column for w in group})
 
     def check():
         star = star_matrix(t)
@@ -473,12 +459,11 @@ def check_wreath_star(group: WeylGroup, op: BlockOperator, t: Matrix, report: Re
             return False, f"eigenspace dims {len(plus)}+{len(minus)}", str(k)
         for line, sign, basis in (("v", 1, plus), ("(-1)", -1, minus)):
             for phi in basis:  # T* phi = -phi on the v-eigenline, v phi on the (-1)-eigenline
-                got = op.apply(diagonal(phi, sign))
-                want = diagonal(apply_matrix(star, phi), sign)
-                for w in group:
-                    for a, b in zip(got.get(w, zero), want[w]):
-                        if not (a == b):
-                            return False, f"{line}-eigenline at {w.name()}: {a.render()}", b.render()
+                column = as_matrix([(x,) for x in phi])
+                got = op.compose(diagonal(column, sign))
+                result = verdict(got, diagonal(star.compose(column), sign), f"{line}-eigenline ")
+                if not result[0]:
+                    return result
         return True, None, None
 
     report.run("Delta* eigenline intertwining", check)

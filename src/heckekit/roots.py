@@ -125,6 +125,10 @@ class WeylElement:
     def __hash__(self) -> int:
         return self._hash
 
+    def __lt__(self, other: "WeylElement") -> bool:
+        """By canonical reduced word, so keys holding Weyl elements sort."""
+        return self.word < other.word
+
     def act(self, mu: Sequence[int]) -> IntVector:
         """w mu for a lattice vector mu; ValueError if mu has the wrong length or the image is not integral."""
         rows, den = self.scaled

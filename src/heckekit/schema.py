@@ -16,8 +16,9 @@ how the metaplectic instances run on the dual torus of the cover.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import reduce
+from operator import add
 from typing import Sequence
 
 from .algebra import (
@@ -29,7 +30,6 @@ from .algebra import (
 )
 from .linalg import (
     Matrix,
-    apply_matrix,
     identity_matrix,
     is_scalar_matrix,
     mat_mul,
@@ -89,62 +89,43 @@ def c_function(x: LaurentPoly) -> RationalFunction:
     return RationalFunction(one - v() * x, (one - x,))
 
 
-@dataclass
-class BlockOperator:
-    """Sparse |W| x |W| grid of k x k blocks, keyed (target, source); an all-zero block is dropped."""
+class BlockOperator(Matrix):
+    """A Matrix whose entries are k x k blocks keyed (target, source) by Weyl elements.
 
-    block_dim: int
-    blocks: dict[tuple[WeylElement, WeylElement], Matrix] = field(default_factory=dict)
+    shape is the shape of one block: (k, k) for an operator on the sum of
+    blocks, (k, 1) for a block vector, whose one source is the identity.
+    An all-zero block is not stored.  +, -, scalar * and == are Matrix's;
+    compose multiplies matching blocks only.
+    """
 
-    def __post_init__(self) -> None:
-        self.blocks = {key: m for key, m in self.blocks.items() if m.entries}
+    __slots__ = ()
+
+    @property
+    def block_dim(self) -> int:
+        return self.shape[0]
+
+    @property
+    def blocks(self) -> dict[tuple[WeylElement, WeylElement], Matrix]:
+        return self.entries
 
     def block(self, target: WeylElement, source: WeylElement) -> Matrix:
-        got, k = self.blocks.get((target, source)), self.block_dim
-        return got if got is not None else Matrix((k, k), {})
-
-    def apply(self, vec: dict[WeylElement, Sequence[RationalFunction]]) -> dict[WeylElement, tuple[RationalFunction, ...]]:
-        """The image of a block vector; a block missing from vec, or from the image, is zero."""
-        out: dict[WeylElement, tuple[RationalFunction, ...]] = {}
-        for (target, source), block in self.blocks.items():
-            if source in vec:
-                image = apply_matrix(block, vec[source])
-                out[target] = tuple(a + b for a, b in zip(out[target], image)) if target in out else image
-        return out
+        got = self.entries.get((target, source))
+        return got if got is not None else Matrix(self.shape, {})
 
     def compose(self, other: "BlockOperator") -> "BlockOperator":
         out: dict[tuple[WeylElement, WeylElement], Matrix] = {}
         by_target: dict[WeylElement, list[tuple[WeylElement, Matrix]]] = {}
-        for (t2, s2), m2 in other.blocks.items():
+        for (t2, s2), m2 in other.entries.items():
             by_target.setdefault(t2, []).append((s2, m2))
-        for (t1, s1), m1 in self.blocks.items():
+        for (t1, s1), m1 in self.entries.items():
             for s2, m2 in by_target.get(s1, ()):  # s1 is other's target
                 key, product = (t1, s2), mat_mul(m1, m2)
                 out[key] = out[key] + product if key in out else product
-        return BlockOperator(self.block_dim, out)
-
-    def add(self, other: "BlockOperator") -> "BlockOperator":
-        out = dict(self.blocks)
-        for key, m in other.blocks.items():
-            out[key] = out[key] + m if key in out else m
-        return BlockOperator(self.block_dim, out)
-
-    def sub(self, other: "BlockOperator") -> "BlockOperator":
-        return self.add(other.scale(RationalFunction.const(-1)))
-
-    def scale(self, c: RationalFunction) -> "BlockOperator":
-        return BlockOperator(self.block_dim, {key: c * m for key, m in self.blocks.items()})
-
-    __add__ = add
-    __rmul__ = scale
-
-    def equals(self, other: "BlockOperator") -> bool:
-        return self.difference(other) is None
+        return BlockOperator((self.shape[0], other.shape[1]), out)
 
     def difference(self, other: "BlockOperator") -> tuple[str, str] | None:
         """None if equal, else renderings of the first differing entry, the left one naming it."""
-        keys = set(self.blocks) | set(other.blocks)
-        for t, s in sorted(keys, key=lambda k: (k[0].word, k[1].word)):
+        for t, s in sorted(self.entries.keys() | other.entries.keys()):
             diff = self.block(t, s).difference(other.block(t, s))
             if diff is not None:
                 return f"block ({t.name()}, {s.name()}) {diff[0]}", diff[1]
@@ -162,23 +143,23 @@ def build_T(inst: SchemaInstance, i: int) -> BlockOperator:
         blocks[(w, w)] = inst.d_scalar(w, i) * ident
         sw = inst.group.left_mul_simple(i, w)
         blocks[(w, sw)] = inst.A(sw, i)
-    return BlockOperator(inst.block_dim, blocks)
+    return BlockOperator((inst.block_dim, inst.block_dim), blocks)
+
+
+def diagonal_operator(inst: SchemaInstance, scalar) -> BlockOperator:
+    """The operator with diagonal block scalar(w) * I_k at every w and no other block."""
+    ident = identity_matrix(inst.block_dim)
+    return BlockOperator(ident.shape, {(w, w): scalar(w) * ident for w in inst.group})
 
 
 def build_theta(inst: SchemaInstance, lam: Sequence[int]) -> BlockOperator:
     """theta_lambda: diagonal block (wz)^lambda * I_k."""
-    blocks = {}
-    ident = identity_matrix(inst.block_dim)
-    for w in inst.group:
-        winv = inst.group.inverse(w)
-        mono = weight_monomial(winv.act(lam))
-        blocks[(w, w)] = RationalFunction.from_poly(mono) * ident
-    return BlockOperator(inst.block_dim, blocks)
+    return diagonal_operator(inst, lambda w: RationalFunction.from_poly(weight_monomial(inst.group.inverse(w).act(lam))))
 
 
 def identity_operator(group: WeylGroup, k: int) -> BlockOperator:
     ident = identity_matrix(k)
-    return BlockOperator(k, {(w, w): ident for w in group})
+    return BlockOperator((k, k), {(w, w): ident for w in group})
 
 
 def _tw_act(inst: SchemaInstance):
@@ -195,7 +176,7 @@ def apply_Tw(inst: SchemaInstance, w: WeylElement) -> BlockOperator:
 def spherical_sum(inst: SchemaInstance) -> BlockOperator:
     """The spherical element sum_w T_w in this representation."""
     act = _tw_act(inst)
-    return reduce(BlockOperator.add, (act(w.word) for w in inst.group))
+    return reduce(add, (act(w.word) for w in inst.group))
 
 
 def poincare_polynomial(group: WeylGroup) -> LaurentPoly:
@@ -256,7 +237,7 @@ def check_bernstein(inst: SchemaInstance, lam: Sequence[int], i: int, report: Re
         s = inst.group.simple(i)
         slam = s.act(lam)
         t = build_T(inst, i)
-        lhs = build_theta(inst, lam).compose(t).sub(t.compose(build_theta(inst, slam)))
+        lhs = build_theta(inst, lam).compose(t) - t.compose(build_theta(inst, slam))
         numerator = weight_monomial(lam) - weight_monomial(slam)
         alpha = inst.cartan.simple_coroots[i]
         denominator = LaurentPoly.one() - coroot_monomial(alpha, -inst.root_scale[i])
@@ -264,13 +245,9 @@ def check_bernstein(inst: SchemaInstance, lam: Sequence[int], i: int, report: Re
             quotient = exact_divide(numerator, denominator)
         except NotDivisible:
             return False, "rhs numerator not divisible by 1 - theta_{-scale alpha}", "Bernstein"
-        blocks = {}
-        ident = identity_matrix(inst.block_dim)
         vv = RationalFunction.from_poly(v())
-        for w in inst.group:
-            q_at_w = inst.group.at_point(w, quotient)
-            blocks[(w, w)] = (vv - 1) * RationalFunction.from_poly(q_at_w) * ident
-        return verdict(lhs, BlockOperator(inst.block_dim, blocks))
+        rhs = diagonal_operator(inst, lambda w: (vv - 1) * RationalFunction.from_poly(inst.group.at_point(w, quotient)))
+        return verdict(lhs, rhs)
 
     report.run(f"bernstein lambda={lam} i={i + 1}", check)
     return report
@@ -283,7 +260,7 @@ def check_spherical_idempotent(inst: SchemaInstance, report: Report | None = Non
     def check():
         s = spherical_sum(inst)
         scale = RationalFunction.from_poly(poincare_polynomial(inst.group))
-        return verdict(s.compose(s), s.scale(scale))
+        return verdict(s.compose(s), scale * s)
 
     report.run("spherical idempotent", check)
     return report

@@ -379,6 +379,20 @@ def test_associate_factors_are_stored_as_one(n):
     assert _stored(x * 7) == ()
 
 
+def test_associates_by_a_unit_carrying_the_half_gauss_sum_are_stored_as_one():
+    rules = GaussRules.standard(2)
+    one = P.one(rules)
+    x, uu, g1 = (P.symbol(s, rules) for s in ("x", "u", "g1"))
+    f = g1 + x
+    total = RationalFunction(one, (f,)) + RationalFunction(one, (g1 * f,))
+    assert len(total.den) == 1  # kept 1 + g1*u^-2*x and 1 + g1*x^-1
+    assert total == RationalFunction(one + g1.monomial_inverse(), (f,))
+    unit = (one + x + (x - one) * uu.monomial_inverse() * g1) * Fraction(1, 2)  # halves x and 1
+    assert _stored(unit) == () and _stored(unit * f) == _stored(f)
+    inverse = RationalFunction(one, (unit,))
+    assert inverse.num * unit == one
+
+
 def _raw_eval(num, den, point):
     value = num.eval(point)
     for f in den:

@@ -12,7 +12,6 @@ from hypothesis import given, settings, strategies as st
 from heckekit.algebra import GaussRules, LaurentPoly, RationalFunction, gauss_symbol
 from heckekit.linalg import (
     Matrix,
-    apply_matrix,
     as_matrix,
     first_difference,
     identity_matrix,
@@ -157,9 +156,9 @@ def test_arithmetic_matches_dense(ops):
     for scalar in (RF.zero(rules), b[0][0], RF.const(-1, rules)):
         assert_same(mat_scalar(scalar, sa), dense_scalar(scalar, a))
     vec = c[0][: len(a[0])] + (RF.zero(rules),) * max(0, len(a[0]) - len(c[0]))
-    got = apply_matrix(sa, vec)
+    got = mat_mul(sa, [(x,) for x in vec])
     want = dense_apply(a, vec)
-    assert len(got) == len(want) and all(x == y for x, y in zip(got, want))
+    assert len(got) == len(want) and all(row[0] == y for row, y in zip(got, want))
 
 
 @settings(max_examples=150, deadline=None)
@@ -343,6 +342,15 @@ def test_shared_entries_stay_shared():
     assert len({id(v) for v in mat_add(a, a).entries.values()}) == 1
 
 
+def test_negation_keeps_sharing_and_the_type():
+    x = RF(P.one() - P.symbol("x"), (P.one() + P.symbol("y"),))
+    a = Matrix((2, 2), {(0, 0): x, (1, 1): x, (0, 1): RF.const(3)})
+    neg = -a
+    assert type(neg) is Matrix and neg[0, 0] is neg[1, 1]
+    assert neg == mat_scalar(RF.const(-1), a)
+    assert (a + neg).is_zero() and not a.is_zero() and Matrix((2, 2), {}).is_zero()
+
+
 # -- Gauss-Jordan elimination: mat_inverse and nullspace ------------------------------
 #
 # a = L D U has a known rank r: L and U are unit triangular, so invertible, and D is
@@ -377,4 +385,4 @@ def test_gauss_jordan_inverse_and_kernel(case):
     basis = nullspace(a)
     assert len(basis) == m - rank
     for vec in basis:
-        assert all(x == RF.zero() for x in apply_matrix(a, vec))
+        assert all(row[0] == RF.zero() for row in mat_mul(a, [(x,) for x in vec]))

@@ -31,7 +31,7 @@ from heckekit.rmatrix import (
     wreath_operator,
 )
 from heckekit.roots import build_cartan, WeylGroup
-from heckekit.schema import check_bernstein, verify_instance
+from heckekit.schema import BlockOperator, check_bernstein, verify_instance
 from oracles import r_affine_linear
 
 P = LaurentPoly
@@ -269,6 +269,16 @@ def test_wreath_delta_and_star():
     assert check_wreath_intertwining(space, ops[0], t).passed
     assert check_wreath_star(space, ops[0], t).passed
     assert check_star_word_identity(space, [t]).passed
+
+
+def test_perturbed_wreath_star_names_a_block_entry():
+    space, ops = limit_instance(2, 2)
+    t, op = jimbo_t_matrix(2, 2, 0), ops[0]
+    key = (space.simple(0), space.identity)
+    bad = BlockOperator(op.shape, {**op.blocks, key: RF.const(2) * op.blocks[key]})
+    check = check_wreath_star(space, bad, t).checks[0]
+    assert not check.passed
+    assert check.lhs.startswith("v-eigenline block (1, e) entry (") and check.rhs
 
 
 def test_wreath_s3():

@@ -3,9 +3,10 @@ from fractions import Fraction
 import pytest
 
 from heckekit.algebra import LaurentPoly, RationalFunction, rf_equal, v
-from heckekit.linalg import is_scalar_matrix, mat_mul
+from heckekit.linalg import Matrix, is_scalar_matrix, mat_mul
 from heckekit.roots import build_cartan, weyl_group
 from heckekit.schema import (
+    BlockOperator,
     apply_Tw,
     build_T,
     build_theta,
@@ -68,6 +69,31 @@ def test_block_sparsity(a2):
     t = build_T(inst, 0)
     for (target, source) in t.blocks:
         assert target == source or target == W.left_mul_simple(0, source)
+
+
+def test_block_operator_defines_only_the_block_sparse_parts():
+    own = {name for name in vars(BlockOperator) if not name.startswith("__")}
+    assert own == {"block", "block_dim", "blocks", "compose", "difference"} and BlockOperator.__slots__ == ()
+    assert issubclass(BlockOperator, Matrix)
+
+
+def test_block_operator_algebra_returns_block_operators(a2):
+    _, inst = a2
+    t, one = build_T(inst, 0), identity_operator(inst.group, inst.block_dim)
+    two = RationalFunction.const(2)
+    for op in (t.compose(one), t + one, t - one, -t, two * t):
+        assert isinstance(op, BlockOperator) and op.block_dim == inst.block_dim
+    assert (t - t).is_zero() and (t - t).blocks == {}
+    assert (-t).block(inst.group.identity, inst.group.identity) == -t.block(inst.group.identity, inst.group.identity)
+
+
+def test_block_operator_eq_and_equals_agree(a2):
+    _, inst = a2
+    t, u = build_T(inst, 0), build_T(inst, 1)
+    one = identity_operator(inst.group, inst.block_dim)
+    pairs = [(t, t.compose(one)), (t, t + u - u), (t, RationalFunction.const(2) * t), (t, u), (t, -t), (t, t - t)]
+    verdicts = [(left == right, left.equals(right)) for left, right in pairs]
+    assert [a for a, _ in verdicts] == [b for _, b in verdicts] == [True, True, False, False, False, False]
 
 
 def test_theta_laws(a2):
@@ -146,7 +172,7 @@ def test_apply_Tw_identity_word(a2):
 def test_spherical_idempotent_a1():
     inst = generic_instance(build_cartan("A1"))
     total = spherical_sum(inst)
-    expected = identity_operator(inst.group, inst.block_dim).add(build_T(inst, 0))
+    expected = identity_operator(inst.group, inst.block_dim) + build_T(inst, 0)
     assert total.equals(expected)
     assert check_spherical_idempotent(inst).passed
 
