@@ -32,9 +32,10 @@ normal form holds: the index is read mod n, g_a for 0 < a < n/2 is a free
 Laurent variable, g_{n-a} is stored as u^2 g_a^-1, g_0 as -u^2, and for
 even n, g_h (h = n/2) keeps exponent 0 or 1 (g_h^2 = u^2).  A monomial
 rewrites to one monomial and a sign, memoized per modulus.  Products need
-no rewrite for odd n; for even n they fold g_h^2 = u^2 when both operands
-carry g_h.  A rule-free operand that carries a Gauss symbol is brought
-under the other operand's rules in sums, products, equality and division.
+no rewrite for odd n; for even n a product of two operands that both carry
+g_h is normalized again, which folds g_h^2 = u^2.  A rule-free operand
+that carries a Gauss symbol is brought under the other operand's rules in
+sums, products, equality and division.
 
 Division.  :func:`exact_divide` is the one place where division is
 decided, and it is complete: NotDivisible means no Laurent quotient
@@ -429,24 +430,17 @@ class LaurentPoly:
         terms: dict[int, Coeff] = {}
         get = terms.get
         right = list(b._t.items())
-        groups = [(a._t.items(), right)]
-        half = rules._half if rules is not None else 0
-        if half and _gauss_lanes(a) & half and _gauss_lanes(b) & half:
-            # g_h^2 = u^2: the left terms carrying g_h meet the right terms with their g_h folded
-            fold, bias = 2 * rules._to_u, _bias
-            folded = [(m + fold if ((m + bias) ^ bias) & half else m, c) for m, c in right]
-            _check_range([m for m, _ in folded])
-            carry = {m: c for m, c in a._t.items() if ((m + bias) ^ bias) & half}
-            groups = [([(m, c) for m, c in a._t.items() if m not in carry], right), (carry.items(), folded)]
-        for left, row in groups:
-            for m1, c1 in left:
-                for m2, c2 in row:
-                    m = m1 + m2
-                    terms[m] = get(m, 0) + c1 * c2
+        for m1, c1 in a._t.items():
+            for m2, c2 in right:
+                m = m1 + m2
+                terms[m] = get(m, 0) + c1 * c2
         _check_range(terms)
         if 0 in terms.values():
             terms = {m: c for m, c in terms.items() if c}
-        return _new(terms, rules, a._frac or b._frac, canonical=True)
+        half = rules._half if rules is not None else 0
+        # both operands carry g_h (even n): the product may hold g_h^2, which _normalize folds to u^2
+        canonical = not (half and _gauss_lanes(a) & half and _gauss_lanes(b) & half)
+        return _new(terms, rules, a._frac or b._frac, canonical=canonical)
 
     __rmul__ = __mul__
 

@@ -137,6 +137,11 @@ def run_verify(args) -> int:
         build = {"generic": generic_instance, "whittaker": whittaker_schema_instance,
                  "spherical": spherical_schema_instance}[args.instance]
         inst = build(cartan)
+    for lam in args.bernstein or ():  # 1 - z^{-s alpha_i} divides z^lam - z^{s_i lam} iff s | <alpha_i, lam>
+        for i, scale in enumerate(inst.root_scale):
+            if cartan.pairing_int(i, lam) % scale:
+                raise argparse.ArgumentTypeError(f"--bernstein {lam}: <alpha_{i + 1}, lambda> is not a multiple"
+                                                 f" of the root scale {scale} of {inst.name}")
     report = verify_instance(inst, lambdas=lambdas, spherical=args.spherical)
     quad_braid = [c.passed for c in report.checks if c.name.startswith(("quadratic", "braid"))]
     _say(args, str(quad_braid))  # the bracket of quadratic/braid flags
@@ -326,7 +331,10 @@ def main(argv: list[str] | None = None) -> int:
             parser.error(message.format(**vars(args)))
     if weights:
         _check_weights(parser, args, *weights)
-    return run(args)
+    try:
+        return run(args)
+    except argparse.ArgumentTypeError as err:  # bad input that shows only once the instance is built
+        parser.error(str(err))
 
 
 if __name__ == "__main__":

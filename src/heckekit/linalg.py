@@ -49,7 +49,7 @@ class Matrix:
         self.entries = {key: x for key, x in entries.items() if not x.is_zero()}
 
     def row(self, r: int) -> tuple[RationalFunction, ...]:
-        if not 0 <= r < self.shape[0]:
+        if not 0 <= r < len(self):
             raise IndexError(r)
         get = self.entries.get
         return tuple(get((r, c), ZERO) for c in range(self.shape[1]))

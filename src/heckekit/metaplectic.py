@@ -36,10 +36,10 @@ from .algebra import (
     v,
 )
 from .linalg import Matrix
-from .relations import applied, hecke_relations, verdict
+from .relations import applied, first_failing, hecke_relations, verdict
 from .reports import Report
 from .roots import CartanDatum, WeylGroup, _identity, build_cartan, coroot_monomial, mat_vec, weight_monomial
-from .rmatrix import r_tilde, tau_operator, word_index
+from .rmatrix import r_tilde, tau_operator, word_index, words
 from .schema import BlockOperator, SchemaInstance, build_T, c_function
 
 P = LaurentPoly
@@ -137,23 +137,13 @@ class MetaplecticDatum:
         q = self.q_value(self.cartan.simple_coroots[i])
         return self.n // gcd(self.n, q) if q else 1
 
-    def root_scales(self) -> tuple[int, ...]:
-        return tuple(self.n_alpha(i) for i in range(self.cartan.rank))
-
-    def coset_key(self, mu: Sequence[int]) -> IntVec:
+    def coset_index(self, mu: Sequence[int]) -> int:
         base = tuple(int(a) - (self.cartan.rho[j] if self.rho_shift else 0) for j, a in enumerate(mu))
         y = mat_vec(self.to_snf, base)
-        return tuple(a % m for a, m in zip(y, self.moduli))
-
-    def coset_index(self, mu: Sequence[int]) -> int:
-        key = self.coset_key(mu)
         idx = 0
-        for a, m in zip(key, self.moduli):
-            idx = idx * m + a
+        for a, m in zip(y, self.moduli):
+            idx = idx * m + a % m
         return idx
-
-    def rep(self, index: int) -> IntVec:
-        return self.coset_reps[index]
 
 
 def build_datum(cartan_or_type, n: int, B: tuple[IntVec, ...] | str | None = None) -> MetaplecticDatum:
@@ -290,7 +280,7 @@ def scattering_block(
         if not normalized:
             # b_plain[nu][mu] = z^{mu - s(nu)} b_norm[nu][mu]
             t1 = RF.from_poly(weight_monomial(tuple(a - b for a, b in zip(mu, s.act(mu))))) * t1
-            nu = datum.rep(target)
+            nu = datum.coset_reps[target]
             t2v = RF.from_poly(weight_monomial(tuple(a - b for a, b in zip(mu, s.act(nu))))) * t2v
         entries[(col, col)] = t1
         entries[(target, col)] = t1 + t2v if target == col else t2v
@@ -321,8 +311,9 @@ def metaplectic_schema_instance(datum: MetaplecticDatum) -> SchemaInstance:
             entries = {key: image[id(x)] for key, x in block.items()}
             a_matrices[(w, i)] = Matrix((datum.k, datum.k), entries)
     name = f"metaplectic {datum.cartan.cartan_type} n={datum.n}"
+    root_scale = tuple(datum.n_alpha(i) for i in range(datum.cartan.rank))
     return SchemaInstance(
-        datum.cartan, datum.group, datum.k, a_matrices, datum.root_scales(), name
+        datum.cartan, datum.group, datum.k, a_matrices, root_scale, name
     )
 
 
@@ -499,13 +490,11 @@ def check_representative_independence(
         f = weight_monomial(tuple(mu))
         base = cg_action(datum, i, f)
         s = datum.group.simple(i)
-        for xi in datum.lattice_basis:
-            shifted = weight_monomial(tuple(int(a) + int(b) for a, b in zip(mu, xi)))
-            factor = RF.from_poly(weight_monomial(s.act(xi)))
-            result = verdict(cg_action(datum, i, shifted), base * factor)
-            if not result[0]:
-                return result
-        return True, None, None
+        return first_failing(
+            verdict(cg_action(datum, i, weight_monomial(tuple(int(a) + int(b) for a, b in zip(mu, xi)))),
+                    base * RF.from_poly(weight_monomial(s.act(xi))))
+            for xi in datum.lattice_basis
+        )
 
     report.run(f"representative independence i={i + 1} mu={tuple(mu)}", check)
     return report
@@ -524,10 +513,8 @@ def rmatrix_dictionary_check(r: int, n: int, report: Report | None = None) -> Re
     datum = build_datum(f"A{r - 1}", n)
     tau = tau_operator(n)
 
-    def word_of(mu: IntVec) -> int:
-        key = tuple((int(a) - rho) % n for a, rho in zip(mu, datum.cartan.rho))
-        return word_index(key, n)
-
+    position = {word_index(c, n): datum.coset_index([a + b for a, b in zip(datum.cartan.rho, c)])
+                for c in words(n, r)}
     for i in range(datum.cartan.rank):
         def check(i=i):
             block = scattering_block(datum, i, normalized=False)
@@ -535,17 +522,8 @@ def rmatrix_dictionary_check(r: int, n: int, report: Report | None = None) -> Re
             local = tau.compose(r_tilde(n, x))
             prefactor = c_function(x)
             rhs = prefactor * local.embed((i, i + 1), r)
-            k = datum.k
-            index = [word_of(datum.rep(j)) for j in range(k)]
-            for col in range(k):
-                for row in range(k):
-                    key = (index[row], index[col])
-                    if (row, col) not in block.entries and key not in rhs.entries:
-                        continue
-                    result = verdict(block[row, col], rhs[key], f"({datum.rep(row)}, {datum.rep(col)}): ")
-                    if not result[0]:
-                        return result
-            return True, None, None
+            permuted = {(position[a], position[b]): y for (a, b), y in rhs.entries.items()}
+            return verdict(block, Matrix(block.shape, permuted))
 
         report.run(f"dictionary at i={i + 1}", check)
     return report

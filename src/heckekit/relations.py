@@ -13,7 +13,7 @@ on the left and a way to show where two values differ (`verdict`).
 
 from __future__ import annotations
 
-from typing import Callable, Sequence, TypeVar
+from typing import Callable, Iterable, Sequence, TypeVar
 
 from .algebra import LaurentPoly, RationalFunction
 from .reports import Report
@@ -36,6 +36,11 @@ def verdict(lhs, rhs, where: str = "") -> Verdict:
     else:
         diff = lhs.difference(rhs)
     return (True, None, None) if diff is None else (False, where + diff[0], diff[1])
+
+
+def first_failing(verdicts: Iterable[Verdict]) -> Verdict:
+    """The first failing verdict of a family, else (True, None, None); no later member is computed."""
+    return next((result for result in verdicts if not result[0]), (True, None, None))
 
 
 def products(generator: Callable[[int], T], identity: Callable[[], T] | None = None) -> Act:

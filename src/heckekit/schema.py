@@ -31,7 +31,6 @@ from .algebra import (
 from .linalg import (
     Matrix,
     identity_matrix,
-    is_scalar_matrix,
     mat_mul,
 )
 from .relations import applied, braid, products, quadratic, verdict
@@ -95,10 +94,22 @@ class BlockOperator(Matrix):
     shape is the shape of one block: (k, k) for an operator on the sum of
     blocks, (k, 1) for a block vector, whose one source is the identity.
     An all-zero block is not stored.  +, -, scalar * and == are Matrix's;
-    compose multiplies matching blocks only.
+    compose multiplies matching blocks only.  op[target, source] is
+    op.block(target, source); a block operator has no rows, so op[r], row,
+    len and iteration raise TypeError.
     """
 
     __slots__ = ()
+
+    def __getitem__(self, key):
+        if not isinstance(key, tuple):
+            raise TypeError(f"a block operator is indexed by (target, source), not by {key!r}")
+        return self.block(*key)
+
+    def __len__(self):  # Matrix.row reads len, so row raises too
+        raise TypeError("a block operator has blocks keyed (target, source), not rows")
+
+    __iter__ = __len__
 
     @property
     def block_dim(self) -> int:
@@ -197,11 +208,7 @@ def check_composition(inst: SchemaInstance, report: Report | None = None) -> Rep
             def check(w=w, i=i):
                 sw = inst.group.left_mul_simple(i, w)
                 product = mat_mul(inst.A(sw, i), inst.A(w, i))
-                expected = inst.composition_scalar(w, i)
-                scalar = is_scalar_matrix(product)
-                if scalar is None:
-                    return False, "A(s_i w) A(w) is not scalar", expected.render()
-                return verdict(scalar, expected)
+                return verdict(product, inst.composition_scalar(w, i) * identity_matrix(inst.block_dim))
 
             report.run(f"composition scalar (w={w.name()}, i={i + 1})", check)
     return report
@@ -289,6 +296,20 @@ def verify_instance(
     return report
 
 
+# -- k = 1 instances ------------------------------------------------------------
+
+
+def scalar_instance(cartan: CartanDatum, group: WeylGroup | None, value, name: str) -> SchemaInstance:
+    """The k = 1 instance with A(w, i) = value(w, i, X), X = (wz)^{alpha_i}."""
+    group = group or WeylGroup(cartan)
+    a_matrices: dict[tuple[WeylElement, int], Matrix] = {}
+    for w in group:
+        for i in range(cartan.rank):
+            x = coroot_monomial(group.inverse(w).act(cartan.simple_coroots[i]))
+            a_matrices[(w, i)] = Matrix((1, 1), {(0, 0): value(w, i, x)})
+    return SchemaInstance(cartan, group, 1, a_matrices, name=name)
+
+
 # -- the generic (free-symbol) instance -------------------------------------------
 
 
@@ -317,20 +338,13 @@ def generic_instance(cartan: CartanDatum, group: WeylGroup | None = None) -> Sch
     if cartan.rank == 2:
         _eliminate_top_symbol(cartan, group, symbols)
 
-    def ascent_value(w: WeylElement, i: int) -> RationalFunction:
-        inst_x = coroot_monomial(group.inverse(w).act(cartan.simple_coroots[i]))
-        scalar = c_function(inst_x) * c_function(inst_x.monomial_inverse())
+    def value(w: WeylElement, i: int, x: LaurentPoly) -> RationalFunction:
+        if (w, i) in symbols:
+            return symbols[(w, i)]
+        scalar = c_function(x) * c_function(x.monomial_inverse())
         return scalar / symbols[(group.left_mul_simple(i, w), i)]
 
-    a_matrices: dict[tuple[WeylElement, int], Matrix] = {}
-    for w in group:
-        for i in range(cartan.rank):
-            if (w, i) in symbols:
-                value = symbols[(w, i)]
-            else:
-                value = ascent_value(w, i)
-            a_matrices[(w, i)] = Matrix((1, 1), {(0, 0): value})
-    return SchemaInstance(cartan, group, 1, a_matrices, name="generic")
+    return scalar_instance(cartan, group, value, "generic")
 
 
 def _maximal_chain(group: WeylGroup, start: int, length: int) -> list[tuple[int, WeylElement]]:

@@ -14,11 +14,10 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from .algebra import LaurentPoly, RationalFunction, exact_divide, v
-from .linalg import Matrix
 from .relations import applied, hecke_relations, verdict
 from .reports import Report
 from .roots import CartanDatum, WeylElement, WeylGroup, coroot_monomial, weight_monomial, weyl_character
-from .schema import SchemaInstance, c_function
+from .schema import SchemaInstance, c_function, scalar_instance
 
 P = LaurentPoly
 RF = RationalFunction
@@ -26,25 +25,13 @@ RF = RationalFunction
 
 def whittaker_schema_instance(cartan: CartanDatum, group: WeylGroup | None = None) -> SchemaInstance:
     """k = 1 instance with A(w, i) = (1 - v (wz)^{-alpha_i})/(1 - (wz)^{alpha_i})."""
-    group = group or WeylGroup(cartan)
-    a = {}
-    for w in group:
-        for i in range(cartan.rank):
-            x = coroot_monomial(group.inverse(w).act(cartan.simple_coroots[i]))
-            value = RF(P.one() - v() * x.monomial_inverse(), (P.one() - x,))
-            a[(w, i)] = Matrix((1, 1), {(0, 0): value})
-    return SchemaInstance(cartan, group, 1, a, name="whittaker")
+    return scalar_instance(cartan, group, lambda w, i, x: RF(P.one() - v() * x.monomial_inverse(), (P.one() - x,)),
+                           "whittaker")
 
 
 def spherical_schema_instance(cartan: CartanDatum, group: WeylGroup | None = None) -> SchemaInstance:
     """k = 1 instance with A(w, i) = (1 - v (wz)^{alpha_i})/(1 - (wz)^{alpha_i})."""
-    group = group or WeylGroup(cartan)
-    a = {}
-    for w in group:
-        for i in range(cartan.rank):
-            x = coroot_monomial(group.inverse(w).act(cartan.simple_coroots[i]))
-            a[(w, i)] = Matrix((1, 1), {(0, 0): c_function(x)})
-    return SchemaInstance(cartan, group, 1, a, name="spherical")
+    return scalar_instance(cartan, group, lambda w, i, x: c_function(x), "spherical")
 
 
 @dataclass
@@ -77,21 +64,15 @@ def demazure_coefficients(var: DemazureVariant, i: int) -> tuple[RF, RF]:
 
 
 def _coefficients(var: DemazureVariant, i: int) -> tuple[RF, RF]:
-    x = coroot_monomial(var.cartan.simple_coroots[i])
+    """The plain pair at x = z^alpha_i; the modified pair is the same at x = z^-alpha_i."""
+    x = coroot_monomial(var.cartan.simple_coroots[i], -1 if var.modified else 1)
     one = P.one()
-    if not var.modified:
-        d = RF((one - v()) * x, (one - x,))
-        if var.kind == "whittaker":
-            c1 = RF(one - v() * x, (one - x.monomial_inverse(),))
-        else:
-            c1 = RF(one - v() * x.monomial_inverse(), (one - x.monomial_inverse(),))
-        return d, c1
-    c0 = RF(one - v(), (x - one,))
+    c0 = RF((one - v()) * x, (one - x,))
     if var.kind == "whittaker":
-        c1 = RF(v() * x.monomial_inverse() - one, (x - one,))
+        c1 = RF(one - v() * x, (one - x.monomial_inverse(),))
     else:
-        # Demazure-Lusztig: (f - f^s)/(x - 1) - v (f - x f^s)/(x - 1)
-        c1 = RF(v() * x - one, (x - one,))
+        # Demazure-Lusztig, modified at y = z^alpha: (f - f^s)/(y - 1) - v (f - y f^s)/(y - 1)
+        c1 = RF(one - v() * x.monomial_inverse(), (one - x.monomial_inverse(),))
     return c0, c1
 
 

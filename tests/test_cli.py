@@ -268,3 +268,42 @@ def test_raising_step_fails_one_check(capsys, monkeypatch, argv, step):
     assert code == 1 and payload["status"] == "fail"
     failed = [c for c in payload["checks"] if not c["passed"]]
     assert failed and all(c["lhs"] == "RuntimeError: injected failure" for c in failed)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--type", "A2", "--instance", "metaplectic", "--n", "2", "--bernstein", "(1,0,0)"],
+         "--bernstein (1, 0, 0): <alpha_1, lambda> is not a multiple of the root scale 2 of metaplectic A2 n=2"),
+        (["--type", "B2", "--instance", "metaplectic", "--n", "2", "--bernstein", "(1,0)"],
+         "--bernstein (1, 0): <alpha_2, lambda> is not a multiple of the root scale 2 of metaplectic B2 n=2"),
+        (["--type", "A1", "--instance", "rmatrix", "--n", "2", "--power", "2", "--bernstein", "(1,0)"],
+         "--bernstein (1, 0): <alpha_1, lambda> is not a multiple of the root scale 2 of tensor n=2"),
+    ],
+    ids=["metaplectic-A2", "metaplectic-B2", "rmatrix-power-2"],
+)
+def test_bernstein_weight_off_the_root_scale_is_a_usage_error(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", *argv])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    last = err.splitlines()[-1]
+    assert last.startswith("heckekit") and "error: " in last and message in last
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--type", "A2", "--instance", "metaplectic", "--n", "2"],
+        ["--type", "B2", "--instance", "metaplectic", "--n", "2"],
+        ["--type", "A2", "--instance", "metaplectic", "--n", "2", "--bernstein", "(2,0,0)"],
+        ["--type", "A1", "--instance", "rmatrix", "--n", "2", "--power", "2", "--bernstein", "(2,0)"],
+    ],
+    ids=["metaplectic-A2-default", "metaplectic-B2-default", "metaplectic-A2-scaled", "rmatrix-power-2-scaled"],
+)
+def test_bernstein_weights_on_the_root_scale_pass(capsys, argv):
+    code, out = run(capsys, "--json", "verify", *argv)
+    payload = json.loads(out)
+    assert code == 0 and payload["status"] == "pass"
+    assert any(c["name"].startswith("bernstein") for c in payload["checks"])

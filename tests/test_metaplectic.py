@@ -34,7 +34,7 @@ from heckekit.metaplectic import (
 )
 from heckekit.rmatrix import tensor_schema_instance
 from heckekit.roots import build_cartan, coroot_monomial, weight_monomial, weyl_group
-from heckekit.schema import BlockOperator, build_T, check_quadratic, verify_instance
+from heckekit.schema import BlockOperator, build_T, check_composition, check_quadratic, verify_instance
 from heckekit.whittaker import apply_demazure, cs_rhs, demazure_variant, whittaker_schema_instance
 from oracles import conjugate_gauss, met_demazure_word, rem_identity_check, whittaker_aggregate
 
@@ -416,3 +416,31 @@ def test_lattice_setup_builds_no_fraction(monkeypatch):
     for n in (2, 3):
         build_datum("A2", n)
     assert calls == []
+
+
+@pytest.mark.parametrize("cartan_type, n", [("A1", 2), ("A2", 3), ("B2", 2)])
+def test_coset_index_numbers_the_representatives_and_scales_are_n_alpha(cartan_type, n):
+    d = build_datum(cartan_type, n)
+    assert [d.coset_index(mu) for mu in d.coset_reps] == list(range(d.k))
+    for mu, xi in iproduct(d.coset_reps, d.lattice_basis):
+        assert d.coset_index([a + b for a, b in zip(mu, xi)]) == d.coset_index(mu)
+    inst = metaplectic_schema_instance(d)
+    assert inst.root_scale == tuple(d.n_alpha(i) for i in range(d.cartan.rank))
+
+
+def test_perturbed_dictionary_names_an_entry_by_coset_index(monkeypatch):
+    import heckekit.metaplectic as met
+
+    plain = met.scattering_block
+    monkeypatch.setattr(met, "scattering_block", lambda d, i, normalized=True: plain(d, i, normalized, "tau2"))
+    check = rmatrix_dictionary_check(2, 2).checks[0]
+    assert not check.passed
+    assert check.lhs.startswith("entry (") and check.rhs
+
+
+def test_perturbed_metaplectic_composition_names_an_entry():
+    d = build_datum("A2", 2)
+    inst = metaplectic_schema_instance(d)
+    failure = check_composition(inst.perturbed(d.group.simple(0), 0)).first_failure()
+    assert failure.name == "composition scalar (w=e, i=1)"  # A(s_1, 1) A(e, 1) meets the doubled entry first
+    assert failure.lhs.startswith("entry (") and failure.rhs

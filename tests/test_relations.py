@@ -1,7 +1,7 @@
 import pytest
 
 from heckekit.algebra import LaurentPoly, v
-from heckekit.relations import applied, hecke_relations
+from heckekit.relations import applied, first_failing, hecke_relations
 from heckekit.reports import Report
 from heckekit.roots import build_cartan, weight_monomial, weyl_group
 from heckekit.whittaker import demazure_variant, idempotent_apply, idempotent_element
@@ -32,3 +32,17 @@ def test_idempotent_apply_matches_twisted_group_ring(cartan_type, kind, modified
     element = idempotent_element(var)
     for lam in [(0,) * cartan.dim, *cartan.fundamental_weights()]:
         assert idempotent_apply(var, lam) == element.act_on(weight_monomial(lam)).as_poly()
+
+
+def test_first_failing_returns_the_first_failure_and_computes_no_later_member():
+    computed = []
+
+    def family():
+        for k, passed in enumerate([True, False, False, True]):
+            computed.append(k)
+            yield (True, None, None) if passed else (False, f"lhs{k}", f"rhs{k}")
+
+    assert first_failing(family()) == (False, "lhs1", "rhs1")
+    assert computed == [0, 1]
+    assert first_failing([]) == (True, None, None)
+    assert first_failing([(True, None, None)] * 3) == (True, None, None)

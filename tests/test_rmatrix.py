@@ -295,3 +295,14 @@ def test_hecke_inverse_agrees_with_gaussian_inverse():
 
     t = jimbo_t_matrix(2, 2, 0)
     assert first_difference(hecke_inverse(t), mat_inverse(t)) is None
+
+
+def test_triangularity_failure_names_an_entry():
+    check = check_triangularity(lambda x: r_tilde(2, x), RF.const(2)).checks[0]
+    assert not check.passed
+    assert check.lhs.startswith("entry (0,0): ") and check.rhs == "2"
+
+
+def test_tensor_operator_keeps_its_rows():
+    t = tau_operator(2)
+    assert len(t) == 4 and t[1] == tuple(t[1, c] for c in range(4)) and list(t)[2] == t.row(2)

@@ -192,3 +192,27 @@ def test_missing_entry_fails_the_composition_check():
     check = next(c for c in report.checks if c.name == "composition scalar (w=e, i=1)")
     assert not check.passed
     assert "missing A entry for (w=e, i=1)" in check.lhs
+
+
+@pytest.mark.parametrize("cartan_type", ["A1", "A2"])
+def test_perturbed_composition_names_an_entry(cartan_type):
+    inst = generic_instance(build_cartan(cartan_type))
+    w = inst.group.simple(0)
+    failure = check_composition(inst.perturbed(w, 0)).first_failure()
+    assert failure.name == "composition scalar (w=e, i=1)"  # A(s_1, 1) A(e, 1) meets the doubled entry first
+    assert failure.lhs.startswith("entry (0,0): ") and failure.rhs
+
+
+def test_block_operator_reads_blocks_not_rows(a2):
+    _, inst = a2
+    W = inst.group
+    e, s1, s2 = W.identity, W.simple(0), W.simple(1)
+    t = build_T(inst, 0)
+    assert t[s1, e] is t.block(s1, e) and t[s1, e] == inst.A(e, 0)
+    absent = t[e, s2]
+    assert (e, s2) not in t.blocks and absent.shape == (1, 1) and absent.is_zero() and absent == t.block(e, s2)
+    for read in (lambda: t[0], lambda: t.row(0), lambda: len(t), lambda: iter(t), lambda: list(t)):
+        with pytest.raises(TypeError):
+            read()
+    block = t.block(s1, e)  # a Matrix keeps its rows
+    assert len(block) == 1 and block[0] == (block[0, 0],) and list(block) == [block.row(0)]

@@ -11,6 +11,7 @@ from heckekit.whittaker import (
     check_demazure_relations,
     cs_product,
     cs_rhs,
+    demazure_coefficients,
     demazure_polynomial,
     demazure_variant,
     group_element,
@@ -280,3 +281,23 @@ def test_cs_a4_in_polynomial_steps():
     start = time.perf_counter()
     assert idempotent_apply(demazure_variant("whittaker", cartan, W), lam) == cs_rhs(cartan, W, lam)
     assert time.perf_counter() - start < 5
+
+
+@pytest.mark.parametrize("cartan_type", ["A2", "B2", "G2"])
+def test_demazure_coefficients_closed_forms(cartan_type):
+    # T_i f = c0 f + c1 f(s_i z) with x = z^alpha_i; the modified pairs are the plain ones at z^-alpha_i
+    cartan = build_cartan(cartan_type)
+    group = weyl_group(cartan)
+    one, vv = P.one(), v()
+    for i in range(cartan.rank):
+        x = coroot_monomial(cartan.simple_coroots[i])
+        xinv = x.monomial_inverse()
+        expected = {
+            ("whittaker", False): (RF((one - vv) * x, (one - x,)), RF(one - vv * x, (one - xinv,))),
+            ("lusztig", False): (RF((one - vv) * x, (one - x,)), RF(one - vv * xinv, (one - xinv,))),
+            ("whittaker", True): (RF(one - vv, (x - one,)), RF(vv * xinv - one, (x - one,))),
+            ("lusztig", True): (RF(one - vv, (x - one,)), RF(vv * x - one, (x - one,))),
+        }
+        for (kind, modified), (c0, c1) in expected.items():
+            got = demazure_coefficients(demazure_variant(kind, cartan, group, modified), i)
+            assert got[0] == c0 and got[1] == c1, (kind, modified, i)
