@@ -44,7 +44,7 @@ from .rmatrix import (
     wreath_operator,
 )
 from .roots import build_cartan, weight_monomial, weyl_group
-from .schema import generic_instance, verify_instance
+from .schema import generic_instance, off_root_scale, verify_instance
 from .whittaker import (
     apply_demazure,
     check_demazure_relations,
@@ -137,11 +137,11 @@ def run_verify(args) -> int:
         build = {"generic": generic_instance, "whittaker": whittaker_schema_instance,
                  "spherical": spherical_schema_instance}[args.instance]
         inst = build(cartan)
-    for lam in args.bernstein or ():  # 1 - z^{-s alpha_i} divides z^lam - z^{s_i lam} iff s | <alpha_i, lam>
-        for i, scale in enumerate(inst.root_scale):
-            if cartan.pairing_int(i, lam) % scale:
-                raise argparse.ArgumentTypeError(f"--bernstein {lam}: <alpha_{i + 1}, lambda> is not a multiple"
-                                                 f" of the root scale {scale} of {inst.name}")
+    for lam in args.bernstein or ():
+        for i in range(cartan.rank):
+            reason = off_root_scale(inst, lam, i)
+            if reason:
+                raise argparse.ArgumentTypeError(f"--bernstein {lam}: {reason} of {inst.name}")
     report = verify_instance(inst, lambdas=lambdas, spherical=args.spherical)
     quad_braid = [c.passed for c in report.checks if c.name.startswith(("quadratic", "braid"))]
     _say(args, str(quad_braid))  # the bracket of quadratic/braid flags

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import reduce
+from itertools import product as iproduct
 from math import gcd
 from operator import add
 from typing import Sequence
@@ -38,7 +39,7 @@ from .algebra import (
 from .linalg import Matrix
 from .relations import applied, first_failing, hecke_relations, verdict
 from .reports import Report
-from .roots import CartanDatum, WeylGroup, _identity, build_cartan, coroot_monomial, mat_vec, weight_monomial
+from .roots import CartanDatum, WeylGroup, _compose, _identity, build_cartan, coroot_monomial, mat_vec, weight_monomial
 from .rmatrix import r_tilde, tau_operator, word_index, words
 from .schema import BlockOperator, SchemaInstance, build_T, c_function
 
@@ -46,10 +47,6 @@ P = LaurentPoly
 RF = RationalFunction
 
 IntVec = tuple[int, ...]
-
-
-def _bilinear(B: tuple[IntVec, ...], x: Sequence[int], y: Sequence[int]) -> int:
-    return mat_vec((mat_vec(B, x),), y)[0]
 
 
 def _diagonalize(B: tuple[IntVec, ...]) -> tuple[IntVec, list[list[int]], list[list[int]]]:
@@ -113,7 +110,6 @@ class MetaplecticDatum:
     rules: GaussRules
     moduli: IntVec                      # per SNF coordinate: order of L/L^(n) in that direction
     to_snf: tuple[IntVec, ...]          # mu -> y coordinates (V' inverse)
-    from_snf: tuple[IntVec, ...]        # y -> mu (columns span the reps)
     coset_reps: tuple[IntVec, ...]
     lattice_basis: tuple[IntVec, ...]   # basis of L^(n)
     rho_shift: bool                     # GL convention: reps are rho + box
@@ -125,17 +121,14 @@ class MetaplecticDatum:
         return len(self.coset_reps)
 
     def bilinear(self, x: Sequence[int], y: Sequence[int]) -> int:
-        return _bilinear(self.B, x, y)
+        return mat_vec((mat_vec(self.B, x),), y)[0]
 
     def q_value(self, beta: Sequence[int]) -> int:
-        b = self.bilinear(beta, beta)
-        if b % 2:
-            raise MetaplecticError(f"B is not even on coroot {tuple(beta)}")
-        return b // 2
+        """Q(beta) = B(beta, beta)/2; build_datum has checked that B is even on the coroots."""
+        return self.bilinear(beta, beta) // 2
 
     def n_alpha(self, i: int) -> int:
-        q = self.q_value(self.cartan.simple_coroots[i])
-        return self.n // gcd(self.n, q) if q else 1
+        return self.n // gcd(self.n, self.q_value(self.cartan.simple_coroots[i]))
 
     def coset_index(self, mu: Sequence[int]) -> int:
         base = tuple(int(a) - (self.cartan.rho[j] if self.rho_shift else 0) for j, a in enumerate(mu))
@@ -158,34 +151,17 @@ def build_datum(cartan_or_type, n: int, B: tuple[IntVec, ...] | str | None = Non
         raise MetaplecticError("B must be a d x d integer matrix")
     if any(B[r][c] != B[c][r] for r in range(d) for c in range(d)):
         raise MetaplecticError("B must be symmetric")
-    for w in group:  # w^T B w = B, scaled by the square of w's denominator
+    for w in group:  # w^T B w = B, in lowest terms on both sides
         rows, den = w.scaled
-        for r in range(d):
-            for c in range(d):
-                lhs = sum(rows[a][r] * B[a][b] * rows[b][c] for a in range(d) for b in range(d))
-                if lhs != B[r][c] * den * den:
-                    raise MetaplecticError(f"B is not W-invariant (fails at w = {w.name()})")
-    for beta in cartan.positive_coroots:
-        if _bilinear(B, beta, beta) % 2:
-            raise MetaplecticError(f"B is not even on the coroot lattice ({tuple(beta)})")
+        if _compose(_compose((tuple(zip(*rows)), den), (B, 1)), w.scaled) != (B, 1):
+            raise MetaplecticError(f"B is not W-invariant (fails at w = {w.name()})")
     diagonal, Vp, Vp_inv = _diagonalize(B)
     moduli = tuple(n // gcd(n, s) for s in diagonal)
-    to_snf = tuple(tuple(row) for row in Vp_inv)
-    from_snf = tuple(tuple(row) for row in Vp)
     rho_shift = cartan.cartan_type.startswith("A") and B == _identity(d)[0]
-    reps = []
-    from itertools import product as iproduct
-
-    for key in iproduct(*(range(m) for m in moduli)):
-        mu = mat_vec(from_snf, key)
-        if rho_shift:
-            # GL convention: nu - rho in [0, n)^r; SNF coordinates are standard here
-            mu = tuple(r + c for r, c in zip(cartan.rho, key))
-        reps.append(mu)
-    basis = tuple(
-        mat_vec(from_snf, tuple(m if j == i else 0 for j, m in enumerate(moduli)))
-        for i in range(d)
-    )
+    keys = iproduct(*(range(m) for m in moduli))
+    # GL convention: nu - rho in [0, n)^r; SNF coordinates are standard here
+    reps = tuple(tuple(map(add, cartan.rho, key)) if rho_shift else mat_vec(Vp, key) for key in keys)
+    basis = tuple(tuple(m * x for x in column) for m, column in zip(moduli, zip(*Vp)))  # L^(n): V' columns times moduli
     datum = MetaplecticDatum(
         cartan=cartan,
         group=group,
@@ -193,14 +169,17 @@ def build_datum(cartan_or_type, n: int, B: tuple[IntVec, ...] | str | None = Non
         B=B,
         rules=GaussRules.standard(n),
         moduli=moduli,
-        to_snf=to_snf,
-        from_snf=from_snf,
-        coset_reps=tuple(reps),
+        to_snf=tuple(tuple(row) for row in Vp_inv),
+        coset_reps=reps,
         lattice_basis=basis,
         rho_shift=rho_shift,
     )
-    for i in range(cartan.rank):
-        alpha = cartan.simple_coroots[i]
+    for beta in cartan.positive_coroots:
+        if datum.bilinear(beta, beta) % 2:
+            raise MetaplecticError(f"B is not even on the coroot lattice ({tuple(beta)})")
+    for i, alpha in enumerate(cartan.simple_coroots):
+        if datum.q_value(alpha) == 0:
+            raise MetaplecticError(f"Q(alpha_{i + 1}) = 0 for alpha_{i + 1} = {alpha}")
         scaled = tuple(datum.n_alpha(i) * a for a in alpha)
         if any(x % n for x in mat_vec(B, scaled)):
             raise MetaplecticError("n_alpha * alpha is not in L^(n)")
@@ -213,21 +192,19 @@ def c_factor(datum: MetaplecticDatum, i: int) -> RF:
     return c_function(x)
 
 
-def _pairing_value(datum: MetaplecticDatum, i: int, mu: Sequence[int]) -> int:
+def _root_data(datum: MetaplecticDatum, i: int, mu: Sequence[int]) -> tuple[IntVec, int, int, int]:
+    """(alpha_i, n_alpha, Q(alpha_i), B(alpha_i, mu)); MetaplecticError unless Q(alpha_i) divides B(alpha_i, mu)."""
     alpha = datum.cartan.simple_coroots[i]
-    b = datum.bilinear(alpha, mu)
     q = datum.q_value(alpha)
+    b = datum.bilinear(alpha, mu)
     if b % q:
         raise MetaplecticError(f"Q(alpha) does not divide B(alpha, mu) for mu = {tuple(mu)}")
-    return b
+    return alpha, datum.n_alpha(i), q, b
 
 
 def tau1(datum: MetaplecticDatum, i: int, mu: Sequence[int]) -> RF:
     """tau^1_{mu,mu} = (1 - v) z^{(n_a ceil(B/(n_a Q)) - B/Q) alpha} / (1 - v z^{n_a alpha})."""
-    alpha = datum.cartan.simple_coroots[i]
-    na = datum.n_alpha(i)
-    b = _pairing_value(datum, i, mu)
-    q = datum.q_value(alpha)
+    alpha, na, q, b = _root_data(datum, i, mu)
     m = b // q
     exponent = na * (-((-m) // na)) - m  # n_a ceil(m/n_a) - m = rem_{n_a}(-m)
     num = (P.one() - v()) * coroot_monomial(alpha, exponent)
@@ -241,10 +218,7 @@ def tau2(datum: MetaplecticDatum, i: int, mu: Sequence[int]) -> tuple[int, RF]:
     The Gauss symbol is the normalized one (pairing u^2, zero -u^2): the
     q^{-1} prefactor of the classical unnormalized sum is absorbed into it.
     """
-    alpha = datum.cartan.simple_coroots[i]
-    na = datum.n_alpha(i)
-    b = _pairing_value(datum, i, mu)
-    q = datum.q_value(alpha)
+    alpha, na, q, b = _root_data(datum, i, mu)
     target = tuple(a + e for a, e in zip(datum.group.simple(i).act(mu), alpha))
     g = gauss_symbol(b - q, datum.rules)
     num = g * coroot_monomial(alpha, -1) * (P.one() - coroot_monomial(alpha, na))
@@ -342,10 +316,7 @@ def _cg_coefficient(datum: MetaplecticDatum, i: int, mu: Sequence[int]) -> RF:
     the Gauss symbol of index B - Q, it is (z^{-rem alpha} (1 - v) - g z^{(1 - n_alpha)
     alpha} (1 - x)) / (1 - x), over the normal form of 1 - x; built once per (i, rem, index).
     """
-    alpha = datum.cartan.simple_coroots[i]
-    na = datum.n_alpha(i)
-    q = datum.q_value(alpha)
-    b = _pairing_value(datum, i, mu)
+    alpha, na, q, b = _root_data(datum, i, mu)
     rem = (-(b // q)) % na
     key = ("cg", i, rem, (b - q) % datum.n)
     if key not in datum._scalars:

@@ -88,60 +88,42 @@ def tau_operator(n: int) -> TensorOperator:
 
 @dataclass
 class RMatrixSpec:
-    """Dimension n and the twist table gamma (gamma[a][b], diagonal unused)."""
+    """Dimension n and the full n x n twist table gamma (gamma[a][b]; ones on the unused diagonal)."""
 
     n: int
-    gamma: tuple[tuple[RF, ...], ...] | None = None
-
-    def gamma_entry(self, a: int, b: int) -> RF:
-        if self.gamma is None:
-            return RF.one()
-        return self.gamma[a][b]
+    gamma: tuple[tuple[RF, ...], ...]
 
     def perturbed(self, a: int, b: int, factor=2) -> "RMatrixSpec":
-        table = [list(row) for row in self.gamma] if self.gamma else [
-            [RF.one()] * self.n for _ in range(self.n)
-        ]
+        table = [list(row) for row in self.gamma]
         table[a][b] = RF.const(factor) * table[a][b]
         return RMatrixSpec(self.n, tuple(tuple(row) for row in table))
 
 
+def _twist(n: int, entry: Callable[[int, int], RF]) -> RMatrixSpec:
+    """The spec whose table holds entry(a, b) off the diagonal and ones on it."""
+    return RMatrixSpec(n, tuple(tuple(RF.one() if a == b else entry(a, b) for b in range(n)) for a in range(n)))
+
+
 def untwisted_spec(n: int) -> RMatrixSpec:
-    return RMatrixSpec(n)
+    return _twist(n, lambda a, b: RF.one())
 
 
 def free_gamma_spec(n: int, paired: bool = True) -> RMatrixSpec:
     """Symbolic twist table; with paired=True, gamma_ba = gamma_ab^{-1}."""
-    table = []
-    for a in range(n):
-        row = []
-        for b in range(n):
-            if a == b:
-                row.append(RF.one())
-            elif a < b:
-                row.append(RF.from_poly(P.symbol(f"gam{a + 1}{b + 1}")))
-            elif paired:
-                row.append(RF.from_poly(P.monomial({f"gam{b + 1}{a + 1}": -1})))
-            else:
-                row.append(RF.from_poly(P.symbol(f"gam{a + 1}{b + 1}")))
-        table.append(tuple(row))
-    return RMatrixSpec(n, tuple(table))
+
+    def entry(a: int, b: int) -> RF:
+        if a > b and paired:
+            return RF.from_poly(P.monomial({f"gam{b + 1}{a + 1}": -1}))
+        return RF.from_poly(P.symbol(f"gam{a + 1}{b + 1}"))
+
+    return _twist(n, entry)
 
 
 def gauss_gamma_spec(n: int) -> RMatrixSpec:
     """gamma_ab = -g(a - b)/sqrt(v), Gauss sums of modulus n; satisfies the pairing since g(a)g(-a) = v."""
     rules = GaussRules.standard(n)
     uinv = P.monomial({"u": -1})
-    table = []
-    for a in range(n):
-        row = []
-        for b in range(n):
-            if a == b:
-                row.append(RF.one())
-            else:
-                row.append(RF.from_poly(-gauss_symbol(a - b, rules) * uinv))
-        table.append(tuple(row))
-    return RMatrixSpec(n, tuple(table))
+    return _twist(n, lambda a, b: RF.from_poly(-gauss_symbol(a - b, rules) * uinv))
 
 
 def r_gl(spec: RMatrixSpec) -> TensorOperator:
@@ -165,7 +147,7 @@ def r_affine(spec: RMatrixSpec, x: LaurentPoly) -> TensorOperator:
         if a == b:
             entries[(col, col)] = RF.from_poly(uu - x * uinv)
         else:
-            entries[(col, col)] = spec.gamma_entry(a, b).inverse() * RF.from_poly(one - x)
+            entries[(col, col)] = spec.gamma[a][b].inverse() * RF.from_poly(one - x)
             swap = word_index((b, a), n)
             entries[(col, swap)] = c if a > b else RF.from_poly(x) * c
     return TensorOperator((n * n, n * n), entries)
@@ -181,7 +163,7 @@ def r_tilde(n: int, x: LaurentPoly, rules: GaussRules | None = None) -> TensorOp
     if rules is not None and rules != GaussRules.standard(n):
         raise ValueError("Gauss modulus must equal the dimension n")
     gauss = gauss_gamma_spec(n).gamma
-    spec = RMatrixSpec(n, tuple(tuple(gauss[b][a] for b in range(n)) for a in range(n)))
+    spec = _twist(n, lambda a, b: gauss[b][a])
     return RF(-P.symbol("u"), (P.one() - v() * x,)) * r_affine(spec, x)
 
 

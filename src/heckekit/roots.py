@@ -155,11 +155,10 @@ class WeylGroup:
         self._generate()
         self._simples = [self._by_matrix[m] for m in self._simple_matrices]
         self._bruhat_cache: dict[tuple[tuple[int, ...], tuple[int, ...]], bool] = {}
-        # products, inverses, monomial and denominator-factor images, keyed by reduced words
+        # products, inverses and monomial images, keyed by reduced words
         self._mul_cache: dict[tuple[tuple[int, ...], tuple[int, ...]], WeylElement] = {}
         self._inverse_cache: dict[tuple[int, ...], WeylElement] = {}
         self._act_memos: dict[tuple[int, ...], dict] = {}
-        self._factor_images: dict[tuple[int, ...], dict[LaurentPoly, LaurentPoly]] = {}
         self._coordinates = tuple(f"z{i + 1}" for i in range(cartan.dim))
 
     def _generate(self) -> None:
@@ -263,18 +262,12 @@ class WeylGroup:
     def act_fn(self, w: WeylElement, f):
         """act_fn(w, z^mu) = z^{w mu}; a ring homomorphism on z-monomials.
 
-        The image of each monomial, and of each denominator factor (few:
-        one per root and shape), under each element is computed once per group.
+        The image of each monomial under each element is computed once per
+        group; a rational function maps its numerator and each denominator
+        factor through the same memo, and each keeps its own Gauss rules.
         """
         if isinstance(f, RationalFunction):
-            images = self._factor_images.setdefault(w.word, {})
-            den = []
-            for g in f.den:
-                image = images.get(g)
-                if image is None or image.rules is not g.rules:  # equal factors may differ in rules
-                    image = images[g] = self.act_fn(w, g)
-                den.append(image)
-            return RationalFunction(self.act_fn(w, f.num), den)
+            return RationalFunction(self.act_fn(w, f.num), [self.act_fn(w, g) for g in f.den])
         memo = self._act_memos.setdefault(w.word, {})
         return f.map_monomials(lambda exps: _act_on_exponents(w, exps, self._coordinates), memo)
 
@@ -364,9 +357,6 @@ def _braid_orders(cartan: CartanDatum) -> tuple[tuple[int, ...], ...]:
     for i in range(cartan.rank):
         row = []
         for j in range(cartan.rank):
-            if i == j:
-                row.append(1)
-                continue
             m = _compose(mats[i], mats[j])
             power, count = m, 1
             while power != identity:

@@ -23,7 +23,6 @@ from typing import Sequence
 
 from .algebra import (
     LaurentPoly,
-    NotDivisible,
     RationalFunction,
     exact_divide,
     v,
@@ -231,16 +230,31 @@ def check_braid(inst: SchemaInstance, i: int, j: int, report: Report | None = No
     return braid(report, _act(inst), i, j, inst.cartan.braid_orders[i][j])
 
 
+def off_root_scale(inst: SchemaInstance, lam: Sequence[int], i: int) -> str | None:
+    """Why lam has no Bernstein relation at i, or None if it has one.
+
+    1 - theta_{-s alpha_i} divides theta_lam - theta_{s_i lam} exactly when
+    the root scale s divides <alpha_i, lam>.
+    """
+    scale = inst.root_scale[i]
+    if inst.cartan.pairing_int(i, lam) % scale:
+        return f"<alpha_{i + 1}, lambda> is not a multiple of the root scale {scale}"
+    return None
+
+
 def check_bernstein(inst: SchemaInstance, lam: Sequence[int], i: int, report: Report | None = None) -> Report:
     """theta_lam T_i - T_i theta_{s_i lam} = (v-1)(theta_lam - theta_{s_i lam})/(1 - theta_{-scale alpha_i}).
 
-    The right side is computed by exact division in the theta algebra;
-    divisibility is part of the check.
+    The right side is computed by exact division in the theta algebra; a
+    weight off the root scale (off_root_scale) fails the check.
     """
     report = report or Report(f"{inst.name}: bernstein")
     lam = tuple(int(x) for x in lam)
 
     def check():
+        reason = off_root_scale(inst, lam, i)
+        if reason:
+            return False, f"lambda={lam}, i={i + 1}: {reason}", "Bernstein"
         s = inst.group.simple(i)
         slam = s.act(lam)
         t = build_T(inst, i)
@@ -248,10 +262,7 @@ def check_bernstein(inst: SchemaInstance, lam: Sequence[int], i: int, report: Re
         numerator = weight_monomial(lam) - weight_monomial(slam)
         alpha = inst.cartan.simple_coroots[i]
         denominator = LaurentPoly.one() - coroot_monomial(alpha, -inst.root_scale[i])
-        try:
-            quotient = exact_divide(numerator, denominator)
-        except NotDivisible:
-            return False, "rhs numerator not divisible by 1 - theta_{-scale alpha}", "Bernstein"
+        quotient = exact_divide(numerator, denominator)
         vv = RationalFunction.from_poly(v())
         rhs = diagonal_operator(inst, lambda w: (vv - 1) * RationalFunction.from_poly(inst.group.at_point(w, quotient)))
         return verdict(lhs, rhs)

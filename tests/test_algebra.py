@@ -847,6 +847,40 @@ def test_binomial_quotients_match_sympy(case):
             exact_divide(p, q)
 
 
+@st.composite
+def general_cases(draw):
+    """(q, r, m): q a divisor of three or more terms, r any polynomial, m a term whose monomial q r lacks."""
+    q = LaurentPoly(draw(st.dictionaries(divisor_monos, nonzero_coeffs, min_size=3, max_size=4)))
+    product = q * LaurentPoly(draw(raw_polys))
+    m = LaurentPoly({draw(raw_monos.filter(lambda mono: mono not in product.terms)): draw(nonzero_coeffs)})
+    return q, product, m
+
+
+def _sympy_quotient(p, q, sympy):
+    """p/q cancelled by sympy, and whether its denominator is a monomial (a Laurent quotient exists)."""
+    quotient = sympy.cancel(_to_sympy(p, sympy) / _to_sympy(q, sympy))
+    _, den = sympy.fraction(quotient)
+    gens = sorted(quotient.free_symbols, key=str) or [sympy.Symbol("x")]
+    return quotient, sympy.Poly(den, *gens).is_monomial
+
+
+@settings(max_examples=60, deadline=None)
+@given(general_cases())
+def test_general_quotients_match_sympy(case):
+    # a divisor of three or more terms takes _divide_general
+    sympy = pytest.importorskip("sympy")
+    q, product, m = case
+    assert len(q.terms) >= 3
+    quotient, exists = _sympy_quotient(product, q, sympy)
+    assert exists and sympy.cancel(quotient - _to_sympy(exact_divide(product, q), sympy)) == 0
+    quotient, exists = _sympy_quotient(product + m, q, sympy)
+    if exists:
+        assert sympy.cancel(quotient - _to_sympy(exact_divide(product + m, q), sympy)) == 0
+    else:
+        with pytest.raises(NotDivisible):
+            exact_divide(product + m, q)
+
+
 z_names = st.sampled_from(["z1", "z2", "u"])
 z_monos = st.dictionaries(z_names, st.integers(min_value=-2, max_value=2), max_size=2)
 

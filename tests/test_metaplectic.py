@@ -1,6 +1,8 @@
+import json
 from dataclasses import replace
 from fractions import Fraction
 from itertools import product as iproduct
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -34,7 +36,7 @@ from heckekit.metaplectic import (
 )
 from heckekit.rmatrix import tensor_schema_instance
 from heckekit.roots import build_cartan, coroot_monomial, weight_monomial, weyl_group
-from heckekit.schema import BlockOperator, build_T, check_composition, check_quadratic, verify_instance
+from heckekit.schema import BlockOperator, build_T, check_bernstein, check_composition, check_quadratic, verify_instance
 from heckekit.whittaker import apply_demazure, cs_rhs, demazure_variant, whittaker_schema_instance
 from oracles import conjugate_gauss, met_demazure_word, rem_identity_check, whittaker_aggregate
 
@@ -444,3 +446,36 @@ def test_perturbed_metaplectic_composition_names_an_entry():
     failure = check_composition(inst.perturbed(d.group.simple(0), 0)).first_failure()
     assert failure.name == "composition scalar (w=e, i=1)"  # A(s_1, 1) A(e, 1) meets the doubled entry first
     assert failure.lhs.startswith("entry (") and failure.rhs
+
+
+# Every cover datum of the dot form on A1..A4, B2 and C2 at n = 1..4, and of C2 with B = 2 dot at
+# n = 4, as build_datum returned it before its lattice data were restructured; a refactor of the
+# lattice setup (a Y basis, say) must leave each one as it is.
+COVER_DATA = json.loads((Path(__file__).parent / "cover_data.json").read_text())
+
+
+@pytest.mark.parametrize("pinned", COVER_DATA, ids=lambda c: f"{c['type']}-n{c['n']}-{'dot' if c['B'] == 'dot' else '2dot'}")
+def test_cover_datum_is_pinned(pinned):
+    B = pinned["B"] if pinned["B"] == "dot" else tuple(map(tuple, pinned["B"]))
+    d = build_datum(pinned["type"], pinned["n"], B)
+    assert list(d.moduli) == pinned["moduli"]
+    assert [d.n_alpha(i) for i in range(d.cartan.rank)] == pinned["n_alpha"]
+    assert [list(row) for row in d.to_snf] == pinned["to_snf"]
+    assert [list(mu) for mu in d.lattice_basis] == pinned["lattice_basis"]
+    assert [list(mu) for mu in d.coset_reps] == pinned["coset_reps"]
+
+
+@pytest.mark.parametrize("B", [((1, 1), (1, 1)), ((0, 0), (0, 0))], ids=["all-ones", "zero"])
+def test_form_with_a_null_simple_coroot_is_rejected(B):
+    # W-invariant and even, but Q(alpha_1) = 0: no n_alpha, and B(alpha, mu)/Q(alpha) is undefined
+    with pytest.raises(MetaplecticError, match=r"Q\(alpha_1\) = 0 .*\(1, -1\)"):
+        build_datum("A1", 2, B)
+
+
+def test_bernstein_weight_off_the_root_scale_names_weight_index_and_scale():
+    # <alpha_1, (1, 0, 0)> = 1 is not a multiple of n_alpha = 2; <alpha_2, (1, 0, 0)> = 0 is
+    inst = metaplectic_schema_instance(build_datum("A2", 2))
+    off, on = check_bernstein(inst, (1, 0, 0), 0).checks[0], check_bernstein(inst, (1, 0, 0), 1).checks[0]
+    assert not off.passed
+    assert off.lhs == "lambda=(1, 0, 0), i=1: <alpha_1, lambda> is not a multiple of the root scale 2"
+    assert on.passed
