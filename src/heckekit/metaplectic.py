@@ -40,8 +40,8 @@ from .linalg import Matrix
 from .relations import applied, first_failing, hecke_relations, verdict
 from .reports import Report
 from .roots import CartanDatum, WeylGroup, _compose, _identity, build_cartan, coroot_monomial, mat_vec, weight_monomial
-from .rmatrix import r_tilde, tau_operator, word_index, words
-from .schema import BlockOperator, SchemaInstance, build_T, c_function
+from .rmatrix import tensor_block, word_index, words
+from .schema import BlockOperator, SchemaInstance, build_T, c_function, transported_instance
 
 P = LaurentPoly
 RF = RationalFunction
@@ -146,6 +146,10 @@ def build_datum(cartan_or_type, n: int, B: tuple[IntVec, ...] | str | None = Non
     d = cartan.dim
     if B is None or B == "dot":
         B = _identity(d)[0]
+    for r, row in enumerate(B):
+        for c, x in enumerate(row):
+            if x != int(x):
+                raise MetaplecticError(f"B entry (row {r + 1}, column {c + 1}) = {x!r} is not an integer")
     B = tuple(tuple(int(x) for x in row) for row in B)
     if any(len(row) != d for row in B) or len(B) != d:
         raise MetaplecticError("B must be a d x d integer matrix")
@@ -262,33 +266,15 @@ def scattering_block(
 
 
 def metaplectic_schema_instance(datum: MetaplecticDatum) -> SchemaInstance:
-    """The block Hecke action on Whittaker functionals; root_scale = n_alpha.
+    """The block Hecke action on Whittaker functionals: scattering_block carried to wz; root_scale = n_alpha.
 
     tau^1 and tau^2 depend on mu only through residues mod n, so a k x k
-    block holds a handful of distinct values.  Equal entries, keyed by
-    (num, den), are one object across all the A(w, i) blocks, and each
-    distinct entry is mapped to w z once per w.  The matrix kernels memoize
-    by object identity (see linalg), so each kernel call of the relation
-    checks then computes one product or sum per distinct pair of values.
+    block holds a handful of distinct values, and transported_instance maps
+    each of them once per w.
     """
-    shared: dict[tuple, RF] = {}
-
-    def share(x: RF) -> RF:
-        return shared.setdefault((x.num, x.den), x)
-
-    a_matrices = {}
-    for i in range(datum.cartan.rank):
-        block = {key: share(x) for key, x in scattering_block(datum, i).entries.items()}
-        distinct = {id(x): x for x in block.values()}
-        for w in datum.group:
-            image = {key: share(datum.group.at_point(w, x)) for key, x in distinct.items()}
-            entries = {key: image[id(x)] for key, x in block.items()}
-            a_matrices[(w, i)] = Matrix((datum.k, datum.k), entries)
-    name = f"metaplectic {datum.cartan.cartan_type} n={datum.n}"
+    blocks = [scattering_block(datum, i) for i in range(datum.cartan.rank)]
     root_scale = tuple(datum.n_alpha(i) for i in range(datum.cartan.rank))
-    return SchemaInstance(
-        datum.cartan, datum.group, datum.k, a_matrices, root_scale, name
-    )
+    return transported_instance(datum.group, blocks, root_scale, f"metaplectic {datum.cartan.cartan_type} n={datum.n}")
 
 
 # -- Chinta-Gunnells action and metaplectic Demazure operators ----------------------
@@ -475,25 +461,21 @@ def check_representative_independence(
 
 
 def rmatrix_dictionary_check(r: int, n: int, report: Report | None = None) -> Report:
-    """scattering_block (plain normalization) equals the Gauss R-matrix operator.
+    """scattering_block (plain normalization) equals the Gauss tensor block at power n.
 
     Index bijection: the coset representative rho + sum c_j e_j corresponds to
     the tensor word (c_1, ..., c_r) with colors in [0, n).
     """
     report = report or Report(f"R-matrix dictionary GL_{r}, n={n}")
     datum = build_datum(f"A{r - 1}", n)
-    tau = tau_operator(n)
+    tensor_blocks = tensor_block(n, r, "gauss", n)
 
     position = {word_index(c, n): datum.coset_index([a + b for a, b in zip(datum.cartan.rho, c)])
                 for c in words(n, r)}
     for i in range(datum.cartan.rank):
         def check(i=i):
             block = scattering_block(datum, i, normalized=False)
-            x = coroot_monomial(datum.cartan.simple_coroots[i], n)
-            local = tau.compose(r_tilde(n, x))
-            prefactor = c_function(x)
-            rhs = prefactor * local.embed((i, i + 1), r)
-            permuted = {(position[a], position[b]): y for (a, b), y in rhs.entries.items()}
+            permuted = {(position[a], position[b]): y for (a, b), y in tensor_blocks[i].entries.items()}
             return verdict(block, Matrix(block.shape, permuted))
 
         report.run(f"dictionary at i={i + 1}", check)

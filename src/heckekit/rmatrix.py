@@ -31,7 +31,7 @@ from .linalg import (
 from .reports import Report
 from .roots import WeylGroup, build_cartan, coroot_monomial
 from .relations import braid, first_failing, hecke_relations, products, quadratic, verdict
-from .schema import BlockOperator, SchemaInstance, identity_operator
+from .schema import BlockOperator, SchemaInstance, c_function, identity_operator, transported_instance
 
 P = LaurentPoly
 RF = RationalFunction
@@ -88,20 +88,27 @@ def tau_operator(n: int) -> TensorOperator:
 
 @dataclass
 class RMatrixSpec:
-    """Dimension n and the full n x n twist table gamma (gamma[a][b]; ones on the unused diagonal)."""
+    """The full n x n twist table gamma (gamma[a][b]; ones on the unused diagonal); n is its size."""
 
-    n: int
     gamma: tuple[tuple[RF, ...], ...]
+
+    def __post_init__(self) -> None:
+        if any(len(row) != self.n for row in self.gamma):
+            raise ValueError(f"twist table is not n x n: {self.n} rows of lengths {[len(row) for row in self.gamma]}")
+
+    @property
+    def n(self) -> int:
+        return len(self.gamma)
 
     def perturbed(self, a: int, b: int, factor=2) -> "RMatrixSpec":
         table = [list(row) for row in self.gamma]
         table[a][b] = RF.const(factor) * table[a][b]
-        return RMatrixSpec(self.n, tuple(tuple(row) for row in table))
+        return RMatrixSpec(tuple(tuple(row) for row in table))
 
 
 def _twist(n: int, entry: Callable[[int, int], RF]) -> RMatrixSpec:
     """The spec whose table holds entry(a, b) off the diagonal and ones on it."""
-    return RMatrixSpec(n, tuple(tuple(RF.one() if a == b else entry(a, b) for b in range(n)) for a in range(n)))
+    return RMatrixSpec(tuple(tuple(RF.one() if a == b else entry(a, b) for b in range(n)) for a in range(n)))
 
 
 def untwisted_spec(n: int) -> RMatrixSpec:
@@ -232,6 +239,35 @@ def doubler_scalar() -> RF:
 # -- tensor schema instance --------------------------------------------------------
 
 
+def tensor_block(n: int, r: int, twist: str = "none", power: int = 1, xi: Callable[[LaurentPoly], RF] | None = None) -> list[TensorOperator]:
+    """The identity blocks A(e, i) of the tensor instance, one per i, with X = z^{power alpha_i}.
+
+    twist = "none": u/(1 - X) (tau R(X))_{i,i+1}.
+    twist = "gauss": the Gauss-sum table; with power = n the block is
+    (1 - v X)/(1 - X) (tau r_tilde(X))_{i,i+1}, which is the metaplectic
+    dictionary's shape.  xi, when given, multiplies each block by xi(X).
+    """
+    if twist not in ("none", "gauss"):
+        raise ValueError("twist must be 'none' or 'gauss'")
+    if power not in (1, n):
+        raise ValueError("power must be 1 or n")
+    spec = gauss_gamma_spec(n) if twist == "gauss" else untwisted_spec(n)
+    tau = tau_operator(n)
+    blocks = []
+    for i, alpha in enumerate(build_cartan(f"A{r - 1}").simple_coroots):
+        x = coroot_monomial(alpha, power)
+        if twist == "gauss" and power == n:
+            local = tau.compose(r_tilde(n, x))
+            prefactor = c_function(x)
+        else:
+            local = tau.compose(r_affine(spec, x))
+            prefactor = RF(P.symbol("u"), (P.one() - x,))
+        if xi is not None:
+            prefactor = prefactor * xi(x)
+        blocks.append(prefactor * local.embed((i, i + 1), r))
+    return blocks
+
+
 def tensor_schema_instance(
     n: int,
     r: int,
@@ -241,39 +277,13 @@ def tensor_schema_instance(
 ) -> SchemaInstance:
     """The Hecke module on r-fold tensor products of n-dimensional evaluation modules.
 
-    twist = "none": A(w, i) = u/(1 - X) (tau R(X))_{i,i+1} with X = (wz)^{alpha_i}.
-    twist = "gauss": the Gauss-sum table; with power = n the entries use
-    X = (wz)^{n alpha_i} and the Gauss-normalized family with prefactor
-    (1 - v X)/(1 - X), which is the metaplectic dictionary's shape.
-    xi, when given, multiplies A(w, i) by xi(X); any xi with
-    xi(x) xi(x^{-1}) = 1 leaves every relation intact.
+    A(w, i) is tensor_block's A(e, i) at the point wz, so X = (wz)^{power alpha_i};
+    xi must therefore be a rational function of X with coefficients free of z.
+    Any xi with xi(x) xi(x^{-1}) = 1 leaves every relation intact.
     """
-    if twist not in ("none", "gauss"):
-        raise ValueError("twist must be 'none' or 'gauss'")
-    if power not in (1, n):
-        raise ValueError("power must be 1 or n")
-    cartan = build_cartan(f"A{r - 1}")
-    group = WeylGroup(cartan)
-    spec = gauss_gamma_spec(n) if twist == "gauss" else untwisted_spec(n)
-    tau = tau_operator(n)
-    one = P.one()
-    uu = P.symbol("u")
-    a_matrices = {}
-    for w in group:
-        winv = group.inverse(w)
-        for i in range(cartan.rank):
-            x = coroot_monomial(winv.act(cartan.simple_coroots[i]), power)
-            if twist == "gauss" and power == n:
-                local = tau.compose(r_tilde(n, x))
-                prefactor = RF(one - v() * x, (one - x,))
-            else:
-                local = tau.compose(r_affine(spec, x))
-                prefactor = RF(uu, (one - x,))
-            if xi is not None:
-                prefactor = prefactor * xi(x)
-            a_matrices[(w, i)] = prefactor * local.embed((i, i + 1), r)
+    blocks = tensor_block(n, r, twist, power, xi)
     name = f"tensor n={n} r={r} twist={twist} power={power}"
-    return SchemaInstance(cartan, group, n ** r, a_matrices, tuple(power for _ in range(cartan.rank)), name)
+    return transported_instance(WeylGroup(build_cartan(f"A{r - 1}")), blocks, (power,) * (r - 1), name)
 
 
 def check_content_preservation(inst: SchemaInstance, report: Report | None = None) -> Report:

@@ -43,12 +43,8 @@ class SchemaInstance:
     group: WeylGroup
     block_dim: int
     a_matrices: dict[tuple[WeylElement, int], Matrix]
-    root_scale: tuple[int, ...] = ()
-    name: str = "instance"
-
-    def __post_init__(self) -> None:
-        if not self.root_scale:
-            self.root_scale = tuple(1 for _ in range(self.cartan.rank))
+    root_scale: tuple[int, ...]
+    name: str
 
     def A(self, w: WeylElement, i: int) -> Matrix:
         try:
@@ -56,12 +52,9 @@ class SchemaInstance:
         except KeyError:
             raise KeyError(f"missing A entry for (w={w.name()}, i={i + 1})") from None
 
-    def x_monomial(self, w: WeylElement, i: int, power: int = 1) -> LaurentPoly:
-        """(wz)^{power * scale_i * alpha_i} = z^{w^{-1}(power * scale_i * alpha_i)}."""
-        alpha = self.cartan.simple_coroots[i]
-        winv = self.group.inverse(w)
-        vec = winv.act(alpha)
-        return coroot_monomial(vec, power * self.root_scale[i])
+    def x_monomial(self, w: WeylElement, i: int) -> LaurentPoly:
+        """(wz)^{scale_i * alpha_i} = z^{w^{-1}(scale_i * alpha_i)}, the monomial z^{scale_i * alpha_i} carried to wz."""
+        return self.group.at_point(w, coroot_monomial(self.cartan.simple_coroots[i], self.root_scale[i]))
 
     def d_scalar(self, w: WeylElement, i: int) -> RationalFunction:
         """D_i(wz) = (1 - v)(wz)^{scale alpha_i} / (1 - (wz)^{scale alpha_i})."""
@@ -307,18 +300,30 @@ def verify_instance(
     return report
 
 
-# -- k = 1 instances ------------------------------------------------------------
+# -- instances transported from their identity blocks ---------------------------
 
 
-def scalar_instance(cartan: CartanDatum, group: WeylGroup | None, value, name: str) -> SchemaInstance:
-    """The k = 1 instance with A(w, i) = value(w, i, X), X = (wz)^{alpha_i}."""
-    group = group or WeylGroup(cartan)
+def transported_instance(group: WeylGroup, blocks: Sequence[Matrix], root_scale: tuple[int, ...], name: str) -> SchemaInstance:
+    """The instance with A(w, i) = blocks[i] at the point wz; each A(w, i) keeps its block's type.
+
+    Equal entries, keyed by (num, den), are one object across all the
+    A(w, i), and each distinct entry is mapped to wz once per w.  The matrix
+    kernels memoize by object identity (see linalg), so each kernel call of
+    the relation checks computes one product or sum per distinct pair of values.
+    """
+    shared: dict[tuple, RationalFunction] = {}
+
+    def share(x: RationalFunction) -> RationalFunction:
+        return shared.setdefault((x.num, x.den), x)
+
+    entries = [{key: share(x) for key, x in block.entries.items()} for block in blocks]
+    distinct = {id(x): x for block in entries for x in block.values()}
     a_matrices: dict[tuple[WeylElement, int], Matrix] = {}
     for w in group:
-        for i in range(cartan.rank):
-            x = coroot_monomial(group.inverse(w).act(cartan.simple_coroots[i]))
-            a_matrices[(w, i)] = Matrix((1, 1), {(0, 0): value(w, i, x)})
-    return SchemaInstance(cartan, group, 1, a_matrices, name=name)
+        image = {key: share(group.at_point(w, x)) for key, x in distinct.items()}
+        for i, block in enumerate(blocks):
+            a_matrices[(w, i)] = type(block)(block.shape, {key: image[id(x)] for key, x in entries[i].items()})
+    return SchemaInstance(group.cartan, group, blocks[0].shape[0], a_matrices, root_scale, name)
 
 
 # -- the generic (free-symbol) instance -------------------------------------------
@@ -349,13 +354,12 @@ def generic_instance(cartan: CartanDatum, group: WeylGroup | None = None) -> Sch
     if cartan.rank == 2:
         _eliminate_top_symbol(cartan, group, symbols)
 
-    def value(w: WeylElement, i: int, x: LaurentPoly) -> RationalFunction:
-        if (w, i) in symbols:
-            return symbols[(w, i)]
-        scalar = c_function(x) * c_function(x.monomial_inverse())
-        return scalar / symbols[(group.left_mul_simple(i, w), i)]
-
-    return scalar_instance(cartan, group, value, "generic")
+    inst = SchemaInstance(cartan, group, 1, {}, (1,) * cartan.rank, "generic")
+    for (w, i), a in symbols.items():  # a descent's symbol, and the ascent s_i w whose entry it forces
+        sw = group.left_mul_simple(i, w)
+        inst.a_matrices[(w, i)] = Matrix((1, 1), {(0, 0): a})
+        inst.a_matrices[(sw, i)] = Matrix((1, 1), {(0, 0): inst.composition_scalar(sw, i) / a})
+    return inst
 
 
 def _maximal_chain(group: WeylGroup, start: int, length: int) -> list[tuple[int, WeylElement]]:
@@ -378,19 +382,11 @@ def _eliminate_top_symbol(cartan: CartanDatum, group: WeylGroup, symbols: dict) 
     the free symbols.
     """
     m = cartan.braid_orders[0][1]
-    w0 = group.longest()
-    left = _maximal_chain(group, 0, m)
-    right = _maximal_chain(group, 1, m)
-    target = (w0, 1)
-    if (left[-1][0], left[-1][1]) == (1, w0):
-        same, other = left, right
-    else:
-        same, other = right, left
+    same = _maximal_chain(group, m % 2, m)  # its letters alternate, so its last step, into w0, is the i=2 one
+    other = _maximal_chain(group, 1 - m % 2, m)
     value = RationalFunction.one()
     for letter, u in other:
         value = value * symbols[(u, letter)]
-    for letter, u in same:
-        if (u, letter) == target:
-            continue
+    for letter, u in same[:-1]:
         value = value / symbols[(u, letter)]
-    symbols[target] = value
+    symbols[(group.longest(), 1)] = value

@@ -14,24 +14,30 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from .algebra import LaurentPoly, RationalFunction, exact_divide, v
+from .linalg import Matrix
 from .relations import applied, hecke_relations, verdict
 from .reports import Report
 from .roots import CartanDatum, WeylElement, WeylGroup, coroot_monomial, weight_monomial, weyl_character
-from .schema import SchemaInstance, c_function, scalar_instance
+from .schema import SchemaInstance, c_function, transported_instance
 
 P = LaurentPoly
 RF = RationalFunction
 
 
+def _k1_instance(cartan: CartanDatum, group: WeylGroup | None, value, name: str) -> SchemaInstance:
+    """The k = 1 instance whose identity block at i is value(X), X = z^{alpha_i}."""
+    blocks = [Matrix((1, 1), {(0, 0): value(coroot_monomial(alpha))}) for alpha in cartan.simple_coroots]
+    return transported_instance(group or WeylGroup(cartan), blocks, (1,) * cartan.rank, name)
+
+
 def whittaker_schema_instance(cartan: CartanDatum, group: WeylGroup | None = None) -> SchemaInstance:
     """k = 1 instance with A(w, i) = (1 - v (wz)^{-alpha_i})/(1 - (wz)^{alpha_i})."""
-    return scalar_instance(cartan, group, lambda w, i, x: RF(P.one() - v() * x.monomial_inverse(), (P.one() - x,)),
-                           "whittaker")
+    return _k1_instance(cartan, group, lambda x: RF(P.one() - v() * x.monomial_inverse(), (P.one() - x,)), "whittaker")
 
 
 def spherical_schema_instance(cartan: CartanDatum, group: WeylGroup | None = None) -> SchemaInstance:
     """k = 1 instance with A(w, i) = (1 - v (wz)^{alpha_i})/(1 - (wz)^{alpha_i})."""
-    return scalar_instance(cartan, group, lambda w, i, x: c_function(x), "spherical")
+    return _k1_instance(cartan, group, c_function, "spherical")
 
 
 @dataclass

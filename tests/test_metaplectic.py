@@ -1,4 +1,5 @@
 import json
+import re
 from dataclasses import replace
 from fractions import Fraction
 from itertools import product as iproduct
@@ -479,3 +480,22 @@ def test_bernstein_weight_off_the_root_scale_names_weight_index_and_scale():
     assert not off.passed
     assert off.lhs == "lambda=(1, 0, 0), i=1: <alpha_1, lambda> is not a multiple of the root scale 2"
     assert on.passed
+
+
+@pytest.mark.parametrize("B, message", [
+    (((1.5, 0), (0, 1.5)), "B entry (row 1, column 1) = 1.5 is not an integer"),
+    (((0.5, 0), (0, 0.5)), "B entry (row 1, column 1) = 0.5 is not an integer"),
+    (((2, 0), (0, 0.5)), "B entry (row 2, column 2) = 0.5 is not an integer"),
+], ids=["1.5-dot", "0.5-dot", "one-entry-0.5"])
+def test_form_with_a_non_integer_entry_is_rejected(B, message):
+    # int() would have truncated the first two to the dot form and to the zero form
+    with pytest.raises(MetaplecticError, match=re.escape(message)):
+        build_datum("A1", 2, B)
+
+
+def test_form_with_integer_valued_entries_is_accepted():
+    # 2.0 and Fraction(2) are integers in value: the same cover as B = 2 dot
+    for B in (((2.0, 0), (0, 2.0)), ((Fraction(2), 0), (0, Fraction(2)))):
+        d = build_datum("A1", 4, B)
+        assert d.B == ((2, 0), (0, 2)) and all(type(x) is int for row in d.B for x in row)
+        assert d.moduli == build_datum("A1", 4, ((2, 0), (0, 2))).moduli

@@ -53,3 +53,15 @@ def test_trajectory_record_shape():
     assert verdict["parent"]["q1"] <= verdict["parent"]["median"] <= verdict["parent"]["q3"]
     assert verdict["wins"] == 4 and verdict["pairs"] == 4 and verdict["claim_met"]
     json.dumps(record)  # the record is what --out writes
+
+
+def test_default_workloads_are_those_of_the_benchmark_file(tmp_path):
+    root = Path(__file__).resolve().parent.parent
+    declared = [w["name"] for w in json.loads((root / "BENCHMARK.json").read_text())["workloads"]]
+    assert pairs.parse_args(["--parent", "HEAD"], root).workloads.split(",") == declared
+    # a workload added to the file is run without naming it
+    spec = {"workloads": [{"name": "generic_rank2"}, {"name": "reach"}], "end_to_end": [{"name": "verdict_s", "better": "lower"}]}
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(spec))
+    assert pairs.parse_args(["--parent", "HEAD"], tmp_path).workloads == "generic_rank2,reach"
+    assert pairs.parse_args(["--parent", "HEAD", "--workloads", "reach"], tmp_path).workloads == "reach"
+    assert pairs.directions(tmp_path) == {"verdict_s": "lower"} and pairs.end_to_end(tmp_path) == ["verdict_s"]

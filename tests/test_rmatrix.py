@@ -306,3 +306,15 @@ def test_triangularity_failure_names_an_entry():
 def test_tensor_operator_keeps_its_rows():
     t = tau_operator(2)
     assert len(t) == 4 and t[1] == tuple(t[1, c] for c in range(4)) and list(t)[2] == t.row(2)
+
+
+def test_spec_reads_n_from_its_table_and_rejects_a_table_that_is_not_square():
+    from heckekit.rmatrix import RMatrixSpec
+
+    assert untwisted_spec(3).n == 3 and gauss_gamma_spec(2).n == 2
+    assert untwisted_spec(3).perturbed(0, 1).n == 3
+    rows_of_two = untwisted_spec(2).gamma + (untwisted_spec(2).gamma[0],)  # three rows of length 2
+    with pytest.raises(ValueError, match="not n x n"):
+        RMatrixSpec(rows_of_two)
+    with pytest.raises(ValueError, match="not n x n"):
+        RMatrixSpec((untwisted_spec(3).gamma[0], untwisted_spec(3).gamma[1][:2], untwisted_spec(3).gamma[2]))

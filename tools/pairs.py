@@ -1,6 +1,6 @@
 """Alternating parent/change benchmark pairs for heckekit.
 
-    python3 tools/pairs.py --parent REV [--workloads generic_rank2,...] [--pairs 10]
+    python3 tools/pairs.py --parent REV [--workloads NAME,...] [--pairs 10]
                            [--seed 31] [--seconds 10] [--trace 0] [--out BENCH_<pr>.json]
 
 Run from anywhere inside the repository.  The parent side is the committed
@@ -20,6 +20,8 @@ writes a trajectory record to that path (and only then writes a file): the
 git sha of both sides, the Python version, the core count, the pairs and
 seeds, and per workload the wrong verdicts and the quartiles of every
 end-to-end metric.  Standard library only.
+
+--workloads defaults to every workload that BENCHMARK.json declares.
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ import tarfile
 import tempfile
 from pathlib import Path
 
-WORKLOADS = ("generic_rank2", "metaplectic_gl3", "demazure_cs")
 SIDES = ("parent", "change")
 
 
@@ -60,15 +61,25 @@ def copy_working_tree(root: Path, dest: Path) -> None:
         shutil.copytree(root / name, dest / name, ignore=skip)
 
 
+def benchmark(root: Path) -> dict:
+    """The benchmark declaration, BENCHMARK.json at the root of the repository."""
+    return json.loads((root / "BENCHMARK.json").read_text())
+
+
+def workloads(root: Path) -> list[str]:
+    """The workload names BENCHMARK.json declares, in its order."""
+    return [w["name"] for w in benchmark(root)["workloads"]]
+
+
 def directions(root: Path) -> dict[str, str]:
     """'lower' or 'higher' for every metric BENCHMARK.json declares."""
-    spec = json.loads((root / "BENCHMARK.json").read_text())
+    spec = benchmark(root)
     return {m["name"]: m["better"] for key in ("end_to_end", "per_layer") for m in spec.get(key, [])}
 
 
 def end_to_end(root: Path) -> list[str]:
     """The end-to-end metric names BENCHMARK.json declares."""
-    return [m["name"] for m in json.loads((root / "BENCHMARK.json").read_text())["end_to_end"]]
+    return [m["name"] for m in benchmark(root)["end_to_end"]]
 
 
 def git(root: Path, *args: str) -> str:
@@ -174,10 +185,11 @@ def print_summary(workload: str, runs: list[dict[str, dict]], rows: list[dict]) 
               f"  x{ratio}  wins {r['wins']}/{r['pairs']}  claim {'met' if r['claim_met'] else 'not met'}")
 
 
-def main(argv: list[str] | None = None) -> int:
+def parse_args(argv: list[str] | None, root: Path) -> argparse.Namespace:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, help="git revision of the parent side")
-    parser.add_argument("--workloads", default=",".join(WORKLOADS), help="comma-separated workload names")
+    parser.add_argument("--workloads", default=",".join(workloads(root)),
+                        help="comma-separated workload names (default: every workload of BENCHMARK.json)")
     parser.add_argument("--pairs", type=int, default=10, help="pairs per workload")
     parser.add_argument("--seed", type=int, default=31, help="seed of the first pair; pair k uses seed + k")
     parser.add_argument("--seconds", type=float, default=10)
@@ -186,8 +198,12 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
+    return args
 
+
+def main(argv: list[str] | None = None) -> int:
     root = repo_root()
+    args = parse_args(argv, root)
     better = directions(root)
     sides = {
         "parent": {"rev": args.parent, "sha": git(root, "rev-parse", args.parent)},
