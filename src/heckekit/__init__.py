@@ -12,7 +12,6 @@ from .algebra import (
     GaussRules,
     LaurentPoly,
     NotDivisible,
-    PoleError,
     RationalFunction,
     exact_divide,
     rf_equal,
@@ -27,7 +26,6 @@ from .metaplectic import (
     scattering_block,
     whittaker_value,
 )
-from .parsing import parse_poly
 from .reports import Report
 from .rmatrix import RMatrixSpec, TensorOperator, r_affine, r_gl, r_tilde, tensor_schema_instance
 from .roots import CartanDatum, WeylElement, WeylGroup, build_cartan, weyl_character, weyl_group
@@ -61,7 +59,6 @@ __all__ = [
     "LaurentPoly",
     "MetaplecticDatum",
     "NotDivisible",
-    "PoleError",
     "RMatrixSpec",
     "RationalFunction",
     "Report",
@@ -86,7 +83,6 @@ __all__ = [
     "idempotent_apply",
     "met_demazure",
     "metaplectic_schema_instance",
-    "parse_poly",
     "r_affine",
     "r_gl",
     "r_tilde",

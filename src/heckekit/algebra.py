@@ -74,10 +74,6 @@ class NotDivisible(Exception):
     """Raised by :func:`exact_divide` when the quotient is not a Laurent polynomial."""
 
 
-class PoleError(Exception):
-    """Raised when a rational function is evaluated at a zero of its denominator."""
-
-
 def _gauss_index(name: str) -> int | None:
     if name.startswith("g") and name[1:].isdigit():
         return int(name[1:])
@@ -495,7 +491,7 @@ class LaurentPoly:
     def symbols(self) -> set[str]:
         return {_names[lane] for m in self._t for lane, _ in _unpack(m)}
 
-    # -- maps on monomials, substitution and evaluation -------------------------
+    # -- maps on monomials --------------------------------------------------
 
     def map_monomials(
         self, image: Callable[[dict[str, int]], Mapping[str, int]], memo: dict | None = None
@@ -521,36 +517,6 @@ class LaurentPoly:
         for m, c in self._t.items():
             groups.setdefault(key(_exponents(m)), {})[m] = c
         return {k: _new(t, self.rules, self._frac, canonical=True) for k, t in groups.items()}
-
-    def substitute_monomials(self, images: Mapping[str, Mapping[str, int]]) -> "LaurentPoly":
-        """Ring homomorphism sending each mapped symbol to a monomial; others fixed."""
-
-        def image(exps: dict[str, int]) -> dict[str, int]:
-            out: dict[str, int] = {}
-            for s, e in exps.items():
-                target = images.get(s)
-                if target is None:
-                    out[s] = out.get(s, 0) + e
-                else:
-                    for t, f in target.items():
-                        out[t] = out.get(t, 0) + e * f
-            return out
-
-        return self.map_monomials(image)
-
-    def eval(self, point: Mapping[str, Fraction]) -> Fraction:
-        total = Fraction(0)
-        for m, coeff in self._t.items():
-            value = Fraction(coeff)
-            for s, e in _named(m):
-                if s not in point:
-                    raise ValueError(f"unassigned symbol {s!r}")
-                base = Fraction(point[s])
-                if base == 0 and e < 0:
-                    raise PoleError(f"{s} = 0 raised to a negative power")
-                value *= base ** e
-            total += value
-        return total
 
     # -- rendering ----------------------------------------------------------
 
@@ -1004,21 +970,6 @@ class RationalFunction:
         for f in self.den:
             p = exact_divide(p, f)
         return p
-
-    def substitute_monomials(self, images: Mapping[str, Mapping[str, int]]) -> "RationalFunction":
-        return RationalFunction(
-            self.num.substitute_monomials(images),
-            tuple(f.substitute_monomials(images) for f in self.den),
-        )
-
-    def eval(self, point: Mapping[str, Fraction]) -> Fraction:
-        value = self.num.eval(point)
-        for f in self.den:
-            d = f.eval(point)
-            if d == 0:
-                raise PoleError(f"denominator factor {f.render()} vanishes")
-            value /= d
-        return value
 
     def render(self) -> str:
         if not self.den:

@@ -23,8 +23,11 @@ schema.BlockOperator is a Matrix of k x k blocks keyed by Weyl elements.
 
 A Matrix still reads as a sequence of rows: len(m), m[r] (a row tuple with
 zeros filled in), m[r][c], `for row in m` and m == ((x,),).  m[r, c] reads one
-entry without building its row.  The public functions also accept nested row
-sequences and convert them once on entry.
+entry without building its row; m[r] and m[r, c] outside the shape raise
+IndexError.  The public functions also accept nested row sequences and
+convert them once on entry.  Shapes must fit: mat_add, mat_mul and
+first_difference raise ValueError naming both shapes, and difference reports
+two shapes that differ as its failure.
 """
 
 from __future__ import annotations
@@ -59,6 +62,8 @@ class Matrix:
 
     def __getitem__(self, key):
         if isinstance(key, tuple):
+            if not (0 <= key[0] < self.shape[0] and 0 <= key[1] < self.shape[1]):
+                raise IndexError(key)
             got = self.entries.get(key)
             return got if got is not None else ZERO
         return self.row(key)
@@ -94,7 +99,10 @@ class Matrix:
         return self.difference(other) is None
 
     def difference(self, other: "Matrix") -> tuple[str, str] | None:
-        """None if equal, else renderings of the first differing entry, the left one naming it."""
+        """None if equal, else renderings of the two shapes or of the first differing entry (left names it)."""
+        other = as_matrix(other)
+        if self.shape != other.shape:
+            return f"shape {self.shape}", f"shape {other.shape}"
         diff = first_difference(self, other)
         if diff is None:
             return None
@@ -119,6 +127,12 @@ def identity_matrix(k: int) -> Matrix:
     return Matrix((k, k), {(r, r): one for r in range(k)})
 
 
+def _check_shapes(ok: bool, op: str, a: Matrix, b: Matrix) -> None:
+    """Raise ValueError naming op and both shapes unless ok."""
+    if not ok:
+        raise ValueError(f"{op} of shapes {a.shape} and {b.shape}")
+
+
 def _memoized(op):
     """op(x, y), computed once per pair of operand objects while the returned function lives.
 
@@ -138,6 +152,7 @@ def _memoized(op):
 
 def mat_add(a: Matrix, b: Matrix) -> Matrix:
     a, b = as_matrix(a), as_matrix(b)
+    _check_shapes(a.shape == b.shape, "sum", a, b)
     plus = _memoized(add)
     out = dict(a.entries)
     for key, y in b.entries.items():
@@ -167,6 +182,7 @@ def mat_scalar(c, a: Matrix) -> Matrix:
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     """Sum over matching nonzeros; each cell is summed in ascending inner index."""
     a, b = as_matrix(a), as_matrix(b)
+    _check_shapes(a.shape[1] == b.shape[0], "product", a, b)
     b_rows: dict[int, list[tuple[int, RationalFunction]]] = {}
     for (j, c), y in b.entries.items():
         b_rows.setdefault(j, []).append((c, y))
@@ -181,12 +197,13 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
 
 
 def first_difference(a: Matrix, b: Matrix) -> tuple[int, int, RationalFunction, RationalFunction] | None:
-    """The first (row-major) differing entry, or None if a == b.
+    """The first (row-major) differing entry, or None if a == b; ValueError if the shapes differ.
 
     A pair of entry objects already found equal is not compared again.  No
     stored entry (a block neither) equals the ZERO an absent entry reads as.
     """
     a, b = as_matrix(a), as_matrix(b)
+    _check_shapes(a.shape == b.shape, "comparison", a, b)
     equal: dict[Key, tuple] = {}  # (id(x), id(y)) -> (x, y), for pairs found equal
     for r, c in sorted(a.entries.keys() | b.entries.keys()):
         x, y = a.entries.get((r, c), ZERO), b.entries.get((r, c), ZERO)
@@ -204,7 +221,7 @@ def is_scalar_matrix(a: Matrix) -> RationalFunction | None:
     a = as_matrix(a)
     if any(r != c for r, c in a.entries):
         return None
-    s = a[0, 0]
+    s = a.entries.get((0, 0), ZERO)
     for r in range(1, a.shape[0]):
         if not (a[r, r] == s):
             return None

@@ -154,7 +154,6 @@ class WeylGroup:
         self._by_matrix: dict[Scaled, WeylElement] = {}
         self._generate()
         self._simples = [self._by_matrix[m] for m in self._simple_matrices]
-        self._bruhat_cache: dict[tuple[tuple[int, ...], tuple[int, ...]], bool] = {}
         # products, inverses and monomial images, keyed by reduced words
         self._mul_cache: dict[tuple[tuple[int, ...], tuple[int, ...]], WeylElement] = {}
         self._inverse_cache: dict[tuple[int, ...], WeylElement] = {}
@@ -236,26 +235,6 @@ class WeylGroup:
 
     def __iter__(self):
         return iter(self.elements)
-
-    def bruhat_le(self, u: WeylElement, w: WeylElement) -> bool:
-        """Standard Bruhat order via the descent recursion (subword criterion)."""
-        key = (u.word, w.word)
-        cached = self._bruhat_cache.get(key)
-        if cached is not None:
-            return cached
-        if u.length > w.length:
-            result = False
-        elif u.length == 0:
-            result = True
-        elif u.scaled == w.scaled:
-            result = True
-        else:
-            i = next(j for j in range(self.cartan.rank) if self.is_left_descent(j, w))
-            sw = self.left_mul_simple(i, w)
-            su = self.left_mul_simple(i, u)
-            result = self.bruhat_le(su if su.length < u.length else u, sw)
-        self._bruhat_cache[key] = result
-        return result
 
     # -- actions on weights and functions ------------------------------------
 

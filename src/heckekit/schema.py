@@ -127,7 +127,9 @@ class BlockOperator(Matrix):
         return BlockOperator((self.shape[0], other.shape[1]), out)
 
     def difference(self, other: "BlockOperator") -> tuple[str, str] | None:
-        """None if equal, else renderings of the first differing entry, the left one naming it."""
+        """None if equal, else renderings of the two block shapes or of the first differing entry (left names it)."""
+        if self.shape != other.shape:
+            return f"block shape {self.shape}", f"block shape {other.shape}"
         for t, s in sorted(self.entries.keys() | other.entries.keys()):
             diff = self.block(t, s).difference(other.block(t, s))
             if diff is not None:
@@ -165,20 +167,11 @@ def identity_operator(group: WeylGroup, k: int) -> BlockOperator:
     return BlockOperator((k, k), {(w, w): ident for w in group})
 
 
-def _tw_act(inst: SchemaInstance):
-    """act(word) = T_word as an operator: each T_i built once, each product kept by its word."""
-    generators = [build_T(inst, i) for i in range(inst.cartan.rank)]
-    return applied(lambda i, rest: generators[i].compose(rest), identity_operator(inst.group, inst.block_dim))
-
-
-def apply_Tw(inst: SchemaInstance, w: WeylElement) -> BlockOperator:
-    """T_w as the product along a reduced word (well-defined once braids hold)."""
-    return _tw_act(inst)(w.word)
-
-
 def spherical_sum(inst: SchemaInstance) -> BlockOperator:
     """The spherical element sum_w T_w in this representation."""
-    act = _tw_act(inst)
+    # T_w along its reduced word: each T_i built once, each product kept by its word
+    generators = [build_T(inst, i) for i in range(inst.cartan.rank)]
+    act = applied(lambda i, rest: generators[i].compose(rest), identity_operator(inst.group, inst.block_dim))
     return reduce(add, (act(w.word) for w in inst.group))
 
 

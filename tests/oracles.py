@@ -2,18 +2,25 @@
 
 None of these is part of the production path; the tests compare them with
 it (the rational Weyl sum with the Weyl character, the exactly inverted
-R-matrix with the closed form, the coset aggregate with the Demazure sum).
+R-matrix with the closed form, the coset aggregate with the Demazure sum),
+or use them to state a property (evaluation at a point, substitution of
+monomials, Bruhat order, T_w of a block module).  Each is written over the
+package's public API only.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from fractions import Fraction
+from functools import cache
+from typing import Iterable, Mapping, Sequence
 
 from heckekit.algebra import GaussRules, LaurentPoly, RationalFunction
 from heckekit.linalg import mat_inverse
 from heckekit.metaplectic import MetaplecticDatum, met_demazure_act, whittaker_value
+from heckekit.relations import applied
 from heckekit.rmatrix import RMatrixSpec, TensorOperator, r_gl, tau_operator
 from heckekit.roots import CartanDatum, WeylElement, WeylGroup, coroot_monomial, weight_monomial
+from heckekit.schema import BlockOperator, SchemaInstance, build_T, identity_operator
 from heckekit.whittaker import DemazureVariant, demazure_act
 
 P = LaurentPoly
@@ -92,3 +99,64 @@ def rem_identity_check(n_alpha: int, b_over_q: int) -> bool:
     """n_a * ceil(m / n_a) - m == rem_{n_a}(-m)."""
     lhs = n_alpha * (-((-b_over_q) // n_alpha)) - b_over_q
     return lhs == (-b_over_q) % n_alpha
+
+
+class PoleError(Exception):
+    """Raised when a rational function is evaluated at a zero of its denominator."""
+
+
+def evaluate(f: LaurentPoly | RationalFunction, point: Mapping[str, Fraction]) -> Fraction:
+    """f at point, a value for every symbol of f; PoleError where a denominator vanishes."""
+    if isinstance(f, RationalFunction):
+        value = evaluate(f.num, point)
+        for g in f.den:
+            d = evaluate(g, point)
+            if d == 0:
+                raise PoleError(f"denominator factor {g.render()} vanishes")
+            value /= d
+        return value
+    total = Fraction(0)
+    for mono, coeff in f.terms.items():
+        value = Fraction(coeff)
+        for s, e in mono:
+            if s not in point:
+                raise ValueError(f"unassigned symbol {s!r}")
+            base = Fraction(point[s])
+            if base == 0 and e < 0:
+                raise PoleError(f"{s} = 0 raised to a negative power")
+            value *= base ** e
+        total += value
+    return total
+
+
+def substitute(f: LaurentPoly | RF, images: Mapping[str, Mapping[str, int]]) -> LaurentPoly | RF:
+    """The ring homomorphism sending each symbol in images to its monomial {symbol: exponent}; others fixed."""
+
+    def image(exps: dict[str, int]) -> dict[str, int]:
+        out: dict[str, int] = {}
+        for s, e in exps.items():
+            for t, k in images.get(s, {s: 1}).items():
+                out[t] = out.get(t, 0) + e * k
+        return out
+
+    if isinstance(f, RationalFunction):
+        return RF(f.num.map_monomials(image), tuple(g.map_monomials(image) for g in f.den))
+    return f.map_monomials(image)
+
+
+@cache
+def bruhat_le(group: WeylGroup, u: WeylElement, w: WeylElement) -> bool:
+    """u <= w in the Bruhat order, by the descent recursion (subword criterion)."""
+    if u.length > w.length:
+        return False
+    if u.length == 0 or u == w:
+        return True
+    i = next(j for j in range(group.cartan.rank) if group.is_left_descent(j, w))
+    sw, su = group.left_mul_simple(i, w), group.left_mul_simple(i, u)
+    return bruhat_le(group, su if su.length < u.length else u, sw)
+
+
+def apply_Tw(inst: SchemaInstance, w: WeylElement) -> BlockOperator:
+    """T_w as the product of the T_i along the reduced word of w (well-defined once braids hold)."""
+    act = applied(lambda i, rest: build_T(inst, i).compose(rest), identity_operator(inst.group, inst.block_dim))
+    return act(w.word)

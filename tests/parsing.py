@@ -1,4 +1,4 @@
-"""Text form of Laurent polynomials.
+"""Parser of the text form of Laurent polynomials, for writing test inputs.
 
 Grammar (whitespace insensitive):
 
@@ -16,7 +16,7 @@ import re
 from fractions import Fraction
 from typing import Iterable
 
-from .algebra import GaussRules, LaurentPoly
+from heckekit.algebra import GaussRules, LaurentPoly
 
 class ParseError(ValueError):
     """Syntax error with the offending offset."""
@@ -62,7 +62,6 @@ def parse_poly(
     """Parse the canonical text form; unknown symbols rejected when a context is given."""
     known = set(symbols) if symbols is not None else None
     tokens = _Tokens(src)
-    result = LaurentPoly.zero(rules)
 
     def parse_int() -> int:
         sign = 1
@@ -92,25 +91,24 @@ def parse_poly(
         kind, text, pos = tokens.peek()
         if kind == "rational":
             tokens.next()
+            if "/" in text and int(text.partition("/")[2]) == 0:
+                raise ParseError("zero denominator", pos)
             term = LaurentPoly.const(Fraction(text) * sign, rules)
         elif kind == "ident":
             term = LaurentPoly.const(sign, rules) * parse_factor()
         else:
             raise ParseError("expected term", pos)
-        while True:
-            kind, text, _ = tokens.peek()
-            if kind == "op" and text == "*":
-                tokens.next()
-                term = term * parse_factor()
-            else:
-                return term
+        while tokens.peek()[:2] == ("op", "*"):
+            tokens.next()
+            term = term * parse_factor()
+        return term
 
     sign = 1
     kind, text, _ = tokens.peek()
     if kind == "op" and text == "-":
         tokens.next()
         sign = -1
-    result = result + parse_term(sign)
+    result = parse_term(sign)
     while True:
         kind, text, pos = tokens.peek()
         if kind == "end":

@@ -9,7 +9,6 @@ from heckekit.algebra import (
     GaussRules,
     LaurentPoly,
     NotDivisible,
-    PoleError,
     RationalFunction,
     _divide_binomial,
     _divide_general,
@@ -21,9 +20,9 @@ from heckekit.algebra import (
     u,
     v,
 )
-from heckekit.parsing import parse_poly
 from heckekit.relations import verdict
-from oracles import conjugate_gauss, z_monomial
+from oracles import PoleError, conjugate_gauss, evaluate, substitute, z_monomial
+from parsing import parse_poly
 
 P = LaurentPoly
 
@@ -115,20 +114,20 @@ def test_ring_axioms(a, b, c):
 @given(polys(), polys())
 def test_substitute_respects_multiplication(a, b):
     swap = {"x": {"y": 1}, "y": {"x": 1}}
-    assert (a * b).substitute_monomials(swap) == a.substitute_monomials(swap) * b.substitute_monomials(swap)
+    assert substitute(a * b, swap) == substitute(a, swap) * substitute(b, swap)
 
 
 def test_substitute_simple_reflection_a1():
     # A1 ambient swap z1 <-> z2 on 1 - u^2 z1 z2^{-1}
     p = P.one() - v() * z_monomial([1, -1])
-    swapped = p.substitute_monomials({"z1": {"z2": 1}, "z2": {"z1": 1}})
+    swapped = substitute(p, {"z1": {"z2": 1}, "z2": {"z1": 1}})
     assert swapped == P.one() - v() * z_monomial([-1, 1])
-    assert sym("z1").substitute_monomials({"z1": {"z2": 1}, "z2": {"z1": 1}}) == sym("z2")
+    assert substitute(sym("z1"), {"z1": {"z2": 1}, "z2": {"z1": 1}}) == sym("z2")
 
 
 def test_identity_substitution():
     p = P.one() - v() * z_monomial([1, -1])
-    assert p.substitute_monomials({}) == p
+    assert substitute(p, {}) == p
 
 
 # -- division --------------------------------------------------------------------
@@ -199,21 +198,21 @@ def test_d_identity_a1():
     # D(z) + D(s z) = v - 1 with D(z) = (1-v)x/(1-x), x = z1/z2
     x = z_monomial([1, -1])
     d = RationalFunction((P.one() - v()) * x, (P.one() - x,))
-    ds = d.substitute_monomials({"z1": {"z2": 1}, "z2": {"z1": 1}})
+    ds = substitute(d, {"z1": {"z2": 1}, "z2": {"z1": 1}})
     assert d + ds == RationalFunction(v() - 1)
 
 
 def test_eval_rational():
     x, vv = sym("x"), sym("v")
     f = RationalFunction(P.one() - vv * x, (P.one() - x,))
-    assert f.eval({"x": Fraction(2), "v": Fraction(1, 2)}) == 0
+    assert evaluate(f, {"x": Fraction(2), "v": Fraction(1, 2)}) == 0
 
 
 def test_eval_rational_pole():
     x = sym("x")
     f = RationalFunction(P.one() - x * x, (P.one() - x,))
     with pytest.raises(PoleError):
-        f.eval({"x": Fraction(1)})
+        evaluate(f, {"x": Fraction(1)})
 
 
 def test_eval_d_identity_point():
@@ -221,10 +220,10 @@ def test_eval_d_identity_point():
     x = z_monomial([1, -1])
     vv = sym("v")
     d = RationalFunction((P.one() - vv) * x, (P.one() - x,))
-    ds = d.substitute_monomials({"z1": {"z2": 1}, "z2": {"z1": 1}})
+    ds = substitute(d, {"z1": {"z2": 1}, "z2": {"z1": 1}})
     total = d + ds
     point = {"z1": Fraction(3), "z2": Fraction(5), "v": Fraction(1, 7)}
-    assert total.eval(point) == Fraction(-6, 7)
+    assert evaluate(total, point) == Fraction(-6, 7)
 
 
 @settings(max_examples=60, deadline=None)
@@ -303,6 +302,8 @@ def test_gauss_divisors_divide_exactly():
     assert exact_divide((x + h) ** 2, x + h) == x + h  # raised NotDivisible before
     with pytest.raises(NotDivisible):
         exact_divide(x * x + g1, x + g2)
+    with pytest.raises(NotDivisible, match=r"\(1 \+ x\) is not divisible by \(x \+ g1\)"):
+        exact_divide(x + 1, h + x)  # divided in the two halves of h = g_{n/2}
     for zero_divisor in (h + u(two), 3 * h - 3 * u(two), (h - u(two)) * (x + 1)):
         with pytest.raises(ZeroDivisionError):
             exact_divide(P.zero(two), zero_divisor)
@@ -314,7 +315,7 @@ def test_zero_divisor_denominator_raises_under_even_n():
     assert ((g - uu) * (g + uu)).is_zero()  # g2^2 = u^2: the ring is no domain
     with pytest.raises(ZeroDivisionError):
         RationalFunction(5 * (g - uu), [g - uu]) == RationalFunction(g + uu, [g + uu])  # was True: "5 == 1"
-    for f in (g - uu, g + uu, 3 * uu - 3 * g, (g + uu) * sym("x") + (g + uu) * gauss_symbol(1, rules)):
+    for f in (g - uu, g + uu, 3 * uu - 3 * g, (g + uu) * sym("x") + (g + uu) * gauss_symbol(1, rules), P.zero(rules)):
         with pytest.raises(ZeroDivisionError):
             RationalFunction(one, (f,))
     two = GaussRules.standard(2)
@@ -394,9 +395,9 @@ def test_associates_by_a_unit_carrying_the_half_gauss_sum_are_stored_as_one():
 
 
 def _raw_eval(num, den, point):
-    value = num.eval(point)
+    value = evaluate(num, point)
     for f in den:
-        value /= f.eval(point)
+        value /= evaluate(f, point)
     return value
 
 
@@ -439,11 +440,11 @@ def test_normal_form_keeps_value_and_verdicts(num, den, data):
     ra, rb = RationalFunction(*a), RationalFunction(*b)
     assert rf_equal(ra, rb) == _raw_equal(a, b) == rf_equal(rb, ra)
     point = data.draw(points)
-    if all(f.eval(point) for f in a[1] + b[1]):
+    if all(evaluate(f, point) for f in a[1] + b[1]):
         va, vb = _raw_eval(*a, point), _raw_eval(*b, point)
-        assert ra.eval(point) == va
-        assert (ra + rb).eval(point) == va + vb
-        assert (ra * rb).eval(point) == va * vb
+        assert evaluate(ra, point) == va
+        assert evaluate(ra + rb, point) == va + vb
+        assert evaluate(ra * rb, point) == va * vb
 
 
 def test_g2_generic_braid_expression_size():
@@ -700,7 +701,7 @@ def test_exponent_outside_lane_range_raises():
 SYMBOL_ORDER_SCRIPT = """
 import json, sys
 from heckekit.algebra import GaussRules, LaurentPoly as P, NotDivisible, exact_divide
-from heckekit.parsing import parse_poly
+from parsing import parse_poly
 
 names = sys.argv[1:]
 for name in names:
@@ -729,7 +730,7 @@ def test_results_do_not_depend_on_lane_order():
     import heckekit
 
     src = os.path.dirname(os.path.dirname(os.path.abspath(heckekit.__file__)))
-    env = dict(os.environ, PYTHONPATH=src)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join((src, os.path.dirname(os.path.abspath(__file__)))))
     order = ["x", "y", "z", "u", "g1", "g2"]
     outputs = [
         json.loads(subprocess.run(

@@ -50,12 +50,16 @@ def test_demazure_suite(capsys):
     assert code == 0
     code, _ = run(capsys, "demazure", "--type", "A2", "--kind", "lusztig")
     assert code == 0
+    code, _ = run(capsys, "demazure", "--type", "G2")
+    assert code == 0
 
 
 def test_rmatrix_commands(capsys):
     for argv in (
         ["rmatrix", "ybe", "--n", "2"],
         ["rmatrix", "pybe", "--n", "2"],
+        ["rmatrix", "pybe", "--n", "2", "--gauss"],
+        ["rmatrix", "triangularity", "--n", "2"],
         ["rmatrix", "triangularity", "--n", "2", "--gauss"],
         ["rmatrix", "hecke", "--n", "2"],
     ):

@@ -23,6 +23,9 @@ from heckekit.linalg import (
     mat_sub,
     nullspace,
 )
+from heckekit.relations import verdict
+from heckekit.roots import build_cartan, weyl_group
+from heckekit.schema import identity_operator
 
 P = LaurentPoly
 RF = RationalFunction
@@ -386,3 +389,21 @@ def test_gauss_jordan_inverse_and_kernel(case):
     assert len(basis) == m - rank
     for vec in basis:
         assert all(row[0] == RF.zero() for row in mat_mul(a, [(x,) for x in vec]))
+
+
+def test_shapes_must_fit():
+    one = RF.one()
+    i2, i3 = identity_matrix(2), identity_matrix(3)
+    padded = Matrix((3, 3), {(0, 0): one, (1, 1): one})
+    assert verdict(i2, padded) == (False, "shape (2, 2)", "shape (3, 3)")
+    with pytest.raises(ValueError, match=r"\(2, 2\) and \(3, 3\)"):
+        first_difference(i2, padded)
+    with pytest.raises(ValueError, match=r"product of shapes \(2, 3\) and \(2, 2\)"):
+        mat_mul(Matrix((2, 3), {(0, 2): one}), i2)
+    with pytest.raises(ValueError, match=r"sum of shapes \(2, 2\) and \(3, 3\)"):
+        mat_add(i2, i3)
+    with pytest.raises(IndexError):
+        i2[5, 5]
+    group = weyl_group(build_cartan("A1"))
+    assert verdict(identity_operator(group, 2), identity_operator(group, 3)) == (
+        False, "block shape (2, 2)", "block shape (3, 3)")

@@ -39,7 +39,7 @@ from heckekit.rmatrix import tensor_schema_instance
 from heckekit.roots import build_cartan, coroot_monomial, weight_monomial, weyl_group
 from heckekit.schema import BlockOperator, build_T, check_bernstein, check_composition, check_quadratic, verify_instance
 from heckekit.whittaker import apply_demazure, cs_rhs, demazure_variant, whittaker_schema_instance
-from oracles import conjugate_gauss, met_demazure_word, rem_identity_check, whittaker_aggregate
+from oracles import conjugate_gauss, met_demazure_word, rem_identity_check, substitute, whittaker_aggregate
 
 P = LaurentPoly
 RF = RationalFunction
@@ -81,6 +81,8 @@ def test_invalid_B_rejected():
         build_datum("A1", 2, ((1, 2), (0, 1)))  # not symmetric
     with pytest.raises(MetaplecticError):
         build_datum("A1", 2, ((1, 0), (0, 2)))  # not W-invariant
+    with pytest.raises(MetaplecticError):
+        build_datum("A1", 2, ((1, 0, 0), (0, 1, 0)))  # not d x d
 
 
 def test_c_factor_values(gl2_n2):
@@ -344,7 +346,7 @@ def test_whittaker_n1_matches_cs_under_inversion():
     lam = (1, 0)
     agg = whittaker_aggregate(d, lam)
     cs = cs_rhs(d.cartan, d.group, lam)
-    inverted = cs.substitute_monomials({f"z{i + 1}": {f"z{i + 1}": -1} for i in range(d.cartan.dim)})
+    inverted = substitute(cs, {f"z{i + 1}": {f"z{i + 1}": -1} for i in range(d.cartan.dim)})
     assert agg == inverted.with_rules(d.rules)
 
 

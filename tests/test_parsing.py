@@ -2,8 +2,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from heckekit.algebra import LaurentPoly, v
-from heckekit.parsing import ParseError, parse_poly
 from oracles import z_monomial
+from parsing import ParseError, parse_poly
 
 P = LaurentPoly
 
@@ -29,6 +29,9 @@ def test_parse_error_position():
     with pytest.raises(ParseError) as err:
         parse_poly("1 + + z1")
     assert err.value.offset == 4
+    with pytest.raises(ParseError) as err:
+        parse_poly("1/0 + x")
+    assert err.value.offset == 0
 
 
 def test_unknown_symbol_rejected():

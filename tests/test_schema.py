@@ -7,7 +7,6 @@ from heckekit.linalg import Matrix, is_scalar_matrix, mat_mul
 from heckekit.roots import build_cartan, weyl_group
 from heckekit.schema import (
     BlockOperator,
-    apply_Tw,
     build_T,
     build_theta,
     check_bernstein,
@@ -22,6 +21,7 @@ from heckekit.schema import (
     spherical_sum,
     verify_instance,
 )
+from oracles import apply_Tw
 
 P = LaurentPoly
 
