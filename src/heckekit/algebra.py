@@ -524,19 +524,10 @@ class LaurentPoly:
         """Canonical text form: terms in ascending graded-lex order on symbol names."""
         if not self._t:
             return "0"
-        terms = [(_named(m), c) for m, c in self._t.items()]
-        names = sorted({s for mono, _ in terms for s, _ in mono})
-        index = {s: i for i, s in enumerate(names)}
-
-        def key(mono: Monomial):
-            vec = [0] * len(names)
-            for s, e in mono:
-                vec[index[s]] = e
-            return (sum(e for _, e in mono), vec)
-
+        order = _graded_lex(self.symbols())
         parts = []
-        for mono, coeff in sorted(terms, key=lambda kv: key(kv[0])):
-            factors = [s if e == 1 else f"{s}^{e}" for s, e in mono]
+        for m, coeff in sorted(self._t.items(), key=lambda kv: order(kv[0])):
+            factors = [s if e == 1 else f"{s}^{e}" for s, e in _named(m)]
             mag = abs(coeff)
             if not factors:
                 body = str(mag)
@@ -894,17 +885,9 @@ class RationalFunction:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        common: list[LaurentPoly] = []
-        rest_other = list(other.den)
-        rest_self: list[LaurentPoly] = []
-        for f in self.den:
-            if f in rest_other:
-                rest_other.remove(f)
-                common.append(f)
-            else:
-                rest_self.append(f)
+        common, rest_self, rest_other = _shared_factors(self.den, other.den)
         num = _times(self.num, rest_other) + _times(other.num, rest_self)  # + merges the rules
-        return _rf(num, tuple(common) + tuple(rest_self) + tuple(rest_other))
+        return _rf(num, common + rest_self + rest_other)
 
     __radd__ = __add__
 
@@ -945,10 +928,7 @@ class RationalFunction:
             return NotImplemented
         if n < 0:
             return self.inverse() ** (-n)
-        result = RationalFunction.one(self.num.rules)
-        for _ in range(n):
-            result = result * self
-        return result
+        return _rf(self.num ** n, self.den * n)  # the same factor multiset as n products
 
     def inverse(self) -> "RationalFunction":
         return RationalFunction.one(self.num.rules) / self
@@ -994,6 +974,20 @@ def _times(p: LaurentPoly, factors: Sequence[LaurentPoly]) -> LaurentPoly:
     return p * reduce(mul, factors) if factors else p
 
 
+def _shared_factors(a: Sequence[LaurentPoly], b: Sequence[LaurentPoly]) -> tuple[tuple[LaurentPoly, ...], ...]:
+    """(common, rest of a, rest of b): the factor multisets a and b split at their intersection."""
+    common: list[LaurentPoly] = []
+    rest_a: list[LaurentPoly] = []
+    rest_b = list(b)
+    for f in a:
+        if f in rest_b:
+            rest_b.remove(f)
+            common.append(f)
+        else:
+            rest_a.append(f)
+    return tuple(common), tuple(rest_a), tuple(rest_b)
+
+
 def rf_equal(a: RationalFunction, b: RationalFunction) -> bool:
     """True iff a == b as rational functions (cross multiplication, no gcd).
 
@@ -1002,13 +996,7 @@ def rf_equal(a: RationalFunction, b: RationalFunction) -> bool:
     """
     if a is b:
         return True
-    rest_a = list(a.den)
-    rest_b: list[LaurentPoly] = []
-    for f in b.den:
-        if f in rest_a:
-            rest_a.remove(f)  # shared factors cancel before cross multiplying
-        else:
-            rest_b.append(f)
+    _, rest_a, rest_b = _shared_factors(a.den, b.den)  # shared factors cancel before cross multiplying
     return _times(a.num, rest_b) == _times(b.num, rest_a)
 
 

@@ -20,7 +20,7 @@ from .metaplectic import (
     metaplectic_schema_instance,
     whittaker_value,
 )
-from .relations import verdict
+from .relations import verdict, weyl_sum
 from .reports import Report
 from .rmatrix import (
     check_hecke,
@@ -224,8 +224,7 @@ def run_metaplectic(args) -> int:
             _say(args, f"  {str(rep):<{width}}  {value.render()}")
             total = total + value
         _say(args, f"  aggregate: {total.render()}")
-        act = met_demazure_act(datum, weight_monomial(tuple(-x for x in lam)))
-        expected = sum((act(w.word) for w in datum.group), P.zero())
+        expected = weyl_sum(met_demazure_act(datum, weight_monomial(tuple(-x for x in lam))), datum.group)
         if args.inject_mismatch:
             expected = expected + 1
         return verdict(total, expected)

@@ -4,11 +4,12 @@ A cover is abstracted to (n, B): the degree and a W-invariant symmetric
 integer form on the weight lattice.  Derived data: Q(alpha) = B(alpha,
 alpha)/2, the rescalings n_alpha = n/gcd(n, Q(alpha)), the sublattice
 L^(n) = {mu : B(y, mu) = 0 mod n for all y}, and canonical coset
-representatives of L/L^(n) (rho + [0, n)^r for the GL dot-product case,
-diagonal-form box coordinates otherwise).  Integer row and column reduction
-brings B to a diagonal D = U B V'; the coordinates of mu are V'^-1 mu, and
-mu lies in L^(n) exactly when d_i y_i = 0 mod n for y = V'^-1 mu.  All of it
-is integer arithmetic on integer rows; U is never formed.
+representatives of L/L^(n), origin + V' box.  Integer row and column
+reduction brings B to a diagonal D = U B V'; the coordinates of mu are
+V'^-1 (mu - origin), and mu lies in L^(n) exactly when d_i y_i = 0 mod n for
+y = V'^-1 mu.  The origin is rho for the GL dot-product case, where V' is
+the identity and the representatives are rho + [0, n)^r, and 0 otherwise.
+All of it is integer arithmetic on integer rows; U is never formed.
 
 The scattering matrix assembles tau^1/tau^2 into the k x k block Hecke
 action; Gauss sums stay formal symbols with the pairing g_a g_{-a} = u^2 and
@@ -22,10 +23,8 @@ operators agree exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import reduce
 from itertools import product as iproduct
 from math import gcd
-from operator import add
 from typing import Sequence
 
 from .algebra import (
@@ -37,11 +36,11 @@ from .algebra import (
     v,
 )
 from .linalg import Matrix
-from .relations import applied, first_failing, hecke_relations, verdict
+from .relations import applied, first_failing, hecke_relations, verdict, weyl_sum
 from .reports import Report
 from .roots import CartanDatum, WeylGroup, _compose, _identity, build_cartan, coroot_monomial, mat_vec, weight_monomial
-from .rmatrix import tensor_block, word_index, words
-from .schema import BlockOperator, SchemaInstance, build_T, c_function, transported_instance
+from .rmatrix import tensor_block
+from .schema import BlockOperator, SchemaInstance, block_action, build_T, c_function, d_function, transported_instance
 
 P = LaurentPoly
 RF = RationalFunction
@@ -109,10 +108,10 @@ class MetaplecticDatum:
     B: tuple[IntVec, ...]
     rules: GaussRules
     moduli: IntVec                      # per SNF coordinate: order of L/L^(n) in that direction
-    to_snf: tuple[IntVec, ...]          # mu -> y coordinates (V' inverse)
-    coset_reps: tuple[IntVec, ...]
+    to_snf: tuple[IntVec, ...]          # mu - origin -> y coordinates (V' inverse)
+    coset_reps: tuple[IntVec, ...]      # origin + V' box
     lattice_basis: tuple[IntVec, ...]   # basis of L^(n)
-    rho_shift: bool                     # GL convention: reps are rho + box
+    origin: IntVec                      # rho for GL with the dot form, 0 otherwise
     # the rational scalars of the Demazure steps (d_scaled, _cg_coefficient), built once per datum
     _scalars: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -131,8 +130,7 @@ class MetaplecticDatum:
         return self.n // gcd(self.n, self.q_value(self.cartan.simple_coroots[i]))
 
     def coset_index(self, mu: Sequence[int]) -> int:
-        base = tuple(int(a) - (self.cartan.rho[j] if self.rho_shift else 0) for j, a in enumerate(mu))
-        y = mat_vec(self.to_snf, base)
+        y = mat_vec(self.to_snf, tuple(int(a) - o for a, o in zip(mu, self.origin, strict=True)))
         idx = 0
         for a, m in zip(y, self.moduli):
             idx = idx * m + a % m
@@ -161,10 +159,9 @@ def build_datum(cartan_or_type, n: int, B: tuple[IntVec, ...] | str | None = Non
             raise MetaplecticError(f"B is not W-invariant (fails at w = {w.name()})")
     diagonal, Vp, Vp_inv = _diagonalize(B)
     moduli = tuple(n // gcd(n, s) for s in diagonal)
-    rho_shift = cartan.cartan_type.startswith("A") and B == _identity(d)[0]
+    origin = cartan.rho if cartan.cartan_type.startswith("A") and B == _identity(d)[0] else (0,) * d
     keys = iproduct(*(range(m) for m in moduli))
-    # GL convention: nu - rho in [0, n)^r; SNF coordinates are standard here
-    reps = tuple(tuple(map(add, cartan.rho, key)) if rho_shift else mat_vec(Vp, key) for key in keys)
+    reps = tuple(tuple(o + x for o, x in zip(origin, mat_vec(Vp, key))) for key in keys)
     basis = tuple(tuple(m * x for x in column) for m, column in zip(moduli, zip(*Vp)))  # L^(n): V' columns times moduli
     datum = MetaplecticDatum(
         cartan=cartan,
@@ -176,7 +173,7 @@ def build_datum(cartan_or_type, n: int, B: tuple[IntVec, ...] | str | None = Non
         to_snf=tuple(tuple(row) for row in Vp_inv),
         coset_reps=reps,
         lattice_basis=basis,
-        rho_shift=rho_shift,
+        origin=origin,
     )
     for beta in cartan.positive_coroots:
         if datum.bilinear(beta, beta) % 2:
@@ -339,8 +336,7 @@ def d_scaled(datum: MetaplecticDatum, i: int) -> RF:
     """D_i^(n)(z): the Demazure scalar with z^alpha replaced by z^{n_alpha alpha}."""
     key = ("d", i)
     if key not in datum._scalars:
-        x = coroot_monomial(datum.cartan.simple_coroots[i], datum.n_alpha(i))
-        datum._scalars[key] = RF((P.one() - v()) * x, (P.one() - x,))
+        datum._scalars[key] = d_function(coroot_monomial(datum.cartan.simple_coroots[i], datum.n_alpha(i)))
     return datum._scalars[key]
 
 
@@ -396,12 +392,9 @@ def whittaker_value(datum: MetaplecticDatum, lam: Sequence[int]) -> list[Laurent
     """
     if not datum.cartan.is_dominant(lam):
         raise MetaplecticError(f"{tuple(lam)} is not dominant")
-    inst = metaplectic_schema_instance(datum)
-    generators = [build_T(inst, i) for i in range(datum.cartan.rank)]
-    base = whittaker_base(datum, tuple(-int(x) for x in lam))
-    act = applied(lambda i, vec: generators[i].compose(vec), base)
-    identity = datum.group.identity
-    total = reduce(add, (act(w.word).block(identity, identity) for w in datum.group))
+    act = block_action(metaplectic_schema_instance(datum), whittaker_base(datum, tuple(-int(x) for x in lam)))
+    e = datum.group.identity
+    total = weyl_sum(lambda word: act(word).block(e, e), datum.group)
     return [total[r, 0].as_poly() for r in range(datum.k)]
 
 
@@ -463,20 +456,15 @@ def check_representative_independence(
 def rmatrix_dictionary_check(r: int, n: int, report: Report | None = None) -> Report:
     """scattering_block (plain normalization) equals the Gauss tensor block at power n.
 
-    Index bijection: the coset representative rho + sum c_j e_j corresponds to
-    the tensor word (c_1, ..., c_r) with colors in [0, n).
+    No re-indexing: the coset index of the representative rho + (c_1, ..., c_r)
+    is the index of the tensor word (c_1, ..., c_r), colors in [0, n).
     """
     report = report or Report(f"R-matrix dictionary GL_{r}, n={n}")
     datum = build_datum(f"A{r - 1}", n)
     tensor_blocks = tensor_block(n, r, "gauss", n)
-
-    position = {word_index(c, n): datum.coset_index([a + b for a, b in zip(datum.cartan.rho, c)])
-                for c in words(n, r)}
     for i in range(datum.cartan.rank):
         def check(i=i):
-            block = scattering_block(datum, i, normalized=False)
-            permuted = {(position[a], position[b]): y for (a, b), y in tensor_blocks[i].entries.items()}
-            return verdict(block, Matrix(block.shape, permuted))
+            return verdict(scattering_block(datum, i, normalized=False), tensor_blocks[i])
 
         report.run(f"dictionary at i={i + 1}", check)
     return report

@@ -13,10 +13,13 @@ on the left and a way to show where two values differ (`verdict`).
 
 from __future__ import annotations
 
+from functools import reduce
+from operator import add
 from typing import Callable, Iterable, Sequence, TypeVar
 
 from .algebra import LaurentPoly, RationalFunction
 from .reports import Report
+from .roots import WeylGroup
 
 T = TypeVar("T")
 Word = tuple[int, ...]
@@ -84,6 +87,11 @@ def applied(step: Callable[[int, T], T], f: T) -> Act:
         return memo[word]
 
     return act
+
+
+def weyl_sum(act: Act, group: WeylGroup) -> T:
+    """sum_w act(w.word) over the elements w of group: the spherical element sum_w T_w, through act."""
+    return reduce(add, (act(w.word) for w in group))
 
 
 def quadratic(report: Report, act: Act, i: int, v, suffix: str = "") -> Report:

@@ -115,11 +115,11 @@ def untwisted_spec(n: int) -> RMatrixSpec:
     return _twist(n, lambda a, b: RF.one())
 
 
-def free_gamma_spec(n: int, paired: bool = True) -> RMatrixSpec:
-    """Symbolic twist table; with paired=True, gamma_ba = gamma_ab^{-1}."""
+def free_gamma_spec(n: int) -> RMatrixSpec:
+    """Symbolic twist table with the pairing gamma_ba = gamma_ab^{-1}."""
 
     def entry(a: int, b: int) -> RF:
-        if a > b and paired:
+        if a > b:
             return RF.from_poly(P.monomial({f"gam{b + 1}{a + 1}": -1}))
         return RF.from_poly(P.symbol(f"gam{a + 1}{b + 1}"))
 
@@ -197,11 +197,16 @@ def check_parametrized_ybe(build: Callable[[LaurentPoly], TensorOperator], repor
     return report
 
 
+def hecke_generator(spec: RMatrixSpec) -> TensorOperator:
+    """T = u tau R on two tensor factors."""
+    return RF.from_poly(P.symbol("u")) * tau_operator(spec.n).compose(r_gl(spec))
+
+
 def check_hecke(spec: RMatrixSpec, report: Report | None = None) -> Report:
-    """T = u tau R satisfies T^2 = (v-1)T + v and the order-3 braid on three slots."""
+    """T = hecke_generator(spec) satisfies T^2 = (v-1)T + v and the order-3 braid on three slots."""
     report = report or Report(f"hecke relations n={spec.n}")
     n = spec.n
-    t = RF.from_poly(P.symbol("u")) * tau_operator(n).compose(r_gl(spec))
+    t = hecke_generator(spec)
     quadratic(report, products(lambda _: t, lambda: identity_matrix(n ** 2)), 0, RF.from_poly(v()), f" (n={n})")
     braid(report, products(lambda i: t.embed((i, i + 1), 3)), 0, 1, 3, f" (n={n})")
     return report
@@ -239,13 +244,13 @@ def doubler_scalar() -> RF:
 # -- tensor schema instance --------------------------------------------------------
 
 
-def tensor_block(n: int, r: int, twist: str = "none", power: int = 1, xi: Callable[[LaurentPoly], RF] | None = None) -> list[TensorOperator]:
+def tensor_block(n: int, r: int, twist: str = "none", power: int = 1) -> list[TensorOperator]:
     """The identity blocks A(e, i) of the tensor instance, one per i, with X = z^{power alpha_i}.
 
     twist = "none": u/(1 - X) (tau R(X))_{i,i+1}.
     twist = "gauss": the Gauss-sum table; with power = n the block is
     (1 - v X)/(1 - X) (tau r_tilde(X))_{i,i+1}, which is the metaplectic
-    dictionary's shape.  xi, when given, multiplies each block by xi(X).
+    dictionary's shape.
     """
     if twist not in ("none", "gauss"):
         raise ValueError("twist must be 'none' or 'gauss'")
@@ -262,26 +267,16 @@ def tensor_block(n: int, r: int, twist: str = "none", power: int = 1, xi: Callab
         else:
             local = tau.compose(r_affine(spec, x))
             prefactor = RF(P.symbol("u"), (P.one() - x,))
-        if xi is not None:
-            prefactor = prefactor * xi(x)
         blocks.append(prefactor * local.embed((i, i + 1), r))
     return blocks
 
 
-def tensor_schema_instance(
-    n: int,
-    r: int,
-    twist: str = "none",
-    power: int = 1,
-    xi: Callable[[LaurentPoly], RF] | None = None,
-) -> SchemaInstance:
+def tensor_schema_instance(n: int, r: int, twist: str = "none", power: int = 1) -> SchemaInstance:
     """The Hecke module on r-fold tensor products of n-dimensional evaluation modules.
 
-    A(w, i) is tensor_block's A(e, i) at the point wz, so X = (wz)^{power alpha_i};
-    xi must therefore be a rational function of X with coefficients free of z.
-    Any xi with xi(x) xi(x^{-1}) = 1 leaves every relation intact.
+    A(w, i) is tensor_block's A(e, i) at the point wz, so X = (wz)^{power alpha_i}.
     """
-    blocks = tensor_block(n, r, twist, power, xi)
+    blocks = tensor_block(n, r, twist, power)
     name = f"tensor n={n} r={r} twist={twist} power={power}"
     return transported_instance(WeylGroup(build_cartan(f"A{r - 1}")), blocks, (power,) * (r - 1), name)
 
@@ -331,8 +326,7 @@ def wreath_operator(group: WeylGroup, t: Matrix, i: int) -> BlockOperator:
 
 def jimbo_t_matrix(n: int, r: int, i: int) -> Matrix:
     """T_i = u (tau R)_{i,i+1} on the r-fold tensor power."""
-    t = RF.from_poly(P.symbol("u")) * tau_operator(n).compose(r_gl(untwisted_spec(n)))
-    return t.embed((i, i + 1), r)
+    return hecke_generator(untwisted_spec(n)).embed((i, i + 1), r)
 
 
 def limit_instance(n: int, r: int) -> tuple[WeylGroup, list[BlockOperator]]:

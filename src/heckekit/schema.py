@@ -17,8 +17,6 @@ how the metaplectic instances run on the dual torus of the cover.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import reduce
-from operator import add
 from typing import Sequence
 
 from .algebra import (
@@ -29,10 +27,11 @@ from .algebra import (
 )
 from .linalg import (
     Matrix,
+    _check_shapes,
     identity_matrix,
     mat_mul,
 )
-from .relations import applied, braid, products, quadratic, verdict
+from .relations import Act, applied, braid, products, quadratic, verdict, weyl_sum
 from .reports import Report
 from .roots import CartanDatum, WeylElement, WeylGroup, coroot_monomial, weight_monomial
 
@@ -57,10 +56,8 @@ class SchemaInstance:
         return self.group.at_point(w, coroot_monomial(self.cartan.simple_coroots[i], self.root_scale[i]))
 
     def d_scalar(self, w: WeylElement, i: int) -> RationalFunction:
-        """D_i(wz) = (1 - v)(wz)^{scale alpha_i} / (1 - (wz)^{scale alpha_i})."""
-        x = self.x_monomial(w, i)
-        one = LaurentPoly.one()
-        return RationalFunction((one - v()) * x, (one - x,))
+        """D_i(wz): d_function at X = (wz)^{scale alpha_i}."""
+        return d_function(self.x_monomial(w, i))
 
     def composition_scalar(self, w: WeylElement, i: int) -> RationalFunction:
         """The forced value of A(s_i w, i) A(w, i): C(X) C(X^{-1}) at X = (wz)^{scale alpha_i}."""
@@ -80,13 +77,20 @@ def c_function(x: LaurentPoly) -> RationalFunction:
     return RationalFunction(one - v() * x, (one - x,))
 
 
+def d_function(x: LaurentPoly) -> RationalFunction:
+    """D(x) = (1 - v)x/(1 - x), the diagonal scalar of T_i at x = X."""
+    one = LaurentPoly.one()
+    return RationalFunction((one - v()) * x, (one - x,))
+
+
 class BlockOperator(Matrix):
     """A Matrix whose entries are k x k blocks keyed (target, source) by Weyl elements.
 
     shape is the shape of one block: (k, k) for an operator on the sum of
     blocks, (k, 1) for a block vector, whose one source is the identity.
     An all-zero block is not stored.  +, -, scalar * and == are Matrix's;
-    compose multiplies matching blocks only.  op[target, source] is
+    compose multiplies matching blocks only, and like mat_mul raises
+    ValueError when the block shapes do not fit.  op[target, source] is
     op.block(target, source); a block operator has no rows, so op[r], row,
     len and iteration raise TypeError.
     """
@@ -116,6 +120,7 @@ class BlockOperator(Matrix):
         return got if got is not None else Matrix(self.shape, {})
 
     def compose(self, other: "BlockOperator") -> "BlockOperator":
+        _check_shapes(self.shape[1] == other.shape[0], "product", self, other)
         out: dict[tuple[WeylElement, WeylElement], Matrix] = {}
         by_target: dict[WeylElement, list[tuple[WeylElement, Matrix]]] = {}
         for (t2, s2), m2 in other.entries.items():
@@ -167,19 +172,20 @@ def identity_operator(group: WeylGroup, k: int) -> BlockOperator:
     return BlockOperator((k, k), {(w, w): ident for w in group})
 
 
+def block_action(inst: SchemaInstance, start: BlockOperator) -> Act:
+    """act(word) = T_word start: each T_i built once, applied letter by letter, each product kept by its word."""
+    generators = [build_T(inst, i) for i in range(inst.cartan.rank)]
+    return applied(lambda i, rest: generators[i].compose(rest), start)
+
+
 def spherical_sum(inst: SchemaInstance) -> BlockOperator:
     """The spherical element sum_w T_w in this representation."""
-    # T_w along its reduced word: each T_i built once, each product kept by its word
-    generators = [build_T(inst, i) for i in range(inst.cartan.rank)]
-    act = applied(lambda i, rest: generators[i].compose(rest), identity_operator(inst.group, inst.block_dim))
-    return reduce(add, (act(w.word) for w in inst.group))
+    return weyl_sum(block_action(inst, identity_operator(inst.group, inst.block_dim)), inst.group)
 
 
 def poincare_polynomial(group: WeylGroup) -> LaurentPoly:
-    total = LaurentPoly.zero()
-    for w in group:
-        total = total + v() ** w.length
-    return total
+    """sum_w v^{l(w)}."""
+    return weyl_sum(lambda word: v() ** len(word), group)
 
 
 # -- relation checks -------------------------------------------------------------

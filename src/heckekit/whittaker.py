@@ -15,10 +15,10 @@ from typing import Sequence
 
 from .algebra import LaurentPoly, RationalFunction, exact_divide, v
 from .linalg import Matrix
-from .relations import applied, hecke_relations, verdict
+from .relations import applied, hecke_relations, verdict, weyl_sum
 from .reports import Report
 from .roots import CartanDatum, WeylElement, WeylGroup, coroot_monomial, weight_monomial, weyl_character
-from .schema import SchemaInstance, c_function, transported_instance
+from .schema import SchemaInstance, c_function, d_function, transported_instance
 
 P = LaurentPoly
 RF = RationalFunction
@@ -73,7 +73,7 @@ def _coefficients(var: DemazureVariant, i: int) -> tuple[RF, RF]:
     """The plain pair at x = z^alpha_i; the modified pair is the same at x = z^-alpha_i."""
     x = coroot_monomial(var.cartan.simple_coroots[i], -1 if var.modified else 1)
     one = P.one()
-    c0 = RF((one - v()) * x, (one - x,))
+    c0 = d_function(x)
     if var.kind == "whittaker":
         c1 = RF(one - v() * x, (one - x.monomial_inverse(),))
     else:
@@ -118,11 +118,7 @@ def idempotent_apply(var: DemazureVariant, lam: Sequence[int]) -> LaurentPoly:
     """
     if not var.cartan.is_dominant(lam):
         raise ValueError(f"{tuple(lam)} is not dominant")
-    act = demazure_act(var, weight_monomial(lam))
-    total = P.zero()
-    for w in var.group:
-        total = total + act(w.word)
-    return total
+    return weyl_sum(demazure_act(var, weight_monomial(lam)), var.group)
 
 
 def cs_product(cartan: CartanDatum) -> LaurentPoly:

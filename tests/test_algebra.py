@@ -202,6 +202,15 @@ def test_d_identity_a1():
     assert d + ds == RationalFunction(v() - 1)
 
 
+def test_rf_power_matches_repeated_multiplication():
+    x = sym("x")
+    f = RationalFunction(P.one() - v() * x, (P.one() - x, P.one() + x))
+    inverse = f.inverse()
+    for power, product in ((0, RationalFunction.one()), (3, f * f * f), (-2, inverse * inverse)):
+        got = f ** power
+        assert got == product and got.den == product.den and got.render() == product.render()
+
+
 def test_eval_rational():
     x, vv = sym("x"), sym("v")
     f = RationalFunction(P.one() - vv * x, (P.one() - x,))

@@ -429,6 +429,9 @@ def test_coset_index_numbers_the_representatives_and_scales_are_n_alpha(cartan_t
     assert [d.coset_index(mu) for mu in d.coset_reps] == list(range(d.k))
     for mu, xi in iproduct(d.coset_reps, d.lattice_basis):
         assert d.coset_index([a + b for a, b in zip(mu, xi)]) == d.coset_index(mu)
+    for wrong in (d.coset_reps[0][:-1], d.coset_reps[0] + (0,)):  # a weight of the wrong length
+        with pytest.raises(ValueError):
+            d.coset_index(wrong)
     inst = metaplectic_schema_instance(d)
     assert inst.root_scale == tuple(d.n_alpha(i) for i in range(d.cartan.rank))
 

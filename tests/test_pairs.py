@@ -52,7 +52,41 @@ def test_trajectory_record_shape():
     assert verdict["parent"]["median"] == pytest.approx(2.15) and verdict["change"]["median"] == pytest.approx(1.15)
     assert verdict["parent"]["q1"] <= verdict["parent"]["median"] <= verdict["parent"]["q3"]
     assert verdict["wins"] == 4 and verdict["pairs"] == 4 and verdict["claim_met"]
+    assert verdict["regression"] is None  # summarized without bounds
     json.dumps(record)  # the record is what --out writes
+
+
+def test_regression_verdict_is_ok_worse_or_unresolved():
+    steady = [1.0, 1.01, 0.99, 1.0, 1.02, 0.98, 1.0, 1.01, 0.99, 1.0]
+    assert pairs.regression(steady, [1.1] * 10, True, 0.2) == "ok"  # 10% slower, within the bound
+    assert pairs.regression(steady, [1.3] * 10, True, 0.2) == "worse"
+    assert pairs.regression([82] * 10, [82] * 10, False, 0.05) == "ok"
+    assert pairs.regression([82] * 10, [74] * 10, False, 0.05) == "worse"  # higher is better: 10% fewer
+    noisy = [1.0, 2.0] * 5  # interquartile range 1.0 against 0.2 * median 1.5
+    assert pairs.regression(noisy, [1.5] * 10, True, 0.2) == "unresolved"
+    assert pairs.regression(noisy, [0.9] * 10, True, 0.2) == "ok"  # beats every parent run
+    assert pairs.regression(noisy, [2.5] * 10, True, 0.2) == "worse"
+
+
+def test_summary_and_record_carry_the_regression_verdict(capsys):
+    from types import SimpleNamespace
+
+    runs = [{"parent": run(verdict_s=1.0, checks=82, t=1.0), "change": run(verdict_s=1.5, checks=82, t=9.0)}
+            for _ in range(10)]
+    rows = pairs.summarize(runs, {"checks": "higher"}, {"verdict_s": 0.2, "checks": 0.05})
+    assert {r["metric"]: r["regression"] for r in rows} == {"verdict_s": "worse", "checks": "ok", "t": None}
+    pairs.print_summary("demazure_cs", runs, rows)
+    out = capsys.readouterr().out
+    assert "regression worse" in out and "regression ok" in out and out.count("regression") == 2
+    args = SimpleNamespace(pairs=10, seed=31, seconds=10.0, trace=0)
+    record = pairs.trajectory({}, args, {"demazure_cs": {"runs": runs, "summary": rows}}, ["verdict_s", "checks"])
+    assert record["workloads"]["demazure_cs"]["metrics"]["verdict_s"]["regression"] == "worse"
+
+
+def test_bounds_are_those_of_the_benchmark_file():
+    root = Path(__file__).resolve().parent.parent
+    declared = json.loads((root / "BENCHMARK.json").read_text())["end_to_end"]
+    assert pairs.bounds(root) == {m["name"]: m["bound"] for m in declared}
 
 
 def test_default_workloads_are_those_of_the_benchmark_file(tmp_path):

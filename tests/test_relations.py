@@ -1,7 +1,7 @@
 import pytest
 
 from heckekit.algebra import LaurentPoly, v
-from heckekit.relations import applied, first_failing, hecke_relations
+from heckekit.relations import applied, first_failing, hecke_relations, weyl_sum
 from heckekit.reports import Report
 from heckekit.roots import build_cartan, weight_monomial, weyl_group
 from heckekit.whittaker import demazure_variant, idempotent_apply, idempotent_element
@@ -46,3 +46,15 @@ def test_first_failing_returns_the_first_failure_and_computes_no_later_member():
     assert computed == [0, 1]
     assert first_failing([]) == (True, None, None)
     assert first_failing([(True, None, None)] * 3) == (True, None, None)
+
+
+def test_weyl_sum_reads_each_element_once_along_its_word():
+    group = weyl_group(build_cartan("B2"))
+    words = []
+
+    def act(word):
+        words.append(word)
+        return v() ** len(word)
+
+    assert weyl_sum(act, group) == 1 + 2 * v() + 2 * v() ** 2 + 2 * v() ** 3 + v() ** 4  # the B2 Poincare polynomial
+    assert words == [w.word for w in group]

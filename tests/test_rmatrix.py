@@ -23,15 +23,17 @@ from heckekit.rmatrix import (
     r_affine,
     r_gl,
     r_tilde,
+    RMatrixSpec,
     TensorOperator,
     tau_operator,
     tensor_base,
+    tensor_block,
     tensor_schema_instance,
     untwisted_spec,
     wreath_operator,
 )
-from heckekit.roots import build_cartan, WeylGroup
-from heckekit.schema import BlockOperator, check_bernstein, verify_instance
+from heckekit.roots import build_cartan, coroot_monomial, WeylGroup
+from heckekit.schema import BlockOperator, check_bernstein, transported_instance, verify_instance
 from oracles import r_affine_linear
 
 P = LaurentPoly
@@ -132,7 +134,9 @@ def test_hecke_relations():
 
 
 def test_hecke_fails_without_pairing():
-    assert not check_hecke(free_gamma_spec(2, paired=False)).passed
+    # gamma_12 and gamma_21 independent symbols: gamma_12 gamma_21 = 1 does not hold
+    gamma = lambda a, b: RF.one() if a == b else RF.from_poly(P.symbol(f"gam{a + 1}{b + 1}"))
+    assert not check_hecke(RMatrixSpec(tuple(tuple(gamma(a, b) for b in range(2)) for a in range(2)))).passed
 
 
 def test_triangularity_scalars():
@@ -228,8 +232,9 @@ def test_bernstein_tensor_instance():
 
 def test_xi_multiplier_preserves_relations():
     # any xi with xi(x) xi(1/x) = 1 may scale the A entries; xi(x) = -x here
-    xi = lambda x: RF.from_poly(-x)
-    inst = tensor_schema_instance(2, 2, "none", 1, xi=xi)
+    cartan = build_cartan("A1")
+    xi = RF.from_poly(-coroot_monomial(cartan.simple_coroots[0]))
+    inst = transported_instance(WeylGroup(cartan), [xi * block for block in tensor_block(2, 2)], (1,), "tensor xi")
     assert verify_instance(inst, lambdas=[(1, 0)]).passed
     plain = tensor_schema_instance(2, 2, "none", 1)
     w = inst.group.identity

@@ -203,6 +203,14 @@ def test_perturbed_composition_names_an_entry(cartan_type):
     assert failure.lhs.startswith("entry (0,0): ") and failure.rhs
 
 
+def test_block_operator_compose_rejects_block_shapes_that_do_not_fit(a2):
+    with pytest.raises(ValueError, match=r"^product of shapes \(2, 2\) and \(3, 3\)$"):
+        BlockOperator((2, 2), {}).compose(BlockOperator((3, 3), {}))  # no blocks meet: mat_mul never runs
+    _, inst = a2  # k = 1
+    with pytest.raises(ValueError, match=r"^product of shapes \(1, 1\) and \(2, 2\)$"):
+        build_T(inst, 0).compose(BlockOperator((2, 2), {}))
+
+
 def test_block_operator_reads_blocks_not_rows(a2):
     _, inst = a2
     W = inst.group

@@ -67,7 +67,7 @@ def test_spherical_instance_is_pinned(cartan_type):
     assert_entries_shared(inst)
 
 
-def tensor_formula(n, r, twist, power, xi=None):
+def tensor_formula(n, r, twist, power):
     """u/(1 - X) (tau R(X))_{i,i+1}, or (1 - v X)/(1 - X) (tau r_tilde(X))_{i,i+1} for the Gauss twist at power n."""
     spec = gauss_gamma_spec(n) if twist == "gauss" else untwisted_spec(n)
 
@@ -76,8 +76,6 @@ def tensor_formula(n, r, twist, power, xi=None):
             local, prefactor = r_tilde(n, x), RF(P.one() - v() * x, (P.one() - x,))
         else:
             local, prefactor = r_affine(spec, x), RF(P.symbol("u"), (P.one() - x,))
-        if xi is not None:
-            prefactor = prefactor * xi(x)
         return prefactor * tau_operator(n).compose(local).embed((i, i + 1), r)
 
     return formula
@@ -91,13 +89,6 @@ def test_tensor_instance_is_pinned(n, r, twist, power):
     inst = tensor_schema_instance(n, r, twist, power)
     assert inst.root_scale == (power,) * (r - 1) and inst.block_dim == n ** r
     assert_pinned(inst, tensor_formula(n, r, twist, power), TensorOperator, power)
-    assert_entries_shared(inst)
-
-
-def test_tensor_instance_with_xi_is_pinned():
-    xi = lambda x: RF(P.one() - P.symbol("u") * x, (P.symbol("u") - x,))
-    inst = tensor_schema_instance(2, 3, "none", 1, xi=xi)
-    assert_pinned(inst, tensor_formula(2, 3, "none", 1, xi), TensorOperator)
     assert_entries_shared(inst)
 
 

@@ -14,12 +14,14 @@ in odd ones.  Then it prints, per metric, the median [first, third
 quartile] of each side, the change/parent ratio of the medians, the pairs
 the change wins (ties count for neither side) and whether a gain claim
 holds: wins in at least 9 of 10 pairs and medians further apart than the
-parent's interquartile range.  It prints the wrong-verdict count of each
-side, and ends with one JSON line holding all runs.  With --out it also
+parent's interquartile range.  Every end-to-end metric with a bound in
+BENCHMARK.json also gets a no-regression verdict (see ``regression``).  It
+prints the wrong-verdict count of each side, and ends with one JSON line
+holding all runs.  With --out it also
 writes a trajectory record to that path (and only then writes a file): the
 git sha of both sides, the Python version, the core count, the pairs and
-seeds, and per workload the wrong verdicts and the quartiles of every
-end-to-end metric.  Standard library only.
+seeds, and per workload the wrong verdicts, the quartiles and the
+no-regression verdict of every end-to-end metric.  Standard library only.
 
 --workloads defaults to every workload that BENCHMARK.json declares.
 """
@@ -82,6 +84,11 @@ def end_to_end(root: Path) -> list[str]:
     return [m["name"] for m in benchmark(root)["end_to_end"]]
 
 
+def bounds(root: Path) -> dict[str, float]:
+    """The bound of every end-to-end metric BENCHMARK.json gives one: the relative worsening it allows."""
+    return {m["name"]: m["bound"] for m in benchmark(root)["end_to_end"] if "bound" in m}
+
+
 def git(root: Path, *args: str) -> str:
     return subprocess.run(["git", "-C", str(root), *args], capture_output=True, text=True, check=True).stdout.strip()
 
@@ -109,12 +116,32 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
-def summarize(runs: list[dict[str, dict]], better: dict[str, str]) -> list[dict]:
-    """Per metric: each side's quartiles, the ratio of medians, the change's wins and the claim verdict.
+def regression(parent: list[float], change: list[float], lower: bool, bound: float) -> str:
+    """The no-regression verdict of one metric with a relative bound.
+
+    "worse" if the change's median is worse than the parent's by more than
+    bound times the parent median; else "unresolved" if the parent's
+    interquartile range exceeds bound times its median, so a worsening
+    within the bound could not be told from noise, unless every change run
+    beats every parent run; else "ok".
+    """
+    (p1, p2, p3), c2 = quartiles(parent), quartiles(change)[1]
+    if (c2 - p2 if lower else p2 - c2) > bound * abs(p2):
+        return "worse"
+    beats_all = max(change) < min(parent) if lower else min(change) > max(parent)
+    if p3 - p1 > bound * abs(p2) and not beats_all:
+        return "unresolved"
+    return "ok"
+
+
+def summarize(runs: list[dict[str, dict]], better: dict[str, str], limits: dict[str, float] | None = None) -> list[dict]:
+    """Per metric: each side's quartiles, the ratio of medians, the change's wins and the claim verdict,
+    and for a metric with a bound in limits the no-regression verdict (None without one).
 
     runs holds one {"parent": run, "change": run} per pair; a pair in which
     either side failed to run is left out.
     """
+    limits = limits or {}
     pairs = [p for p in runs if all("metrics" in p[side] for side in SIDES)]
     if not pairs:
         return []
@@ -134,6 +161,7 @@ def summarize(runs: list[dict[str, dict]], better: dict[str, str]) -> list[dict]
             "wins": wins,
             "pairs": len(pairs),
             "claim_met": gain and wins >= 0.9 * len(pairs) and abs(qc[1] - qp[1]) > qp[2] - qp[0],
+            "regression": regression(parent, change, lower, limits[name]) if name in limits else None,
         })
     return rows
 
@@ -154,6 +182,7 @@ def trajectory(sides: dict[str, dict], args, report: dict[str, dict], metrics: l
                     "wins": rows[name]["wins"],
                     "pairs": rows[name]["pairs"],
                     "claim_met": rows[name]["claim_met"],
+                    "regression": rows[name]["regression"],
                 }
                 for name in metrics if name in rows
             },
@@ -181,8 +210,9 @@ def print_summary(workload: str, runs: list[dict[str, dict]], rows: list[dict]) 
     for r in rows:
         (p1, p2, p3), (c1, c2, c3) = r["parent"], r["change"]
         ratio = f"{r['ratio']:.3f}" if r["ratio"] is not None else "-"
+        verdict = f"  regression {r['regression']}" if r["regression"] else ""
         print(f"  {r['metric']:<40} {p2:.6g} [{p1:.6g}, {p3:.6g}] -> {c2:.6g} [{c1:.6g}, {c3:.6g}]"
-              f"  x{ratio}  wins {r['wins']}/{r['pairs']}  claim {'met' if r['claim_met'] else 'not met'}")
+              f"  x{ratio}  wins {r['wins']}/{r['pairs']}  claim {'met' if r['claim_met'] else 'not met'}{verdict}")
 
 
 def parse_args(argv: list[str] | None, root: Path) -> argparse.Namespace:
@@ -225,7 +255,7 @@ def main(argv: list[str] | None = None) -> int:
                     pair[side] = run_once(trees[side], workload, args.seed + k, args.seconds, args.trace)
                     print(f"{workload} pair {k + 1}/{args.pairs} {side}: {pair[side]}", file=sys.stderr)
                 runs.append(pair)
-            rows = summarize(runs, better)
+            rows = summarize(runs, better, bounds(root))
             print_summary(workload, runs, rows)
             report[workload] = {"runs": runs, "summary": rows}
     finally:
