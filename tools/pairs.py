@@ -17,11 +17,11 @@ holds: wins in at least 9 of 10 pairs and medians further apart than the
 parent's interquartile range.  Every end-to-end metric with a bound in
 BENCHMARK.json also gets a no-regression verdict (see ``regression``).  It
 prints the wrong-verdict count of each side, and ends with one JSON line
-holding all runs.  With --out it also
-writes a trajectory record to that path (and only then writes a file): the
-git sha of both sides, the Python version, the core count, the pairs and
-seeds, and per workload the wrong verdicts, the quartiles and the
-no-regression verdict of every end-to-end metric.  Standard library only.
+holding all runs.  With --out it also writes a trajectory record to that
+path (and only then writes a file): the git sha of both sides, the Python
+version, the core count, the pairs and seeds, and per workload the wrong
+verdicts, the quartiles and the no-regression verdict of every end-to-end
+metric.  Standard library only.
 
 --workloads defaults to every workload that BENCHMARK.json declares.
 """
