@@ -921,7 +921,10 @@ class RationalFunction:
         return _rf(quotient.num, self.den + quotient.den)
 
     def __rtruediv__(self, other) -> "RationalFunction":
-        return self._coerce(other) / self
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return other / self
 
     def __pow__(self, n: int) -> "RationalFunction":
         if not isinstance(n, int):

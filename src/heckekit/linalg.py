@@ -32,6 +32,7 @@ two shapes that differ as its failure.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from operator import add, mul, neg
 from typing import Mapping, Sequence
 
@@ -93,6 +94,8 @@ class Matrix:
         return type(self)(self.shape, _map_entries(neg, self))
 
     def __rmul__(self, c: RationalFunction) -> "Matrix":
+        if isinstance(c, (int, Fraction)):
+            c = RationalFunction.const(c)
         return mat_scalar(c, self)
 
     def equals(self, other: "Matrix") -> bool:

@@ -307,24 +307,23 @@ def _cg_coefficient(datum: MetaplecticDatum, i: int, mu: Sequence[int]) -> RF:
         one_minus_x = P.one() - z ** na
         num = z ** (-rem) * (P.one() - v()) - gauss_symbol(b - q, datum.rules) * z ** (1 - na) * one_minus_x
         coeff = datum._scalars[key] = RF(num, (one_minus_x,))
-        if coeff.den != d_scaled(datum, i).den:  # met_demazure_poly relies on it
+        if coeff.den != d_scaled(datum, i).den:  # cg_scaled and met_demazure rely on it
             raise AssertionError(f"the coefficients of T_{i + 1} have different denominators")
     return datum._scalars[key]
 
 
-def _cg_parts(datum: MetaplecticDatum, i: int, f: LaurentPoly):
-    """(coefficient, s_i . part) for each coset part of f (see _cg_coefficient)."""
-    s = datum.group.simple(i)
-    for mu, part in _coset_components(datum, f).values():
-        yield _cg_coefficient(datum, i, mu), datum.group.act_fn(s, part)
-
-
 def cg_scaled(datum: MetaplecticDatum, i: int, f: LaurentPoly) -> RF:
-    """c_s^(n)(z) * (s_i . f) for f supported on a single coset (additive otherwise)."""
-    total = RF.zero()
-    for coeff, fs in _cg_parts(datum, i, f):
-        total = total + RF.from_poly(fs) * coeff
-    return total
+    """c_s^(n)(z) * (s_i . f) for f supported on a single coset (additive otherwise).
+
+    Every coset part of f contributes _cg_coefficient(...).num * (s_i . part);
+    the coefficients share d_scaled's one denominator factor, so the sum is
+    one polynomial over it.
+    """
+    s = datum.group.simple(i)
+    total = P.zero()
+    for mu, part in _coset_components(datum, f).values():
+        total = total + _cg_coefficient(datum, i, mu).num * datum.group.act_fn(s, part)
+    return RF(total, d_scaled(datum, i).den)
 
 
 def cg_action(datum: MetaplecticDatum, i: int, f: LaurentPoly) -> RF:
@@ -340,31 +339,22 @@ def d_scaled(datum: MetaplecticDatum, i: int) -> RF:
     return datum._scalars[key]
 
 
-def met_demazure(datum: MetaplecticDatum, i: int, f: LaurentPoly) -> RF:
-    """T_i(f) = D_i^(n)(z) f - z^{n_alpha alpha} c_s^(n)(z) (s_i . f)."""
-    alpha_power = RF.from_poly(coroot_monomial(datum.cartan.simple_coroots[i], datum.n_alpha(i)))
-    return d_scaled(datum, i) * RF.from_poly(f) - alpha_power * cg_scaled(datum, i, f)
+def met_demazure(datum: MetaplecticDatum, i: int, f: LaurentPoly) -> LaurentPoly:
+    """T_i(f) = D_i^(n)(z) f - z^{n_alpha alpha} c_s^(n)(z) (s_i . f), computed in polynomials.
 
-
-def met_demazure_poly(datum: MetaplecticDatum, i: int, f: LaurentPoly) -> LaurentPoly:
-    """met_demazure on a polynomial, computed in polynomials.
-
-    d_scaled and every coefficient of cg_scaled share the one normal
-    denominator factor q of 1 - z^{n_alpha alpha}, so T_i f is one numerator
-    over q, divided exactly; NotDivisible if the quotient is not a Laurent
-    polynomial.  The numerator coefficients are cached in datum._scalars.
+    d_scaled and cg_scaled share the one normal denominator factor q of
+    1 - z^{n_alpha alpha}, so T_i f is one numerator over q, divided exactly;
+    NotDivisible if the quotient is not a Laurent polynomial.  The numerator
+    coefficients are cached in datum._scalars.
     """
     d = d_scaled(datum, i)
-    swapped = P.zero()
-    for coeff, fs in _cg_parts(datum, i, f):
-        swapped = swapped + coeff.num * fs
     alpha_power = coroot_monomial(datum.cartan.simple_coroots[i], datum.n_alpha(i))
-    return exact_divide(d.num * f - alpha_power * swapped, d.den[0])
+    return exact_divide(d.num * f - alpha_power * cg_scaled(datum, i, f).num, d.den[0])
 
 
 def met_demazure_act(datum: MetaplecticDatum, f: LaurentPoly):
     """act(word) = T_word f in the metaplectic Demazure operators, one polynomial step per letter."""
-    return applied(lambda i, g: met_demazure_poly(datum, i, g), f)
+    return applied(lambda i, g: met_demazure(datum, i, g), f)
 
 
 # -- Whittaker values from the block action ------------------------------------------

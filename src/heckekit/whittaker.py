@@ -64,7 +64,7 @@ def demazure_coefficients(var: DemazureVariant, i: int) -> tuple[RF, RF]:
     """(c0, c1) with T_i f = c0 * f + c1 * f(s_i z); both have the same one denominator factor."""
     if i not in var._coefficients:
         c0, c1 = var._coefficients[i] = _coefficients(var, i)
-        if len(c0.den) != 1 or c1.den != c0.den:  # demazure_polynomial relies on it
+        if len(c0.den) != 1 or c1.den != c0.den:  # apply_demazure relies on it
             raise AssertionError(f"the coefficients of T_{i + 1} do not share one denominator factor")
     return var._coefficients[i]
 
@@ -82,17 +82,8 @@ def _coefficients(var: DemazureVariant, i: int) -> tuple[RF, RF]:
     return c0, c1
 
 
-def apply_demazure(var: DemazureVariant, i: int, f):
-    """Apply the operator exactly, in rational functions (see demazure_polynomial)."""
-    if isinstance(f, P):
-        f = RF.from_poly(f)
-    c0, c1 = demazure_coefficients(var, i)
-    fs = var.group.act_fn(var.group.simple(i), f)
-    return c0 * f + c1 * fs
-
-
-def demazure_polynomial(var: DemazureVariant, i: int, f: LaurentPoly) -> LaurentPoly:
-    """apply_demazure on a polynomial, computed in polynomials.
+def apply_demazure(var: DemazureVariant, i: int, f: LaurentPoly) -> LaurentPoly:
+    """T_i f for a Laurent polynomial f, computed in polynomials.
 
     c0 and c1 share their one normal denominator factor q in every variant,
     so T_i f = (c0.num f + c1.num f(s_i z)) / q: one numerator and one exact
@@ -104,16 +95,19 @@ def demazure_polynomial(var: DemazureVariant, i: int, f: LaurentPoly) -> Laurent
     return exact_divide(c0.num * f + c1.num * fs, c0.den[0])
 
 
+demazure_polynomial = apply_demazure  # the name the frozen acceptance suite (criterion 4) imports
+
+
 def demazure_act(var: DemazureVariant, f: LaurentPoly):
     """act(word) = T_word f, one polynomial Demazure step per letter."""
-    return applied(lambda i, g: demazure_polynomial(var, i, g), f)
+    return applied(lambda i, g: apply_demazure(var, i, g), f)
 
 
 def idempotent_apply(var: DemazureVariant, lam: Sequence[int]) -> LaurentPoly:
     """sum_w T_w z^lambda, an exact Laurent polynomial.
 
     T_w z^lambda = T_i (T_{s_i w} z^lambda) along the reduced word of w,
-    one :func:`demazure_polynomial` step per letter, so no rational function
+    one :func:`apply_demazure` step per letter, so no rational function
     is built; words share their suffixes, so each element of W costs one step.
     """
     if not var.cartan.is_dominant(lam):
@@ -173,6 +167,8 @@ class TwistedGroupElement:
             out[w] = out[w] + c if w in out else c
         return TwistedGroupElement(self.group, out)._clean()
 
+    __add__ = add
+
     def mul(self, other: "TwistedGroupElement") -> "TwistedGroupElement":
         """(f w)(g y) = (f * act_fn(w, g)) (w y)."""
         out: dict[WeylElement, RationalFunction] = {}
@@ -216,21 +212,9 @@ def to_element(var: DemazureVariant, i: int) -> TwistedGroupElement:
 
 def idempotent_element(var: DemazureVariant) -> TwistedGroupElement:
     """sum_w T_w in the twisted group ring (coefficients cancelled as it grows)."""
-    total = None
-    cache: dict[WeylElement, TwistedGroupElement] = {}
 
-    def element(w: WeylElement) -> TwistedGroupElement:
-        if w.length == 0:
-            return group_element(var.group, w)
-        if w not in cache:
-            i = w.word[0]
-            product = to_element(var, i).mul(element(var.group.left_mul_simple(i, w)))
-            cache[w] = TwistedGroupElement(
-                var.group, {y: c.cancelled() for y, c in product.coeffs.items()}
-            )
-        return cache[w]
+    def step(i: int, rest: TwistedGroupElement) -> TwistedGroupElement:
+        product = to_element(var, i).mul(rest)
+        return TwistedGroupElement(var.group, {y: c.cancelled() for y, c in product.coeffs.items()})
 
-    for w in var.group:
-        e = element(w)
-        total = e if total is None else total.add(e)
-    return total
+    return weyl_sum(applied(step, group_element(var.group, var.group.identity)), var.group)

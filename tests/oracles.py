@@ -2,7 +2,8 @@
 
 None of these is part of the production path; the tests compare them with
 it (the rational Weyl sum with the Weyl character, the exactly inverted
-R-matrix with the closed form, the coset aggregate with the Demazure sum),
+R-matrix with the closed form, the coset aggregate with the Demazure sum,
+the rational metaplectic Demazure formula with the polynomial step),
 or use them to state a property (evaluation at a point, substitution of
 monomials, Bruhat order, T_w of a block module).  Each is written over the
 package's public API only.
@@ -16,7 +17,7 @@ from typing import Iterable, Mapping, Sequence
 
 from heckekit.algebra import GaussRules, LaurentPoly, RationalFunction
 from heckekit.linalg import mat_inverse
-from heckekit.metaplectic import MetaplecticDatum, met_demazure_act, whittaker_value
+from heckekit.metaplectic import MetaplecticDatum, cg_scaled, d_scaled, met_demazure_act, whittaker_value
 from heckekit.relations import applied
 from heckekit.rmatrix import RMatrixSpec, TensorOperator, r_gl, tau_operator
 from heckekit.roots import CartanDatum, WeylElement, WeylGroup, coroot_monomial, weight_monomial
@@ -85,6 +86,12 @@ def apply_demazure_word(var: DemazureVariant, w: WeylElement, f: LaurentPoly) ->
 def met_demazure_word(datum: MetaplecticDatum, word: Sequence[int], f: LaurentPoly) -> RF:
     """T_word f, one polynomial step per letter."""
     return RF.from_poly(met_demazure_act(datum, f)(word))
+
+
+def met_demazure_rational(datum: MetaplecticDatum, i: int, f: LaurentPoly) -> RF:
+    """T_i f = D_i^(n)(z) f - z^{n_alpha alpha} c_s^(n)(z) (s_i . f) in rational functions; equals met_demazure."""
+    alpha_power = RF.from_poly(coroot_monomial(datum.cartan.simple_coroots[i], datum.n_alpha(i)))
+    return d_scaled(datum, i) * RF.from_poly(f) - alpha_power * cg_scaled(datum, i, f)
 
 
 def whittaker_aggregate(datum: MetaplecticDatum, lam: Sequence[int]) -> LaurentPoly:

@@ -194,6 +194,15 @@ def test_rf_arithmetic():
     assert (f / g) == RationalFunction(P.one() + x, (P.one() - x,))
 
 
+def test_rf_reflected_division():
+    x = sym("x")
+    f = RationalFunction(P.one(), (P.one() - x,))
+    assert 2 / f == RationalFunction(P.const(2) * (P.one() - x))
+    assert x / f == RationalFunction(x * (P.one() - x))
+    with pytest.raises(TypeError):
+        object() / RationalFunction.one()
+
+
 def test_d_identity_a1():
     # D(z) + D(s z) = v - 1 with D(z) = (1-v)x/(1-x), x = z1/z2
     x = z_monomial([1, -1])

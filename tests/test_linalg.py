@@ -6,6 +6,8 @@ pairs that cancel (x and -x), with no Gauss rules and under
 GaussRules.standard(3), where g1*g2 rewrites to u^2.
 """
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -407,3 +409,15 @@ def test_shapes_must_fit():
     group = weyl_group(build_cartan("A1"))
     assert verdict(identity_operator(group, 2), identity_operator(group, 3)) == (
         False, "block shape (2, 2)", "block shape (3, 3)")
+
+
+@pytest.mark.parametrize("scalar", [2, Fraction(1, 3), P.symbol("x")], ids=["int", "Fraction", "LaurentPoly"])
+def test_scalar_times_matrix_and_block_operator(scalar):
+    c = RF.from_poly(scalar if isinstance(scalar, P) else P.const(scalar))
+    m = Matrix((2, 2), {(0, 0): RF.from_poly(P.symbol("y")), (1, 0): RF.one()})
+    assert scalar * m == mat_scalar(c, m)
+    group = weyl_group(build_cartan("A1"))
+    op = identity_operator(group, 2)
+    scaled = scalar * op
+    assert type(scaled) is type(op)
+    assert all(scaled.block(w, w) == mat_scalar(c, identity_matrix(2)) for w in group)

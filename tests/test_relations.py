@@ -1,10 +1,15 @@
+from collections import Counter
+
 import pytest
 
+import heckekit.metaplectic
+import heckekit.whittaker
 from heckekit.algebra import LaurentPoly, v
+from heckekit.metaplectic import build_datum, check_met_demazure_relations
 from heckekit.relations import applied, first_failing, hecke_relations, weyl_sum
 from heckekit.reports import Report
 from heckekit.roots import build_cartan, weight_monomial, weyl_group
-from heckekit.whittaker import demazure_variant, idempotent_apply, idempotent_element
+from heckekit.whittaker import check_demazure_relations, demazure_variant, idempotent_apply, idempotent_element
 
 P = LaurentPoly
 
@@ -58,3 +63,26 @@ def test_weyl_sum_reads_each_element_once_along_its_word():
 
     assert weyl_sum(act, group) == 1 + 2 * v() + 2 * v() ** 2 + 2 * v() ** 3 + v() ** 4  # the B2 Poincare polynomial
     assert words == [w.word for w in group]
+
+
+def test_demazure_checks_go_through_the_polynomial_steps(monkeypatch):
+    # the benchmark tracer wraps these module names; each Demazure check must reach them
+    calls = Counter()
+    for module, name in [(heckekit.whittaker, "apply_demazure"), (heckekit.metaplectic, "met_demazure"),
+                         (heckekit.metaplectic, "cg_scaled")]:
+        def counting(*args, _step=getattr(module, name), _name=name):
+            calls[_name] += 1
+            return _step(*args)
+
+        monkeypatch.setattr(module, name, counting)
+    cartan = build_cartan("A2")
+    var = demazure_variant("whittaker", cartan, weyl_group(cartan))
+    runs = [
+        (lambda: idempotent_apply(var, (1, 0, 0)), {"apply_demazure"}),
+        (lambda: check_demazure_relations(var, [(1, 0, 0)]), {"apply_demazure"}),
+        (lambda: check_met_demazure_relations(build_datum("A1", 2), [(1, 0)]), {"met_demazure", "cg_scaled"}),
+    ]
+    for run, steps in runs:
+        calls.clear()
+        run()
+        assert set(calls) == steps and all(calls.values())

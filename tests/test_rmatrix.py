@@ -296,7 +296,7 @@ def test_wreath_s3():
 
 
 def test_hecke_inverse_agrees_with_gaussian_inverse():
-    from heckekit.linalg import mat_inverse, mat_mul, identity_matrix
+    from heckekit.linalg import mat_inverse, identity_matrix
 
     t = jimbo_t_matrix(2, 2, 0)
     assert first_difference(hecke_inverse(t), mat_inverse(t)) is None

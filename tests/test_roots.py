@@ -8,7 +8,6 @@ from heckekit.roots import (
     WeylGroup,
     build_cartan,
     coroot_monomial,
-    weight_monomial,
     weyl_character,
     weyl_group,
 )

@@ -1,10 +1,8 @@
-from fractions import Fraction
-
 import pytest
 
 from heckekit.algebra import LaurentPoly, RationalFunction, rf_equal, v
 from heckekit.linalg import Matrix, is_scalar_matrix, mat_mul
-from heckekit.roots import build_cartan, weyl_group
+from heckekit.roots import build_cartan
 from heckekit.schema import (
     BlockOperator,
     build_T,
