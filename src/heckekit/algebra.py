@@ -728,10 +728,11 @@ def _divide_split(p: LaurentPoly, q: LaurentPoly, halves: tuple[LaurentPoly, Lau
 
     r+ = p+ / q+ and r- = p- / q- are divided in the two factors, free of
     g_h, and recombined (:func:`_recombine`) into the r whose halves they
-    are.  If q is a zero divisor, a half is zero and its division raises
-    ZeroDivisionError.
+    are.  ZeroDivisionError if q is a zero divisor: one of its halves is zero.
     """
     q_plus, q_minus = halves
+    if q_plus.is_zero() or q_minus.is_zero():
+        raise ZeroDivisionError(f"division by a zero divisor: {q.render()}")
     p_plus, p_minus = _halves(p) or (p, p)
     try:
         return _recombine(exact_divide(p_plus, q_plus), exact_divide(p_minus, q_minus), q.rules)

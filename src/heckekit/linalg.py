@@ -7,27 +7,32 @@ has no Gauss rules of its own: an entry that carries a Gauss symbol carries
 them.  Operations walk stored entries only, not k^3 cell visits, and the
 entries of a metaplectic block repeat (its tau coefficients depend only on
 residues mod n), so many entries are one shared object.
-mat_mul, mat_add, mat_sub, mat_scalar and first_difference keep a memo for
-the length of one call, keyed by the identities of the operand objects: a
-product costs one multiply per distinct pair of operand objects, a sum one
-add, and first_difference compares each distinct pair once.  A result is
-reused as an object, so sharing carries from the inputs into every product
-and sum.  Identity keys are valid because the memo holds a reference to
-every object it keys, so no id is recycled while it lives.
+sparse_product (when an operand stores one object at two keys), mat_add,
+mat_sub, mat_scalar and first_difference keep a memo for the length of one
+call, keyed by the identities of the operand objects: a product costs one
+multiply per distinct pair of operand objects, a sum one add, and
+first_difference compares each distinct pair once.  A result is reused as
+an object, so sharing carries from the inputs into every product and sum.
+Identity keys are valid because the memo holds a reference to every object
+it keys, so no id is recycled while it lives.
 
 Matrix carries the one operator algebra (compose, +, -, scalar *, equals) over
 these kernels, each returning the type of its first matrix operand.  The
-kernels ask of an entry only +, unary -, scalar * on the left, == and
-is_zero, which a Matrix has too, so an entry may itself be a Matrix:
-schema.BlockOperator is a Matrix of k x k blocks keyed by Weyl elements.
+kernels ask of an entry only +, unary -, *, == and is_zero, which a Matrix
+has too (its * composes), so an entry may itself be a Matrix:
+schema.BlockOperator is a Matrix of k x k blocks keyed by Weyl elements, and
+its compose and difference are sparse_product and first_difference over
+blocks.  A scalar may be an int, a Fraction, a LaurentPoly or a
+RationalFunction.
 
 A Matrix still reads as a sequence of rows: len(m), m[r] (a row tuple with
-zeros filled in), m[r][c], `for row in m` and m == ((x,),).  m[r, c] reads one
-entry without building its row; m[r] and m[r, c] outside the shape raise
-IndexError.  The public functions also accept nested row sequences and
-convert them once on entry.  Shapes must fit: mat_add, mat_mul and
-first_difference raise ValueError naming both shapes, and difference reports
-two shapes that differ as its failure.
+zeros filled in), m[r][c] and `for row in m`.  m[r, c] reads one entry
+without building its row; m[r] and m[r, c] outside the shape raise
+IndexError.  The kernels take Matrix operands; only mat_mul and == also
+accept nested row sequences (m == ((x,),)), converted once on entry.
+Shapes must fit: mat_add, mat_mul and first_difference raise ValueError
+naming both shapes, mat_inverse names a shape that is not square, and
+difference reports two shapes that differ as its failure.
 """
 
 from __future__ import annotations
@@ -84,6 +89,8 @@ class Matrix:
     def compose(self, other: "Matrix") -> "Matrix":
         return mat_mul(self, other)
 
+    __mul__ = compose  # an entry that is a block multiplies by composing
+
     def __add__(self, other: "Matrix") -> "Matrix":
         return mat_add(self, other)
 
@@ -103,7 +110,6 @@ class Matrix:
 
     def difference(self, other: "Matrix") -> tuple[str, str] | None:
         """None if equal, else renderings of the two shapes or of the first differing entry (left names it)."""
-        other = as_matrix(other)
         if self.shape != other.shape:
             return f"shape {self.shape}", f"shape {other.shape}"
         diff = first_difference(self, other)
@@ -116,11 +122,13 @@ class Matrix:
 
 
 def as_matrix(a: Matrix | Sequence[Sequence[RationalFunction]]) -> Matrix:
-    """a itself if it is a Matrix, else the Matrix of a nested row sequence."""
+    """a itself if it is a Matrix, else the Matrix of a nested row sequence; ValueError if its rows are ragged."""
     if isinstance(a, Matrix):
         return a
     rows = [tuple(row) for row in a]
     cols = len(rows[0]) if rows else 0
+    if any(len(row) != cols for row in rows):
+        raise ValueError(f"ragged rows of lengths {[len(row) for row in rows]}")
     entries = {(r, c): x for r, row in enumerate(rows) for c, x in enumerate(row)}
     return Matrix((len(rows), cols), entries)
 
@@ -154,7 +162,6 @@ def _memoized(op):
 
 
 def mat_add(a: Matrix, b: Matrix) -> Matrix:
-    a, b = as_matrix(a), as_matrix(b)
     _check_shapes(a.shape == b.shape, "sum", a, b)
     plus = _memoized(add)
     out = dict(a.entries)
@@ -172,24 +179,34 @@ def _map_entries(op, a: Matrix) -> dict[Key, RationalFunction]:
 
 
 def mat_sub(a: Matrix, b: Matrix) -> Matrix:
-    return mat_add(a, -as_matrix(b))
+    return mat_add(a, -b)
 
 
 def mat_scalar(c, a: Matrix) -> Matrix:
-    a = as_matrix(a)
     if c.is_zero():
         return type(a)(a.shape, {})
     return type(a)(a.shape, _map_entries(lambda x: c * x, a))
 
 
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    """Sum over matching nonzeros; each cell is summed in ascending inner index."""
-    a, b = as_matrix(a), as_matrix(b)
+def mat_mul(a: Matrix | Sequence, b: Matrix | Sequence) -> Matrix:
+    """The sparse_product of two matrices, either of which may be given as nested rows."""
+    return sparse_product(as_matrix(a), as_matrix(b))
+
+
+def sparse_product(a: Matrix, b: Matrix) -> Matrix:
+    """Sum over matching nonzeros; each cell is summed in ascending inner index.
+
+    An entry product is x * y, so two blocks compose through mat_mul.  A
+    pair of entry objects, and so a term or a sum, can recur only if an
+    object is stored at two keys of a or of b; without one there is no memo,
+    which would only keep every term alive until the product is built.
+    """
     _check_shapes(a.shape[1] == b.shape[0], "product", a, b)
     b_rows: dict[int, list[tuple[int, RationalFunction]]] = {}
     for (j, c), y in b.entries.items():
         b_rows.setdefault(j, []).append((c, y))
-    times, plus = _memoized(mul), _memoized(add)
+    shared = any(len({id(x) for x in m.entries.values()}) < len(m.entries) for m in (a, b))
+    times, plus = (_memoized(mul), _memoized(add)) if shared else (mul, add)
     out: dict[Key, RationalFunction] = {}
     for (r, j), x in sorted(a.entries.items()):
         for c, y in b_rows.get(j, ()):
@@ -205,7 +222,6 @@ def first_difference(a: Matrix, b: Matrix) -> tuple[int, int, RationalFunction, 
     A pair of entry objects already found equal is not compared again.  No
     stored entry (a block neither) equals the ZERO an absent entry reads as.
     """
-    a, b = as_matrix(a), as_matrix(b)
     _check_shapes(a.shape == b.shape, "comparison", a, b)
     equal: dict[Key, tuple] = {}  # (id(x), id(y)) -> (x, y), for pairs found equal
     for r, c in sorted(a.entries.keys() | b.entries.keys()):
@@ -220,9 +236,8 @@ def first_difference(a: Matrix, b: Matrix) -> tuple[int, int, RationalFunction, 
 
 
 def is_scalar_matrix(a: Matrix) -> RationalFunction | None:
-    """The scalar s if a == s*I, else None (the zero scalar for the zero matrix)."""
-    a = as_matrix(a)
-    if any(r != c for r, c in a.entries):
+    """The scalar s if a == s*I, else None (the zero scalar for the square zero matrix)."""
+    if a.shape[0] != a.shape[1] or any(r != c for r, c in a.entries):
         return None
     s = a.entries.get((0, 0), ZERO)
     for r in range(1, a.shape[0]):
@@ -257,9 +272,10 @@ def _reduce(rows: list[list[RationalFunction]], cols: int) -> list[int]:
 
 
 def mat_inverse(a: Matrix) -> Matrix:
-    """Exact inverse by Gauss-Jordan elimination of [a | I] over the function field."""
-    a = as_matrix(a)
+    """Exact inverse by Gauss-Jordan elimination of [a | I] over the function field; ValueError unless a is square."""
     k = len(a)
+    if a.shape != (k, k):
+        raise ValueError(f"inverse of the non-square shape {a.shape}")
     work = [list(row) + list(unit) for row, unit in zip(a, identity_matrix(k))]
     if len(_reduce(work, k)) < k:
         raise ZeroDivisionError("matrix is singular")
@@ -268,9 +284,6 @@ def mat_inverse(a: Matrix) -> Matrix:
 
 def nullspace(a: Matrix) -> list[tuple[RationalFunction, ...]]:
     """Exact basis of the kernel, by Gauss-Jordan elimination over the function field."""
-    a = as_matrix(a)
-    if not len(a):
-        return []
     m = a.shape[1]
     work = [list(row) for row in a]
     pivots = _reduce(work, m)

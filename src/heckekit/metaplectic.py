@@ -249,14 +249,14 @@ def scattering_block(
         target, t2v = tau2(datum, i, mu)
         t2v = c * t2v
         if perturb == "tau1":
-            t1 = RF.const(2) * t1
+            t1 = 2 * t1
         elif perturb == "tau2":
-            t2v = RF.const(2) * t2v
+            t2v = 2 * t2v
         if not normalized:
             # b_plain[nu][mu] = z^{mu - s(nu)} b_norm[nu][mu]
-            t1 = RF.from_poly(weight_monomial(tuple(a - b for a, b in zip(mu, s.act(mu))))) * t1
+            t1 = weight_monomial(tuple(a - b for a, b in zip(mu, s.act(mu)))) * t1
             nu = datum.coset_reps[target]
-            t2v = RF.from_poly(weight_monomial(tuple(a - b for a, b in zip(mu, s.act(nu))))) * t2v
+            t2v = weight_monomial(tuple(a - b for a, b in zip(mu, s.act(nu)))) * t2v
         entries[(col, col)] = t1
         entries[(target, col)] = t1 + t2v if target == col else t2v
     return Matrix((k, k), entries)
@@ -432,7 +432,7 @@ def check_representative_independence(
         s = datum.group.simple(i)
         return first_failing(
             verdict(cg_action(datum, i, weight_monomial(tuple(int(a) + int(b) for a, b in zip(mu, xi)))),
-                    base * RF.from_poly(weight_monomial(s.act(xi))))
+                    base * weight_monomial(s.act(xi)))
             for xi in datum.lattice_basis
         )
 

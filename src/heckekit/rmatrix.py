@@ -21,13 +21,7 @@ from itertools import product as iproduct
 from typing import Callable, Sequence
 
 from .algebra import GaussRules, LaurentPoly, RationalFunction, gauss_symbol, v
-from .linalg import (
-    Matrix,
-    as_matrix,
-    identity_matrix,
-    mat_inverse,
-    nullspace,
-)
+from .linalg import Matrix, identity_matrix, mat_inverse, nullspace
 from .reports import Report
 from .roots import WeylGroup, build_cartan, coroot_monomial
 from .relations import braid, first_failing, hecke_relations, products, quadratic, verdict
@@ -102,7 +96,7 @@ class RMatrixSpec:
 
     def perturbed(self, a: int, b: int, factor=2) -> "RMatrixSpec":
         table = [list(row) for row in self.gamma]
-        table[a][b] = RF.const(factor) * table[a][b]
+        table[a][b] = factor * table[a][b]
         return RMatrixSpec(tuple(tuple(row) for row in table))
 
 
@@ -154,9 +148,9 @@ def r_affine(spec: RMatrixSpec, x: LaurentPoly) -> TensorOperator:
         if a == b:
             entries[(col, col)] = RF.from_poly(uu - x * uinv)
         else:
-            entries[(col, col)] = spec.gamma[a][b].inverse() * RF.from_poly(one - x)
+            entries[(col, col)] = spec.gamma[a][b].inverse() * (one - x)
             swap = word_index((b, a), n)
-            entries[(col, swap)] = c if a > b else RF.from_poly(x) * c
+            entries[(col, swap)] = c if a > b else x * c
     return TensorOperator((n * n, n * n), entries)
 
 
@@ -199,7 +193,7 @@ def check_parametrized_ybe(build: Callable[[LaurentPoly], TensorOperator], repor
 
 def hecke_generator(spec: RMatrixSpec) -> TensorOperator:
     """T = u tau R on two tensor factors."""
-    return RF.from_poly(P.symbol("u")) * tau_operator(spec.n).compose(r_gl(spec))
+    return P.symbol("u") * tau_operator(spec.n).compose(r_gl(spec))
 
 
 def check_hecke(spec: RMatrixSpec, report: Report | None = None) -> Report:
@@ -207,7 +201,7 @@ def check_hecke(spec: RMatrixSpec, report: Report | None = None) -> Report:
     report = report or Report(f"hecke relations n={spec.n}")
     n = spec.n
     t = hecke_generator(spec)
-    quadratic(report, products(lambda _: t, lambda: identity_matrix(n ** 2)), 0, RF.from_poly(v()), f" (n={n})")
+    quadratic(report, products(lambda _: t, lambda: identity_matrix(n ** 2)), 0, v(), f" (n={n})")
     braid(report, products(lambda i: t.embed((i, i + 1), 3)), 0, 1, 3, f" (n={n})")
     return report
 
@@ -304,13 +298,11 @@ def check_content_preservation(inst: SchemaInstance, report: Report | None = Non
 
 def hecke_inverse(t: Matrix) -> Matrix:
     """T^{-1} = (T - (v-1)) / v = -T*/v, valid whenever T satisfies the quadratic relation."""
-    return (RF.const(-1) / RF.from_poly(v())) * star_matrix(t)
+    return -v().monomial_inverse() * star_matrix(t)
 
 
 def wreath_operator(group: WeylGroup, t: Matrix, i: int) -> BlockOperator:
     """The wreath action: T_i phi_{s_i w} on descents, (v-1) + v T_i^{-1} phi_{s_i w} on ascents."""
-    t = as_matrix(t)
-    vv = RF.from_poly(v())
     inverse = hecke_inverse(t)
     ident = identity_matrix(len(t))
     blocks = {}
@@ -319,8 +311,8 @@ def wreath_operator(group: WeylGroup, t: Matrix, i: int) -> BlockOperator:
         if sw.length < w.length:
             blocks[(w, sw)] = t
         else:
-            blocks[(w, w)] = (vv - 1) * ident
-            blocks[(w, sw)] = vv * inverse
+            blocks[(w, w)] = (v() - 1) * ident
+            blocks[(w, sw)] = v() * inverse
     return BlockOperator(t.shape, blocks)
 
 
@@ -340,17 +332,16 @@ def limit_instance(n: int, r: int) -> tuple[WeylGroup, list[BlockOperator]]:
     cartan = build_cartan(f"A{r - 1}")
     group = WeylGroup(cartan)
     k = n ** r
-    vv = RF.from_poly(v())
     ident = identity_matrix(k)
     ops = []
     for i in range(cartan.rank):
         t = jimbo_t_matrix(n, r, i)
-        t_up = vv * mat_inverse(t)
+        t_up = v() * mat_inverse(t)
         blocks = {}
         for w in group:
             sw = group.left_mul_simple(i, w)
             if sw.length > w.length:
-                blocks[(w, w)] = (vv - 1) * ident
+                blocks[(w, w)] = (v() - 1) * ident
                 blocks[(w, sw)] = t_up
             else:
                 blocks[(w, sw)] = t
@@ -363,7 +354,7 @@ def check_finite_hecke(group: WeylGroup, ops: list[BlockOperator], report: Repor
     report = report or Report(name)
     k = ops[0].block_dim
     act = products(ops.__getitem__, lambda: identity_operator(group, k))
-    return hecke_relations(report, act, RF.from_poly(v()), group.cartan.braid_orders)
+    return hecke_relations(report, act, v(), group.cartan.braid_orders)
 
 
 def check_wreath_intertwining(
@@ -392,8 +383,7 @@ def check_wreath_intertwining(
 
 def star_matrix(t: Matrix) -> Matrix:
     """T* = (v - 1) - T = -v T^{-1}: the order-2 twist of the Hecke generators."""
-    vv = RF.from_poly(v())
-    return (vv - 1) * identity_matrix(len(t)) - t
+    return (v() - 1) * identity_matrix(len(t)) - t
 
 
 def check_wreath_star(group: WeylGroup, op: BlockOperator, t: Matrix, report: Report | None = None) -> Report:
@@ -408,15 +398,14 @@ def check_wreath_star(group: WeylGroup, op: BlockOperator, t: Matrix, report: Re
     """
     report = report or Report("wreath star twist")
     k = op.block_dim
-    vv = RF.from_poly(v())
     e = group.identity
 
     def diagonal(column: Matrix, sign: int) -> BlockOperator:
-        return BlockOperator((k, 1), {(w, e): ((RF.const(-1) * vv) ** (sign * w.length)) * column for w in group})
+        return BlockOperator((k, 1), {(w, e): (-v()) ** (sign * w.length) * column for w in group})
 
     def check():
         star = star_matrix(t)
-        plus = nullspace(t - vv * identity_matrix(k))
+        plus = nullspace(t - v() * identity_matrix(k))
         minus = nullspace(t + identity_matrix(k))
         if len(plus) + len(minus) != k:
             return False, f"eigenspace dims {len(plus)}+{len(minus)}", str(k)
@@ -424,7 +413,7 @@ def check_wreath_star(group: WeylGroup, op: BlockOperator, t: Matrix, report: Re
         return first_failing(
             verdict(op.compose(diagonal(column, sign)), diagonal(star.compose(column), sign), f"{line}-eigenline ")
             for line, sign, basis in (("v", 1, plus), ("(-1)", -1, minus))
-            for column in (as_matrix([(x,) for x in phi]) for phi in basis)
+            for column in (Matrix((k, 1), {(r, 0): x for r, x in enumerate(phi)}) for phi in basis)
         )
 
     report.run("Delta* eigenline intertwining", check)
@@ -434,15 +423,13 @@ def check_wreath_star(group: WeylGroup, op: BlockOperator, t: Matrix, report: Re
 def check_star_word_identity(group: WeylGroup, t_matrices: list[Matrix], report: Report | None = None) -> Report:
     """T_w^* = (-v)^{l(w)} T_{w^{-1}}^{-1} as exact matrix identities, all w."""
     report = report or Report("star word identity")
-    t_matrices = [as_matrix(t) for t in t_matrices]
-    vv = RF.from_poly(v())
     k = len(t_matrices[0])
 
     def check():
         stars = products(lambda i: star_matrix(t_matrices[i]), lambda: identity_matrix(k))
         hecke = products(t_matrices.__getitem__, lambda: identity_matrix(k))
         return first_failing(
-            verdict(stars(w.word), (RF.const(-1) * vv) ** w.length * mat_inverse(hecke(group.inverse(w).word)),
+            verdict(stars(w.word), (-v()) ** w.length * mat_inverse(hecke(group.inverse(w).word)),
                     f"w={w.name()} ")
             for w in group
         )

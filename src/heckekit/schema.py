@@ -25,12 +25,7 @@ from .algebra import (
     exact_divide,
     v,
 )
-from .linalg import (
-    Matrix,
-    _check_shapes,
-    identity_matrix,
-    mat_mul,
-)
+from .linalg import Matrix, first_difference, identity_matrix, mat_mul, sparse_product
 from .relations import Act, applied, braid, products, quadratic, verdict, weyl_sum
 from .reports import Report
 from .roots import CartanDatum, WeylElement, WeylGroup, coroot_monomial, weight_monomial
@@ -67,7 +62,7 @@ class SchemaInstance:
     def perturbed(self, w: WeylElement, i: int, factor=2) -> "SchemaInstance":
         """Copy with one A entry scaled; used as a negative control."""
         a = dict(self.a_matrices)
-        a[(w, i)] = RationalFunction.const(factor) * a[(w, i)]
+        a[(w, i)] = factor * a[(w, i)]
         return replace(self, a_matrices=a, name=f"{self.name}-perturbed")
 
 
@@ -89,10 +84,10 @@ class BlockOperator(Matrix):
     shape is the shape of one block: (k, k) for an operator on the sum of
     blocks, (k, 1) for a block vector, whose one source is the identity.
     An all-zero block is not stored.  +, -, scalar * and == are Matrix's;
-    compose multiplies matching blocks only, and like mat_mul raises
-    ValueError when the block shapes do not fit.  op[target, source] is
-    op.block(target, source); a block operator has no rows, so op[r], row,
-    len and iteration raise TypeError.
+    compose and difference are linalg's sparse_product and first_difference
+    over blocks, so compose raises ValueError when the block shapes do not
+    fit.  op[target, source] is op.block(target, source); a block operator
+    has no rows, so op[r], row, len and iteration raise TypeError.
     """
 
     __slots__ = ()
@@ -120,26 +115,18 @@ class BlockOperator(Matrix):
         return got if got is not None else Matrix(self.shape, {})
 
     def compose(self, other: "BlockOperator") -> "BlockOperator":
-        _check_shapes(self.shape[1] == other.shape[0], "product", self, other)
-        out: dict[tuple[WeylElement, WeylElement], Matrix] = {}
-        by_target: dict[WeylElement, list[tuple[WeylElement, Matrix]]] = {}
-        for (t2, s2), m2 in other.entries.items():
-            by_target.setdefault(t2, []).append((s2, m2))
-        for (t1, s1), m1 in self.entries.items():
-            for s2, m2 in by_target.get(s1, ()):  # s1 is other's target
-                key, product = (t1, s2), mat_mul(m1, m2)
-                out[key] = out[key] + product if key in out else product
-        return BlockOperator((self.shape[0], other.shape[1]), out)
+        return sparse_product(self, other)
 
     def difference(self, other: "BlockOperator") -> tuple[str, str] | None:
         """None if equal, else renderings of the two block shapes or of the first differing entry (left names it)."""
         if self.shape != other.shape:
             return f"block shape {self.shape}", f"block shape {other.shape}"
-        for t, s in sorted(self.entries.keys() | other.entries.keys()):
-            diff = self.block(t, s).difference(other.block(t, s))
-            if diff is not None:
-                return f"block ({t.name()}, {s.name()}) {diff[0]}", diff[1]
-        return None
+        diff = first_difference(self, other)
+        if diff is None:
+            return None
+        t, s = diff[:2]
+        left, right = self[t, s].difference(other[t, s])
+        return f"block ({t.name()}, {s.name()}) {left}", right
 
 
 # -- operator constructors -------------------------------------------------------
@@ -164,7 +151,7 @@ def diagonal_operator(inst: SchemaInstance, scalar) -> BlockOperator:
 
 def build_theta(inst: SchemaInstance, lam: Sequence[int]) -> BlockOperator:
     """theta_lambda: diagonal block (wz)^lambda * I_k."""
-    return diagonal_operator(inst, lambda w: RationalFunction.from_poly(weight_monomial(inst.group.inverse(w).act(lam))))
+    return diagonal_operator(inst, lambda w: weight_monomial(inst.group.inverse(w).act(lam)))
 
 
 def identity_operator(group: WeylGroup, k: int) -> BlockOperator:
@@ -213,7 +200,7 @@ def _act(inst: SchemaInstance):
 def check_quadratic(inst: SchemaInstance, i: int, report: Report | None = None) -> Report:
     """T_i^2 = (v - 1) T_i + v, exactly."""
     report = report or Report(f"{inst.name}: quadratic")
-    return quadratic(report, _act(inst), i, RationalFunction.from_poly(v()))
+    return quadratic(report, _act(inst), i, v())
 
 
 def check_braid(inst: SchemaInstance, i: int, j: int, report: Report | None = None) -> Report:
@@ -255,8 +242,7 @@ def check_bernstein(inst: SchemaInstance, lam: Sequence[int], i: int, report: Re
         alpha = inst.cartan.simple_coroots[i]
         denominator = LaurentPoly.one() - coroot_monomial(alpha, -inst.root_scale[i])
         quotient = exact_divide(numerator, denominator)
-        vv = RationalFunction.from_poly(v())
-        rhs = diagonal_operator(inst, lambda w: (vv - 1) * RationalFunction.from_poly(inst.group.at_point(w, quotient)))
+        rhs = diagonal_operator(inst, lambda w: (v() - 1) * inst.group.at_point(w, quotient))
         return verdict(lhs, rhs)
 
     report.run(f"bernstein lambda={lam} i={i + 1}", check)
@@ -269,8 +255,7 @@ def check_spherical_idempotent(inst: SchemaInstance, report: Report | None = Non
 
     def check():
         s = spherical_sum(inst)
-        scale = RationalFunction.from_poly(poincare_polynomial(inst.group))
-        return verdict(s.compose(s), scale * s)
+        return verdict(s.compose(s), poincare_polynomial(inst.group) * s)
 
     report.run("spherical idempotent", check)
     return report

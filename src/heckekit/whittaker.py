@@ -30,14 +30,21 @@ def _k1_instance(cartan: CartanDatum, group: WeylGroup | None, value, name: str)
     return transported_instance(group or WeylGroup(cartan), blocks, (1,) * cartan.rank, name)
 
 
+# Demazure kind -> A(X), the identity block at i of its k = 1 instance, X = z^{alpha_i}
+_K1_BLOCKS = {
+    "whittaker": lambda x: RF(P.one() - v() * x.monomial_inverse(), (P.one() - x,)),
+    "lusztig": c_function,  # the spherical block
+}
+
+
 def whittaker_schema_instance(cartan: CartanDatum, group: WeylGroup | None = None) -> SchemaInstance:
     """k = 1 instance with A(w, i) = (1 - v (wz)^{-alpha_i})/(1 - (wz)^{alpha_i})."""
-    return _k1_instance(cartan, group, lambda x: RF(P.one() - v() * x.monomial_inverse(), (P.one() - x,)), "whittaker")
+    return _k1_instance(cartan, group, _K1_BLOCKS["whittaker"], "whittaker")
 
 
 def spherical_schema_instance(cartan: CartanDatum, group: WeylGroup | None = None) -> SchemaInstance:
     """k = 1 instance with A(w, i) = (1 - v (wz)^{alpha_i})/(1 - (wz)^{alpha_i})."""
-    return _k1_instance(cartan, group, c_function, "spherical")
+    return _k1_instance(cartan, group, _K1_BLOCKS["lusztig"], "spherical")
 
 
 @dataclass
@@ -52,7 +59,7 @@ class DemazureVariant:
     _coefficients: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.kind not in ("whittaker", "lusztig"):
+        if self.kind not in _K1_BLOCKS:
             raise ValueError(f"unknown Demazure variant {self.kind!r}")
 
 
@@ -70,16 +77,12 @@ def demazure_coefficients(var: DemazureVariant, i: int) -> tuple[RF, RF]:
 
 
 def _coefficients(var: DemazureVariant, i: int) -> tuple[RF, RF]:
-    """The plain pair at x = z^alpha_i; the modified pair is the same at x = z^-alpha_i."""
+    """(D(x), A(x^-1)), A the kind's k = 1 block: T_i f = D(x) f + A(x^-1) f(s_i z).
+
+    x = z^alpha_i in the plain convention; the modified pair is the same at x = z^-alpha_i.
+    """
     x = coroot_monomial(var.cartan.simple_coroots[i], -1 if var.modified else 1)
-    one = P.one()
-    c0 = d_function(x)
-    if var.kind == "whittaker":
-        c1 = RF(one - v() * x, (one - x.monomial_inverse(),))
-    else:
-        # Demazure-Lusztig, modified at y = z^alpha: (f - f^s)/(y - 1) - v (f - y f^s)/(y - 1)
-        c1 = RF(one - v() * x.monomial_inverse(), (one - x.monomial_inverse(),))
-    return c0, c1
+    return d_function(x), _K1_BLOCKS[var.kind](x.monomial_inverse())
 
 
 def apply_demazure(var: DemazureVariant, i: int, f: LaurentPoly) -> LaurentPoly:

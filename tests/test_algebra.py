@@ -339,6 +339,8 @@ def test_zero_divisor_denominator_raises_under_even_n():
     two = GaussRules.standard(2)
     with pytest.raises(ZeroDivisionError):
         RationalFunction(P.one(two), (gauss_symbol(1, two) + u(two),))
+    with pytest.raises(ZeroDivisionError, match=r"division by a zero divisor: -u \+ g2"):
+        exact_divide(one, g - uu)  # a nonzero divisor, not "the zero polynomial"
     # not zero divisors: these still build and invert
     for f in (g - 2 * uu, g + gauss_symbol(1, rules), one - g * sym("x")):
         inverse = RationalFunction(one, (f,))
@@ -838,7 +840,7 @@ def test_division_is_complete_under_every_modulus(case):
     if n % 2 == 0:
         h, uu = gauss_symbol(n // 2, rules), u(rules)
         if (b * (h - uu)).is_zero() or (b * (h + uu)).is_zero():  # b is a zero divisor
-            with pytest.raises(ZeroDivisionError):
+            with pytest.raises(ZeroDivisionError, match="zero divisor"):
                 exact_divide(a * b, b)
             return
     assert exact_divide(a * b, b) == a

@@ -9,7 +9,7 @@ GaussRules.standard(3), where g1*g2 rewrites to u^2.
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from heckekit.algebra import GaussRules, LaurentPoly, RationalFunction, gauss_symbol
 from heckekit.linalg import (
@@ -208,6 +208,14 @@ def test_zero_matrix_has_zero_scalar():
     assert s is not None and s.is_zero()
 
 
+def test_nested_rows_must_not_be_ragged():
+    one = RF.one()
+    with pytest.raises(ValueError, match=r"ragged rows of lengths \[2, 1\]"):
+        as_matrix([(one, one), (one,)])  # was a (2, 2) matrix
+    with pytest.raises(ValueError, match="ragged"):
+        mat_mul([(one, one), (one,)], identity_matrix(2))
+
+
 def test_cancelled_sum_is_not_stored():
     x = RF.from_poly(P.symbol("x"))
     a = Matrix((2, 2), {(0, 0): x, (1, 0): x})
@@ -379,6 +387,9 @@ def ranked(draw):
 
 @settings(max_examples=100, deadline=None)
 @given(ranked())
+@example((Matrix((2, 3), {(0, 0): RF.one(), (1, 1): RF.one()}), 2))  # was a (2, 2) "inverse" and the scalar 1
+@example((Matrix((3, 2), {(0, 0): RF.one(), (1, 1): RF.one()}), 2))  # was "matrix is singular"
+@example((Matrix((0, 3), {}), 0))  # the kernel of K^3 -> K^0 is K^3, not empty
 def test_gauss_jordan_inverse_and_kernel(case):
     a, rank = case
     k, m = a.shape
@@ -387,6 +398,10 @@ def test_gauss_jordan_inverse_and_kernel(case):
     elif k == m:
         with pytest.raises(ZeroDivisionError):
             mat_inverse(a)
+    else:
+        with pytest.raises(ValueError, match=rf"non-square shape \({k}, {m}\)"):
+            mat_inverse(a)
+        assert is_scalar_matrix(a) is None
     basis = nullspace(a)
     assert len(basis) == m - rank
     for vec in basis:

@@ -263,7 +263,7 @@ def test_limit_diagonal_blocks():
 def test_trivial_module_wreath():
     cartan = build_cartan("A1")
     group = WeylGroup(cartan)
-    t = ((RF.from_poly(v()),),)
+    t = Matrix((1, 1), {(0, 0): RF.from_poly(v())})
     op = wreath_operator(group, t, 0)
     assert check_finite_hecke(group, [op]).passed
 
