@@ -38,7 +38,7 @@ difference reports two shapes that differ as its failure.
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import add, mul, neg
+from operator import add, eq, mul, neg
 from typing import Mapping, Sequence
 
 from .algebra import RationalFunction
@@ -219,19 +219,15 @@ def sparse_product(a: Matrix, b: Matrix) -> Matrix:
 def first_difference(a: Matrix, b: Matrix) -> tuple[int, int, RationalFunction, RationalFunction] | None:
     """The first (row-major) differing entry, or None if a == b; ValueError if the shapes differ.
 
-    A pair of entry objects already found equal is not compared again.  No
-    stored entry (a block neither) equals the ZERO an absent entry reads as.
+    Each pair of entry objects is compared once.  No stored entry (a block
+    neither) equals the ZERO an absent entry reads as.
     """
     _check_shapes(a.shape == b.shape, "comparison", a, b)
-    equal: dict[Key, tuple] = {}  # (id(x), id(y)) -> (x, y), for pairs found equal
+    equal = _memoized(eq)
     for r, c in sorted(a.entries.keys() | b.entries.keys()):
         x, y = a.entries.get((r, c), ZERO), b.entries.get((r, c), ZERO)
-        key = (id(x), id(y))
-        if key in equal:
-            continue
-        if not (x == y):
+        if not equal(x, y):
             return r, c, x, y
-        equal[key] = (x, y)
     return None
 
 

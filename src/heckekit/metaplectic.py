@@ -36,7 +36,7 @@ from .algebra import (
     v,
 )
 from .linalg import Matrix
-from .relations import applied, first_failing, hecke_relations, verdict, weyl_sum
+from .relations import applied, first_failing, monomial_relations, verdict, weyl_sum
 from .reports import Report
 from .roots import CartanDatum, WeylGroup, _compose, _identity, build_cartan, coroot_monomial, mat_vec, weight_monomial
 from .rmatrix import tensor_block
@@ -130,7 +130,10 @@ class MetaplecticDatum:
         return self.n // gcd(self.n, self.q_value(self.cartan.simple_coroots[i]))
 
     def coset_index(self, mu: Sequence[int]) -> int:
-        y = mat_vec(self.to_snf, tuple(int(a) - o for a, o in zip(mu, self.origin, strict=True)))
+        """The index of the coset of mu in coset_reps; ValueError unless mu has integer coordinates."""
+        if any(a != int(a) for a in mu):
+            raise ValueError(f"weight {tuple(mu)} is not a lattice vector")
+        y = mat_vec(self.to_snf, tuple(a - o for a, o in zip(mu, self.origin, strict=True)))
         idx = 0
         for a, m in zip(y, self.moduli):
             idx = idx * m + a % m
@@ -144,6 +147,8 @@ def build_datum(cartan_or_type, n: int, B: tuple[IntVec, ...] | str | None = Non
     d = cartan.dim
     if B is None or B == "dot":
         B = _identity(d)[0]
+    elif isinstance(B, str):
+        raise MetaplecticError(f"unknown form {B!r}: use 'dot' or a d x d integer matrix")
     for r, row in enumerate(B):
         for c, x in enumerate(row):
             if x != int(x):
@@ -238,8 +243,10 @@ def scattering_block(
     normalized=True uses the z^mu-twisted functional basis;
     normalized=False the plain functionals, the form matched by the
     R-matrix dictionary.  The two are conjugate by diag(z^nu).
-    perturb in {"tau1", "tau2"} doubles that coefficient (negative control).
+    perturb "tau1" or "tau2" doubles that coefficient (negative control); any other but None raises ValueError.
     """
+    if perturb not in (None, "tau1", "tau2"):
+        raise ValueError(f"perturb must be None, 'tau1' or 'tau2', not {perturb!r}")
     k = datum.k
     c = c_factor(datum, i)
     entries: dict[tuple[int, int], RF] = {}
@@ -382,7 +389,7 @@ def whittaker_value(datum: MetaplecticDatum, lam: Sequence[int]) -> list[Laurent
     """
     if not datum.cartan.is_dominant(lam):
         raise MetaplecticError(f"{tuple(lam)} is not dominant")
-    act = block_action(metaplectic_schema_instance(datum), whittaker_base(datum, tuple(-int(x) for x in lam)))
+    act = block_action(metaplectic_schema_instance(datum), whittaker_base(datum, tuple(-x for x in lam)))
     e = datum.group.identity
     total = weyl_sum(lambda word: act(word).block(e, e), datum.group)
     return [total[r, 0].as_poly() for r in range(datum.k)]
@@ -399,7 +406,7 @@ def check_met_demazure_match(
 
     for mu in weights:
         for i in range(datum.cartan.rank):
-            def check(mu=tuple(int(x) for x in mu), i=i):
+            def check(mu=tuple(mu), i=i):
                 image = generators[i].compose(whittaker_base(datum, mu)).block(identity, identity)
                 total = sum(image.entries.values(), RF.zero())
                 return verdict(total, met_demazure(datum, i, weight_monomial(mu)))
@@ -413,11 +420,7 @@ def check_met_demazure_relations(
 ) -> Report:
     """Quadratic and braid relations for the metaplectic Demazure operators on monomials."""
     report = report or Report(f"metaplectic Demazure relations ({datum.cartan.cartan_type}, n={datum.n})")
-    for mu in weights:
-        mu = tuple(int(x) for x in mu)
-        act = met_demazure_act(datum, weight_monomial(mu))
-        hecke_relations(report, act, v(), datum.cartan.braid_orders, f" on z^{mu}")
-    return report
+    return monomial_relations(report, lambda f: met_demazure_act(datum, f), weights, datum.cartan.braid_orders)
 
 
 def check_representative_independence(
@@ -431,7 +434,7 @@ def check_representative_independence(
         base = cg_action(datum, i, f)
         s = datum.group.simple(i)
         return first_failing(
-            verdict(cg_action(datum, i, weight_monomial(tuple(int(a) + int(b) for a, b in zip(mu, xi)))),
+            verdict(cg_action(datum, i, weight_monomial(tuple(a + b for a, b in zip(mu, xi)))),
                     base * weight_monomial(s.act(xi)))
             for xi in datum.lattice_basis
         )

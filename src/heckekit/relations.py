@@ -7,8 +7,9 @@ operators on Laurent polynomials (`applied`).  The relations
 
     T_i^2 = (v - 1) T_i + v,    T_i T_j T_i ... = T_j T_i T_j ...  (m letters)
 
-are then the same code for all of them; a value only needs `+`, scalar `*`
-on the left and a way to show where two values differ (`verdict`).
+are then the same code for all of them, with the one v = u^2 of algebra.v, and
+`monomial_relations` runs them on each monomial z^mu of a weight list.  A value only
+needs `+`, scalar `*` on the left and a way to show where two values differ (`verdict`).
 """
 
 from __future__ import annotations
@@ -17,9 +18,9 @@ from functools import reduce
 from operator import add
 from typing import Callable, Iterable, Sequence, TypeVar
 
-from .algebra import LaurentPoly, RationalFunction
+from .algebra import LaurentPoly, RationalFunction, v
 from .reports import Report
-from .roots import WeylGroup
+from .roots import WeylGroup, weight_monomial
 
 T = TypeVar("T")
 Word = tuple[int, ...]
@@ -94,9 +95,9 @@ def weyl_sum(act: Act, group: WeylGroup) -> T:
     return reduce(add, (act(w.word) for w in group))
 
 
-def quadratic(report: Report, act: Act, i: int, v, suffix: str = "") -> Report:
-    """T_i^2 = (v - 1) T_i + v; v is the Hecke parameter in the values' scalar ring."""
-    report.run(f"quadratic T_{i + 1}{suffix}", lambda: verdict(act((i, i)), (v - 1) * act((i,)) + v * act(())))
+def quadratic(report: Report, act: Act, i: int, suffix: str = "") -> Report:
+    """T_i^2 = (v - 1) T_i + v, v = u^2 the one Hecke parameter of every module."""
+    report.run(f"quadratic T_{i + 1}{suffix}", lambda: verdict(act((i, i)), (v() - 1) * act((i,)) + v() * act(())))
     return report
 
 
@@ -108,12 +109,19 @@ def braid(report: Report, act: Act, i: int, j: int, m: int, suffix: str = "") ->
     return report
 
 
-def hecke_relations(report: Report, act: Act, v, braid_orders: Sequence[Sequence[int]], suffix: str = "") -> Report:
+def hecke_relations(report: Report, act: Act, braid_orders: Sequence[Sequence[int]], suffix: str = "") -> Report:
     """Every quadratic relation, then every braid relation, of the finite Hecke algebra."""
     rank = len(braid_orders)
     for i in range(rank):
-        quadratic(report, act, i, v, suffix)
+        quadratic(report, act, i, suffix)
     for i in range(rank):
         for j in range(i + 1, rank):
             braid(report, act, i, j, braid_orders[i][j], suffix)
+    return report
+
+
+def monomial_relations(report: Report, act_on: Callable[[LaurentPoly], Act], weights, braid_orders) -> Report:
+    """hecke_relations on each monomial z^mu of weights, acted on by act_on(z^mu), suffixed " on z^mu"."""
+    for mu in weights:
+        hecke_relations(report, act_on(weight_monomial(mu)), braid_orders, f" on z^{tuple(mu)}")
     return report

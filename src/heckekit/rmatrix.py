@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from itertools import product as iproduct
 from typing import Callable, Sequence
 
-from .algebra import GaussRules, LaurentPoly, RationalFunction, gauss_symbol, v
+from .algebra import GaussRules, LaurentPoly, RationalFunction, gauss_symbol, u, v
 from .linalg import Matrix, identity_matrix, mat_inverse, nullspace
 from .reports import Report
 from .roots import WeylGroup, build_cartan, coroot_monomial
@@ -123,7 +123,7 @@ def free_gamma_spec(n: int) -> RMatrixSpec:
 def gauss_gamma_spec(n: int) -> RMatrixSpec:
     """gamma_ab = -g(a - b)/sqrt(v), Gauss sums of modulus n; satisfies the pairing since g(a)g(-a) = v."""
     rules = GaussRules.standard(n)
-    uinv = P.monomial({"u": -1})
+    uinv = u().monomial_inverse()
     return _twist(n, lambda a, b: RF.from_poly(-gauss_symbol(a - b, rules) * uinv))
 
 
@@ -139,8 +139,8 @@ def r_affine(spec: RMatrixSpec, x: LaurentPoly) -> TensorOperator:
     """The parametrized family; r_gl(spec) is r_affine(spec, 0)."""
     n = spec.n
     one = P.one()
-    uu = P.symbol("u")
-    uinv = P.monomial({"u": -1})
+    uu = u()
+    uinv = uu.monomial_inverse()
     c = RF.from_poly(uu - uinv)
     entries = {}
     for (a, b) in words(n, 2):
@@ -165,7 +165,7 @@ def r_tilde(n: int, x: LaurentPoly, rules: GaussRules | None = None) -> TensorOp
         raise ValueError("Gauss modulus must equal the dimension n")
     gauss = gauss_gamma_spec(n).gamma
     spec = _twist(n, lambda a, b: gauss[b][a])
-    return RF(-P.symbol("u"), (P.one() - v() * x,)) * r_affine(spec, x)
+    return RF(-u(), (P.one() - v() * x,)) * r_affine(spec, x)
 
 
 # -- verifiers --------------------------------------------------------------------
@@ -193,7 +193,7 @@ def check_parametrized_ybe(build: Callable[[LaurentPoly], TensorOperator], repor
 
 def hecke_generator(spec: RMatrixSpec) -> TensorOperator:
     """T = u tau R on two tensor factors."""
-    return P.symbol("u") * tau_operator(spec.n).compose(r_gl(spec))
+    return u() * tau_operator(spec.n).compose(r_gl(spec))
 
 
 def check_hecke(spec: RMatrixSpec, report: Report | None = None) -> Report:
@@ -201,7 +201,7 @@ def check_hecke(spec: RMatrixSpec, report: Report | None = None) -> Report:
     report = report or Report(f"hecke relations n={spec.n}")
     n = spec.n
     t = hecke_generator(spec)
-    quadratic(report, products(lambda _: t, lambda: identity_matrix(n ** 2)), 0, v(), f" (n={n})")
+    quadratic(report, products(lambda _: t, lambda: identity_matrix(n ** 2)), 0, f" (n={n})")
     braid(report, products(lambda i: t.embed((i, i + 1), 3)), 0, 1, 3, f" (n={n})")
     return report
 
@@ -230,8 +230,8 @@ def check_triangularity(
 def doubler_scalar() -> RF:
     """(u - x/u)(u - 1/(x u)) -- the composition scalar of the affine family."""
     x = P.symbol("x")
-    uu = P.symbol("u")
-    uinv = P.monomial({"u": -1})
+    uu = u()
+    uinv = uu.monomial_inverse()
     return RF.from_poly((uu - x * uinv) * (uu - x.monomial_inverse() * uinv))
 
 
@@ -260,7 +260,7 @@ def tensor_block(n: int, r: int, twist: str = "none", power: int = 1) -> list[Te
             prefactor = c_function(x)
         else:
             local = tau.compose(r_affine(spec, x))
-            prefactor = RF(P.symbol("u"), (P.one() - x,))
+            prefactor = RF(u(), (P.one() - x,))
         blocks.append(prefactor * local.embed((i, i + 1), r))
     return blocks
 
@@ -296,14 +296,12 @@ def check_content_preservation(inst: SchemaInstance, report: Report | None = Non
 # -- the z -> 0 limit and the wreath construction -----------------------------------
 
 
-def hecke_inverse(t: Matrix) -> Matrix:
-    """T^{-1} = (T - (v-1)) / v = -T*/v, valid whenever T satisfies the quadratic relation."""
-    return -v().monomial_inverse() * star_matrix(t)
-
-
 def wreath_operator(group: WeylGroup, t: Matrix, i: int) -> BlockOperator:
-    """The wreath action: T_i phi_{s_i w} on descents, (v-1) + v T_i^{-1} phi_{s_i w} on ascents."""
-    inverse = hecke_inverse(t)
+    """The wreath action: T_i phi_{s_i w} on descents, (v-1) + v T_i^{-1} phi_{s_i w} on ascents.
+
+    v T^{-1} = T - (v - 1) = -T* when T satisfies the quadratic relation, so no inverse is computed.
+    """
+    ascent = -star_matrix(t)
     ident = identity_matrix(len(t))
     blocks = {}
     for w in group:
@@ -312,7 +310,7 @@ def wreath_operator(group: WeylGroup, t: Matrix, i: int) -> BlockOperator:
             blocks[(w, sw)] = t
         else:
             blocks[(w, w)] = (v() - 1) * ident
-            blocks[(w, sw)] = v() * inverse
+            blocks[(w, sw)] = ascent
     return BlockOperator(t.shape, blocks)
 
 
@@ -354,7 +352,7 @@ def check_finite_hecke(group: WeylGroup, ops: list[BlockOperator], report: Repor
     report = report or Report(name)
     k = ops[0].block_dim
     act = products(ops.__getitem__, lambda: identity_operator(group, k))
-    return hecke_relations(report, act, v(), group.cartan.braid_orders)
+    return hecke_relations(report, act, group.cartan.braid_orders)
 
 
 def check_wreath_intertwining(

@@ -60,18 +60,18 @@ class CartanDatum:
 
     def _pairings_int(self, mu: Sequence[int]) -> IntVector:
         """<alpha_i, mu> for every i; ValueError if mu is not in the lattice."""
-        rows, den = self.pairings
-        values = mat_vec(rows, mu)
-        if any(x % den for x in values):
+        if not self.in_lattice(mu):
             raise ValueError(f"weight {tuple(mu)} is not in the lattice of {self.cartan_type}")
-        return tuple([x // den for x in values])
+        rows, den = self.pairings
+        return tuple([x // den for x in mat_vec(rows, mu)])
 
     def pairing_int(self, i: int, mu: Sequence[int]) -> int:
         return self._pairings_int(mu)[i]
 
     def in_lattice(self, mu: Sequence[int]) -> bool:
+        """mu has integer coordinates and integer pairings <alpha_i, mu>."""
         rows, den = self.pairings
-        return all(x % den == 0 for x in mat_vec(rows, mu))
+        return all(x == int(x) for x in mu) and all(x % den == 0 for x in mat_vec(rows, mu))
 
     def is_dominant(self, mu: Sequence[int]) -> bool:
         return all(x >= 0 for x in self._pairings_int(mu))
@@ -346,13 +346,12 @@ def _braid_orders(cartan: CartanDatum) -> tuple[tuple[int, ...], ...]:
     return tuple(orders)
 
 
-def weyl_group(cartan: CartanDatum) -> WeylGroup:
-    return WeylGroup(cartan)
+weyl_group = WeylGroup
 
 
 def coroot_monomial(beta: Sequence[int], scale: int = 1) -> LaurentPoly:
-    """z^{scale * beta}."""
-    return LaurentPoly.monomial({f"z{i + 1}": scale * int(b) for i, b in enumerate(beta)})
+    """z^{scale * beta}; ValueError if an exponent is not an integer."""
+    return LaurentPoly.monomial({f"z{i + 1}": scale * b for i, b in enumerate(beta)})
 
 
 def weight_monomial(mu: Sequence[int]) -> LaurentPoly:
@@ -363,7 +362,7 @@ def weyl_character(cartan: CartanDatum, group: WeylGroup, lam: Sequence[int]) ->
     """chi_lambda(z) as an exact Laurent polynomial (Weyl sum; divisibility asserted)."""
     if not cartan.is_dominant(lam):
         raise ValueError(f"{tuple(lam)} is not dominant")
-    lam_rho = tuple(int(a) + b for a, b in zip(lam, cartan.rho))
+    lam_rho = tuple(a + b for a, b in zip(lam, cartan.rho))
     num = LaurentPoly.zero()
     den = LaurentPoly.zero()
     for w in group:

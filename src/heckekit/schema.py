@@ -200,7 +200,7 @@ def _act(inst: SchemaInstance):
 def check_quadratic(inst: SchemaInstance, i: int, report: Report | None = None) -> Report:
     """T_i^2 = (v - 1) T_i + v, exactly."""
     report = report or Report(f"{inst.name}: quadratic")
-    return quadratic(report, _act(inst), i, v())
+    return quadratic(report, _act(inst), i)
 
 
 def check_braid(inst: SchemaInstance, i: int, j: int, report: Report | None = None) -> Report:
@@ -228,7 +228,7 @@ def check_bernstein(inst: SchemaInstance, lam: Sequence[int], i: int, report: Re
     weight off the root scale (off_root_scale) fails the check.
     """
     report = report or Report(f"{inst.name}: bernstein")
-    lam = tuple(int(x) for x in lam)
+    lam = tuple(lam)
 
     def check():
         reason = off_root_scale(inst, lam, i)

@@ -697,6 +697,18 @@ def test_packed_ring_matches_reference(n, raw_a, raw_b):
         assert outcome == ("ZeroDivisionError" if zero_divisor else ra)  # division is complete
 
 
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: P.monomial({"x": Fraction(3, 2)}), ValueError, "non-integral exponent 3/2 of x"),
+    (lambda: GaussRules(0), ValueError, "Gauss modulus must be >= 1"),
+    (lambda: (sym("x") + 1).monomial_inverse(), ValueError, "only monomials are invertible"),
+    (lambda: exact_divide(sym("x"), P.zero()), ZeroDivisionError, "division by the zero polynomial"),
+    (lambda: RationalFunction.one() / 0, ZeroDivisionError, "division by zero rational function"),
+], ids=["fractional-exponent", "gauss-modulus-0", "binomial-inverse", "divide-by-zero-poly", "rf-divide-by-0"])
+def test_rejected_input_raises_with_its_message(call, error, message):
+    with pytest.raises(error, match=f"^{message}$"):
+        call()
+
+
 def test_exponent_outside_lane_range_raises():
     from heckekit.algebra import _LIMIT
 

@@ -156,13 +156,15 @@ def test_json_is_one_document(capsys, argv):
         (["verify", "--type", "G2", "--instance", "metaplectic"], "--instance metaplectic has no G2 covers yet"),
         (["verify", "--type", "G2", "--instance", "metaplectic", "--n", "1"],
          "--instance metaplectic has no G2 covers yet"),
+        (["cs", "--weight", ""], "argument --weight: empty weight"),
+        (["cs", "--weight", "(a,b)"], "argument --weight: bad weight '(a,b)'"),
     ],
     ids=[
         "unknown-type", "form-not-dot", "rmatrix-non-A", "cs-weight-length", "bernstein-length",
         "demazure-weights-length", "metaplectic-weight-length", "cs-weight-off-lattice", "cs-not-dominant",
         "metaplectic-r-7", "metaplectic-r-1", "wreath-r-7", "rmatrix-n-0",
         "rmatrix-schema-r-1", "rmatrix-schema-power", "verify-rmatrix-power", "rmatrix-n-5",
-        "generic-rank-3", "metaplectic-g2", "metaplectic-g2-n-1",
+        "generic-rank-3", "metaplectic-g2", "metaplectic-g2-n-1", "cs-weight-empty", "cs-weight-not-integers",
     ],
 )
 def test_bad_input_is_a_usage_error(capsys, argv, message):

@@ -426,6 +426,11 @@ def test_shapes_must_fit():
         False, "block shape (2, 2)", "block shape (3, 3)")
 
 
+def test_row_outside_the_shape_raises():
+    with pytest.raises(IndexError, match="^2$"):
+        identity_matrix(2).row(2)
+
+
 @pytest.mark.parametrize("scalar", [2, Fraction(1, 3), P.symbol("x")], ids=["int", "Fraction", "LaurentPoly"])
 def test_scalar_times_matrix_and_block_operator(scalar):
     c = RF.from_poly(scalar if isinstance(scalar, P) else P.const(scalar))

@@ -34,10 +34,11 @@ from heckekit.metaplectic import (
     whittaker_base,
     whittaker_value,
 )
+from heckekit.reports import Report
 from heckekit.rmatrix import tensor_schema_instance
 from heckekit.roots import build_cartan, coroot_monomial, weight_monomial, weyl_group
 from heckekit.schema import BlockOperator, build_T, check_bernstein, check_composition, check_quadratic, verify_instance
-from heckekit.whittaker import apply_demazure, cs_rhs, demazure_variant, whittaker_schema_instance
+from heckekit.whittaker import apply_demazure, check_cs, cs_rhs, demazure_variant, whittaker_schema_instance
 from oracles import conjugate_gauss, met_demazure_rational, met_demazure_word, rem_identity_check, substitute, whittaker_aggregate
 
 P = LaurentPoly
@@ -82,6 +83,8 @@ def test_invalid_B_rejected():
         build_datum("A1", 2, ((1, 0), (0, 2)))  # not W-invariant
     with pytest.raises(MetaplecticError):
         build_datum("A1", 2, ((1, 0, 0), (0, 1, 0)))  # not d x d
+    with pytest.raises(MetaplecticError, match="unknown form 'foo'"):
+        build_datum("A1", 2, "foo")  # a string other than "dot"
 
 
 def test_c_factor_values(gl2_n2):
@@ -192,6 +195,8 @@ def test_every_gauss_symbol_carries_the_standard_rules(build, n):
 def test_perturbed_tau_fails(gl2_n2):
     d = gl2_n2
     good = scattering_block(d, 0)
+    with pytest.raises(ValueError, match="not 'tau3'"):
+        scattering_block(d, 0, perturb="tau3")  # a mistyped control must not return the unperturbed block
     for which in ("tau1", "tau2"):
         bad = scattering_block(d, 0, perturb=which)
         s_bad = [
@@ -320,6 +325,24 @@ def test_whittaker_value_lambda_zero(gl2_n2):
     for w in d.group:
         expected = expected + met_demazure_word(d, w.word, P.one(d.rules))
     assert RF.from_poly(total) == expected
+
+
+@pytest.mark.parametrize("weight, probe", [
+    ((0.5, 0), weight_monomial),
+    ((1.5, 0, 0), lambda w: check_bernstein(whittaker_schema_instance(build_cartan("A2")), w, 0)),
+    ((0.7, 0), lambda w: check_met_demazure_match(build_datum("A1", 2), [w])),
+    ((0.5, 0.5, 0.5), lambda w: check_cs(demazure_variant("whittaker", build_cartan("A2")), w)),
+    ((0.5, 0.5), lambda w: whittaker_value(build_datum("A1", 2), w)),
+    ((0.5, 0), lambda w: build_datum("A1", 2).coset_index(w)),
+], ids=["weight_monomial", "check_bernstein", "check_met_demazure_match", "in_lattice-check_cs", "whittaker_value",
+        "coset_index"])
+def test_a_weight_off_the_lattice_never_passes(weight, probe):
+    # truncating each weight to integers would test a lattice vector other than the one named
+    try:
+        got = probe(weight)
+    except ValueError:
+        return
+    assert isinstance(got, Report) and not got.passed and str(weight) in got.first_failure().name, got
 
 
 def test_whittaker_value_rejects_non_dominant(gl2_n2):

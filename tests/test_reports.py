@@ -1,3 +1,5 @@
+import pytest
+
 from heckekit.reports import Report
 
 
@@ -12,3 +14,10 @@ def test_raising_check_is_recorded_as_failure():
     assert "test_reports.py" in boom.rhs
     assert fine.passed
     assert Report.from_json(report.to_json()).status == "fail"
+
+
+def test_serialized_status_must_agree_with_its_checks():
+    report = Report("t")
+    report.run("fine", lambda: (True, None, None))
+    with pytest.raises(ValueError, match="^inconsistent serialized status$"):
+        Report.from_json(report.to_json().replace('"status": "pass"', '"status": "fail"'))

@@ -17,13 +17,13 @@ from heckekit.rmatrix import (
     doubler_scalar,
     free_gamma_spec,
     gauss_gamma_spec,
-    hecke_inverse,
     jimbo_t_matrix,
     limit_instance,
     r_affine,
     r_gl,
     r_tilde,
     RMatrixSpec,
+    star_matrix,
     TensorOperator,
     tau_operator,
     tensor_base,
@@ -179,6 +179,15 @@ def test_tensor_base():
             tensor_base(size, arity)
 
 
+@pytest.mark.parametrize("twist, power, message", [
+    ("other", 1, "twist must be 'none' or 'gauss'"),
+    ("none", 3, "power must be 1 or n"),
+], ids=["twist", "power"])
+def test_tensor_block_rejects_unknown_twist_and_power(twist, power, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        tensor_block(2, 2, twist, power)
+
+
 def test_size_that_is_no_tensor_power_raises():
     with pytest.raises(ValueError):
         TensorOperator((8, 8), {}).embed((0, 1), 3)
@@ -296,10 +305,9 @@ def test_wreath_s3():
 
 
 def test_hecke_inverse_agrees_with_gaussian_inverse():
-    from heckekit.linalg import mat_inverse, identity_matrix
-
+    # the wreath's ascent block: v T^-1 = T - (v - 1) = -T*
     t = jimbo_t_matrix(2, 2, 0)
-    assert first_difference(hecke_inverse(t), mat_inverse(t)) is None
+    assert first_difference(-star_matrix(t), v() * mat_inverse(t)) is None
 
 
 def test_triangularity_failure_names_an_entry():

@@ -194,6 +194,7 @@ def test_dominance():
     g2 = build_cartan("G2")
     assert g2.in_lattice((1, 0, -1))
     assert not g2.in_lattice((1, 0, 0))
+    assert not build_cartan("A2").in_lattice((0.5, 0.5, 0.5))  # integer pairings, but no lattice vector
 
 
 def test_fundamental_weights():

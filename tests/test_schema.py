@@ -39,6 +39,11 @@ def test_generic_a1_single_symbol():
     assert verify_instance(inst, lambdas=[(1, 0)]).passed
 
 
+def test_generic_instance_rejects_rank_above_two():
+    with pytest.raises(ValueError, match="^generic instance supports rank <= 2$"):
+        generic_instance(build_cartan("A3"))
+
+
 def test_generic_a2_symbols_and_elimination(a2):
     cartan, inst = a2
     W = inst.group

@@ -236,6 +236,11 @@ def test_idempotent_w0_coefficient(a2):
     assert coeff == expected
 
 
+def test_unknown_variant_rejected():
+    with pytest.raises(ValueError, match="^unknown Demazure variant 'foo'$"):
+        demazure_variant("foo", build_cartan("A2"))
+
+
 def test_idempotent_rejects_non_dominant(a2):
     cartan, W = a2
     var = demazure_variant("whittaker", cartan, W)
