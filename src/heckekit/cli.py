@@ -272,7 +272,6 @@ COMMANDS = {
         "--n", "--B", "--gauss", "--power",
         ("--spherical", {"action": "store_true", "help": "also check the spherical idempotent"}),
     ], ("bernstein", False), (
-        (lambda a: a.instance == "generic" and int(a.type[1:]) > 2, "--instance generic needs rank <= 2, not {type}"),
         (lambda a: a.instance == "metaplectic" and a.type == "G2", "--instance metaplectic has no G2 covers yet"),
         (lambda a: a.instance == "rmatrix" and not a.type.startswith("A"),
          "--instance rmatrix needs a type A1..A4, not {type}"),

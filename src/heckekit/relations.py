@@ -14,7 +14,7 @@ needs `+`, scalar `*` on the left and a way to show where two values differ (`ve
 
 from __future__ import annotations
 
-from functools import reduce
+from functools import cache, reduce
 from operator import add
 from typing import Callable, Iterable, Sequence, TypeVar
 
@@ -121,7 +121,12 @@ def hecke_relations(report: Report, act: Act, braid_orders: Sequence[Sequence[in
 
 
 def monomial_relations(report: Report, act_on: Callable[[LaurentPoly], Act], weights, braid_orders) -> Report:
-    """hecke_relations on each monomial z^mu of weights, acted on by act_on(z^mu), suffixed " on z^mu"."""
+    """hecke_relations on each monomial z^mu of weights, acted on by act_on(z^mu), suffixed " on z^mu".
+
+    act_on(z^mu) is made once per weight, inside its first check, so a
+    weight off the lattice fails each of its checks instead of raising.
+    """
     for mu in weights:
-        hecke_relations(report, act_on(weight_monomial(mu)), braid_orders, f" on z^{tuple(mu)}")
+        made = cache(lambda mu=mu: act_on(weight_monomial(mu)))  # a raise is not cached: each check raises it
+        hecke_relations(report, lambda word, made=made: made()(word), braid_orders, f" on z^{tuple(mu)}")
     return report

@@ -319,58 +319,32 @@ def intertwiner_symbol(i: int, w: WeylElement) -> str:
 
 
 def generic_instance(cartan: CartanDatum, group: WeylGroup | None = None) -> SchemaInstance:
-    """Free-symbol instance: k = 1, one invertible symbol per descent pair.
+    """Free-symbol instance: k = 1, one invertible symbol a{i+1}_{w} per element w != e.
 
-    Ascent entries are the composition-scalar-forced quotients, and the single
-    braid constraint along the two maximal chains eliminates the top-cell
-    symbol (for A2: a2_121 = a1_121*a2_21*a1_1/(a1_12*a2_2)).
+    W is walked by length, carrying f_w with f_e = 1.  The first left descent
+    i of w gets its free symbol a, and f_w = f_{s_i w} / a; every other
+    descent j gets the forced value f_{s_j w} / f_w.  Ascent entries are the
+    composition-scalar-forced quotients.  When i and j are both descents, w
+    tops its coset W_{ij} u, and the braid constraint of the coset is a bare
+    product identity along its two maximal chains (both enumerate the
+    coset's positive coroots, so the forced C-factor pairs cancel).  Every
+    other edge of the chains is shorter or is (w, i), so the identity fixes
+    A(w, j), and the f-quotients satisfy it by telescoping (for A2:
+    a2_121 = a1_121*a2_21*a1_1/(a1_12*a2_2)).
     """
-    if cartan.rank > 2:
-        raise ValueError("generic instance supports rank <= 2")
     group = group or WeylGroup(cartan)
-    symbols: dict[tuple[WeylElement, int], RationalFunction] = {}
+    inst = SchemaInstance(cartan, group, 1, {}, (1,) * cartan.rank, "generic")
+    f = {group.identity: RationalFunction.one()}
     for w in group:
         for i in range(cartan.rank):
-            if group.is_left_descent(i, w):
-                symbols[(w, i)] = RationalFunction.from_poly(
-                    LaurentPoly.symbol(intertwiner_symbol(i, w))
-                )
-    if cartan.rank == 2:
-        _eliminate_top_symbol(cartan, group, symbols)
-
-    inst = SchemaInstance(cartan, group, 1, {}, (1,) * cartan.rank, "generic")
-    for (w, i), a in symbols.items():  # a descent's symbol, and the ascent s_i w whose entry it forces
-        sw = group.left_mul_simple(i, w)
-        inst.a_matrices[(w, i)] = Matrix((1, 1), {(0, 0): a})
-        inst.a_matrices[(sw, i)] = Matrix((1, 1), {(0, 0): inst.composition_scalar(sw, i) / a})
+            if not group.is_left_descent(i, w):
+                continue
+            sw = group.left_mul_simple(i, w)  # a descent's entry, and the ascent sw whose entry it forces
+            if w in f:
+                a = f[sw] / f[w]
+            else:
+                a = RationalFunction.from_poly(LaurentPoly.symbol(intertwiner_symbol(i, w)))
+                f[w] = f[sw] / a
+            inst.a_matrices[(w, i)] = Matrix((1, 1), {(0, 0): a})
+            inst.a_matrices[(sw, i)] = Matrix((1, 1), {(0, 0): inst.composition_scalar(sw, i) / a})
     return inst
-
-
-def _maximal_chain(group: WeylGroup, start: int, length: int) -> list[tuple[int, WeylElement]]:
-    """Letters and elements u_t = s_{c_t} ... s_{c_1} along one alternating chain."""
-    out = []
-    u = group.identity
-    letter = start
-    for _ in range(length):
-        u = group.left_mul_simple(letter, u)
-        out.append((letter, u))
-        letter = 1 - letter
-    return out
-
-
-def _eliminate_top_symbol(cartan: CartanDatum, group: WeylGroup, symbols: dict) -> None:
-    """Solve the rank-2 braid constraint for the i=2 top-cell symbol.
-
-    Both maximal chains enumerate all positive coroots, so the forced
-    C-factor pairs cancel and the constraint is a bare product identity in
-    the free symbols.
-    """
-    m = cartan.braid_orders[0][1]
-    same = _maximal_chain(group, m % 2, m)  # its letters alternate, so its last step, into w0, is the i=2 one
-    other = _maximal_chain(group, 1 - m % 2, m)
-    value = RationalFunction.one()
-    for letter, u in other:
-        value = value * symbols[(u, letter)]
-    for letter, u in same[:-1]:
-        value = value / symbols[(u, letter)]
-    symbols[(group.longest(), 1)] = value

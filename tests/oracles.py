@@ -5,7 +5,8 @@ it (the rational Weyl sum with the Weyl character, the exactly inverted
 R-matrix with the closed form, the coset aggregate with the Demazure sum,
 the rational metaplectic Demazure formula with the polynomial step),
 or use them to state a property (evaluation at a point, substitution of
-monomials, Bruhat order, T_w of a block module).  Each is written over the
+monomials, Bruhat order, T_w of a block module, the braid constraint of a
+free-symbol instance on one rank-2 coset).  Each is written over the
 package's public API only.
 """
 
@@ -161,6 +162,29 @@ def bruhat_le(group: WeylGroup, u: WeylElement, w: WeylElement) -> bool:
     i = next(j for j in range(group.cartan.rank) if group.is_left_descent(j, w))
     sw, su = group.left_mul_simple(i, w), group.left_mul_simple(i, u)
     return bruhat_le(group, su if su.length < u.length else u, sw)
+
+
+def chain_identity(inst: SchemaInstance, i: int, j: int, u: WeylElement) -> tuple[RF, RF]:
+    """The products of the descent entries A(x, c) along the two maximal chains of the coset W_{ij} u.
+
+    u is the shortest element of its coset.  A chain starts at u with the
+    letter i, or with j, alternates m(i, j) letters, and ends at the top of
+    the coset; each step x -> s_c x contributes A(s_c x, c).  Both chains
+    enumerate the coset's positive coroots, so the forced C-factor pairs
+    cancel and the braid constraint of a k = 1 instance on this coset is the
+    equality of the two products.
+    """
+    group = inst.group
+    m = group.cartan.braid_orders[i][j]
+    products = []
+    for first, second in ((i, j), (j, i)):
+        x, value = u, RF.one()
+        for t in range(m):
+            letter = first if t % 2 == 0 else second
+            x = group.left_mul_simple(letter, x)
+            value = value * inst.A(x, letter)[0, 0]
+        products.append(value)
+    return products[0], products[1]
 
 
 def apply_Tw(inst: SchemaInstance, w: WeylElement) -> BlockOperator:

@@ -23,6 +23,12 @@ def test_verify_generic_g2_mirrors_bracket_output(capsys):
     assert "[True, True, True]" in out
 
 
+def test_verify_generic_a4(capsys):
+    code, out = run(capsys, "verify", "--type", "A4", "--instance", "generic")
+    assert code == 0
+    assert out.count("[ok ]") == 490 and "FAIL" not in out
+
+
 def test_verify_whittaker_with_bernstein(capsys):
     code, out = run(capsys, "verify", "--type", "A2", "--instance", "whittaker", "--bernstein", "(1,0,0)")
     assert code == 0
@@ -117,7 +123,7 @@ def readme_commands() -> list[list[str]]:
 
 
 def test_readme_lists_every_command():
-    assert len(readme_commands()) == 10
+    assert len(readme_commands()) == 11
     assert {argv[0] for argv in readme_commands()} == {"verify", "cs", "demazure", "rmatrix", "metaplectic", "wreath"}
 
 
@@ -152,7 +158,6 @@ def test_json_is_one_document(capsys, argv):
         (["verify", "--type", "A2", "--instance", "rmatrix", "--power", "3"],
          "--power 3: the exponent power must be 1 or --n (2)"),
         (["rmatrix", "ybe", "--n", "5"], "--n 5: rmatrix checks support n <= 4"),
-        (["verify", "--type", "A3", "--instance", "generic"], "--instance generic needs rank <= 2, not A3"),
         (["verify", "--type", "G2", "--instance", "metaplectic"], "--instance metaplectic has no G2 covers yet"),
         (["verify", "--type", "G2", "--instance", "metaplectic", "--n", "1"],
          "--instance metaplectic has no G2 covers yet"),
@@ -164,7 +169,7 @@ def test_json_is_one_document(capsys, argv):
         "demazure-weights-length", "metaplectic-weight-length", "cs-weight-off-lattice", "cs-not-dominant",
         "metaplectic-r-7", "metaplectic-r-1", "wreath-r-7", "rmatrix-n-0",
         "rmatrix-schema-r-1", "rmatrix-schema-power", "verify-rmatrix-power", "rmatrix-n-5",
-        "generic-rank-3", "metaplectic-g2", "metaplectic-g2-n-1", "cs-weight-empty", "cs-weight-not-integers",
+        "metaplectic-g2", "metaplectic-g2-n-1", "cs-weight-empty", "cs-weight-not-integers",
     ],
 )
 def test_bad_input_is_a_usage_error(capsys, argv, message):

@@ -6,7 +6,7 @@ import heckekit.metaplectic
 import heckekit.whittaker
 from heckekit.algebra import LaurentPoly, v
 from heckekit.metaplectic import build_datum, check_met_demazure_relations
-from heckekit.relations import applied, first_failing, hecke_relations, weyl_sum
+from heckekit.relations import applied, first_failing, hecke_relations, monomial_relations, weyl_sum
 from heckekit.reports import Report
 from heckekit.roots import build_cartan, weight_monomial, weyl_group
 from heckekit.whittaker import check_demazure_relations, demazure_variant, idempotent_apply, idempotent_element
@@ -86,3 +86,31 @@ def test_demazure_checks_go_through_the_polynomial_steps(monkeypatch):
         calls.clear()
         run()
         assert set(calls) == steps and all(calls.values())
+
+
+@pytest.mark.parametrize("probe, weights", [
+    (lambda weights: check_met_demazure_relations(build_datum("A1", 2), weights), [(1, 0), (0.5, 0)]),
+    (lambda weights: check_demazure_relations(demazure_variant("whittaker", build_cartan("A2")), weights),
+     [(1, 0, 0), (0, 0.5, 0)]),
+], ids=["met-demazure-A1", "demazure-A2"])
+def test_a_weight_off_the_lattice_fails_each_of_its_checks(probe, weights):
+    # z^mu used to be made outside any check, so the suite raised after the checks of the earlier weights
+    on, off = weights
+    report = probe(weights)
+    lattice = [c for c in report.checks if str(on) in c.name]
+    failed = [c for c in report.checks if str(off) in c.name]
+    assert lattice and all(c.passed for c in lattice)
+    assert [c.name.replace(str(off), str(on)) for c in failed] == [c.name for c in lattice]
+    assert all(not c.passed and c.lhs.startswith("ValueError: non-integral exponent 0.5") for c in failed)
+
+
+def test_monomial_relations_makes_one_act_per_weight():
+    made = Counter()
+
+    def act_on(f):
+        made[f.render()] += 1
+        return applied(lambda i, g: v() * g, f)
+
+    weights = [(1, 0, 0), (0, 1, 0)]
+    report = monomial_relations(Report("scalar A2"), act_on, weights, build_cartan("A2").braid_orders)
+    assert len(report.checks) == 6 and made == Counter({weight_monomial(mu).render(): 1 for mu in weights})

@@ -1,8 +1,10 @@
+from fractions import Fraction
+
 import pytest
 
 from heckekit.algebra import LaurentPoly, RationalFunction, rf_equal, v
 from heckekit.linalg import Matrix, is_scalar_matrix, mat_mul
-from heckekit.roots import build_cartan
+from heckekit.roots import WeylGroup, build_cartan
 from heckekit.schema import (
     BlockOperator,
     build_T,
@@ -19,7 +21,7 @@ from heckekit.schema import (
     spherical_sum,
     verify_instance,
 )
-from oracles import apply_Tw
+from oracles import apply_Tw, chain_identity
 
 P = LaurentPoly
 
@@ -39,11 +41,6 @@ def test_generic_a1_single_symbol():
     assert verify_instance(inst, lambdas=[(1, 0)]).passed
 
 
-def test_generic_instance_rejects_rank_above_two():
-    with pytest.raises(ValueError, match="^generic instance supports rank <= 2$"):
-        generic_instance(build_cartan("A3"))
-
-
 def test_generic_a2_symbols_and_elimination(a2):
     cartan, inst = a2
     W = inst.group
@@ -56,6 +53,57 @@ def test_generic_a2_symbols_and_elimination(a2):
     value = inst.A(w0, 1)[0][0]
     assert rf_equal(value, expected)
     assert intertwiner_symbol(1, w0) == "a2_121"
+
+
+def free_symbols(inst) -> set[str]:
+    return {s for x in inst.a_matrices.values() for f in x.entries.values()
+            for p in (f.num, *f.den) for s in p.symbols() if s.startswith("a")}
+
+
+@pytest.mark.parametrize("cartan_type", ["A1", "A2", "A3", "A4", "B2", "C2", "G2"])
+def test_generic_instance_at_every_rank(cartan_type):
+    inst = generic_instance(build_cartan(cartan_type))
+    W = inst.group
+    first_descent = {w: next(i for i in range(W.cartan.rank) if W.is_left_descent(i, w)) for w in W if w != W.identity}
+    assert free_symbols(inst) == {intertwiner_symbol(i, w) for w, i in first_descent.items()}
+    assert len(free_symbols(inst)) == len(W) - 1
+    assert verify_instance(inst).passed
+
+
+@pytest.mark.parametrize("cartan_type", ["A3", "A4", "B2", "G2"])
+def test_generic_chains_agree_on_every_rank_2_coset(cartan_type):
+    inst = generic_instance(build_cartan(cartan_type))
+    W, rank = inst.group, inst.cartan.rank
+    for i in range(rank):
+        for j in range(i + 1, rank):
+            bottoms = [u for u in W if not (W.is_left_descent(i, u) or W.is_left_descent(j, u))]
+            assert len(bottoms) * 2 * inst.cartan.braid_orders[i][j] == len(W)
+            for u in bottoms:
+                left, right = chain_identity(inst, i, j, u)
+                assert rf_equal(left, right), (i, j, u)
+
+
+def _forced_descents(cartan_type):
+    """(w, j) for every descent j of w but the first, the entries generic_instance forces."""
+    W = WeylGroup(build_cartan(cartan_type))
+    return [pytest.param(w.name(), j, id=f"w={w.name()},j={j + 1}")
+            for w in W for j in [j for j in range(W.cartan.rank) if W.is_left_descent(j, w)][1:]]
+
+
+@pytest.mark.parametrize("w_name, j", _forced_descents("A3"))
+def test_a_wrong_forced_descent_fails_only_its_braids(w_name, j):
+    # A(w, j) doubled and its ascent partner halved: every composition scalar still holds
+    inst = generic_instance(build_cartan("A3"))
+    W = inst.group
+    w = next(x for x in W if x.name() == w_name)
+    broken = inst.perturbed(w, j).perturbed(W.left_mul_simple(j, w), j, Fraction(1, 2))
+    assert check_composition(broken).passed
+    assert all(check_quadratic(broken, i).passed for i in range(3))
+    for i in range(3):
+        for k in range(i + 1, 3):
+            failure = check_braid(broken, i, k).first_failure()
+            assert (failure is not None) == (j in (i, k)), (i, k)
+            assert failure is None or failure.lhs.startswith("block (")
 
 
 def test_generic_a2_relations(a2):
