@@ -225,8 +225,6 @@ def run_metaplectic(args) -> int:
             total = total + value
         _say(args, f"  aggregate: {total.render()}")
         expected = weyl_sum(met_demazure_act(datum, weight_monomial(tuple(-x for x in lam))), datum.group)
-        if args.inject_mismatch:
-            expected = expected + 1
         return verdict(total, expected)
 
     report = Report(f"metaplectic GL_{args.r} n={args.n} lambda={lam}")
@@ -299,8 +297,6 @@ COMMANDS = {
         ("--r", {"type": gl_rank}),
         "--n", "--B",
         ("--weight", {"type": _parse_weight}),
-        ("--inject-mismatch", {"action": "store_true",
-                               "help": "deliberately break the cross-check (negative control)"}),
     ], ("weight", True), ()),
     "wreath": ("limit instance and wreath construction checks", run_wreath, [
         "--n", ("--r", {"type": gl_rank}),

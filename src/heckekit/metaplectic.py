@@ -198,22 +198,29 @@ def c_factor(datum: MetaplecticDatum, i: int) -> RF:
     return c_function(x)
 
 
-def _root_data(datum: MetaplecticDatum, i: int, mu: Sequence[int]) -> tuple[IntVec, int, int, int]:
-    """(alpha_i, n_alpha, Q(alpha_i), B(alpha_i, mu)); MetaplecticError unless Q(alpha_i) divides B(alpha_i, mu)."""
+def _checked_root(datum: MetaplecticDatum, i: int, b: int) -> tuple[IntVec, int, int]:
+    """(alpha_i, n_alpha, Q(alpha_i)); MetaplecticError unless Q(alpha_i) divides b = B(alpha_i, mu).
+
+    The tau and Chinta-Gunnells formulas divide b by Q(alpha_i).  A datum that
+    build_datum accepts always passes: W-invariance of B gives
+    b = Q(alpha_i) <alpha_i, mu> for every lattice weight mu.  The check stays
+    as the guard of those formulas.
+    """
     alpha = datum.cartan.simple_coroots[i]
     q = datum.q_value(alpha)
-    b = datum.bilinear(alpha, mu)
     if b % q:
-        raise MetaplecticError(f"Q(alpha) does not divide B(alpha, mu) for mu = {tuple(mu)}")
-    return alpha, datum.n_alpha(i), q, b
+        raise MetaplecticError(f"Q(alpha_{i + 1}) = {q} does not divide B(alpha_{i + 1}, mu) = {b}")
+    return alpha, datum.n_alpha(i), q
 
 
 def tau1(datum: MetaplecticDatum, i: int, mu: Sequence[int]) -> RF:
-    """tau^1_{mu,mu} = (1 - v) z^{(n_a ceil(B/(n_a Q)) - B/Q) alpha} / (1 - v z^{n_a alpha})."""
-    alpha, na, q, b = _root_data(datum, i, mu)
-    m = b // q
-    exponent = na * (-((-m) // na)) - m  # n_a ceil(m/n_a) - m = rem_{n_a}(-m)
-    num = (P.one() - v()) * coroot_monomial(alpha, exponent)
+    """tau^1_{mu,mu} = (1 - v) z^{(n_a ceil(B/(n_a Q)) - B/Q) alpha} / (1 - v z^{n_a alpha}).
+
+    The exponent n_a ceil(m/n_a) - m, m = B/Q, is rem_{n_a}(-m).
+    """
+    b = datum.bilinear(datum.cartan.simple_coroots[i], mu)
+    alpha, na, q = _checked_root(datum, i, b)
+    num = (P.one() - v()) * coroot_monomial(alpha, (-(b // q)) % na)
     den = P.one() - v() * coroot_monomial(alpha, na)
     return RF(num, (den,))
 
@@ -224,7 +231,8 @@ def tau2(datum: MetaplecticDatum, i: int, mu: Sequence[int]) -> tuple[int, RF]:
     The Gauss symbol is the normalized one (pairing u^2, zero -u^2): the
     q^{-1} prefactor of the classical unnormalized sum is absorbed into it.
     """
-    alpha, na, q, b = _root_data(datum, i, mu)
+    b = datum.bilinear(datum.cartan.simple_coroots[i], mu)
+    alpha, na, q = _checked_root(datum, i, b)
     target = tuple(a + e for a, e in zip(datum.group.simple(i).act(mu), alpha))
     g = gauss_symbol(b - q, datum.rules)
     num = g * coroot_monomial(alpha, -1) * (P.one() - coroot_monomial(alpha, na))
@@ -284,29 +292,14 @@ def metaplectic_schema_instance(datum: MetaplecticDatum) -> SchemaInstance:
 # -- Chinta-Gunnells action and metaplectic Demazure operators ----------------------
 
 
-def _coset_components(datum: MetaplecticDatum, f: LaurentPoly) -> dict[int, tuple[list[int], LaurentPoly]]:
-    """f split by coset index; each part comes with the z-exponents of its first term."""
-    dim = datum.cartan.dim
-    firsts: dict[int, list[int]] = {}
+def _cg_coefficient(datum: MetaplecticDatum, i: int, b: int) -> RF:
+    """The coefficient of s_i . (the terms z^mu of f with B(alpha_i, mu) = b) in c_s^(n)(z) (s_i . f).
 
-    def coset(exps: dict[str, int]) -> int:
-        vec = [exps.get(f"z{j + 1}", 0) for j in range(dim)]
-        idx = datum.coset_index(vec)
-        firsts.setdefault(idx, vec)
-        return idx
-
-    parts = f.split(coset)
-    return {idx: (firsts[idx], part) for idx, part in parts.items()}
-
-
-def _cg_coefficient(datum: MetaplecticDatum, i: int, mu: Sequence[int]) -> RF:
-    """The coefficient of s_i . (a part of f on the coset of mu) in c_s^(n)(z) (s_i . f).
-
-    With x = z^{n_alpha alpha}, rem = rem_{n_alpha}(-B(alpha, mu)/Q(alpha)) and g
-    the Gauss symbol of index B - Q, it is (z^{-rem alpha} (1 - v) - g z^{(1 - n_alpha)
+    With x = z^{n_alpha alpha}, rem = rem_{n_alpha}(-b/Q(alpha)) and g the
+    Gauss symbol of index b - Q, it is (z^{-rem alpha} (1 - v) - g z^{(1 - n_alpha)
     alpha} (1 - x)) / (1 - x), over the normal form of 1 - x; built once per (i, rem, index).
     """
-    alpha, na, q, b = _root_data(datum, i, mu)
+    alpha, na, q = _checked_root(datum, i, b)
     rem = (-(b // q)) % na
     key = ("cg", i, rem, (b - q) % datum.n)
     if key not in datum._scalars:
@@ -320,21 +313,25 @@ def _cg_coefficient(datum: MetaplecticDatum, i: int, mu: Sequence[int]) -> RF:
 
 
 def cg_scaled(datum: MetaplecticDatum, i: int, f: LaurentPoly) -> RF:
-    """c_s^(n)(z) * (s_i . f) for f supported on a single coset (additive otherwise).
+    """c_s^(n)(z) * (s_i . f), the Chinta-Gunnells action scaled by c_s^(n).
 
-    Every coset part of f contributes _cg_coefficient(...).num * (s_i . part);
-    the coefficients share d_scaled's one denominator factor, so the sum is
-    one polynomial over it.
+    The coefficient of a term z^mu reads mu only through b = B(alpha_i, mu),
+    the row B alpha_i dotted with the z-exponents, so f splits by b: each
+    part contributes _cg_coefficient(b).num * (s_i . part), and the
+    coefficients share d_scaled's one denominator factor, so the sum is one
+    polynomial over it.
     """
     s = datum.group.simple(i)
+    row = [(f"z{j + 1}", x) for j, x in enumerate(mat_vec(datum.B, datum.cartan.simple_coroots[i])) if x]
+    parts = f.split(lambda exps: sum(x * exps.get(name, 0) for name, x in row))
     total = P.zero()
-    for mu, part in _coset_components(datum, f).values():
-        total = total + _cg_coefficient(datum, i, mu).num * datum.group.act_fn(s, part)
+    for b, part in parts.items():
+        total = total + _cg_coefficient(datum, i, b).num * datum.group.act_fn(s, part)
     return RF(total, d_scaled(datum, i).den)
 
 
 def cg_action(datum: MetaplecticDatum, i: int, f: LaurentPoly) -> RF:
-    """The Chinta-Gunnells action s_i . f (coset-wise, representative independent)."""
+    """The Chinta-Gunnells action s_i . f (representative independent)."""
     return cg_scaled(datum, i, f) / c_factor(datum, i)
 
 

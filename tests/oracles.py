@@ -3,7 +3,8 @@
 None of these is part of the production path; the tests compare them with
 it (the rational Weyl sum with the Weyl character, the exactly inverted
 R-matrix with the closed form, the coset aggregate with the Demazure sum,
-the rational metaplectic Demazure formula with the polynomial step),
+the rational metaplectic Demazure formula with the polynomial step, the
+coset-wise Chinta-Gunnells sum with the split by pairing),
 or use them to state a property (evaluation at a point, substitution of
 monomials, Bruhat order, T_w of a block module, the braid constraint of a
 free-symbol instance on one rank-2 coset).  Each is written over the
@@ -16,7 +17,7 @@ from fractions import Fraction
 from functools import cache
 from typing import Iterable, Mapping, Sequence
 
-from heckekit.algebra import GaussRules, LaurentPoly, RationalFunction
+from heckekit.algebra import GaussRules, LaurentPoly, RationalFunction, gauss_symbol, v
 from heckekit.linalg import mat_inverse
 from heckekit.metaplectic import MetaplecticDatum, cg_scaled, d_scaled, met_demazure_act, whittaker_value
 from heckekit.relations import applied
@@ -93,6 +94,37 @@ def met_demazure_rational(datum: MetaplecticDatum, i: int, f: LaurentPoly) -> RF
     """T_i f = D_i^(n)(z) f - z^{n_alpha alpha} c_s^(n)(z) (s_i . f) in rational functions; equals met_demazure."""
     alpha_power = RF.from_poly(coroot_monomial(datum.cartan.simple_coroots[i], datum.n_alpha(i)))
     return d_scaled(datum, i) * RF.from_poly(f) - alpha_power * cg_scaled(datum, i, f)
+
+
+def cg_scaled_by_coset(datum: MetaplecticDatum, i: int, f: LaurentPoly) -> RF:
+    """c_s^(n)(z) (s_i . f) coset by coset, as Chinta and Gunnells state the action; equals cg_scaled.
+
+    f splits by the coset of L/L^(n) of each term.  The part on the coset of
+    mu (its first term) contributes (z^{-rem alpha} (1 - v) - g z^{(1 - n_a)
+    alpha} (1 - x)) / (1 - x) times s_i . part, with x = z^{n_a alpha}, m =
+    B(alpha, mu)/Q(alpha), rem = n_a ceil(m/n_a) - m and g the Gauss symbol
+    of index B(alpha, mu) - Q(alpha).
+    """
+    alpha, na = datum.cartan.simple_coroots[i], datum.n_alpha(i)
+    q, z, s = datum.q_value(alpha), coroot_monomial(alpha), datum.group.simple(i)
+    one_minus_x = P.one() - z ** na
+    firsts: dict[int, list[int]] = {}
+
+    def coset(exps: dict[str, int]) -> int:
+        mu = [exps.get(f"z{j + 1}", 0) for j in range(datum.cartan.dim)]
+        idx = datum.coset_index(mu)
+        firsts.setdefault(idx, mu)
+        return idx
+
+    total = RF.zero()
+    for idx, part in f.split(coset).items():
+        b = datum.bilinear(alpha, firsts[idx])
+        m = b // q
+        assert m * q == b, (i, firsts[idx])
+        rem = na * -(-m // na) - m
+        num = z ** (-rem) * (P.one() - v()) - gauss_symbol(b - q, datum.rules) * z ** (1 - na) * one_minus_x
+        total = total + RF(num, (one_minus_x,)) * RF.from_poly(datum.group.act_fn(s, part))
+    return total
 
 
 def whittaker_aggregate(datum: MetaplecticDatum, lam: Sequence[int]) -> LaurentPoly:

@@ -7,6 +7,7 @@ import pytest
 from jsonschema import validate
 
 from heckekit.cli import build_parser, main
+from heckekit.metaplectic import whittaker_value
 from heckekit.reports import Report
 
 SCHEMA_PATH = "src/heckekit/report.schema.json"
@@ -80,8 +81,14 @@ def test_metaplectic_table(capsys):
     assert "aggregate" in out
 
 
-def test_metaplectic_mismatch_injection(capsys):
-    code, out = run(capsys, "metaplectic", "--r", "2", "--n", "1", "--weight", "(1,0)", "--inject-mismatch")
+def _first_value_off_by_one(datum, lam):
+    values = whittaker_value(datum, lam)
+    return [values[0] + 1, *values[1:]]
+
+
+def test_metaplectic_mismatch_injection(capsys, monkeypatch):
+    monkeypatch.setattr("heckekit.cli.whittaker_value", _first_value_off_by_one)
+    code, out = run(capsys, "metaplectic", "--r", "2", "--n", "1", "--weight", "(1,0)")
     assert code == 1
     assert "FAIL" in out
 
@@ -106,8 +113,9 @@ def test_json_report_round_trip_and_schema(capsys):
     assert json.loads(report.to_json()) == payload
 
 
-def test_json_failure_contains_localized_entry(capsys):
-    code, out = run(capsys, "--json", "metaplectic", "--r", "2", "--n", "1", "--inject-mismatch")
+def test_json_failure_contains_localized_entry(capsys, monkeypatch):
+    monkeypatch.setattr("heckekit.cli.whittaker_value", _first_value_off_by_one)
+    code, out = run(capsys, "--json", "metaplectic", "--r", "2", "--n", "1")
     assert code == 1
     payload = json.loads(out)
     validate(payload, json.load(open(SCHEMA_PATH)))
@@ -163,6 +171,7 @@ def test_json_is_one_document(capsys, argv):
          "--instance metaplectic has no G2 covers yet"),
         (["cs", "--weight", ""], "argument --weight: empty weight"),
         (["cs", "--weight", "(a,b)"], "argument --weight: bad weight '(a,b)'"),
+        (["metaplectic", "--r", "2", "--n", "2", "--inject-mismatch"], "unrecognized arguments: --inject-mismatch"),
     ],
     ids=[
         "unknown-type", "form-not-dot", "rmatrix-non-A", "cs-weight-length", "bernstein-length",
@@ -170,6 +179,7 @@ def test_json_is_one_document(capsys, argv):
         "metaplectic-r-7", "metaplectic-r-1", "wreath-r-7", "rmatrix-n-0",
         "rmatrix-schema-r-1", "rmatrix-schema-power", "verify-rmatrix-power", "rmatrix-n-5",
         "metaplectic-g2", "metaplectic-g2-n-1", "cs-weight-empty", "cs-weight-not-integers",
+        "metaplectic-inject-mismatch",
     ],
 )
 def test_bad_input_is_a_usage_error(capsys, argv, message):
@@ -219,7 +229,6 @@ PARSER_SURFACE = {
         ("--n", 2, None, False, "Store", "positive_int"),
         ("--B", "dot", ["dot"], False, "Store", None),
         ("--weight", None, None, False, "Store", "_parse_weight"),
-        ("--inject-mismatch", False, None, False, "StoreTrue", None),
     ],
     "wreath": [
         ("--n", 2, None, False, "Store", "positive_int"),

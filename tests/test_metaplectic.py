@@ -23,10 +23,12 @@ from heckekit.metaplectic import (
     build_datum,
     c_factor,
     cg_action,
+    cg_scaled,
     check_met_demazure_match,
     check_met_demazure_relations,
     check_representative_independence,
     met_demazure,
+    met_demazure_act,
     metaplectic_schema_instance,
     scattering_block,
     tau1,
@@ -39,7 +41,15 @@ from heckekit.rmatrix import tensor_schema_instance
 from heckekit.roots import build_cartan, coroot_monomial, weight_monomial, weyl_group
 from heckekit.schema import BlockOperator, build_T, check_bernstein, check_composition, check_quadratic, verify_instance
 from heckekit.whittaker import apply_demazure, check_cs, cs_rhs, demazure_variant, whittaker_schema_instance
-from oracles import conjugate_gauss, met_demazure_rational, met_demazure_word, rem_identity_check, substitute, whittaker_aggregate
+from oracles import (
+    cg_scaled_by_coset,
+    conjugate_gauss,
+    met_demazure_rational,
+    met_demazure_word,
+    rem_identity_check,
+    substitute,
+    whittaker_aggregate,
+)
 
 P = LaurentPoly
 RF = RationalFunction
@@ -122,14 +132,22 @@ def test_tau1_n1_specialization():
     )
 
 
-def test_scattering_n1_is_whittaker_entry():
-    d = build_datum("A1", 1)
-    block = scattering_block(d, 0)
+EVERY_TYPE = ["A1", "A2", "A3", "A4", "B2", "C2", "G2"]
+
+
+def _weight_box(cartan):
+    """The lattice weights of [-1, 1]^d."""
+    return [mu for mu in iproduct(range(-1, 2), repeat=cartan.dim) if cartan.in_lattice(mu)]
+
+
+@pytest.mark.parametrize("cartan_type", EVERY_TYPE)
+def test_scattering_n1_is_whittaker_entry(cartan_type):
+    d = build_datum(cartan_type, 1)
+    inst = metaplectic_schema_instance(d)
     winst = whittaker_schema_instance(d.cartan, d.group)
-    expected = winst.A(d.group.identity, 0)[0][0]
-    assert block[0][0] == RF(
-        expected.num.with_rules(d.rules), tuple(f.with_rules(d.rules) for f in expected.den)
-    )
+    for w in d.group:
+        for i in range(d.cartan.rank):
+            assert inst.A(w, i) == winst.A(w, i), (w.name(), i)
 
 
 def test_scattering_sparsity(gl2_n2):
@@ -237,15 +255,14 @@ def test_representative_independence(gl2_n2):
         assert check_representative_independence(gl2_n2, 0, mu).passed
 
 
-def test_met_demazure_n1_reduces_to_plain_whittaker():
-    d = build_datum("A1", 1)
-    cartan = d.cartan
-    var = demazure_variant("whittaker", cartan, d.group, modified=False)
-    for mu in [(1, 0), (0, 2), (-1, 1)]:
-        f = weight_monomial(mu)
-        got = met_demazure(d, 0, f)
-        expected = apply_demazure(var, 0, weight_monomial(mu))
-        assert got == expected.with_rules(d.rules)
+@pytest.mark.parametrize("cartan_type", EVERY_TYPE)
+def test_met_demazure_n1_reduces_to_plain_whittaker(cartan_type):
+    d = build_datum(cartan_type, 1)
+    var = demazure_variant("whittaker", d.cartan, d.group, modified=False)
+    weights = _weight_box(d.cartan) + ([(0, 2)] if cartan_type == "A1" else [])
+    for mu in weights:
+        for i in range(d.cartan.rank):
+            assert met_demazure(d, i, weight_monomial(mu)) == apply_demazure(var, i, weight_monomial(mu)), (mu, i)
 
 
 def test_met_demazure_antispherical_n1():
@@ -373,6 +390,48 @@ def test_whittaker_n1_matches_cs_under_inversion():
 def test_rmatrix_dictionary():
     for (r, n) in [(2, 1), (2, 2), (2, 3), (3, 2)]:
         assert rmatrix_dictionary_check(r, n).passed
+
+
+# the covers on which the split by pairing is checked against the coset-wise sum: the dot form at
+# n = 2..4, and twice the dot form, whose Gauss indices B - Q differ, at n = 4
+CG_COVERS = [(t, n, "dot") for t in ("A1", "A2", "A3", "B2", "C2") for n in (2, 3, 4)] + [
+    ("A2", 4, "2dot"), ("C2", 4, "2dot")]
+
+
+def _cover(cartan_type, n, form):
+    if form == "dot":
+        return build_datum(cartan_type, n)
+    dim = build_cartan(cartan_type).dim
+    return build_datum(cartan_type, n, tuple(tuple(2 * (r == c) for c in range(dim)) for r in range(dim)))
+
+
+@pytest.mark.parametrize("cartan_type, n, form", CG_COVERS)
+def test_cg_scaled_equals_the_coset_wise_sum(cartan_type, n, form):
+    d = _cover(cartan_type, n, form)
+    box = _weight_box(d.cartan)
+    monomials = [weight_monomial(mu) for mu in box]
+    words = [w.word for w in d.group if 2 <= w.length <= 3]
+    spread = [sum(monomials, P.zero())] + [met_demazure_act(d, f)(word) for f in monomials[:2] for word in words]
+    for f in monomials + spread:
+        for i in range(d.cartan.rank):
+            assert cg_scaled(d, i, f) == cg_scaled_by_coset(d, i, f), (f.render(), i)
+    assert len({d.coset_index(mu) for mu in box}) > 1  # spread[0] meets several cosets
+
+
+@pytest.mark.parametrize("cartan_type, n, form", CG_COVERS)
+def test_pairing_is_q_times_the_cartan_pairing(cartan_type, n, form):
+    d = _cover(cartan_type, n, form)
+    for mu in _weight_box(d.cartan):
+        for i, alpha in enumerate(d.cartan.simple_coroots):
+            assert d.bilinear(alpha, mu) == d.q_value(alpha) * d.cartan.pairing_int(i, mu)
+
+
+def test_q_not_dividing_the_pairing_names_the_root_and_b():
+    d = build_datum("G2", 1)  # (1, 0, 0) is off the G2 lattice: B(alpha_2, mu) = 1, Q(alpha_2) = 3
+    for probe in (lambda: tau1(d, 1, (1, 0, 0)), lambda: tau2(d, 1, (1, 0, 0)),
+                  lambda: cg_scaled(d, 1, weight_monomial((1, 0, 0)))):
+        with pytest.raises(MetaplecticError, match=re.escape("Q(alpha_2) = 3 does not divide B(alpha_2, mu) = 1")):
+            probe()
 
 
 def test_rem_identity():
