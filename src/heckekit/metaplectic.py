@@ -11,11 +11,14 @@ y = V'^-1 mu.  The origin is rho for the GL dot-product case, where V' is
 the identity and the representatives are rho + [0, n)^r, and 0 otherwise.
 All of it is integer arithmetic on integer rows; U is never formed.
 
-The scattering matrix assembles tau^1/tau^2 into the k x k block Hecke
-action; Gauss sums stay formal symbols with the pairing g_a g_{-a} = u^2 and
-g_0 = -u^2 (the normalized sums; classical unnormalized sums satisfy
-g(a) g(-a) = q and rescale by q^{-1} into these symbols).  The Chinta-Gunnells action and the metaplectic
-Demazure operators use the same symbols; the Gauss index is
+The scattering block is the k x k block Hecke action, built from the
+paper's coefficients times c_s, each written as the value it reduces to:
+c_s tau^1 = (1 - v) z^{rem alpha}/(1 - z^{n_alpha alpha}) and
+c_s tau^2 = g_a z^{-alpha}, so its entries are in lowest terms.  Gauss sums
+stay formal symbols with the pairing g_a g_{-a} = u^2 and g_0 = -u^2 (the
+normalized sums; classical unnormalized sums satisfy g(a) g(-a) = q and
+rescale by q^{-1} into these symbols).  The Chinta-Gunnells action and the
+metaplectic Demazure operators use the same symbols; the Gauss index is
 B - Q, the convention under which the block action and the Demazure
 operators agree exactly.
 """
@@ -198,46 +201,23 @@ def c_factor(datum: MetaplecticDatum, i: int) -> RF:
     return c_function(x)
 
 
-def _checked_root(datum: MetaplecticDatum, i: int, b: int) -> tuple[IntVec, int, int]:
-    """(alpha_i, n_alpha, Q(alpha_i)); MetaplecticError unless Q(alpha_i) divides b = B(alpha_i, mu).
+def _root_residues(datum: MetaplecticDatum, i: int, b: int) -> tuple[IntVec, int, int, int]:
+    """(alpha_i, n_alpha, rem, a) for b = B(alpha_i, mu).
 
-    The tau and Chinta-Gunnells formulas divide b by Q(alpha_i).  A datum that
-    build_datum accepts always passes: W-invariance of B gives
-    b = Q(alpha_i) <alpha_i, mu> for every lattice weight mu.  The check stays
-    as the guard of those formulas.
+    rem = rem_{n_alpha}(-b/Q(alpha_i)) is the exponent of z^alpha in the
+    diagonal scattering entry and the Chinta-Gunnells coefficient, and
+    a = (b - Q(alpha_i)) mod n the index of their Gauss symbol.
+    MetaplecticError unless Q(alpha_i) divides b: both formulas divide b by
+    it.  A datum that build_datum accepts always passes: W-invariance of B
+    gives b = Q(alpha_i) <alpha_i, mu> for every lattice weight mu.  The
+    check stays as the guard of those formulas.
     """
     alpha = datum.cartan.simple_coroots[i]
     q = datum.q_value(alpha)
     if b % q:
         raise MetaplecticError(f"Q(alpha_{i + 1}) = {q} does not divide B(alpha_{i + 1}, mu) = {b}")
-    return alpha, datum.n_alpha(i), q
-
-
-def tau1(datum: MetaplecticDatum, i: int, mu: Sequence[int]) -> RF:
-    """tau^1_{mu,mu} = (1 - v) z^{(n_a ceil(B/(n_a Q)) - B/Q) alpha} / (1 - v z^{n_a alpha}).
-
-    The exponent n_a ceil(m/n_a) - m, m = B/Q, is rem_{n_a}(-m).
-    """
-    b = datum.bilinear(datum.cartan.simple_coroots[i], mu)
-    alpha, na, q = _checked_root(datum, i, b)
-    num = (P.one() - v()) * coroot_monomial(alpha, (-(b // q)) % na)
-    den = P.one() - v() * coroot_monomial(alpha, na)
-    return RF(num, (den,))
-
-
-def tau2(datum: MetaplecticDatum, i: int, mu: Sequence[int]) -> tuple[int, RF]:
-    """(target coset index of s(mu) + alpha, tau^2 coefficient).
-
-    The Gauss symbol is the normalized one (pairing u^2, zero -u^2): the
-    q^{-1} prefactor of the classical unnormalized sum is absorbed into it.
-    """
-    b = datum.bilinear(datum.cartan.simple_coroots[i], mu)
-    alpha, na, q = _checked_root(datum, i, b)
-    target = tuple(a + e for a, e in zip(datum.group.simple(i).act(mu), alpha))
-    g = gauss_symbol(b - q, datum.rules)
-    num = g * coroot_monomial(alpha, -1) * (P.one() - coroot_monomial(alpha, na))
-    den = P.one() - v() * coroot_monomial(alpha, na)
-    return datum.coset_index(target), RF(num, (den,))
+    na = datum.n_alpha(i)
+    return alpha, na, (-(b // q)) % na, (b - q) % datum.n
 
 
 def scattering_block(
@@ -246,32 +226,40 @@ def scattering_block(
     normalized: bool = True,
     perturb: str | None = None,
 ) -> Matrix:
-    """The k x k block of the Whittaker scattering for s_i, as z-functions.
+    """The k x k block of the Whittaker scattering for s_i, as z-functions, entries in lowest terms.
 
-    normalized=True uses the z^mu-twisted functional basis;
+    Column mu holds c_s tau^1 and c_s tau^2, the paper's coefficients times
+    c_s^(n)(z) = (1 - v x)/(1 - x), x = z^{n_alpha alpha}, written as the
+    values they reduce to (the (1 - v x) of c_s cancels both denominators):
+    c_s tau^1 = (1 - v) z^{rem alpha}/(1 - x) on the diagonal and c_s tau^2 =
+    g_a z^{-alpha} at the coset of s_i(mu) + alpha, with rem and a from
+    _root_residues.  normalized=True uses the z^mu-twisted functional basis;
     normalized=False the plain functionals, the form matched by the
     R-matrix dictionary.  The two are conjugate by diag(z^nu).
-    perturb "tau1" or "tau2" doubles that coefficient (negative control); any other but None raises ValueError.
+    perturb "tau1" or "tau2" doubles that entry, c_s tau^1 or c_s tau^2
+    (negative control); any other but None raises ValueError.
     """
     if perturb not in (None, "tau1", "tau2"):
         raise ValueError(f"perturb must be None, 'tau1' or 'tau2', not {perturb!r}")
     k = datum.k
-    c = c_factor(datum, i)
+    alpha = datum.cartan.simple_coroots[i]
+    one_minus_x = P.one() - coroot_monomial(alpha, datum.n_alpha(i))
     entries: dict[tuple[int, int], RF] = {}
     s = datum.group.simple(i)
     for col, mu in enumerate(datum.coset_reps):
-        t1 = c * tau1(datum, i, mu)
-        target, t2v = tau2(datum, i, mu)
-        t2v = c * t2v
+        _, _, rem, a = _root_residues(datum, i, datum.bilinear(alpha, mu))
+        t1 = RF((P.one() - v()) * coroot_monomial(alpha, rem), (one_minus_x,))
+        t2v = RF.from_poly(gauss_symbol(a, datum.rules) * coroot_monomial(alpha, -1))
+        target = datum.coset_index(tuple(x + e for x, e in zip(s.act(mu), alpha)))
         if perturb == "tau1":
             t1 = 2 * t1
         elif perturb == "tau2":
             t2v = 2 * t2v
         if not normalized:
             # b_plain[nu][mu] = z^{mu - s(nu)} b_norm[nu][mu]
-            t1 = weight_monomial(tuple(a - b for a, b in zip(mu, s.act(mu)))) * t1
+            t1 = weight_monomial(tuple(x - y for x, y in zip(mu, s.act(mu)))) * t1
             nu = datum.coset_reps[target]
-            t2v = weight_monomial(tuple(a - b for a, b in zip(mu, s.act(nu)))) * t2v
+            t2v = weight_monomial(tuple(x - y for x, y in zip(mu, s.act(nu)))) * t2v
         entries[(col, col)] = t1
         entries[(target, col)] = t1 + t2v if target == col else t2v
     return Matrix((k, k), entries)
@@ -280,7 +268,7 @@ def scattering_block(
 def metaplectic_schema_instance(datum: MetaplecticDatum) -> SchemaInstance:
     """The block Hecke action on Whittaker functionals: scattering_block carried to wz; root_scale = n_alpha.
 
-    tau^1 and tau^2 depend on mu only through residues mod n, so a k x k
+    The entries depend on mu only through residues mod n, so a k x k
     block holds a handful of distinct values, and transported_instance maps
     each of them once per w.
     """
@@ -299,13 +287,12 @@ def _cg_coefficient(datum: MetaplecticDatum, i: int, b: int) -> RF:
     Gauss symbol of index b - Q, it is (z^{-rem alpha} (1 - v) - g z^{(1 - n_alpha)
     alpha} (1 - x)) / (1 - x), over the normal form of 1 - x; built once per (i, rem, index).
     """
-    alpha, na, q = _checked_root(datum, i, b)
-    rem = (-(b // q)) % na
-    key = ("cg", i, rem, (b - q) % datum.n)
+    alpha, na, rem, a = _root_residues(datum, i, b)
+    key = ("cg", i, rem, a)
     if key not in datum._scalars:
         z = coroot_monomial(alpha)
         one_minus_x = P.one() - z ** na
-        num = z ** (-rem) * (P.one() - v()) - gauss_symbol(b - q, datum.rules) * z ** (1 - na) * one_minus_x
+        num = z ** (-rem) * (P.one() - v()) - gauss_symbol(a, datum.rules) * z ** (1 - na) * one_minus_x
         coeff = datum._scalars[key] = RF(num, (one_minus_x,))
         if coeff.den != d_scaled(datum, i).den:  # cg_scaled and met_demazure rely on it
             raise AssertionError(f"the coefficients of T_{i + 1} have different denominators")

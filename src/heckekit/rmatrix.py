@@ -25,7 +25,7 @@ from .linalg import Matrix, identity_matrix, mat_inverse, nullspace
 from .reports import Report
 from .roots import WeylGroup, build_cartan, coroot_monomial
 from .relations import braid, first_failing, hecke_relations, products, quadratic, verdict
-from .schema import BlockOperator, SchemaInstance, c_function, identity_operator, transported_instance
+from .schema import BlockOperator, SchemaInstance, identity_operator, transported_instance
 
 P = LaurentPoly
 RF = RationalFunction
@@ -154,18 +154,21 @@ def r_affine(spec: RMatrixSpec, x: LaurentPoly) -> TensorOperator:
     return TensorOperator((n * n, n * n), entries)
 
 
+def _transposed_gauss_spec(n: int) -> RMatrixSpec:
+    """The Gauss twist gamma_ab = -g(b - a)/u, the transpose of gauss_gamma_spec(n)."""
+    gauss = gauss_gamma_spec(n).gamma
+    return _twist(n, lambda a, b: gauss[b][a])
+
+
 def r_tilde(n: int, x: LaurentPoly, rules: GaussRules | None = None) -> TensorOperator:
     """The Gauss-sum normalized family: triangular with tau R(x) tau R(x^{-1}) = I.
 
-    It is -u/(1 - v x) times r_affine(spec, x), where spec is the Gauss twist
-    gamma_ab = -g(b - a)/u, the transpose of gauss_gamma_spec(n).  The Gauss
-    sums have modulus n; rules, if given, must be GaussRules.standard(n).
+    It is -u/(1 - v x) times r_affine(_transposed_gauss_spec(n), x).  The
+    Gauss sums have modulus n; rules, if given, must be GaussRules.standard(n).
     """
     if rules is not None and rules != GaussRules.standard(n):
         raise ValueError("Gauss modulus must equal the dimension n")
-    gauss = gauss_gamma_spec(n).gamma
-    spec = _twist(n, lambda a, b: gauss[b][a])
-    return RF(-u(), (P.one() - v() * x,)) * r_affine(spec, x)
+    return RF(-u(), (P.one() - v() * x,)) * r_affine(_transposed_gauss_spec(n), x)
 
 
 # -- verifiers --------------------------------------------------------------------
@@ -241,27 +244,26 @@ def doubler_scalar() -> RF:
 def tensor_block(n: int, r: int, twist: str = "none", power: int = 1) -> list[TensorOperator]:
     """The identity blocks A(e, i) of the tensor instance, one per i, with X = z^{power alpha_i}.
 
-    twist = "none": u/(1 - X) (tau R(X))_{i,i+1}.
-    twist = "gauss": the Gauss-sum table; with power = n the block is
-    (1 - v X)/(1 - X) (tau r_tilde(X))_{i,i+1}, which is the metaplectic
-    dictionary's shape.
+    Each is sign u/(1 - X) (tau r_affine(spec, X))_{i,i+1}, entries over the
+    one factor 1 - X.  twist = "none": sign 1, the untwisted table.
+    twist = "gauss" at power 1: sign 1, the Gauss-sum table.  twist = "gauss"
+    at power n: sign -1 and the transposed Gauss table; that is the value of
+    (1 - v X)/(1 - X) (tau r_tilde(X))_{i,i+1}, the metaplectic dictionary's
+    shape, since r_tilde(X) = -u/(1 - v X) r_affine(transposed table, X).
     """
     if twist not in ("none", "gauss"):
         raise ValueError("twist must be 'none' or 'gauss'")
     if power not in (1, n):
         raise ValueError("power must be 1 or n")
-    spec = gauss_gamma_spec(n) if twist == "gauss" else untwisted_spec(n)
+    if twist == "gauss" and power == n:
+        spec, sign = _transposed_gauss_spec(n), -1
+    else:
+        spec, sign = (gauss_gamma_spec(n) if twist == "gauss" else untwisted_spec(n)), 1
     tau = tau_operator(n)
     blocks = []
     for i, alpha in enumerate(build_cartan(f"A{r - 1}").simple_coroots):
         x = coroot_monomial(alpha, power)
-        if twist == "gauss" and power == n:
-            local = tau.compose(r_tilde(n, x))
-            prefactor = c_function(x)
-        else:
-            local = tau.compose(r_affine(spec, x))
-            prefactor = RF(u(), (P.one() - x,))
-        blocks.append(prefactor * local.embed((i, i + 1), r))
+        blocks.append(RF(sign * u(), (P.one() - x,)) * tau.compose(r_affine(spec, x)).embed((i, i + 1), r))
     return blocks
 
 

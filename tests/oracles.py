@@ -4,7 +4,8 @@ None of these is part of the production path; the tests compare them with
 it (the rational Weyl sum with the Weyl character, the exactly inverted
 R-matrix with the closed form, the coset aggregate with the Demazure sum,
 the rational metaplectic Demazure formula with the polynomial step, the
-coset-wise Chinta-Gunnells sum with the split by pairing),
+coset-wise Chinta-Gunnells sum with the split by pairing, the paper's
+scattering coefficients tau^1 and tau^2 with the closed-form block),
 or use them to state a property (evaluation at a point, substitution of
 monomials, Bruhat order, T_w of a block module, the braid constraint of a
 free-symbol instance on one rank-2 coset).  Each is written over the
@@ -94,6 +95,34 @@ def met_demazure_rational(datum: MetaplecticDatum, i: int, f: LaurentPoly) -> RF
     """T_i f = D_i^(n)(z) f - z^{n_alpha alpha} c_s^(n)(z) (s_i . f) in rational functions; equals met_demazure."""
     alpha_power = RF.from_poly(coroot_monomial(datum.cartan.simple_coroots[i], datum.n_alpha(i)))
     return d_scaled(datum, i) * RF.from_poly(f) - alpha_power * cg_scaled(datum, i, f)
+
+
+def tau1(datum: MetaplecticDatum, i: int, mu: Sequence[int]) -> RF:
+    """The paper's tau^1_{mu,mu} = (1 - v) z^{(n_a ceil(m/n_a) - m) alpha} / (1 - v x).
+
+    x = z^{n_a alpha}, m = B(alpha, mu)/Q(alpha); c_s^(n)(z) tau^1 is the
+    diagonal entry of scattering_block's column mu.
+    """
+    alpha, na = datum.cartan.simple_coroots[i], datum.n_alpha(i)
+    b, q = datum.bilinear(alpha, mu), datum.q_value(alpha)
+    m = b // q
+    assert m * q == b, (i, mu)
+    num = (P.one() - v()) * coroot_monomial(alpha, na * -(-m // na) - m)
+    return RF(num, (P.one() - v() * coroot_monomial(alpha, na),))
+
+
+def tau2(datum: MetaplecticDatum, i: int, mu: Sequence[int]) -> tuple[int, RF]:
+    """(coset index of s_i(mu) + alpha, the paper's tau^2 = g z^{-alpha} (1 - x) / (1 - v x)).
+
+    x = z^{n_a alpha} and g is the normalized Gauss symbol of index
+    B(alpha, mu) - Q(alpha); c_s^(n)(z) tau^2 is the entry of scattering_block's
+    column mu at that coset.
+    """
+    alpha, na = datum.cartan.simple_coroots[i], datum.n_alpha(i)
+    target = tuple(a + e for a, e in zip(datum.group.simple(i).act(mu), alpha))
+    g = gauss_symbol(datum.bilinear(alpha, mu) - datum.q_value(alpha), datum.rules)
+    x = coroot_monomial(alpha, na)
+    return datum.coset_index(target), RF(g * coroot_monomial(alpha, -1) * (P.one() - x), (P.one() - v() * x,))
 
 
 def cg_scaled_by_coset(datum: MetaplecticDatum, i: int, f: LaurentPoly) -> RF:

@@ -11,7 +11,9 @@ from hypothesis import given, settings, strategies as st
 from heckekit.algebra import (
     GaussRules,
     LaurentPoly,
+    NotDivisible,
     RationalFunction,
+    exact_divide,
     gauss_symbol,
     v,
 )
@@ -31,15 +33,21 @@ from heckekit.metaplectic import (
     met_demazure_act,
     metaplectic_schema_instance,
     scattering_block,
-    tau1,
-    tau2,
     whittaker_base,
     whittaker_value,
 )
 from heckekit.reports import Report
-from heckekit.rmatrix import tensor_schema_instance
+from heckekit.rmatrix import tensor_block, tensor_schema_instance
 from heckekit.roots import build_cartan, coroot_monomial, weight_monomial, weyl_group
-from heckekit.schema import BlockOperator, build_T, check_bernstein, check_composition, check_quadratic, verify_instance
+from heckekit.schema import (
+    BlockOperator,
+    build_T,
+    check_bernstein,
+    check_composition,
+    check_quadratic,
+    check_spherical_idempotent,
+    verify_instance,
+)
 from heckekit.whittaker import apply_demazure, check_cs, cs_rhs, demazure_variant, whittaker_schema_instance
 from oracles import (
     cg_scaled_by_coset,
@@ -48,6 +56,8 @@ from oracles import (
     met_demazure_word,
     rem_identity_check,
     substitute,
+    tau1,
+    tau2,
     whittaker_aggregate,
 )
 
@@ -105,31 +115,57 @@ def test_c_factor_values(gl2_n2):
     assert c_factor(gl2_n2, 0) == RF(P.one(gl2_n2.rules) - v(gl2_n2.rules) * x2, (P.one(gl2_n2.rules) - x2,))
 
 
-def test_tau1_values(gl2_n2):
-    d = gl2_n2
-    rules = d.rules
-    alpha = d.cartan.simple_coroots[0]
-    den = P.one(rules) - v(rules) * coroot_monomial(alpha, 2)
-    # B(alpha, mu) = 0: exponent 0
-    assert tau1(d, 0, (1, 1)) == RF(P.one(rules) - v(rules), (den,))
-    # B(alpha, mu) = 1 (mu = rho): exponent rem_2(-1) = 1
-    assert tau1(d, 0, (1, 0)) == RF((P.one(rules) - v(rules)) * coroot_monomial(alpha, 1), (den,))
+SCATTERING_COVERS = [(t, n) for t in ("A1", "A2", "A3", "B2", "C2") for n in (1, 2, 3, 4)]
 
 
-def test_tau2_carries_gauss_symbol(gl2_n2):
-    d = gl2_n2
-    target, value = tau2(d, 0, (1, 1))  # B - Q = -1, index mod 2 = 1
-    assert target == d.coset_index((2, 0))
-    assert "g1" in value.num.symbols()
+@pytest.mark.parametrize("cartan_type, n", SCATTERING_COVERS)
+def test_scattering_columns_are_c_s_times_the_paper_coefficients(cartan_type, n):
+    """Column mu of scattering_block is c_s tau^1 on the diagonal plus c_s tau^2 at the coset of s_i(mu) + alpha."""
+    d = build_datum(cartan_type, n)
+    for i in range(d.cartan.rank):
+        c = c_factor(d, i)
+        columns: dict[int, dict[int, RF]] = {col: {} for col in range(d.k)}
+        for (row, col), x in scattering_block(d, i).entries.items():
+            columns[col][row] = x
+        for col, mu in enumerate(d.coset_reps):
+            target, t2 = tau2(d, i, mu)
+            expected = {col: c * tau1(d, i, mu)}
+            expected[target] = expected.get(target, RF.zero()) + c * t2
+            assert columns[col].keys() == expected.keys(), (i, mu)
+            assert all(columns[col][row] == x for row, x in expected.items()), (i, mu)
 
 
-def test_tau1_n1_specialization():
-    d = build_datum("A1", 1)
-    rules = d.rules
-    alpha = d.cartan.simple_coroots[0]
-    assert tau1(d, 0, (0, 0)) == RF(
-        P.one(rules) - v(rules), (P.one(rules) - v(rules) * coroot_monomial(alpha, 1),)
-    )
+def _reducible(x: RF) -> bool:
+    """True if some denominator factor of x exactly divides its numerator."""
+    for f in x.den:
+        try:
+            exact_divide(x.num, f)
+        except NotDivisible:
+            continue
+        return True
+    return False
+
+
+@pytest.mark.parametrize(
+    "cartan_type, n", [(t, n) for t in ("A1", "A2", "B2", "C2") for n in (1, 2, 3)] + [("A3", 2)]
+)
+def test_metaplectic_entries_are_in_lowest_terms(cartan_type, n):
+    inst = metaplectic_schema_instance(build_datum(cartan_type, n))
+    reducible = [
+        (w.name(), i + 1, key, x.render())
+        for (w, i), block in inst.a_matrices.items()
+        for key, x in block.entries.items()
+        if _reducible(x)
+    ]
+    assert not reducible
+
+
+@pytest.mark.parametrize("n, r", [(2, 2), (2, 3), (3, 3)])
+def test_gauss_tensor_entries_carry_only_one_minus_x(n, r):
+    """The Gauss blocks at power n keep no (1 - v X): every entry has the one factor 1 - X."""
+    for block in tensor_block(n, r, "gauss", n):
+        assert block.entries
+        assert all(len(x.den) == 1 for x in block.entries.values())
 
 
 EVERY_TYPE = ["A1", "A2", "A3", "A4", "B2", "C2", "G2"]
@@ -428,10 +464,8 @@ def test_pairing_is_q_times_the_cartan_pairing(cartan_type, n, form):
 
 def test_q_not_dividing_the_pairing_names_the_root_and_b():
     d = build_datum("G2", 1)  # (1, 0, 0) is off the G2 lattice: B(alpha_2, mu) = 1, Q(alpha_2) = 3
-    for probe in (lambda: tau1(d, 1, (1, 0, 0)), lambda: tau2(d, 1, (1, 0, 0)),
-                  lambda: cg_scaled(d, 1, weight_monomial((1, 0, 0)))):
-        with pytest.raises(MetaplecticError, match=re.escape("Q(alpha_2) = 3 does not divide B(alpha_2, mu) = 1")):
-            probe()
+    with pytest.raises(MetaplecticError, match=re.escape("Q(alpha_2) = 3 does not divide B(alpha_2, mu) = 1")):
+        cg_scaled(d, 1, weight_monomial((1, 0, 0)))
 
 
 def test_rem_identity():
@@ -523,6 +557,17 @@ def test_perturbed_dictionary_names_an_entry_by_coset_index(monkeypatch):
     check = rmatrix_dictionary_check(2, 2).checks[0]
     assert not check.passed
     assert check.lhs.startswith("entry (") and check.rhs
+
+
+def test_spherical_idempotent_on_the_degree_3_gl3_cover():
+    assert check_spherical_idempotent(metaplectic_schema_instance(build_datum("A2", 3))).passed
+
+
+def test_perturbed_spherical_idempotent_names_an_entry():
+    d = build_datum("A2", 2)
+    check = check_spherical_idempotent(metaplectic_schema_instance(d).perturbed(d.group.simple(0), 0)).checks[0]
+    assert not check.passed
+    assert check.lhs.startswith("block (e, e) entry (") and check.rhs
 
 
 def test_perturbed_metaplectic_composition_names_an_entry():
