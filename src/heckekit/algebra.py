@@ -54,6 +54,16 @@ terms give), so that associates (1 - x, x - 1, 2 - 2x, 1 - x^-1) are one
 factor and sums and equality share it.  :func:`_normal_factor` is the
 one place this is decided.
 
+Cancellation happens only by trial exact division of a numerator by a
+denominator factor (:func:`_cancel`, the one such routine): in
+:meth:`RationalFunction.cancelled`, and in every sum, which tries the
+factors both operands carry (a factor of one operand only cannot divide
+the sum of operands in lowest terms).  It keeps the value under every
+modulus: no stored factor is a zero divisor, as the constructor rejects
+those, so num/(f g) and (num/f)/g are one element even where the ring is
+no domain.  No gcd is ever computed, and equality stays cross
+multiplication.
+
 All values are immutable after construction and all operations are pure.
 """
 
@@ -71,7 +81,17 @@ Coeff = int | Fraction
 
 
 class NotDivisible(Exception):
-    """Raised by :func:`exact_divide` when the quotient is not a Laurent polynomial."""
+    """Raised by :func:`exact_divide` when the quotient is not a Laurent polynomial.
+
+    Its args are the dividend p and the divisor q, and it renders "(p) is
+    not divisible by (q)" only when it is shown: a trial division that fails
+    is caught far more often than it is read, and rendering a large p costs
+    more than the division.
+    """
+
+    def __str__(self) -> str:
+        p, q = self.args
+        return f"({p.render()}) is not divisible by ({q.render()})"
 
 
 def _gauss_index(name: str) -> int | None:
@@ -323,7 +343,7 @@ class _Terms(Mapping):
 class LaurentPoly:
     """Immutable exact Laurent polynomial with int (Fraction where needed) coefficients."""
 
-    __slots__ = ("_t", "rules", "_frac", "_hash", "_gauss")
+    __slots__ = ("_t", "rules", "_frac", "_hash", "_gauss", "_lone")
 
     def __init__(self, terms: Mapping[Monomial, Coeff | str] | None = None, rules: GaussRules | None = None):
         packed: dict[int, Coeff] = {}
@@ -346,6 +366,7 @@ class LaurentPoly:
         self._frac = frac
         self._hash = None
         self._gauss = None  # the Gauss lanes of the terms, once _gauss_lanes asks
+        self._lone = None  # a d along which a string has one term, once _divide_binomial finds one
         return self
 
     @property
@@ -622,13 +643,13 @@ def exact_divide(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
     divides by one) takes :func:`_divide_binomial`, linear in the number of
     terms, and the rest :func:`_divide_general`.
     """
-    if q.is_zero():
+    if not q._t:
         raise ZeroDivisionError("division by the zero polynomial")
-    p, q, rules = _common(p, q)
-    halves = _halves(q)
+    p, q, rules = (p, q, q.rules) if p.rules is q.rules else _common(p, q)
+    halves = _halves(q) if rules is not None else None
     if halves is not None:
         return _divide_split(p, q, halves)
-    if p.is_zero():
+    if not p._t:
         return LaurentPoly.zero(rules)
     if len(q._t) == 2:
         return _divide_binomial(p, q, rules)
@@ -638,40 +659,68 @@ def exact_divide(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
 def _divide_binomial(p: LaurentPoly, q: LaurentPoly, rules: GaussRules | None) -> LaurentPoly:
     """p / q for q = ca x^A + cb x^B, by synthetic division along the strings of d = A - B.
 
-    The monomials of p fall into strings base + k d: in one lane where d is
-    nonzero, k is the term's exponent divided by d's, rounded down, so base
-    is the same for every term of a string.  On each string q acts as the
+    The monomials of p fall into strings base + k d: in the lowest lane
+    where d is nonzero (q's terms ordered so that d's exponent e there is
+    positive), k is the term's biased exponent divided by e, rounded down,
+    so base is the same for every term of a string (biased, every lane lies
+    in [0, _HALF), so no lane borrows from the next, and the bias offsets
+    every k of a string alike).  On each string q acts as the
     univariate ca y + cb in y = x^d, so the quotient's coefficients follow
     from the top of the string down, r_{k-1} = (p_k - cb r_k) / ca, and p is
     divisible iff the last remainder p_kmin - cb r_kmin of every string is
-    zero.  No step looks for a leading term or rebuilds a remainder.
+    zero.  No step looks for a leading term or rebuilds a remainder.  A
+    string of one term is never zero at the root of ca y + cb, so p fails
+    before any arithmetic if it has one; most trial divisions that fail do.
+    A string of p spanning two places leaves the quotient a string of one
+    term, so the quotient keeps d (``_lone``) and a division of it along d
+    fails before grouping: a sum that has cancelled one copy of a repeated
+    factor tries the next copy that way.
 
     The quotient is normal: under even n q carries no g_{n/2} (exact_divide
     splits such divisors), so each string keeps the g_{n/2} of its base.
     """
     (a, ca), (b, cb) = q._t.items()
     d = a - b
-    lane, e = _unpack(d)[0]
-    shift = _WIDTH * lane
+    shift = ((d & -d).bit_length() - 1) // _WIDTH * _WIDTH  # d's lowest set bit lies in its lowest nonzero lane
+    if (d >> shift) & _HALF:
+        a, ca, b, cb, d = b, cb, a, ca, -d
+    if p._lone == d:
+        raise NotDivisible(p, q)
+    e = (d >> shift) & _LANE_MASK
+    bias, mask = _bias, _LANE_MASK
     strings: dict[int, dict[int, Coeff]] = {}
     for m, c in p._t.items():
-        # biased, every lane lies in [0, _HALF), so no lane borrows from the next
-        k = ((((m + _bias) >> shift) & _LANE_MASK) - _LIMIT) // e
-        strings.setdefault(m - k * d, {})[k] = c
+        k = (((m + bias) >> shift) & mask) // e
+        base = m - k * d
+        string = strings.get(base)
+        if string is None:
+            strings[base] = {k: c}
+        else:
+            string[k] = c
+    for string in strings.values():
+        if len(string) == 1:
+            raise NotDivisible(p, q)
+    unit = type(ca) is int and ca * ca == 1  # 1 / ca = ca
     quotient: dict[int, Coeff] = {}
-    frac = False
+    lone = False
     for base, string in strings.items():
         kmin, kmax = min(string), max(string)
+        lone = lone or kmax - kmin == 1
+        get = string.get
         r = 0
+        mono = base - b + kmax * d  # the quotient's monomial at k - 1 is mono - d
         for k in range(kmax, kmin, -1):
-            r = _div(string.get(k, 0) - cb * r, ca)
+            mono -= d
+            r = (get(k, 0) - cb * r) * ca if unit else _div(get(k, 0) - cb * r, ca)
             if r:
-                quotient[base - b + (k - 1) * d] = r
-                frac = frac or type(r) is not int
+                quotient[mono] = r
         if string[kmin] != cb * r:
-            raise NotDivisible(f"({p.render()}) is not divisible by ({q.render()})")
+            raise NotDivisible(p, q)
     _check_range(quotient)
-    return _new(quotient, rules, frac, canonical=True)
+    out = _new(quotient, rules, p._frac or q._frac or not unit, canonical=True)
+    if lone:
+        out._lone = d
+    return out
 
 
 def _divide_general(p: LaurentPoly, q: LaurentPoly, rules: GaussRules | None) -> LaurentPoly:
@@ -692,7 +741,7 @@ def _divide_general(p: LaurentPoly, q: LaurentPoly, rules: GaussRules | None) ->
         lm = max(rem._t, key=order)
         t = lm - lq
         if any(e < 0 for _, e in _unpack(t)):
-            raise NotDivisible(f"({p.render()}) is not divisible by ({q.render()})")
+            raise NotDivisible(p, q)
         tc = _div(rem._t[lm], lq_coeff)
         quotient[t] = quotient.get(t, 0) + tc
         rem = rem - _new({t: tc}, rules, type(tc) is not int) * qhat
@@ -737,7 +786,7 @@ def _divide_split(p: LaurentPoly, q: LaurentPoly, halves: tuple[LaurentPoly, Lau
     try:
         return _recombine(exact_divide(p_plus, q_plus), exact_divide(p_minus, q_minus), q.rules)
     except NotDivisible:
-        raise NotDivisible(f"({p.render()}) is not divisible by ({q.render()})") from None
+        raise NotDivisible(p, q) from None
 
 
 def _recombine(r_plus: LaurentPoly, r_minus: LaurentPoly, rules: GaussRules) -> LaurentPoly:
@@ -823,7 +872,10 @@ class RationalFunction:
 
     Equality is by cross multiplication, so no multivariate gcd is ever
     needed; cancellation happens only by trial exact division of the
-    numerator by a factor.
+    numerator by a factor, in :meth:`cancelled` and in sums, which try the
+    factors both operands share (see the module docstring).  No stored
+    factor is a zero divisor, so dividing by one keeps the value, under
+    even-n Gauss rules too.
     """
 
     __slots__ = ("num", "den")
@@ -845,13 +897,7 @@ class RationalFunction:
 
     def cancelled(self) -> "RationalFunction":
         """Cancel denominator factors that exactly divide the numerator."""
-        num, kept = self.num, []
-        for f in self.den:
-            try:
-                num = exact_divide(num, f)
-            except NotDivisible:
-                kept.append(f)
-        return _rf(num, tuple(kept))
+        return _rf(*_cancel(self.num, self.den))
 
     # -- constructors --------------------------------------------------------
 
@@ -888,6 +934,8 @@ class RationalFunction:
             return NotImplemented
         common, rest_self, rest_other = _shared_factors(self.den, other.den)
         num = _times(self.num, rest_other) + _times(other.num, rest_self)  # + merges the rules
+        if common and num._t:  # a factor of one side only cannot divide the sum of reduced operands
+            num, common = _cancel(num, common)
         return _rf(num, common + rest_self + rest_other)
 
     __radd__ = __add__
@@ -971,6 +1019,25 @@ def _rf(num: LaurentPoly, den: tuple[LaurentPoly, ...]) -> RationalFunction:
     out.num = num
     out.den = () if num.is_zero() else den
     return out
+
+
+def _cancel(num: LaurentPoly, factors: Sequence[LaurentPoly]) -> tuple[LaurentPoly, tuple[LaurentPoly, ...]]:
+    """(num divided by every factor that exactly divides it, in turn; the factors that do not).
+
+    The one trial-division routine, for :meth:`RationalFunction.cancelled`
+    and for sums.  A factor that failed is not tried again: a later num
+    divides the earlier one.
+    """
+    kept: list[LaurentPoly] = []
+    for f in factors:
+        if f in kept:
+            kept.append(f)
+            continue
+        try:
+            num = exact_divide(num, f)
+        except NotDivisible:
+            kept.append(f)
+    return num, tuple(kept)
 
 
 def _times(p: LaurentPoly, factors: Sequence[LaurentPoly]) -> LaurentPoly:

@@ -1,9 +1,10 @@
 """One verifier for the quadratic and braid relations of every Hecke module.
 
 A module reaches the verifier as act(word), the action of the word
-T_{word[0]} ... T_{word[-1]} in its generators: the left-associated operator
-product for block and tensor operators (`products`), or T_word f for
-operators on Laurent polynomials (`applied`).  The relations
+T_{word[0]} ... T_{word[-1]} in its generators: the operator product for
+block and tensor operators (`products`), or T_word f for operators on
+Laurent polynomials (`applied`).  Both keep what they build by word for the
+life of the act.  The relations
 
     T_i^2 = (v - 1) T_i + v,    T_i T_j T_i ... = T_j T_i T_j ...  (m letters)
 
@@ -48,26 +49,30 @@ def first_failing(verdicts: Iterable[Verdict]) -> Verdict:
 
 
 def products(generator: Callable[[int], T], identity: Callable[[], T] | None = None) -> Act:
-    """act(word) for operators: generator(word[0]).compose(generator(word[1])) ... left to right.
+    """act(word) for operators: the product generator(word[0]).compose(generator(word[1])) ...
 
-    Each generator is built on first use and kept by this act only; no
-    product is kept.  The empty word is identity(), never composed with
-    anything.
+    Every product, a generator included, is built on first use and kept by
+    word for the life of this act.  A word whose tail word[1:] is kept is
+    built as generator(word[0]).compose(tail); any other word left to right,
+    through its prefixes.  The two alternating words of a braid of order m
+    share m - 1 letters (right[1:] == left[:-1]), so the pair costs m
+    compositions instead of 2(m - 1).  The empty word is identity(), never
+    composed with anything.
     """
-    built: dict[int, T] = {}
-
-    def gen(i: int) -> T:
-        if i not in built:
-            built[i] = generator(i)
-        return built[i]
+    built: dict[Word, T] = {}
 
     def act(word: Word) -> T:
+        word = tuple(word)
         if not word:
             return identity()
-        out = gen(word[0])
-        for i in word[1:]:
-            out = out.compose(gen(i))
-        return out
+        if word not in built:
+            if len(word) == 1:
+                built[word] = generator(word[0])
+            elif word[1:] in built:
+                built[word] = act(word[:1]).compose(built[word[1:]])
+            else:
+                built[word] = act(word[:-1]).compose(act(word[-1:]))
+        return built[word]
 
     return act
 

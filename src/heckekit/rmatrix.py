@@ -244,8 +244,10 @@ def doubler_scalar() -> RF:
 def tensor_block(n: int, r: int, twist: str = "none", power: int = 1) -> list[TensorOperator]:
     """The identity blocks A(e, i) of the tensor instance, one per i, with X = z^{power alpha_i}.
 
-    Each is sign u/(1 - X) (tau r_affine(spec, X))_{i,i+1}, entries over the
-    one factor 1 - X.  twist = "none": sign 1, the untwisted table.
+    Each is sign u/(1 - X) (tau r_affine(spec, X))_{i,i+1} with its entries
+    in lowest terms: a twist entry gamma^{-1}(1 - X) of r_affine loses the
+    factor 1 - X, and every other entry keeps it as its one denominator
+    factor.  twist = "none": sign 1, the untwisted table.
     twist = "gauss" at power 1: sign 1, the Gauss-sum table.  twist = "gauss"
     at power n: sign -1 and the transposed Gauss table; that is the value of
     (1 - v X)/(1 - X) (tau r_tilde(X))_{i,i+1}, the metaplectic dictionary's
@@ -263,7 +265,9 @@ def tensor_block(n: int, r: int, twist: str = "none", power: int = 1) -> list[Te
     blocks = []
     for i, alpha in enumerate(build_cartan(f"A{r - 1}").simple_coroots):
         x = coroot_monomial(alpha, power)
-        blocks.append(RF(sign * u(), (P.one() - x,)) * tau.compose(r_affine(spec, x)).embed((i, i + 1), r))
+        scaled = RF(sign * u(), (P.one() - x,)) * tau.compose(r_affine(spec, x))
+        lowest = TensorOperator(scaled.shape, {key: entry.cancelled() for key, entry in scaled.entries.items()})
+        blocks.append(lowest.embed((i, i + 1), r))
     return blocks
 
 

@@ -14,6 +14,7 @@ from heckekit.algebra import (
     _divide_general,
     _gauss_lanes,
     _lanes,
+    _shared_factors,
     exact_divide,
     gauss_symbol,
     rf_equal,
@@ -395,7 +396,8 @@ def test_associate_factors_are_stored_as_one(n):
             assert RationalFunction(f) * RationalFunction(one, (f,)) == RationalFunction.one(rules)
     inverse = RationalFunction(one, (one - x,))
     assert (inverse + RationalFunction(one, (x - one,))).is_zero()
-    assert len((inverse + RationalFunction(x, (one - x.monomial_inverse(),))).den) == 1
+    total = inverse + RationalFunction(x, (one - x.monomial_inverse(),))  # (1 - x^2)/(1 - x) in lowest terms
+    assert total.den == () and total.num == one + x
     assert _stored(one - x) == (one - x.monomial_inverse(),)
     assert _stored(x * 7) == ()
 
@@ -467,6 +469,90 @@ def test_normal_form_keeps_value_and_verdicts(num, den, data):
         assert evaluate(ra * rb, point) == va * vb
 
 
+# -- sums cancel the factors both sides share ---------------------------------------
+
+# irreducible and pairwise not associate, so a sum of operands in lowest terms is in lowest terms
+FACTOR_POOL = ["1 - x", "1 - x*y", "1 + u*x", "1 - u^2*y", "y - x^2"]
+factor_lists = st.lists(st.sampled_from(FACTOR_POOL), max_size=2).map(lambda fs: [parse_poly(f) for f in fs])
+
+
+def _product(factors):
+    out = P.one()
+    for f in factors:
+        out = out * f
+    return out
+
+
+def _divides(p, f):
+    try:
+        exact_divide(p, f)
+    except NotDivisible:
+        return False
+    return True
+
+
+@settings(max_examples=80, deadline=None)
+@given(nonzero_polys, polys(), factor_lists, factor_lists, factor_lists, st.booleans(), points)
+def test_a_sum_cancels_the_factors_both_sides_share(num, t, shared, rest_a, rest_b, meet, point):
+    f = parse_poly(FACTOR_POOL[0])
+    a = RationalFunction(num, [f] + shared + rest_a).cancelled()
+    if meet:  # b = c - a for a c without the factor f, so the sum a + b = c loses f
+        b = (RationalFunction(t, shared + rest_b) - a).cancelled()
+    else:
+        b = RationalFunction(t, [f] + shared + rest_b).cancelled()
+    common = _shared_factors(a.den, b.den)[0]
+    assume(common)
+    total = a + b
+    uncancelled = RationalFunction(a.num * _product(b.den) + b.num * _product(a.den), a.den + b.den)
+    assert rf_equal(total, uncancelled) and rf_equal(uncancelled, total)
+    assert not any(_divides(total.num, g) for g in total.den)  # the kept shared factors, and with this pool every factor
+    assert len(total.den) <= len(uncancelled.den)
+    if all(evaluate(g, point) for g in a.den + b.den):
+        assert evaluate(total, point) == evaluate(uncancelled, point) == evaluate(a, point) + evaluate(b, point)
+
+
+BINOMIALS = ["1 - x", "1 - x*y^-1", "1 + u*x", "2 - 3*x^2*y", "y^2 - u^-1*x"]
+
+
+@settings(max_examples=80, deadline=None)
+@given(nonzero_polys, st.sampled_from(BINOMIALS), st.integers(min_value=1, max_value=2))
+def test_a_quotient_marked_with_a_one_term_string_is_not_divisible_again(r, binomial, power):
+    f = parse_poly(binomial)
+    p = r * f ** power
+    quotient = exact_divide(p, f)
+    assert quotient == r * f ** (power - 1)
+    if quotient._lone is not None:  # the repeated trial fails before grouping; f^2 does not divide p
+        with pytest.raises(NotDivisible):
+            exact_divide(quotient, f)
+        with pytest.raises(NotDivisible):
+            _divide_general(p, f * f, None)  # leading-term division, no strings
+    if power == 2:
+        assert quotient._lone is None and exact_divide(quotient, f) == r
+
+
+def test_a_quotient_keeps_the_direction_of_its_one_term_string():
+    x, y = sym("x"), sym("y")
+    assert exact_divide((1 + y) * (1 - x), 1 - x)._lone is not None  # strings 1 - x and y - x*y
+    assert exact_divide((1 + y) * (1 - x) ** 2, 1 - x)._lone is None
+
+
+def test_a_failed_trial_division_renders_nothing(monkeypatch):
+    import heckekit.algebra as algebra
+
+    x, y, g = sym("x"), sym("y"), gauss_symbol(1, GaussRules.standard(2))
+    large = (P.one() + x + y + u() * x * y) ** 8 + x ** 40  # 166 terms
+    one_minus_x = P.one() - x
+    monkeypatch.setattr(algebra.LaurentPoly, "render", lambda self: pytest.fail("rendered a polynomial"))
+    for p, q in [(large, one_minus_x), (large, P.one() + x + y), (large.with_rules(g.rules), g + x)]:
+        with pytest.raises(NotDivisible) as failed:  # binomial, general and split paths
+            exact_divide(p, q)
+        assert failed.value.args[1] is q
+    shared = RationalFunction(large, (one_minus_x,)) + RationalFunction(x, (one_minus_x,))  # a trial that fails
+    assert shared.den == (RationalFunction(P.one(), (one_minus_x,)).den[0],)
+    monkeypatch.undo()
+    assert str(failed.value) == f"({failed.value.args[0].render()}) is not divisible by ({(g + x).render()})"
+
+
 def test_g2_generic_braid_expression_size():
     from heckekit.relations import products
     from heckekit.roots import build_cartan
@@ -480,7 +566,9 @@ def test_g2_generic_braid_expression_size():
     for word in ((0, 1) * 3, (1, 0) * 3):
         entries = [x for m in act(word).blocks.values() for x in m.entries.values()]
         assert len({f for x in entries for f in x.den}) <= 6  # one per positive root of G2
-        assert max(len(x.den) for x in entries) <= 14
+        # in lowest terms, as sums cancel the factors both sides share (14 factors, mean 241 terms without)
+        assert max(len(x.den) for x in entries) <= 12
+        assert sum(len(x.num.terms) for x in entries) / len(entries) <= 105
         assert max(len(x.num.terms) for x in entries) <= 683
 
 

@@ -162,10 +162,28 @@ def test_metaplectic_entries_are_in_lowest_terms(cartan_type, n):
 
 @pytest.mark.parametrize("n, r", [(2, 2), (2, 3), (3, 3)])
 def test_gauss_tensor_entries_carry_only_one_minus_x(n, r):
-    """The Gauss blocks at power n keep no (1 - v X): every entry has the one factor 1 - X."""
-    for block in tensor_block(n, r, "gauss", n):
+    """The Gauss blocks at power n keep no (1 - v X): an entry's denominator is empty or the one factor 1 - X."""
+    coroots = build_cartan(f"A{r - 1}").simple_coroots
+    for alpha, block in zip(coroots, tensor_block(n, r, "gauss", n)):
+        one_minus_x = RF(LaurentPoly.one(), (LaurentPoly.one() - coroot_monomial(alpha, n),)).den
         assert block.entries
-        assert all(len(x.den) == 1 for x in block.entries.values())
+        assert all(x.den in ((), one_minus_x) for x in block.entries.values())
+        assert any(x.den == one_minus_x for x in block.entries.values())
+
+
+@pytest.mark.parametrize(
+    "n, r, twist, power", [(2, 2, "none", 1), (2, 3, "none", 1), (2, 2, "gauss", 1), (2, 3, "gauss", 2), (3, 3, "gauss", 3)]
+)
+def test_tensor_entries_are_in_lowest_terms(n, r, twist, power):
+    """No gamma^{-1}(1 - X)/(1 - X) survives: no A(w, i) entry's factor divides its numerator."""
+    inst = tensor_schema_instance(n, r, twist, power)
+    reducible = [
+        (w.name(), i + 1, key, x.render())
+        for (w, i), block in inst.a_matrices.items()
+        for key, x in block.entries.items()
+        if _reducible(x)
+    ]
+    assert not reducible
 
 
 EVERY_TYPE = ["A1", "A2", "A3", "A4", "B2", "C2", "G2"]

@@ -99,3 +99,19 @@ def test_default_workloads_are_those_of_the_benchmark_file(tmp_path):
     assert pairs.parse_args(["--parent", "HEAD"], tmp_path).workloads == "generic_rank2,reach"
     assert pairs.parse_args(["--parent", "HEAD", "--workloads", "reach"], tmp_path).workloads == "reach"
     assert pairs.directions(tmp_path) == {"verdict_s": "lower"} and pairs.end_to_end(tmp_path) == ["verdict_s"]
+
+
+def test_an_undeclared_workload_is_a_usage_error(monkeypatch, capsys):
+    root = Path(__file__).resolve().parent.parent
+    declared = [w["name"] for w in json.loads((root / "BENCHMARK.json").read_text())["workloads"]]
+
+    def extract(*args):
+        raise AssertionError("a tree was extracted")
+
+    monkeypatch.setattr(pairs, "extract_revision", extract)
+    monkeypatch.setattr(pairs, "copy_working_tree", extract)
+    with pytest.raises(SystemExit) as exit_info:
+        pairs.main(["--parent", "HEAD", "--workloads", f"{declared[0]},generic_rank3"])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert "unknown workload(s) generic_rank3;" in err and f"declares {', '.join(declared)}" in err

@@ -1,14 +1,16 @@
 from collections import Counter
+from functools import reduce
 
 import pytest
 
 import heckekit.metaplectic
 import heckekit.whittaker
 from heckekit.algebra import LaurentPoly, v
-from heckekit.metaplectic import build_datum, check_met_demazure_relations
-from heckekit.relations import applied, first_failing, hecke_relations, monomial_relations, weyl_sum
+from heckekit.metaplectic import build_datum, check_met_demazure_relations, metaplectic_schema_instance
+from heckekit.relations import applied, first_failing, hecke_relations, monomial_relations, products, verdict, weyl_sum
 from heckekit.reports import Report
 from heckekit.roots import build_cartan, weight_monomial, weyl_group
+from heckekit.schema import BlockOperator, build_T, check_braid, generic_instance
 from heckekit.whittaker import check_demazure_relations, demazure_variant, idempotent_apply, idempotent_element
 
 P = LaurentPoly
@@ -114,3 +116,62 @@ def test_monomial_relations_makes_one_act_per_weight():
     weights = [(1, 0, 0), (0, 1, 0)]
     report = monomial_relations(Report("scalar A2"), act_on, weights, build_cartan("A2").braid_orders)
     assert len(report.checks) == 6 and made == Counter({weight_monomial(mu).render(): 1 for mu in weights})
+
+
+BRAID_INSTANCES = {
+    "generic-A2": lambda: generic_instance(build_cartan("A2")),
+    "generic-B2": lambda: generic_instance(build_cartan("B2")),
+    "generic-G2": lambda: generic_instance(build_cartan("G2")),
+    "cover-A2-n2": lambda: metaplectic_schema_instance(build_datum("A2", 2)),
+}
+
+
+def _alternating(m):
+    return tuple(t % 2 for t in range(m)), tuple(1 - t % 2 for t in range(m))
+
+
+def _left_associated(inst, word):
+    """T_word as the product (((T_w0 T_w1) T_w2) ...), each generator built afresh."""
+    return reduce(lambda out, i: out.compose(build_T(inst, i)), word[1:], build_T(inst, word[0]))
+
+
+@pytest.mark.parametrize("name", BRAID_INSTANCES)
+def test_a_braid_of_order_m_makes_m_compositions(monkeypatch, name):
+    inst = BRAID_INSTANCES[name]()
+    m = inst.cartan.braid_orders[0][1]
+    left, right = _alternating(m)
+    composed = Counter()
+    compose = BlockOperator.compose
+
+    def counting(self, other):
+        composed["compose"] += 1
+        return compose(self, other)
+
+    monkeypatch.setattr(BlockOperator, "compose", counting)
+    assert check_braid(inst, 0, 1).passed
+    assert composed["compose"] == m  # 2(m - 1) when each word is built on its own
+    act = products(lambda i: build_T(inst, i))
+    act(left)
+    shared = act(right)  # T_right[0] times the kept T_left[:-1]
+    monkeypatch.undo()
+    assert shared.difference(_left_associated(inst, right)) is None
+
+
+@pytest.mark.parametrize("name", BRAID_INSTANCES)
+def test_a_perturbed_braid_fails_at_the_entry_the_left_associated_words_name(name):
+    inst = BRAID_INSTANCES[name]()
+    left, right = _alternating(inst.cartan.braid_orders[0][1])
+    group = inst.group
+    # every A(w, i) doubled in turn; on G2 (0.7 s a check) only at e and the longest element
+    where = group.elements if name != "generic-G2" else [group.identity, group.longest()]
+    failed = 0
+    for w in where:
+        for i in range(inst.cartan.rank):
+            bad = inst.perturbed(w, i, 2)
+            expected = verdict(_left_associated(bad, left), _left_associated(bad, right))
+            got = check_braid(bad, 0, 1).checks[0]
+            assert got.passed == expected[0], (w.name(), i)
+            if not got.passed:
+                failed += 1
+                assert got.lhs.split(":")[0] == expected[1].split(":")[0], (w.name(), i)  # block (t, s) entry (r,c)
+    assert failed

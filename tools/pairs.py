@@ -23,7 +23,9 @@ version, the core count, the pairs and seeds, and per workload the wrong
 verdicts, the quartiles and the no-regression verdict of every end-to-end
 metric.  Standard library only.
 
---workloads defaults to every workload that BENCHMARK.json declares.
+--workloads defaults to every workload that BENCHMARK.json declares; a name
+it does not declare is a usage error (exit 2), raised before any tree is
+extracted.
 """
 
 from __future__ import annotations
@@ -228,6 +230,10 @@ def parse_args(argv: list[str] | None, root: Path) -> argparse.Namespace:
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
+    declared = workloads(root)
+    unknown = [name for name in args.workloads.split(",") if name not in declared]
+    if unknown:
+        parser.error(f"unknown workload(s) {', '.join(unknown)}; BENCHMARK.json declares {', '.join(declared)}")
     return args
 
 
