@@ -64,7 +64,8 @@ those, so num/(f g) and (num/f)/g are one element even where the ring is
 no domain.  No gcd is ever computed, and equality stays cross
 multiplication.
 
-All values are immutable after construction and all operations are pure.
+Operations are pure and values never change: the slots _hash, _gauss and
+_lone are caches, filled later without changing the value.
 """
 
 from __future__ import annotations

@@ -1,26 +1,26 @@
 """Metaplectic cover data and the scattering/Demazure apparatus.
 
 A cover is abstracted to (n, B): the degree and a W-invariant symmetric
-integer form on the weight lattice.  Derived data: Q(alpha) = B(alpha,
-alpha)/2, the rescalings n_alpha = n/gcd(n, Q(alpha)), the sublattice
-L^(n) = {mu : B(y, mu) = 0 mod n for all y}, and canonical coset
-representatives of L/L^(n), origin + V' box.  Integer row and column
-reduction brings B to a diagonal D = U B V'; the coordinates of mu are
-V'^-1 (mu - origin), and mu lies in L^(n) exactly when d_i y_i = 0 mod n for
-y = V'^-1 mu.  The origin is rho for the GL dot-product case, where V' is
-the identity and the representatives are rho + [0, n)^r, and 0 otherwise.
-All of it is integer arithmetic on integer rows; U is never formed.
+integer form on the weight lattice.  build_datum derives, once per cover,
+the sublattice L^(n) = {mu : B(y, mu) = 0 mod n for all y}, canonical coset
+representatives of L/L^(n), origin + V' box, and one RootData per simple
+root.  Integer row and column reduction brings B to a diagonal D = U B V';
+the coordinates of mu are V'^-1 (mu - origin), and mu lies in L^(n) exactly
+when d_i y_i = 0 mod n for y = V'^-1 mu.  The origin is rho for the GL
+dot-product case, where V' is the identity and the representatives are
+rho + [0, n)^r, and 0 otherwise.  All of it is integer arithmetic on integer
+rows; U is never formed.
 
-The scattering block is the k x k block Hecke action, built from the
-paper's coefficients times c_s, each written as the value it reduces to:
-c_s tau^1 = (1 - v) z^{rem alpha}/(1 - z^{n_alpha alpha}) and
-c_s tau^2 = g_a z^{-alpha}, so its entries are in lowest terms.  Gauss sums
-stay formal symbols with the pairing g_a g_{-a} = u^2 and g_0 = -u^2 (the
-normalized sums; classical unnormalized sums satisfy g(a) g(-a) = q and
-rescale by q^{-1} into these symbols).  The Chinta-Gunnells action and the
-metaplectic Demazure operators use the same symbols; the Gauss index is
-B - Q, the convention under which the block action and the Demazure
-operators agree exactly.
+A RootData holds Q(alpha) = B(alpha, alpha)/2, n_alpha = n/gcd(n, Q(alpha))
+and, per residue rem = rem_{n_alpha}(-B(alpha, mu)/Q(alpha)), the values the
+scattering block, the Chinta-Gunnells action and the metaplectic Demazure
+operators read, which depend on a weight mu only through rem.  The
+scattering entries are the paper's coefficients times c_s, each written as
+the value it reduces to, so in lowest terms.  Gauss sums stay formal symbols
+with the pairing g_a g_{-a} = u^2 and g_0 = -u^2 (the normalized sums;
+classical unnormalized sums satisfy g(a) g(-a) = q and rescale by q^{-1}
+into these symbols).  The Gauss index is B - Q, the convention under which
+the block action and the Demazure operators agree exactly.
 """
 
 from __future__ import annotations
@@ -103,7 +103,26 @@ class MetaplecticError(ValueError):
     pass
 
 
-@dataclass
+@dataclass(frozen=True)
+class RootData:
+    """What the Demazure steps and the scattering block read of one simple root, built once by build_datum.
+
+    The tables hold one value per rem = rem_{n_alpha}(-b/Q(alpha)), b = B(alpha, mu) (see _root_residues),
+    with Gauss index a = -Q(alpha) (rem + 1) = b - Q(alpha) mod n, as Q(alpha) n_alpha = lcm(n, Q(alpha)).
+    """
+
+    alpha: IntVec               # the simple coroot alpha_i
+    q: int                      # Q(alpha_i)
+    n_alpha: int
+    row: IntVec                 # B alpha_i: B(alpha_i, mu) is row . mu
+    x: LaurentPoly              # z^{n_alpha alpha}
+    d: RationalFunction         # D_i^(n)(z) = (1 - v) x/(1 - x)
+    tau1: tuple[RationalFunction, ...]  # c_s tau^1 = (1 - v) z^{rem alpha}/(1 - x)
+    tau2: tuple[RationalFunction, ...]  # c_s tau^2 = g_a z^{-alpha}
+    cg: tuple[LaurentPoly, ...]  # z^{-rem alpha} (1 - v) - g_a z^{(1 - n_alpha) alpha} (1 - x), over d's denominator
+
+
+@dataclass(frozen=True)
 class MetaplecticDatum:
     cartan: CartanDatum
     group: WeylGroup
@@ -115,8 +134,7 @@ class MetaplecticDatum:
     coset_reps: tuple[IntVec, ...]      # origin + V' box
     lattice_basis: tuple[IntVec, ...]   # basis of L^(n)
     origin: IntVec                      # rho for GL with the dot form, 0 otherwise
-    # the rational scalars of the Demazure steps (d_scaled, _cg_coefficient), built once per datum
-    _scalars: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    roots: tuple[RootData, ...] = field(repr=False, compare=False)  # per simple root; derived from cartan, n and B
 
     @property
     def k(self) -> int:
@@ -130,7 +148,7 @@ class MetaplecticDatum:
         return self.bilinear(beta, beta) // 2
 
     def n_alpha(self, i: int) -> int:
-        return self.n // gcd(self.n, self.q_value(self.cartan.simple_coroots[i]))
+        return self.roots[i].n_alpha
 
     def coset_index(self, mu: Sequence[int]) -> int:
         """The index of the coset of mu in coset_reps; ValueError unless mu has integer coordinates."""
@@ -145,6 +163,9 @@ class MetaplecticDatum:
 
 def build_datum(cartan_or_type, n: int, B: tuple[IntVec, ...] | str | None = None) -> MetaplecticDatum:
     """Cover data for (cartan, n, B); B defaults to the dot product."""
+    if n != int(n) or n < 1:
+        raise MetaplecticError(f"n = {n!r} is not a positive integer")
+    n = int(n)
     cartan = build_cartan(cartan_or_type) if isinstance(cartan_or_type, str) else cartan_or_type
     group = WeylGroup(cartan)
     d = cartan.dim
@@ -171,53 +192,58 @@ def build_datum(cartan_or_type, n: int, B: tuple[IntVec, ...] | str | None = Non
     keys = iproduct(*(range(m) for m in moduli))
     reps = tuple(tuple(o + x for o, x in zip(origin, mat_vec(Vp, key))) for key in keys)
     basis = tuple(tuple(m * x for x in column) for m, column in zip(moduli, zip(*Vp)))  # L^(n): V' columns times moduli
-    datum = MetaplecticDatum(
+    rules = GaussRules.standard(n)
+    for beta in cartan.positive_coroots:
+        if mat_vec((mat_vec(B, beta),), beta)[0] % 2:
+            raise MetaplecticError(f"B is not even on the coroot lattice ({tuple(beta)})")
+    roots = []
+    for i, alpha in enumerate(cartan.simple_coroots):
+        row = mat_vec(B, alpha)
+        q = mat_vec((row,), alpha)[0] // 2
+        if q == 0:
+            raise MetaplecticError(f"Q(alpha_{i + 1}) = 0 for alpha_{i + 1} = {alpha}")
+        na = n // gcd(n, q)
+        if any(na * x % n for x in row):
+            raise MetaplecticError("n_alpha * alpha is not in L^(n)")
+        x = coroot_monomial(alpha, na)
+        scalar, one_minus_x = d_function(x), P.one() - x
+        gauss = [gauss_symbol(-q * (rem + 1), rules) for rem in range(na)]
+        cg = [RF(coroot_monomial(alpha, -rem) * (P.one() - v()) - g * coroot_monomial(alpha, 1 - na) * one_minus_x,
+                 (one_minus_x,)) for rem, g in enumerate(gauss)]
+        if any(c.den != scalar.den for c in cg):  # cg_scaled and met_demazure rely on it
+            raise AssertionError(f"the coefficients of T_{i + 1} have different denominators")
+        tau1 = tuple(RF((P.one() - v()) * coroot_monomial(alpha, rem), (one_minus_x,)) for rem in range(na))
+        tau2 = tuple(RF.from_poly(g * coroot_monomial(alpha, -1)) for g in gauss)
+        roots.append(RootData(alpha, q, na, row, x, scalar, tau1, tau2, tuple(c.num for c in cg)))
+    return MetaplecticDatum(
         cartan=cartan,
         group=group,
         n=n,
         B=B,
-        rules=GaussRules.standard(n),
+        rules=rules,
         moduli=moduli,
         to_snf=tuple(tuple(row) for row in Vp_inv),
         coset_reps=reps,
         lattice_basis=basis,
         origin=origin,
+        roots=tuple(roots),
     )
-    for beta in cartan.positive_coroots:
-        if datum.bilinear(beta, beta) % 2:
-            raise MetaplecticError(f"B is not even on the coroot lattice ({tuple(beta)})")
-    for i, alpha in enumerate(cartan.simple_coroots):
-        if datum.q_value(alpha) == 0:
-            raise MetaplecticError(f"Q(alpha_{i + 1}) = 0 for alpha_{i + 1} = {alpha}")
-        scaled = tuple(datum.n_alpha(i) * a for a in alpha)
-        if any(x % n for x in mat_vec(B, scaled)):
-            raise MetaplecticError("n_alpha * alpha is not in L^(n)")
-    return datum
 
 
 def c_factor(datum: MetaplecticDatum, i: int) -> RF:
     """c_s^(n)(z) = (1 - v z^{n_alpha alpha})/(1 - z^{n_alpha alpha})."""
-    x = coroot_monomial(datum.cartan.simple_coroots[i], datum.n_alpha(i))
-    return c_function(x)
+    return c_function(datum.roots[i].x)
 
 
-def _root_residues(datum: MetaplecticDatum, i: int, b: int) -> tuple[IntVec, int, int, int]:
-    """(alpha_i, n_alpha, rem, a) for b = B(alpha_i, mu).
+def _root_residues(datum: MetaplecticDatum, i: int, b: int) -> int:
+    """rem = rem_{n_alpha}(-b/Q(alpha_i)) for b = B(alpha_i, mu), the index into the tables of datum.roots[i].
 
-    rem = rem_{n_alpha}(-b/Q(alpha_i)) is the exponent of z^alpha in the
-    diagonal scattering entry and the Chinta-Gunnells coefficient, and
-    a = (b - Q(alpha_i)) mod n the index of their Gauss symbol.
-    MetaplecticError unless Q(alpha_i) divides b: both formulas divide b by
-    it.  A datum that build_datum accepts always passes: W-invariance of B
-    gives b = Q(alpha_i) <alpha_i, mu> for every lattice weight mu.  The
-    check stays as the guard of those formulas.
+    MetaplecticError unless Q(alpha_i) divides b, as W-invariance of B makes it for every lattice weight mu.
     """
-    alpha = datum.cartan.simple_coroots[i]
-    q = datum.q_value(alpha)
-    if b % q:
-        raise MetaplecticError(f"Q(alpha_{i + 1}) = {q} does not divide B(alpha_{i + 1}, mu) = {b}")
-    na = datum.n_alpha(i)
-    return alpha, na, (-(b // q)) % na, (b - q) % datum.n
+    root = datum.roots[i]
+    if b % root.q:
+        raise MetaplecticError(f"Q(alpha_{i + 1}) = {root.q} does not divide B(alpha_{i + 1}, mu) = {b}")
+    return (-(b // root.q)) % root.n_alpha
 
 
 def scattering_block(
@@ -228,29 +254,24 @@ def scattering_block(
 ) -> Matrix:
     """The k x k block of the Whittaker scattering for s_i, as z-functions, entries in lowest terms.
 
-    Column mu holds c_s tau^1 and c_s tau^2, the paper's coefficients times
-    c_s^(n)(z) = (1 - v x)/(1 - x), x = z^{n_alpha alpha}, written as the
-    values they reduce to (the (1 - v x) of c_s cancels both denominators):
-    c_s tau^1 = (1 - v) z^{rem alpha}/(1 - x) on the diagonal and c_s tau^2 =
-    g_a z^{-alpha} at the coset of s_i(mu) + alpha, with rem and a from
-    _root_residues.  normalized=True uses the z^mu-twisted functional basis;
-    normalized=False the plain functionals, the form matched by the
-    R-matrix dictionary.  The two are conjugate by diag(z^nu).
+    Column mu holds c_s tau^1 on the diagonal and c_s tau^2 at the coset of
+    s_i(mu) + alpha: the paper's coefficients times c_s^(n)(z), as the values
+    of datum.roots[i] at the rem of B(alpha_i, mu) (the (1 - v x) of c_s
+    cancels both denominators).  normalized=True uses the z^mu-twisted
+    functional basis; normalized=False the plain functionals, the form
+    matched by the R-matrix dictionary.  The two are conjugate by diag(z^nu).
     perturb "tau1" or "tau2" doubles that entry, c_s tau^1 or c_s tau^2
     (negative control); any other but None raises ValueError.
     """
     if perturb not in (None, "tau1", "tau2"):
         raise ValueError(f"perturb must be None, 'tau1' or 'tau2', not {perturb!r}")
-    k = datum.k
-    alpha = datum.cartan.simple_coroots[i]
-    one_minus_x = P.one() - coroot_monomial(alpha, datum.n_alpha(i))
+    root = datum.roots[i]
     entries: dict[tuple[int, int], RF] = {}
     s = datum.group.simple(i)
     for col, mu in enumerate(datum.coset_reps):
-        _, _, rem, a = _root_residues(datum, i, datum.bilinear(alpha, mu))
-        t1 = RF((P.one() - v()) * coroot_monomial(alpha, rem), (one_minus_x,))
-        t2v = RF.from_poly(gauss_symbol(a, datum.rules) * coroot_monomial(alpha, -1))
-        target = datum.coset_index(tuple(x + e for x, e in zip(s.act(mu), alpha)))
+        rem = _root_residues(datum, i, mat_vec((root.row,), mu)[0])
+        t1, t2v = root.tau1[rem], root.tau2[rem]
+        target = datum.coset_index(tuple(x + e for x, e in zip(s.act(mu), root.alpha)))
         if perturb == "tau1":
             t1 = 2 * t1
         elif perturb == "tau2":
@@ -262,7 +283,7 @@ def scattering_block(
             t2v = weight_monomial(tuple(x - y for x, y in zip(mu, s.act(nu)))) * t2v
         entries[(col, col)] = t1
         entries[(target, col)] = t1 + t2v if target == col else t2v
-    return Matrix((k, k), entries)
+    return Matrix((datum.k, datum.k), entries)
 
 
 def metaplectic_schema_instance(datum: MetaplecticDatum) -> SchemaInstance:
@@ -273,48 +294,30 @@ def metaplectic_schema_instance(datum: MetaplecticDatum) -> SchemaInstance:
     each of them once per w.
     """
     blocks = [scattering_block(datum, i) for i in range(datum.cartan.rank)]
-    root_scale = tuple(datum.n_alpha(i) for i in range(datum.cartan.rank))
+    root_scale = tuple(root.n_alpha for root in datum.roots)
     return transported_instance(datum.group, blocks, root_scale, f"metaplectic {datum.cartan.cartan_type} n={datum.n}")
 
 
 # -- Chinta-Gunnells action and metaplectic Demazure operators ----------------------
 
 
-def _cg_coefficient(datum: MetaplecticDatum, i: int, b: int) -> RF:
-    """The coefficient of s_i . (the terms z^mu of f with B(alpha_i, mu) = b) in c_s^(n)(z) (s_i . f).
-
-    With x = z^{n_alpha alpha}, rem = rem_{n_alpha}(-b/Q(alpha)) and g the
-    Gauss symbol of index b - Q, it is (z^{-rem alpha} (1 - v) - g z^{(1 - n_alpha)
-    alpha} (1 - x)) / (1 - x), over the normal form of 1 - x; built once per (i, rem, index).
-    """
-    alpha, na, rem, a = _root_residues(datum, i, b)
-    key = ("cg", i, rem, a)
-    if key not in datum._scalars:
-        z = coroot_monomial(alpha)
-        one_minus_x = P.one() - z ** na
-        num = z ** (-rem) * (P.one() - v()) - gauss_symbol(a, datum.rules) * z ** (1 - na) * one_minus_x
-        coeff = datum._scalars[key] = RF(num, (one_minus_x,))
-        if coeff.den != d_scaled(datum, i).den:  # cg_scaled and met_demazure rely on it
-            raise AssertionError(f"the coefficients of T_{i + 1} have different denominators")
-    return datum._scalars[key]
-
-
 def cg_scaled(datum: MetaplecticDatum, i: int, f: LaurentPoly) -> RF:
     """c_s^(n)(z) * (s_i . f), the Chinta-Gunnells action scaled by c_s^(n).
 
-    The coefficient of a term z^mu reads mu only through b = B(alpha_i, mu),
-    the row B alpha_i dotted with the z-exponents, so f splits by b: each
-    part contributes _cg_coefficient(b).num * (s_i . part), and the
-    coefficients share d_scaled's one denominator factor, so the sum is one
-    polynomial over it.
+    The coefficient of a term z^mu reads mu only through rem, the residue of
+    b = B(alpha_i, mu) (the row B alpha_i dotted with the z-exponents), so f
+    splits by rem into at most n_alpha parts: each contributes
+    datum.roots[i].cg[rem] * (s_i . part), all over d_scaled's one
+    denominator factor, so the sum is one polynomial over it.
     """
+    root = datum.roots[i]
     s = datum.group.simple(i)
-    row = [(f"z{j + 1}", x) for j, x in enumerate(mat_vec(datum.B, datum.cartan.simple_coroots[i])) if x]
-    parts = f.split(lambda exps: sum(x * exps.get(name, 0) for name, x in row))
+    row = [(f"z{j + 1}", x) for j, x in enumerate(root.row) if x]
+    parts = f.split(lambda exps: _root_residues(datum, i, sum(x * exps.get(name, 0) for name, x in row)))
     total = P.zero()
-    for b, part in parts.items():
-        total = total + _cg_coefficient(datum, i, b).num * datum.group.act_fn(s, part)
-    return RF(total, d_scaled(datum, i).den)
+    for rem, part in parts.items():
+        total = total + root.cg[rem] * datum.group.act_fn(s, part)
+    return RF(total, root.d.den)
 
 
 def cg_action(datum: MetaplecticDatum, i: int, f: LaurentPoly) -> RF:
@@ -324,10 +327,7 @@ def cg_action(datum: MetaplecticDatum, i: int, f: LaurentPoly) -> RF:
 
 def d_scaled(datum: MetaplecticDatum, i: int) -> RF:
     """D_i^(n)(z): the Demazure scalar with z^alpha replaced by z^{n_alpha alpha}."""
-    key = ("d", i)
-    if key not in datum._scalars:
-        datum._scalars[key] = d_function(coroot_monomial(datum.cartan.simple_coroots[i], datum.n_alpha(i)))
-    return datum._scalars[key]
+    return datum.roots[i].d
 
 
 def met_demazure(datum: MetaplecticDatum, i: int, f: LaurentPoly) -> LaurentPoly:
@@ -335,12 +335,10 @@ def met_demazure(datum: MetaplecticDatum, i: int, f: LaurentPoly) -> LaurentPoly
 
     d_scaled and cg_scaled share the one normal denominator factor q of
     1 - z^{n_alpha alpha}, so T_i f is one numerator over q, divided exactly;
-    NotDivisible if the quotient is not a Laurent polynomial.  The numerator
-    coefficients are cached in datum._scalars.
+    NotDivisible if the quotient is not a Laurent polynomial.
     """
-    d = d_scaled(datum, i)
-    alpha_power = coroot_monomial(datum.cartan.simple_coroots[i], datum.n_alpha(i))
-    return exact_divide(d.num * f - alpha_power * cg_scaled(datum, i, f).num, d.den[0])
+    root = datum.roots[i]
+    return exact_divide(root.d.num * f - root.x * cg_scaled(datum, i, f).num, root.d.den[0])
 
 
 def met_demazure_act(datum: MetaplecticDatum, f: LaurentPoly):

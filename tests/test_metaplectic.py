@@ -1,6 +1,6 @@
 import json
 import re
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 from fractions import Fraction
 from itertools import product as iproduct
 from pathlib import Path
@@ -478,6 +478,40 @@ def test_pairing_is_q_times_the_cartan_pairing(cartan_type, n, form):
     for mu in _weight_box(d.cartan):
         for i, alpha in enumerate(d.cartan.simple_coroots):
             assert d.bilinear(alpha, mu) == d.q_value(alpha) * d.cartan.pairing_int(i, mu)
+
+
+@pytest.mark.parametrize("form, n", [("dot", 3), ("2dot", 4)])
+def test_cg_scaled_applies_s_i_once_per_residue(monkeypatch, form, n):
+    # the terms of f split by rem, at most n_alpha parts, not by each distinct b = B(alpha_i, mu)
+    d = _cover("A2", n, form)
+    f = sum((weight_monomial(mu) for mu in iproduct(range(-2, 3), repeat=3)), P.zero())  # the criterion-8 box
+    act_fn, calls = d.group.act_fn, []
+    monkeypatch.setattr(d.group, "act_fn", lambda w, g: calls.append(w) or act_fn(w, g))
+    for i in range(d.cartan.rank):
+        calls.clear()
+        cg_scaled(d, i, f)
+        assert 1 <= len(calls) <= d.n_alpha(i), (i, len(calls))
+
+
+def test_a_built_datum_is_frozen():
+    d = build_datum("A1", 2)
+    with pytest.raises(FrozenInstanceError):
+        d.n = 3
+    with pytest.raises(FrozenInstanceError):
+        d.roots = ()
+
+
+@pytest.mark.parametrize("n, message", [(0, "n = 0 is not a positive integer"), (-2, "n = -2 is not a positive integer"),
+                                        (1.5, "n = 1.5 is not a positive integer")])
+def test_a_degree_that_is_not_a_positive_integer_is_rejected(n, message):
+    with pytest.raises(MetaplecticError, match=re.escape(message)):
+        build_datum("A2", n)
+
+
+def test_an_integral_degree_is_taken_as_an_int():
+    for n in (3.0, Fraction(3)):
+        d = build_datum("A2", n)
+        assert type(d.n) is int and d.rules is GaussRules.standard(3) and d.moduli == build_datum("A2", 3).moduli
 
 
 def test_q_not_dividing_the_pairing_names_the_root_and_b():

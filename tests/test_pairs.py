@@ -115,3 +115,20 @@ def test_an_undeclared_workload_is_a_usage_error(monkeypatch, capsys):
     assert exit_info.value.code == 2
     err = capsys.readouterr().err
     assert "unknown workload(s) generic_rank3;" in err and f"declares {', '.join(declared)}" in err
+
+
+@pytest.mark.parametrize("last_line, parsed", [
+    ("done", False),
+    ('{"failed": 0, "attempted": 1}', False),
+    ("[1, 2]", False),
+    ('{"metrics": {"verdict_s": {"value": 0.5}}, "failed": 0, "attempted": 3}', True),
+], ids=["plain-text", "json-without-metrics", "json-list", "result"])
+def test_a_run_without_a_json_result_is_an_error_record(tmp_path, last_line, parsed):
+    # a tree whose benchmark exits 0: only a JSON result on its last line is a run with metrics
+    (tmp_path / "heckebench").mkdir()
+    (tmp_path / "heckebench" / "run.py").write_text(f"print('starting')\nprint({last_line!r})\n")
+    record = pairs.run_once(tmp_path, "demazure_cs", 31, 1.0, 0)
+    if parsed:
+        assert record == {"metrics": {"verdict_s": 0.5}, "failed": 0, "attempted": 3}
+    else:
+        assert set(record) == {"error"} and last_line in record["error"]

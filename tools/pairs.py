@@ -96,14 +96,23 @@ def git(root: Path, *args: str) -> str:
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
-    """One heckebench run on tree: its final JSON object, or an error record."""
+    """One heckebench run on tree: its final JSON object, or an error record.
+
+    A run is an error when it exits nonzero, prints nothing, or prints a last
+    line that is not a JSON object with metrics, failed and attempted.
+    """
     cmd = [sys.executable, "heckebench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
         return {"error": f"exit {proc.returncode}: {proc.stderr.strip()[-2000:]}"}
-    result = json.loads(lines[-1])
+    try:
+        result = json.loads(lines[-1])
+    except json.JSONDecodeError:
+        result = None
+    if not isinstance(result, dict) or not {"metrics", "failed", "attempted"} <= result.keys():
+        return {"error": f"exit 0 without a JSON result on its last line: {lines[-1][-2000:]}"}
     return {
         "metrics": {name: m["value"] for name, m in result["metrics"].items()},
         "failed": result["failed"],
