@@ -161,11 +161,20 @@ class MetaplecticDatum:
         return idx
 
 
+def _integer(x) -> int | None:
+    """x as an int if it is an integer in value, else None (also when int() cannot read x)."""
+    try:
+        return int(x) if x == int(x) else None
+    except (TypeError, ValueError, OverflowError):
+        return None
+
+
 def build_datum(cartan_or_type, n: int, B: tuple[IntVec, ...] | str | None = None) -> MetaplecticDatum:
     """Cover data for (cartan, n, B); B defaults to the dot product."""
-    if n != int(n) or n < 1:
+    degree = _integer(n)
+    if degree is None or degree < 1:
         raise MetaplecticError(f"n = {n!r} is not a positive integer")
-    n = int(n)
+    n = degree
     cartan = build_cartan(cartan_or_type) if isinstance(cartan_or_type, str) else cartan_or_type
     group = WeylGroup(cartan)
     d = cartan.dim
@@ -175,7 +184,7 @@ def build_datum(cartan_or_type, n: int, B: tuple[IntVec, ...] | str | None = Non
         raise MetaplecticError(f"unknown form {B!r}: use 'dot' or a d x d integer matrix")
     for r, row in enumerate(B):
         for c, x in enumerate(row):
-            if x != int(x):
+            if _integer(x) is None:
                 raise MetaplecticError(f"B entry (row {r + 1}, column {c + 1}) = {x!r} is not an integer")
     B = tuple(tuple(int(x) for x in row) for row in B)
     if any(len(row) != d for row in B) or len(B) != d:

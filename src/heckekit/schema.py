@@ -12,11 +12,29 @@ composition-scalar and Bernstein relations are verified exactly.
 
 root_scale generalizes every exponent alpha_i to scale_i * alpha_i, which is
 how the metaplectic instances run on the dual torus of the cover.
+
+Equivariance.  Write sigma_w(f) = f(wz) (WeylGroup.at_point), so that
+sigma_{w1 w2} = sigma_{w2} o sigma_{w1}, applied entry by entry.  An instance
+built by transported_instance has A(w, i) = sigma_w(A(e, i)), and then every
+T_i, every theta_lambda and every word in them satisfies
+
+    X(t, s) = sigma_s(X(t s^-1, e)),
+
+so two such operators are equal exactly when their block columns at source
+e agree: the operators applied to E = {(e, e): I_k}.  transported_instance
+records the Matrix objects it places in a_matrices, in a field that is no
+constructor or replace parameter; the instance is certified (`certified`)
+while every A(w, i) is its recorded object and no key was added or removed.
+A replace() or perturbed copy starts without the record, and del breaks it.  The
+quadratic, braid, Bernstein and spherical idempotent checks of a certified
+instance compare columns; any other instance (the generic one, every
+perturbed control) is checked on the whole |W| x |W| block operators.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
+from functools import cache
 from typing import Sequence
 
 from .algebra import (
@@ -39,6 +57,8 @@ class SchemaInstance:
     a_matrices: dict[tuple[WeylElement, int], Matrix]
     root_scale: tuple[int, ...]
     name: str
+    # set by transported_instance alone; replace() and perturbed copies start without it
+    transported: dict[tuple[WeylElement, int], Matrix] | None = field(default=None, init=False, compare=False, repr=False)
 
     def A(self, w: WeylElement, i: int) -> Matrix:
         try:
@@ -159,10 +179,26 @@ def identity_operator(group: WeylGroup, k: int) -> BlockOperator:
     return BlockOperator((k, k), {(w, w): ident for w in group})
 
 
+def certified(inst: SchemaInstance) -> bool:
+    """True iff every A(w, i) is the object transported_instance placed there and no key was added or removed."""
+    placed = inst.transported
+    return placed is not None and placed.keys() == inst.a_matrices.keys() and all(
+        inst.a_matrices[key] is a for key, a in placed.items()
+    )
+
+
+def identity_column(inst: SchemaInstance) -> BlockOperator | None:
+    """E = {(e, e): I_k}, whose images determine the operators of a certified inst; None if inst is not certified."""
+    if not certified(inst):
+        return None
+    e, ident = inst.group.identity, identity_matrix(inst.block_dim)
+    return BlockOperator(ident.shape, {(e, e): ident})
+
+
 def block_action(inst: SchemaInstance, start: BlockOperator) -> Act:
-    """act(word) = T_word start: each T_i built once, applied letter by letter, each product kept by its word."""
-    generators = [build_T(inst, i) for i in range(inst.cartan.rank)]
-    return applied(lambda i, rest: generators[i].compose(rest), start)
+    """act(word) = T_word start: each T_i built on first use, applied letter by letter, each product kept by word."""
+    generator = cache(lambda i: build_T(inst, i))
+    return applied(lambda i, rest: generator(i).compose(rest), start)
 
 
 def spherical_sum(inst: SchemaInstance) -> BlockOperator:
@@ -193,7 +229,10 @@ def check_composition(inst: SchemaInstance, report: Report | None = None) -> Rep
 
 
 def _act(inst: SchemaInstance):
-    """Words in the generators T_i of inst, for the relation verifier."""
+    """Words in the generators T_i of inst, for the relation verifier: applied to E if inst is certified."""
+    column = identity_column(inst)
+    if column is not None:
+        return block_action(inst, column)
     return products(lambda i: build_T(inst, i), lambda: identity_operator(inst.group, inst.block_dim))
 
 
@@ -225,7 +264,8 @@ def check_bernstein(inst: SchemaInstance, lam: Sequence[int], i: int, report: Re
     """theta_lam T_i - T_i theta_{s_i lam} = (v-1)(theta_lam - theta_{s_i lam})/(1 - theta_{-scale alpha_i}).
 
     The right side is computed by exact division in the theta algebra; a
-    weight off the root scale (off_root_scale) fails the check.
+    weight off the root scale (off_root_scale) fails the check.  On a
+    certified inst both sides are applied to E.
     """
     report = report or Report(f"{inst.name}: bernstein")
     lam = tuple(lam)
@@ -236,26 +276,33 @@ def check_bernstein(inst: SchemaInstance, lam: Sequence[int], i: int, report: Re
             return False, f"lambda={lam}, i={i + 1}: {reason}", "Bernstein"
         s = inst.group.simple(i)
         slam = s.act(lam)
-        t = build_T(inst, i)
-        lhs = build_theta(inst, lam).compose(t) - t.compose(build_theta(inst, slam))
+        t, theta, theta_s = build_T(inst, i), build_theta(inst, lam), build_theta(inst, slam)
         numerator = weight_monomial(lam) - weight_monomial(slam)
         alpha = inst.cartan.simple_coroots[i]
         denominator = LaurentPoly.one() - coroot_monomial(alpha, -inst.root_scale[i])
         quotient = exact_divide(numerator, denominator)
         rhs = diagonal_operator(inst, lambda w: (v() - 1) * inst.group.at_point(w, quotient))
-        return verdict(lhs, rhs)
+        column = identity_column(inst)
+        if column is None:
+            return verdict(theta.compose(t) - t.compose(theta_s), rhs)
+        lhs = theta.compose(t.compose(column)) - t.compose(theta_s.compose(column))
+        return verdict(lhs, rhs.compose(column))
 
     report.run(f"bernstein lambda={lam} i={i + 1}", check)
     return report
 
 
 def check_spherical_idempotent(inst: SchemaInstance, report: Report | None = None) -> Report:
-    """(sum_w T_w)^2 = (sum_w v^{l(w)}) * sum_w T_w."""
+    """(sum_w T_w)^2 = (sum_w v^{l(w)}) * sum_w T_w; on a certified inst, both sides applied to E."""
     report = report or Report(f"{inst.name}: spherical idempotent")
 
     def check():
-        s = spherical_sum(inst)
-        return verdict(s.compose(s), poincare_polynomial(inst.group) * s)
+        column = identity_column(inst)
+        if column is None:
+            s = spherical_sum(inst)
+            return verdict(s.compose(s), poincare_polynomial(inst.group) * s)
+        s = weyl_sum(block_action(inst, column), inst.group)
+        return verdict(weyl_sum(block_action(inst, s), inst.group), poincare_polynomial(inst.group) * s)
 
     report.run("spherical idempotent", check)
     return report
@@ -307,7 +354,9 @@ def transported_instance(group: WeylGroup, blocks: Sequence[Matrix], root_scale:
         image = {key: share(group.at_point(w, x)) for key, x in distinct.items()}
         for i, block in enumerate(blocks):
             a_matrices[(w, i)] = type(block)(block.shape, {key: image[id(x)] for key, x in entries[i].items()})
-    return SchemaInstance(group.cartan, group, blocks[0].shape[0], a_matrices, root_scale, name)
+    inst = SchemaInstance(group.cartan, group, blocks[0].shape[0], a_matrices, root_scale, name)
+    inst.transported = dict(a_matrices)
+    return inst
 
 
 # -- the generic (free-symbol) instance -------------------------------------------

@@ -508,6 +508,19 @@ def test_a_degree_that_is_not_a_positive_integer_is_rejected(n, message):
         build_datum("A2", n)
 
 
+@pytest.mark.parametrize("n, B, message", [
+    ("a", None, "n = 'a' is not a positive integer"),
+    (None, None, "n = None is not a positive integer"),
+    (float("nan"), None, "n = nan is not a positive integer"),
+    (float("inf"), None, "n = inf is not a positive integer"),
+    (2, (("a", 0), (0, 1)), "B entry (row 1, column 1) = 'a' is not an integer"),
+], ids=["n-str", "n-None", "n-nan", "n-inf", "B-str"])
+def test_a_value_int_cannot_read_is_a_metaplectic_error(n, B, message):
+    # int() itself raises on each: ValueError, TypeError, ValueError, OverflowError, ValueError
+    with pytest.raises(MetaplecticError, match=re.escape(message)):
+        build_datum("A1", n, B)
+
+
 def test_an_integral_degree_is_taken_as_an_int():
     for n in (3.0, Fraction(3)):
         d = build_datum("A2", n)

@@ -132,3 +132,26 @@ def test_a_run_without_a_json_result_is_an_error_record(tmp_path, last_line, par
         assert record == {"metrics": {"verdict_s": 0.5}, "failed": 0, "attempted": 3}
     else:
         assert set(record) == {"error"} and last_line in record["error"]
+
+
+def test_summary_and_record_show_each_sides_operations_and_failed_share(capsys):
+    from types import SimpleNamespace
+
+    runs = [{"parent": {"metrics": {"t": 1.0}, "failed": 0, "attempted": 40},
+             "change": {"metrics": {"t": 0.5}, "failed": 1 if k == 0 else 0, "attempted": 40}} for k in range(4)]
+    runs.append({"parent": run(t=1.0), "change": {"error": "exit 1"}})  # a run that did not finish attempted nothing
+    assert pairs.operations(runs, "parent") == {"attempted": 161, "failed": 0, "failed_share": 0.0}
+    assert pairs.operations(runs, "change") == {"attempted": 160, "failed": 1, "failed_share": 1 / 160}
+    assert pairs.operations([{"parent": {"error": "exit 1"}}], "parent")["failed_share"] is None
+    rows = pairs.summarize(runs, {})
+    pairs.print_summary("metaplectic_gl3", runs, rows)
+    out = capsys.readouterr().out
+    assert "parent: wrong verdicts 0 of 161 operations (failed share 0), runs that did not finish 0" in out
+    assert "change: wrong verdicts 1 of 160 operations (failed share 0.00625), runs that did not finish 1" in out
+    args = SimpleNamespace(pairs=5, seed=31, seconds=10.0, trace=0)
+    record = pairs.trajectory({}, args, {"metaplectic_gl3": {"runs": runs, "summary": rows}}, ["t"])
+    workload = record["workloads"]["metaplectic_gl3"]
+    assert workload["operations"] == {"parent": {"attempted": 161, "failed_share": 0.0},
+                                      "change": {"attempted": 160, "failed_share": 1 / 160}}
+    assert workload["wrong_verdicts"] == {"parent": 0, "change": 1}
+    json.dumps(record)

@@ -10,7 +10,7 @@ from heckekit.metaplectic import build_datum, check_met_demazure_relations, meta
 from heckekit.relations import applied, first_failing, hecke_relations, monomial_relations, products, verdict, weyl_sum
 from heckekit.reports import Report
 from heckekit.roots import build_cartan, weight_monomial, weyl_group
-from heckekit.schema import BlockOperator, build_T, check_braid, generic_instance
+from heckekit.schema import BlockOperator, build_T, certified, check_braid, generic_instance
 from heckekit.whittaker import check_demazure_relations, demazure_variant, idempotent_apply, idempotent_element
 
 P = LaurentPoly
@@ -148,6 +148,11 @@ def test_a_braid_of_order_m_makes_m_compositions(monkeypatch, name):
         return compose(self, other)
 
     monkeypatch.setattr(BlockOperator, "compose", counting)
+    if certified(inst):  # the cover applies each word to its identity column, one letter a step
+        assert check_braid(inst, 0, 1).passed
+        assert composed["compose"] == 2 * m
+        composed.clear()
+        inst = inst.perturbed(inst.group.identity, 0, 1)  # the same values in a new object: not certified
     assert check_braid(inst, 0, 1).passed
     assert composed["compose"] == m  # 2(m - 1) when each word is built on its own
     act = products(lambda i: build_T(inst, i))

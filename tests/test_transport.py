@@ -2,11 +2,19 @@
 
 The formulas below are written out at X itself, with X computed from the
 Weyl action on the simple coroot, so they share nothing with the transport
-(group.at_point) that builds the instances.
+(group.at_point) that builds the instances.  The last section checks the
+reduction their equivariance allows: a certified instance's relations are
+checked on the block column at source e.
 """
+
+import re
+from collections import Counter
+from dataclasses import replace
+from itertools import product as iproduct
 
 import pytest
 
+import heckekit.schema
 from heckekit.algebra import LaurentPoly, RationalFunction, v
 from heckekit.linalg import Matrix
 from heckekit.metaplectic import build_datum, metaplectic_schema_instance
@@ -19,7 +27,19 @@ from heckekit.rmatrix import (
     tensor_schema_instance,
     untwisted_spec,
 )
+from heckekit.relations import products
 from heckekit.roots import build_cartan, coroot_monomial
+from heckekit.schema import (
+    BlockOperator,
+    SchemaInstance,
+    block_action,
+    build_T,
+    certified,
+    check_quadratic,
+    check_spherical_idempotent,
+    identity_column,
+    transported_instance,
+)
 from heckekit.whittaker import spherical_schema_instance, whittaker_schema_instance
 
 P = LaurentPoly
@@ -95,3 +115,114 @@ def test_tensor_instance_is_pinned(n, r, twist, power):
 @pytest.mark.parametrize("cartan_type, n", [("A1", 2), ("A2", 2), ("B2", 2)])
 def test_metaplectic_entries_are_shared(cartan_type, n):
     assert_entries_shared(metaplectic_schema_instance(build_datum(cartan_type, n)))
+
+
+# -- the identity-column reduction ----------------------------------------------------
+
+BUILDERS = {"whittaker": whittaker_schema_instance, "spherical": spherical_schema_instance}
+REDUCTION_INSTANCES = {
+    **{f"{kind}-{t}": (lambda kind=kind, t=t: BUILDERS[kind](build_cartan(t)))
+       for kind in ("whittaker", "spherical") for t in ("A2", "B2", "G2")},
+    **{f"cover-{t}-n{n}": (lambda t=t, n=n: metaplectic_schema_instance(build_datum(t, n)))
+       for t, n in [("A1", 2), ("A1", 3), ("A2", 2), ("A2", 3), ("B2", 2)]},
+    "tensor-2-2": lambda: tensor_schema_instance(2, 2),
+}
+
+
+def e_column(op: BlockOperator) -> BlockOperator:
+    """The blocks of op at source e."""
+    return BlockOperator(op.shape, {(t, s): b for (t, s), b in op.blocks.items() if s.length == 0})
+
+
+@pytest.mark.parametrize("name", REDUCTION_INSTANCES)
+def test_every_short_word_acts_on_the_identity_column_as_its_operator_does(name):
+    inst = REDUCTION_INSTANCES[name]()
+    assert certified(inst)
+    act = products(lambda i: build_T(inst, i))
+    on_column = block_action(inst, identity_column(inst))
+    letters = range(inst.cartan.rank)
+    for word in (w for length in (1, 2, 3) for w in iproduct(letters, repeat=length)):
+        assert e_column(act(word)).difference(on_column(word)) is None, word
+
+
+@pytest.mark.parametrize("name", ["whittaker-A2", "cover-A2-n2", "tensor-2-2"])
+def test_an_equivariant_instance_from_doubled_blocks_fails_quadratic_on_both_paths(name):
+    good = REDUCTION_INSTANCES[name]()
+    e = good.group.identity
+    blocks = [2 * good.A(e, i) for i in range(good.cartan.rank)]
+    bad = transported_instance(good.group, blocks, good.root_scale, "doubled")
+    operator_path = bad.perturbed(e, 0, 1)  # the same values in a new object
+    assert certified(bad) and not certified(operator_path)
+    column_failure = check_quadratic(bad, 0).first_failure()
+    operator_failure = check_quadratic(operator_path, 0).first_failure()
+    assert column_failure is not None and operator_failure is not None
+    assert re.match(r"block \(\w+, e\) entry \(\d+,\d+\): ", column_failure.lhs), column_failure.lhs
+    assert re.match(r"block \(\w+, \w+\) entry \(\d+,\d+\): ", operator_failure.lhs), operator_failure.lhs
+
+
+def _replaced(inst):  # in place, so only the identity test can see it
+    key = next(iter(inst.a_matrices))
+    a = inst.a_matrices[key]
+    inst.a_matrices[key] = type(a)(a.shape, a.entries)
+    return inst
+
+
+def _deleted(inst):
+    del inst.a_matrices[next(iter(inst.a_matrices))]
+    return inst
+
+
+def _added(inst):
+    inst.a_matrices[(inst.group.identity, inst.cartan.rank)] = inst.A(inst.group.identity, 0)
+    return inst
+
+
+@pytest.mark.parametrize("change, operator_path", [
+    (lambda inst: inst, False),
+    (lambda inst: replace(inst, a_matrices=dict(inst.a_matrices)), True),  # the same objects, no record
+    (lambda inst: inst.perturbed(inst.group.identity, 0, 1), True),
+    (_replaced, True),
+    (_deleted, True),
+    (_added, True),
+], ids=["transported", "copied", "perturbed", "replaced", "deleted", "added"])
+def test_only_a_certified_instance_checks_on_its_identity_column(monkeypatch, change, operator_path):
+    inst = change(metaplectic_schema_instance(build_datum("A1", 2)))
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return products(*args)
+
+    monkeypatch.setattr(heckekit.schema, "products", spy)
+    check_quadratic(inst, 0)
+    assert certified(inst) is not operator_path and bool(calls) is operator_path
+
+
+def test_the_a2_n3_spherical_check_makes_order_w_compositions_of_block_columns(monkeypatch):
+    # on the whole operators: 6 compositions, the last of sum_w T_w with itself, 336 block products
+    inst = metaplectic_schema_instance(build_datum("A2", 3))
+    size = len(inst.group.elements)
+    counts = Counter()
+    compose = BlockOperator.compose
+
+    def counting(self, other):
+        counts["compose"] += 1
+        counts["sources"] = max(counts["sources"], len({s for _, s in other.blocks}))
+        counts["block products"] += sum(1 for _, r in self.blocks for t, _ in other.blocks if t == r)
+        return compose(self, other)
+
+    monkeypatch.setattr(BlockOperator, "compose", counting)
+    assert check_spherical_idempotent(inst).passed
+    # two sums over W of T_i applied to a column; T_i has two blocks per source
+    assert counts["compose"] <= 2 * size and counts["sources"] == 1
+    assert counts["block products"] <= 2 * size * counts["compose"]
+
+
+def test_no_caller_can_supply_the_record():
+    inst = metaplectic_schema_instance(build_datum("A1", 2))
+    fields = (inst.cartan, inst.group, inst.block_dim, dict(inst.a_matrices), inst.root_scale, "forged")
+    with pytest.raises(TypeError):
+        SchemaInstance(*fields, transported=dict(inst.a_matrices))
+    with pytest.raises(ValueError):
+        replace(inst, transported=dict(inst.a_matrices))
+    assert not certified(SchemaInstance(*fields))

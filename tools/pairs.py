@@ -16,12 +16,14 @@ the change wins (ties count for neither side) and whether a gain claim
 holds: wins in at least 9 of 10 pairs and medians further apart than the
 parent's interquartile range.  Every end-to-end metric with a bound in
 BENCHMARK.json also gets a no-regression verdict (see ``regression``).  It
-prints the wrong-verdict count of each side, and ends with one JSON line
+prints the wrong-verdict (failed) count of each side out of the operations
+(checks) it attempted, with the failed share, and ends with one JSON line
 holding all runs.  With --out it also writes a trajectory record to that
 path (and only then writes a file): the git sha of both sides, the Python
 version, the core count, the pairs and seeds, and per workload the wrong
-verdicts, the quartiles and the no-regression verdict of every end-to-end
-metric.  Standard library only.
+verdicts, the attempted operations and the failed share, and the
+quartiles and the no-regression verdict of every end-to-end metric.
+Standard library only.
 
 --workloads defaults to every workload that BENCHMARK.json declares; a name
 it does not declare is a usage error (exit 2), raised before any tree is
@@ -177,14 +179,25 @@ def summarize(runs: list[dict[str, dict]], better: dict[str, str], limits: dict[
     return rows
 
 
+def operations(runs: list[dict[str, dict]], side: str) -> dict:
+    """The operations (checks) one side attempted over its finished runs, those that failed (its wrong
+    verdicts) and the failed share."""
+    attempted = sum(p[side].get("attempted", 0) for p in runs)
+    failed = sum(p[side].get("failed", 0) for p in runs)
+    return {"attempted": attempted, "failed": failed, "failed_share": failed / attempted if attempted else None}
+
+
 def trajectory(sides: dict[str, dict], args, report: dict[str, dict], metrics: list[str]) -> dict:
     """The record --out writes: where and how the pairs ran, and per workload the
-    wrong verdicts of each side and the quartiles of each end-to-end metric."""
+    wrong verdicts and operations of each side and the quartiles of each end-to-end metric."""
     workloads = {}
     for workload, result in report.items():
         rows = {r["metric"]: r for r in result["summary"]}
+        ops = {side: operations(result["runs"], side) for side in SIDES}
         workloads[workload] = {
-            "wrong_verdicts": {side: sum(p[side].get("failed", 0) for p in result["runs"]) for side in SIDES},
+            "wrong_verdicts": {side: ops[side]["failed"] for side in SIDES},
+            "operations": {side: {"attempted": ops[side]["attempted"], "failed_share": ops[side]["failed_share"]}
+                           for side in SIDES},
             "runs_not_finished": {side: sum("error" in p[side] for p in result["runs"]) for side in SIDES},
             "metrics": {
                 name: {
@@ -214,8 +227,10 @@ def print_summary(workload: str, runs: list[dict[str, dict]], rows: list[dict]) 
     print(f"== {workload}: {len(runs)} pair(s)")
     for side in SIDES:
         errors = [p[side]["error"] for p in runs if "error" in p[side]]
-        wrong = sum(p[side].get("failed", 0) for p in runs)
-        print(f"  {side}: wrong verdicts {wrong}, runs that did not finish {len(errors)}")
+        ops = operations(runs, side)
+        share = f"{ops['failed_share']:.4g}" if ops["failed_share"] is not None else "-"
+        print(f"  {side}: wrong verdicts {ops['failed']} of {ops['attempted']} operations (failed share {share}), "
+              f"runs that did not finish {len(errors)}")
         for error in errors:
             print(f"    {error}")
     for r in rows:
