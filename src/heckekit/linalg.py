@@ -196,10 +196,13 @@ def mat_mul(a: Matrix | Sequence, b: Matrix | Sequence) -> Matrix:
 def sparse_product(a: Matrix, b: Matrix) -> Matrix:
     """Sum over matching nonzeros; each cell is summed in ascending inner index.
 
-    An entry product is x * y, so two blocks compose through mat_mul.  A
-    pair of entry objects, and so a term or a sum, can recur only if an
-    object is stored at two keys of a or of b; without one there is no memo,
-    which would only keep every term alive until the product is built.
+    Only the entries of a whose column is a stored row of b are sorted and
+    walked, so an operator applied to a block column costs the blocks the
+    column reads, not a sort of the whole operator.  An entry product is
+    x * y, so two blocks compose through mat_mul.  A pair of entry objects,
+    and so a term or a sum, can recur only if an object is stored at two
+    keys of a or of b; without one there is no memo, which would only keep
+    every term alive until the product is built.
     """
     _check_shapes(a.shape[1] == b.shape[0], "product", a, b)
     b_rows: dict[int, list[tuple[int, RationalFunction]]] = {}
@@ -208,8 +211,8 @@ def sparse_product(a: Matrix, b: Matrix) -> Matrix:
     shared = any(len({id(x) for x in m.entries.values()}) < len(m.entries) for m in (a, b))
     times, plus = (_memoized(mul), _memoized(add)) if shared else (mul, add)
     out: dict[Key, RationalFunction] = {}
-    for (r, j), x in sorted(a.entries.items()):
-        for c, y in b_rows.get(j, ()):
+    for (r, j), x in sorted(item for item in a.entries.items() if item[0][1] in b_rows):
+        for c, y in b_rows[j]:
             term = times(x, y)
             total = out.get((r, c))
             out[(r, c)] = term if total is None else plus(total, term)

@@ -43,7 +43,7 @@ from .relations import applied, first_failing, monomial_relations, verdict, weyl
 from .reports import Report
 from .roots import CartanDatum, WeylGroup, _compose, _identity, build_cartan, coroot_monomial, mat_vec, weight_monomial
 from .rmatrix import tensor_block
-from .schema import BlockOperator, SchemaInstance, block_action, build_T, c_function, d_function, transported_instance
+from .schema import BlockOperator, SchemaInstance, block_action, c_function, d_function, generator, transported_instance
 
 P = LaurentPoly
 RF = RationalFunction
@@ -392,13 +392,12 @@ def check_met_demazure_match(
     """The coset-aggregated block action of T_i equals the metaplectic Demazure operator."""
     report = report or Report(f"block action vs Demazure ({datum.cartan.cartan_type}, n={datum.n})")
     inst = metaplectic_schema_instance(datum)
-    generators = [build_T(inst, i) for i in range(datum.cartan.rank)]
     identity = datum.group.identity
 
     for mu in weights:
         for i in range(datum.cartan.rank):
             def check(mu=tuple(mu), i=i):
-                image = generators[i].compose(whittaker_base(datum, mu)).block(identity, identity)
+                image = generator(inst, i).compose(whittaker_base(datum, mu)).block(identity, identity)
                 total = sum(image.entries.values(), RF.zero())
                 return verdict(total, met_demazure(datum, i, weight_monomial(mu)))
 

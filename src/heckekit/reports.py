@@ -10,7 +10,6 @@ from __future__ import annotations
 import json
 import os
 import time
-import traceback
 from dataclasses import dataclass, field
 
 
@@ -60,6 +59,8 @@ class Report:
         try:
             passed, lhs, rhs = fn()
         except Exception as exc:  # one broken check must not abort the report
+            import traceback  # here, not at the top: it and textwrap cost every cold import of heckekit
+
             where = traceback.extract_tb(exc.__traceback__)[-1]
             passed = False
             lhs = f"{type(exc).__name__}: {exc}"

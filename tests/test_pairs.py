@@ -89,11 +89,12 @@ def test_bounds_are_those_of_the_benchmark_file():
     assert pairs.bounds(root) == {m["name"]: m["bound"] for m in declared}
 
 
-def test_default_workloads_are_those_of_the_benchmark_file(tmp_path):
+def test_default_workloads_are_those_of_the_benchmark_file(tmp_path, monkeypatch):
     root = Path(__file__).resolve().parent.parent
     declared = [w["name"] for w in json.loads((root / "BENCHMARK.json").read_text())["workloads"]]
     assert pairs.parse_args(["--parent", "HEAD"], root).workloads.split(",") == declared
-    # a workload added to the file is run without naming it
+    # a workload added to the file is run without naming it; tmp_path is no checkout, so HEAD resolves by stub
+    monkeypatch.setattr(pairs, "commit_sha", lambda root, rev: "a" * 40)
     spec = {"workloads": [{"name": "generic_rank2"}, {"name": "reach"}], "end_to_end": [{"name": "verdict_s", "better": "lower"}]}
     (tmp_path / "BENCHMARK.json").write_text(json.dumps(spec))
     assert pairs.parse_args(["--parent", "HEAD"], tmp_path).workloads == "generic_rank2,reach"
@@ -101,20 +102,49 @@ def test_default_workloads_are_those_of_the_benchmark_file(tmp_path):
     assert pairs.directions(tmp_path) == {"verdict_s": "lower"} and pairs.end_to_end(tmp_path) == ["verdict_s"]
 
 
-def test_an_undeclared_workload_is_a_usage_error(monkeypatch, capsys):
-    root = Path(__file__).resolve().parent.parent
-    declared = [w["name"] for w in json.loads((root / "BENCHMARK.json").read_text())["workloads"]]
-
+def no_tree_is_extracted(monkeypatch):
     def extract(*args):
         raise AssertionError("a tree was extracted")
 
     monkeypatch.setattr(pairs, "extract_revision", extract)
     monkeypatch.setattr(pairs, "copy_working_tree", extract)
+
+
+def test_an_undeclared_workload_is_a_usage_error(monkeypatch, capsys):
+    root = Path(__file__).resolve().parent.parent
+    declared = [w["name"] for w in json.loads((root / "BENCHMARK.json").read_text())["workloads"]]
+    no_tree_is_extracted(monkeypatch)
     with pytest.raises(SystemExit) as exit_info:
         pairs.main(["--parent", "HEAD", "--workloads", f"{declared[0]},generic_rank3"])
     assert exit_info.value.code == 2
     err = capsys.readouterr().err
     assert "unknown workload(s) generic_rank3;" in err and f"declares {', '.join(declared)}" in err
+
+
+def test_an_unknown_parent_revision_is_a_usage_error(monkeypatch, capsys):
+    no_tree_is_extracted(monkeypatch)
+    with pytest.raises(SystemExit) as exit_info:
+        pairs.main(["--parent", "no_such_rev", "--pairs", "1"])
+    assert exit_info.value.code == 2
+    assert "unknown --parent revision 'no_such_rev': git cannot resolve it to a commit" in capsys.readouterr().err
+
+
+def test_the_parent_revision_is_resolved_to_its_commit():
+    root = Path(__file__).resolve().parent.parent
+    args = pairs.parse_args(["--parent", "HEAD"], root)
+    assert args.parent_sha == pairs.git(root, "rev-parse", "HEAD") and len(args.parent_sha) == 40
+
+
+def test_a_run_outside_a_git_checkout_is_a_usage_error(tmp_path, monkeypatch, capsys):
+    no_tree_is_extracted(monkeypatch)
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("GIT_CEILING_DIRECTORIES", str(tmp_path.parent))  # git looks no higher than tmp_path
+    monkeypatch.delenv("GIT_DIR", raising=False)
+    assert pairs.repo_root() is None
+    with pytest.raises(SystemExit) as exit_info:
+        pairs.main(["--parent", "HEAD"])
+    assert exit_info.value.code == 2
+    assert "not inside a git checkout; run it from inside the repository" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("last_line, parsed", [

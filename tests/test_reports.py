@@ -1,6 +1,12 @@
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from heckekit.reports import Report
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def test_raising_check_is_recorded_as_failure():
@@ -14,6 +20,24 @@ def test_raising_check_is_recorded_as_failure():
     assert "test_reports.py" in boom.rhs
     assert fine.passed
     assert Report.from_json(report.to_json()).status == "fail"
+
+
+def test_a_raising_check_names_the_file_line_and_function_it_raised_in():
+    def broken():
+        return {}["missing"]
+
+    report = Report("t")
+    report.run("boom", broken)
+    boom = report.checks[0]
+    assert boom.lhs == "KeyError: 'missing'"
+    assert boom.rhs == f"raised at test_reports.py:{broken.__code__.co_firstlineno + 1} in broken"
+
+
+def test_importing_heckekit_does_not_load_traceback():
+    # a fresh interpreter: traceback (and textwrap with it) is imported only when a check raises
+    code = f"import sys; sys.path.insert(0, {str(SRC)!r}); import heckekit; print('traceback' in sys.modules)"
+    out = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_serialized_status_must_agree_with_its_checks():

@@ -4,7 +4,8 @@ The formulas below are written out at X itself, with X computed from the
 Weyl action on the simple coroot, so they share nothing with the transport
 (group.at_point) that builds the instances.  The last section checks the
 reduction their equivariance allows: a certified instance's relations are
-checked on the block column at source e.
+checked on the block column at source e, its composition products at e
+only, and each of its generators is built once.
 """
 
 import re
@@ -35,10 +36,14 @@ from heckekit.schema import (
     block_action,
     build_T,
     certified,
+    check_bernstein,
+    check_composition,
     check_quadratic,
     check_spherical_idempotent,
+    generator,
     identity_column,
     transported_instance,
+    verify_instance,
 )
 from heckekit.whittaker import spherical_schema_instance, whittaker_schema_instance
 
@@ -129,6 +134,18 @@ REDUCTION_INSTANCES = {
 }
 
 
+def spy_on(monkeypatch, name):
+    """The argument tuples of every call of heckekit.schema.<name>, which still runs."""
+    calls, real = [], getattr(heckekit.schema, name)
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(heckekit.schema, name, spy)
+    return calls
+
+
 def e_column(op: BlockOperator) -> BlockOperator:
     """The blocks of op at source e."""
     return BlockOperator(op.shape, {(t, s): b for (t, s), b in op.blocks.items() if s.length == 0})
@@ -187,13 +204,7 @@ def _added(inst):
 ], ids=["transported", "copied", "perturbed", "replaced", "deleted", "added"])
 def test_only_a_certified_instance_checks_on_its_identity_column(monkeypatch, change, operator_path):
     inst = change(metaplectic_schema_instance(build_datum("A1", 2)))
-    calls = []
-
-    def spy(*args):
-        calls.append(args)
-        return products(*args)
-
-    monkeypatch.setattr(heckekit.schema, "products", spy)
+    calls = spy_on(monkeypatch, "products")
     check_quadratic(inst, 0)
     assert certified(inst) is not operator_path and bool(calls) is operator_path
 
@@ -226,3 +237,77 @@ def test_no_caller_can_supply_the_record():
     with pytest.raises(ValueError):
         replace(inst, transported=dict(inst.a_matrices))
     assert not certified(SchemaInstance(*fields))
+
+
+# -- composition at e, Bernstein on the column, one T_i per instance ------------------
+
+
+def rendered(report):
+    return [(c.name, c.passed, c.lhs, c.rhs) for c in report.checks]
+
+
+def test_a_certified_cover_forms_its_composition_products_at_e_only(monkeypatch):
+    inst = metaplectic_schema_instance(build_datum("A2", 2))
+    copy = inst.perturbed(inst.group.identity, 0, 1)  # the same values in a new object: not certified
+    multiplied = spy_on(monkeypatch, "mat_mul")
+    on_column = check_composition(inst)
+    rank, size = inst.cartan.rank, len(inst.group.elements)
+    assert len(multiplied) == rank
+    multiplied.clear()
+    on_operators = check_composition(copy)
+    assert len(multiplied) == size * rank
+    assert on_column.passed and len(on_column.checks) == size * rank
+    assert [(c.name, c.passed) for c in on_column.checks] == [(c.name, c.passed) for c in on_operators.checks]
+
+
+def doubled(good):
+    """good's identity blocks doubled and transported: equivariant, certified and wrong."""
+    e = good.group.identity
+    blocks = [2 * good.A(e, i) for i in range(good.cartan.rank)]
+    return transported_instance(good.group, blocks, good.root_scale, "doubled")
+
+
+@pytest.mark.parametrize("name", ["whittaker-A2", "cover-A2-n2", "tensor-2-2"])
+def test_a_doubled_block_instance_reports_composition_and_bernstein_alike_on_both_paths(name):
+    bad = doubled(REDUCTION_INSTANCES[name]())
+    operator_path = bad.perturbed(bad.group.identity, 0, 1)
+    dim = bad.cartan.dim
+    lambdas = [(2,) + (0,) * (dim - 1), tuple(range(dim))]  # the second is off the n = 2 root scale
+
+    def reports(inst):
+        report = check_composition(inst)
+        for lam in lambdas:
+            for i in range(inst.cartan.rank):
+                check_bernstein(inst, lam, i, report)
+        return rendered(report)
+
+    assert certified(bad) and not certified(operator_path)
+    on_column = reports(bad)
+    assert on_column == reports(operator_path)
+    assert not all(passed for check, passed, _, _ in on_column if check.startswith("composition"))
+
+
+def test_a_verify_with_bernstein_and_spherical_builds_each_generator_once(monkeypatch):
+    datum = build_datum("A2", 2)
+    inst = metaplectic_schema_instance(datum)
+    built = spy_on(monkeypatch, "build_T")
+    assert verify_instance(inst, datum.lattice_basis, spherical=True).passed
+    assert sorted(i for _, i in built) == list(range(inst.cartan.rank))
+    assert verify_instance(inst, datum.lattice_basis, spherical=True).passed
+    assert len(built) == inst.cartan.rank  # kept on the instance
+    copy = replace(inst)  # no record, so nothing kept: each check builds its own
+    assert not copy.generators and verify_instance(copy, datum.lattice_basis).passed
+    assert len(built) > 2 * inst.cartan.rank
+
+
+def test_a_kept_generator_is_not_read_after_an_in_place_change():
+    inst = metaplectic_schema_instance(build_datum("A1", 2))
+    e, s = inst.group.identity, inst.group.simple(0)
+    kept = generator(inst, 0)
+    assert generator(inst, 0) is kept and inst.generators == {0: kept}
+    inst.a_matrices[(e, 0)] = 2 * inst.A(e, 0)
+    fresh = generator(inst, 0)
+    assert fresh is not kept and fresh[s, e].difference(inst.A(e, 0)) is None
+    assert not check_quadratic(inst, 0).passed
+    inst.a_matrices[(e, 0)] = inst.transported[(e, 0)]  # the recorded object again: certified
+    assert generator(inst, 0) is kept and check_quadratic(inst, 0).passed

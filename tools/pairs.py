@@ -25,9 +25,10 @@ verdicts, the attempted operations and the failed share, and the
 quartiles and the no-regression verdict of every end-to-end metric.
 Standard library only.
 
---workloads defaults to every workload that BENCHMARK.json declares; a name
-it does not declare is a usage error (exit 2), raised before any tree is
-extracted.
+--workloads defaults to every workload that BENCHMARK.json declares.  A name
+it does not declare, a --parent that git cannot resolve to a commit and a
+run outside a git checkout are usage errors (exit 2), raised before any
+tree is extracted.
 """
 
 from __future__ import annotations
@@ -48,9 +49,17 @@ from pathlib import Path
 SIDES = ("parent", "change")
 
 
-def repo_root() -> Path:
-    out = subprocess.run(["git", "rev-parse", "--show-toplevel"], capture_output=True, text=True, check=True)
-    return Path(out.stdout.strip())
+def repo_root() -> Path | None:
+    """The top of the git checkout holding the working directory, or None outside one."""
+    out = subprocess.run(["git", "rev-parse", "--show-toplevel"], capture_output=True, text=True)
+    return Path(out.stdout.strip()) if out.returncode == 0 else None
+
+
+def commit_sha(root: Path, rev: str) -> str | None:
+    """The sha of the commit rev names in the checkout at root, or None if git cannot resolve it to one."""
+    cmd = ["git", "-C", str(root), "rev-parse", "--verify", "--quiet", "--end-of-options", f"{rev}^{{commit}}"]
+    out = subprocess.run(cmd, capture_output=True, text=True)
+    return out.stdout.strip() if out.returncode == 0 else None
 
 
 def extract_revision(root: Path, rev: str, dest: Path) -> None:
@@ -241,23 +250,29 @@ def print_summary(workload: str, runs: list[dict[str, dict]], rows: list[dict]) 
               f"  x{ratio}  wins {r['wins']}/{r['pairs']}  claim {'met' if r['claim_met'] else 'not met'}{verdict}")
 
 
-def parse_args(argv: list[str] | None, root: Path) -> argparse.Namespace:
+def parse_args(argv: list[str] | None, root: Path | None) -> argparse.Namespace:
+    """The options, with parent_sha the commit --parent names; root is the checkout's top, None outside one."""
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, help="git revision of the parent side")
-    parser.add_argument("--workloads", default=",".join(workloads(root)),
-                        help="comma-separated workload names (default: every workload of BENCHMARK.json)")
+    parser.add_argument("--workloads", help="comma-separated workload names (default: every workload of BENCHMARK.json)")
     parser.add_argument("--pairs", type=int, default=10, help="pairs per workload")
     parser.add_argument("--seed", type=int, default=31, help="seed of the first pair; pair k uses seed + k")
     parser.add_argument("--seconds", type=float, default=10)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--out", type=Path, help="write the trajectory record (BENCH_<pr>.json) to this path")
     args = parser.parse_args(argv)
+    if root is None:
+        parser.error("not inside a git checkout; run it from inside the repository")
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
     declared = workloads(root)
+    args.workloads = args.workloads or ",".join(declared)
     unknown = [name for name in args.workloads.split(",") if name not in declared]
     if unknown:
         parser.error(f"unknown workload(s) {', '.join(unknown)}; BENCHMARK.json declares {', '.join(declared)}")
+    args.parent_sha = commit_sha(root, args.parent)
+    if args.parent_sha is None:
+        parser.error(f"unknown --parent revision {args.parent!r}: git cannot resolve it to a commit in {root}")
     return args
 
 
@@ -266,7 +281,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parse_args(argv, root)
     better = directions(root)
     sides = {
-        "parent": {"rev": args.parent, "sha": git(root, "rev-parse", args.parent)},
+        "parent": {"rev": args.parent, "sha": args.parent_sha},
         # the change side is the working tree: its commit, and whether src/ or heckebench/ differ from it
         "change": {"sha": git(root, "rev-parse", "HEAD"),
                    "uncommitted": bool(git(root, "status", "--porcelain", "--", "src", "heckebench"))},
