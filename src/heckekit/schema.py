@@ -24,19 +24,37 @@ so two such operators are equal exactly when their block columns at source
 e agree: the operators applied to E = {(e, e): I_k}.  The same lemma gives
 A(s_i w, i) A(w, i) = sigma_w(A(s_i, i) A(e, i)) and composition_scalar(w, i)
 = sigma_w(composition_scalar(e, i)), so each composition check at w has the
-verdict of the one at e.  transported_instance records the Matrix objects it
-places in a_matrices, in a field that is no constructor or replace
-parameter; the instance is certified (`certified`) while every A(w, i) is
-its recorded object and no key was added or removed.  A replace() or
-perturbed copy starts without the record, and del breaks it.  A certified
-instance checks composition at e only, compares the two sides of its
-quadratic, braid, Bernstein and spherical idempotent checks on E (a
-diagonal operator applied to a column scales each block (t, s) by its
-scalar at t), and keeps each T_i it builds (`generator`), so every T_i is
-built once per instance; the kept T_i is read only while the instance is
-certified.  Any other instance (the generic one, every perturbed control)
-is checked on the whole |W| x |W| block operators, each (w, i) composition
-on its own product, with each T_i built afresh.
+verdict of the one at e.
+
+Gauge.  Call a k = 1 instance gauge-certified when nonzero scalars h_w exist
+with
+
+    h_{s_i u} A(u, i) = C(x) h_u    for every (u, i),  x = x_monomial(u, i),
+
+C = c_function: A is the spherical instance's block C(x), carried to uz,
+conjugated by H = diag(h_w).  The diagonal blocks D_i(wz) are the same in
+both instances, so T_i = H^-1 T_i^sph H, and every word X in the T_i and
+the theta_lambda (which commute with H) is H^-1 X^sph H.  The spherical
+instance is transported, and H E = h_e E, so X = Y iff X^sph = Y^sph iff
+X^sph E = Y^sph E iff X E = Y E.  The h's cancel from A(s_i w, i) A(w, i) =
+C(x) C(x^-1), so the composition verdict at w is again the one at e.
+
+Certification.  transported_instance and generic_instance record the
+Matrix objects they place in a_matrices, in a field that is no constructor
+or replace parameter.  A transported record is equivariant as built; the
+generic one is gauge-checked on first use (`gauge_certified`), and the
+outcome is kept.  The instance is certified (`certified`) while every
+A(w, i) is its recorded object, no key was added or removed and the record
+is equivariant.  A replace() or perturbed copy starts without the record,
+and del breaks it.  A certified instance checks composition at e only,
+compares the two sides of its quadratic, braid, Bernstein and spherical
+idempotent checks on E (a diagonal operator applied to a column scales each
+block (t, s) by its scalar at t), and keeps each T_i it builds
+(`generator`), so every T_i is built once per instance; the kept T_i is
+read only while the instance is certified.  Each check decides
+certification once.  Any other instance (every perturbed control, a copy
+without the record) is checked on the whole |W| x |W| block operators,
+each (w, i) composition on its own product, with each T_i built afresh.
 """
 
 from __future__ import annotations
@@ -44,7 +62,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from functools import cache
 from operator import is_
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .algebra import (
     LaurentPoly,
@@ -52,7 +70,7 @@ from .algebra import (
     exact_divide,
     v,
 )
-from .linalg import Matrix, first_difference, identity_matrix, mat_mul, sparse_product
+from .linalg import ZERO, Matrix, first_difference, identity_matrix, mat_mul, sparse_product
 from .relations import Act, applied, braid, products, quadratic, verdict, weyl_sum
 from .reports import Report
 from .roots import CartanDatum, WeylElement, WeylGroup, coroot_monomial, weight_monomial
@@ -66,8 +84,12 @@ class SchemaInstance:
     a_matrices: dict[tuple[WeylElement, int], Matrix]
     root_scale: tuple[int, ...]
     name: str
-    # set by transported_instance alone; replace() and perturbed copies start without it
+    # the A(w, i) objects transported_instance or generic_instance placed, in their order (see _record);
+    # replace() and perturbed copies start without it
     transported: dict[tuple[WeylElement, int], Matrix] | None = field(default=None, init=False, compare=False, repr=False)
+    # whether that record is equivariant up to a diagonal gauge: True as transported; for the generic
+    # instance None until certified() first finds the record intact and runs gauge_certified
+    equivariant: bool | None = field(default=None, init=False, compare=False, repr=False)
     # the T_i that generator built while the instance was certified; replace() and perturbed copies start empty
     generators: dict[int, BlockOperator] = field(default_factory=dict, init=False, compare=False, repr=False)
 
@@ -164,14 +186,25 @@ class BlockOperator(Matrix):
 
 
 def build_T(inst: SchemaInstance, i: int) -> BlockOperator:
-    """The Hecke generator acting on the sum of blocks."""
+    """The Hecke generator acting on the sum of blocks.
+
+    D_i(wz) depends on w only through X = (wz)^{scale alpha_i}, a root's
+    monomial, so each distinct diagonal block D(X) I_k is built once, with
+    D(X) placed on its diagonal, and is one object at every w it serves.
+    """
+    k, group = inst.block_dim, inst.group
+    diagonal: dict[LaurentPoly, Matrix] = {}
     blocks: dict[tuple[WeylElement, WeylElement], Matrix] = {}
-    ident = identity_matrix(inst.block_dim)
-    for w in inst.group:
-        blocks[(w, w)] = inst.d_scalar(w, i) * ident
-        sw = inst.group.left_mul_simple(i, w)
+    for w in group:
+        x = inst.x_monomial(w, i)
+        block = diagonal.get(x)
+        if block is None:
+            d = d_function(x)
+            block = diagonal[x] = Matrix((k, k), {(r, r): d for r in range(k)})
+        blocks[(w, w)] = block
+        sw = group.left_mul_simple(i, w)
         blocks[(w, sw)] = inst.A(sw, i)
-    return BlockOperator((inst.block_dim, inst.block_dim), blocks)
+    return BlockOperator((k, k), blocks)
 
 
 def diagonal_operator(inst: SchemaInstance, scalar) -> BlockOperator:
@@ -201,10 +234,56 @@ def identity_operator(group: WeylGroup, k: int) -> BlockOperator:
 
 
 def certified(inst: SchemaInstance) -> bool:
-    """True iff every A(w, i) is the object transported_instance placed there and no key was added or removed."""
+    """True iff inst's A(w, i) are the objects its builder recorded and that record is equivariant.
+
+    The record is compared with a_matrices position by position, keys and
+    values by identity, so any added, removed or replaced A(w, i)
+    un-certifies and no key is hashed.  A transported record is
+    equivariant as built.  A generic record is gauge-checked
+    (gauge_certified) on the first call that finds it intact, and the
+    outcome is kept on the instance.  The gauge lemma: if nonzero h_w
+    satisfy h_{s_i u} A(u, i) = C(x) h_u for every (u, i), x =
+    x_monomial(u, i), then T_i = H^-1 T_i^sph H for H = diag(h_w) and the
+    spherical instance's T_i^sph, so two words in the T_i and theta_lambda
+    agree iff they agree on E (the module docstring has the proof).
+    """
     placed, current = inst.transported, inst.a_matrices
-    return placed is not None and placed.keys() == current.keys() and all(
-        map(is_, map(current.__getitem__, placed), placed.values())
+    if placed is None or len(placed) != len(current):
+        return False
+    if not (all(map(is_, current, placed)) and all(map(is_, current.values(), placed.values()))):
+        return False
+    if inst.equivariant is None:
+        inst.equivariant = gauge_certified(inst)
+    return inst.equivariant
+
+
+def gauge_certified(inst: SchemaInstance) -> bool:
+    """True iff h_{s_i u} A(u, i) = C(x) h_u for every (u, i), x = x_monomial(u, i), with nonzero h (k = 1 only).
+
+    h is built along first left descents: h_e = 1 and h_w = h_{s_i w}
+    A(w, i) / C(x_monomial(w, i)), so only the binomials 1 - v x of C enter
+    its denominators.  Then every (u, i) identity, the tree's included, is
+    compared with ==.  By the gauge lemma in the module docstring, inst's
+    operators are then the spherical instance's conjugated by diag(h_w).
+    """
+    if inst.block_dim != 1:
+        return False
+    group, rank = inst.group, inst.cartan.rank
+
+    def entry(u: WeylElement, i: int) -> RationalFunction:
+        a = inst.a_matrices.get((u, i))
+        return ZERO if a is None else a[0, 0]
+
+    h = {group.identity: RationalFunction.one()}
+    for w in group.elements[1:]:  # by length, so each s_i w comes first
+        i = next(i for i in range(rank) if group.is_left_descent(i, w))
+        a = entry(w, i)
+        if a.is_zero():
+            return False
+        h[w] = h[group.left_mul_simple(i, w)] * a / c_function(inst.x_monomial(w, i))
+    return all(
+        h[group.left_mul_simple(i, u)] * entry(u, i) == c_function(inst.x_monomial(u, i)) * h[u]
+        for u in group for i in range(rank)
     )
 
 
@@ -216,23 +295,41 @@ def identity_column(inst: SchemaInstance) -> BlockOperator | None:
     return BlockOperator(ident.shape, {(e, e): ident})
 
 
+def _generators(inst: SchemaInstance, keep: bool) -> Callable[[int], BlockOperator]:
+    """i -> T_i, each built once for the returned function; if keep (inst is certified), kept on inst too."""
+
+    def build(i: int) -> BlockOperator:
+        if not keep:
+            return build_T(inst, i)
+        kept = inst.generators.get(i)
+        if kept is None:
+            kept = inst.generators[i] = build_T(inst, i)
+        return kept
+
+    return cache(build)
+
+
+def _decided(inst: SchemaInstance) -> tuple[BlockOperator | None, Callable[[int], BlockOperator]]:
+    """(E if inst is certified, else None; i -> T_i): one check's view of inst, with certification decided once."""
+    column = identity_column(inst)
+    return column, _generators(inst, column is not None)
+
+
 def generator(inst: SchemaInstance, i: int) -> BlockOperator:
     """T_i: kept on inst while inst is certified, so built once per instance; built afresh otherwise.
 
     The kept operator is read only while every A(w, i) is the object it was built from.
     """
-    if not certified(inst):
-        return build_T(inst, i)
-    kept = inst.generators.get(i)
-    if kept is None:
-        kept = inst.generators[i] = build_T(inst, i)
-    return kept
+    return _generators(inst, certified(inst))(i)
+
+
+def _walk(step: Callable[[int], BlockOperator], start: BlockOperator) -> Act:
+    return applied(lambda i, rest: step(i).compose(rest), start)
 
 
 def block_action(inst: SchemaInstance, start: BlockOperator) -> Act:
     """act(word) = T_word start: each T_i from generator, applied letter by letter, each product kept by word."""
-    step = cache(lambda i: generator(inst, i))
-    return applied(lambda i, rest: step(i).compose(rest), start)
+    return _walk(_generators(inst, certified(inst)), start)
 
 
 def spherical_sum(inst: SchemaInstance) -> BlockOperator:
@@ -276,10 +373,10 @@ def check_composition(inst: SchemaInstance, report: Report | None = None) -> Rep
 
 def _act(inst: SchemaInstance):
     """Words in the generators T_i of inst, for the relation verifier: applied to E if inst is certified."""
-    column = identity_column(inst)
+    column, step = _decided(inst)
     if column is not None:
-        return block_action(inst, column)
-    return products(lambda i: generator(inst, i), lambda: identity_operator(inst.group, inst.block_dim))
+        return _walk(step, column)
+    return products(step, lambda: identity_operator(inst.group, inst.block_dim))
 
 
 def check_quadratic(inst: SchemaInstance, i: int, report: Report | None = None) -> Report:
@@ -322,7 +419,8 @@ def check_bernstein(inst: SchemaInstance, lam: Sequence[int], i: int, report: Re
         if reason:
             return False, f"lambda={lam}, i={i + 1}: {reason}", "Bernstein"
         slam = inst.group.simple(i).act(lam)
-        t = generator(inst, i)
+        column, step = _decided(inst)
+        t = step(i)
         numerator = weight_monomial(lam) - weight_monomial(slam)
         alpha = inst.cartan.simple_coroots[i]
         denominator = LaurentPoly.one() - coroot_monomial(alpha, -inst.root_scale[i])
@@ -331,7 +429,6 @@ def check_bernstein(inst: SchemaInstance, lam: Sequence[int], i: int, report: Re
         def rhs(w):
             return (v() - 1) * inst.group.at_point(w, quotient)
 
-        column = identity_column(inst)
         if column is None:
             lhs = build_theta(inst, lam).compose(t) - t.compose(build_theta(inst, slam))
             return verdict(lhs, diagonal_operator(inst, rhs))
@@ -348,12 +445,12 @@ def check_spherical_idempotent(inst: SchemaInstance, report: Report | None = Non
     report = report or Report(f"{inst.name}: spherical idempotent")
 
     def check():
-        column = identity_column(inst)
+        column, step = _decided(inst)
         if column is None:
-            s = spherical_sum(inst)
+            s = weyl_sum(_walk(step, identity_operator(inst.group, inst.block_dim)), inst.group)
             return verdict(s.compose(s), poincare_polynomial(inst.group) * s)
-        s = weyl_sum(block_action(inst, column), inst.group)
-        return verdict(weyl_sum(block_action(inst, s), inst.group), poincare_polynomial(inst.group) * s)
+        s = weyl_sum(_walk(step, column), inst.group)
+        return verdict(weyl_sum(_walk(step, s), inst.group), poincare_polynomial(inst.group) * s)
 
     report.run("spherical idempotent", check)
     return report
@@ -405,8 +502,13 @@ def transported_instance(group: WeylGroup, blocks: Sequence[Matrix], root_scale:
         image = {key: share(group.at_point(w, x)) for key, x in distinct.items()}
         for i, block in enumerate(blocks):
             a_matrices[(w, i)] = type(block)(block.shape, {key: image[id(x)] for key, x in entries[i].items()})
-    inst = SchemaInstance(group.cartan, group, blocks[0].shape[0], a_matrices, root_scale, name)
-    inst.transported = dict(a_matrices)
+    return _record(SchemaInstance(group.cartan, group, blocks[0].shape[0], a_matrices, root_scale, name), True)
+
+
+def _record(inst: SchemaInstance, equivariant: bool | None) -> SchemaInstance:
+    """inst with its A(w, i) objects recorded, in their order, and equivariant set: True, or None to gauge-check."""
+    inst.transported = dict(inst.a_matrices)
+    inst.equivariant = equivariant
     return inst
 
 
@@ -430,7 +532,8 @@ def generic_instance(cartan: CartanDatum, group: WeylGroup | None = None) -> Sch
     coset's positive coroots, so the forced C-factor pairs cancel).  Every
     other edge of the chains is shorter or is (w, i), so the identity fixes
     A(w, j), and the f-quotients satisfy it by telescoping (for A2:
-    a2_121 = a1_121*a2_21*a1_1/(a1_12*a2_2)).
+    a2_121 = a1_121*a2_21*a1_1/(a1_12*a2_2)).  The placed A(w, i) are
+    recorded unchecked: certified() runs the gauge check on first use.
     """
     group = group or WeylGroup(cartan)
     inst = SchemaInstance(cartan, group, 1, {}, (1,) * cartan.rank, "generic")
@@ -447,4 +550,4 @@ def generic_instance(cartan: CartanDatum, group: WeylGroup | None = None) -> Sch
                 f[w] = f[sw] / a
             inst.a_matrices[(w, i)] = Matrix((1, 1), {(0, 0): a})
             inst.a_matrices[(sw, i)] = Matrix((1, 1), {(0, 0): inst.composition_scalar(sw, i) / a})
-    return inst
+    return _record(inst, None)

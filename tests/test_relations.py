@@ -148,7 +148,7 @@ def test_a_braid_of_order_m_makes_m_compositions(monkeypatch, name):
         return compose(self, other)
 
     monkeypatch.setattr(BlockOperator, "compose", counting)
-    if certified(inst):  # the cover applies each word to its identity column, one letter a step
+    if certified(inst):  # a certified instance applies each word to its identity column, one letter a step
         assert check_braid(inst, 0, 1).passed
         assert composed["compose"] == 2 * m
         composed.clear()

@@ -2,15 +2,17 @@
 
 The formulas below are written out at X itself, with X computed from the
 Weyl action on the simple coroot, so they share nothing with the transport
-(group.at_point) that builds the instances.  The last section checks the
+(group.at_point) that builds the instances.  The later sections check the
 reduction their equivariance allows: a certified instance's relations are
 checked on the block column at source e, its composition products at e
-only, and each of its generators is built once.
+only, and each of its generators is built once.  The last one checks the
+gauge certificate that gives the generic instance the same reduction.
 """
 
 import re
 from collections import Counter
 from dataclasses import replace
+from fractions import Fraction
 from itertools import product as iproduct
 
 import pytest
@@ -29,18 +31,22 @@ from heckekit.rmatrix import (
     untwisted_spec,
 )
 from heckekit.relations import products
-from heckekit.roots import build_cartan, coroot_monomial
+from heckekit.roots import WeylGroup, build_cartan, coroot_monomial
 from heckekit.schema import (
     BlockOperator,
     SchemaInstance,
+    _record,
     block_action,
     build_T,
     certified,
     check_bernstein,
+    check_braid,
     check_composition,
     check_quadratic,
     check_spherical_idempotent,
+    gauge_certified,
     generator,
+    generic_instance,
     identity_column,
     transported_instance,
     verify_instance,
@@ -311,3 +317,85 @@ def test_a_kept_generator_is_not_read_after_an_in_place_change():
     assert not check_quadratic(inst, 0).passed
     inst.a_matrices[(e, 0)] = inst.transported[(e, 0)]  # the recorded object again: certified
     assert generator(inst, 0) is kept and check_quadratic(inst, 0).passed
+
+
+# -- the generic instance, certified by a diagonal gauge to the spherical instance ----
+
+def generic(cartan_type):
+    return generic_instance(build_cartan(cartan_type))
+
+
+@pytest.mark.parametrize("cartan_type", ["A2", "B2", "C2", "G2", "A3"])
+def test_a_generic_instance_is_certified_and_reports_as_its_uncertified_copy(monkeypatch, cartan_type):
+    inst = generic(cartan_type)
+    copy = replace(inst, a_matrices=dict(inst.a_matrices))  # the same objects, no record
+    assert inst.equivariant is None  # nothing is checked while the instance is built
+    assert certified(inst) and inst.equivariant and not certified(copy)
+    multiplied = spy_on(monkeypatch, "products")
+    on_column = verify_instance(inst)
+    assert not multiplied  # every relation on the identity column
+    on_operators = verify_instance(copy)
+    assert on_column.passed and len(on_column.checks) == len(on_operators.checks)
+    assert [(c.name, c.passed) for c in on_column.checks] == [(c.name, c.passed) for c in on_operators.checks]
+
+
+def test_a_doubled_entry_written_into_a_certified_generic_instance_fails_as_on_the_operator_path():
+    inst = generic("A2")
+    keys = list(inst.a_matrices)
+    for w, i in keys:
+        assert certified(inst)
+        expected = rendered(verify_instance(inst.perturbed(w, i, 2)))
+        recorded = inst.a_matrices[(w, i)]
+        inst.a_matrices[(w, i)] = 2 * recorded
+        assert not certified(inst)
+        got = rendered(verify_instance(inst))
+        assert got == expected and not all(passed for _, passed, _, _ in got), (w.name(), i)
+        inst.a_matrices[(w, i)] = recorded
+    assert list(inst.a_matrices) == keys and verify_instance(inst).passed
+
+
+def _off_tree_edges(group):
+    """(w, j) for every descent j of w but the first (a forced entry), and one ascent edge (u, i)."""
+    rank = group.cartan.rank
+    descents = {w: [j for j in range(rank) if group.is_left_descent(j, w)] for w in group}
+    forced = [(w, j) for w in group for j in descents[w][1:]]
+    ascent = next((u, i) for u in group for i in range(rank) if i not in descents[u])
+    return forced + [ascent]
+
+
+@pytest.mark.parametrize("cartan_type", ["A2", "A3"])
+def test_a_recorded_instance_wrong_on_an_edge_off_the_first_descent_tree_is_refused(cartan_type):
+    group = WeylGroup(build_cartan(cartan_type))
+    for w, j in _off_tree_edges(group):
+        inst = generic_instance(group.cartan, group)
+        inst.a_matrices[(w, j)] = 2 * inst.A(w, j)
+        if group.is_left_descent(j, w):  # its ascent partner halved: every composition scalar still holds
+            partner = (group.left_mul_simple(j, w), j)
+            inst.a_matrices[partner] = Fraction(1, 2) * inst.A(*partner)
+        _record(inst, None)  # recorded as generic_instance records what it placed
+        assert not gauge_certified(inst) and not certified(inst) and inst.equivariant is False
+        assert not verify_instance(inst).passed, (w.name(), j)
+
+
+def test_gauge_certified_refuses_blocks_of_more_than_one_dimension():
+    inst = metaplectic_schema_instance(build_datum("A1", 2))
+    assert certified(inst) and not gauge_certified(inst)  # equivariant as transported, and k = 2
+
+
+@pytest.mark.parametrize("cartan_type", ["A2", "B2", "A3"])
+def test_the_spherical_idempotent_holds_on_a_generic_instance(monkeypatch, cartan_type):
+    inst = generic(cartan_type)
+    whole = spy_on(monkeypatch, "identity_operator")  # the start of sum_w T_w on whole operators
+    report = check_spherical_idempotent(inst)
+    assert certified(inst) and report.passed and not whole
+
+
+def test_a_doubled_generic_entry_fails_the_spherical_idempotent_on_the_operator_path(monkeypatch):
+    inst = generic("A2")
+    w0 = inst.group.longest()
+    inst.a_matrices[(w0, 0)] = 2 * inst.A(w0, 0)
+    whole = spy_on(monkeypatch, "identity_operator")
+    failure = check_spherical_idempotent(inst).first_failure()
+    assert not certified(inst) and whole and failure is not None
+    assert re.match(r"block \(\w+, \w+\) entry \(0,0\): ", failure.lhs), failure.lhs
+    assert not check_braid(inst, 0, 1).passed
