@@ -39,59 +39,53 @@ instance is transported, and H E = h_e E, so X = Y iff X^sph = Y^sph iff
 X^sph E = Y^sph E iff X E = Y E.  The h's cancel from A(s_i w, i) A(w, i) =
 C(x) C(x^-1), so the composition verdict at w is again the one at e.
 
-Certification.  transported_instance and generic_instance record the
-Matrix objects they place in a_matrices, in a field that is no constructor
-or replace parameter.  A transported record is equivariant as built; the
-generic one is gauge-checked on first use (`gauge_certified`), and the
-outcome is kept.  The instance is certified (`certified`) while every
-A(w, i) is its recorded object, no key was added or removed and the record
-is equivariant.  A replace() or perturbed copy starts without the record,
-and del breaks it.  A certified instance checks composition at e only,
-compares the two sides of its quadratic, braid, Bernstein and spherical
-idempotent checks on E (a diagonal operator applied to a column scales each
-block (t, s) by its scalar at t), and keeps each T_i it builds
-(`generator`), so every T_i is built once per instance; the kept T_i is
-read only while the instance is certified.  Each check decides
-certification once.  Any other instance (every perturbed control, a copy
-without the record) is checked on the whole |W| x |W| block operators,
-each (w, i) composition on its own product, with each T_i built afresh.
+Certification.  a_matrices is read-only, so an instance keeps the A(w, i)
+its builder placed; an edit makes a new instance through perturbed or
+replace(), which starts uncertified.  The one field `equivariant` says
+which instances are certified: False by default, True as
+transported_instance builds, and None as generic_instance builds until
+`certified` runs gauge_certified once and keeps its outcome.  Every check
+applies its words to one start: E = {(e, e): I_k} on a certified instance,
+the identity operator otherwise, so an uncertified instance is checked on
+whole |W| x |W| block operators by the same code.  A certified instance
+also checks composition at e only.  Each T_i is built once per instance
+(`generator`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import cache
-from operator import is_
-from typing import Callable, Sequence
+from types import MappingProxyType
+from typing import Mapping, Sequence
 
-from .algebra import (
-    LaurentPoly,
-    RationalFunction,
-    exact_divide,
-    v,
-)
+from .algebra import LaurentPoly, RationalFunction, exact_divide, v
 from .linalg import ZERO, Matrix, first_difference, identity_matrix, mat_mul, sparse_product
-from .relations import Act, applied, braid, products, quadratic, verdict, weyl_sum
+from .relations import Act, applied, braid, quadratic, verdict, weyl_sum
 from .reports import Report
 from .roots import CartanDatum, WeylElement, WeylGroup, coroot_monomial, weight_monomial
 
 
 @dataclass
 class SchemaInstance:
+    """The data of one instance.  a_matrices is read-only: a view of a copy of the mapping given.
+
+    Edits go through perturbed or replace(), whose copies start with
+    equivariant False and no kept generators.
+    """
+
     cartan: CartanDatum
     group: WeylGroup
     block_dim: int
-    a_matrices: dict[tuple[WeylElement, int], Matrix]
+    a_matrices: Mapping[tuple[WeylElement, int], Matrix]
     root_scale: tuple[int, ...]
     name: str
-    # the A(w, i) objects transported_instance or generic_instance placed, in their order (see _record);
-    # replace() and perturbed copies start without it
-    transported: dict[tuple[WeylElement, int], Matrix] | None = field(default=None, init=False, compare=False, repr=False)
-    # whether that record is equivariant up to a diagonal gauge: True as transported; for the generic
-    # instance None until certified() first finds the record intact and runs gauge_certified
-    equivariant: bool | None = field(default=None, init=False, compare=False, repr=False)
-    # the T_i that generator built while the instance was certified; replace() and perturbed copies start empty
+    # certified: True as transported; for the generic instance None until certified() runs gauge_certified
+    equivariant: bool | None = field(default=False, init=False, compare=False, repr=False)
+    # the T_i that generator built, each once
     generators: dict[int, BlockOperator] = field(default_factory=dict, init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        self.a_matrices = MappingProxyType(dict(self.a_matrices))
 
     def A(self, w: WeylElement, i: int) -> Matrix:
         try:
@@ -207,14 +201,8 @@ def build_T(inst: SchemaInstance, i: int) -> BlockOperator:
     return BlockOperator((k, k), blocks)
 
 
-def diagonal_operator(inst: SchemaInstance, scalar) -> BlockOperator:
-    """The operator with diagonal block scalar(w) * I_k at every w and no other block."""
-    ident = identity_matrix(inst.block_dim)
-    return BlockOperator(ident.shape, {(w, w): scalar(w) * ident for w in inst.group})
-
-
 def scaled_column(scalar, column: BlockOperator) -> BlockOperator:
-    """The diagonal operator of scalar applied to column: each block (t, s) times scalar(t)."""
+    """The diagonal operator of scalar applied to column (any start): each block (t, s) times scalar(t)."""
     return BlockOperator(column.shape, {(t, s): scalar(t) * b for (t, s), b in column.blocks.items()})
 
 
@@ -225,7 +213,7 @@ def theta_scalar(inst: SchemaInstance, lam: Sequence[int]):
 
 def build_theta(inst: SchemaInstance, lam: Sequence[int]) -> BlockOperator:
     """theta_lambda: diagonal block (wz)^lambda * I_k."""
-    return diagonal_operator(inst, theta_scalar(inst, lam))
+    return scaled_column(theta_scalar(inst, lam), identity_operator(inst.group, inst.block_dim))
 
 
 def identity_operator(group: WeylGroup, k: int) -> BlockOperator:
@@ -234,24 +222,17 @@ def identity_operator(group: WeylGroup, k: int) -> BlockOperator:
 
 
 def certified(inst: SchemaInstance) -> bool:
-    """True iff inst's A(w, i) are the objects its builder recorded and that record is equivariant.
+    """inst.equivariant: True iff inst's operators are determined by their images of E = {(e, e): I_k}.
 
-    The record is compared with a_matrices position by position, keys and
-    values by identity, so any added, removed or replaced A(w, i)
-    un-certifies and no key is hashed.  A transported record is
-    equivariant as built.  A generic record is gauge-checked
-    (gauge_certified) on the first call that finds it intact, and the
-    outcome is kept on the instance.  The gauge lemma: if nonzero h_w
-    satisfy h_{s_i u} A(u, i) = C(x) h_u for every (u, i), x =
-    x_monomial(u, i), then T_i = H^-1 T_i^sph H for H = diag(h_w) and the
-    spherical instance's T_i^sph, so two words in the T_i and theta_lambda
-    agree iff they agree on E (the module docstring has the proof).
+    The field is True as transported_instance builds and False by default.
+    generic_instance leaves it None, and the first call sets it to the
+    outcome of gauge_certified, so the gauge is checked once.  The gauge
+    lemma: if nonzero h_w satisfy h_{s_i u} A(u, i) = C(x) h_u for every
+    (u, i), x = x_monomial(u, i), then T_i = H^-1 T_i^sph H for H =
+    diag(h_w) and the spherical instance's T_i^sph, so two words in the T_i
+    and theta_lambda agree iff they agree on E (the module docstring has
+    the proof).
     """
-    placed, current = inst.transported, inst.a_matrices
-    if placed is None or len(placed) != len(current):
-        return False
-    if not (all(map(is_, current, placed)) and all(map(is_, current.values(), placed.values()))):
-        return False
     if inst.equivariant is None:
         inst.equivariant = gauge_certified(inst)
     return inst.equivariant
@@ -262,9 +243,10 @@ def gauge_certified(inst: SchemaInstance) -> bool:
 
     h is built along first left descents: h_e = 1 and h_w = h_{s_i w}
     A(w, i) / C(x_monomial(w, i)), so only the binomials 1 - v x of C enter
-    its denominators.  Then every (u, i) identity, the tree's included, is
-    compared with ==.  By the gauge lemma in the module docstring, inst's
-    operators are then the spherical instance's conjugated by diag(h_w).
+    its denominators, and the |W| - 1 tree edges (w, i) hold by
+    construction.  The other |W|(r - 1) + 1 identities are compared with
+    ==.  By the gauge lemma in the module docstring, inst's operators are
+    then the spherical instance's conjugated by diag(h_w).
     """
     if inst.block_dim != 1:
         return False
@@ -274,62 +256,38 @@ def gauge_certified(inst: SchemaInstance) -> bool:
         a = inst.a_matrices.get((u, i))
         return ZERO if a is None else a[0, 0]
 
-    h = {group.identity: RationalFunction.one()}
+    h, first = {group.identity: RationalFunction.one()}, {}
     for w in group.elements[1:]:  # by length, so each s_i w comes first
-        i = next(i for i in range(rank) if group.is_left_descent(i, w))
+        i = first[w] = next(i for i in range(rank) if group.is_left_descent(i, w))
         a = entry(w, i)
         if a.is_zero():
             return False
         h[w] = h[group.left_mul_simple(i, w)] * a / c_function(inst.x_monomial(w, i))
     return all(
         h[group.left_mul_simple(i, u)] * entry(u, i) == c_function(inst.x_monomial(u, i)) * h[u]
-        for u in group for i in range(rank)
+        for u in group for i in range(rank) if first.get(u) != i
     )
 
 
-def identity_column(inst: SchemaInstance) -> BlockOperator | None:
-    """E = {(e, e): I_k}, whose images determine the operators of a certified inst; None if inst is not certified."""
+def _start(inst: SchemaInstance) -> BlockOperator:
+    """What a check applies its words to: E = {(e, e): I_k} on a certified inst, else the identity operator."""
     if not certified(inst):
-        return None
+        return identity_operator(inst.group, inst.block_dim)
     e, ident = inst.group.identity, identity_matrix(inst.block_dim)
     return BlockOperator(ident.shape, {(e, e): ident})
 
 
-def _generators(inst: SchemaInstance, keep: bool) -> Callable[[int], BlockOperator]:
-    """i -> T_i, each built once for the returned function; if keep (inst is certified), kept on inst too."""
-
-    def build(i: int) -> BlockOperator:
-        if not keep:
-            return build_T(inst, i)
-        kept = inst.generators.get(i)
-        if kept is None:
-            kept = inst.generators[i] = build_T(inst, i)
-        return kept
-
-    return cache(build)
-
-
-def _decided(inst: SchemaInstance) -> tuple[BlockOperator | None, Callable[[int], BlockOperator]]:
-    """(E if inst is certified, else None; i -> T_i): one check's view of inst, with certification decided once."""
-    column = identity_column(inst)
-    return column, _generators(inst, column is not None)
-
-
 def generator(inst: SchemaInstance, i: int) -> BlockOperator:
-    """T_i: kept on inst while inst is certified, so built once per instance; built afresh otherwise.
-
-    The kept operator is read only while every A(w, i) is the object it was built from.
-    """
-    return _generators(inst, certified(inst))(i)
-
-
-def _walk(step: Callable[[int], BlockOperator], start: BlockOperator) -> Act:
-    return applied(lambda i, rest: step(i).compose(rest), start)
+    """T_i, built once per instance and kept on it (a_matrices is read-only)."""
+    kept = inst.generators.get(i)
+    if kept is None:
+        kept = inst.generators[i] = build_T(inst, i)
+    return kept
 
 
 def block_action(inst: SchemaInstance, start: BlockOperator) -> Act:
     """act(word) = T_word start: each T_i from generator, applied letter by letter, each product kept by word."""
-    return _walk(_generators(inst, certified(inst)), start)
+    return applied(lambda i, rest: generator(inst, i).compose(rest), start)
 
 
 def spherical_sum(inst: SchemaInstance) -> BlockOperator:
@@ -371,24 +329,16 @@ def check_composition(inst: SchemaInstance, report: Report | None = None) -> Rep
     return report
 
 
-def _act(inst: SchemaInstance):
-    """Words in the generators T_i of inst, for the relation verifier: applied to E if inst is certified."""
-    column, step = _decided(inst)
-    if column is not None:
-        return _walk(step, column)
-    return products(step, lambda: identity_operator(inst.group, inst.block_dim))
-
-
 def check_quadratic(inst: SchemaInstance, i: int, report: Report | None = None) -> Report:
     """T_i^2 = (v - 1) T_i + v, exactly."""
     report = report or Report(f"{inst.name}: quadratic")
-    return quadratic(report, _act(inst), i)
+    return quadratic(report, block_action(inst, _start(inst)), i)
 
 
 def check_braid(inst: SchemaInstance, i: int, j: int, report: Report | None = None) -> Report:
     """Alternating products of length n(i, j) agree, exactly."""
     report = report or Report(f"{inst.name}: braid")
-    return braid(report, _act(inst), i, j, inst.cartan.braid_orders[i][j])
+    return braid(report, block_action(inst, _start(inst)), i, j, inst.cartan.braid_orders[i][j])
 
 
 def off_root_scale(inst: SchemaInstance, lam: Sequence[int], i: int) -> str | None:
@@ -407,9 +357,9 @@ def check_bernstein(inst: SchemaInstance, lam: Sequence[int], i: int, report: Re
     """theta_lam T_i - T_i theta_{s_i lam} = (v-1)(theta_lam - theta_{s_i lam})/(1 - theta_{-scale alpha_i}).
 
     The right side is computed by exact division in the theta algebra; a
-    weight off the root scale (off_root_scale) fails the check.  On a
-    certified inst both sides are applied to E, each diagonal operator by
-    scaling the blocks of the column it acts on.
+    weight off the root scale (off_root_scale) fails the check.  Both sides
+    are applied to inst's start, each diagonal operator by scaling the
+    blocks it acts on.
     """
     report = report or Report(f"{inst.name}: bernstein")
     lam = tuple(lam)
@@ -419,8 +369,7 @@ def check_bernstein(inst: SchemaInstance, lam: Sequence[int], i: int, report: Re
         if reason:
             return False, f"lambda={lam}, i={i + 1}: {reason}", "Bernstein"
         slam = inst.group.simple(i).act(lam)
-        column, step = _decided(inst)
-        t = step(i)
+        start, t = _start(inst), generator(inst, i)
         numerator = weight_monomial(lam) - weight_monomial(slam)
         alpha = inst.cartan.simple_coroots[i]
         denominator = LaurentPoly.one() - coroot_monomial(alpha, -inst.root_scale[i])
@@ -429,28 +378,25 @@ def check_bernstein(inst: SchemaInstance, lam: Sequence[int], i: int, report: Re
         def rhs(w):
             return (v() - 1) * inst.group.at_point(w, quotient)
 
-        if column is None:
-            lhs = build_theta(inst, lam).compose(t) - t.compose(build_theta(inst, slam))
-            return verdict(lhs, diagonal_operator(inst, rhs))
         theta, theta_s = theta_scalar(inst, lam), theta_scalar(inst, slam)
-        lhs = scaled_column(theta, t.compose(column)) - t.compose(scaled_column(theta_s, column))
-        return verdict(lhs, scaled_column(rhs, column))
+        lhs = scaled_column(theta, t.compose(start)) - t.compose(scaled_column(theta_s, start))
+        return verdict(lhs, scaled_column(rhs, start))
 
     report.run(f"bernstein lambda={lam} i={i + 1}", check)
     return report
 
 
 def check_spherical_idempotent(inst: SchemaInstance, report: Report | None = None) -> Report:
-    """(sum_w T_w)^2 = (sum_w v^{l(w)}) * sum_w T_w; on a certified inst, both sides applied to E."""
+    """(sum_w T_w)^2 = (sum_w v^{l(w)}) * sum_w T_w, both sides applied to inst's start.
+
+    With s = sum_w T_w applied to the start, the left side is sum_w T_w
+    applied to s (s o s when the start is the identity operator).
+    """
     report = report or Report(f"{inst.name}: spherical idempotent")
 
     def check():
-        column, step = _decided(inst)
-        if column is None:
-            s = weyl_sum(_walk(step, identity_operator(inst.group, inst.block_dim)), inst.group)
-            return verdict(s.compose(s), poincare_polynomial(inst.group) * s)
-        s = weyl_sum(_walk(step, column), inst.group)
-        return verdict(weyl_sum(_walk(step, s), inst.group), poincare_polynomial(inst.group) * s)
+        s = weyl_sum(block_action(inst, _start(inst)), inst.group)
+        return verdict(weyl_sum(block_action(inst, s), inst.group), poincare_polynomial(inst.group) * s)
 
     report.run("spherical idempotent", check)
     return report
@@ -502,13 +448,8 @@ def transported_instance(group: WeylGroup, blocks: Sequence[Matrix], root_scale:
         image = {key: share(group.at_point(w, x)) for key, x in distinct.items()}
         for i, block in enumerate(blocks):
             a_matrices[(w, i)] = type(block)(block.shape, {key: image[id(x)] for key, x in entries[i].items()})
-    return _record(SchemaInstance(group.cartan, group, blocks[0].shape[0], a_matrices, root_scale, name), True)
-
-
-def _record(inst: SchemaInstance, equivariant: bool | None) -> SchemaInstance:
-    """inst with its A(w, i) objects recorded, in their order, and equivariant set: True, or None to gauge-check."""
-    inst.transported = dict(inst.a_matrices)
-    inst.equivariant = equivariant
+    inst = SchemaInstance(group.cartan, group, blocks[0].shape[0], a_matrices, root_scale, name)
+    inst.equivariant = True
     return inst
 
 
@@ -532,11 +473,12 @@ def generic_instance(cartan: CartanDatum, group: WeylGroup | None = None) -> Sch
     coset's positive coroots, so the forced C-factor pairs cancel).  Every
     other edge of the chains is shorter or is (w, i), so the identity fixes
     A(w, j), and the f-quotients satisfy it by telescoping (for A2:
-    a2_121 = a1_121*a2_21*a1_1/(a1_12*a2_2)).  The placed A(w, i) are
-    recorded unchecked: certified() runs the gauge check on first use.
+    a2_121 = a1_121*a2_21*a1_1/(a1_12*a2_2)).  The instance is built
+    unchecked: certified() runs the gauge check on first use.
     """
     group = group or WeylGroup(cartan)
-    inst = SchemaInstance(cartan, group, 1, {}, (1,) * cartan.rank, "generic")
+    empty = SchemaInstance(cartan, group, 1, {}, (1,) * cartan.rank, "generic")  # for its composition_scalar
+    a_matrices: dict[tuple[WeylElement, int], Matrix] = {}
     f = {group.identity: RationalFunction.one()}
     for w in group:
         for i in range(cartan.rank):
@@ -548,6 +490,8 @@ def generic_instance(cartan: CartanDatum, group: WeylGroup | None = None) -> Sch
             else:
                 a = RationalFunction.from_poly(LaurentPoly.symbol(intertwiner_symbol(i, w)))
                 f[w] = f[sw] / a
-            inst.a_matrices[(w, i)] = Matrix((1, 1), {(0, 0): a})
-            inst.a_matrices[(sw, i)] = Matrix((1, 1), {(0, 0): inst.composition_scalar(sw, i) / a})
-    return _record(inst, None)
+            a_matrices[(w, i)] = Matrix((1, 1), {(0, 0): a})
+            a_matrices[(sw, i)] = Matrix((1, 1), {(0, 0): empty.composition_scalar(sw, i) / a})
+    inst = replace(empty, a_matrices=a_matrices)
+    inst.equivariant = None
+    return inst

@@ -148,16 +148,18 @@ def test_a_braid_of_order_m_makes_m_compositions(monkeypatch, name):
         return compose(self, other)
 
     monkeypatch.setattr(BlockOperator, "compose", counting)
-    if certified(inst):  # a certified instance applies each word to its identity column, one letter a step
+    if certified(inst):  # each word applied to the identity column, one letter a step
         assert check_braid(inst, 0, 1).passed
         assert composed["compose"] == 2 * m
         composed.clear()
-        inst = inst.perturbed(inst.group.identity, 0, 1)  # the same values in a new object: not certified
+        inst = inst.perturbed(inst.group.identity, 0, 1)  # the same values in an uncertified copy
     assert check_braid(inst, 0, 1).passed
-    assert composed["compose"] == m  # 2(m - 1) when each word is built on its own
+    assert composed["compose"] == 2 * m  # each word applied to the identity operator, one letter a step
+    composed.clear()
     act = products(lambda i: build_T(inst, i))
     act(left)
     shared = act(right)  # T_right[0] times the kept T_left[:-1]
+    assert composed["compose"] == m  # 2(m - 1) when each word is built on its own
     monkeypatch.undo()
     assert shared.difference(_left_associated(inst, right)) is None
 

@@ -4,9 +4,10 @@ The formulas below are written out at X itself, with X computed from the
 Weyl action on the simple coroot, so they share nothing with the transport
 (group.at_point) that builds the instances.  The later sections check the
 reduction their equivariance allows: a certified instance's relations are
-checked on the block column at source e, its composition products at e
-only, and each of its generators is built once.  The last one checks the
-gauge certificate that gives the generic instance the same reduction.
+checked on the block column at source e and its composition products at e
+only, with the same code that checks an uncertified copy on whole
+operators.  The last one checks the gauge certificate that gives the
+generic instance the same reduction.
 """
 
 import re
@@ -31,11 +32,11 @@ from heckekit.rmatrix import (
     untwisted_spec,
 )
 from heckekit.relations import products
-from heckekit.roots import WeylGroup, build_cartan, coroot_monomial
+from heckekit.roots import build_cartan, coroot_monomial
 from heckekit.schema import (
     BlockOperator,
     SchemaInstance,
-    _record,
+    _start,
     block_action,
     build_T,
     certified,
@@ -47,7 +48,6 @@ from heckekit.schema import (
     gauge_certified,
     generator,
     generic_instance,
-    identity_column,
     transported_instance,
     verify_instance,
 )
@@ -162,7 +162,7 @@ def test_every_short_word_acts_on_the_identity_column_as_its_operator_does(name)
     inst = REDUCTION_INSTANCES[name]()
     assert certified(inst)
     act = products(lambda i: build_T(inst, i))
-    on_column = block_action(inst, identity_column(inst))
+    on_column = block_action(inst, _start(inst))  # E = {(e, e): I_k}, as inst is certified
     letters = range(inst.cartan.rank)
     for word in (w for length in (1, 2, 3) for w in iproduct(letters, repeat=length)):
         assert e_column(act(word)).difference(on_column(word)) is None, word
@@ -174,7 +174,7 @@ def test_an_equivariant_instance_from_doubled_blocks_fails_quadratic_on_both_pat
     e = good.group.identity
     blocks = [2 * good.A(e, i) for i in range(good.cartan.rank)]
     bad = transported_instance(good.group, blocks, good.root_scale, "doubled")
-    operator_path = bad.perturbed(e, 0, 1)  # the same values in a new object
+    operator_path = bad.perturbed(e, 0, 1)  # the same values in an uncertified copy
     assert certified(bad) and not certified(operator_path)
     column_failure = check_quadratic(bad, 0).first_failure()
     operator_failure = check_quadratic(operator_path, 0).first_failure()
@@ -183,26 +183,24 @@ def test_an_equivariant_instance_from_doubled_blocks_fails_quadratic_on_both_pat
     assert re.match(r"block \(\w+, \w+\) entry \(\d+,\d+\): ", operator_failure.lhs), operator_failure.lhs
 
 
-def _replaced(inst):  # in place, so only the identity test can see it
+def _replaced(inst):  # an equal matrix in a new object
     key = next(iter(inst.a_matrices))
     a = inst.a_matrices[key]
-    inst.a_matrices[key] = type(a)(a.shape, a.entries)
-    return inst
+    return replace(inst, a_matrices={**inst.a_matrices, key: type(a)(a.shape, a.entries)})
 
 
 def _deleted(inst):
-    del inst.a_matrices[next(iter(inst.a_matrices))]
-    return inst
+    return replace(inst, a_matrices=dict(list(inst.a_matrices.items())[1:]))
 
 
 def _added(inst):
-    inst.a_matrices[(inst.group.identity, inst.cartan.rank)] = inst.A(inst.group.identity, 0)
-    return inst
+    extra = (inst.group.identity, inst.cartan.rank)
+    return replace(inst, a_matrices={**inst.a_matrices, extra: inst.A(inst.group.identity, 0)})
 
 
 @pytest.mark.parametrize("change, operator_path", [
     (lambda inst: inst, False),
-    (lambda inst: replace(inst, a_matrices=dict(inst.a_matrices)), True),  # the same objects, no record
+    (lambda inst: replace(inst, a_matrices=dict(inst.a_matrices)), True),  # the same objects, a new instance
     (lambda inst: inst.perturbed(inst.group.identity, 0, 1), True),
     (_replaced, True),
     (_deleted, True),
@@ -210,9 +208,32 @@ def _added(inst):
 ], ids=["transported", "copied", "perturbed", "replaced", "deleted", "added"])
 def test_only_a_certified_instance_checks_on_its_identity_column(monkeypatch, change, operator_path):
     inst = change(metaplectic_schema_instance(build_datum("A1", 2)))
-    calls = spy_on(monkeypatch, "products")
+    calls = spy_on(monkeypatch, "identity_operator")  # the start of a whole-operator check
     check_quadratic(inst, 0)
     assert certified(inst) is not operator_path and bool(calls) is operator_path
+
+
+def test_a_matrices_is_read_only_and_a_copy_of_the_mapping_given():
+    inst = metaplectic_schema_instance(build_datum("A1", 2))
+    key = (inst.group.identity, 0)
+    with pytest.raises(TypeError):
+        inst.a_matrices[key] = 2 * inst.A(*key)
+    with pytest.raises(TypeError):
+        del inst.a_matrices[key]
+    given = dict(inst.a_matrices)
+    made = SchemaInstance(inst.cartan, inst.group, inst.block_dim, given, inst.root_scale, "made")
+    given[key] = 2 * inst.A(*key)
+    del given[(inst.group.simple(0), 0)]
+    assert made.a_matrices == inst.a_matrices and made.A(*key) is inst.A(*key)
+
+
+@pytest.mark.parametrize("builder", ["transported", "generic"])
+def test_replace_and_perturbed_copies_start_uncertified_with_no_kept_generators(builder):
+    inst = metaplectic_schema_instance(build_datum("A1", 2)) if builder == "transported" else generic("A2")
+    generator(inst, 0)
+    assert certified(inst) and inst.generators
+    for copy in (replace(inst), inst.perturbed(inst.group.identity, 0, 1)):
+        assert copy.equivariant is False and not copy.generators and not certified(copy)
 
 
 def test_the_a2_n3_spherical_check_makes_order_w_compositions_of_block_columns(monkeypatch):
@@ -239,9 +260,9 @@ def test_no_caller_can_supply_the_record():
     inst = metaplectic_schema_instance(build_datum("A1", 2))
     fields = (inst.cartan, inst.group, inst.block_dim, dict(inst.a_matrices), inst.root_scale, "forged")
     with pytest.raises(TypeError):
-        SchemaInstance(*fields, transported=dict(inst.a_matrices))
+        SchemaInstance(*fields, equivariant=True)
     with pytest.raises(ValueError):
-        replace(inst, transported=dict(inst.a_matrices))
+        replace(inst, equivariant=True)
     assert not certified(SchemaInstance(*fields))
 
 
@@ -254,7 +275,7 @@ def rendered(report):
 
 def test_a_certified_cover_forms_its_composition_products_at_e_only(monkeypatch):
     inst = metaplectic_schema_instance(build_datum("A2", 2))
-    copy = inst.perturbed(inst.group.identity, 0, 1)  # the same values in a new object: not certified
+    copy = inst.perturbed(inst.group.identity, 0, 1)  # the same values in an uncertified copy
     multiplied = spy_on(monkeypatch, "mat_mul")
     on_column = check_composition(inst)
     rank, size = inst.cartan.rank, len(inst.group.elements)
@@ -293,6 +314,28 @@ def test_a_doubled_block_instance_reports_composition_and_bernstein_alike_on_bot
     assert not all(passed for check, passed, _, _ in on_column if check.startswith("composition"))
 
 
+@pytest.mark.parametrize("name", ["cover-A2-n2", "whittaker-A2"])
+@pytest.mark.parametrize("bad", [False, True], ids=["built", "doubled"])
+def test_the_spherical_and_bernstein_checks_give_one_verdict_on_both_starts(name, bad):
+    inst = REDUCTION_INSTANCES[name]()
+    inst = doubled(inst) if bad else inst
+    whole = replace(inst)  # uncertified: its checks start from the identity operator
+    dim = inst.cartan.dim
+    lambdas = [(2,) + (0,) * (dim - 1), tuple(range(dim))]  # the second is off the n = 2 root scale
+
+    def verdicts(inst):
+        report = check_spherical_idempotent(inst)
+        for lam in lambdas:
+            for i in range(inst.cartan.rank):
+                check_bernstein(inst, lam, i, report)
+        return [(c.name, c.passed) for c in report.checks]
+
+    assert certified(inst) and not certified(whole)
+    on_column = verdicts(inst)
+    assert on_column == verdicts(whole)
+    assert on_column[0] == ("spherical idempotent", not bad)
+
+
 def test_a_verify_with_bernstein_and_spherical_builds_each_generator_once(monkeypatch):
     datum = build_datum("A2", 2)
     inst = metaplectic_schema_instance(datum)
@@ -301,21 +344,20 @@ def test_a_verify_with_bernstein_and_spherical_builds_each_generator_once(monkey
     assert sorted(i for _, i in built) == list(range(inst.cartan.rank))
     assert verify_instance(inst, datum.lattice_basis, spherical=True).passed
     assert len(built) == inst.cartan.rank  # kept on the instance
-    copy = replace(inst)  # no record, so nothing kept: each check builds its own
+    copy = replace(inst)  # uncertified, and it builds and keeps its own
     assert not copy.generators and verify_instance(copy, datum.lattice_basis).passed
-    assert len(built) > 2 * inst.cartan.rank
+    assert len(built) == 2 * inst.cartan.rank
 
 
-def test_a_kept_generator_is_not_read_after_an_in_place_change():
+def test_a_kept_generator_is_not_read_by_an_edited_copy():
     inst = metaplectic_schema_instance(build_datum("A1", 2))
     e, s = inst.group.identity, inst.group.simple(0)
     kept = generator(inst, 0)
     assert generator(inst, 0) is kept and inst.generators == {0: kept}
-    inst.a_matrices[(e, 0)] = 2 * inst.A(e, 0)
-    fresh = generator(inst, 0)
-    assert fresh is not kept and fresh[s, e].difference(inst.A(e, 0)) is None
-    assert not check_quadratic(inst, 0).passed
-    inst.a_matrices[(e, 0)] = inst.transported[(e, 0)]  # the recorded object again: certified
+    edited = inst.perturbed(e, 0)
+    fresh = generator(edited, 0)
+    assert fresh is not kept and fresh[s, e].difference(edited.A(e, 0)) is None
+    assert not check_quadratic(edited, 0).passed
     assert generator(inst, 0) is kept and check_quadratic(inst, 0).passed
 
 
@@ -328,30 +370,28 @@ def generic(cartan_type):
 @pytest.mark.parametrize("cartan_type", ["A2", "B2", "C2", "G2", "A3"])
 def test_a_generic_instance_is_certified_and_reports_as_its_uncertified_copy(monkeypatch, cartan_type):
     inst = generic(cartan_type)
-    copy = replace(inst, a_matrices=dict(inst.a_matrices))  # the same objects, no record
+    copy = replace(inst, a_matrices=dict(inst.a_matrices))  # the same objects, a new instance
     assert inst.equivariant is None  # nothing is checked while the instance is built
     assert certified(inst) and inst.equivariant and not certified(copy)
-    multiplied = spy_on(monkeypatch, "products")
+    whole = spy_on(monkeypatch, "identity_operator")  # the start of a whole-operator check
     on_column = verify_instance(inst)
-    assert not multiplied  # every relation on the identity column
+    assert not whole  # every relation on the identity column
     on_operators = verify_instance(copy)
+    assert whole
     assert on_column.passed and len(on_column.checks) == len(on_operators.checks)
     assert [(c.name, c.passed) for c in on_column.checks] == [(c.name, c.passed) for c in on_operators.checks]
 
 
-def test_a_doubled_entry_written_into_a_certified_generic_instance_fails_as_on_the_operator_path():
+def test_a_doubled_generic_entry_offered_to_the_gauge_is_refused_and_fails_as_on_the_operator_path():
     inst = generic("A2")
-    keys = list(inst.a_matrices)
-    for w, i in keys:
-        assert certified(inst)
+    for w, i in inst.a_matrices:
         expected = rendered(verify_instance(inst.perturbed(w, i, 2)))
-        recorded = inst.a_matrices[(w, i)]
-        inst.a_matrices[(w, i)] = 2 * recorded
-        assert not certified(inst)
-        got = rendered(verify_instance(inst))
+        offered = inst.perturbed(w, i, 2)
+        offered.equivariant = None  # gauge-checked on first use, as generic_instance builds
+        got = rendered(verify_instance(offered))
+        assert offered.equivariant is False, (w.name(), i)
         assert got == expected and not all(passed for _, passed, _, _ in got), (w.name(), i)
-        inst.a_matrices[(w, i)] = recorded
-    assert list(inst.a_matrices) == keys and verify_instance(inst).passed
+    assert certified(inst) and verify_instance(inst).passed
 
 
 def _off_tree_edges(group):
@@ -365,16 +405,28 @@ def _off_tree_edges(group):
 
 @pytest.mark.parametrize("cartan_type", ["A2", "A3"])
 def test_a_recorded_instance_wrong_on_an_edge_off_the_first_descent_tree_is_refused(cartan_type):
-    group = WeylGroup(build_cartan(cartan_type))
+    generic_a = generic_instance(build_cartan(cartan_type))
+    group = generic_a.group
     for w, j in _off_tree_edges(group):
-        inst = generic_instance(group.cartan, group)
-        inst.a_matrices[(w, j)] = 2 * inst.A(w, j)
+        a = dict(generic_a.a_matrices)
+        a[(w, j)] = 2 * a[(w, j)]
         if group.is_left_descent(j, w):  # its ascent partner halved: every composition scalar still holds
             partner = (group.left_mul_simple(j, w), j)
-            inst.a_matrices[partner] = Fraction(1, 2) * inst.A(*partner)
-        _record(inst, None)  # recorded as generic_instance records what it placed
+            a[partner] = Fraction(1, 2) * a[partner]
+        inst = replace(generic_a, a_matrices=a)
+        inst.equivariant = None  # gauge-checked on first use, as generic_instance builds
         assert not gauge_certified(inst) and not certified(inst) and inst.equivariant is False
         assert not verify_instance(inst).passed, (w.name(), j)
+
+
+@pytest.mark.parametrize("cartan_type, compared", [("A2", 7), ("B2", 9), ("A3", 49)])
+def test_gauge_certified_compares_only_the_edges_off_the_first_descent_tree(monkeypatch, cartan_type, compared):
+    inst = generic(cartan_type)
+    size, rank = len(inst.group.elements), inst.cartan.rank
+    assert compared == size * (rank - 1) + 1  # of size * rank edges; the size - 1 tree edges hold as h is built
+    calls, eq = [], RF.__eq__
+    monkeypatch.setattr(RF, "__eq__", lambda x, y: calls.append(1) or eq(x, y))
+    assert gauge_certified(inst) and len(calls) == compared
 
 
 def test_gauge_certified_refuses_blocks_of_more_than_one_dimension():
@@ -392,8 +444,7 @@ def test_the_spherical_idempotent_holds_on_a_generic_instance(monkeypatch, carta
 
 def test_a_doubled_generic_entry_fails_the_spherical_idempotent_on_the_operator_path(monkeypatch):
     inst = generic("A2")
-    w0 = inst.group.longest()
-    inst.a_matrices[(w0, 0)] = 2 * inst.A(w0, 0)
+    inst = inst.perturbed(inst.group.longest(), 0, 2)
     whole = spy_on(monkeypatch, "identity_operator")
     failure = check_spherical_idempotent(inst).first_failure()
     assert not certified(inst) and whole and failure is not None
