@@ -1,10 +1,10 @@
 """One verifier for the quadratic and braid relations of every Hecke module.
 
-A module reaches the verifier as act(word), the action of the word
-T_{word[0]} ... T_{word[-1]} in its generators: the operator product for
-block and tensor operators (`products`), or T_word f for operators on
-Laurent polynomials (`applied`).  Both keep what they build by word for the
-life of the act.  The relations
+A module reaches the verifier as act(word) = T_word f, the word
+T_{word[0]} ... T_{word[-1]} in its generators applied to one start f, one
+letter at a time (`applied`): for block and tensor operators the start is
+the identity (a certified schema instance's identity column), for Demazure
+operators the element they act on, such as a monomial z^mu.  The relations
 
     T_i^2 = (v - 1) T_i + v,    T_i T_j T_i ... = T_j T_i T_j ...  (m letters)
 
@@ -46,35 +46,6 @@ def verdict(lhs, rhs, where: str = "") -> Verdict:
 def first_failing(verdicts: Iterable[Verdict]) -> Verdict:
     """The first failing verdict of a family, else (True, None, None); no later member is computed."""
     return next((result for result in verdicts if not result[0]), (True, None, None))
-
-
-def products(generator: Callable[[int], T], identity: Callable[[], T] | None = None) -> Act:
-    """act(word) for operators: the product generator(word[0]).compose(generator(word[1])) ...
-
-    Every product, a generator included, is built on first use and kept by
-    word for the life of this act.  A word whose tail word[1:] is kept is
-    built as generator(word[0]).compose(tail); any other word left to right,
-    through its prefixes.  The two alternating words of a braid of order m
-    share m - 1 letters (right[1:] == left[:-1]), so the pair costs m
-    compositions instead of 2(m - 1).  The empty word is identity(), never
-    composed with anything.
-    """
-    built: dict[Word, T] = {}
-
-    def act(word: Word) -> T:
-        word = tuple(word)
-        if not word:
-            return identity()
-        if word not in built:
-            if len(word) == 1:
-                built[word] = generator(word[0])
-            elif word[1:] in built:
-                built[word] = act(word[:1]).compose(built[word[1:]])
-            else:
-                built[word] = act(word[:-1]).compose(act(word[-1:]))
-        return built[word]
-
-    return act
 
 
 def applied(step: Callable[[int, T], T], f: T) -> Act:

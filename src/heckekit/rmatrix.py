@@ -24,7 +24,7 @@ from .algebra import GaussRules, LaurentPoly, RationalFunction, gauss_symbol, u,
 from .linalg import Matrix, identity_matrix, mat_inverse, nullspace
 from .reports import Report
 from .roots import WeylGroup, build_cartan, coroot_monomial
-from .relations import braid, first_failing, hecke_relations, products, quadratic, verdict
+from .relations import applied, braid, first_failing, hecke_relations, quadratic, verdict
 from .schema import BlockOperator, SchemaInstance, identity_operator, transported_instance
 
 P = LaurentPoly
@@ -204,8 +204,9 @@ def check_hecke(spec: RMatrixSpec, report: Report | None = None) -> Report:
     report = report or Report(f"hecke relations n={spec.n}")
     n = spec.n
     t = hecke_generator(spec)
-    quadratic(report, products(lambda _: t, lambda: identity_matrix(n ** 2)), 0, f" (n={n})")
-    braid(report, products(lambda i: t.embed((i, i + 1), 3)), 0, 1, 3, f" (n={n})")
+    quadratic(report, applied(lambda _, g: t.compose(g), identity_matrix(n ** 2)), 0, f" (n={n})")
+    slots = [t.embed((i, i + 1), 3) for i in (0, 1)]
+    braid(report, applied(lambda i, g: slots[i].compose(g), identity_matrix(n ** 3)), 0, 1, 3, f" (n={n})")
     return report
 
 
@@ -357,7 +358,7 @@ def check_finite_hecke(group: WeylGroup, ops: list[BlockOperator], report: Repor
     """Quadratic and braid relations for explicit block operators over W."""
     report = report or Report(name)
     k = ops[0].block_dim
-    act = products(ops.__getitem__, lambda: identity_operator(group, k))
+    act = applied(lambda i, g: ops[i].compose(g), identity_operator(group, k))
     return hecke_relations(report, act, group.cartan.braid_orders)
 
 
@@ -430,8 +431,9 @@ def check_star_word_identity(group: WeylGroup, t_matrices: list[Matrix], report:
     k = len(t_matrices[0])
 
     def check():
-        stars = products(lambda i: star_matrix(t_matrices[i]), lambda: identity_matrix(k))
-        hecke = products(t_matrices.__getitem__, lambda: identity_matrix(k))
+        star_generators = [star_matrix(t) for t in t_matrices]
+        stars = applied(lambda i, g: star_generators[i].compose(g), identity_matrix(k))
+        hecke = applied(lambda i, g: t_matrices[i].compose(g), identity_matrix(k))
         return first_failing(
             verdict(stars(w.word), (-v()) ** w.length * mat_inverse(hecke(group.inverse(w).word)),
                     f"w={w.name()} ")

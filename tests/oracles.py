@@ -248,7 +248,13 @@ def chain_identity(inst: SchemaInstance, i: int, j: int, u: WeylElement) -> tupl
     return products[0], products[1]
 
 
+def apply_word(inst: SchemaInstance, word: Sequence[int]) -> BlockOperator:
+    """T_{word[0]} ... T_{word[-1]}: the word applied to the identity operator, each T_i built once."""
+    generators = {i: build_T(inst, i) for i in set(word)}
+    act = applied(lambda i, rest: generators[i].compose(rest), identity_operator(inst.group, inst.block_dim))
+    return act(word)
+
+
 def apply_Tw(inst: SchemaInstance, w: WeylElement) -> BlockOperator:
     """T_w as the product of the T_i along the reduced word of w (well-defined once braids hold)."""
-    act = applied(lambda i, rest: build_T(inst, i).compose(rest), identity_operator(inst.group, inst.block_dim))
-    return act(w.word)
+    return apply_word(inst, w.word)

@@ -22,7 +22,7 @@ from heckekit.algebra import (
     v,
 )
 from heckekit.relations import verdict
-from oracles import PoleError, conjugate_gauss, evaluate, substitute, z_monomial
+from oracles import PoleError, apply_word, conjugate_gauss, evaluate, substitute, z_monomial
 from parsing import parse_poly
 
 P = LaurentPoly
@@ -554,7 +554,6 @@ def test_a_failed_trial_division_renders_nothing(monkeypatch):
 
 
 def test_g2_generic_braid_expression_size():
-    from heckekit.relations import products
     from heckekit.roots import build_cartan
     from heckekit.schema import build_T, generic_instance
 
@@ -562,9 +561,8 @@ def test_g2_generic_braid_expression_size():
     for i in (0, 1):  # the W-orbit of alpha_i holds 6 roots, 3 pairs +-beta of associate factors
         generator = build_T(inst, i)
         assert len({f for m in generator.blocks.values() for x in m.entries.values() for f in x.den}) <= 3
-    act = products(lambda i: build_T(inst, i))
     for word in ((0, 1) * 3, (1, 0) * 3):
-        entries = [x for m in act(word).blocks.values() for x in m.entries.values()]
+        entries = [x for m in apply_word(inst, word).blocks.values() for x in m.entries.values()]
         assert len({f for x in entries for f in x.den}) <= 6  # one per positive root of G2
         # in lowest terms, as sums cancel the factors both sides share (14 factors, mean 241 terms without)
         assert max(len(x.den) for x in entries) <= 12

@@ -7,7 +7,7 @@ import heckekit.metaplectic
 import heckekit.whittaker
 from heckekit.algebra import LaurentPoly, v
 from heckekit.metaplectic import build_datum, check_met_demazure_relations, metaplectic_schema_instance
-from heckekit.relations import applied, first_failing, hecke_relations, monomial_relations, products, verdict, weyl_sum
+from heckekit.relations import applied, first_failing, hecke_relations, monomial_relations, verdict, weyl_sum
 from heckekit.reports import Report
 from heckekit.roots import build_cartan, weight_monomial, weyl_group
 from heckekit.schema import BlockOperator, build_T, certified, check_braid, generic_instance
@@ -136,10 +136,9 @@ def _left_associated(inst, word):
 
 
 @pytest.mark.parametrize("name", BRAID_INSTANCES)
-def test_a_braid_of_order_m_makes_m_compositions(monkeypatch, name):
+def test_a_braid_of_order_m_makes_2m_compositions(monkeypatch, name):
     inst = BRAID_INSTANCES[name]()
     m = inst.cartan.braid_orders[0][1]
-    left, right = _alternating(m)
     composed = Counter()
     compose = BlockOperator.compose
 
@@ -155,13 +154,6 @@ def test_a_braid_of_order_m_makes_m_compositions(monkeypatch, name):
         inst = inst.perturbed(inst.group.identity, 0, 1)  # the same values in an uncertified copy
     assert check_braid(inst, 0, 1).passed
     assert composed["compose"] == 2 * m  # each word applied to the identity operator, one letter a step
-    composed.clear()
-    act = products(lambda i: build_T(inst, i))
-    act(left)
-    shared = act(right)  # T_right[0] times the kept T_left[:-1]
-    assert composed["compose"] == m  # 2(m - 1) when each word is built on its own
-    monkeypatch.undo()
-    assert shared.difference(_left_associated(inst, right)) is None
 
 
 @pytest.mark.parametrize("name", BRAID_INSTANCES)

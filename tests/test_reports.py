@@ -45,3 +45,13 @@ def test_serialized_status_must_agree_with_its_checks():
     report.run("fine", lambda: (True, None, None))
     with pytest.raises(ValueError, match="^inconsistent serialized status$"):
         Report.from_json(report.to_json().replace('"status": "pass"', '"status": "fail"'))
+
+
+def test_add_records_a_computed_check_that_first_failure_and_json_keep():
+    report = Report("t")
+    report.add("fine", True)
+    report.add("broken", False, "lhs", "rhs", 0.5)
+    broken = report.checks[1]
+    assert (broken.name, broken.passed, broken.lhs, broken.rhs) == ("broken", False, "lhs", "rhs")
+    assert report.first_failure() is broken
+    assert Report.from_json(report.to_json()).checks == report.checks

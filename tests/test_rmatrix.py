@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import pytest
@@ -302,6 +303,26 @@ def test_wreath_s3():
     for i in range(2):
         assert check_wreath_intertwining(space, ops[i], ts[i]).passed
         assert check_wreath_star(space, ops[i], ts[i]).passed
+
+
+def test_a_doubled_wreath_block_fails_finite_hecke_at_a_block_entry():
+    space, ops = limit_instance(2, 3)
+    assert check_finite_hecke(space, ops).passed
+    key = (space.simple(0), space.identity)
+    bad = BlockOperator(ops[0].shape, {**ops[0].blocks, key: RF.const(2) * ops[0].blocks[key]})
+    failure = check_finite_hecke(space, [bad, ops[1]]).first_failure()
+    assert failure is not None and failure.name == "quadratic T_1"
+    assert re.match(r"block \([^,]+, [^)]+\) entry \(\d+,\d+\)", failure.lhs), failure.lhs
+
+
+def test_a_doubled_entry_fails_the_star_word_identity_at_a_named_w():
+    space, _ = limit_instance(2, 3)
+    ts = [jimbo_t_matrix(2, 3, i) for i in range(2)]
+    assert check_star_word_identity(space, ts).passed
+    key, x = next(iter(ts[0].entries.items()))
+    bad = Matrix(ts[0].shape, {**ts[0].entries, key: RF.const(2) * x})
+    check = check_star_word_identity(space, [bad, ts[1]]).checks[0]
+    assert not check.passed and check.lhs.startswith("w="), check.lhs
 
 
 def test_hecke_inverse_agrees_with_gaussian_inverse():
