@@ -4,7 +4,7 @@ Subcommands, one row each of the COMMANDS table: verify, cs, demazure,
 rmatrix, metaplectic, wreath.  Every command prints a deterministic text
 report and exits nonzero if any check failed.  With --json, stdout holds
 exactly one JSON document (the report); any other lines a command prints go
-to stderr.  Bad input exits with status 2 and a usage message.
+to stderr.  Bad input exits with status 2 and the subcommand's usage message.
 """
 
 from __future__ import annotations
@@ -268,7 +268,8 @@ COMMANDS = {
         ("--bernstein", {"type": _parse_weight, "action": "append",
                          "help": "weight for the Bernstein relation, e.g. '(1,0,0)'; repeatable"}),
         "--n", "--B", "--gauss", "--power",
-        ("--spherical", {"action": "store_true", "help": "also check the spherical idempotent"}),
+        ("--spherical", {"action": "store_true",
+                         "help": "also check the spherical idempotent, by its eigenvector certificate T_i s = v s"}),
     ], ("bernstein", False), (
         (lambda a: a.instance == "metaplectic" and a.type == "G2", "--instance metaplectic has no G2 covers yet"),
         (lambda a: a.instance == "rmatrix" and not a.type.startswith("A"),
@@ -310,6 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (text, _, options, _, _) in COMMANDS.items():
         p = sub.add_parser(name, help=text)
+        p.set_defaults(command_parser=p)  # a usage error found after parsing shows this subcommand's usage
         for option in options:
             option, keywords = (option, {}) if isinstance(option, str) else option
             p.add_argument(option, **{**SHARED.get(option, {}), **keywords})
@@ -317,9 +319,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args, unknown = build_parser().parse_known_args(argv)
     _, run, _, weights, rules = COMMANDS[args.command]
+    parser = args.command_parser
+    if unknown:
+        parser.error(f"unrecognized arguments: {' '.join(unknown)}")
     for bad, message in rules:
         if bad(args):
             parser.error(message.format(**vars(args)))

@@ -37,19 +37,27 @@ both instances, so T_i = H^-1 T_i^sph H, and every word X in the T_i and
 the theta_lambda (which commute with H) is H^-1 X^sph H.  The spherical
 instance is transported, and H E = h_e E, so X = Y iff X^sph = Y^sph iff
 X^sph E = Y^sph E iff X E = Y E.  The h's cancel from A(s_i w, i) A(w, i) =
-C(x) C(x^-1), so the composition verdict at w is again the one at e.
+C(x) C(x^-1), so the composition verdict at w is again the one at e.  So
+each relation check of a gauge-certified instance has the verdict of the
+same check on the spherical instance, whose entries carry no free symbol.
 
 Certification.  a_matrices is read-only, so an instance keeps the A(w, i)
 its builder placed; an edit makes a new instance through perturbed or
 replace(), which starts uncertified.  The one field `equivariant` says
 which instances are certified: False by default, True as
 transported_instance builds, and None as generic_instance builds until
-`certified` runs gauge_certified once and keeps its outcome.  Every check
-applies its words to one start: E = {(e, e): I_k} on a certified instance,
-the identity operator otherwise, so an uncertified instance is checked on
-whole |W| x |W| block operators by the same code.  A certified instance
-also checks composition at e only.  Each T_i is built once per instance
-(`generator`).
+`certified` runs gauge_certified once and keeps its outcome.  When the
+gauge holds, `certified` also builds the spherical instance (spherical_instance)
+once and keeps it in `gauged_to`, and every relation check of the instance
+(composition, quadratic, braid, Bernstein, spherical idempotent) runs on it
+instead (checked_as), under its own name and report title; the gauge check
+itself reads the instance's own entries.  Every check applies its words to
+one start: E = {(e, e): I_k} on a certified instance, the identity operator
+otherwise, so an uncertified instance is checked on whole |W| x |W| block
+operators by the same code.  A certified instance also checks composition
+at e only.  Each T_i is built once per instance (`generator`).  The
+spherical idempotent is proved by its eigenvector certificate
+(check_spherical_idempotent).
 """
 
 from __future__ import annotations
@@ -83,6 +91,8 @@ class SchemaInstance:
     equivariant: bool | None = field(default=False, init=False, compare=False, repr=False)
     # the T_i that generator built, each once
     generators: dict[int, BlockOperator] = field(default_factory=dict, init=False, compare=False, repr=False)
+    # the spherical instance that certified() found inst gauged to, which its relation checks run on
+    gauged_to: SchemaInstance | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         self.a_matrices = MappingProxyType(dict(self.a_matrices))
@@ -230,12 +240,28 @@ def certified(inst: SchemaInstance) -> bool:
     lemma: if nonzero h_w satisfy h_{s_i u} A(u, i) = C(x) h_u for every
     (u, i), x = x_monomial(u, i), then T_i = H^-1 T_i^sph H for H =
     diag(h_w) and the spherical instance's T_i^sph, so two words in the T_i
-    and theta_lambda agree iff they agree on E (the module docstring has
-    the proof).
+    and theta_lambda agree iff they agree on E, and iff the same words agree
+    on the spherical instance (the module docstring has the proof).  So a
+    passed gauge also builds that instance, once, into inst.gauged_to.
     """
     if inst.equivariant is None:
         inst.equivariant = gauge_certified(inst)
+        if inst.equivariant:
+            inst.gauged_to = spherical_instance(inst.group, inst.root_scale)
     return inst.equivariant
+
+
+def spherical_instance(group: WeylGroup, root_scale: tuple[int, ...]) -> SchemaInstance:
+    """The k = 1 instance with A(w, i) = C(x_monomial(w, i)), transported: the one the gauge lemma conjugates to."""
+    blocks = [Matrix((1, 1), {(0, 0): c_function(coroot_monomial(alpha, scale))})
+              for alpha, scale in zip(group.cartan.simple_coroots, root_scale)]
+    return transported_instance(group, blocks, root_scale, "spherical")
+
+
+def checked_as(inst: SchemaInstance) -> SchemaInstance:
+    """The instance whose relation checks give inst's verdicts: inst.gauged_to once certified() set it, else inst."""
+    certified(inst)
+    return inst.gauged_to or inst
 
 
 def gauge_certified(inst: SchemaInstance) -> bool:
@@ -309,8 +335,11 @@ def check_composition(inst: SchemaInstance, report: Report | None = None) -> Rep
     On a certified inst both sides at w are sigma_w of those at e, so once
     the check at (e, i) passes, every (w, i) check reports that verdict.
     Until then, and on any other inst, each check forms its own product.
+    A gauge-certified inst reports the checks of the instance it is gauged
+    to (checked_as), as every relation check below does.
     """
     report = report or Report(f"{inst.name}: composition scalar")
+    inst = checked_as(inst)
     e, ident = inst.group.identity, identity_matrix(inst.block_dim)
     equivariant = certified(inst)
     passed_at_e: set[int] = set()
@@ -332,12 +361,14 @@ def check_composition(inst: SchemaInstance, report: Report | None = None) -> Rep
 def check_quadratic(inst: SchemaInstance, i: int, report: Report | None = None) -> Report:
     """T_i^2 = (v - 1) T_i + v, exactly."""
     report = report or Report(f"{inst.name}: quadratic")
+    inst = checked_as(inst)
     return quadratic(report, block_action(inst, _start(inst)), i)
 
 
 def check_braid(inst: SchemaInstance, i: int, j: int, report: Report | None = None) -> Report:
     """Alternating products of length n(i, j) agree, exactly."""
     report = report or Report(f"{inst.name}: braid")
+    inst = checked_as(inst)
     return braid(report, block_action(inst, _start(inst)), i, j, inst.cartan.braid_orders[i][j])
 
 
@@ -362,7 +393,7 @@ def check_bernstein(inst: SchemaInstance, lam: Sequence[int], i: int, report: Re
     blocks it acts on.
     """
     report = report or Report(f"{inst.name}: bernstein")
-    lam = tuple(lam)
+    inst, lam = checked_as(inst), tuple(lam)
 
     def check():
         reason = off_root_scale(inst, lam, i)
@@ -390,13 +421,23 @@ def check_spherical_idempotent(inst: SchemaInstance, report: Report | None = Non
     """(sum_w T_w)^2 = (sum_w v^{l(w)}) * sum_w T_w, both sides applied to inst's start.
 
     With s = sum_w T_w applied to the start, the left side is sum_w T_w
-    applied to s (s o s when the start is the identity operator).
+    applied to s (s o s when the start is the identity operator).  It is
+    proved by an eigenvector certificate: if T_i s = v s for every i, then
+    T_w s, the product along w.word, is v^{l(w)} s letter by letter, so the
+    left side is sum_w v^{l(w)} s.  No Hecke relation enters, so the
+    certificate is sound on any instance; r generator applications replace
+    a second sum over W.  If some T_i s != v s, the identity is computed
+    whole, so a failure renders as the first entry where its sides differ.
     """
     report = report or Report(f"{inst.name}: spherical idempotent")
+    inst = checked_as(inst)
 
     def check():
         s = weyl_sum(block_action(inst, _start(inst)), inst.group)
-        return verdict(weyl_sum(block_action(inst, s), inst.group), poincare_polynomial(inst.group) * s)
+        on_s, eigen = block_action(inst, s), v() * s
+        if all(on_s((i,)) == eigen for i in range(inst.cartan.rank)):
+            return True, None, None
+        return verdict(weyl_sum(on_s, inst.group), poincare_polynomial(inst.group) * s)
 
     report.run("spherical idempotent", check)
     return report

@@ -18,16 +18,10 @@ from .linalg import Matrix
 from .relations import applied, monomial_relations, verdict, weyl_sum
 from .reports import Report
 from .roots import CartanDatum, WeylElement, WeylGroup, coroot_monomial, weight_monomial, weyl_character
-from .schema import SchemaInstance, c_function, d_function, transported_instance
+from .schema import SchemaInstance, c_function, d_function, spherical_instance, transported_instance
 
 P = LaurentPoly
 RF = RationalFunction
-
-
-def _k1_instance(cartan: CartanDatum, group: WeylGroup | None, value, name: str) -> SchemaInstance:
-    """The k = 1 instance whose identity block at i is value(X), X = z^{alpha_i}."""
-    blocks = [Matrix((1, 1), {(0, 0): value(coroot_monomial(alpha))}) for alpha in cartan.simple_coroots]
-    return transported_instance(group or WeylGroup(cartan), blocks, (1,) * cartan.rank, name)
 
 
 # Demazure kind -> A(X), the identity block at i of its k = 1 instance, X = z^{alpha_i}
@@ -39,12 +33,14 @@ _K1_BLOCKS = {
 
 def whittaker_schema_instance(cartan: CartanDatum, group: WeylGroup | None = None) -> SchemaInstance:
     """k = 1 instance with A(w, i) = (1 - v (wz)^{-alpha_i})/(1 - (wz)^{alpha_i})."""
-    return _k1_instance(cartan, group, _K1_BLOCKS["whittaker"], "whittaker")
+    block = _K1_BLOCKS["whittaker"]
+    blocks = [Matrix((1, 1), {(0, 0): block(coroot_monomial(alpha))}) for alpha in cartan.simple_coroots]
+    return transported_instance(group or WeylGroup(cartan), blocks, (1,) * cartan.rank, "whittaker")
 
 
 def spherical_schema_instance(cartan: CartanDatum, group: WeylGroup | None = None) -> SchemaInstance:
     """k = 1 instance with A(w, i) = (1 - v (wz)^{alpha_i})/(1 - (wz)^{alpha_i})."""
-    return _k1_instance(cartan, group, _K1_BLOCKS["lusztig"], "spherical")
+    return spherical_instance(group or WeylGroup(cartan), (1,) * cartan.rank)
 
 
 @dataclass(frozen=True)

@@ -30,6 +30,15 @@ def test_verify_generic_a4(capsys):
     assert out.count("[ok ]") == 490 and "FAIL" not in out
 
 
+def test_verify_generic_a3_spherical_is_one_passing_document_with_the_spherical_instance_checks(capsys):
+    code, out = run(capsys, "--json", "verify", "--type", "A3", "--instance", "generic", "--spherical")
+    payload = json.loads(out)  # exactly one document: a second would be extra data
+    assert code == 0 and payload["status"] == "pass"
+    _, spherical = run(capsys, "--json", "verify", "--type", "A3", "--instance", "spherical", "--spherical")
+    names = [c["name"] for c in payload["checks"]]
+    assert names == [c["name"] for c in json.loads(spherical)["checks"]] and names[-1] == "spherical idempotent"
+
+
 def test_verify_whittaker_with_bernstein(capsys):
     code, out = run(capsys, "verify", "--type", "A2", "--instance", "whittaker", "--bernstein", "(1,0,0)")
     assert code == 0
@@ -131,7 +140,7 @@ def readme_commands() -> list[list[str]]:
 
 
 def test_readme_lists_every_command():
-    assert len(readme_commands()) == 11
+    assert len(readme_commands()) == 12
     assert {argv[0] for argv in readme_commands()} == {"verify", "cs", "demazure", "rmatrix", "metaplectic", "wreath"}
 
 
@@ -172,6 +181,7 @@ def test_json_is_one_document(capsys, argv):
         (["cs", "--weight", ""], "argument --weight: empty weight"),
         (["cs", "--weight", "(a,b)"], "argument --weight: bad weight '(a,b)'"),
         (["metaplectic", "--r", "2", "--n", "2", "--inject-mismatch"], "unrecognized arguments: --inject-mismatch"),
+        (["cs", "--type", "A2"], "the following arguments are required: --weight"),
     ],
     ids=[
         "unknown-type", "form-not-dot", "rmatrix-non-A", "cs-weight-length", "bernstein-length",
@@ -179,7 +189,7 @@ def test_json_is_one_document(capsys, argv):
         "metaplectic-r-7", "metaplectic-r-1", "wreath-r-7", "rmatrix-n-0",
         "rmatrix-schema-r-1", "rmatrix-schema-power", "verify-rmatrix-power", "rmatrix-n-5",
         "metaplectic-g2", "metaplectic-g2-n-1", "cs-weight-empty", "cs-weight-not-integers",
-        "metaplectic-inject-mismatch",
+        "metaplectic-inject-mismatch", "cs-no-weight",
     ],
 )
 def test_bad_input_is_a_usage_error(capsys, argv, message):
@@ -189,6 +199,7 @@ def test_bad_input_is_a_usage_error(capsys, argv, message):
     err = capsys.readouterr().err
     last = err.splitlines()[-1]
     assert last.startswith("heckekit") and "error: " in last and message in last
+    assert err.startswith(f"usage: heckekit {argv[0]} ")  # the subcommand's usage, whoever found the error
     assert "Traceback" not in err
 
 
@@ -309,6 +320,7 @@ def test_bernstein_weight_off_the_root_scale_is_a_usage_error(capsys, argv, mess
     err = capsys.readouterr().err
     last = err.splitlines()[-1]
     assert last.startswith("heckekit") and "error: " in last and message in last
+    assert err.startswith("usage: heckekit verify ")
     assert "Traceback" not in err
 
 

@@ -6,8 +6,10 @@ Weyl action on the simple coroot, so they share nothing with the transport
 reduction their equivariance allows: a certified instance's relations are
 checked on the block column at source e and its composition products at e
 only, with the same code that checks an uncertified copy on whole
-operators.  The last one checks the gauge certificate that gives the
-generic instance the same reduction.
+operators.  The next checks the gauge certificate that gives the
+generic instance the same reduction, and the last that a gauge-certified
+instance is checked as the spherical instance it is gauged to, with the
+spherical idempotent proved by its eigenvector certificate.
 """
 
 import re
@@ -20,8 +22,9 @@ import pytest
 
 import heckekit.schema
 from heckekit.algebra import LaurentPoly, RationalFunction, v
-from heckekit.linalg import Matrix
+from heckekit.linalg import Matrix, identity_matrix
 from heckekit.metaplectic import build_datum, metaplectic_schema_instance
+from heckekit.relations import weyl_sum
 from heckekit.rmatrix import (
     TensorOperator,
     gauss_gamma_spec,
@@ -46,6 +49,7 @@ from heckekit.schema import (
     gauge_certified,
     generator,
     generic_instance,
+    poincare_polynomial,
     transported_instance,
     verify_instance,
 )
@@ -371,13 +375,16 @@ def test_a_generic_instance_is_certified_and_reports_as_its_uncertified_copy(mon
     copy = replace(inst, a_matrices=dict(inst.a_matrices))  # the same objects, a new instance
     assert inst.equivariant is None  # nothing is checked while the instance is built
     assert certified(inst) and inst.equivariant and not certified(copy)
+    lambdas = inst.cartan.fundamental_weights()
     whole = spy_on(monkeypatch, "identity_operator")  # the start of a whole-operator check
-    on_column = verify_instance(inst)
+    on_column = verify_instance(inst, lambdas, spherical=True)  # on the spherical instance it is gauged to
     assert not whole  # every relation on the identity column
-    on_operators = verify_instance(copy)
+    on_operators = verify_instance(copy, lambdas, spherical=True)
     assert whole
     assert on_column.passed and len(on_column.checks) == len(on_operators.checks)
     assert [(c.name, c.passed) for c in on_column.checks] == [(c.name, c.passed) for c in on_operators.checks]
+    assert on_column.title == on_operators.title == f"generic ({cartan_type})"
+    assert any(c.name.startswith("bernstein") for c in on_column.checks)
 
 
 def test_a_doubled_generic_entry_offered_to_the_gauge_is_refused_and_fails_as_on_the_operator_path():
@@ -448,3 +455,82 @@ def test_a_doubled_generic_entry_fails_the_spherical_idempotent_on_the_operator_
     assert not certified(inst) and whole and failure is not None
     assert re.match(r"block \(\w+, \w+\) entry \(0,0\): ", failure.lhs), failure.lhs
     assert not check_braid(inst, 0, 1).passed
+
+
+# -- a gauge-certified instance checked as the spherical instance it is gauged to -------
+
+
+@pytest.mark.parametrize(
+    "cartan_type, spherical", [("A2", True), ("B2", True), ("C2", True), ("G2", False), ("A3", False)]
+)
+def test_a_doubled_generic_entry_reports_the_checks_of_its_whole_operators(cartan_type, spherical):
+    # the doubled G2 and A3 copies fail the spherical idempotent on whole operators in about 8 and 90 s;
+    # their certificate is compared with the identity on the identity column below
+    inst = generic(cartan_type)
+    lambdas = inst.cartan.fundamental_weights()
+    offered = inst.perturbed(inst.group.longest(), 0, 2)
+    offered.equivariant = None  # gauge-checked on first use, as generic_instance builds
+    expected = verify_instance(offered.perturbed(inst.group.identity, 0, 1), lambdas, spherical=spherical)
+    got = verify_instance(offered, lambdas, spherical=spherical)
+    assert offered.equivariant is False and offered.gauged_to is None
+    assert rendered(got) == rendered(expected) and not got.passed
+
+
+def test_the_gauged_instance_is_built_once_at_certification_and_no_copy_keeps_it(monkeypatch):
+    built = spy_on(monkeypatch, "spherical_instance")
+    inst = generic("A2")
+    assert inst.gauged_to is None and not built  # not while the instance is built
+    assert certified(inst) and certified(inst) and len(built) == 1
+    sph = inst.gauged_to
+    assert sph.equivariant and sph.gauged_to is None
+    assert sph.a_matrices == spherical_schema_instance(inst.cartan, inst.group).a_matrices
+    copy = replace(inst)  # the same values in a new, uncertified instance
+    assert copy.gauged_to is None and not certified(copy) and len(built) == 1
+    assert inst == copy  # gauged_to is not compared
+
+
+@pytest.mark.parametrize("cartan_type", ["A2", "G2", "A3"])
+def test_no_relation_check_of_a_certified_generic_instance_builds_or_composes_its_generators(monkeypatch, cartan_type):
+    inst = generic(cartan_type)
+    built = spy_on(monkeypatch, "build_T")
+    composed, compose = [], BlockOperator.compose
+    monkeypatch.setattr(BlockOperator, "compose", lambda self, other: composed.append(self) or compose(self, other))
+    report = verify_instance(inst, inst.cartan.fundamental_weights(), spherical=True)
+    sph = inst.gauged_to
+    assert report.passed and not inst.generators
+    assert built and all(args[0] is sph for args in built)
+    assert composed and all(any(op is t for t in sph.generators.values()) for op in composed)
+
+
+def certificate_and_identity(inst, start):
+    """(T_i s = v s for every i, sum_w T_w s = P(v) s) for s = sum_w T_w start."""
+    group = inst.group
+    s = weyl_sum(block_action(inst, start), group)
+    on_s = block_action(inst, s)
+    certificate = all(on_s((i,)) == v() * s for i in range(inst.cartan.rank))
+    return certificate, weyl_sum(on_s, group) == poincare_polynomial(group) * s
+
+
+def e_start(inst):
+    """E = {(e, e): I_k}, whether or not inst is certified."""
+    e, ident = inst.group.identity, identity_matrix(inst.block_dim)
+    return BlockOperator(ident.shape, {(e, e): ident})
+
+
+CERTIFICATE_INSTANCES = {
+    "cover-A2-n2": lambda: metaplectic_schema_instance(build_datum("A2", 2)),
+    **{f"generic-{t}": lambda t=t: generic(t) for t in ("A2", "B2", "G2", "A3")},
+}
+
+
+@pytest.mark.parametrize("name", CERTIFICATE_INSTANCES)
+def test_the_eigenvector_certificate_has_the_verdict_of_the_spherical_identity(name):
+    inst = CERTIFICATE_INSTANCES[name]()
+    doubled = inst.perturbed(inst.group.longest(), 0, 2)
+    for x in (inst, doubled):  # each on its own entries at the identity column
+        certificate, identity = certificate_and_identity(x, e_start(x))
+        assert certificate == identity == (x is inst), x.name
+    if name in ("cover-A2-n2", "generic-A2", "generic-B2"):  # the check's own path: the whole operators of the copy
+        assert certificate_and_identity(doubled, _start(doubled)) == (False, False)
+        assert not check_spherical_idempotent(doubled).passed
+    assert check_spherical_idempotent(inst).passed
