@@ -248,7 +248,7 @@ def run_wreath(args) -> int:
 SHARED = {
     "--type": {"type": _cartan_type, "default": "A2", "help": "Cartan type (A1..A4, B2, C2, G2)"},
     "--n": {"type": positive_int, "default": 2, "help": "cover degree / R-matrix dimension"},
-    "--r": {"type": int, "default": 2},
+    "--r": {"type": gl_rank, "default": 2},
     "--B": {"default": "dot", "choices": ["dot"], "help": "bilinear form for metaplectic instances"},
     "--gauss": {"action": "store_true", "help": "Gauss-twisted R-matrix instance"},
     "--power": {"type": int, "help": "exponent power for the rmatrix instance"},
@@ -290,17 +290,14 @@ COMMANDS = {
         "--n", "--r", "--gauss", "--power",
     ], None, (
         (lambda a: a.n > 4, "--n {n}: rmatrix checks support n <= 4"),
-        (lambda a: a.check == "schema" and not 2 <= a.r <= 3,
-         "--r {r}: the rmatrix schema check supports r in 2..3"),
         (lambda a: a.check == "schema" and a.power not in (None, 1, a.n), _POWER),
     )),
     "metaplectic": ("spherical Whittaker value table for a GL cover", run_metaplectic, [
-        ("--r", {"type": gl_rank}),
-        "--n", "--B",
+        "--r", "--n", "--B",
         ("--weight", {"type": _parse_weight}),
     ], ("weight", True), ()),
     "wreath": ("limit instance and wreath construction checks", run_wreath, [
-        "--n", ("--r", {"type": gl_rank}),
+        "--n", "--r",
     ], None, ()),
 }
 

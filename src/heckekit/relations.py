@@ -3,7 +3,7 @@
 A module reaches the verifier as act(word) = T_word f, the word
 T_{word[0]} ... T_{word[-1]} in its generators applied to one start f, one
 letter at a time (`applied`): for block and tensor operators the start is
-the identity (a certified schema instance's identity column), for Demazure
+the identity or its column E at e (schema.checked_as), for Demazure
 operators the element they act on, such as a monomial z^mu.  The relations
 
     T_i^2 = (v - 1) T_i + v,    T_i T_j T_i ... = T_j T_i T_j ...  (m letters)

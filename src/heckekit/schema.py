@@ -41,23 +41,20 @@ C(x) C(x^-1), so the composition verdict at w is again the one at e.  So
 each relation check of a gauge-certified instance has the verdict of the
 same check on the spherical instance, whose entries carry no free symbol.
 
-Certification.  a_matrices is read-only, so an instance keeps the A(w, i)
-its builder placed; an edit makes a new instance through perturbed or
-replace(), which starts uncertified.  The one field `equivariant` says
-which instances are certified: False by default, True as
-transported_instance builds, and None as generic_instance builds until
-`certified` runs gauge_certified once and keeps its outcome.  When the
-gauge holds, `certified` also builds the spherical instance (spherical_instance)
-once and keeps it in `gauged_to`, and every relation check of the instance
-(composition, quadratic, braid, Bernstein, spherical idempotent) runs on it
-instead (checked_as), under its own name and report title; the gauge check
-itself reads the instance's own entries.  Every check applies its words to
-one start: E = {(e, e): I_k} on a certified instance, the identity operator
-otherwise, so an uncertified instance is checked on whole |W| x |W| block
-operators by the same code.  A certified instance also checks composition
-at e only.  Each T_i is built once per instance (`generator`).  The
-spherical idempotent is proved by its eigenvector certificate
-(check_spherical_idempotent).
+Where an instance is checked.  a_matrices is read-only, so an instance
+keeps the A(w, i) its builder placed, and an edit is a new instance
+(perturbed, replace()).  The field checked_on names the transported
+instance whose identity column decides an instance's relations: itself as
+transported_instance builds it; for generic_instance, once checked_as first
+runs gauge_certified, the spherical instance (spherical_instance) if the
+gauge holds and None if not; None for every other instance, copies
+included.  checked_as gives every relation check (composition, quadratic,
+braid, Bernstein, spherical idempotent) its instance and start: the named
+instance and E, or the instance itself and the identity operator, so an
+unchecked copy is checked on whole |W| x |W| block operators by the same
+code.  Reports keep the caller's names and titles.  A transported instance
+checks composition at e only, and each T_i is built once per instance
+(generator).
 """
 
 from __future__ import annotations
@@ -78,7 +75,7 @@ class SchemaInstance:
     """The data of one instance.  a_matrices is read-only: a view of a copy of the mapping given.
 
     Edits go through perturbed or replace(), whose copies start with
-    equivariant False and no kept generators.
+    checked_on None and no kept generators.
     """
 
     cartan: CartanDatum
@@ -87,12 +84,10 @@ class SchemaInstance:
     a_matrices: Mapping[tuple[WeylElement, int], Matrix]
     root_scale: tuple[int, ...]
     name: str
-    # certified: True as transported; for the generic instance None until certified() runs gauge_certified
-    equivariant: bool | None = field(default=False, init=False, compare=False, repr=False)
+    # the transported instance whose identity column decides this one's relations (checked_as)
+    checked_on: SchemaInstance | None = field(default=None, init=False, compare=False, repr=False)
     # the T_i that generator built, each once
     generators: dict[int, BlockOperator] = field(default_factory=dict, init=False, compare=False, repr=False)
-    # the spherical instance that certified() found inst gauged to, which its relation checks run on
-    gauged_to: SchemaInstance | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         self.a_matrices = MappingProxyType(dict(self.a_matrices))
@@ -231,26 +226,6 @@ def identity_operator(group: WeylGroup, k: int) -> BlockOperator:
     return BlockOperator((k, k), {(w, w): ident for w in group})
 
 
-def certified(inst: SchemaInstance) -> bool:
-    """inst.equivariant: True iff inst's operators are determined by their images of E = {(e, e): I_k}.
-
-    The field is True as transported_instance builds and False by default.
-    generic_instance leaves it None, and the first call sets it to the
-    outcome of gauge_certified, so the gauge is checked once.  The gauge
-    lemma: if nonzero h_w satisfy h_{s_i u} A(u, i) = C(x) h_u for every
-    (u, i), x = x_monomial(u, i), then T_i = H^-1 T_i^sph H for H =
-    diag(h_w) and the spherical instance's T_i^sph, so two words in the T_i
-    and theta_lambda agree iff they agree on E, and iff the same words agree
-    on the spherical instance (the module docstring has the proof).  So a
-    passed gauge also builds that instance, once, into inst.gauged_to.
-    """
-    if inst.equivariant is None:
-        inst.equivariant = gauge_certified(inst)
-        if inst.equivariant:
-            inst.gauged_to = spherical_instance(inst.group, inst.root_scale)
-    return inst.equivariant
-
-
 def spherical_instance(group: WeylGroup, root_scale: tuple[int, ...]) -> SchemaInstance:
     """The k = 1 instance with A(w, i) = C(x_monomial(w, i)), transported: the one the gauge lemma conjugates to."""
     blocks = [Matrix((1, 1), {(0, 0): c_function(coroot_monomial(alpha, scale))})
@@ -258,10 +233,24 @@ def spherical_instance(group: WeylGroup, root_scale: tuple[int, ...]) -> SchemaI
     return transported_instance(group, blocks, root_scale, "spherical")
 
 
-def checked_as(inst: SchemaInstance) -> SchemaInstance:
-    """The instance whose relation checks give inst's verdicts: inst.gauged_to once certified() set it, else inst."""
-    certified(inst)
-    return inst.gauged_to or inst
+UNGAUGED = object()  # a generic instance's checked_on until checked_as runs its gauge
+
+
+def checked_as(inst: SchemaInstance) -> tuple[SchemaInstance, BlockOperator]:
+    """The instance whose relation checks decide inst's, and the start they apply their words to.
+
+    (inst.checked_on, E = {(e, e): I_k}) when the field names an instance,
+    else (inst, the identity operator).  A generic instance's UNGAUGED is
+    resolved here, once: to the spherical instance if inst passes
+    gauge_certified, else to None.
+    """
+    if inst.checked_on is UNGAUGED:
+        inst.checked_on = spherical_instance(inst.group, inst.root_scale) if gauge_certified(inst) else None
+    on = inst.checked_on
+    if on is None:
+        return inst, identity_operator(inst.group, inst.block_dim)
+    e, ident = on.group.identity, identity_matrix(on.block_dim)
+    return on, BlockOperator(ident.shape, {(e, e): ident})
 
 
 def gauge_certified(inst: SchemaInstance) -> bool:
@@ -295,14 +284,6 @@ def gauge_certified(inst: SchemaInstance) -> bool:
     )
 
 
-def _start(inst: SchemaInstance) -> BlockOperator:
-    """What a check applies its words to: E = {(e, e): I_k} on a certified inst, else the identity operator."""
-    if not certified(inst):
-        return identity_operator(inst.group, inst.block_dim)
-    e, ident = inst.group.identity, identity_matrix(inst.block_dim)
-    return BlockOperator(ident.shape, {(e, e): ident})
-
-
 def generator(inst: SchemaInstance, i: int) -> BlockOperator:
     """T_i, built once per instance and kept on it (a_matrices is read-only)."""
     kept = inst.generators.get(i)
@@ -330,27 +311,26 @@ def poincare_polynomial(group: WeylGroup) -> LaurentPoly:
 
 
 def check_composition(inst: SchemaInstance, report: Report | None = None) -> Report:
-    """A(s_i w, i) A(w, i) equals the forced composition scalar, for every (w, i).
+    """A(s_i w, i) A(w, i) equals the forced composition scalar, for every (w, i), on checked_as(inst).
 
-    On a certified inst both sides at w are sigma_w of those at e, so once
-    the check at (e, i) passes, every (w, i) check reports that verdict.
-    Until then, and on any other inst, each check forms its own product.
-    A gauge-certified inst reports the checks of the instance it is gauged
-    to (checked_as), as every relation check below does.
+    On a transported instance both sides at w are sigma_w of those at e,
+    so once the check at (e, i) passes, every (w, i) check reports that
+    verdict.  Until then, and on any other instance, each check forms its
+    own product.
     """
     report = report or Report(f"{inst.name}: composition scalar")
-    inst = checked_as(inst)
-    e, ident = inst.group.identity, identity_matrix(inst.block_dim)
-    equivariant = certified(inst)
+    on, _ = checked_as(inst)
+    e, ident = on.group.identity, identity_matrix(on.block_dim)
+    at_e_only = on.checked_on is on
     passed_at_e: set[int] = set()
-    for i in range(inst.cartan.rank):
-        for w in inst.group:
+    for i in range(on.cartan.rank):
+        for w in on.group:
             def check(w=w, i=i):
                 if i in passed_at_e:
                     return True, None, None
-                sw = inst.group.left_mul_simple(i, w)
-                result = verdict(mat_mul(inst.A(sw, i), inst.A(w, i)), inst.composition_scalar(w, i) * ident)
-                if equivariant and w == e and result[0]:
+                sw = on.group.left_mul_simple(i, w)
+                result = verdict(mat_mul(on.A(sw, i), on.A(w, i)), on.composition_scalar(w, i) * ident)
+                if at_e_only and w == e and result[0]:
                     passed_at_e.add(i)
                 return result
 
@@ -361,15 +341,15 @@ def check_composition(inst: SchemaInstance, report: Report | None = None) -> Rep
 def check_quadratic(inst: SchemaInstance, i: int, report: Report | None = None) -> Report:
     """T_i^2 = (v - 1) T_i + v, exactly."""
     report = report or Report(f"{inst.name}: quadratic")
-    inst = checked_as(inst)
-    return quadratic(report, block_action(inst, _start(inst)), i)
+    on, start = checked_as(inst)
+    return quadratic(report, block_action(on, start), i)
 
 
 def check_braid(inst: SchemaInstance, i: int, j: int, report: Report | None = None) -> Report:
     """Alternating products of length n(i, j) agree, exactly."""
     report = report or Report(f"{inst.name}: braid")
-    inst = checked_as(inst)
-    return braid(report, block_action(inst, _start(inst)), i, j, inst.cartan.braid_orders[i][j])
+    on, start = checked_as(inst)
+    return braid(report, block_action(on, start), i, j, on.cartan.braid_orders[i][j])
 
 
 def off_root_scale(inst: SchemaInstance, lam: Sequence[int], i: int) -> str | None:
@@ -389,18 +369,18 @@ def check_bernstein(inst: SchemaInstance, lam: Sequence[int], i: int, report: Re
 
     The right side is computed by exact division in the theta algebra; a
     weight off the root scale (off_root_scale) fails the check.  Both sides
-    are applied to inst's start, each diagonal operator by scaling the
-    blocks it acts on.
+    are applied to the start of checked_as(inst), each diagonal operator by
+    scaling the blocks it acts on.
     """
     report = report or Report(f"{inst.name}: bernstein")
-    inst, lam = checked_as(inst), tuple(lam)
+    (inst, start), lam = checked_as(inst), tuple(lam)
 
     def check():
         reason = off_root_scale(inst, lam, i)
         if reason:
             return False, f"lambda={lam}, i={i + 1}: {reason}", "Bernstein"
         slam = inst.group.simple(i).act(lam)
-        start, t = _start(inst), generator(inst, i)
+        t = generator(inst, i)
         numerator = weight_monomial(lam) - weight_monomial(slam)
         alpha = inst.cartan.simple_coroots[i]
         denominator = LaurentPoly.one() - coroot_monomial(alpha, -inst.root_scale[i])
@@ -418,7 +398,7 @@ def check_bernstein(inst: SchemaInstance, lam: Sequence[int], i: int, report: Re
 
 
 def check_spherical_idempotent(inst: SchemaInstance, report: Report | None = None) -> Report:
-    """(sum_w T_w)^2 = (sum_w v^{l(w)}) * sum_w T_w, both sides applied to inst's start.
+    """(sum_w T_w)^2 = (sum_w v^{l(w)}) * sum_w T_w, both sides applied to the start of checked_as(inst).
 
     With s = sum_w T_w applied to the start, the left side is sum_w T_w
     applied to s (s o s when the start is the identity operator).  It is
@@ -428,16 +408,28 @@ def check_spherical_idempotent(inst: SchemaInstance, report: Report | None = Non
     certificate is sound on any instance; r generator applications replace
     a second sum over W.  If some T_i s != v s, the identity is computed
     whole, so a failure renders as the first entry where its sides differ.
+    The steps run on E first: when the start is the identity operator, whose
+    column at e is E, a failure in block (e, e), the first block
+    first_difference walks, is already the whole identity's.
     """
     report = report or Report(f"{inst.name}: spherical idempotent")
-    inst = checked_as(inst)
+    inst, start = checked_as(inst)
+    e = inst.group.identity
+    column = BlockOperator(start.shape, {(e, e): start[e, e]})  # E, the start itself when it is E
+
+    def sides(f: BlockOperator) -> tuple[BlockOperator, BlockOperator] | None:
+        """None if T_i s = v s for every i, else the two sides of the identity applied to f."""
+        s = weyl_sum(block_action(inst, f), inst.group)
+        on_s = block_action(inst, s)
+        if all(on_s((i,)) == v() * s for i in range(inst.cartan.rank)):
+            return None
+        return weyl_sum(on_s, inst.group), poincare_polynomial(inst.group) * s
 
     def check():
-        s = weyl_sum(block_action(inst, _start(inst)), inst.group)
-        on_s, eigen = block_action(inst, s), v() * s
-        if all(on_s((i,)) == eigen for i in range(inst.cartan.rank)):
-            return True, None, None
-        return verdict(weyl_sum(on_s, inst.group), poincare_polynomial(inst.group) * s)
+        got = sides(column)
+        if start != column and (got is None or got[0][e, e] == got[1][e, e]):
+            got = sides(start)
+        return (True, None, None) if got is None else verdict(*got)
 
     report.run("spherical idempotent", check)
     return report
@@ -490,7 +482,7 @@ def transported_instance(group: WeylGroup, blocks: Sequence[Matrix], root_scale:
         for i, block in enumerate(blocks):
             a_matrices[(w, i)] = type(block)(block.shape, {key: image[id(x)] for key, x in entries[i].items()})
     inst = SchemaInstance(group.cartan, group, blocks[0].shape[0], a_matrices, root_scale, name)
-    inst.equivariant = True
+    inst.checked_on = inst
     return inst
 
 
@@ -515,7 +507,7 @@ def generic_instance(cartan: CartanDatum, group: WeylGroup | None = None) -> Sch
     other edge of the chains is shorter or is (w, i), so the identity fixes
     A(w, j), and the f-quotients satisfy it by telescoping (for A2:
     a2_121 = a1_121*a2_21*a1_1/(a1_12*a2_2)).  The instance is built
-    unchecked: certified() runs the gauge check on first use.
+    unchecked: checked_as runs the gauge check on first use.
     """
     group = group or WeylGroup(cartan)
     empty = SchemaInstance(cartan, group, 1, {}, (1,) * cartan.rank, "generic")  # for its composition_scalar
@@ -534,5 +526,5 @@ def generic_instance(cartan: CartanDatum, group: WeylGroup | None = None) -> Sch
             a_matrices[(w, i)] = Matrix((1, 1), {(0, 0): a})
             a_matrices[(sw, i)] = Matrix((1, 1), {(0, 0): empty.composition_scalar(sw, i) / a})
     inst = replace(empty, a_matrices=a_matrices)
-    inst.equivariant = None
+    inst.checked_on = UNGAUGED
     return inst

@@ -170,7 +170,7 @@ def test_json_is_one_document(capsys, argv):
         (["metaplectic", "--r", "1"], "argument --r: 1 is outside 2..5"),
         (["wreath", "--r", "7"], "argument --r: 7 is outside 2..5"),
         (["rmatrix", "hecke", "--n", "0"], "argument --n: 0 is below 1"),
-        (["rmatrix", "schema", "--r", "1"], "--r 1: the rmatrix schema check supports r in 2..3"),
+        (["rmatrix", "schema", "--r", "1"], "argument --r: 1 is outside 2..5"),
         (["rmatrix", "schema", "--power", "3"], "--power 3: the exponent power must be 1 or --n (2)"),
         (["verify", "--type", "A2", "--instance", "rmatrix", "--power", "3"],
          "--power 3: the exponent power must be 1 or --n (2)"),
@@ -231,7 +231,7 @@ PARSER_SURFACE = {
     "rmatrix": [
         ("check", None, ["ybe", "pybe", "hecke", "triangularity", "schema"], True, "Store", None),
         ("--n", 2, None, False, "Store", "positive_int"),
-        ("--r", 2, None, False, "Store", "int"),
+        ("--r", 2, None, False, "Store", "gl_rank"),
         ("--gauss", False, None, False, "StoreTrue", None),
         ("--power", None, None, False, "Store", "int"),
     ],
@@ -276,6 +276,14 @@ def test_rmatrix_schema_power_n_passes(capsys, gauss):
     assert code == 0 and payload["status"] == "pass"
     assert all(c["passed"] for c in payload["checks"])
     assert sum(c["name"].startswith("bernstein") for c in payload["checks"]) == 2  # two weights, one root
+
+
+def test_rmatrix_schema_r_4_passes(capsys):
+    # the A3 tensor instance, as verify --type A3 --instance rmatrix builds it
+    code, out = run(capsys, "--json", "rmatrix", "schema", "--n", "2", "--r", "4")
+    payload = json.loads(out)
+    assert code == 0 and payload["status"] == "pass"
+    assert sum(c["name"].startswith("braid") for c in payload["checks"]) == 3  # A3 has three pairs of simple roots
 
 
 def _raise(*args, **kwargs):

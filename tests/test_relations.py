@@ -10,7 +10,7 @@ from heckekit.metaplectic import build_datum, check_met_demazure_relations, meta
 from heckekit.relations import applied, first_failing, hecke_relations, monomial_relations, verdict, weyl_sum
 from heckekit.reports import Report
 from heckekit.roots import build_cartan, weight_monomial, weyl_group
-from heckekit.schema import BlockOperator, build_T, certified, check_braid, generic_instance
+from heckekit.schema import BlockOperator, build_T, check_braid, checked_as, generic_instance
 from heckekit.whittaker import check_demazure_relations, demazure_variant, idempotent_apply, idempotent_element
 
 P = LaurentPoly
@@ -147,11 +147,12 @@ def test_a_braid_of_order_m_makes_2m_compositions(monkeypatch, name):
         return compose(self, other)
 
     monkeypatch.setattr(BlockOperator, "compose", counting)
-    if certified(inst):  # each word applied to the identity column, one letter a step
+    on, _ = checked_as(inst)
+    if on.checked_on is on:  # each word applied to the identity column, one letter a step
         assert check_braid(inst, 0, 1).passed
         assert composed["compose"] == 2 * m
         composed.clear()
-        inst = inst.perturbed(inst.group.identity, 0, 1)  # the same values in an uncertified copy
+        inst = inst.perturbed(inst.group.identity, 0, 1)  # the same values in a copy, checked on whole operators
     assert check_braid(inst, 0, 1).passed
     assert composed["compose"] == 2 * m  # each word applied to the identity operator, one letter a step
 

@@ -3,13 +3,13 @@
 The formulas below are written out at X itself, with X computed from the
 Weyl action on the simple coroot, so they share nothing with the transport
 (group.at_point) that builds the instances.  The later sections check the
-reduction their equivariance allows: a certified instance's relations are
-checked on the block column at source e and its composition products at e
-only, with the same code that checks an uncertified copy on whole
-operators.  The next checks the gauge certificate that gives the
-generic instance the same reduction, and the last that a gauge-certified
-instance is checked as the spherical instance it is gauged to, with the
-spherical idempotent proved by its eigenvector certificate.
+reduction their equivariance allows: a transported instance's relations
+are checked on the block column at source e and its composition products
+at e only, with the same code that checks a copy (checked_on None) on
+whole operators.  The next checks the gauge that gives the generic
+instance the same reduction, and the last that a gauged generic instance
+is checked on the spherical instance it is gauged to (its checked_on), with
+the spherical idempotent proved by its eigenvector certificate.
 """
 
 import re
@@ -24,7 +24,7 @@ import heckekit.schema
 from heckekit.algebra import LaurentPoly, RationalFunction, v
 from heckekit.linalg import Matrix, identity_matrix
 from heckekit.metaplectic import build_datum, metaplectic_schema_instance
-from heckekit.relations import weyl_sum
+from heckekit.relations import applied, verdict, weyl_sum
 from heckekit.rmatrix import (
     TensorOperator,
     gauss_gamma_spec,
@@ -36,16 +36,17 @@ from heckekit.rmatrix import (
 )
 from heckekit.roots import build_cartan, coroot_monomial
 from heckekit.schema import (
+    UNGAUGED,
     BlockOperator,
     SchemaInstance,
-    _start,
     block_action,
-    certified,
+    build_T,
     check_bernstein,
     check_braid,
     check_composition,
     check_quadratic,
     check_spherical_idempotent,
+    checked_as,
     gauge_certified,
     generator,
     generic_instance,
@@ -163,8 +164,9 @@ def e_column(op: BlockOperator) -> BlockOperator:
 @pytest.mark.parametrize("name", REDUCTION_INSTANCES)
 def test_every_short_word_acts_on_the_identity_column_as_its_operator_does(name):
     inst = REDUCTION_INSTANCES[name]()
-    assert certified(inst)
-    on_column = block_action(inst, _start(inst))  # E = {(e, e): I_k}, as inst is certified
+    on, start = checked_as(inst)
+    assert on is inst and start == e_start(inst)
+    on_column = block_action(inst, start)
     letters = range(inst.cartan.rank)
     for word in (w for length in (1, 2, 3) for w in iproduct(letters, repeat=length)):
         assert e_column(apply_word(inst, word)).difference(on_column(word)) is None, word
@@ -176,8 +178,8 @@ def test_an_equivariant_instance_from_doubled_blocks_fails_quadratic_on_both_pat
     e = good.group.identity
     blocks = [2 * good.A(e, i) for i in range(good.cartan.rank)]
     bad = transported_instance(good.group, blocks, good.root_scale, "doubled")
-    operator_path = bad.perturbed(e, 0, 1)  # the same values in an uncertified copy
-    assert certified(bad) and not certified(operator_path)
+    operator_path = bad.perturbed(e, 0, 1)  # the same values in a copy, checked on whole operators
+    assert bad.checked_on is bad and operator_path.checked_on is None
     column_failure = check_quadratic(bad, 0).first_failure()
     operator_failure = check_quadratic(operator_path, 0).first_failure()
     assert column_failure is not None and operator_failure is not None
@@ -208,11 +210,11 @@ def _added(inst):
     (_deleted, True),
     (_added, True),
 ], ids=["transported", "copied", "perturbed", "replaced", "deleted", "added"])
-def test_only_a_certified_instance_checks_on_its_identity_column(monkeypatch, change, operator_path):
+def test_only_a_transported_instance_checks_on_its_identity_column(monkeypatch, change, operator_path):
     inst = change(metaplectic_schema_instance(build_datum("A1", 2)))
     calls = spy_on(monkeypatch, "identity_operator")  # the start of a whole-operator check
     check_quadratic(inst, 0)
-    assert certified(inst) is not operator_path and bool(calls) is operator_path
+    assert (inst.checked_on is None) is operator_path and bool(calls) is operator_path
 
 
 def test_a_matrices_is_read_only_and_a_copy_of_the_mapping_given():
@@ -230,12 +232,13 @@ def test_a_matrices_is_read_only_and_a_copy_of_the_mapping_given():
 
 
 @pytest.mark.parametrize("builder", ["transported", "generic"])
-def test_replace_and_perturbed_copies_start_uncertified_with_no_kept_generators(builder):
+def test_replace_and_perturbed_copies_start_with_checked_on_none_and_no_kept_generators(builder):
     inst = metaplectic_schema_instance(build_datum("A1", 2)) if builder == "transported" else generic("A2")
     generator(inst, 0)
-    assert certified(inst) and inst.generators
+    on, _ = checked_as(inst)
+    assert inst.checked_on is on and on is not None and inst.generators
     for copy in (replace(inst), inst.perturbed(inst.group.identity, 0, 1)):
-        assert copy.equivariant is False and not copy.generators and not certified(copy)
+        assert copy.checked_on is None and not copy.generators and checked_as(copy)[0] is copy
 
 
 def test_the_a2_n3_spherical_check_makes_order_w_compositions_of_block_columns(monkeypatch):
@@ -258,14 +261,14 @@ def test_the_a2_n3_spherical_check_makes_order_w_compositions_of_block_columns(m
     assert counts["block products"] <= 2 * size * counts["compose"]
 
 
-def test_no_caller_can_supply_the_record():
+def test_no_caller_can_supply_checked_on():
     inst = metaplectic_schema_instance(build_datum("A1", 2))
     fields = (inst.cartan, inst.group, inst.block_dim, dict(inst.a_matrices), inst.root_scale, "forged")
     with pytest.raises(TypeError):
-        SchemaInstance(*fields, equivariant=True)
+        SchemaInstance(*fields, checked_on=inst)
     with pytest.raises(ValueError):
-        replace(inst, equivariant=True)
-    assert not certified(SchemaInstance(*fields))
+        replace(inst, checked_on=inst)
+    assert SchemaInstance(*fields).checked_on is None
 
 
 # -- composition at e, Bernstein on the column, one T_i per instance ------------------
@@ -275,9 +278,9 @@ def rendered(report):
     return [(c.name, c.passed, c.lhs, c.rhs) for c in report.checks]
 
 
-def test_a_certified_cover_forms_its_composition_products_at_e_only(monkeypatch):
+def test_a_transported_cover_forms_its_composition_products_at_e_only(monkeypatch):
     inst = metaplectic_schema_instance(build_datum("A2", 2))
-    copy = inst.perturbed(inst.group.identity, 0, 1)  # the same values in an uncertified copy
+    copy = inst.perturbed(inst.group.identity, 0, 1)  # the same values in a copy, checked on whole operators
     multiplied = spy_on(monkeypatch, "mat_mul")
     on_column = check_composition(inst)
     rank, size = inst.cartan.rank, len(inst.group.elements)
@@ -290,7 +293,7 @@ def test_a_certified_cover_forms_its_composition_products_at_e_only(monkeypatch)
 
 
 def doubled(good):
-    """good's identity blocks doubled and transported: equivariant, certified and wrong."""
+    """good's identity blocks doubled and transported: checked on its identity column, and wrong."""
     e = good.group.identity
     blocks = [2 * good.A(e, i) for i in range(good.cartan.rank)]
     return transported_instance(good.group, blocks, good.root_scale, "doubled")
@@ -310,7 +313,7 @@ def test_a_doubled_block_instance_reports_composition_and_bernstein_alike_on_bot
                 check_bernstein(inst, lam, i, report)
         return rendered(report)
 
-    assert certified(bad) and not certified(operator_path)
+    assert bad.checked_on is bad and operator_path.checked_on is None
     on_column = reports(bad)
     assert on_column == reports(operator_path)
     assert not all(passed for check, passed, _, _ in on_column if check.startswith("composition"))
@@ -321,7 +324,7 @@ def test_a_doubled_block_instance_reports_composition_and_bernstein_alike_on_bot
 def test_the_spherical_and_bernstein_checks_give_one_verdict_on_both_starts(name, bad):
     inst = REDUCTION_INSTANCES[name]()
     inst = doubled(inst) if bad else inst
-    whole = replace(inst)  # uncertified: its checks start from the identity operator
+    whole = replace(inst)  # checked_on None: its checks start from the identity operator
     dim = inst.cartan.dim
     lambdas = [(2,) + (0,) * (dim - 1), tuple(range(dim))]  # the second is off the n = 2 root scale
 
@@ -332,7 +335,7 @@ def test_the_spherical_and_bernstein_checks_give_one_verdict_on_both_starts(name
                 check_bernstein(inst, lam, i, report)
         return [(c.name, c.passed) for c in report.checks]
 
-    assert certified(inst) and not certified(whole)
+    assert inst.checked_on is inst and whole.checked_on is None
     on_column = verdicts(inst)
     assert on_column == verdicts(whole)
     assert on_column[0] == ("spherical idempotent", not bad)
@@ -346,7 +349,7 @@ def test_a_verify_with_bernstein_and_spherical_builds_each_generator_once(monkey
     assert sorted(i for _, i in built) == list(range(inst.cartan.rank))
     assert verify_instance(inst, datum.lattice_basis, spherical=True).passed
     assert len(built) == inst.cartan.rank  # kept on the instance
-    copy = replace(inst)  # uncertified, and it builds and keeps its own
+    copy = replace(inst)  # checked on whole operators, and it builds and keeps its own
     assert not copy.generators and verify_instance(copy, datum.lattice_basis).passed
     assert len(built) == 2 * inst.cartan.rank
 
@@ -363,18 +366,18 @@ def test_a_kept_generator_is_not_read_by_an_edited_copy():
     assert generator(inst, 0) is kept and check_quadratic(inst, 0).passed
 
 
-# -- the generic instance, certified by a diagonal gauge to the spherical instance ----
+# -- the generic instance, checked on the spherical instance a diagonal gauge takes it to ----
 
 def generic(cartan_type):
     return generic_instance(build_cartan(cartan_type))
 
 
 @pytest.mark.parametrize("cartan_type", ["A2", "B2", "C2", "G2", "A3"])
-def test_a_generic_instance_is_certified_and_reports_as_its_uncertified_copy(monkeypatch, cartan_type):
+def test_a_generic_instance_is_gauged_and_reports_as_its_copy_on_whole_operators(monkeypatch, cartan_type):
     inst = generic(cartan_type)
     copy = replace(inst, a_matrices=dict(inst.a_matrices))  # the same objects, a new instance
-    assert inst.equivariant is None  # nothing is checked while the instance is built
-    assert certified(inst) and inst.equivariant and not certified(copy)
+    assert inst.checked_on is UNGAUGED  # nothing is checked while the instance is built
+    assert checked_as(inst)[0] is inst.checked_on is not None and copy.checked_on is None
     lambdas = inst.cartan.fundamental_weights()
     whole = spy_on(monkeypatch, "identity_operator")  # the start of a whole-operator check
     on_column = verify_instance(inst, lambdas, spherical=True)  # on the spherical instance it is gauged to
@@ -392,11 +395,11 @@ def test_a_doubled_generic_entry_offered_to_the_gauge_is_refused_and_fails_as_on
     for w, i in inst.a_matrices:
         expected = rendered(verify_instance(inst.perturbed(w, i, 2)))
         offered = inst.perturbed(w, i, 2)
-        offered.equivariant = None  # gauge-checked on first use, as generic_instance builds
+        offered.checked_on = UNGAUGED  # gauge-checked on first use, as generic_instance builds
         got = rendered(verify_instance(offered))
-        assert offered.equivariant is False, (w.name(), i)
+        assert offered.checked_on is None, (w.name(), i)
         assert got == expected and not all(passed for _, passed, _, _ in got), (w.name(), i)
-    assert certified(inst) and verify_instance(inst).passed
+    assert verify_instance(inst).passed and inst.checked_on is not None
 
 
 def _off_tree_edges(group):
@@ -419,8 +422,8 @@ def test_a_recorded_instance_wrong_on_an_edge_off_the_first_descent_tree_is_refu
             partner = (group.left_mul_simple(j, w), j)
             a[partner] = Fraction(1, 2) * a[partner]
         inst = replace(generic_a, a_matrices=a)
-        inst.equivariant = None  # gauge-checked on first use, as generic_instance builds
-        assert not gauge_certified(inst) and not certified(inst) and inst.equivariant is False
+        inst.checked_on = UNGAUGED  # gauge-checked on first use, as generic_instance builds
+        assert not gauge_certified(inst) and checked_as(inst)[0] is inst and inst.checked_on is None
         assert not verify_instance(inst).passed, (w.name(), j)
 
 
@@ -436,7 +439,7 @@ def test_gauge_certified_compares_only_the_edges_off_the_first_descent_tree(monk
 
 def test_gauge_certified_refuses_blocks_of_more_than_one_dimension():
     inst = metaplectic_schema_instance(build_datum("A1", 2))
-    assert certified(inst) and not gauge_certified(inst)  # equivariant as transported, and k = 2
+    assert inst.checked_on is inst and not gauge_certified(inst)  # transported, and k = 2
 
 
 @pytest.mark.parametrize("cartan_type", ["A2", "B2", "A3"])
@@ -444,7 +447,7 @@ def test_the_spherical_idempotent_holds_on_a_generic_instance(monkeypatch, carta
     inst = generic(cartan_type)
     whole = spy_on(monkeypatch, "identity_operator")  # the start of sum_w T_w on whole operators
     report = check_spherical_idempotent(inst)
-    assert certified(inst) and report.passed and not whole
+    assert inst.checked_on is not None and report.passed and not whole
 
 
 def test_a_doubled_generic_entry_fails_the_spherical_idempotent_on_the_operator_path(monkeypatch):
@@ -452,41 +455,42 @@ def test_a_doubled_generic_entry_fails_the_spherical_idempotent_on_the_operator_
     inst = inst.perturbed(inst.group.longest(), 0, 2)
     whole = spy_on(monkeypatch, "identity_operator")
     failure = check_spherical_idempotent(inst).first_failure()
-    assert not certified(inst) and whole and failure is not None
+    assert inst.checked_on is None and whole and failure is not None
     assert re.match(r"block \(\w+, \w+\) entry \(0,0\): ", failure.lhs), failure.lhs
     assert not check_braid(inst, 0, 1).passed
 
 
-# -- a gauge-certified instance checked as the spherical instance it is gauged to -------
+# -- a gauged generic instance checked on the spherical instance it is gauged to -------
 
 
 @pytest.mark.parametrize(
-    "cartan_type, spherical", [("A2", True), ("B2", True), ("C2", True), ("G2", False), ("A3", False)]
+    "cartan_type, spherical", [("A2", True), ("B2", True), ("C2", True), ("G2", True), ("A3", False)]
 )
 def test_a_doubled_generic_entry_reports_the_checks_of_its_whole_operators(cartan_type, spherical):
-    # the doubled G2 and A3 copies fail the spherical idempotent on whole operators in about 8 and 90 s;
-    # their certificate is compared with the identity on the identity column below
+    # the doubled A3 copy fails the spherical idempotent in about 6 s, on the identity column;
+    # its certificate is compared with the identity there below
     inst = generic(cartan_type)
     lambdas = inst.cartan.fundamental_weights()
     offered = inst.perturbed(inst.group.longest(), 0, 2)
-    offered.equivariant = None  # gauge-checked on first use, as generic_instance builds
+    offered.checked_on = UNGAUGED  # gauge-checked on first use, as generic_instance builds
     expected = verify_instance(offered.perturbed(inst.group.identity, 0, 1), lambdas, spherical=spherical)
     got = verify_instance(offered, lambdas, spherical=spherical)
-    assert offered.equivariant is False and offered.gauged_to is None
+    assert offered.checked_on is None
     assert rendered(got) == rendered(expected) and not got.passed
 
 
-def test_the_gauged_instance_is_built_once_at_certification_and_no_copy_keeps_it(monkeypatch):
+def test_the_gauge_and_the_spherical_instance_each_run_once_on_first_use_and_no_copy_keeps_them(monkeypatch):
+    gauged = spy_on(monkeypatch, "gauge_certified")
     built = spy_on(monkeypatch, "spherical_instance")
     inst = generic("A2")
-    assert inst.gauged_to is None and not built  # not while the instance is built
-    assert certified(inst) and certified(inst) and len(built) == 1
-    sph = inst.gauged_to
-    assert sph.equivariant and sph.gauged_to is None
+    assert inst.checked_on is UNGAUGED and not gauged and not built  # not while the instance is built
+    sph, start = checked_as(inst)
+    assert checked_as(inst)[0] is sph and len(gauged) == len(built) == 1
+    assert inst.checked_on is sph and sph.checked_on is sph and start == e_start(sph)
     assert sph.a_matrices == spherical_schema_instance(inst.cartan, inst.group).a_matrices
-    copy = replace(inst)  # the same values in a new, uncertified instance
-    assert copy.gauged_to is None and not certified(copy) and len(built) == 1
-    assert inst == copy  # gauged_to is not compared
+    copy = replace(inst)  # the same values in a new instance, checked on whole operators
+    assert copy.checked_on is None and checked_as(copy)[0] is copy and len(gauged) == len(built) == 1
+    assert inst == copy  # checked_on is not compared
 
 
 @pytest.mark.parametrize("cartan_type", ["A2", "G2", "A3"])
@@ -496,7 +500,7 @@ def test_no_relation_check_of_a_certified_generic_instance_builds_or_composes_it
     composed, compose = [], BlockOperator.compose
     monkeypatch.setattr(BlockOperator, "compose", lambda self, other: composed.append(self) or compose(self, other))
     report = verify_instance(inst, inst.cartan.fundamental_weights(), spherical=True)
-    sph = inst.gauged_to
+    sph = inst.checked_on
     assert report.passed and not inst.generators
     assert built and all(args[0] is sph for args in built)
     assert composed and all(any(op is t for t in sph.generators.values()) for op in composed)
@@ -512,7 +516,7 @@ def certificate_and_identity(inst, start):
 
 
 def e_start(inst):
-    """E = {(e, e): I_k}, whether or not inst is certified."""
+    """E = {(e, e): I_k}, wherever inst is checked."""
     e, ident = inst.group.identity, identity_matrix(inst.block_dim)
     return BlockOperator(ident.shape, {(e, e): ident})
 
@@ -530,7 +534,24 @@ def test_the_eigenvector_certificate_has_the_verdict_of_the_spherical_identity(n
     for x in (inst, doubled):  # each on its own entries at the identity column
         certificate, identity = certificate_and_identity(x, e_start(x))
         assert certificate == identity == (x is inst), x.name
-    if name in ("cover-A2-n2", "generic-A2", "generic-B2"):  # the check's own path: the whole operators of the copy
-        assert certificate_and_identity(doubled, _start(doubled)) == (False, False)
+    if name in ("cover-A2-n2", "generic-A2", "generic-B2"):  # the copy's own start: the identity operator
+        assert certificate_and_identity(doubled, checked_as(doubled)[1]) == (False, False)
         assert not check_spherical_idempotent(doubled).passed
     assert check_spherical_idempotent(inst).passed
+
+
+@pytest.mark.parametrize("name", ["generic-A2", "generic-B2", "generic-C2", "cover-A2-n2"])
+def test_a_failing_spherical_check_renders_as_its_whole_operator_identity(name):
+    # the whole identity: s = sum_w T_w on the identity operator, then sum_w T_w applied to s letter by
+    # letter, with generators built afresh; the check reaches its (e, e) block from E alone
+    inst = metaplectic_schema_instance(build_datum("A2", 2)) if name.startswith("cover") else generic(name[-2:])
+    group = inst.group
+    for where in (group.identity, group.simple(0), group.longest()):
+        bad = inst.perturbed(where, 0, 2)
+        t = [build_T(bad, i) for i in range(bad.cartan.rank)]
+        s = weyl_sum(lambda word: apply_word(bad, word), group)
+        on_s = applied(lambda i, rest: t[i].compose(rest), s)
+        expected = verdict(weyl_sum(on_s, group), poincare_polynomial(group) * s)
+        check = check_spherical_idempotent(bad).checks[0]
+        assert (check.passed, check.lhs, check.rhs) == expected, where.name()
+        assert not check.passed and check.lhs.startswith("block (e, e) "), where.name()
