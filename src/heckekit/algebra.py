@@ -47,6 +47,11 @@ onto R x R (Chinese remainder theorem).  A divisor free of g_h divides
 the coefficients of 1 and g_h alone; one carrying g_h is divided in both
 factors; a zero divisor (zero in one factor) raises ZeroDivisionError.
 
+Demazure steps.  :func:`divided_difference` is the one kernel of every
+Demazure step: the numerator sum of c m D + c T_k s(m) over the terms c m
+of f is formed in one pass over the packed terms, s a :class:`Reflection`
+applied to each packed monomial and k its pairing with m, and divided once.
+
 A :class:`RationalFunction` keeps its denominator as a tuple of factors in
 normal form: each factor divided by its leading term in graded-lex order
 on symbol names (a factor carrying g_h by the unit its two halves' leading
@@ -802,6 +807,102 @@ def _recombine(r_plus: LaurentPoly, r_minus: LaurentPoly, rules: GaussRules) -> 
             terms[m - to_u] = _div(a - b, 2)  # u^-1 g_h
     _check_range(terms)
     return _new(terms, rules, any(type(c) is not int for c in terms.values()), canonical=True)
+
+
+# -- reflections and divided differences ----------------------------------------------
+
+
+class Reflection:
+    """The reflection mu -> mu - <a, mu> c of the exponent vector mu of some named symbols.
+
+    a = pairing / den is a functional and c a vector, both integer over the
+    names, which are no Gauss symbols; the other symbols of a monomial are
+    kept.  :meth:`images` acts on packed monomials directly: <a, mu> is read
+    off the lanes of the names, and the image is one subtraction of c packed.
+    """
+
+    __slots__ = ("_symbols", "_form", "_offset", "_den", "_root", "_moved", "_small")
+
+    def __init__(self, names: Sequence[str], pairing: Sequence[int], den: int, coroot: Sequence[int]):
+        if any(_gauss_index(name) is not None for name in names):
+            raise ValueError(f"a reflection moves no Gauss symbol: {tuple(names)}")
+        shifts = [_WIDTH * _lane(name) for name in names]
+        self._symbols = tuple(names)
+        self._form = tuple((s, a) for s, a in zip(shifts, pairing) if a)
+        self._offset = _LIMIT * sum(pairing)  # a lane read biased holds its exponent plus _LIMIT
+        self._den = den
+        self._root = sum(c << s for s, c in zip(shifts, coroot))
+        self._moved = tuple((s, c) for s, c in zip(shifts, coroot) if c)
+        self._small = _LIMIT // max(abs(c) for c in coroot)  # |k| below it: k c packed is a valid monomial
+
+    def images(self, monos: Iterable[int]) -> list[tuple[int, int]]:
+        """(the packed image, k = <a, mu>) of each packed monomial of monos.
+
+        ValueError if a k is not an integer; OverflowError if an exponent of
+        an image leaves the valid range, which no exponent ever carries out
+        of: for a small k, m and -k c packed are valid monomials, whose sum
+        decodes exactly, and otherwise every moved exponent is checked.
+        """
+        form, offset, den, root, small, bias = self._form, self._offset, self._den, self._root, self._small, _bias
+        out = []
+        for m in monos:
+            t = m + bias
+            k = -offset
+            for s, a in form:
+                k += a * ((t >> s) & _LANE_MASK)
+            if den != 1:
+                k, r = divmod(k, den)
+                if r:
+                    mu = tuple(_exponents(m).get(name, 0) for name in self._symbols)
+                    raise ValueError(f"non-integral image of {mu}: <a, mu> = {k * den + r}/{den}")
+            image = m - k * root
+            if -small < k < small:
+                bad = (image + bias) & _guard
+            else:
+                bad = any(not -_LIMIT <= ((t >> s) & _LANE_MASK) - _LIMIT - k * c < _LIMIT for s, c in self._moved)
+            if bad:
+                raise OverflowError(f"exponent outside [{-_LIMIT}, {_LIMIT}) in the image of {_named(m)}")
+            out.append((image, k))
+        return out
+
+
+def divided_difference(
+    f: LaurentPoly, diagonal: LaurentPoly, twists: Sequence[LaurentPoly], reflection: Reflection, q: LaurentPoly
+) -> LaurentPoly:
+    """The sum over the terms c m of f of c m diagonal + c twists[-k mod t] s(m), divided exactly by q.
+
+    s is the reflection, k = <a, m> its pairing with m (:meth:`Reflection.images`)
+    and t the number of twists, so a single twist serves every term.  The
+    numerator is formed in one pass over the packed terms of f, with no
+    intermediate polynomial, then divided once by :func:`exact_divide`.
+    Gauss rules, the range check and NotDivisible are those of a product,
+    a sum and :func:`exact_divide`: the operands are brought under their
+    common rules first, and a numerator whose two factors both carry g_{n/2}
+    (even n) is normalized again.
+    """
+    ops, rules = (f, diagonal, *twists), f.rules
+    if any(p.rules is not rules for p in ops):
+        witness = next(p for p in ops if p.rules is not None)
+        rules = witness.rules
+        ops = tuple(p if p.rules is rules else _common(p, witness)[0] for p in ops)
+    f, diagonal, *twists = ops
+    diag = list(diagonal._t.items())
+    twisted = [list(t._t.items()) for t in twists]
+    classes = len(twisted)
+    terms: dict[int, Coeff] = {}
+    get = terms.get
+    for (m, c), (target, k) in zip(f._t.items(), reflection.images(f._t)):
+        for m2, c2 in diag:
+            m2 += m
+            terms[m2] = get(m2, 0) + c * c2
+        for m2, c2 in twisted[-k % classes]:
+            m2 += target
+            terms[m2] = get(m2, 0) + c * c2
+    _check_range(terms)
+    half = rules._half if rules is not None else 0
+    canonical = not (half and _gauss_lanes(f) & half and any(_gauss_lanes(p) & half for p in ops[1:]))
+    frac = any(p._frac for p in ops)
+    return exact_divide(_new({m: c for m, c in terms.items() if c}, rules, frac, canonical=canonical), q)
 
 
 # -- denominator factors ------------------------------------------------------------

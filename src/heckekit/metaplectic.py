@@ -34,7 +34,7 @@ from .algebra import (
     GaussRules,
     LaurentPoly,
     RationalFunction,
-    exact_divide,
+    divided_difference,
     gauss_symbol,
     v,
 )
@@ -120,6 +120,7 @@ class RootData:
     tau1: tuple[RationalFunction, ...]  # c_s tau^1 = (1 - v) z^{rem alpha}/(1 - x)
     tau2: tuple[RationalFunction, ...]  # c_s tau^2 = g_a z^{-alpha}
     cg: tuple[LaurentPoly, ...]  # z^{-rem alpha} (1 - v) - g_a z^{(1 - n_alpha) alpha} (1 - x), over d's denominator
+    twists: tuple[LaurentPoly, ...]  # -x cg[rem]: the numerators of met_demazure's twisted terms
 
 
 @dataclass(frozen=True)
@@ -206,6 +207,7 @@ def build_datum(cartan_or_type, n: int, B: tuple[IntVec, ...] | str | None = Non
         if mat_vec((mat_vec(B, beta),), beta)[0] % 2:
             raise MetaplecticError(f"B is not even on the coroot lattice ({tuple(beta)})")
     roots = []
+    rows, den = cartan.pairings
     for i, alpha in enumerate(cartan.simple_coroots):
         row = mat_vec(B, alpha)
         q = mat_vec((row,), alpha)[0] // 2
@@ -221,9 +223,13 @@ def build_datum(cartan_or_type, n: int, B: tuple[IntVec, ...] | str | None = Non
                  (one_minus_x,)) for rem, g in enumerate(gauss)]
         if any(c.den != scalar.den for c in cg):  # cg_scaled and met_demazure rely on it
             raise AssertionError(f"the coefficients of T_{i + 1} have different denominators")
+        # W-invariance gives B(alpha, mu) = Q(alpha) <alpha_i, mu>, which met_demazure reads
+        if any(b * den != q * a for b, a in zip(row, rows[i])):
+            raise AssertionError(f"B alpha_{i + 1} is not Q(alpha_{i + 1}) times the pairing with alpha_{i + 1}")
         tau1 = tuple(RF((P.one() - v()) * coroot_monomial(alpha, rem), (one_minus_x,)) for rem in range(na))
         tau2 = tuple(RF.from_poly(g * coroot_monomial(alpha, -1)) for g in gauss)
-        roots.append(RootData(alpha, q, na, row, x, scalar, tau1, tau2, tuple(c.num for c in cg)))
+        twists = tuple(-x * c.num for c in cg)
+        roots.append(RootData(alpha, q, na, row, x, scalar, tau1, tau2, tuple(c.num for c in cg), twists))
     return MetaplecticDatum(
         cartan=cartan,
         group=group,
@@ -317,7 +323,8 @@ def cg_scaled(datum: MetaplecticDatum, i: int, f: LaurentPoly) -> RF:
     b = B(alpha_i, mu) (the row B alpha_i dotted with the z-exponents), so f
     splits by rem into at most n_alpha parts: each contributes
     datum.roots[i].cg[rem] * (s_i . part), all over d_scaled's one
-    denominator factor, so the sum is one polynomial over it.
+    denominator factor, so the sum is one polynomial over it.  cg_action
+    reads it; met_demazure forms the same sum in its one pass instead.
     """
     root = datum.roots[i]
     s = datum.group.simple(i)
@@ -343,11 +350,15 @@ def met_demazure(datum: MetaplecticDatum, i: int, f: LaurentPoly) -> LaurentPoly
     """T_i(f) = D_i^(n)(z) f - z^{n_alpha alpha} c_s^(n)(z) (s_i . f), computed in polynomials.
 
     d_scaled and cg_scaled share the one normal denominator factor q of
-    1 - z^{n_alpha alpha}, so T_i f is one numerator over q, divided exactly;
-    NotDivisible if the quotient is not a Laurent polynomial.
+    1 - z^{n_alpha alpha}, so T_i f is one numerator over q: one
+    :func:`divided_difference` with the diagonal D_i^(n)(z) q and the twists
+    -z^{n_alpha alpha} cg[rem], divided exactly; NotDivisible if the
+    quotient is not a Laurent polynomial.  A term z^mu takes the twist of
+    rem = rem_{n_alpha}(-k), k = <alpha_i, mu>, the rule of _root_residues:
+    by W-invariance B(alpha_i, mu) = Q(alpha_i) k, as build_datum asserts.
     """
     root = datum.roots[i]
-    return exact_divide(root.d.num * f - root.x * cg_scaled(datum, i, f).num, root.d.den[0])
+    return divided_difference(f, root.d.num, root.twists, datum.group.reflection(i), root.d.den[0])
 
 
 def met_demazure_act(datum: MetaplecticDatum, f: LaurentPoly):

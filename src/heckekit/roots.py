@@ -25,7 +25,7 @@ from math import gcd
 from operator import mul
 from typing import Sequence
 
-from .algebra import LaurentPoly, RationalFunction, exact_divide
+from .algebra import LaurentPoly, RationalFunction, Reflection, exact_divide
 
 IntVector = tuple[int, ...]
 Scaled = tuple[tuple[IntVector, ...], int]  # a rational matrix as (integer rows, denominator), in lowest terms
@@ -159,6 +159,8 @@ class WeylGroup:
         self._inverse_cache: dict[tuple[int, ...], WeylElement] = {}
         self._act_memos: dict[tuple[int, ...], dict] = {}
         self._coordinates = tuple(f"z{i + 1}" for i in range(cartan.dim))
+        rows, den = cartan.pairings
+        self._reflections = [Reflection(self._coordinates, row, den, a) for row, a in zip(rows, cartan.simple_coroots)]
 
     def _generate(self) -> None:
         identity = _identity(self.cartan.dim)
@@ -220,6 +222,10 @@ class WeylGroup:
                 result = self.mul(self.simple(i), result)
             self._inverse_cache[w.word] = result
         return result
+
+    def reflection(self, i: int) -> Reflection:
+        """s_i on packed monomials: z^mu -> z^{mu - <alpha_i, mu> alpha_i}, the other symbols kept."""
+        return self._reflections[i]
 
     def left_mul_simple(self, i: int, w: WeylElement) -> WeylElement:
         return self.mul(self._simples[i], w)

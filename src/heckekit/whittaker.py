@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .algebra import LaurentPoly, RationalFunction, exact_divide, v
+from .algebra import LaurentPoly, RationalFunction, divided_difference, v
 from .linalg import Matrix
 from .relations import applied, monomial_relations, verdict, weyl_sum
 from .reports import Report
@@ -83,13 +83,13 @@ def apply_demazure(var: DemazureVariant, i: int, f: LaurentPoly) -> LaurentPoly:
     """T_i f for a Laurent polynomial f, computed in polynomials.
 
     c0 and c1 share their one normal denominator factor q in every variant,
-    so T_i f = (c0.num f + c1.num f(s_i z)) / q: one numerator and one exact
-    division by a binomial, which raises NotDivisible if the quotient is not
-    a Laurent polynomial.
+    so T_i f = (c0.num f + c1.num f(s_i z)) / q: one :func:`divided_difference`,
+    which forms the numerator in one pass over the terms of f, with s_i
+    applied to each packed monomial, and divides it exactly by the binomial
+    q, raising NotDivisible if the quotient is not a Laurent polynomial.
     """
     c0, c1 = demazure_coefficients(var, i)
-    fs = var.group.act_fn(var.group.simple(i), f)
-    return exact_divide(c0.num * f + c1.num * fs, c0.den[0])
+    return divided_difference(f, c0.num, (c1.num,), var.group.reflection(i), c0.den[0])
 
 
 demazure_polynomial = apply_demazure  # the name the frozen acceptance suite (criterion 4) imports

@@ -540,15 +540,40 @@ def test_rem_identity():
     assert all(rem_identity_check(na, m) for na in (1, 2, 3, 4) for m in range(-8, 9))
 
 
-@pytest.mark.parametrize("cartan_type, n", [("A1", 2), ("A1", 3), ("A2", 2), ("A2", 3)])
+@pytest.mark.parametrize("cartan_type, n", [("A1", 2), ("A1", 3), ("A1", 4), ("A2", 2), ("A2", 3), ("A2", 4)])
 def test_met_polynomial_step_matches_rational_step(cartan_type, n):
     d = build_datum(cartan_type, n)
     weights = [(1, 0, 0), (0, 1, -1), (2, -1, 0), (-2, 0, 1)] if cartan_type == "A2" else [(1, 0), (-2, 1), (0, 3)]
     f = P.zero(d.rules)
     for k, mu in enumerate(weights):  # several cosets at once
         f = f + weight_monomial(mu) * (k + 1)
+    # the step carries u and the Gauss symbols through s_i; for even n, g_{n/2} times a twist's g_{n/2} folds to u^2
+    symbols = [P.monomial({"u": k - 1}, rules=d.rules) * gauss_symbol(k, d.rules) for k in range(len(weights))]
+    half = gauss_symbol(n // 2, d.rules)
+    g = sum((weight_monomial(mu) * s for mu, s in zip(weights, symbols)), half * weight_monomial(weights[0]))
+    # a rule-free input carrying Gauss symbols, brought under the datum's rules by the step
+    free = weight_monomial(weights[1]) * P.monomial({"g1": 3, "u": -1}) - weight_monomial(weights[2]) * P.symbol("g2")
     for i in range(d.cartan.rank):
-        assert met_demazure(d, i, f) == met_demazure_rational(d, i, f)
+        for h in (f, g, free):
+            assert met_demazure(d, i, h) == met_demazure_rational(d, i, h)
+
+
+def test_a_perturbed_twist_fails_the_met_demazure_relations_at_its_weight():
+    # negative control: T_1 of the A2 double cover with one twisted numerator doubled
+    d = build_datum("A2", 2)
+    weights = [(1, 0, 0), (2, 1, 0)]
+    assert check_met_demazure_relations(d, weights).first_failure() is None
+    root = d.roots[0]
+    perturbed = replace(d, roots=(replace(root, twists=(2 * root.twists[0], *root.twists[1:])), *d.roots[1:]))
+    failure = check_met_demazure_relations(perturbed, weights).first_failure()
+    assert failure is not None and failure.name.endswith(f"on z^{weights[0]}")
+
+
+def test_an_off_lattice_monomial_fails_the_met_step_with_a_value_error():
+    d = build_datum("G2", 1)  # (1, 0, 0) is off the G2 lattice: <alpha_2, (1, 0, 0)> = 1/3
+    met_demazure(d, 0, weight_monomial((1, 0, 0)))
+    with pytest.raises(ValueError, match="non-integral"):
+        met_demazure(d, 1, weight_monomial((1, 0, 0)))
 
 
 def _symmetric(d, upper):

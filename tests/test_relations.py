@@ -4,6 +4,7 @@ from functools import reduce
 import pytest
 
 import heckekit.metaplectic
+import heckekit.roots
 import heckekit.whittaker
 from heckekit.algebra import LaurentPoly, v
 from heckekit.metaplectic import build_datum, check_met_demazure_relations, metaplectic_schema_instance
@@ -68,26 +69,29 @@ def test_weyl_sum_reads_each_element_once_along_its_word():
 
 
 def test_demazure_checks_go_through_the_polynomial_steps(monkeypatch):
-    # the benchmark tracer wraps these module names; each Demazure check must reach them
+    # the benchmark tracer wraps the step names; each step is one divided_difference, which reflects
+    # the packed monomials itself, so neither act_fn nor the Chinta-Gunnells sum cg_scaled is reached
     calls = Counter()
-    for module, name in [(heckekit.whittaker, "apply_demazure"), (heckekit.metaplectic, "met_demazure"),
-                         (heckekit.metaplectic, "cg_scaled")]:
-        def counting(*args, _step=getattr(module, name), _name=name):
+    for owner, name in [(heckekit.whittaker, "apply_demazure"), (heckekit.metaplectic, "met_demazure"),
+                        (heckekit.metaplectic, "cg_scaled"), (heckekit.whittaker, "divided_difference"),
+                        (heckekit.metaplectic, "divided_difference"), (heckekit.roots.WeylGroup, "act_fn")]:
+        def counting(*args, _step=getattr(owner, name), _name=name):
             calls[_name] += 1
             return _step(*args)
 
-        monkeypatch.setattr(module, name, counting)
+        monkeypatch.setattr(owner, name, counting)
     cartan = build_cartan("A2")
     var = demazure_variant("whittaker", cartan, weyl_group(cartan))
     runs = [
-        (lambda: idempotent_apply(var, (1, 0, 0)), {"apply_demazure"}),
-        (lambda: check_demazure_relations(var, [(1, 0, 0)]), {"apply_demazure"}),
-        (lambda: check_met_demazure_relations(build_datum("A1", 2), [(1, 0)]), {"met_demazure", "cg_scaled"}),
+        (lambda: idempotent_apply(var, (1, 0, 0)), {"apply_demazure", "divided_difference"}),
+        (lambda: check_demazure_relations(var, [(1, 0, 0)]), {"apply_demazure", "divided_difference"}),
+        (lambda: check_met_demazure_relations(build_datum("A1", 2), [(1, 0)]), {"met_demazure", "divided_difference"}),
     ]
     for run, steps in runs:
         calls.clear()
         run()
         assert set(calls) == steps and all(calls.values())
+        assert calls["divided_difference"] == sum(calls[step] for step in ("apply_demazure", "met_demazure"))
 
 
 @pytest.mark.parametrize("probe, weights", [

@@ -3,11 +3,12 @@ from itertools import product
 
 import pytest
 
-from heckekit.algebra import GaussRules, LaurentPoly, RationalFunction, rf_equal
+from heckekit.algebra import GaussRules, LaurentPoly, RationalFunction, divided_difference, rf_equal
 from heckekit.roots import (
     WeylGroup,
     build_cartan,
     coroot_monomial,
+    weight_monomial,
     weyl_character,
     weyl_group,
 )
@@ -273,3 +274,48 @@ def test_wrong_length_weights_raise():
     ):
         with pytest.raises(ValueError, match="coordinates"):
             call()
+
+
+def reflected(group: WeylGroup, i: int, f: LaurentPoly) -> LaurentPoly:
+    """f with s_i applied to each packed monomial, as a Demazure step applies it: one twist 1 - t over 1 - t."""
+    one_minus_t = P.one() - P.symbol("t")
+    return divided_difference(f, P.zero(), (one_minus_t,), group.reflection(i), one_minus_t)
+
+
+@pytest.mark.parametrize("name", ALL_TYPES)
+def test_the_step_reflection_agrees_with_act_fn_on_the_rest_of_a_monomial(name):
+    # u and the Gauss symbols ride along untouched, rule-free and under even and odd moduli alike
+    cartan = build_cartan(name)
+    group = weyl_group(cartan)
+    weights = [mu for mu in product(range(-2, 3), repeat=cartan.dim) if cartan.in_lattice(mu)][::7][:6]
+    for rules in (None, GaussRules.standard(2), GaussRules.standard(3)):
+        f = P.zero(rules)
+        for k, mu in enumerate(weights):
+            f = f + weight_monomial(mu) * P.monomial({"u": k - 2, "g1": k % 3, "g2": -(k % 2)}, k + 1, rules)
+        for i in range(cartan.rank):
+            assert reflected(group, i, f) == group.act_fn(group.simple(i), f)
+
+
+@pytest.mark.parametrize("name, i, mu", [
+    ("C2", 1, (0, -2 ** 14)),  # s_2 negates the second coordinate: -2^14 -> 2^14, with k = -2^14
+    ("G2", 1, (16000, 10000, 16000)),  # k = 4000, small: the image's second exponent 18000 >= 2^14
+], ids=["C2-large-pairing", "G2-small-pairing"])
+def test_an_image_exponent_out_of_range_raises_overflow(name, i, mu):
+    group = weyl_group(build_cartan(name))
+    f = weight_monomial(mu) * P.symbol("u")
+    with pytest.raises(OverflowError):
+        group.act_fn(group.simple(i), f)
+    with pytest.raises(OverflowError):
+        reflected(group, i, f)
+
+
+@pytest.mark.parametrize("name, i, mu", [
+    ("A1", 0, (2 ** 14 - 1, -2 ** 14)),  # a swap of the extreme exponents, k = 2^15 - 1
+    ("G2", 1, (14383, 8383, 14383)),  # k = 4000: the image's second exponent is 2^14 - 1
+], ids=["A1-extreme-swap", "G2-edge"])
+def test_an_image_at_the_edge_of_the_range_is_exact(name, i, mu):
+    # no exponent carries into a neighbouring lane: the u beside the z lanes is kept as it was
+    group = weyl_group(build_cartan(name))
+    f = weight_monomial(mu) * P.monomial({"u": -3})
+    image = group.simple(i).act(mu)
+    assert reflected(group, i, f) == group.act_fn(group.simple(i), f) == weight_monomial(image) * P.monomial({"u": -3})

@@ -248,8 +248,9 @@ def test_idempotent_rejects_non_dominant(a2):
         idempotent_apply(var, (0, 1, 0))
 
 
-@pytest.mark.parametrize("name, inputs", [(name, "sum") for name in ("A2", "B2", "C2", "G2")] + [("A2", "monomials")],
-                         ids=["A2", "B2", "C2", "G2", "A2-monomials"])
+@pytest.mark.parametrize("name, inputs", [(name, "sum") for name in ("A2", "B2", "C2", "G2")]
+                         + [("A2", "monomials"), ("B2", "other symbols"), ("G2", "other symbols")],
+                         ids=["A2", "B2", "C2", "G2", "A2-monomials", "B2-other-symbols", "G2-other-symbols"])
 def test_polynomial_step_matches_rational_step(name, inputs):
     cartan = build_cartan(name)
     W = weyl_group(cartan)
@@ -260,8 +261,11 @@ def test_polynomial_step_matches_rational_step(name, inputs):
         basis = [lam for lam in (tuple(rng.randint(-2, 2) for _ in range(cartan.dim)) for _ in range(40))
                  if cartan.in_lattice(lam)][:4]
         f = P.zero()
-        for lam in basis:
-            f = f + weight_monomial(lam) * rng.randint(1, 3)
+        for k, lam in enumerate(basis):
+            term = weight_monomial(lam) * rng.randint(1, 3)
+            if inputs == "other symbols":  # the step carries u and a (rule-free) Gauss symbol through s_i
+                term = term * P.monomial({"u": k - 1, "g1": k % 2})
+            f = f + term
         assert len(f.terms) >= 2
         fs = [f]
     for kind in ("whittaker", "lusztig"):
@@ -270,6 +274,27 @@ def test_polynomial_step_matches_rational_step(name, inputs):
             for i in range(cartan.rank):
                 for f in fs:
                     assert apply_demazure(var, i, f) == to_element(var, i).act_on(f)
+
+
+def test_a_perturbed_coefficient_fails_the_demazure_relations_at_its_weight():
+    # negative control: T_1 with its twisted numerator c1.num doubled is no Demazure operator
+    cartan = build_cartan("A2")
+    var = demazure_variant("whittaker", cartan, weyl_group(cartan))
+    weights = [(1, 0, 0), (0, 1, -1)]
+    assert check_demazure_relations(var, weights).first_failure() is None
+    (c0, c1), *rest = var.coefficients
+    object.__setattr__(var, "coefficients", ((c0, 2 * c1), *rest))
+    failure = check_demazure_relations(var, weights).first_failure()
+    assert failure is not None and failure.name.endswith(f"on z^{weights[0]}")
+
+
+def test_an_off_lattice_monomial_fails_the_step_with_a_value_error():
+    # (1, 0, 0) pairs to 1/3 with alpha_2 of G2: its image under s_2 is not a lattice vector
+    cartan = build_cartan("G2")
+    var = demazure_variant("whittaker", cartan, weyl_group(cartan))
+    apply_demazure(var, 0, weight_monomial((1, 0, 0)))  # <alpha_1, (1, 0, 0)> = 0
+    with pytest.raises(ValueError, match="non-integral"):
+        apply_demazure(var, 1, weight_monomial((1, 0, 0)))
 
 
 def test_cs_a4_in_polynomial_steps():
