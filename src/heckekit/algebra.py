@@ -40,9 +40,11 @@ sums, products, equality and division.
 Division.  :func:`exact_divide` is the one place where division is
 decided, and it is complete: NotDivisible means no Laurent quotient
 exists.  Without rules or for odd n the ring is a Laurent ring over Q, a
-domain, where leading-term division after removing the monomial content
-is complete.  For even n it is R[g_h] / (g_h^2 - u^2), R that Laurent
-ring, and as 2u is a unit, f0 + f1 g_h -> (f0 + u f1, f0 - u f1) maps it
+domain, where leading-term division is complete once each quotient term
+is compared lane by lane with the difference of the monomial contents; no
+operand is shifted, so no exponent leaves the range unless the quotient's
+does.  For even n it is R[g_h] / (g_h^2 - u^2), R that Laurent ring, and
+as 2u is a unit, f0 + f1 g_h -> (f0 + u f1, f0 - u f1) maps it
 onto R x R (Chinese remainder theorem).  A divisor free of g_h divides
 the coefficients of 1 and g_h alone; one carrying g_h is divided in both
 factors; a zero divisor (zero in one factor) raises ZeroDivisionError.
@@ -518,26 +520,6 @@ class LaurentPoly:
     def symbols(self) -> set[str]:
         return {_names[lane] for m in self._t for lane, _ in _unpack(m)}
 
-    # -- maps on monomials --------------------------------------------------
-
-    def map_monomials(
-        self, image: Callable[[dict[str, int]], Mapping[str, int]], memo: dict | None = None
-    ) -> "LaurentPoly":
-        """Sum of c * image(m) over the terms c * m, image acting on exponents {name: exponent}.
-
-        ``memo``, a dict the caller keeps for one ``image``, caches its
-        values between calls; its keys are private to this module.
-        """
-        if memo is None:
-            memo = {}
-        terms: dict[int, Coeff] = {}
-        for m, c in self._t.items():
-            target = memo.get(m)
-            if target is None:
-                target = memo[m] = _pack(image(_exponents(m)))
-            terms[target] = terms.get(target, 0) + c
-        return _new({m: c for m, c in terms.items() if c}, self.rules, self._frac)
-
     def split(self, key: Callable[[dict[str, int]], Hashable]) -> dict[Hashable, "LaurentPoly"]:
         """The terms grouped by key(exponents), one polynomial per key, in order of first appearance."""
         groups: dict[Hashable, dict[int, Coeff]] = {}
@@ -605,18 +587,14 @@ def _common(a: LaurentPoly, b: LaurentPoly) -> tuple[LaurentPoly, LaurentPoly, G
     return a, b, rules
 
 
-def _content(p: LaurentPoly) -> int:
-    """Componentwise minimum exponent over all terms (the unit part of p), packed."""
-    vecs = [dict(_unpack(m)) for m in p._t]
-    lanes = set().union(*vecs)
-    return sum(min(vec.get(lane, 0) for vec in vecs) << (_WIDTH * lane) for lane in lanes)
-
-
-def _shift(p: LaurentPoly, shift: int) -> LaurentPoly:
-    if not shift:
-        return p
-    _check_range((shift,))
-    return p * _new({shift: 1}, p.rules, False)
+def _quotient_box(p: LaurentPoly, q: LaurentPoly) -> list[tuple[int, int, int]]:
+    """(lane, low, high) for each lane of p or q: its least (greatest) exponent over p's terms less that over q's."""
+    vp, vq = [dict(_unpack(m)) for m in p._t], [dict(_unpack(m)) for m in q._t]
+    box = []
+    for lane in set().union(*vp, *vq):
+        ep, eq = [v.get(lane, 0) for v in vp], [v.get(lane, 0) for v in vq]
+        box.append((lane, min(ep, default=0) - min(eq), max(ep, default=0) - max(eq)))  # p = 0 bounds nothing
+    return box
 
 
 def _graded_lex(names: Iterable[str]) -> Callable[[int], tuple[int, list[int]]]:
@@ -645,7 +623,8 @@ def exact_divide(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
     This is the one place where division is decided, and it is complete
     (see the module docstring).  Under even n a divisor carrying g_{n/2}
     takes :func:`_divide_split`, and raises ZeroDivisionError if it is a
-    zero divisor.  Every other two-term divisor (every Demazure step
+    zero divisor.  Every other one-term divisor moves each term of p
+    (:func:`_divide_monomial`), every two-term divisor (every Demazure step
     divides by one) takes :func:`_divide_binomial`, linear in the number of
     terms, and the rest :func:`_divide_general`.
     """
@@ -657,9 +636,20 @@ def exact_divide(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
         return _divide_split(p, q, halves)
     if not p._t:
         return LaurentPoly.zero(rules)
+    if len(q._t) == 1:
+        return _divide_monomial(p, q, rules)
     if len(q._t) == 2:
         return _divide_binomial(p, q, rules)
     return _divide_general(p, q, rules)
+
+
+def _divide_monomial(p: LaurentPoly, q: LaurentPoly, rules: GaussRules | None) -> LaurentPoly:
+    """p / q for q = c x^A, term by term: x^M -> x^{M - A}, which decodes exactly as a sum of two valid
+    monomials does.  The quotient is normal, as q carries no g_{n/2} (exact_divide splits such divisors)."""
+    (a, ca), = q._t.items()
+    quotient = {m - a: _div(c, ca) for m, c in p._t.items()}
+    _check_range(quotient)
+    return _new(quotient, rules, any(type(c) is not int for c in quotient.values()), canonical=True)
 
 
 def _divide_binomial(p: LaurentPoly, q: LaurentPoly, rules: GaussRules | None) -> LaurentPoly:
@@ -732,28 +722,29 @@ def _divide_binomial(p: LaurentPoly, q: LaurentPoly, rules: GaussRules | None) -
 def _divide_general(p: LaurentPoly, q: LaurentPoly, rules: GaussRules | None) -> LaurentPoly:
     """p / q by repeated leading-term division, quadratic in the number of terms.
 
-    Both operands are normalized by their unit (monomial) content first;
-    this reduces Laurent divisibility to polynomial divisibility, where a
-    single-divisor division with graded-lex leading terms is a complete test.
+    Newton polytopes add, so each term of a Laurent quotient lies in the
+    box of :func:`_quotient_box`, and one outside it shows p not divisible.
+    Its lower bound is leading-term divisibility after removing the monomial
+    contents, a complete test for a single divisor.  Inside it every
+    remainder term lies within p's exponents, so no exponent leaves the
+    range unless one of the quotient does.
     """
-    cp, cq = _content(p), _content(q)
-    phat, qhat = _shift(p, -cp), _shift(q, -cq)
-    order = _graded_lex(phat.symbols() | qhat.symbols())
-    lq = max(qhat._t, key=order)
-    lq_coeff = qhat._t[lq]
+    bounds = _quotient_box(p, q)
+    order = _graded_lex(p.symbols() | q.symbols())
+    lq = max(q._t, key=order)
+    lq_coeff = q._t[lq]
     quotient: dict[int, Coeff] = {}
-    rem = phat
-    while not rem.is_zero():
+    rem = p
+    while rem._t:
         lm = max(rem._t, key=order)
-        t = lm - lq
-        if any(e < 0 for _, e in _unpack(t)):
+        t = lm - lq  # leading terms strictly decrease, so no t repeats
+        exps = dict(_unpack(t))
+        if any(not low <= exps.get(lane, 0) <= high for lane, low, high in bounds):
             raise NotDivisible(p, q)
-        tc = _div(rem._t[lm], lq_coeff)
-        quotient[t] = quotient.get(t, 0) + tc
-        rem = rem - _new({t: tc}, rules, type(tc) is not int) * qhat
-    quotient = {m: c for m, c in quotient.items() if c}
-    frac = any(type(c) is not int for c in quotient.values())
-    return _shift(_new(quotient, rules, frac), cp - cq)
+        _check_range((t,))
+        tc = quotient[t] = _div(rem._t[lm], lq_coeff)
+        rem = rem - _new({t: tc}, rules, type(tc) is not int) * q
+    return _new(quotient, rules, any(type(c) is not int for c in quotient.values()))
 
 
 def _halves(f: LaurentPoly) -> tuple[LaurentPoly, LaurentPoly] | None:
@@ -865,6 +856,11 @@ class Reflection:
             out.append((image, k))
         return out
 
+    def apply(self, f: LaurentPoly) -> LaurentPoly:
+        """f with each monomial reflected (:meth:`images`); moving no Gauss symbol, it keeps f's normal form."""
+        images = self.images(f._t)
+        return _new({m: c for (m, _), c in zip(images, f._t.values())}, f.rules, f._frac, canonical=True)
+
 
 def divided_difference(
     f: LaurentPoly, diagonal: LaurentPoly, twists: Sequence[LaurentPoly], reflection: Reflection, q: LaurentPoly
@@ -929,8 +925,8 @@ def _normal_factor(f: LaurentPoly) -> tuple[LaurentPoly | None, LaurentPoly | No
     unit whose halves are the leading terms of f's halves, so associates by
     any unit of the ring, such as ((1 + x) + (x - 1) u^-1 g_{n/2})/2, have
     one normal form as well.  The first entry is None when f is a unit
-    (f / t = 1), the second when f is already normal (t = 1).  Memoized per
-    factor and rules object.
+    (f / t = 1), the constant 1 included, and the second when f is already
+    normal (t = 1).  Memoized per factor and rules object.
 
     ZeroDivisionError if f is zero or a zero divisor: under even n, one of
     its two halves is zero.
@@ -949,15 +945,14 @@ def _normal_factor(f: LaurentPoly) -> tuple[LaurentPoly | None, LaurentPoly | No
         raise ZeroDivisionError(f"zero divisor in denominator: {f.render()}")
     else:
         inverse = _recombine(_lead_inverse(halves[0]), _lead_inverse(halves[1]), rules)
-    if inverse._t == {0: 1}:
+    normal = f if inverse._t == {0: 1} else f * inverse
+    if normal._t == {0: 1}:  # a unit, decided before "already normal" so that 1 is dropped too
+        hit = memo[f] = (None, None if normal is f else inverse)
+    elif normal is f:
         hit = memo[f] = (f, None)
-        return hit
-    normal = f * inverse
-    if normal._t == {0: 1}:
-        hit = memo[f] = (None, inverse)
-        return hit
-    memo.setdefault(normal, (normal, None))  # a normal factor stays as it is
-    hit = memo[f] = (normal, inverse)
+    else:
+        memo.setdefault(normal, (normal, None))  # a normal factor stays as it is
+        hit = memo[f] = (normal, inverse)
     return hit
 
 

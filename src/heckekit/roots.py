@@ -154,13 +154,12 @@ class WeylGroup:
         self._by_matrix: dict[Scaled, WeylElement] = {}
         self._generate()
         self._simples = [self._by_matrix[m] for m in self._simple_matrices]
-        # products, inverses and monomial images, keyed by reduced words
+        # products and inverses, keyed by reduced words
         self._mul_cache: dict[tuple[tuple[int, ...], tuple[int, ...]], WeylElement] = {}
         self._inverse_cache: dict[tuple[int, ...], WeylElement] = {}
-        self._act_memos: dict[tuple[int, ...], dict] = {}
-        self._coordinates = tuple(f"z{i + 1}" for i in range(cartan.dim))
+        coordinates = tuple(f"z{i + 1}" for i in range(cartan.dim))
         rows, den = cartan.pairings
-        self._reflections = [Reflection(self._coordinates, row, den, a) for row, a in zip(rows, cartan.simple_coroots)]
+        self._reflections = [Reflection(coordinates, row, den, a) for row, a in zip(rows, cartan.simple_coroots)]
 
     def _generate(self) -> None:
         identity = _identity(self.cartan.dim)
@@ -245,30 +244,22 @@ class WeylGroup:
     # -- actions on weights and functions ------------------------------------
 
     def act_fn(self, w: WeylElement, f):
-        """act_fn(w, z^mu) = z^{w mu}; a ring homomorphism on z-monomials.
+        """act_fn(w, z^mu) = z^{w mu}, the other symbols kept; a ring homomorphism on z-monomials.
 
-        The image of each monomial under each element is computed once per
-        group; a rational function maps its numerator and each denominator
-        factor through the same memo, and each keeps its own Gauss rules.
+        The letters of w's reduced word act right to left (:meth:`reflection`),
+        so off the lattice a letter whose pairing is not an integer raises
+        ValueError.  A rational function maps its numerator and each
+        denominator factor, and each keeps its own Gauss rules.
         """
         if isinstance(f, RationalFunction):
             return RationalFunction(self.act_fn(w, f.num), [self.act_fn(w, g) for g in f.den])
-        memo = self._act_memos.setdefault(w.word, {})
-        return f.map_monomials(lambda exps: _act_on_exponents(w, exps, self._coordinates), memo)
+        for i in reversed(w.word):
+            f = self._reflections[i].apply(f)
+        return f
 
     def at_point(self, w: WeylElement, f):
         """Evaluate a z-function at the torus point w*z: f(wz) = act_fn(w^{-1}, f)."""
         return self.act_fn(self.inverse(w), f)
-
-
-def _act_on_exponents(w: WeylElement, exps: dict[str, int], names: tuple[str, ...]) -> dict[str, int]:
-    """The exponents of z^{w mu} * (the other symbols), for the monomial z^mu * (the other symbols)."""
-    out = dict(exps)
-    vec = [out.pop(z, 0) for z in names]
-    for z, e in zip(names, w.act(vec)):
-        if e:
-            out[z] = e
-    return out
 
 
 def _positive_closure(cartan_type: str, simples: list[IntVector], pairings: Scaled, rho) -> tuple[IntVector, ...]:
@@ -365,14 +356,14 @@ def weight_monomial(mu: Sequence[int]) -> LaurentPoly:
 
 
 def weyl_character(cartan: CartanDatum, group: WeylGroup, lam: Sequence[int]) -> LaurentPoly:
-    """chi_lambda(z) as an exact Laurent polynomial (Weyl sum; divisibility asserted)."""
+    """chi_lambda(z): the alternant of lambda + rho over z^rho prod_{alpha > 0} (1 - z^-alpha), a binomial at a time."""
     if not cartan.is_dominant(lam):
         raise ValueError(f"{tuple(lam)} is not dominant")
     lam_rho = tuple(a + b for a, b in zip(lam, cartan.rho))
-    num = LaurentPoly.zero()
-    den = LaurentPoly.zero()
+    chi = LaurentPoly.zero()
     for w in group:
-        sign = -1 if w.length % 2 else 1
-        num = num + weight_monomial(w.act(lam_rho), ) * sign
-        den = den + weight_monomial(w.act(cartan.rho)) * sign
-    return exact_divide(num, den)
+        shifted = tuple(a - b for a, b in zip(w.act(lam_rho), cartan.rho))  # z^{w(lambda + rho)} z^-rho
+        chi = chi + weight_monomial(shifted) * (-1 if w.length % 2 else 1)
+    for beta in cartan.positive_coroots:
+        chi = exact_divide(chi, LaurentPoly.one() - coroot_monomial(beta, -1))
+    return chi

@@ -1,22 +1,22 @@
 """Test-only helpers: second routes to results the package computes one way.
 
 None of these is part of the production path; the tests compare them with
-it (the rational Weyl sum with the Weyl character, the exactly inverted
-R-matrix with the closed form, the coset aggregate with the Demazure sum,
-the rational metaplectic Demazure formula with the polynomial step, the
-coset-wise Chinta-Gunnells sum with the split by pairing, the paper's
-scattering coefficients tau^1 and tau^2 with the closed-form block),
-or use them to state a property (evaluation at a point, substitution of
-monomials, Bruhat order, T_w of a block module, the braid constraint of a
-free-symbol instance on one rank-2 coset).  Each is written over the
-package's public API only.
+it (the rational Weyl sum with the Weyl character, the term-by-term Weyl
+action with act_fn, the exactly inverted R-matrix with the closed form, the
+coset aggregate with the Demazure sum, the rational metaplectic Demazure
+formula with the polynomial step, the coset-wise Chinta-Gunnells sum with
+the split by pairing, the paper's scattering coefficients tau^1 and tau^2
+with the closed-form block), or use them to state a property (evaluation
+at a point, substitution of monomials, Bruhat order, T_w of a block
+module, the braid constraint of a free-symbol instance on one rank-2
+coset).  Each is written over the package's public API only.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from heckekit.algebra import GaussRules, LaurentPoly, RationalFunction, gauss_symbol, v
 from heckekit.linalg import mat_inverse
@@ -36,6 +36,31 @@ def z_monomial(vec: Iterable[int], coeff=1, rules: GaussRules | None = None) -> 
     return LaurentPoly.monomial({f"z{i + 1}": e for i, e in enumerate(vec)}, coeff, rules)
 
 
+def map_terms(f: LaurentPoly | RF, image: Callable[[dict[str, int]], Mapping[str, int]]) -> LaurentPoly | RF:
+    """The sum of c * image(exponents) over the terms c * monomial of f, read from ``terms``.
+
+    A rational function maps its numerator and each denominator factor.
+    """
+    if isinstance(f, RationalFunction):
+        return RF(map_terms(f.num, image), tuple(map_terms(g, image) for g in f.den))
+    terms: dict[tuple[tuple[str, int], ...], int | Fraction] = {}
+    for mono, coeff in f.terms.items():
+        key = tuple(sorted((s, e) for s, e in image(dict(mono)).items() if e))
+        terms[key] = terms.get(key, 0) + coeff
+    return LaurentPoly(terms, f.rules)
+
+
+def weyl_act(w: WeylElement, f: LaurentPoly | RF) -> LaurentPoly | RF:
+    """z^mu -> z^{w mu} term by term through WeylElement.act, the other symbols kept; equals act_fn(w, f)."""
+    names = [f"z{j + 1}" for j in range(len(w.scaled[0]))]
+
+    def image(exps: dict[str, int]) -> dict[str, int]:
+        mu = [exps.pop(z, 0) for z in names]
+        return {**exps, **dict(zip(names, w.act(mu)))}
+
+    return map_terms(f, image)
+
+
 def conjugate_gauss(obj):
     """The global flip g_a -> g_{(-a) mod n} (the choice-of-embedding toggle)."""
     if isinstance(obj, RationalFunction):
@@ -52,7 +77,7 @@ def conjugate_gauss(obj):
             out[name] = out.get(name, 0) + e
         return out
 
-    return obj.map_monomials(flip)
+    return map_terms(obj, flip)
 
 
 def weyl_character_sum_form(cartan: CartanDatum, group: WeylGroup, lam: Sequence[int]) -> RationalFunction:
@@ -152,7 +177,7 @@ def cg_scaled_by_coset(datum: MetaplecticDatum, i: int, f: LaurentPoly) -> RF:
         assert m * q == b, (i, firsts[idx])
         rem = na * -(-m // na) - m
         num = z ** (-rem) * (P.one() - v()) - gauss_symbol(b - q, datum.rules) * z ** (1 - na) * one_minus_x
-        total = total + RF(num, (one_minus_x,)) * RF.from_poly(datum.group.act_fn(s, part))
+        total = total + RF(num, (one_minus_x,)) * RF.from_poly(weyl_act(s, part))
     return total
 
 
@@ -208,9 +233,7 @@ def substitute(f: LaurentPoly | RF, images: Mapping[str, Mapping[str, int]]) -> 
                 out[t] = out.get(t, 0) + e * k
         return out
 
-    if isinstance(f, RationalFunction):
-        return RF(f.num.map_monomials(image), tuple(g.map_monomials(image) for g in f.den))
-    return f.map_monomials(image)
+    return map_terms(f, image)
 
 
 @cache

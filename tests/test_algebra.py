@@ -816,6 +816,48 @@ def test_exponent_outside_lane_range_raises():
         P({(("y", 1), ("x", -_LIMIT - 1)): 1})
 
 
+def _z(*exps):
+    return P.monomial({f"z{i + 1}": e for i, e in enumerate(exps)})
+
+
+@pytest.mark.parametrize("p, q, quotient", [
+    (_z(-2 ** 14), P.one(), _z(-2 ** 14)),
+    (_z(-2 ** 14) * 2, P.const(2), _z(-2 ** 14)),
+    (_z(-2 ** 14), _z(-2 ** 14), P.one()),  # q's inverse z1^(2^14) is out of range, the quotient is not
+    ((_z(-16000) + _z(16000)) * (1 + _z(0, 1) + _z(0, 2)), 1 + _z(0, 1) + _z(0, 2), _z(-16000) + _z(16000)),
+    ((_z(-16000) + _z(16000)) * (1 - _z(0, 1)), 1 - _z(0, 1), _z(-16000) + _z(16000)),
+], ids=["by-one", "by-a-constant", "by-its-monomial", "general-wide-lane", "binomial-wide-lane"])
+def test_division_in_range_does_not_overflow(p, q, quotient):
+    # operands and quotient in range: no lane spanning 2^14 or more is shifted out of it
+    assert exact_divide(p, q) == quotient
+
+
+@pytest.mark.parametrize("p, q", [
+    (_z(16000), _z(-1000)),
+    (_z(16000) * (1 + _z(0, 1) + _z(0, 2)), _z(-1000) * (1 + _z(0, 1) + _z(0, 2))),
+    (_z(-16000) * (1 + _z(0, 1) + _z(0, 2)), _z(1000) + _z(1000, 1) + _z(1000, 2)),
+], ids=["monomial", "general", "general-below"])
+def test_a_quotient_out_of_range_raises_overflow(p, q):
+    with pytest.raises(OverflowError):
+        exact_divide(p, q)
+
+
+@pytest.mark.parametrize("n", [None, 2])
+def test_a_constant_factor_one_is_dropped(n):
+    rules = GaussRules.standard(n) if n is not None else None
+    x, one = P.symbol("x", rules), P.one(rules)
+    assert RationalFunction(x, (one,)).den == ()
+    assert RationalFunction(x, (one, one - x, one)).den == RationalFunction(x, (one - x,)).den
+    assert RationalFunction(x, (P.const(3, rules),)).den == ()
+    renderings = [
+        RationalFunction.one(rules).inverse(),
+        RationalFunction(x, (one,)),
+        RationalFunction(one, (one - x,)) + RationalFunction(x, (one,)),
+        RationalFunction(x, (one - x,)).inverse() * RationalFunction(one, (one,)),
+    ]
+    assert not any("/ (1)" in f.render() or "(1)*" in f.render() or "*(1)" in f.render() for f in renderings)
+
+
 SYMBOL_ORDER_SCRIPT = """
 import json, sys
 from heckekit.algebra import GaussRules, LaurentPoly as P, NotDivisible, exact_divide

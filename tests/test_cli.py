@@ -6,9 +6,12 @@ from pathlib import Path
 import pytest
 from jsonschema import validate
 
+from heckekit import algebra
 from heckekit.cli import build_parser, main
 from heckekit.metaplectic import whittaker_value
 from heckekit.reports import Report
+from heckekit.roots import build_cartan
+from heckekit.whittaker import check_cs, demazure_variant
 
 SCHEMA_PATH = "src/heckekit/report.schema.json"
 
@@ -145,11 +148,28 @@ def test_readme_lists_every_command():
 
 
 @pytest.mark.parametrize("argv", readme_commands(), ids=" ".join)
-def test_json_is_one_document(capsys, argv):
+def test_json_is_one_document(capsys, monkeypatch, argv):
+    calls = spy_on_general_division(monkeypatch)
     code, out = run(capsys, "--json", *argv)
     payload = json.loads(out)
     validate(payload, json.load(open(SCHEMA_PATH)))
     assert code == 0 and payload["status"] == "pass"
+    assert calls == []  # no README command divides by a polynomial of three or more terms outside the split path
+
+
+def spy_on_general_division(monkeypatch) -> list:
+    """The argument pairs of every call of algebra._divide_general from now on."""
+    calls, divide = [], algebra._divide_general
+    monkeypatch.setattr(algebra, "_divide_general", lambda p, q, rules: calls.append((p, q)) or divide(p, q, rules))
+    return calls
+
+
+@pytest.mark.parametrize("name", ["A2", "B2", "C2", "G2"])
+def test_casselman_shalika_makes_no_general_division(monkeypatch, name):
+    cartan = build_cartan(name)
+    calls = spy_on_general_division(monkeypatch)
+    assert check_cs(demazure_variant("whittaker", cartan), cartan.rho).passed
+    assert calls == []
 
 
 @pytest.mark.parametrize(

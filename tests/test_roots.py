@@ -3,7 +3,7 @@ from itertools import product
 
 import pytest
 
-from heckekit.algebra import GaussRules, LaurentPoly, RationalFunction, divided_difference, rf_equal
+from heckekit.algebra import GaussRules, LaurentPoly, RationalFunction, Reflection, divided_difference, rf_equal
 from heckekit.roots import (
     WeylGroup,
     build_cartan,
@@ -13,7 +13,7 @@ from heckekit.roots import (
     weyl_group,
 )
 from heckekit.whittaker import demazure_variant, idempotent_apply
-from oracles import bruhat_le, weyl_character_sum_form
+from oracles import bruhat_le, weyl_act, weyl_character_sum_form
 
 P = LaurentPoly
 
@@ -282,18 +282,59 @@ def reflected(group: WeylGroup, i: int, f: LaurentPoly) -> LaurentPoly:
     return divided_difference(f, P.zero(), (one_minus_t,), group.reflection(i), one_minus_t)
 
 
+def carried(cartan, rules) -> LaurentPoly:
+    """A sum of lattice monomials, each times its own u, Gauss symbols and coefficient."""
+    weights = [mu for mu in product(range(-2, 3), repeat=cartan.dim) if cartan.in_lattice(mu)][::7][:6]
+    f = P.zero(rules)
+    for k, mu in enumerate(weights):
+        f = f + weight_monomial(mu) * P.monomial({"u": k - 2, "g1": k % 3, "g2": -(k % 2)}, k + 1, rules)
+    return f
+
+
 @pytest.mark.parametrize("name", ALL_TYPES)
 def test_the_step_reflection_agrees_with_act_fn_on_the_rest_of_a_monomial(name):
     # u and the Gauss symbols ride along untouched, rule-free and under even and odd moduli alike
     cartan = build_cartan(name)
     group = weyl_group(cartan)
-    weights = [mu for mu in product(range(-2, 3), repeat=cartan.dim) if cartan.in_lattice(mu)][::7][:6]
     for rules in (None, GaussRules.standard(2), GaussRules.standard(3)):
-        f = P.zero(rules)
-        for k, mu in enumerate(weights):
-            f = f + weight_monomial(mu) * P.monomial({"u": k - 2, "g1": k % 3, "g2": -(k % 2)}, k + 1, rules)
+        f = carried(cartan, rules)
         for i in range(cartan.rank):
-            assert reflected(group, i, f) == group.act_fn(group.simple(i), f)
+            reference = weyl_act(group.simple(i), f)
+            assert reflected(group, i, f) == reference and group.act_fn(group.simple(i), f) == reference
+
+
+@pytest.mark.parametrize("name", SUPPORTED)
+def test_act_fn_is_the_term_by_term_action_of_every_element(name):
+    # the reduced word's packed reflections against WeylElement.act, with u and Gauss symbols carried along
+    cartan = build_cartan(name)
+    group = weyl_group(cartan)
+    for rules in (None, GaussRules.standard(2), GaussRules.standard(3)):
+        f = carried(cartan, rules)
+        den = P.one(rules) - coroot_monomial(cartan.positive_coroots[-1]) * P.symbol("u", rules)
+        for w in group:
+            image = group.act_fn(w, f)
+            assert image == weyl_act(w, f) and image.rules is rules
+            assert group.act_fn(w, RationalFunction(f, (den,))) == weyl_act(w, RationalFunction(f, (den,)))
+
+
+def test_act_fn_applies_one_reflection_per_letter_right_to_left(monkeypatch):
+    group = weyl_group(build_cartan("G2"))
+    calls, apply = [], Reflection.apply
+    monkeypatch.setattr(Reflection, "apply", lambda self, f: calls.append(self) or apply(self, f))
+    w0 = group.longest()
+    f = RationalFunction(weight_monomial((1, 0, -1)), (P.one() - weight_monomial((0, 1, -1)),))
+    assert group.act_fn(w0, f) == weyl_act(w0, f)
+    assert calls == [group.reflection(i) for i in reversed(w0.word)] * 2  # the numerator, then the one factor
+
+
+def test_act_fn_is_defined_on_the_lattice():
+    # off the G2 lattice a letter's pairing is 1/3, even where the whole element maps mu to a lattice vector
+    group = weyl_group(build_cartan("G2"))
+    mu, f = (1, 0, 0), weight_monomial((1, 0, 0)) * P.symbol("u")
+    w = next(w for w in group if w.name() == "212")
+    assert w.act(mu) == (0, 1, 0)
+    with pytest.raises(ValueError, match="non-integral"):
+        group.act_fn(w, f)
 
 
 @pytest.mark.parametrize("name, i, mu", [
