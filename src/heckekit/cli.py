@@ -196,8 +196,8 @@ def run_rmatrix(args) -> int:
             check_parametrized_ybe(lambda x: r_affine(untwisted_spec(n), x), report)
             check_parametrized_ybe(lambda x: r_affine(free_gamma_spec(n), x), report, name="parametrized YBE (twisted)")
     elif args.check == "hecke":
-        check_hecke(untwisted_spec(n), report)
-        check_hecke(free_gamma_spec(n), report)
+        for spec in [gauss_gamma_spec(n)] if args.gauss else [untwisted_spec(n), free_gamma_spec(n)]:
+            check_hecke(spec, report)
     elif args.check == "triangularity":
         if args.gauss:
             check_triangularity(lambda x: r_tilde(n, x), RF.one(), report, name="tau R(x) tau R(1/x) = I")
@@ -275,6 +275,8 @@ COMMANDS = {
         (lambda a: a.instance == "rmatrix" and not a.type.startswith("A"),
          "--instance rmatrix needs a type A1..A4, not {type}"),
         (lambda a: a.instance == "rmatrix" and a.power not in (None, 1, a.n), _POWER),
+        (lambda a: a.instance != "rmatrix" and (a.gauss or a.power is not None),
+         "--gauss and --power need --instance rmatrix, not {instance}"),
     )),
     "cs": ("spherical idempotent vs the product formula", run_cs, [
         "--type", ("--weight", {"type": _parse_weight, "required": True}),
@@ -291,6 +293,7 @@ COMMANDS = {
     ], None, (
         (lambda a: a.n > 4, "--n {n}: rmatrix checks support n <= 4"),
         (lambda a: a.check == "schema" and a.power not in (None, 1, a.n), _POWER),
+        (lambda a: a.check != "schema" and a.power is not None, "--power needs the schema check, not {check}"),
     )),
     "metaplectic": ("spherical Whittaker value table for a GL cover", run_metaplectic, [
         "--r", "--n", "--B",

@@ -41,7 +41,7 @@ from .algebra import (
 from .linalg import Matrix
 from .relations import applied, first_failing, monomial_relations, verdict, weyl_sum
 from .reports import Report
-from .roots import CartanDatum, WeylGroup, _compose, _identity, build_cartan, coroot_monomial, mat_vec, weight_monomial
+from .roots import CartanDatum, WeylGroup, _identity, build_cartan, coroot_monomial, mat_vec, weight_monomial
 from .rmatrix import tensor_block
 from .schema import BlockOperator, SchemaInstance, block_action, c_function, d_function, generator, transported_instance
 
@@ -171,13 +171,12 @@ def _integer(x) -> int | None:
 
 
 def build_datum(cartan_or_type, n: int, B: tuple[IntVec, ...] | str | None = None) -> MetaplecticDatum:
-    """Cover data for (cartan, n, B); B defaults to the dot product."""
+    """Cover data for (cartan, n, B); B defaults to the dot product and is checked once per simple reflection."""
     degree = _integer(n)
     if degree is None or degree < 1:
         raise MetaplecticError(f"n = {n!r} is not a positive integer")
     n = degree
     cartan = build_cartan(cartan_or_type) if isinstance(cartan_or_type, str) else cartan_or_type
-    group = WeylGroup(cartan)
     d = cartan.dim
     if B is None or B == "dot":
         B = _identity(d)[0]
@@ -192,10 +191,6 @@ def build_datum(cartan_or_type, n: int, B: tuple[IntVec, ...] | str | None = Non
         raise MetaplecticError("B must be a d x d integer matrix")
     if any(B[r][c] != B[c][r] for r in range(d) for c in range(d)):
         raise MetaplecticError("B must be symmetric")
-    for w in group:  # w^T B w = B, in lowest terms on both sides
-        rows, den = w.scaled
-        if _compose(_compose((tuple(zip(*rows)), den), (B, 1)), w.scaled) != (B, 1):
-            raise MetaplecticError(f"B is not W-invariant (fails at w = {w.name()})")
     diagonal, Vp, Vp_inv = _diagonalize(B)
     moduli = tuple(n // gcd(n, s) for s in diagonal)
     origin = cartan.rho if cartan.cartan_type.startswith("A") and B == _identity(d)[0] else (0,) * d
@@ -203,14 +198,17 @@ def build_datum(cartan_or_type, n: int, B: tuple[IntVec, ...] | str | None = Non
     reps = tuple(tuple(o + x for o, x in zip(origin, mat_vec(Vp, key))) for key in keys)
     basis = tuple(tuple(m * x for x in column) for m, column in zip(moduli, zip(*Vp)))  # L^(n): V' columns times moduli
     rules = GaussRules.standard(n)
-    for beta in cartan.positive_coroots:
-        if mat_vec((mat_vec(B, beta),), beta)[0] % 2:
-            raise MetaplecticError(f"B is not even on the coroot lattice ({tuple(beta)})")
     roots = []
     rows, den = cartan.pairings
     for i, alpha in enumerate(cartan.simple_coroots):
         row = mat_vec(B, alpha)
-        q = mat_vec((row,), alpha)[0] // 2
+        norm = mat_vec((row,), alpha)[0]
+        # s_i preserves B exactly when 2 B(alpha_i, mu) = B(alpha_i, alpha_i) <alpha_i, mu> for every mu
+        if any(2 * b * den != norm * a for b, a in zip(row, rows[i])):
+            raise MetaplecticError(f"B is not W-invariant (fails at s_{i + 1})")
+        if norm % 2:  # with W-invariance, B is then even on every coroot
+            raise MetaplecticError(f"B is not even on the coroot lattice ({alpha})")
+        q = norm // 2
         if q == 0:
             raise MetaplecticError(f"Q(alpha_{i + 1}) = 0 for alpha_{i + 1} = {alpha}")
         na = n // gcd(n, q)
@@ -223,16 +221,16 @@ def build_datum(cartan_or_type, n: int, B: tuple[IntVec, ...] | str | None = Non
                  (one_minus_x,)) for rem, g in enumerate(gauss)]
         if any(c.den != scalar.den for c in cg):  # cg_scaled and met_demazure rely on it
             raise AssertionError(f"the coefficients of T_{i + 1} have different denominators")
-        # W-invariance gives B(alpha, mu) = Q(alpha) <alpha_i, mu>, which met_demazure reads
-        if any(b * den != q * a for b, a in zip(row, rows[i])):
-            raise AssertionError(f"B alpha_{i + 1} is not Q(alpha_{i + 1}) times the pairing with alpha_{i + 1}")
         tau1 = tuple(RF((P.one() - v()) * coroot_monomial(alpha, rem), (one_minus_x,)) for rem in range(na))
         tau2 = tuple(RF.from_poly(g * coroot_monomial(alpha, -1)) for g in gauss)
         twists = tuple(-x * c.num for c in cg)
         roots.append(RootData(alpha, q, na, row, x, scalar, tau1, tau2, tuple(c.num for c in cg), twists))
+    off = next((mu for mu in reps if not cartan.in_lattice(mu)), None)
+    if off is not None:
+        raise MetaplecticError(f"coset representative {off} is off the lattice of {cartan.cartan_type}")
     return MetaplecticDatum(
         cartan=cartan,
-        group=group,
+        group=WeylGroup(cartan),
         n=n,
         B=B,
         rules=rules,
@@ -355,7 +353,7 @@ def met_demazure(datum: MetaplecticDatum, i: int, f: LaurentPoly) -> LaurentPoly
     -z^{n_alpha alpha} cg[rem], divided exactly; NotDivisible if the
     quotient is not a Laurent polynomial.  A term z^mu takes the twist of
     rem = rem_{n_alpha}(-k), k = <alpha_i, mu>, the rule of _root_residues:
-    by W-invariance B(alpha_i, mu) = Q(alpha_i) k, as build_datum asserts.
+    by W-invariance B(alpha_i, mu) = Q(alpha_i) k, as build_datum checks.
     """
     root = datum.roots[i]
     return divided_difference(f, root.d.num, root.twists, datum.group.reflection(i), root.d.den[0])

@@ -20,7 +20,7 @@ element.  All lattice arithmetic is integer arithmetic through
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from math import gcd
 from operator import mul
 from typing import Sequence
@@ -51,8 +51,8 @@ class CartanDatum:
     simple_coroots: tuple[IntVector, ...]
     pairings: Scaled                      # the functionals <alpha_i, .>, one row each
     rho: IntVector                        # lattice vector with <alpha_i, rho> = 1
-    positive_coroots: tuple[IntVector, ...] = field(default=())
-    braid_orders: tuple[tuple[int, ...], ...] = field(default=())
+    positive_coroots: tuple[IntVector, ...]
+    braid_orders: tuple[tuple[int, ...], ...]  # the order of s_i s_j
 
     @property
     def rank(self) -> int:
@@ -262,16 +262,14 @@ class WeylGroup:
         return self.act_fn(self.inverse(w), f)
 
 
-def _positive_closure(cartan_type: str, simples: list[IntVector], pairings: Scaled, rho) -> tuple[IntVector, ...]:
+def _positive_closure(simples: list[IntVector], pairings: Scaled, rho) -> tuple[IntVector, ...]:
     rows, den = pairings
-    seen = {tuple(a) for a in simples}
+    seen = set(simples)
     frontier = list(simples)
     while frontier:
         beta = frontier.pop()
         for i, k in enumerate(mat_vec(rows, beta)):
-            if k % den:
-                raise ValueError(f"non-integral Cartan pairing in {cartan_type}")
-            image = tuple(b - k // den * a for b, a in zip(beta, simples[i]))
+            image = tuple(b - k // den * a for b, a in zip(beta, simples[i]))  # k // den: build_cartan checked a_ij
             if image not in seen:
                 seen.add(image)
                 frontier.append(image)
@@ -305,8 +303,11 @@ _REALIZATIONS: dict[str, dict] = {
 }
 
 
+_BRAID_ORDERS = {0: 2, 1: 3, 2: 4, 3: 6}  # a_ij a_ji -> the order of s_i s_j, i != j
+
+
 def build_cartan(cartan_type: str) -> CartanDatum:
-    """Cartan data for a supported type, with positive coroots and rho."""
+    """Cartan data for a supported type, with positive coroots, rho and the braid orders from the Cartan integers."""
     spec = _REALIZATIONS.get(cartan_type)
     if spec is None:
         raise ValueError(f"unsupported Cartan type {cartan_type!r} (use A1..A4, B2, C2, G2)")
@@ -321,26 +322,13 @@ def build_cartan(cartan_type: str) -> CartanDatum:
         simples = [tuple(s) for s in spec["simples"]]
         pairings = spec["pairings"]
         rho = tuple(spec["rho"])
-    positives = _positive_closure(cartan_type, simples, pairings, rho)
-    datum = CartanDatum(cartan_type, d, tuple(simples), pairings, rho, positives)
-    return replace(datum, braid_orders=_braid_orders(datum))
-
-
-def _braid_orders(cartan: CartanDatum) -> tuple[tuple[int, ...], ...]:
-    mats = [_simple_reflection(cartan, i) for i in range(cartan.rank)]
-    identity = _identity(cartan.dim)
-    orders = []
-    for i in range(cartan.rank):
-        row = []
-        for j in range(cartan.rank):
-            m = _compose(mats[i], mats[j])
-            power, count = m, 1
-            while power != identity:
-                power = _compose(power, m)
-                count += 1
-            row.append(count)
-        orders.append(tuple(row))
-    return tuple(orders)
+    rows, den = pairings
+    cartan_ints = [mat_vec(rows, alpha) for alpha in simples]  # den <alpha_j, alpha_i^vee> at [i][j]
+    if any(x % den for row in cartan_ints for x in row):
+        raise ValueError(f"non-integral Cartan pairing in {cartan_type}")
+    orders = tuple(tuple(1 if i == j else _BRAID_ORDERS[cartan_ints[i][j] * cartan_ints[j][i] // den**2]
+                         for j in range(len(simples))) for i in range(len(simples)))
+    return CartanDatum(cartan_type, d, tuple(simples), pairings, rho, _positive_closure(simples, pairings, rho), orders)
 
 
 weyl_group = WeylGroup
@@ -355,8 +343,16 @@ def weight_monomial(mu: Sequence[int]) -> LaurentPoly:
     return coroot_monomial(mu)
 
 
+def weyl_group_of(cartan: CartanDatum, group: WeylGroup | None = None) -> WeylGroup:
+    """group, or W(cartan) when it is None; ValueError if group is the Weyl group of another Cartan datum."""
+    if group is not None and group.cartan != cartan:
+        raise ValueError(f"the Weyl group of {group.cartan.cartan_type} does not fit Cartan type {cartan.cartan_type}")
+    return WeylGroup(cartan) if group is None else group
+
+
 def weyl_character(cartan: CartanDatum, group: WeylGroup, lam: Sequence[int]) -> LaurentPoly:
     """chi_lambda(z): the alternant of lambda + rho over z^rho prod_{alpha > 0} (1 - z^-alpha), a binomial at a time."""
+    group = weyl_group_of(cartan, group)
     if not cartan.is_dominant(lam):
         raise ValueError(f"{tuple(lam)} is not dominant")
     lam_rho = tuple(a + b for a, b in zip(lam, cartan.rho))

@@ -67,7 +67,7 @@ from .algebra import LaurentPoly, RationalFunction, exact_divide, v
 from .linalg import ZERO, Matrix, first_difference, identity_matrix, mat_mul, sparse_product
 from .relations import Act, applied, braid, quadratic, verdict, weyl_sum
 from .reports import Report
-from .roots import CartanDatum, WeylElement, WeylGroup, coroot_monomial, weight_monomial
+from .roots import CartanDatum, WeylElement, WeylGroup, coroot_monomial, weight_monomial, weyl_group_of
 
 
 @dataclass
@@ -509,7 +509,7 @@ def generic_instance(cartan: CartanDatum, group: WeylGroup | None = None) -> Sch
     a2_121 = a1_121*a2_21*a1_1/(a1_12*a2_2)).  The instance is built
     unchecked: checked_as runs the gauge check on first use.
     """
-    group = group or WeylGroup(cartan)
+    group = weyl_group_of(cartan, group)
     empty = SchemaInstance(cartan, group, 1, {}, (1,) * cartan.rank, "generic")  # for its composition_scalar
     a_matrices: dict[tuple[WeylElement, int], Matrix] = {}
     f = {group.identity: RationalFunction.one()}

@@ -17,7 +17,7 @@ from .algebra import LaurentPoly, RationalFunction, divided_difference, v
 from .linalg import Matrix
 from .relations import applied, monomial_relations, verdict, weyl_sum
 from .reports import Report
-from .roots import CartanDatum, WeylElement, WeylGroup, coroot_monomial, weight_monomial, weyl_character
+from .roots import CartanDatum, WeylElement, WeylGroup, coroot_monomial, weight_monomial, weyl_character, weyl_group_of
 from .schema import SchemaInstance, c_function, d_function, spherical_instance, transported_instance
 
 P = LaurentPoly
@@ -35,12 +35,12 @@ def whittaker_schema_instance(cartan: CartanDatum, group: WeylGroup | None = Non
     """k = 1 instance with A(w, i) = (1 - v (wz)^{-alpha_i})/(1 - (wz)^{alpha_i})."""
     block = _K1_BLOCKS["whittaker"]
     blocks = [Matrix((1, 1), {(0, 0): block(coroot_monomial(alpha))}) for alpha in cartan.simple_coroots]
-    return transported_instance(group or WeylGroup(cartan), blocks, (1,) * cartan.rank, "whittaker")
+    return transported_instance(weyl_group_of(cartan, group), blocks, (1,) * cartan.rank, "whittaker")
 
 
 def spherical_schema_instance(cartan: CartanDatum, group: WeylGroup | None = None) -> SchemaInstance:
     """k = 1 instance with A(w, i) = (1 - v (wz)^{alpha_i})/(1 - (wz)^{alpha_i})."""
-    return spherical_instance(group or WeylGroup(cartan), (1,) * cartan.rank)
+    return spherical_instance(weyl_group_of(cartan, group), (1,) * cartan.rank)
 
 
 @dataclass(frozen=True)
@@ -60,7 +60,7 @@ class DemazureVariant:
     def __post_init__(self) -> None:
         if self.kind not in _K1_BLOCKS:
             raise ValueError(f"unknown Demazure variant {self.kind!r}")
-        object.__setattr__(self, "group", self.group or WeylGroup(self.cartan))
+        object.__setattr__(self, "group", weyl_group_of(self.cartan, self.group))
         pairs = []
         for i, alpha in enumerate(self.cartan.simple_coroots):
             x = coroot_monomial(alpha, -1 if self.modified else 1)

@@ -10,6 +10,7 @@ from heckekit import algebra
 from heckekit.cli import build_parser, main
 from heckekit.metaplectic import whittaker_value
 from heckekit.reports import Report
+from heckekit.rmatrix import check_hecke
 from heckekit.roots import build_cartan
 from heckekit.whittaker import check_cs, demazure_variant
 
@@ -84,6 +85,18 @@ def test_rmatrix_commands(capsys):
     ):
         code, out = run(capsys, *argv)
         assert code == 0, out
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_rmatrix_hecke_gauss_checks_the_gauss_table(capsys, monkeypatch, n):
+    import heckekit.cli as cli
+    from heckekit.rmatrix import gauss_gamma_spec
+
+    specs = []
+    monkeypatch.setattr(cli, "check_hecke", lambda spec, report: specs.append(spec) or check_hecke(spec, report))
+    code, out = run(capsys, "rmatrix", "hecke", "--n", str(n), "--gauss")
+    assert code == 0, out
+    assert specs == [gauss_gamma_spec(n)]
 
 
 def test_metaplectic_table(capsys):
@@ -195,6 +208,13 @@ def test_casselman_shalika_makes_no_general_division(monkeypatch, name):
         (["verify", "--type", "A2", "--instance", "rmatrix", "--power", "3"],
          "--power 3: the exponent power must be 1 or --n (2)"),
         (["rmatrix", "ybe", "--n", "5"], "--n 5: rmatrix checks support n <= 4"),
+        (["verify", "--type", "A2", "--instance", "generic", "--gauss"],
+         "--gauss and --power need --instance rmatrix, not generic"),
+        (["verify", "--type", "A2", "--instance", "generic", "--gauss", "--power", "3"],
+         "--gauss and --power need --instance rmatrix, not generic"),
+        (["verify", "--instance", "metaplectic", "--power", "2"],
+         "--gauss and --power need --instance rmatrix, not metaplectic"),
+        (["rmatrix", "ybe", "--n", "2", "--power", "2"], "--power needs the schema check, not ybe"),
         (["verify", "--type", "G2", "--instance", "metaplectic"], "--instance metaplectic has no G2 covers yet"),
         (["verify", "--type", "G2", "--instance", "metaplectic", "--n", "1"],
          "--instance metaplectic has no G2 covers yet"),
@@ -208,6 +228,7 @@ def test_casselman_shalika_makes_no_general_division(monkeypatch, name):
         "demazure-weights-length", "metaplectic-weight-length", "cs-weight-off-lattice", "cs-not-dominant",
         "metaplectic-r-7", "metaplectic-r-1", "wreath-r-7", "rmatrix-n-0",
         "rmatrix-schema-r-1", "rmatrix-schema-power", "verify-rmatrix-power", "rmatrix-n-5",
+        "verify-generic-gauss", "verify-generic-gauss-power", "verify-metaplectic-power", "rmatrix-ybe-power",
         "metaplectic-g2", "metaplectic-g2-n-1", "cs-weight-empty", "cs-weight-not-integers",
         "metaplectic-inject-mismatch", "cs-no-weight",
     ],

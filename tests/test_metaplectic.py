@@ -99,8 +99,10 @@ def test_n_alpha_formula():
 def test_invalid_B_rejected():
     with pytest.raises(MetaplecticError):
         build_datum("A1", 2, ((1, 2), (0, 1)))  # not symmetric
-    with pytest.raises(MetaplecticError):
-        build_datum("A1", 2, ((1, 0), (0, 2)))  # not W-invariant
+    with pytest.raises(MetaplecticError, match=re.escape("B is not W-invariant (fails at s_1)")):
+        build_datum("A1", 2, ((1, 0), (0, 2)))
+    with pytest.raises(MetaplecticError, match=re.escape("B is not W-invariant (fails at s_2)")):
+        build_datum("A2", 2, ((1, 0, 0), (0, 1, 0), (0, 0, 2)))  # s_1 swaps z1 and z2 and keeps it; s_2 does not
     with pytest.raises(MetaplecticError):
         build_datum("A1", 2, ((1, 0, 0), (0, 1, 0)))  # not d x d
     with pytest.raises(MetaplecticError, match="unknown form 'foo'"):
@@ -683,6 +685,51 @@ def test_cover_datum_is_pinned(pinned):
     assert [list(row) for row in d.to_snf] == pinned["to_snf"]
     assert [list(mu) for mu in d.lattice_basis] == pinned["lattice_basis"]
     assert [list(mu) for mu in d.coset_reps] == pinned["coset_reps"]
+
+
+def _invariant_under_every_w(group, B):
+    """w^T B w = B for every w, from each w's rows over its denominator: rows^T B rows = den^2 B."""
+    d = len(B)
+    for w in group:
+        rows, den = w.scaled
+        BW = [[sum(B[r][k] * rows[k][c] for k in range(d)) for c in range(d)] for r in range(d)]
+        if any(sum(rows[k][r] * BW[k][c] for k in range(d)) != den * den * B[r][c] for r in range(d) for c in range(d)):
+            return False
+    return True
+
+
+@pytest.mark.parametrize("cartan_type", ["A1", "C2", "A2"])
+def test_build_datum_decides_w_invariance_as_every_element_of_w_does(cartan_type):
+    # every symmetric integer form with entries in [-1, 1]; checking B on the simple reflections is the whole test
+    cartan = build_cartan(cartan_type)
+    group = weyl_group(cartan)
+    d = cartan.dim
+    seen = set()
+    for upper in iproduct((-1, 0, 1), repeat=d * (d + 1) // 2):
+        B = _symmetric(d, upper)
+        try:
+            build_datum(cartan, 1, B)
+            rejection = ""
+        except MetaplecticError as err:
+            rejection = str(err)
+        invariant = _invariant_under_every_w(group, B)
+        # a form is refused at its first failing simple root, so a moved form may meet Q(alpha_i) = 0 first
+        assert ("not W-invariant" not in rejection) if invariant else rejection, (B, rejection)
+        seen.add((invariant, rejection == ""))
+    assert {(True, True), (False, False)} <= seen  # both kinds occur: some invariant forms build
+
+
+@pytest.mark.parametrize("n, message", [
+    (2, "coset representative (0, 0, 1) is off the lattice of G2"),
+    (4, "coset representative (0, 0, 1) is off the lattice of G2"),
+    (3, "n_alpha * alpha is not in L^(n)"),
+    (6, "n_alpha * alpha is not in L^(n)"),
+])
+def test_a_g2_cover_of_the_dot_form_beyond_n_1_is_rejected(n, message):
+    # the dot form's box [0, n)^3 leaves the G2 lattice at n = 2 and 4; at n = 3 and 6, n_alpha alpha_2 is off L^(n)
+    with pytest.raises(MetaplecticError, match=re.escape(message)):
+        build_datum("G2", n)
+    assert build_datum("G2", 1).coset_reps == ((0, 0, 0),)
 
 
 @pytest.mark.parametrize("B", [((1, 1), (1, 1)), ((0, 0), (0, 0))], ids=["all-ones", "zero"])

@@ -11,8 +11,16 @@ from heckekit.roots import (
     weight_monomial,
     weyl_character,
     weyl_group,
+    weyl_group_of,
 )
-from heckekit.whittaker import demazure_variant, idempotent_apply
+from heckekit.schema import generic_instance
+from heckekit.whittaker import (
+    cs_rhs,
+    demazure_variant,
+    idempotent_apply,
+    spherical_schema_instance,
+    whittaker_schema_instance,
+)
 from oracles import bruhat_le, weyl_act, weyl_character_sum_form
 
 P = LaurentPoly
@@ -42,6 +50,40 @@ def test_c2_braid_order():
     assert c2.braid_orders[0][1] == 4
     assert build_cartan("G2").braid_orders[0][1] == 6
     assert build_cartan("A2").braid_orders[0][1] == 3
+
+
+@pytest.mark.parametrize("name", SUPPORTED)
+def test_braid_orders_are_the_orders_of_s_i_s_j_in_the_group(name):
+    # the oracle: powers of s_i s_j under WeylGroup.mul until they reach the identity
+    cartan = build_cartan(name)
+    W = weyl_group(cartan)
+    for i, j in product(range(cartan.rank), repeat=2):
+        step = W.mul(W.simple(i), W.simple(j))
+        power, order = step, 1
+        while power != W.identity:
+            power, order = W.mul(power, step), order + 1
+        assert cartan.braid_orders[i][j] == order, (name, i, j)
+
+
+@pytest.mark.parametrize("build", [
+    whittaker_schema_instance,
+    spherical_schema_instance,
+    generic_instance,
+    lambda cartan, group: demazure_variant("whittaker", cartan, group),
+    lambda cartan, group: weyl_character(cartan, group, (0, 0, 0)),
+    lambda cartan, group: cs_rhs(cartan, group, (0, 0, 0)),
+], ids=["whittaker", "spherical", "generic", "demazure_variant", "weyl_character", "cs_rhs"])
+def test_a_weyl_group_of_another_cartan_datum_is_rejected(build):
+    # unchecked, W(C2) with the A2 datum would build a C2 instance, or one that fails its own checks
+    with pytest.raises(ValueError, match="the Weyl group of C2 does not fit Cartan type A2"):
+        build(build_cartan("A2"), weyl_group(build_cartan("C2")))
+
+
+def test_weyl_group_of_builds_the_group_for_none_and_takes_one_of_an_equal_datum():
+    a2 = build_cartan("A2")
+    assert weyl_group_of(a2).cartan is a2
+    group = weyl_group(build_cartan("A2"))
+    assert weyl_group_of(a2, group) is group
 
 
 def test_unsupported_type():
