@@ -78,7 +78,6 @@ _lone are caches, filled later without changing the value.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, reduce
 from operator import mul, or_
@@ -226,34 +225,56 @@ def _integral(terms: dict[int, Coeff]) -> bool:
     return frac
 
 
+# -- frozen values ---------------------------------------------------------------------
+
+
+class Frozen:
+    """Base of the classes whose __init__ sets each slot once, through _freeze; a memo dict still fills in place."""
+
+    __slots__ = ()
+
+    def _freeze(self, *values) -> None:
+        """Set the slots to values, in the order of __slots__."""
+        for name, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name: str, value=None) -> None:
+        raise AttributeError(f"cannot assign or delete {name!r}: a {type(self).__name__} is frozen")
+
+    __delattr__ = __setattr__
+
+
 # -- Gauss sums ------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GaussRules:
+class GaussRules(Frozen):
     """The n-th order Gauss sums g_a, a mod n, with g_a g_{n-a} = u^2 and g_0 = -u^2.
 
     Polynomials under these rules keep the normal form of the module
     docstring.  :meth:`standard` returns one shared object per modulus, so
-    its memos are shared by every polynomial of that modulus.
+    its memos are shared by every polynomial of that modulus.  Two rules
+    are equal when their moduli are.
     """
 
-    modulus: int
-    # packed monomial -> (its normal form, sign), or None if it is normal
-    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    # denominator factor -> its normal form and unit (see _normal_factor)
-    _factors: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    # even n: every bit of the lane of g_h (h = n/2), and u / g_h packed; 0 for odd n
-    _half: int = field(default=0, init=False, repr=False, compare=False)
-    _to_u: int = field(default=0, init=False, repr=False, compare=False)
+    __slots__ = ("modulus", "_memo", "_factors", "_half", "_to_u")
 
-    def __post_init__(self) -> None:
-        if self.modulus < 1:
+    def __init__(self, modulus: int):
+        if modulus < 1:
             raise ValueError("Gauss modulus must be >= 1")
-        if self.modulus % 2 == 0:
-            half = f"g{self.modulus // 2}"
-            object.__setattr__(self, "_half", _LANE_MASK << (_WIDTH * _lane(half)))
-            object.__setattr__(self, "_to_u", _pack({"u": 1, half: -1}))
+        # even n: every bit of the lane of g_h (h = n/2), and u / g_h packed; 0 for odd n
+        half = to_u = 0
+        if modulus % 2 == 0:
+            g = f"g{modulus // 2}"
+            half, to_u = _LANE_MASK << (_WIDTH * _lane(g)), _pack({"u": 1, g: -1})
+        # _memo: packed monomial -> (its normal form, sign), or None if it is normal;
+        # _factors: denominator factor -> its normal form and unit (see _normal_factor)
+        self._freeze(modulus, {}, {}, half, to_u)
+
+    def __eq__(self, other):
+        return self.modulus == other.modulus if isinstance(other, GaussRules) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.modulus)
 
     @staticmethod
     @cache

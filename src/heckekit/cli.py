@@ -196,8 +196,9 @@ def run_rmatrix(args) -> int:
             check_parametrized_ybe(lambda x: r_affine(untwisted_spec(n), x), report)
             check_parametrized_ybe(lambda x: r_affine(free_gamma_spec(n), x), report, name="parametrized YBE (twisted)")
     elif args.check == "hecke":
-        for spec in [gauss_gamma_spec(n)] if args.gauss else [untwisted_spec(n), free_gamma_spec(n)]:
-            check_hecke(spec, report)
+        tables = {"Gauss": gauss_gamma_spec} if args.gauss else {"untwisted": untwisted_spec, "free gamma": free_gamma_spec}
+        for name, spec in tables.items():
+            check_hecke(spec(n), report, name)
     elif args.check == "triangularity":
         if args.gauss:
             check_triangularity(lambda x: r_tilde(n, x), RF.one(), report, name="tau R(x) tau R(1/x) = I")
@@ -247,8 +248,8 @@ def run_wreath(args) -> int:
 # options that several commands share: name -> add_argument keywords
 SHARED = {
     "--type": {"type": _cartan_type, "default": "A2", "help": "Cartan type (A1..A4, B2, C2, G2)"},
-    "--n": {"type": positive_int, "default": 2, "help": "cover degree / R-matrix dimension"},
-    "--r": {"type": gl_rank, "default": 2},
+    "--n": {"type": positive_int, "help": "cover degree / R-matrix dimension (default 2)"},
+    "--r": {"type": gl_rank, "help": "GL_r (default 2)"},
     "--B": {"default": "dot", "choices": ["dot"], "help": "bilinear form for metaplectic instances"},
     "--gauss": {"action": "store_true", "help": "Gauss-twisted R-matrix instance"},
     "--power": {"type": int, "help": "exponent power for the rmatrix instance"},
@@ -259,7 +260,8 @@ _POWER = "--power {power}: the exponent power must be 1 or --n ({n})"  # the usa
 # command -> (help, runner, options, weight option, rules), one row per subcommand:
 # - an option is a SHARED name, or (name, add_argument keywords over SHARED's);
 # - the weight option is (option, whether its weights must be dominant), or None;
-# - a rule is (bad(args), the usage error, formatted with the parsed arguments).
+# - a rule is (bad(args), the usage error, formatted with the parsed arguments); bad(args) reads --n and --r
+#   as given, None when absent, and the error and the runner read them with 2 in place of None.
 COMMANDS = {
     "verify": ("schema relation checks for a chosen instance", run_verify, [
         "--type",
@@ -274,9 +276,11 @@ COMMANDS = {
         (lambda a: a.instance == "metaplectic" and a.type == "G2", "--instance metaplectic has no G2 covers yet"),
         (lambda a: a.instance == "rmatrix" and not a.type.startswith("A"),
          "--instance rmatrix needs a type A1..A4, not {type}"),
-        (lambda a: a.instance == "rmatrix" and a.power not in (None, 1, a.n), _POWER),
+        (lambda a: a.instance == "rmatrix" and a.power not in (None, 1, a.n or 2), _POWER),
         (lambda a: a.instance != "rmatrix" and (a.gauss or a.power is not None),
          "--gauss and --power need --instance rmatrix, not {instance}"),
+        (lambda a: a.instance not in ("metaplectic", "rmatrix") and a.n is not None,
+         "--n needs --instance metaplectic or rmatrix, not {instance}"),
     )),
     "cs": ("spherical idempotent vs the product formula", run_cs, [
         "--type", ("--weight", {"type": _parse_weight, "required": True}),
@@ -291,9 +295,10 @@ COMMANDS = {
         ("check", {"choices": ["ybe", "pybe", "hecke", "triangularity", "schema"]}),
         "--n", "--r", "--gauss", "--power",
     ], None, (
-        (lambda a: a.n > 4, "--n {n}: rmatrix checks support n <= 4"),
-        (lambda a: a.check == "schema" and a.power not in (None, 1, a.n), _POWER),
+        (lambda a: (a.n or 2) > 4, "--n {n}: rmatrix checks support n <= 4"),
+        (lambda a: a.check == "schema" and a.power not in (None, 1, a.n or 2), _POWER),
         (lambda a: a.check != "schema" and a.power is not None, "--power needs the schema check, not {check}"),
+        (lambda a: a.check != "schema" and a.r is not None, "--r needs the schema check, not {check}"),
     )),
     "metaplectic": ("spherical Whittaker value table for a GL cover", run_metaplectic, [
         "--r", "--n", "--B",
@@ -324,9 +329,12 @@ def main(argv: list[str] | None = None) -> int:
     parser = args.command_parser
     if unknown:
         parser.error(f"unrecognized arguments: {' '.join(unknown)}")
-    for bad, message in rules:
-        if bad(args):
-            parser.error(message.format(**vars(args)))
+    error = next((message for bad, message in rules if bad(args)), None)
+    for size in ("n", "r"):
+        if getattr(args, size, 0) is None:
+            setattr(args, size, 2)
+    if error:
+        parser.error(error.format(**vars(args)))
     if weights:
         _check_weights(parser, args, *weights)
     try:

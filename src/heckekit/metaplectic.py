@@ -25,12 +25,12 @@ the block action and the Demazure operators agree exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import product as iproduct
 from math import gcd
 from typing import Sequence
 
 from .algebra import (
+    Frozen,
     GaussRules,
     LaurentPoly,
     RationalFunction,
@@ -103,39 +103,49 @@ class MetaplecticError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class RootData:
+class RootData(Frozen):
     """What the Demazure steps and the scattering block read of one simple root, built once by build_datum.
 
     The tables hold one value per rem = rem_{n_alpha}(-b/Q(alpha)), b = B(alpha, mu) (see _root_residues),
     with Gauss index a = -Q(alpha) (rem + 1) = b - Q(alpha) mod n, as Q(alpha) n_alpha = lcm(n, Q(alpha)).
+
+    alpha     the simple coroot alpha_i
+    q         Q(alpha_i)
+    row       B alpha_i: B(alpha_i, mu) is row . mu
+    x         z^{n_alpha alpha}
+    d         D_i^(n)(z) = (1 - v) x/(1 - x)
+    tau1      c_s tau^1 = (1 - v) z^{rem alpha}/(1 - x)
+    tau2      c_s tau^2 = g_a z^{-alpha}
+    cg        z^{-rem alpha} (1 - v) - g_a z^{(1 - n_alpha) alpha} (1 - x), over d's denominator
+    twists    -x cg[rem]: the numerators of met_demazure's twisted terms
     """
 
-    alpha: IntVec               # the simple coroot alpha_i
-    q: int                      # Q(alpha_i)
-    n_alpha: int
-    row: IntVec                 # B alpha_i: B(alpha_i, mu) is row . mu
-    x: LaurentPoly              # z^{n_alpha alpha}
-    d: RationalFunction         # D_i^(n)(z) = (1 - v) x/(1 - x)
-    tau1: tuple[RationalFunction, ...]  # c_s tau^1 = (1 - v) z^{rem alpha}/(1 - x)
-    tau2: tuple[RationalFunction, ...]  # c_s tau^2 = g_a z^{-alpha}
-    cg: tuple[LaurentPoly, ...]  # z^{-rem alpha} (1 - v) - g_a z^{(1 - n_alpha) alpha} (1 - x), over d's denominator
-    twists: tuple[LaurentPoly, ...]  # -x cg[rem]: the numerators of met_demazure's twisted terms
+    __slots__ = ("alpha", "q", "n_alpha", "row", "x", "d", "tau1", "tau2", "cg", "twists")
+
+    def __init__(self, alpha: IntVec, q: int, n_alpha: int, row: IntVec, x: LaurentPoly, d: RationalFunction,
+                 tau1: tuple[RationalFunction, ...], tau2: tuple[RationalFunction, ...], cg: tuple[LaurentPoly, ...],
+                 twists: tuple[LaurentPoly, ...]):
+        self._freeze(alpha, q, n_alpha, row, x, d, tau1, tau2, cg, twists)
 
 
-@dataclass(frozen=True)
-class MetaplecticDatum:
-    cartan: CartanDatum
-    group: WeylGroup
-    n: int
-    B: tuple[IntVec, ...]
-    rules: GaussRules
-    moduli: IntVec                      # per SNF coordinate: order of L/L^(n) in that direction
-    to_snf: tuple[IntVec, ...]          # mu - origin -> y coordinates (V' inverse)
-    coset_reps: tuple[IntVec, ...]      # origin + V' box
-    lattice_basis: tuple[IntVec, ...]   # basis of L^(n)
-    origin: IntVec                      # rho for GL with the dot form, 0 otherwise
-    roots: tuple[RootData, ...] = field(repr=False, compare=False)  # per simple root; derived from cartan, n and B
+class MetaplecticDatum(Frozen):
+    """The cover data build_datum derives once per (cartan, n, B).
+
+    moduli         per SNF coordinate: order of L/L^(n) in that direction
+    to_snf         mu - origin -> y coordinates (V' inverse)
+    coset_reps     origin + V' box
+    lattice_basis  basis of L^(n)
+    origin         rho for GL with the dot form, 0 otherwise
+    roots          one RootData per simple root, derived from cartan, n and B
+    """
+
+    __slots__ = ("cartan", "group", "n", "B", "rules", "moduli", "to_snf", "coset_reps", "lattice_basis", "origin",
+                 "roots")
+
+    def __init__(self, cartan: CartanDatum, group: WeylGroup, n: int, B: tuple[IntVec, ...], rules: GaussRules,
+                 moduli: IntVec, to_snf: tuple[IntVec, ...], coset_reps: tuple[IntVec, ...],
+                 lattice_basis: tuple[IntVec, ...], origin: IntVec, roots: tuple[RootData, ...]):
+        self._freeze(cartan, group, n, B, rules, moduli, to_snf, coset_reps, lattice_basis, origin, roots)
 
     @property
     def k(self) -> int:

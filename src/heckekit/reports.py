@@ -7,19 +7,15 @@ serialize to JSON (schema shipped as report.schema.json) and round-trip.
 
 from __future__ import annotations
 
-import json
 import os
 import time
-from dataclasses import dataclass, field
 
 
-@dataclass
 class CheckResult:
-    name: str
-    passed: bool
-    lhs: str | None = None
-    rhs: str | None = None
-    elapsed: float = 0.0
+    __slots__ = ("name", "passed", "lhs", "rhs", "elapsed")
+
+    def __init__(self, name: str, passed: bool, lhs: str | None = None, rhs: str | None = None, elapsed: float = 0.0):
+        self.name, self.passed, self.lhs, self.rhs, self.elapsed = name, passed, lhs, rhs, elapsed
 
     def to_dict(self) -> dict:
         d: dict = {"name": self.name, "passed": self.passed, "elapsed": self.elapsed}
@@ -33,10 +29,11 @@ class CheckResult:
         return CheckResult(d["name"], d["passed"], d.get("lhs"), d.get("rhs"), d.get("elapsed", 0.0))
 
 
-@dataclass
 class Report:
-    title: str
-    checks: list[CheckResult] = field(default_factory=list)
+    __slots__ = ("title", "checks")
+
+    def __init__(self, title: str, checks: list[CheckResult] | None = None):
+        self.title, self.checks = title, [] if checks is None else checks
 
     @property
     def passed(self) -> bool:
@@ -81,10 +78,14 @@ class Report:
         }
 
     def to_json(self) -> str:
+        import json  # here, not at the top: a call without --json loads none of it
+
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
     @staticmethod
     def from_json(text: str) -> "Report":
+        import json
+
         d = json.loads(text)
         report = Report(d["title"], [CheckResult.from_dict(c) for c in d["checks"]])
         if report.status != d["status"]:

@@ -16,7 +16,6 @@ gamma_ab * gamma_ba = 1, which the twist structure supplies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product as iproduct
 from typing import Callable, Sequence
 
@@ -80,15 +79,15 @@ def tau_operator(n: int) -> TensorOperator:
     return TensorOperator((n * n, n * n), entries)
 
 
-@dataclass
 class RMatrixSpec:
     """The full n x n twist table gamma (gamma[a][b]; ones on the unused diagonal); n is its size."""
 
-    gamma: tuple[tuple[RF, ...], ...]
+    __slots__ = ("gamma",)
 
-    def __post_init__(self) -> None:
-        if any(len(row) != self.n for row in self.gamma):
-            raise ValueError(f"twist table is not n x n: {self.n} rows of lengths {[len(row) for row in self.gamma]}")
+    def __init__(self, gamma: tuple[tuple[RF, ...], ...]):
+        if any(len(row) != len(gamma) for row in gamma):
+            raise ValueError(f"twist table is not n x n: {len(gamma)} rows of lengths {[len(row) for row in gamma]}")
+        self.gamma = gamma
 
     @property
     def n(self) -> int:
@@ -199,14 +198,17 @@ def hecke_generator(spec: RMatrixSpec) -> TensorOperator:
     return u() * tau_operator(spec.n).compose(r_gl(spec))
 
 
-def check_hecke(spec: RMatrixSpec, report: Report | None = None) -> Report:
-    """T = hecke_generator(spec) satisfies T^2 = (v-1)T + v and the order-3 braid on three slots."""
-    report = report or Report(f"hecke relations n={spec.n}")
+def check_hecke(spec: RMatrixSpec, report: Report | None = None, name: str = "hecke relations") -> Report:
+    """T = hecke_generator(spec) satisfies T^2 = (v-1)T + v and the order-3 braid on three slots.
+
+    name labels the report and each check, so checks of several tables in one report stay apart.
+    """
     n = spec.n
+    report = report or Report(f"{name} n={n}")
     t = hecke_generator(spec)
-    quadratic(report, applied(lambda _, g: t.compose(g), identity_matrix(n ** 2)), 0, f" (n={n})")
+    quadratic(report, applied(lambda _, g: t.compose(g), identity_matrix(n ** 2)), 0, f" ({name}, n={n})")
     slots = [t.embed((i, i + 1), 3) for i in (0, 1)]
-    braid(report, applied(lambda i, g: slots[i].compose(g), identity_matrix(n ** 3)), 0, 1, 3, f" (n={n})")
+    braid(report, applied(lambda i, g: slots[i].compose(g), identity_matrix(n ** 3)), 0, 1, 3, f" ({name}, n={n})")
     return report
 
 

@@ -20,12 +20,11 @@ element.  All lattice arithmetic is integer arithmetic through
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from math import gcd
 from operator import mul
 from typing import Sequence
 
-from .algebra import LaurentPoly, RationalFunction, Reflection, exact_divide
+from .algebra import Frozen, LaurentPoly, RationalFunction, Reflection, exact_divide
 
 IntVector = tuple[int, ...]
 Scaled = tuple[tuple[IntVector, ...], int]  # a rational matrix as (integer rows, denominator), in lowest terms
@@ -44,15 +43,27 @@ def _lowest(rows: Sequence[Sequence[int]], den: int) -> Scaled:
     return tuple(tuple(x // g for x in row) for row in rows), den // g
 
 
-@dataclass(frozen=True)
-class CartanDatum:
-    cartan_type: str
-    dim: int
-    simple_coroots: tuple[IntVector, ...]
-    pairings: Scaled                      # the functionals <alpha_i, .>, one row each
-    rho: IntVector                        # lattice vector with <alpha_i, rho> = 1
-    positive_coroots: tuple[IntVector, ...]
-    braid_orders: tuple[tuple[int, ...], ...]  # the order of s_i s_j
+class CartanDatum(Frozen):
+    """One realization of a Cartan type; two data are equal when every field is.
+
+    pairings holds the functionals <alpha_i, .>, one row each; rho is a lattice vector with <alpha_i, rho> = 1;
+    braid_orders[i][j] is the order of s_i s_j.
+    """
+
+    __slots__ = ("cartan_type", "dim", "simple_coroots", "pairings", "rho", "positive_coroots", "braid_orders")
+
+    def __init__(self, cartan_type: str, dim: int, simple_coroots: tuple[IntVector, ...], pairings: Scaled,
+                 rho: IntVector, positive_coroots: tuple[IntVector, ...], braid_orders: tuple[tuple[int, ...], ...]):
+        self._freeze(cartan_type, dim, simple_coroots, pairings, rho, positive_coroots, braid_orders)
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in CartanDatum.__slots__)
+
+    def __eq__(self, other):
+        return self._key() == other._key() if isinstance(other, CartanDatum) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     @property
     def rank(self) -> int:
@@ -109,18 +120,21 @@ def _compose(a: Scaled, b: Scaled) -> Scaled:
     return _lowest([[sum(map(mul, row, col)) for col in cols] for row in ra], da * db)
 
 
-@dataclass(frozen=True)
-class WeylElement:
-    """w acting on the ambient lattice by its matrix, kept as integer rows over one denominator."""
+class WeylElement(Frozen):
+    """w acting on the ambient lattice by its matrix, kept as integer rows over one denominator.
 
-    scaled: Scaled
-    word: tuple[int, ...]
-    length: int
-    # elements key many dicts; hash the rows once
-    _hash: int = field(init=False, repr=False, compare=False)
+    Equal matrices and words make equal elements, so the elements of two
+    Weyl groups of one Cartan datum are equal; the hash is computed once,
+    as elements key many dicts.
+    """
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_hash", hash((self.scaled, self.word, self.length)))
+    __slots__ = ("scaled", "word", "length", "_hash")
+
+    def __init__(self, scaled: Scaled, word: tuple[int, ...], length: int):
+        self._freeze(scaled, word, length, hash((scaled, word)))
+
+    def __eq__(self, other):
+        return isinstance(other, WeylElement) and self.word == other.word and self.scaled == other.scaled
 
     def __hash__(self) -> int:
         return self._hash

@@ -43,23 +43,23 @@ same check on the spherical instance, whose entries carry no free symbol.
 
 Where an instance is checked.  a_matrices is read-only, so an instance
 keeps the A(w, i) its builder placed, and an edit is a new instance
-(perturbed, replace()).  The field checked_on names the transported
-instance whose identity column decides an instance's relations: itself as
-transported_instance builds it; for generic_instance, once checked_as first
-runs gauge_certified, the spherical instance (spherical_instance) if the
-gauge holds and None if not; None for every other instance, copies
-included.  checked_as gives every relation check (composition, quadratic,
-braid, Bernstein, spherical idempotent) its instance and start: the named
-instance and E, or the instance itself and the identity operator, so an
-unchecked copy is checked on whole |W| x |W| block operators by the same
-code.  Reports keep the caller's names and titles.  A transported instance
-checks composition at e only, and each T_i is built once per instance
+(SchemaInstance.perturbed or SchemaInstance.replace).  The field
+checked_on names the transported instance whose identity column decides
+an instance's relations: itself as transported_instance builds it; for
+generic_instance, once checked_as first runs gauge_certified, the
+spherical instance (spherical_instance) if the gauge holds and None if
+not; None for every other instance, copies included.  checked_as gives
+every relation check (composition, quadratic, braid, Bernstein, spherical
+idempotent) its instance and start: the named instance and E, or the
+instance itself and the identity operator, so an unchecked copy is
+checked on whole |W| x |W| block operators by the same code.  Reports
+keep the caller's names and titles.  A transported instance checks
+composition at e only, and each T_i is built once per instance
 (generator).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
@@ -70,27 +70,32 @@ from .reports import Report
 from .roots import CartanDatum, WeylElement, WeylGroup, coroot_monomial, weight_monomial, weyl_group_of
 
 
-@dataclass
 class SchemaInstance:
     """The data of one instance.  a_matrices is read-only: a view of a copy of the mapping given.
 
-    Edits go through perturbed or replace(), whose copies start with
+    Edits go through perturbed or replace, whose copies start with
     checked_on None and no kept generators.
     """
 
-    cartan: CartanDatum
-    group: WeylGroup
-    block_dim: int
-    a_matrices: Mapping[tuple[WeylElement, int], Matrix]
-    root_scale: tuple[int, ...]
-    name: str
-    # the transported instance whose identity column decides this one's relations (checked_as)
-    checked_on: SchemaInstance | None = field(default=None, init=False, compare=False, repr=False)
-    # the T_i that generator built, each once
-    generators: dict[int, BlockOperator] = field(default_factory=dict, init=False, compare=False, repr=False)
+    _FIELDS = ("cartan", "group", "block_dim", "a_matrices", "root_scale", "name")
+    __slots__ = (*_FIELDS, "checked_on", "generators")
 
-    def __post_init__(self):
-        self.a_matrices = MappingProxyType(dict(self.a_matrices))
+    def __init__(self, cartan: CartanDatum, group: WeylGroup, block_dim: int,
+                 a_matrices: Mapping[tuple[WeylElement, int], Matrix], root_scale: tuple[int, ...], name: str):
+        self.cartan, self.group, self.block_dim = cartan, group, block_dim
+        self.a_matrices = MappingProxyType(dict(a_matrices))
+        self.root_scale, self.name = root_scale, name
+        # the transported instance whose identity column decides this one's relations (checked_as)
+        self.checked_on: SchemaInstance | None = None
+        # the T_i that generator built, each once
+        self.generators: dict[int, BlockOperator] = {}
+
+    def replace(self, **changes) -> "SchemaInstance":
+        """A new instance with the fields in changes replaced; ValueError for checked_on and generators."""
+        refused = sorted({"checked_on", "generators"} & changes.keys())
+        if refused:
+            raise ValueError(f"{', '.join(refused)} cannot be replaced: a copy starts with none")
+        return SchemaInstance(**{name: getattr(self, name) for name in self._FIELDS} | changes)
 
     def A(self, w: WeylElement, i: int) -> Matrix:
         try:
@@ -115,7 +120,7 @@ class SchemaInstance:
         """Copy with one A entry scaled; used as a negative control."""
         a = dict(self.a_matrices)
         a[(w, i)] = factor * a[(w, i)]
-        return replace(self, a_matrices=a, name=f"{self.name}-perturbed")
+        return self.replace(a_matrices=a, name=f"{self.name}-perturbed")
 
 
 def c_function(x: LaurentPoly) -> RationalFunction:
@@ -525,6 +530,6 @@ def generic_instance(cartan: CartanDatum, group: WeylGroup | None = None) -> Sch
                 f[w] = f[sw] / a
             a_matrices[(w, i)] = Matrix((1, 1), {(0, 0): a})
             a_matrices[(sw, i)] = Matrix((1, 1), {(0, 0): empty.composition_scalar(sw, i) / a})
-    inst = replace(empty, a_matrices=a_matrices)
+    inst = empty.replace(a_matrices=a_matrices)
     inst.checked_on = UNGAUGED
     return inst

@@ -10,10 +10,9 @@ evaluates to prod (1 - v z^{-alpha}) chi_lambda(z).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Sequence
 
-from .algebra import LaurentPoly, RationalFunction, divided_difference, v
+from .algebra import Frozen, LaurentPoly, RationalFunction, divided_difference, v
 from .linalg import Matrix
 from .relations import applied, monomial_relations, verdict, weyl_sum
 from .reports import Report
@@ -43,32 +42,27 @@ def spherical_schema_instance(cartan: CartanDatum, group: WeylGroup | None = Non
     return spherical_instance(weyl_group_of(cartan, group), (1,) * cartan.rank)
 
 
-@dataclass(frozen=True)
-class DemazureVariant:
+class DemazureVariant(Frozen):
     """kind = "whittaker" or "lusztig"; modified selects the z -> z^{-1} conjugate; group defaults to W(cartan).
 
     coefficients[i] = (D(x), A(x^-1)), A the kind's k = 1 block: T_i f = D(x) f + A(x^-1) f(s_i z), with
     x = z^alpha_i, or z^-alpha_i when modified.  Both share one denominator factor, which apply_demazure divides by.
     """
 
-    kind: str
-    cartan: CartanDatum
-    group: WeylGroup | None = None
-    modified: bool = True
-    coefficients: tuple[tuple[RF, RF], ...] = field(init=False, repr=False, compare=False)
+    __slots__ = ("kind", "cartan", "group", "modified", "coefficients")
 
-    def __post_init__(self) -> None:
-        if self.kind not in _K1_BLOCKS:
-            raise ValueError(f"unknown Demazure variant {self.kind!r}")
-        object.__setattr__(self, "group", weyl_group_of(self.cartan, self.group))
+    def __init__(self, kind: str, cartan: CartanDatum, group: WeylGroup | None = None, modified: bool = True):
+        if kind not in _K1_BLOCKS:
+            raise ValueError(f"unknown Demazure variant {kind!r}")
+        group = weyl_group_of(cartan, group)
         pairs = []
-        for i, alpha in enumerate(self.cartan.simple_coroots):
-            x = coroot_monomial(alpha, -1 if self.modified else 1)
-            c0, c1 = d_function(x), _K1_BLOCKS[self.kind](x.monomial_inverse())
+        for i, alpha in enumerate(cartan.simple_coroots):
+            x = coroot_monomial(alpha, -1 if modified else 1)
+            c0, c1 = d_function(x), _K1_BLOCKS[kind](x.monomial_inverse())
             if len(c0.den) != 1 or c1.den != c0.den:
                 raise AssertionError(f"the coefficients of T_{i + 1} do not share one denominator factor")
             pairs.append((c0, c1))
-        object.__setattr__(self, "coefficients", tuple(pairs))  # frozen, so the pairs never go stale
+        self._freeze(kind, cartan, group, modified, tuple(pairs))  # frozen, so the pairs never go stale
 
 
 demazure_variant = DemazureVariant  # the name the frozen acceptance suite and the workloads import
@@ -145,12 +139,13 @@ def check_demazure_relations(var: DemazureVariant, weights: Sequence[Sequence[in
 # -- the twisted group ring ----------------------------------------------------
 
 
-@dataclass
 class TwistedGroupElement:
     """Element sum_w c_w * w of the twisted group ring of W over the function field."""
 
-    group: WeylGroup
-    coeffs: dict[WeylElement, RationalFunction]
+    __slots__ = ("group", "coeffs")
+
+    def __init__(self, group: WeylGroup, coeffs: dict[WeylElement, RationalFunction]):
+        self.group, self.coeffs = group, coeffs
 
     def _clean(self) -> "TwistedGroupElement":
         return TwistedGroupElement(self.group, {w: c for w, c in self.coeffs.items() if not c.is_zero()})

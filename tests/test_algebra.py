@@ -303,9 +303,9 @@ def test_rf_equal_answers_identity_without_a_product(monkeypatch):
 
 
 def test_gauss_rules_are_one_modulus():
-    from dataclasses import fields
+    from inspect import signature
 
-    assert [f.name for f in fields(GaussRules) if f.init] == ["modulus"]
+    assert list(signature(GaussRules).parameters) == ["modulus"]
     assert GaussRules.standard(4) is GaussRules.standard(4) == GaussRules(4)
     assert GaussRules.standard(3) != GaussRules.standard(4)
     with pytest.raises(ValueError):

@@ -93,10 +93,28 @@ def test_rmatrix_hecke_gauss_checks_the_gauss_table(capsys, monkeypatch, n):
     from heckekit.rmatrix import gauss_gamma_spec
 
     specs = []
-    monkeypatch.setattr(cli, "check_hecke", lambda spec, report: specs.append(spec) or check_hecke(spec, report))
+    monkeypatch.setattr(cli, "check_hecke", lambda spec, *rest: specs.append(spec) or check_hecke(spec, *rest))
     code, out = run(capsys, "rmatrix", "hecke", "--n", str(n), "--gauss")
     assert code == 0, out
-    assert specs == [gauss_gamma_spec(n)]
+    assert [spec.gamma for spec in specs] == [gauss_gamma_spec(n).gamma]
+
+
+@pytest.mark.parametrize("argv, title", [
+    (["metaplectic"], "metaplectic GL_2 n=2 lambda=(0, 0): PASS"),
+    (["wreath"], "wreath n=2 r=2: PASS"),
+    (["verify", "--instance", "metaplectic"], "metaplectic A2 n=2 (A2): PASS"),
+    (["rmatrix", "schema"], "tensor n=2 r=2 twist=none power=1 (A1): PASS"),
+], ids=["metaplectic", "wreath", "verify-metaplectic", "rmatrix-schema"])
+def test_n_and_r_default_to_2_where_they_apply(capsys, argv, title):
+    code, out = run(capsys, *argv)
+    assert code == 0 and title in out.splitlines()
+
+
+@pytest.mark.parametrize("gauss", [[], ["--gauss"]], ids=["untwisted-and-free", "gauss"])
+def test_rmatrix_hecke_check_names_are_distinct(capsys, gauss):
+    code, out = run(capsys, "--json", "rmatrix", "hecke", "--n", "2", *gauss)
+    names = [c["name"] for c in json.loads(out)["checks"]]
+    assert code == 0 and len(names) == 2 * (1 if gauss else 2) and len(set(names)) == len(names)
 
 
 def test_metaplectic_table(capsys):
@@ -222,6 +240,9 @@ def test_casselman_shalika_makes_no_general_division(monkeypatch, name):
         (["cs", "--weight", "(a,b)"], "argument --weight: bad weight '(a,b)'"),
         (["metaplectic", "--r", "2", "--n", "2", "--inject-mismatch"], "unrecognized arguments: --inject-mismatch"),
         (["cs", "--type", "A2"], "the following arguments are required: --weight"),
+        (["verify", "--type", "A2", "--instance", "generic", "--n", "3"],
+         "--n needs --instance metaplectic or rmatrix, not generic"),
+        (["rmatrix", "ybe", "--n", "2", "--r", "4"], "--r needs the schema check, not ybe"),
     ],
     ids=[
         "unknown-type", "form-not-dot", "rmatrix-non-A", "cs-weight-length", "bernstein-length",
@@ -230,7 +251,7 @@ def test_casselman_shalika_makes_no_general_division(monkeypatch, name):
         "rmatrix-schema-r-1", "rmatrix-schema-power", "verify-rmatrix-power", "rmatrix-n-5",
         "verify-generic-gauss", "verify-generic-gauss-power", "verify-metaplectic-power", "rmatrix-ybe-power",
         "metaplectic-g2", "metaplectic-g2-n-1", "cs-weight-empty", "cs-weight-not-integers",
-        "metaplectic-inject-mismatch", "cs-no-weight",
+        "metaplectic-inject-mismatch", "cs-no-weight", "verify-generic-n", "rmatrix-ybe-r",
     ],
 )
 def test_bad_input_is_a_usage_error(capsys, argv, message):
@@ -253,7 +274,7 @@ PARSER_SURFACE = {
         ("--instance", "generic", ["generic", "whittaker", "spherical", "metaplectic", "rmatrix"], False, "Store",
          None),
         ("--bernstein", None, None, False, "Append", "_parse_weight"),
-        ("--n", 2, None, False, "Store", "positive_int"),
+        ("--n", None, None, False, "Store", "positive_int"),
         ("--B", "dot", ["dot"], False, "Store", None),
         ("--gauss", False, None, False, "StoreTrue", None),
         ("--power", None, None, False, "Store", "int"),
@@ -271,20 +292,20 @@ PARSER_SURFACE = {
     ],
     "rmatrix": [
         ("check", None, ["ybe", "pybe", "hecke", "triangularity", "schema"], True, "Store", None),
-        ("--n", 2, None, False, "Store", "positive_int"),
-        ("--r", 2, None, False, "Store", "gl_rank"),
+        ("--n", None, None, False, "Store", "positive_int"),
+        ("--r", None, None, False, "Store", "gl_rank"),
         ("--gauss", False, None, False, "StoreTrue", None),
         ("--power", None, None, False, "Store", "int"),
     ],
     "metaplectic": [
-        ("--r", 2, None, False, "Store", "gl_rank"),
-        ("--n", 2, None, False, "Store", "positive_int"),
+        ("--r", None, None, False, "Store", "gl_rank"),
+        ("--n", None, None, False, "Store", "positive_int"),
         ("--B", "dot", ["dot"], False, "Store", None),
         ("--weight", None, None, False, "Store", "_parse_weight"),
     ],
     "wreath": [
-        ("--n", 2, None, False, "Store", "positive_int"),
-        ("--r", 2, None, False, "Store", "gl_rank"),
+        ("--n", None, None, False, "Store", "positive_int"),
+        ("--r", None, None, False, "Store", "gl_rank"),
     ],
 }
 

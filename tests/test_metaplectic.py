@@ -1,6 +1,5 @@
 import json
 import re
-from dataclasses import FrozenInstanceError, replace
 from fractions import Fraction
 from itertools import product as iproduct
 from pathlib import Path
@@ -19,7 +18,9 @@ from heckekit.algebra import (
 )
 from heckekit.linalg import Matrix, is_scalar_matrix, mat_mul
 from heckekit.metaplectic import (
+    MetaplecticDatum,
     MetaplecticError,
+    RootData,
     _diagonalize,
     rmatrix_dictionary_check,
     build_datum,
@@ -373,7 +374,7 @@ def test_conjugated_scattering_satisfies_the_quadratic_relation(n):
     inst = metaplectic_schema_instance(build_datum("A1", n))
     a = {key: Matrix(m.shape, {rc: conjugate_gauss(x) for rc, x in m.entries.items()}) for key, m in inst.a_matrices.items()}
     assert a != inst.a_matrices
-    assert check_quadratic(replace(inst, a_matrices=a), 0).passed
+    assert check_quadratic(inst.replace(a_matrices=a), 0).passed
 
 
 def test_whittaker_base_support(gl2_n2):
@@ -497,9 +498,9 @@ def test_cg_scaled_applies_s_i_once_per_residue(monkeypatch, form, n):
 
 def test_a_built_datum_is_frozen():
     d = build_datum("A1", 2)
-    with pytest.raises(FrozenInstanceError):
+    with pytest.raises(AttributeError):
         d.n = 3
-    with pytest.raises(FrozenInstanceError):
+    with pytest.raises(AttributeError):
         d.roots = ()
 
 
@@ -565,8 +566,10 @@ def test_a_perturbed_twist_fails_the_met_demazure_relations_at_its_weight():
     d = build_datum("A2", 2)
     weights = [(1, 0, 0), (2, 1, 0)]
     assert check_met_demazure_relations(d, weights).first_failure() is None
-    root = d.roots[0]
-    perturbed = replace(d, roots=(replace(root, twists=(2 * root.twists[0], *root.twists[1:])), *d.roots[1:]))
+    r = d.roots[0]
+    root = RootData(r.alpha, r.q, r.n_alpha, r.row, r.x, r.d, r.tau1, r.tau2, r.cg, (2 * r.twists[0], *r.twists[1:]))
+    perturbed = MetaplecticDatum(d.cartan, d.group, d.n, d.B, d.rules, d.moduli, d.to_snf, d.coset_reps,
+                                 d.lattice_basis, d.origin, (root, *d.roots[1:]))
     failure = check_met_demazure_relations(perturbed, weights).first_failure()
     assert failure is not None and failure.name.endswith(f"on z^{weights[0]}")
 

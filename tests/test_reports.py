@@ -54,4 +54,6 @@ def test_add_records_a_computed_check_that_first_failure_and_json_keep():
     broken = report.checks[1]
     assert (broken.name, broken.passed, broken.lhs, broken.rhs) == ("broken", False, "lhs", "rhs")
     assert report.first_failure() is broken
-    assert Report.from_json(report.to_json()).checks == report.checks
+    back = Report.from_json(report.to_json())
+    assert [(c.name, c.passed, c.lhs, c.rhs, c.elapsed) for c in back.checks] == [
+        ("fine", True, None, None, 0.0), ("broken", False, "lhs", "rhs", 0.5)]

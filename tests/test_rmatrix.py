@@ -1,5 +1,4 @@
 import re
-from dataclasses import replace
 
 import pytest
 
@@ -193,7 +192,7 @@ def test_size_that_is_no_tensor_power_raises():
     with pytest.raises(ValueError):
         TensorOperator((8, 8), {}).embed((0, 1), 3)
     inst = tensor_schema_instance(2, 2, "none", 1)
-    odd = replace(inst, block_dim=5, a_matrices={key: Matrix((5, 5), {}) for key in inst.a_matrices})
+    odd = inst.replace(block_dim=5, a_matrices={key: Matrix((5, 5), {}) for key in inst.a_matrices})
     failure = check_content_preservation(odd).first_failure()
     assert failure is not None and failure.lhs.startswith("ValueError: size 5 is not an exact power")
 
