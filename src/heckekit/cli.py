@@ -196,7 +196,8 @@ def run_rmatrix(args) -> int:
             check_parametrized_ybe(lambda x: r_affine(untwisted_spec(n), x), report)
             check_parametrized_ybe(lambda x: r_affine(free_gamma_spec(n), x), report, name="parametrized YBE (twisted)")
     elif args.check == "hecke":
-        tables = {"Gauss": gauss_gamma_spec} if args.gauss else {"untwisted": untwisted_spec, "free gamma": free_gamma_spec}
+        tables = {"Gauss": gauss_gamma_spec} if args.gauss else {"untwisted": untwisted_spec,
+                                                                   "free gamma": free_gamma_spec}
         for name, spec in tables.items():
             check_hecke(spec(n), report, name)
     elif args.check == "triangularity":
