@@ -38,7 +38,6 @@ from .schema import (
     check_braid,
     check_quadratic,
     generic_instance,
-    spherical_sum,
     verify_instance,
 )
 from .whittaker import (
@@ -89,7 +88,6 @@ __all__ = [
     "rf_equal",
     "scattering_block",
     "spherical_schema_instance",
-    "spherical_sum",
     "tensor_schema_instance",
     "verify_instance",
     "weyl_character",

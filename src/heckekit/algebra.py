@@ -81,7 +81,7 @@ from collections.abc import Mapping
 from fractions import Fraction
 from functools import cache, reduce
 from operator import mul, or_
-from typing import Callable, Hashable, Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 Monomial = tuple[tuple[str, int], ...]
 Coeff = int | Fraction
@@ -540,13 +540,6 @@ class LaurentPoly:
 
     def symbols(self) -> set[str]:
         return {_names[lane] for m in self._t for lane, _ in _unpack(m)}
-
-    def split(self, key: Callable[[dict[str, int]], Hashable]) -> dict[Hashable, "LaurentPoly"]:
-        """The terms grouped by key(exponents), one polynomial per key, in order of first appearance."""
-        groups: dict[Hashable, dict[int, Coeff]] = {}
-        for m, c in self._t.items():
-            groups.setdefault(key(_exponents(m)), {})[m] = c
-        return {k: _new(t, self.rules, self._frac, canonical=True) for k, t in groups.items()}
 
     # -- rendering ----------------------------------------------------------
 

@@ -116,16 +116,16 @@ class RootData(Frozen):
     d         D_i^(n)(z) = (1 - v) x/(1 - x)
     tau1      c_s tau^1 = (1 - v) z^{rem alpha}/(1 - x)
     tau2      c_s tau^2 = g_a z^{-alpha}
-    cg        z^{-rem alpha} (1 - v) - g_a z^{(1 - n_alpha) alpha} (1 - x), over d's denominator
-    twists    -x cg[rem]: the numerators of met_demazure's twisted terms
+    twists    -x (z^{-rem alpha} (1 - v) - g_a z^{(1 - n_alpha) alpha} (1 - x)): the numerators, over d's
+              denominator, of met_demazure's twisted terms -x c_s^(n) (s_i . z^mu)
     """
 
-    __slots__ = ("alpha", "q", "n_alpha", "row", "x", "d", "tau1", "tau2", "cg", "twists")
+    __slots__ = ("alpha", "q", "n_alpha", "row", "x", "d", "tau1", "tau2", "twists")
 
     def __init__(self, alpha: IntVec, q: int, n_alpha: int, row: IntVec, x: LaurentPoly, d: RationalFunction,
-                 tau1: tuple[RationalFunction, ...], tau2: tuple[RationalFunction, ...], cg: tuple[LaurentPoly, ...],
+                 tau1: tuple[RationalFunction, ...], tau2: tuple[RationalFunction, ...],
                  twists: tuple[LaurentPoly, ...]):
-        self._freeze(alpha, q, n_alpha, row, x, d, tau1, tau2, cg, twists)
+        self._freeze(alpha, q, n_alpha, row, x, d, tau1, tau2, twists)
 
 
 class MetaplecticDatum(Frozen):
@@ -229,12 +229,11 @@ def build_datum(cartan_or_type, n: int, B: tuple[IntVec, ...] | str | None = Non
         gauss = [gauss_symbol(-q * (rem + 1), rules) for rem in range(na)]
         cg = [RF(coroot_monomial(alpha, -rem) * (P.one() - v()) - g * coroot_monomial(alpha, 1 - na) * one_minus_x,
                  (one_minus_x,)) for rem, g in enumerate(gauss)]
-        if any(c.den != scalar.den for c in cg):  # cg_scaled and met_demazure rely on it
+        if any(c.den != scalar.den for c in cg):  # met_demazure relies on it
             raise AssertionError(f"the coefficients of T_{i + 1} have different denominators")
         tau1 = tuple(RF((P.one() - v()) * coroot_monomial(alpha, rem), (one_minus_x,)) for rem in range(na))
         tau2 = tuple(RF.from_poly(g * coroot_monomial(alpha, -1)) for g in gauss)
-        twists = tuple(-x * c.num for c in cg)
-        roots.append(RootData(alpha, q, na, row, x, scalar, tau1, tau2, tuple(c.num for c in cg), twists))
+        roots.append(RootData(alpha, q, na, row, x, scalar, tau1, tau2, tuple(-x * c.num for c in cg)))
     off = next((mu for mu in reps if not cartan.in_lattice(mu)), None)
     if off is not None:
         raise MetaplecticError(f"coset representative {off} is off the lattice of {cartan.cartan_type}")
@@ -251,11 +250,6 @@ def build_datum(cartan_or_type, n: int, B: tuple[IntVec, ...] | str | None = Non
         origin=origin,
         roots=tuple(roots),
     )
-
-
-def c_factor(datum: MetaplecticDatum, i: int) -> RF:
-    """c_s^(n)(z) = (1 - v z^{n_alpha alpha})/(1 - z^{n_alpha alpha})."""
-    return c_function(datum.roots[i].x)
 
 
 def _root_residues(datum: MetaplecticDatum, i: int, b: int) -> int:
@@ -325,45 +319,32 @@ def metaplectic_schema_instance(datum: MetaplecticDatum) -> SchemaInstance:
 
 
 def cg_scaled(datum: MetaplecticDatum, i: int, f: LaurentPoly) -> RF:
-    """c_s^(n)(z) * (s_i . f), the Chinta-Gunnells action scaled by c_s^(n).
+    """c_s^(n)(z) (s_i . f), the Chinta-Gunnells action scaled by c_s^(n), read off the Demazure step.
 
-    The coefficient of a term z^mu reads mu only through rem, the residue of
-    b = B(alpha_i, mu) (the row B alpha_i dotted with the z-exponents), so f
-    splits by rem into at most n_alpha parts: each contributes
-    datum.roots[i].cg[rem] * (s_i . part), all over d_scaled's one
-    denominator factor, so the sum is one polynomial over it.  cg_action
-    reads it; met_demazure forms the same sum in its one pass instead.
+    met_demazure forms T_i f = D_i^(n)(z) f - z^{n_alpha alpha} c_s^(n)(z) (s_i . f)
+    in one polynomial pass, so c_s^(n)(z) (s_i . f) = (D_i^(n)(z) f - T_i f) /
+    z^{n_alpha alpha}: one polynomial over the denominator factor of D_i^(n)(z).
     """
     root = datum.roots[i]
-    s = datum.group.simple(i)
-    row = [(f"z{j + 1}", x) for j, x in enumerate(root.row) if x]
-    parts = f.split(lambda exps: _root_residues(datum, i, sum(x * exps.get(name, 0) for name, x in row)))
-    total = P.zero()
-    for rem, part in parts.items():
-        total = total + root.cg[rem] * datum.group.act_fn(s, part)
-    return RF(total, root.d.den)
+    return RF((root.d.num * f - root.d.den[0] * met_demazure(datum, i, f)) * root.x.monomial_inverse(), root.d.den)
 
 
 def cg_action(datum: MetaplecticDatum, i: int, f: LaurentPoly) -> RF:
     """The Chinta-Gunnells action s_i . f (representative independent)."""
-    return cg_scaled(datum, i, f) / c_factor(datum, i)
-
-
-def d_scaled(datum: MetaplecticDatum, i: int) -> RF:
-    """D_i^(n)(z): the Demazure scalar with z^alpha replaced by z^{n_alpha alpha}."""
-    return datum.roots[i].d
+    return cg_scaled(datum, i, f) / c_function(datum.roots[i].x)
 
 
 def met_demazure(datum: MetaplecticDatum, i: int, f: LaurentPoly) -> LaurentPoly:
     """T_i(f) = D_i^(n)(z) f - z^{n_alpha alpha} c_s^(n)(z) (s_i . f), computed in polynomials.
 
-    d_scaled and cg_scaled share the one normal denominator factor q of
-    1 - z^{n_alpha alpha}, so T_i f is one numerator over q: one
-    :func:`divided_difference` with the diagonal D_i^(n)(z) q and the twists
-    -z^{n_alpha alpha} cg[rem], divided exactly; NotDivisible if the
-    quotient is not a Laurent polynomial.  A term z^mu takes the twist of
-    rem = rem_{n_alpha}(-k), k = <alpha_i, mu>, the rule of _root_residues:
-    by W-invariance B(alpha_i, mu) = Q(alpha_i) k, as build_datum checks.
+    D_i^(n)(z) and the coefficients of the Chinta-Gunnells action share the
+    one normal denominator factor q of 1 - z^{n_alpha alpha}, so T_i f is one
+    numerator over q: one :func:`divided_difference` with the diagonal
+    D_i^(n)(z) q and the twists datum.roots[i].twists, divided exactly;
+    NotDivisible if the quotient is not a Laurent polynomial.  A term z^mu
+    takes the twist of rem = rem_{n_alpha}(-k), k = <alpha_i, mu>, the rule
+    of _root_residues: by W-invariance B(alpha_i, mu) = Q(alpha_i) k, as
+    build_datum checks.
     """
     root = datum.roots[i]
     return divided_difference(f, root.d.num, root.twists, datum.group.reflection(i), root.d.den[0])

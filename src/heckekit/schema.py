@@ -107,10 +107,6 @@ class SchemaInstance:
         """(wz)^{scale_i * alpha_i} = z^{w^{-1}(scale_i * alpha_i)}, the monomial z^{scale_i * alpha_i} carried to wz."""
         return self.group.at_point(w, coroot_monomial(self.cartan.simple_coroots[i], self.root_scale[i]))
 
-    def d_scalar(self, w: WeylElement, i: int) -> RationalFunction:
-        """D_i(wz): d_function at X = (wz)^{scale alpha_i}."""
-        return d_function(self.x_monomial(w, i))
-
     def composition_scalar(self, w: WeylElement, i: int) -> RationalFunction:
         """The forced value of A(s_i w, i) A(w, i): C(X) C(X^{-1}) at X = (wz)^{scale alpha_i}."""
         x = self.x_monomial(w, i)
@@ -300,11 +296,6 @@ def generator(inst: SchemaInstance, i: int) -> BlockOperator:
 def block_action(inst: SchemaInstance, start: BlockOperator) -> Act:
     """act(word) = T_word start: each T_i from generator, applied letter by letter, each product kept by word."""
     return applied(lambda i, rest: generator(inst, i).compose(rest), start)
-
-
-def spherical_sum(inst: SchemaInstance) -> BlockOperator:
-    """The spherical element sum_w T_w in this representation."""
-    return weyl_sum(block_action(inst, identity_operator(inst.group, inst.block_dim)), inst.group)
 
 
 def poincare_polynomial(group: WeylGroup) -> LaurentPoly:

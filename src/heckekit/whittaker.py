@@ -14,7 +14,7 @@ from typing import Sequence
 
 from .algebra import Frozen, LaurentPoly, RationalFunction, divided_difference, v
 from .linalg import Matrix
-from .relations import applied, monomial_relations, verdict, weyl_sum
+from .relations import applied, monomial_relations, weyl_sum
 from .reports import Report
 from .roots import CartanDatum, WeylElement, WeylGroup, coroot_monomial, weight_monomial, weyl_character, weyl_group_of
 from .schema import SchemaInstance, c_function, d_function, spherical_instance, transported_instance
@@ -68,11 +68,6 @@ class DemazureVariant(Frozen):
 demazure_variant = DemazureVariant  # the name the frozen acceptance suite and the workloads import
 
 
-def demazure_coefficients(var: DemazureVariant, i: int) -> tuple[RF, RF]:
-    """(c0, c1) with T_i f = c0 * f + c1 * f(s_i z); both have the same one denominator factor."""
-    return var.coefficients[i]
-
-
 def apply_demazure(var: DemazureVariant, i: int, f: LaurentPoly) -> LaurentPoly:
     """T_i f for a Laurent polynomial f, computed in polynomials.
 
@@ -82,7 +77,7 @@ def apply_demazure(var: DemazureVariant, i: int, f: LaurentPoly) -> LaurentPoly:
     applied to each packed monomial, and divides it exactly by the binomial
     q, raising NotDivisible if the quotient is not a Laurent polynomial.
     """
-    c0, c1 = demazure_coefficients(var, i)
+    c0, c1 = var.coefficients[i]
     return divided_difference(f, c0.num, (c1.num,), var.group.reflection(i), c0.den[0])
 
 
@@ -117,17 +112,6 @@ def cs_product(cartan: CartanDatum) -> LaurentPoly:
 def cs_rhs(cartan: CartanDatum, group: WeylGroup, lam: Sequence[int]) -> LaurentPoly:
     """The closed product side: prod (1 - v z^{-alpha}) * chi_lambda(z)."""
     return cs_product(cartan) * weyl_character(cartan, group, lam)
-
-
-def check_cs(var: DemazureVariant, lam: Sequence[int], report: Report | None = None) -> Report:
-    """Spherical idempotent applied to z^lambda equals the closed product, exactly."""
-    report = report or Report(f"casselman-shalika {var.cartan.cartan_type}")
-
-    def check():
-        return verdict(idempotent_apply(var, lam), cs_rhs(var.cartan, var.group, lam))
-
-    report.run(f"I(z^{tuple(lam)}) = prod (1 - v z^-a) chi", check)
-    return report
 
 
 def check_demazure_relations(var: DemazureVariant, weights: Sequence[Sequence[int]], report: Report | None = None) -> Report:
@@ -195,7 +179,7 @@ def group_element(group: WeylGroup, w: WeylElement) -> TwistedGroupElement:
 
 def to_element(var: DemazureVariant, i: int) -> TwistedGroupElement:
     """The Demazure operator as c0 * 1_W + c1 * s_i in the twisted group ring."""
-    c0, c1 = demazure_coefficients(var, i)
+    c0, c1 = var.coefficients[i]
     return TwistedGroupElement(var.group, {var.group.identity: c0, var.group.simple(i): c1})
 
 

@@ -5,11 +5,12 @@ it (the rational Weyl sum with the Weyl character, the term-by-term Weyl
 action with act_fn, the exactly inverted R-matrix with the closed form, the
 coset aggregate with the Demazure sum, the rational metaplectic Demazure
 formula with the polynomial step, the coset-wise Chinta-Gunnells sum with
-the split by pairing, the paper's scattering coefficients tau^1 and tau^2
-with the closed-form block), or use them to state a property (evaluation
-at a point, substitution of monomials, Bruhat order, T_w of a block
-module, the braid constraint of a free-symbol instance on one rank-2
-coset).  Each is written over the package's public API only.
+cg_scaled, which reads it off that step, the paper's scattering
+coefficients tau^1 and tau^2 with the closed-form block), or use them to
+state a property (evaluation at a point, substitution of monomials, Bruhat
+order, T_w of a block module, the braid constraint of a free-symbol
+instance on one rank-2 coset).  Each is written over the package's public
+API only.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 from heckekit.algebra import GaussRules, LaurentPoly, RationalFunction, gauss_symbol, v
 from heckekit.linalg import mat_inverse
-from heckekit.metaplectic import MetaplecticDatum, cg_scaled, d_scaled, met_demazure_act, whittaker_value
+from heckekit.metaplectic import MetaplecticDatum, met_demazure_act, whittaker_value
 from heckekit.relations import applied
 from heckekit.rmatrix import RMatrixSpec, TensorOperator, r_gl, tau_operator
 from heckekit.roots import CartanDatum, WeylElement, WeylGroup, coroot_monomial, weight_monomial
@@ -117,9 +118,12 @@ def met_demazure_word(datum: MetaplecticDatum, word: Sequence[int], f: LaurentPo
 
 
 def met_demazure_rational(datum: MetaplecticDatum, i: int, f: LaurentPoly) -> RF:
-    """T_i f = D_i^(n)(z) f - z^{n_alpha alpha} c_s^(n)(z) (s_i . f) in rational functions; equals met_demazure."""
+    """T_i f = D_i^(n)(z) f - z^{n_alpha alpha} c_s^(n)(z) (s_i . f) in rational functions; equals met_demazure.
+
+    The Chinta-Gunnells sum is cg_scaled_by_coset's, not cg_scaled, which reads it off met_demazure.
+    """
     alpha_power = RF.from_poly(coroot_monomial(datum.cartan.simple_coroots[i], datum.n_alpha(i)))
-    return d_scaled(datum, i) * RF.from_poly(f) - alpha_power * cg_scaled(datum, i, f)
+    return datum.roots[i].d * RF.from_poly(f) - alpha_power * cg_scaled_by_coset(datum, i, f)
 
 
 def tau1(datum: MetaplecticDatum, i: int, mu: Sequence[int]) -> RF:
@@ -153,31 +157,30 @@ def tau2(datum: MetaplecticDatum, i: int, mu: Sequence[int]) -> tuple[int, RF]:
 def cg_scaled_by_coset(datum: MetaplecticDatum, i: int, f: LaurentPoly) -> RF:
     """c_s^(n)(z) (s_i . f) coset by coset, as Chinta and Gunnells state the action; equals cg_scaled.
 
-    f splits by the coset of L/L^(n) of each term.  The part on the coset of
-    mu (its first term) contributes (z^{-rem alpha} (1 - v) - g z^{(1 - n_a)
-    alpha} (1 - x)) / (1 - x) times s_i . part, with x = z^{n_a alpha}, m =
-    B(alpha, mu)/Q(alpha), rem = n_a ceil(m/n_a) - m and g the Gauss symbol
-    of index B(alpha, mu) - Q(alpha).
+    The terms of f, read from ``terms``, are grouped by their coset of
+    L/L^(n).  The part on the coset of mu (its first term) contributes
+    (z^{-rem alpha} (1 - v) - g z^{(1 - n_a) alpha} (1 - x)) / (1 - x) times
+    s_i . part, with x = z^{n_a alpha}, m = B(alpha, mu)/Q(alpha),
+    rem = n_a ceil(m/n_a) - m and g the Gauss symbol of index
+    B(alpha, mu) - Q(alpha).
     """
     alpha, na = datum.cartan.simple_coroots[i], datum.n_alpha(i)
     q, z, s = datum.q_value(alpha), coroot_monomial(alpha), datum.group.simple(i)
     one_minus_x = P.one() - z ** na
-    firsts: dict[int, list[int]] = {}
-
-    def coset(exps: dict[str, int]) -> int:
+    parts: dict[int, tuple[list[int], dict]] = {}  # coset index -> (its first mu, the terms on it)
+    for mono, coeff in f.terms.items():
+        exps = dict(mono)
         mu = [exps.get(f"z{j + 1}", 0) for j in range(datum.cartan.dim)]
-        idx = datum.coset_index(mu)
-        firsts.setdefault(idx, mu)
-        return idx
+        parts.setdefault(datum.coset_index(mu), (mu, {}))[1][mono] = coeff
 
     total = RF.zero()
-    for idx, part in f.split(coset).items():
-        b = datum.bilinear(alpha, firsts[idx])
+    for mu, terms in parts.values():
+        b = datum.bilinear(alpha, mu)
         m = b // q
-        assert m * q == b, (i, firsts[idx])
+        assert m * q == b, (i, mu)
         rem = na * -(-m // na) - m
         num = z ** (-rem) * (P.one() - v()) - gauss_symbol(b - q, datum.rules) * z ** (1 - na) * one_minus_x
-        total = total + RF(num, (one_minus_x,)) * RF.from_poly(weyl_act(s, part))
+        total = total + RF(num, (one_minus_x,)) * RF.from_poly(weyl_act(s, LaurentPoly(terms, f.rules)))
     return total
 
 

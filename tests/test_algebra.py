@@ -905,9 +905,11 @@ def test_results_do_not_depend_on_lane_order():
 
 # -- binomial division --------------------------------------------------------------
 #
-# exact_divide sends a Gauss-free two-term divisor to _divide_binomial and
-# every other divisor to _divide_general.  Both must return the same quotient,
-# or both raise NotDivisible, on every input either path accepts.
+# exact_divide routes by the divisor: under even n one carrying g_{n/2} takes
+# _divide_split; otherwise a one-term divisor takes _divide_monomial, a
+# two-term one _divide_binomial and the rest _divide_general.  The binomial
+# and general paths must return the same quotient, or both raise
+# NotDivisible, on every input either path accepts.
 
 nonzero_coeffs = coeffs.filter(bool)
 divisor_monos = st.dictionaries(st.sampled_from(["x", "y", "u"]), st.integers(min_value=-3, max_value=3),

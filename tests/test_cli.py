@@ -11,8 +11,8 @@ from heckekit.cli import build_parser, main
 from heckekit.metaplectic import whittaker_value
 from heckekit.reports import Report
 from heckekit.rmatrix import check_hecke
-from heckekit.roots import build_cartan
-from heckekit.whittaker import check_cs, demazure_variant
+from heckekit.roots import build_cartan, weyl_group
+from heckekit.whittaker import cs_rhs, demazure_variant, idempotent_apply
 
 SCHEMA_PATH = "src/heckekit/report.schema.json"
 
@@ -199,7 +199,9 @@ def spy_on_general_division(monkeypatch) -> list:
 def test_casselman_shalika_makes_no_general_division(monkeypatch, name):
     cartan = build_cartan(name)
     calls = spy_on_general_division(monkeypatch)
-    assert check_cs(demazure_variant("whittaker", cartan), cartan.rho).passed
+    group = weyl_group(cartan)
+    var = demazure_variant("whittaker", cartan, group)
+    assert idempotent_apply(var, cartan.rho) == cs_rhs(cartan, group, cartan.rho)
     assert calls == []
 
 

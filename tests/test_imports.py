@@ -1,4 +1,6 @@
-"""Every imported name is used: the unused-import check the repository runs instead of a linter.
+"""Every imported name is used, and every name heckekit exports resolves.
+
+The first is the unused-import check the repository runs instead of a linter.
 
 A name counts as used if it is read anywhere in its module (a Name node) or
 listed in the module's __all__.  tests/test_acceptance.py is frozen and keeps
@@ -30,3 +32,9 @@ def test_no_unused_imports():
     files = [*(ROOT / "src" / "heckekit").glob("*.py"), *(ROOT / "tests").glob("*.py"), *(ROOT / "tools").glob("*.py")]
     assert files
     assert [hit for path in sorted(files) if path.name not in FROZEN for hit in unused_imports(path)] == []
+
+
+def test_every_exported_name_resolves():
+    import heckekit
+
+    assert [name for name in heckekit.__all__ if not hasattr(heckekit, name)] == []
