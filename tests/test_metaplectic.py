@@ -22,6 +22,7 @@ from heckekit.metaplectic import (
     MetaplecticError,
     RootData,
     _diagonalize,
+    _root_residues,
     rmatrix_dictionary_check,
     build_datum,
     cg_action,
@@ -481,6 +482,29 @@ def test_pairing_is_q_times_the_cartan_pairing(cartan_type, n, form):
     for mu in _weight_box(d.cartan):
         for i, alpha in enumerate(d.cartan.simple_coroots):
             assert d.bilinear(alpha, mu) == d.q_value(alpha) * d.cartan.pairing_int(i, mu)
+
+
+@pytest.mark.parametrize("form, n", [("dot", 3), ("2dot", 4)])
+def test_cg_scaled_takes_one_demazure_pass(monkeypatch, form, n):
+    # the Chinta-Gunnells sum is read off one met_demazure call, with no act_fn pass of its own
+    import heckekit.metaplectic as met
+
+    d = _cover("A2", n, form)
+    f = sum((weight_monomial(mu) for mu in iproduct(range(-2, 3), repeat=3)), P.zero())  # the criterion-8 box
+    step, act_fn, calls = met.met_demazure, d.group.act_fn, []
+    monkeypatch.setattr(met, "met_demazure", lambda *a: calls.append("met_demazure") or step(*a))
+    monkeypatch.setattr(d.group, "act_fn", lambda w, g: calls.append("act_fn") or act_fn(w, g))
+    for i in range(d.cartan.rank):
+        calls.clear()
+        cg_scaled(d, i, f)
+        assert calls == ["met_demazure"], (i, calls)
+
+
+def test_q_not_dividing_the_pairing_is_a_metaplectic_error():
+    d = build_datum("G2", 1)  # Q(alpha_2) = 3, so b = 1 is the pairing of no lattice weight
+    assert _root_residues(d, 1, 3) == (-1) % d.n_alpha(1)
+    with pytest.raises(MetaplecticError, match=re.escape("Q(alpha_2) = 3 does not divide B(alpha_2, mu) = 1")):
+        _root_residues(d, 1, 1)
 
 
 def test_a_built_datum_is_frozen():
