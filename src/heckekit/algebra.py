@@ -15,10 +15,11 @@ name-sorted ``(name, exponent)`` tuples, and rendering, equality and the
 term order of :func:`exact_divide` go by symbol name, so no result depends
 on the order in which lanes were handed out.
 
-Coefficients are ``int``.  A ``Fraction`` appears only where a value is not
+Coefficients are ``int``.  A ``Fraction`` enters only where a value is not
 integral: a quotient in :func:`exact_divide`, the inverse of a monomial whose
-coefficient is not +-1, or an input such as ``"3/2"``.  A Fraction that
-becomes integral is turned back into an int.
+coefficient is not +-1, or an input such as ``"3/2"``.  Fraction arithmetic
+may leave an integral Fraction, as in (1/2) * 2; it compares, hashes and
+renders as the int it equals, so no value depends on the coefficient type.
 
 Overflow.  Every exponent lies in [-2^14, 2^14).  The top bit of each lane
 is a guard, so the sum of two valid monomials still decodes exactly, and a
@@ -71,8 +72,9 @@ those, so num/(f g) and (num/f)/g are one element even where the ring is
 no domain.  No gcd is ever computed, and equality stays cross
 multiplication.
 
-Operations are pure and values never change: the slots _hash, _gauss and
-_lone are caches, filled later without changing the value.
+Operations are pure and values never change: a polynomial is its terms
+and rules, and its other slots, _hash, _gauss and _lone, are caches filled
+later without changing the value.
 """
 
 from __future__ import annotations
@@ -211,18 +213,6 @@ def _div(a: Coeff, b: Coeff) -> Coeff:
         return a // b
     q = Fraction(a) / b
     return q.numerator if q.denominator == 1 else q
-
-
-def _integral(terms: dict[int, Coeff]) -> bool:
-    """Turn integral Fraction coefficients into ints in place; True if a Fraction remains."""
-    frac = False
-    for m, c in terms.items():
-        if type(c) is not int:
-            if c.denominator == 1:
-                terms[m] = c.numerator
-            else:
-                frac = True
-    return frac
 
 
 # -- frozen values ---------------------------------------------------------------------
@@ -372,7 +362,7 @@ class _Terms(Mapping):
 class LaurentPoly:
     """Immutable exact Laurent polynomial with int (Fraction where needed) coefficients."""
 
-    __slots__ = ("_t", "rules", "_frac", "_hash", "_gauss", "_lone")
+    __slots__ = ("_t", "rules", "_hash", "_gauss", "_lone")
 
     def __init__(self, terms: Mapping[Monomial, Coeff | str] | None = None, rules: GaussRules | None = None):
         packed: dict[int, Coeff] = {}
@@ -380,19 +370,14 @@ class LaurentPoly:
             m = _pack_pairs(mono)
             packed[m] = packed.get(m, 0) + _coeff(coeff)
         packed = {m: c for m, c in packed.items() if c}
-        self._set(packed, rules, any(type(c) is not int for c in packed.values()))
+        self._set(packed, rules)
 
-    def _set(
-        self, terms: dict[int, Coeff], rules: GaussRules | None, frac: bool, canonical: bool = False
-    ) -> "LaurentPoly":
-        """Take ownership of packed terms with no zero coefficient; frac: a Fraction may be among them."""
+    def _set(self, terms: dict[int, Coeff], rules: GaussRules | None, canonical: bool = False) -> "LaurentPoly":
+        """Take ownership of packed terms with no zero coefficient."""
         if rules is not None and not canonical:
             terms = _normalize(terms, rules)
-        if frac:
-            frac = _integral(terms)
         self._t = terms
         self.rules = rules
-        self._frac = frac
         self._hash = None
         self._gauss = None  # the Gauss lanes of the terms, once _gauss_lanes asks
         self._lone = None  # a d along which a string has one term, once _divide_binomial finds one
@@ -407,12 +392,12 @@ class LaurentPoly:
 
     @staticmethod
     def zero(rules: GaussRules | None = None) -> "LaurentPoly":
-        return _new({}, rules, False)
+        return _new({}, rules)
 
     @staticmethod
     def const(value, rules: GaussRules | None = None) -> "LaurentPoly":
         c = _coeff(value)
-        return _new({0: c} if c else {}, rules, type(c) is not int, canonical=True)
+        return _new({0: c} if c else {}, rules, canonical=True)
 
     @staticmethod
     def one(rules: GaussRules | None = None) -> "LaurentPoly":
@@ -421,14 +406,14 @@ class LaurentPoly:
     @staticmethod
     def monomial(exps: Mapping[str, int], coeff=1, rules: GaussRules | None = None) -> "LaurentPoly":
         c = _coeff(coeff)
-        return _new({_pack(exps): c} if c else {}, rules, type(c) is not int)
+        return _new({_pack(exps): c} if c else {}, rules)
 
     @staticmethod
     def symbol(name: str, rules: GaussRules | None = None) -> "LaurentPoly":
         return LaurentPoly.monomial({name: 1}, rules=rules)
 
     def with_rules(self, rules: GaussRules | None) -> "LaurentPoly":
-        return _new(dict(self._t), rules, self._frac)
+        return _new(dict(self._t), rules)
 
     # -- ring operations ---------------------------------------------------
 
@@ -452,12 +437,12 @@ class LaurentPoly:
                 terms[m] = s
             else:
                 del terms[m]
-        return _new(terms, rules, a._frac or b._frac, canonical=True)
+        return _new(terms, rules, canonical=True)
 
     __radd__ = __add__
 
     def __neg__(self) -> "LaurentPoly":
-        return _new({m: -c for m, c in self._t.items()}, self.rules, self._frac, canonical=True)
+        return _new({m: -c for m, c in self._t.items()}, self.rules, canonical=True)
 
     def __sub__(self, other) -> "LaurentPoly":
         other = self._coerce(other)
@@ -486,7 +471,7 @@ class LaurentPoly:
         half = rules._half if rules is not None else 0
         # both operands carry g_h (even n): the product may hold g_h^2, which _normalize folds to u^2
         canonical = not (half and _gauss_lanes(a) & half and _gauss_lanes(b) & half)
-        return _new(terms, rules, a._frac or b._frac, canonical=canonical)
+        return _new(terms, rules, canonical=canonical)
 
     __rmul__ = __mul__
 
@@ -512,7 +497,7 @@ class LaurentPoly:
         (m, c), = self._t.items()
         inverse = {-m: _div(1, c)}
         _check_range(inverse)
-        return _new(inverse, self.rules, type(inverse[-m]) is not int)
+        return _new(inverse, self.rules)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
@@ -569,9 +554,9 @@ class LaurentPoly:
         return f"LaurentPoly({self.render()})"
 
 
-def _new(terms: dict[int, Coeff], rules: GaussRules | None, frac: bool, canonical: bool = False) -> LaurentPoly:
+def _new(terms: dict[int, Coeff], rules: GaussRules | None, canonical: bool = False) -> LaurentPoly:
     """A polynomial owning packed terms; canonical: they are already in Gauss normal form."""
-    return object.__new__(LaurentPoly)._set(terms, rules, frac, canonical)
+    return object.__new__(LaurentPoly)._set(terms, rules, canonical)
 
 
 def _gauss_lanes(p: LaurentPoly) -> int:
@@ -663,7 +648,7 @@ def _divide_monomial(p: LaurentPoly, q: LaurentPoly, rules: GaussRules | None) -
     (a, ca), = q._t.items()
     quotient = {m - a: _div(c, ca) for m, c in p._t.items()}
     _check_range(quotient)
-    return _new(quotient, rules, any(type(c) is not int for c in quotient.values()), canonical=True)
+    return _new(quotient, rules, canonical=True)
 
 
 def _divide_binomial(p: LaurentPoly, q: LaurentPoly, rules: GaussRules | None) -> LaurentPoly:
@@ -727,7 +712,7 @@ def _divide_binomial(p: LaurentPoly, q: LaurentPoly, rules: GaussRules | None) -
         if string[kmin] != cb * r:
             raise NotDivisible(p, q)
     _check_range(quotient)
-    out = _new(quotient, rules, p._frac or q._frac or not unit, canonical=True)
+    out = _new(quotient, rules, canonical=True)
     if lone:
         out._lone = d
     return out
@@ -757,8 +742,8 @@ def _divide_general(p: LaurentPoly, q: LaurentPoly, rules: GaussRules | None) ->
             raise NotDivisible(p, q)
         _check_range((t,))
         tc = quotient[t] = _div(rem._t[lm], lq_coeff)
-        rem = rem - _new({t: tc}, rules, type(tc) is not int) * q
-    return _new(quotient, rules, any(type(c) is not int for c in quotient.values()))
+        rem = rem - _new({t: tc}, rules) * q
+    return _new(quotient, rules)
 
 
 def _halves(f: LaurentPoly) -> tuple[LaurentPoly, LaurentPoly] | None:
@@ -780,7 +765,7 @@ def _halves(f: LaurentPoly) -> tuple[LaurentPoly, LaurentPoly] | None:
         plus[m] = plus.get(m, 0) + c
         minus[m] = minus.get(m, 0) + s * c
     _check_range(plus)
-    return tuple(_new({m: c for m, c in t.items() if c}, rules, f._frac, canonical=True) for t in (plus, minus))
+    return tuple(_new({m: c for m, c in t.items() if c}, rules, canonical=True) for t in (plus, minus))
 
 
 def _divide_split(p: LaurentPoly, q: LaurentPoly, halves: tuple[LaurentPoly, LaurentPoly]) -> LaurentPoly:
@@ -811,7 +796,7 @@ def _recombine(r_plus: LaurentPoly, r_minus: LaurentPoly, rules: GaussRules) -> 
         if a - b:
             terms[m - to_u] = _div(a - b, 2)  # u^-1 g_h
     _check_range(terms)
-    return _new(terms, rules, any(type(c) is not int for c in terms.values()), canonical=True)
+    return _new(terms, rules, canonical=True)
 
 
 # -- reflections and divided differences ----------------------------------------------
@@ -873,7 +858,7 @@ class Reflection:
     def apply(self, f: LaurentPoly) -> LaurentPoly:
         """f with each monomial reflected (:meth:`images`); moving no Gauss symbol, it keeps f's normal form."""
         images = self.images(f._t)
-        return _new({m: c for (m, _), c in zip(images, f._t.values())}, f.rules, f._frac, canonical=True)
+        return _new({m: c for (m, _), c in zip(images, f._t.values())}, f.rules, canonical=True)
 
 
 def divided_difference(
@@ -911,8 +896,7 @@ def divided_difference(
     _check_range(terms)
     half = rules._half if rules is not None else 0
     canonical = not (half and _gauss_lanes(f) & half and any(_gauss_lanes(p) & half for p in ops[1:]))
-    frac = any(p._frac for p in ops)
-    return exact_divide(_new({m: c for m, c in terms.items() if c}, rules, frac, canonical=canonical), q)
+    return exact_divide(_new({m: c for m, c in terms.items() if c}, rules, canonical=canonical), q)
 
 
 # -- denominator factors ------------------------------------------------------------
@@ -924,7 +908,7 @@ def _lead_inverse(f: LaurentPoly) -> LaurentPoly:
     """1 / t for the largest term t of f in the graded-lex order of :func:`_graded_lex`."""
     lead = max(f._t, key=_graded_lex(f.symbols()))
     c = f._t[lead]
-    return _new({lead: c}, f.rules, type(c) is not int, canonical=True).monomial_inverse()
+    return _new({lead: c}, f.rules, canonical=True).monomial_inverse()
 
 
 def _normal_factor(f: LaurentPoly) -> tuple[LaurentPoly | None, LaurentPoly | None]:
@@ -1136,14 +1120,11 @@ def _cancel(num: LaurentPoly, factors: Sequence[LaurentPoly]) -> tuple[LaurentPo
     """(num divided by every factor that exactly divides it, in turn; the factors that do not).
 
     The one trial-division routine, for :meth:`RationalFunction.cancelled`
-    and for sums.  A factor that failed is not tried again: a later num
-    divides the earlier one.
+    and for sums.  A repeated factor that failed once is simply tried again:
+    each later num divides the earlier one, so it fails again.
     """
     kept: list[LaurentPoly] = []
     for f in factors:
-        if f in kept:
-            kept.append(f)
-            continue
         try:
             num = exact_divide(num, f)
         except NotDivisible:

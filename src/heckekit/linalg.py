@@ -23,7 +23,7 @@ has too (its * composes), so an entry may itself be a Matrix:
 schema.BlockOperator is a Matrix of k x k blocks keyed by Weyl elements, and
 its compose and difference are sparse_product and first_difference over
 blocks.  A scalar may be an int, a Fraction, a LaurentPoly or a
-RationalFunction.
+RationalFunction; times any other, a Matrix raises TypeError.
 
 A Matrix still reads as a sequence of rows: len(m), m[r] (a row tuple with
 zeros filled in), m[r][c] and `for row in m`.  m[r, c] reads one entry
@@ -37,7 +37,6 @@ difference reports two shapes that differ as its failure.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from operator import add, eq, mul, neg
 from typing import Mapping, Sequence
 
@@ -100,10 +99,9 @@ class Matrix:
     def __neg__(self) -> "Matrix":
         return type(self)(self.shape, _map_entries(neg, self))
 
-    def __rmul__(self, c: RationalFunction) -> "Matrix":
-        if isinstance(c, (int, Fraction)):
-            c = RationalFunction.const(c)
-        return mat_scalar(c, self)
+    def __rmul__(self, c) -> "Matrix":
+        c = ZERO._coerce(c)  # None unless c is an int, Fraction, LaurentPoly or RationalFunction
+        return NotImplemented if c is None else mat_scalar(c, self)
 
     def equals(self, other: "Matrix") -> bool:
         return self.difference(other) is None

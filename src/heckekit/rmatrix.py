@@ -94,6 +94,9 @@ class RMatrixSpec:
         return len(self.gamma)
 
     def perturbed(self, a: int, b: int, factor=2) -> "RMatrixSpec":
+        """gamma[a][b] times factor; ValueError unless (a, b) is in range and off the diagonal, which no R reads."""
+        if a == b or not (0 <= a < self.n and 0 <= b < self.n):
+            raise ValueError(f"gamma[{a}][{b}] is not an off-diagonal entry of the {self.n} x {self.n} twist table")
         table = [list(row) for row in self.gamma]
         table[a][b] = factor * table[a][b]
         return RMatrixSpec(tuple(tuple(row) for row in table))

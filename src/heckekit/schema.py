@@ -188,20 +188,14 @@ class BlockOperator(Matrix):
 def build_T(inst: SchemaInstance, i: int) -> BlockOperator:
     """The Hecke generator acting on the sum of blocks.
 
-    D_i(wz) depends on w only through X = (wz)^{scale alpha_i}, a root's
-    monomial, so each distinct diagonal block D(X) I_k is built once, with
-    D(X) placed on its diagonal, and is one object at every w it serves.
+    Block (w, w) is D_i(wz) I_k, D_i(wz) = D(X) for X = (wz)^{scale alpha_i}
+    (:meth:`SchemaInstance.x_monomial`), and block (w, s_i w) is A(s_i w, i).
     """
     k, group = inst.block_dim, inst.group
-    diagonal: dict[LaurentPoly, Matrix] = {}
     blocks: dict[tuple[WeylElement, WeylElement], Matrix] = {}
     for w in group:
-        x = inst.x_monomial(w, i)
-        block = diagonal.get(x)
-        if block is None:
-            d = d_function(x)
-            block = diagonal[x] = Matrix((k, k), {(r, r): d for r in range(k)})
-        blocks[(w, w)] = block
+        d = d_function(inst.x_monomial(w, i))
+        blocks[(w, w)] = Matrix((k, k), {(r, r): d for r in range(k)})
         sw = group.left_mul_simple(i, w)
         blocks[(w, sw)] = inst.A(sw, i)
     return BlockOperator((k, k), blocks)

@@ -26,6 +26,7 @@ from heckekit.linalg import (
     nullspace,
 )
 from heckekit.relations import verdict
+from heckekit.rmatrix import tau_operator
 from heckekit.roots import build_cartan, weyl_group
 from heckekit.schema import identity_operator
 
@@ -441,3 +442,12 @@ def test_scalar_times_matrix_and_block_operator(scalar):
     scaled = scalar * op
     assert type(scaled) is type(op)
     assert all(scaled.block(w, w) == mat_scalar(c, identity_matrix(2)) for w in group)
+
+
+@pytest.mark.parametrize("scalar", [2.5, 1j, None], ids=["float", "complex", "None"])
+def test_an_unsupported_scalar_times_an_operator_is_a_type_error(scalar):
+    operators = [identity_matrix(2), identity_operator(weyl_group(build_cartan("A1")), 2), tau_operator(2)]
+    assert [type(op).__name__ for op in operators] == ["Matrix", "BlockOperator", "TensorOperator"]
+    for op in operators:
+        with pytest.raises(TypeError, match=rf"^unsupported operand type\(s\) for \*: '{type(scalar).__name__}' and"):
+            scalar * op

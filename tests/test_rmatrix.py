@@ -154,6 +154,15 @@ def test_triangularity_fails_with_perturbed_gamma():
     assert not check_triangularity(lambda x: r_affine(spec, x), doubler_scalar()).passed
 
 
+@pytest.mark.parametrize("a, b", [(0, 0), (1, 1), (0, 2), (2, 0), (-1, 0)],
+                         ids=["diagonal-0", "diagonal-1", "column-out", "row-out", "negative"])
+def test_perturbing_a_diagonal_or_out_of_range_twist_is_refused(a, b):
+    # r_affine never reads the diagonal, so perturbing it would build a negative control that passes
+    message = rf"^gamma\[{a}\]\[{b}\] is not an off-diagonal entry of the 2 x 2 twist table$"
+    with pytest.raises(ValueError, match=message):
+        free_gamma_spec(2).perturbed(a, b, 2)
+
+
 def test_tensor_operators_stay_tensor_operators():
     x = P.symbol("x")
     r, tau = r_affine(untwisted_spec(2), x), tau_operator(2)
