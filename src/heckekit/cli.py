@@ -1,10 +1,11 @@
 """Command line front end.
 
 Subcommands, one row each of the COMMANDS table: verify, cs, demazure,
-rmatrix, metaplectic, wreath.  Every command prints a deterministic text
-report and exits nonzero if any check failed.  With --json, stdout holds
-exactly one JSON document (the report); any other lines a command prints go
-to stderr.  Bad input exits with status 2 and the subcommand's usage message.
+rmatrix, metaplectic, wreath.  Every command prints a text report,
+deterministic apart from elapsed times, and exits nonzero if any check
+failed.  With --json, stdout holds exactly one JSON document (the report);
+any other lines a command prints go to stderr.  Bad input exits with status
+2 and the subcommand's usage message.
 """
 
 from __future__ import annotations

@@ -88,7 +88,8 @@ class Matrix:
     def compose(self, other: "Matrix") -> "Matrix":
         return mat_mul(self, other)
 
-    __mul__ = compose  # an entry that is a block multiplies by composing
+    def __mul__(self, other) -> "Matrix":  # a block entry composes; any other factor scales, as on the left
+        return mat_mul(self, other) if isinstance(other, (Matrix, tuple, list)) else self.__rmul__(other)
 
     def __add__(self, other: "Matrix") -> "Matrix":
         return mat_add(self, other)

@@ -65,7 +65,7 @@ from typing import Mapping, Sequence
 
 from .algebra import LaurentPoly, RationalFunction, exact_divide, v
 from .linalg import ZERO, Matrix, first_difference, identity_matrix, mat_mul, sparse_product
-from .relations import Act, applied, braid, quadratic, verdict, weyl_sum
+from .relations import Act, applied, braid, hecke_relations, quadratic, verdict, weyl_sum
 from .reports import Report
 from .roots import CartanDatum, WeylElement, WeylGroup, coroot_monomial, weight_monomial, weyl_group_of
 
@@ -115,7 +115,7 @@ class SchemaInstance:
     def perturbed(self, w: WeylElement, i: int, factor=2) -> "SchemaInstance":
         """Copy with one A entry scaled; used as a negative control."""
         a = dict(self.a_matrices)
-        a[(w, i)] = factor * a[(w, i)]
+        a[(w, i)] = factor * self.A(w, i)
         return self.replace(a_matrices=a, name=f"{self.name}-perturbed")
 
 
@@ -431,15 +431,12 @@ def verify_instance(
     composition: bool = True,
     spherical: bool = False,
 ) -> Report:
-    """Quadratic + braid (+ optional composition, Bernstein, idempotent) checks."""
+    """Quadratic + braid, one hecke_relations on one act (+ optional composition, Bernstein, idempotent) checks."""
     report = Report(f"{inst.name} ({inst.cartan.cartan_type})")
     if composition:
         check_composition(inst, report)
-    for i in range(inst.cartan.rank):
-        check_quadratic(inst, i, report)
-    for i in range(inst.cartan.rank):
-        for j in range(i + 1, inst.cartan.rank):
-            check_braid(inst, i, j, report)
+    on, start = checked_as(inst)
+    hecke_relations(report, block_action(on, start), on.cartan.braid_orders)
     for lam in lambdas:
         for i in range(inst.cartan.rank):
             check_bernstein(inst, lam, i, report)

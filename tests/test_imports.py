@@ -8,7 +8,10 @@ listed in the module's __all__.  tests/test_acceptance.py is frozen and keeps
 two unused names (v, check_composition), so it is exempt.  A top-level
 private name (_name, not a dunder) defined in src/heckekit counts as read if
 some module of the package loads it as a name or an attribute, so a deletion
-cannot leave an orphaned helper behind.
+cannot leave an orphaned helper behind.  A top-level public name must be read
+the same way or be exported in heckekit.__all__, so code that only tests
+call cannot enter src/heckekit; the names already there are listed, each
+with its reason, in TEST_ONLY_PUBLIC.
 """
 
 import ast
@@ -52,21 +55,30 @@ def top_level_names(tree: ast.Module) -> dict[str, int]:
     return names
 
 
-def dead_private_names(files: list[Path]) -> list[str]:
+def unread_names(files: list[Path], public: bool, exported=()) -> dict[str, str]:
+    """Each private (or public) top-level name of files that no file loads as a name or attribute, with its place.
+
+    A public name listed in exported counts as read.
+    """
     trees = {path: ast.parse(path.read_text()) for path in files}
-    read = set()
+    read = set(exported)
     for tree in trees.values():
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 read.add(node.id)
             elif isinstance(node, ast.Attribute):
                 read.add(node.attr)
-    return [
-        f"{path.relative_to(ROOT)}:{line}: {name}"
+    return {
+        name: f"{path.name}:{line}"
         for path, tree in trees.items()
         for name, line in top_level_names(tree).items()
-        if name.startswith("_") and not name.startswith("__") and name not in read
-    ]
+        if (not name.startswith("_") if public else name.startswith("_") and not name.startswith("__"))
+        and name not in read
+    }
+
+
+def dead_private_names(files: list[Path]) -> list[str]:
+    return [f"{place}: {name}" for name, place in unread_names(files, public=False).items()]
 
 
 def test_no_dead_private_names():
@@ -79,3 +91,34 @@ def test_every_exported_name_resolves():
     import heckekit
 
     assert [name for name in heckekit.__all__ if not hasattr(heckekit, name)] == []
+
+
+# Public names of src/heckekit that only tests read (ROADMAP item 15's inventory), each with its reason.
+TEST_ONLY_PUBLIC = {
+    "is_scalar_matrix": "imported by the frozen acceptance suite and the workloads",
+    "check_met_demazure_match": "imported by the frozen acceptance suite (criterion 8)",
+    "check_met_demazure_relations": "imported by the frozen acceptance suite and the workloads (criterion 8)",
+    "demazure_polynomial": "imported by the frozen acceptance suite",
+    "idempotent_element": "a row of the benchmark tracer",
+    "check_representative_independence": "a theorem check that only tests run",
+    "check_content_preservation": "a theorem check that only tests run",
+}
+
+
+def test_every_public_name_is_read_or_exported():
+    import heckekit
+
+    unread = unread_names(sorted((ROOT / "src" / "heckekit").glob("*.py")), public=True, exported=heckekit.__all__)
+    assert {name: place for name, place in unread.items() if name not in TEST_ONLY_PUBLIC} == {}
+    assert sorted(TEST_ONLY_PUBLIC.keys() - unread.keys()) == []  # a listed name that gained a reader leaves the list
+
+
+def test_a_public_name_read_only_by_tests_is_caught(tmp_path):
+    package, tests = tmp_path / "package", tmp_path / "tests"
+    package.mkdir()
+    tests.mkdir()
+    (package / "core.py").write_text("def used():\n    return 1\n\n\ndef only_tested():\n    return used()\n")
+    (package / "cli.py").write_text("from .core import used\n\nprint(used())\n")
+    (tests / "test_core.py").write_text("from package.core import only_tested\n\nonly_tested()\n")
+    assert unread_names(sorted(package.glob("*.py")), public=True) == {"only_tested": "core.py:5"}
+    assert unread_names(sorted(package.glob("*.py")), public=True, exported=["only_tested"]) == {}

@@ -451,3 +451,37 @@ def test_an_unsupported_scalar_times_an_operator_is_a_type_error(scalar):
     for op in operators:
         with pytest.raises(TypeError, match=rf"^unsupported operand type\(s\) for \*: '{type(scalar).__name__}' and"):
             scalar * op
+
+
+def three_operators():
+    """A Matrix, a BlockOperator and a TensorOperator, each with an entry that is not 1."""
+    y = RF.from_poly(P.symbol("y"))
+    op = identity_operator(weyl_group(build_cartan("A1")), 2)
+    return [Matrix((2, 2), {(0, 0): y, (1, 0): RF.one()}), y * op, y * tau_operator(2)]
+
+
+@pytest.mark.parametrize("scalar", [2, Fraction(1, 3), P.symbol("x"), RF.from_poly(P.symbol("x"))],
+                         ids=["int", "Fraction", "LaurentPoly", "RationalFunction"])
+def test_an_operator_times_a_scalar_scales_as_on_the_left(scalar):
+    for op in three_operators():
+        scaled = op * scalar
+        assert type(scaled) is type(op) and scaled == scalar * op
+
+
+@pytest.mark.parametrize("scalar", [2.5, 1j, None], ids=["float", "complex", "None"])
+def test_an_operator_times_an_unsupported_scalar_is_a_type_error(scalar):
+    for op in three_operators():
+        with pytest.raises(TypeError, match=rf"^unsupported operand type\(s\) for \*: '{type(op).__name__}' and"):
+            op * scalar
+
+
+def test_a_matrix_times_a_matrix_composes_through_mat_mul(monkeypatch):
+    import heckekit.linalg as linalg
+
+    m, op, t = three_operators()
+    want = mat_mul(m, m), mat_mul(t, t), op.compose(op)
+    calls = []
+    monkeypatch.setattr(linalg, "mat_mul", lambda a, b: calls.append(1) or mat_mul(a, b))
+    assert m * m == want[0] and t * t == want[1] and len(calls) == 2
+    calls.clear()
+    assert op.compose(op) == want[2] and calls  # an entry that is a block multiplies by composing

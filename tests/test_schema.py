@@ -4,7 +4,10 @@ import pytest
 
 from heckekit.algebra import LaurentPoly, RationalFunction, rf_equal, v
 from heckekit.linalg import Matrix, is_scalar_matrix, mat_mul
+from heckekit.metaplectic import build_datum, metaplectic_schema_instance
 from heckekit.relations import weyl_sum
+from heckekit.reports import Report
+from heckekit.rmatrix import tensor_schema_instance
 from heckekit.roots import WeylGroup, build_cartan
 from heckekit.schema import (
     BlockOperator,
@@ -279,3 +282,67 @@ def test_block_operator_reads_blocks_not_rows(a2):
             read()
     block = t.block(s1, e)  # a Matrix keeps its rows
     assert len(block) == 1 and block[0] == (block[0, 0],) and list(block) == [block.row(0)]
+
+
+def relation_sequence(inst, lambdas=(), spherical=False) -> Report:
+    """verify_instance's report as a sequence of single checks: composition, each quadratic, each braid, then the rest."""
+    rank = inst.cartan.rank
+    report = Report(f"{inst.name} ({inst.cartan.cartan_type})")
+    check_composition(inst, report)
+    for i in range(rank):
+        check_quadratic(inst, i, report)
+    for i in range(rank):
+        for j in range(i + 1, rank):
+            check_braid(inst, i, j, report)
+    for lam in lambdas:
+        for i in range(rank):
+            check_bernstein(inst, lam, i, report)
+    if spherical:
+        check_spherical_idempotent(inst, report)
+    return report
+
+
+def doubled(inst):
+    return inst.perturbed(inst.group.longest(), 0, 2)
+
+
+VERIFIED = {
+    "generic-A2": lambda: (generic_instance(build_cartan("A2")), [(1, 0, 0), (1, 1, 0)], True),
+    "generic-G2": lambda: (generic_instance(build_cartan("G2")), [], True),
+    "cover-A2-n2": lambda: (lambda d: (metaplectic_schema_instance(d), d.lattice_basis, True))(build_datum("A2", 2)),
+    "tensor-n2-r3": lambda: (tensor_schema_instance(2, 3, "none", 1), [(1, 0, 0)], False),
+    "doubled-generic-A2": lambda: (doubled(generic_instance(build_cartan("A2"))), [(1, 0, 0)], True),
+    "doubled-cover-A2-n2": lambda: (lambda d: (doubled(metaplectic_schema_instance(d)), d.lattice_basis, True))(
+        build_datum("A2", 2)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(VERIFIED))
+def test_verify_instance_reports_as_single_checks_do(name):
+    inst, lambdas, spherical = VERIFIED[name]()
+    twin, _, _ = VERIFIED[name]()
+    got = verify_instance(inst, lambdas, spherical=spherical)
+    want = relation_sequence(twin, lambdas, spherical)
+    assert [(c.name, c.passed, c.lhs, c.rhs) for c in got.checks] == [(c.name, c.passed, c.lhs, c.rhs) for c in want.checks]
+    assert got.passed == (not name.startswith("doubled"))
+    if name.startswith("doubled"):
+        assert inst.checked_on is None and not got.passed
+
+
+def test_verify_instance_composes_on_one_act(monkeypatch):
+    calls = []
+    compose = BlockOperator.compose
+    monkeypatch.setattr(BlockOperator, "compose", lambda self, other: calls.append(1) or compose(self, other))
+    group = WeylGroup(build_cartan("A3"))
+    report = verify_instance(generic_instance(group.cartan, group).perturbed(group.longest(), 0, 2))
+    assert not report.passed
+    assert len(calls) == 16
+
+
+def test_perturbing_a_missing_entry_names_it():
+    inst = generic_instance(build_cartan("A1"))
+    e = inst.group.identity
+    sparse = inst.replace(a_matrices={key: a for key, a in inst.a_matrices.items() if key != (e, 0)})
+    with pytest.raises(KeyError, match=r"missing A entry for \(w=e, i=1\)"):
+        sparse.perturbed(e, 0)
+    assert verify_instance(inst.perturbed(e, 0, factor=1)).passed
