@@ -2,9 +2,10 @@
 
 A module reaches the verifier as act(word) = T_word f, the word
 T_{word[0]} ... T_{word[-1]} in its generators applied to one start f, one
-letter at a time (`applied`): for block and tensor operators the start is
-the identity or its column E at e (schema.checked_as), for Demazure
-operators the element they act on, such as a monomial z^mu.  The relations
+letter at a time (`applied`): a schema instance keeps one act, on the
+identity or its column E at e (schema.checked_as), whose T_i f Bernstein
+scales; tensor operators start at the identity, Demazure operators at the
+element they act on, such as a monomial z^mu.  The relations
 
     T_i^2 = (v - 1) T_i + v,    T_i T_j T_i ... = T_j T_i T_j ...  (m letters)
 

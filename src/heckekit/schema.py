@@ -41,21 +41,19 @@ C(x) C(x^-1), so the composition verdict at w is again the one at e.  So
 each relation check of a gauge-certified instance has the verdict of the
 same check on the spherical instance, whose entries carry no free symbol.
 
-Where an instance is checked.  a_matrices is read-only, so an instance
-keeps the A(w, i) its builder placed, and an edit is a new instance
-(SchemaInstance.perturbed or SchemaInstance.replace).  The field
-checked_on names the transported instance whose identity column decides
-an instance's relations: itself as transported_instance builds it; for
-generic_instance, once checked_as first runs gauge_certified, the
-spherical instance (spherical_instance) if the gauge holds and None if
-not; None for every other instance, copies included.  checked_as gives
-every relation check (composition, quadratic, braid, Bernstein, spherical
-idempotent) its instance and start: the named instance and E, or the
-instance itself and the identity operator, so an unchecked copy is
-checked on whole |W| x |W| block operators by the same code.  Reports
-keep the caller's names and titles.  A transported instance checks
-composition at e only, and each T_i is built once per instance
-(generator).
+Where an instance is checked.  a_matrices is read-only, so an edit is a
+new instance (SchemaInstance.perturbed or replace).  checked_on names the
+transported instance whose identity column decides an instance's
+relations: itself as transported_instance builds it; for generic_instance
+the spherical instance if its gauge holds (decided on first use), else
+None; None for every other instance, copies included.  checked_as makes
+one act per instance and keeps it: block_action of the named instance on
+E, or of the instance itself on the identity operator, so an unchecked
+copy is checked on whole |W| x |W| block operators by the same code.  The
+quadratic, braid and spherical idempotent checks read its words, and
+Bernstein scales its T_i start, composing nothing.  Each T_i is built
+once per instance (generator), a transported instance checks composition
+at e only, and reports keep the caller's names and titles.
 """
 
 from __future__ import annotations
@@ -74,11 +72,12 @@ class SchemaInstance:
     """The data of one instance.  a_matrices is read-only: a view of a copy of the mapping given.
 
     Edits go through perturbed or replace, whose copies start with
-    checked_on None and no kept generators.
+    checked_on None, no kept generators and no kept act.
     """
 
     _FIELDS = ("cartan", "group", "block_dim", "a_matrices", "root_scale", "name")
-    __slots__ = (*_FIELDS, "checked_on", "generators")
+    _KEPT = ("checked_on", "generators", "checked")
+    __slots__ = (*_FIELDS, *_KEPT)
 
     def __init__(self, cartan: CartanDatum, group: WeylGroup, block_dim: int,
                  a_matrices: Mapping[tuple[WeylElement, int], Matrix], root_scale: tuple[int, ...], name: str):
@@ -89,10 +88,11 @@ class SchemaInstance:
         self.checked_on: SchemaInstance | None = None
         # the T_i that generator built, each once
         self.generators: dict[int, BlockOperator] = {}
+        self.checked: tuple[SchemaInstance, Act] | None = None  # checked_as's (instance, act), made once
 
     def replace(self, **changes) -> "SchemaInstance":
-        """A new instance with the fields in changes replaced; ValueError for checked_on and generators."""
-        refused = sorted({"checked_on", "generators"} & changes.keys())
+        """A new instance with the fields in changes replaced; ValueError for checked_on, generators and checked."""
+        refused = sorted(set(self._KEPT) & changes.keys())
         if refused:
             raise ValueError(f"{', '.join(refused)} cannot be replaced: a copy starts with none")
         return SchemaInstance(**{name: getattr(self, name) for name in self._FIELDS} | changes)
@@ -231,21 +231,25 @@ def spherical_instance(group: WeylGroup, root_scale: tuple[int, ...]) -> SchemaI
 UNGAUGED = object()  # a generic instance's checked_on until checked_as runs its gauge
 
 
-def checked_as(inst: SchemaInstance) -> tuple[SchemaInstance, BlockOperator]:
-    """The instance whose relation checks decide inst's, and the start they apply their words to.
+def checked_as(inst: SchemaInstance) -> tuple[SchemaInstance, Act]:
+    """The instance whose relation checks decide inst's, and the one act they all read.
 
-    (inst.checked_on, E = {(e, e): I_k}) when the field names an instance,
-    else (inst, the identity operator).  A generic instance's UNGAUGED is
-    resolved here, once: to the spherical instance if inst passes
-    gauge_certified, else to None.
+    The act, made on the first call and kept in inst.checked, is
+    block_action of inst.checked_on on E = {(e, e): I_k} when the field
+    names an instance, else of inst on the identity operator; act(()) is
+    the start.  That call resolves a generic instance's UNGAUGED: to the
+    spherical instance if inst passes gauge_certified, else to None.
     """
-    if inst.checked_on is UNGAUGED:
-        inst.checked_on = spherical_instance(inst.group, inst.root_scale) if gauge_certified(inst) else None
-    on = inst.checked_on
-    if on is None:
-        return inst, identity_operator(inst.group, inst.block_dim)
-    e, ident = on.group.identity, identity_matrix(on.block_dim)
-    return on, BlockOperator(ident.shape, {(e, e): ident})
+    if inst.checked is None:
+        if inst.checked_on is UNGAUGED:
+            inst.checked_on = spherical_instance(inst.group, inst.root_scale) if gauge_certified(inst) else None
+        on = inst.checked_on
+        if on is None:
+            inst.checked = inst, block_action(inst, identity_operator(inst.group, inst.block_dim))
+        else:
+            e, ident = on.group.identity, identity_matrix(on.block_dim)
+            inst.checked = on, block_action(on, BlockOperator(ident.shape, {(e, e): ident}))
+    return inst.checked
 
 
 def gauge_certified(inst: SchemaInstance) -> bool:
@@ -331,15 +335,14 @@ def check_composition(inst: SchemaInstance, report: Report | None = None) -> Rep
 def check_quadratic(inst: SchemaInstance, i: int, report: Report | None = None) -> Report:
     """T_i^2 = (v - 1) T_i + v, exactly."""
     report = report or Report(f"{inst.name}: quadratic")
-    on, start = checked_as(inst)
-    return quadratic(report, block_action(on, start), i)
+    return quadratic(report, checked_as(inst)[1], i)
 
 
 def check_braid(inst: SchemaInstance, i: int, j: int, report: Report | None = None) -> Report:
     """Alternating products of length n(i, j) agree, exactly."""
     report = report or Report(f"{inst.name}: braid")
-    on, start = checked_as(inst)
-    return braid(report, block_action(on, start), i, j, on.cartan.braid_orders[i][j])
+    on, act = checked_as(inst)
+    return braid(report, act, i, j, on.cartan.braid_orders[i][j])
 
 
 def off_root_scale(inst: SchemaInstance, lam: Sequence[int], i: int) -> str | None:
@@ -359,29 +362,27 @@ def check_bernstein(inst: SchemaInstance, lam: Sequence[int], i: int, report: Re
 
     The right side is computed by exact division in the theta algebra; a
     weight off the root scale (off_root_scale) fails the check.  Both sides
-    are applied to the start of checked_as(inst), each diagonal operator by
-    scaling the blocks it acts on.
+    are applied to the start of checked_as(inst), E or the identity, with
+    which every diagonal operator commutes, so the left side is T_i start
+    (the act's word (i,)) with block (t, s) scaled by (tz)^lam - (sz)^{s_i lam}:
+    no composition.  On a block (w, s_i w) that factor is 0, so the check
+    never reads A and is no negative control for A entries.
     """
     report = report or Report(f"{inst.name}: bernstein")
-    (inst, start), lam = checked_as(inst), tuple(lam)
+    (inst, act), lam = checked_as(inst), tuple(lam)
 
     def check():
         reason = off_root_scale(inst, lam, i)
         if reason:
             return False, f"lambda={lam}, i={i + 1}: {reason}", "Bernstein"
         slam = inst.group.simple(i).act(lam)
-        t = generator(inst, i)
         numerator = weight_monomial(lam) - weight_monomial(slam)
         alpha = inst.cartan.simple_coroots[i]
         denominator = LaurentPoly.one() - coroot_monomial(alpha, -inst.root_scale[i])
-        quotient = exact_divide(numerator, denominator)
-
-        def rhs(w):
-            return (v() - 1) * inst.group.at_point(w, quotient)
-
-        theta, theta_s = theta_scalar(inst, lam), theta_scalar(inst, slam)
-        lhs = scaled_column(theta, t.compose(start)) - t.compose(scaled_column(theta_s, start))
-        return verdict(lhs, scaled_column(rhs, start))
+        rhs = (v() - 1) * exact_divide(numerator, denominator)
+        theta, theta_s, t_i = theta_scalar(inst, lam), theta_scalar(inst, slam), act((i,))  # T_i start
+        lhs = BlockOperator(t_i.shape, {(t, s): (theta(t) - theta_s(s)) * b for (t, s), b in t_i.blocks.items()})
+        return verdict(lhs, scaled_column(lambda w: inst.group.at_point(w, rhs), act(())))
 
     report.run(f"bernstein lambda={lam} i={i + 1}", check)
     return report
@@ -398,27 +399,28 @@ def check_spherical_idempotent(inst: SchemaInstance, report: Report | None = Non
     certificate is sound on any instance; r generator applications replace
     a second sum over W.  If some T_i s != v s, the identity is computed
     whole, so a failure renders as the first entry where its sides differ.
-    The steps run on E first: when the start is the identity operator, whose
-    column at e is E, a failure in block (e, e), the first block
-    first_difference walks, is already the whole identity's.
+    s is summed through the kept act of checked_as.  On an identity start
+    (a copy) the steps first run on its column at e, E, in an act of their
+    own: a failure in block (e, e), the first block first_difference walks,
+    is already the whole identity's.
     """
     report = report or Report(f"{inst.name}: spherical idempotent")
-    inst, start = checked_as(inst)
-    e = inst.group.identity
-    column = BlockOperator(start.shape, {(e, e): start[e, e]})  # E, the start itself when it is E
+    inst, act = checked_as(inst)
+    e, start = inst.group.identity, act(())
+    column = BlockOperator(start.shape, {(e, e): start[e, e]})
 
-    def sides(f: BlockOperator) -> tuple[BlockOperator, BlockOperator] | None:
-        """None if T_i s = v s for every i, else the two sides of the identity applied to f."""
-        s = weyl_sum(block_action(inst, f), inst.group)
+    def sides(on_start: Act) -> tuple[BlockOperator, BlockOperator] | None:
+        """None if T_i s = v s for every i, else the two sides of the identity, s summed through on_start."""
+        s = weyl_sum(on_start, inst.group)
         on_s = block_action(inst, s)
         if all(on_s((i,)) == v() * s for i in range(inst.cartan.rank)):
             return None
         return weyl_sum(on_s, inst.group), poincare_polynomial(inst.group) * s
 
     def check():
-        got = sides(column)
-        if start != column and (got is None or got[0][e, e] == got[1][e, e]):
-            got = sides(start)
+        got = sides(block_action(inst, column)) if start != column else None
+        if got is None or got[0][e, e] == got[1][e, e]:
+            got = sides(act)
         return (True, None, None) if got is None else verdict(*got)
 
     report.run("spherical idempotent", check)
@@ -431,12 +433,12 @@ def verify_instance(
     composition: bool = True,
     spherical: bool = False,
 ) -> Report:
-    """Quadratic + braid, one hecke_relations on one act (+ optional composition, Bernstein, idempotent) checks."""
+    """Composition, then quadratic + braid (hecke_relations), Bernstein and idempotent on checked_as's one act."""
     report = Report(f"{inst.name} ({inst.cartan.cartan_type})")
     if composition:
         check_composition(inst, report)
-    on, start = checked_as(inst)
-    hecke_relations(report, block_action(on, start), on.cartan.braid_orders)
+    on, act = checked_as(inst)
+    hecke_relations(report, act, on.cartan.braid_orders)
     for lam in lambdas:
         for i in range(inst.cartan.rank):
             check_bernstein(inst, lam, i, report)

@@ -23,6 +23,7 @@ import heckekit.schema
 from heckekit.algebra import LaurentPoly, RationalFunction, v
 from heckekit.linalg import Matrix, identity_matrix
 from heckekit.metaplectic import build_datum, metaplectic_schema_instance
+from heckekit.reports import Report
 from heckekit.relations import applied, verdict, weyl_sum
 from heckekit.rmatrix import (
     TensorOperator,
@@ -49,7 +50,10 @@ from heckekit.schema import (
     gauge_certified,
     generator,
     generic_instance,
+    identity_operator,
     poincare_polynomial,
+    scaled_column,
+    theta_scalar,
     transported_instance,
     verify_instance,
 )
@@ -163,9 +167,8 @@ def e_column(op: BlockOperator) -> BlockOperator:
 @pytest.mark.parametrize("name", REDUCTION_INSTANCES)
 def test_every_short_word_acts_on_the_identity_column_as_its_operator_does(name):
     inst = REDUCTION_INSTANCES[name]()
-    on, start = checked_as(inst)
-    assert on is inst and start == e_start(inst)
-    on_column = block_action(inst, start)
+    on, on_column = checked_as(inst)
+    assert on is inst and on_column(()) == e_start(inst)
     letters = range(inst.cartan.rank)
     for word in (w for length in (1, 2, 3) for w in iproduct(letters, repeat=length)):
         assert e_column(apply_word(inst, word)).difference(on_column(word)) is None, word
@@ -483,9 +486,9 @@ def test_the_gauge_and_the_spherical_instance_each_run_once_on_first_use_and_no_
     built = spy_on(monkeypatch, "spherical_instance")
     inst = generic("A2")
     assert inst.checked_on is UNGAUGED and not gauged and not built  # not while the instance is built
-    sph, start = checked_as(inst)
+    sph, act = checked_as(inst)
     assert checked_as(inst)[0] is sph and len(gauged) == len(built) == 1
-    assert inst.checked_on is sph and sph.checked_on is sph and start == e_start(sph)
+    assert inst.checked_on is sph and sph.checked_on is sph and act(()) == e_start(sph)
     assert sph.a_matrices == spherical_schema_instance(inst.cartan, inst.group).a_matrices
     copy = inst.replace()  # the same values in a new instance, checked on whole operators
     assert copy.checked_on is None and checked_as(copy)[0] is copy and len(gauged) == len(built) == 1
@@ -535,7 +538,7 @@ def test_the_eigenvector_certificate_has_the_verdict_of_the_spherical_identity(n
         certificate, identity = certificate_and_identity(x, e_start(x))
         assert certificate == identity == (x is inst), x.name
     if name in ("cover-A2-n2", "generic-A2", "generic-B2"):  # the copy's own start: the identity operator
-        assert certificate_and_identity(doubled, checked_as(doubled)[1]) == (False, False)
+        assert certificate_and_identity(doubled, checked_as(doubled)[1](())) == (False, False)
         assert not check_spherical_idempotent(doubled).passed
     assert check_spherical_idempotent(inst).passed
 
@@ -555,3 +558,117 @@ def test_a_failing_spherical_check_renders_as_its_whole_operator_identity(name):
         check = check_spherical_idempotent(bad).checks[0]
         assert (check.passed, check.lhs, check.rhs) == expected, where.name()
         assert not check.passed and check.lhs.startswith("block (e, e) "), where.name()
+
+
+# -- one kept act per instance: every relation check reads it ------------------------
+
+
+def counted_compositions(monkeypatch):
+    """A list that grows by one for every BlockOperator.compose, which still runs."""
+    composed, compose = [], BlockOperator.compose
+    monkeypatch.setattr(BlockOperator, "compose", lambda self, other: composed.append(1) or compose(self, other))
+    return composed
+
+
+def cover_a2_n2():
+    datum = build_datum("A2", 2)
+    return metaplectic_schema_instance(datum), list(datum.lattice_basis)
+
+
+@pytest.mark.parametrize("name, compositions", [("cover-A2-n2", 8), ("generic-A2", 10), ("generic-G2", 16)])
+def test_one_verify_composes_each_word_of_the_kept_act_once(monkeypatch, name, compositions):
+    # the relation act composes the words of the quadratic and braid checks: 1, 11, 2, 22, 21, 121, 12, 212
+    # on A2; Bernstein reads its words (i,), the Weyl sum reads words it holds, and the certificate
+    # composes each T_i once with s
+    if name.startswith("cover"):
+        (inst, lambdas), spherical = cover_a2_n2(), False
+    else:
+        inst, lambdas, spherical = generic(name[-2:]), [], True
+    composed = counted_compositions(monkeypatch)
+    assert verify_instance(inst, lambdas, spherical=spherical).passed
+    assert len(composed) == compositions
+
+
+@pytest.mark.parametrize("builder", ["transported", "generic", "copy"])
+def test_checked_as_makes_one_act_per_instance_and_returns_it_again(builder):
+    inst, _ = cover_a2_n2()
+    inst = {"transported": inst, "generic": generic("A2"), "copy": inst.replace()}[builder]
+    assert inst.checked is None
+    on, act = checked_as(inst)
+    again = checked_as(inst)
+    assert again[0] is on and again[1] is act and inst.checked is again
+    start = e_start(on) if inst.checked_on is not None else identity_operator(inst.group, inst.block_dim)
+    assert (on is inst) is (builder != "generic") and act(()) == start
+
+
+def test_a_copy_starts_without_the_kept_act_and_replace_refuses_it_by_name():
+    inst = metaplectic_schema_instance(build_datum("A1", 2))
+    _, act = checked_as(inst)
+    for copy in (inst.replace(), inst.perturbed(inst.group.identity, 0, 1)):
+        assert copy.checked is None
+        on, copied = checked_as(copy)
+        assert on is copy and copied is not act and copied(()) != act(())
+    with pytest.raises(ValueError, match=r"^checked cannot be replaced"):
+        inst.replace(checked=inst.checked)
+
+
+@pytest.mark.parametrize("copy", [False, True], ids=["E", "identity"])
+def test_bernstein_composes_nothing_once_the_act_holds_t_i_start(monkeypatch, copy):
+    inst, lambdas = cover_a2_n2()
+    inst = inst.replace() if copy else inst
+    _, act = checked_as(inst)
+    for i in range(inst.cartan.rank):
+        act((i,))
+    composed = counted_compositions(monkeypatch)
+    report = Report(inst.name)
+    for lam in lambdas:
+        for i in range(inst.cartan.rank):
+            check_bernstein(inst, lam, i, report)
+    assert report.passed and not composed
+
+
+def perturbed_cover_a2_n2():
+    inst, lambdas = cover_a2_n2()
+    return inst.perturbed(inst.group.simple(0), 1), lambdas
+
+
+BERNSTEIN_STARTS = {
+    "cover-A2-n2 on E": cover_a2_n2,
+    "tensor n=2 r=3 on E": lambda: (tensor_schema_instance(2, 3), [(1, 0, 0), (1, 1, 0), (2, -1, 0)]),
+    "perturbed cover-A2-n2 on the identity": perturbed_cover_a2_n2,
+}
+
+
+@pytest.mark.parametrize("name", BERNSTEIN_STARTS)
+def test_bernstein_scales_t_i_start_to_the_composed_left_side(monkeypatch, name):
+    inst, lambdas = BERNSTEIN_STARTS[name]()
+    on, act = checked_as(inst)
+    start = act(())
+    assert (len(start.blocks) == 1) is (on.checked_on is on)
+    compared = spy_on(monkeypatch, "verdict")
+    for lam in lambdas:
+        for i in range(inst.cartan.rank):
+            compared.clear()
+            assert check_bernstein(inst, lam, i).passed
+            (lhs, _), = compared
+            slam = on.group.simple(i).act(lam)
+            t = generator(on, i)
+            composed = scaled_column(theta_scalar(on, lam), t.compose(start)) - t.compose(
+                scaled_column(theta_scalar(on, slam), start))
+            assert lhs.difference(composed) is None and composed.blocks.keys() == lhs.blocks.keys(), (lam, i)
+
+
+def test_bernstein_never_reads_a_so_no_perturbed_copy_fails_it():
+    # off the diagonal, on block (w, s_i w), (wz)^lam = (s_i w z)^{s_i lam}: the scaling factor is 0
+    inst, lambdas = cover_a2_n2()
+    gen = generic("A2")
+    copies = [(inst.perturbed(w, i), lambdas) for w, i in inst.a_matrices]
+    copies.append((gen.perturbed(gen.group.longest(), 0, 2), gen.cartan.fundamental_weights()))
+    for copy, weights in copies:
+        report = check_composition(copy)
+        assert not report.passed and copy.checked_on is None, copy.name  # each copy is wrong
+        bernstein = Report(copy.name)
+        for lam in weights:
+            for i in range(copy.cartan.rank):
+                check_bernstein(copy, lam, i, bernstein)
+        assert bernstein.passed and len(bernstein.checks) == len(weights) * copy.cartan.rank

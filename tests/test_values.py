@@ -61,7 +61,7 @@ def test_schema_instance_replace_copies_the_fields_and_refuses_the_kept_state():
     copy = inst.replace(name="copy")
     assert copy.name == "copy" and copy.a_matrices == inst.a_matrices and copy.cartan is inst.cartan
     assert copy.checked_on is None and not copy.generators
-    for name in ("checked_on", "generators"):  # test_transport pins the constructor's refusal of checked_on
+    for name in ("checked_on", "generators", "checked"):  # test_transport pins the constructor's refusal of checked_on
         with pytest.raises(ValueError, match=name):
             inst.replace(**{name: None})
     with pytest.raises(TypeError):
